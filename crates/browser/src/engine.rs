@@ -16,7 +16,7 @@ use cachecatalyst_catalyst::{
     tamper_config_headers, ConfigIntegrity, EtagConfig, ServiceWorker, SwDecision,
 };
 use cachecatalyst_httpcache::{HttpCache, Lookup};
-use cachecatalyst_httpwire::codec::encode_request;
+use cachecatalyst_httpwire::hash::xxh64;
 use cachecatalyst_httpwire::{tracectx, HeaderName, Request, Response, StatusCode, Url};
 use cachecatalyst_netsim::{
     Fault, FaultPlan, FaultSchedule, FetchOutcome, FetchTrace, LinkId, LoadTrace, NetEvent,
@@ -238,6 +238,9 @@ enum Pending {
 
 struct FetchState {
     url: Url,
+    /// `url` rendered once: the key of every per-URL map (caches,
+    /// service worker, push tables) and the trace/audit label.
+    key: String,
     req: Request,
     discovered: SimTime,
     started: Option<SimTime>,
@@ -282,7 +285,7 @@ struct FetchState {
     pending_fault: Option<Fault>,
     /// Bytes of partial transfers wasted on failed attempts.
     bytes_wasted: u64,
-    /// FNV-64 of the body handed to the page (the serve-correct-bytes
+    /// XXH64 of the body handed to the page (the serve-correct-bytes
     /// oracle's comparand).
     body_digest: Option<u64>,
 }
@@ -290,9 +293,10 @@ struct FetchState {
 impl FetchState {
     /// A fetch in its initial state (not started, full transfer
     /// assumed until the serving decision says otherwise).
-    fn new(url: Url, req: Request, discovered: SimTime) -> FetchState {
+    fn new(url: Url, key: String, req: Request, discovered: SimTime) -> FetchState {
         FetchState {
             url,
+            key,
             req,
             discovered,
             started: None,
@@ -321,17 +325,6 @@ impl FetchState {
             body_digest: None,
         }
     }
-}
-
-/// FNV-1a 64 over a body — the page-visible-bytes digest recorded on
-/// the audit trail.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 struct ConnState {
@@ -680,7 +673,7 @@ impl<'a> Engine<'a> {
             Pending::PushDone(f) => {
                 self.fetches[f].completed = Some(now);
                 let resp = self.fetches[f].response.take().expect("pushed body");
-                let url = self.fetches[f].url.to_string();
+                let url = self.fetches[f].key.clone();
                 self.push_rows.insert(url.clone(), f);
                 let waiter = self
                     .push_inflight
@@ -800,7 +793,7 @@ impl<'a> Engine<'a> {
 
     fn request_fetch(&mut self, url: Url, now: SimTime, is_navigation: bool) {
         let key = url.to_string();
-        if !self.requested.insert(key) {
+        if !self.requested.insert(key.clone()) {
             return;
         }
         let path = url.path().to_owned();
@@ -815,7 +808,7 @@ impl<'a> Engine<'a> {
             req.headers.insert(ext::X_LAST_VISIT, &last.to_string());
         }
         if is_navigation {
-            self.navigation_url = Some(url.to_string());
+            self.navigation_url = Some(key.clone());
         } else if let Some(nav) = &self.navigation_url {
             req.headers.insert("referer", nav);
         }
@@ -823,7 +816,7 @@ impl<'a> Engine<'a> {
         let f = self.fetches.len();
         self.fetches.push(FetchState {
             is_navigation,
-            ..FetchState::new(url.clone(), req, now)
+            ..FetchState::new(url.clone(), key.clone(), req, now)
         });
         if is_navigation {
             self.render_blocking.push(f);
@@ -845,7 +838,7 @@ impl<'a> Engine<'a> {
             if is_navigation {
                 // Navigations always go upstream; attach the SW's
                 // stored validator so an unchanged page costs a 304.
-                if let Some(tag) = self.sw.cached_etag(&url.to_string()) {
+                if let Some(tag) = self.sw.cached_etag(&key) {
                     let tag = tag.to_string();
                     self.fetches[f].audit_etag = Some(tag.clone());
                     self.fetches[f]
@@ -854,7 +847,6 @@ impl<'a> Engine<'a> {
                         .insert(HeaderName::IF_NONE_MATCH, &tag);
                 }
             } else {
-                let url_str = url.to_string();
                 // The `X-Etag-Config` entry consulted for this
                 // resource (same-origin keyed by path, cross-origin by
                 // full URL) — recorded on the audit trail.
@@ -862,17 +854,17 @@ impl<'a> Engine<'a> {
                     .sw
                     .config()
                     .get(&path)
-                    .or_else(|| self.sw.config().get(&url_str))
+                    .or_else(|| self.sw.config().get(&key))
                     .cloned();
                 self.fetches[f].audit_etag = consulted.as_ref().map(|t| t.to_string());
-                match self.sw.intercept(&url_str, &path) {
+                match self.sw.intercept(&key, &path) {
                     SwDecision::ServeLocal(resp) => {
                         // Staleness oracle: the served bytes are the
                         // cached entry; the consulted entry is the
                         // origin's *current* version (the map was
                         // installed by this very navigation). A serve
                         // despite mismatch would be a catalyst bug.
-                        let served = self.sw.cached_etag(&url_str);
+                        let served = self.sw.cached_etag(&key);
                         self.fetches[f].audit_stale = match (served, &consulted) {
                             (Some(s), Some(c)) => Some(!(s.strong_eq(c) || s.weak_eq(c))),
                             _ => None,
@@ -900,7 +892,7 @@ impl<'a> Engine<'a> {
         } else if self.cfg.use_http_cache {
             let lookup = {
                 let req = &self.fetches[f].req;
-                self.cache.lookup_for(&url.to_string(), req, self.t_secs)
+                self.cache.lookup_for(&key, req, self.t_secs)
             };
             match lookup {
                 Lookup::Fresh(resp) => {
@@ -967,6 +959,7 @@ impl<'a> Engine<'a> {
         now: SimTime,
         served: FetchId,
     ) {
+        let key = url.to_string();
         let mut req = Request::get(&url.target().to_string())
             .with_header(HeaderName::HOST, &url.authority())
             .with_header(HeaderName::USER_AGENT, "cachecatalyst-browser/0.1");
@@ -979,7 +972,7 @@ impl<'a> Engine<'a> {
         self.fetches.push(FetchState {
             outcome: FetchOutcome::NotModified,
             is_background: true,
-            ..FetchState::new(url, req, now)
+            ..FetchState::new(url, key, req, now)
         });
         if let Some(tracer) = &self.tracer {
             let span = SpanId::next();
@@ -998,9 +991,9 @@ impl<'a> Engine<'a> {
     /// Serves `f` from the predelivered set (or parks it on an
     /// in-flight push promise) if possible.
     fn try_predelivered(&mut self, f: FetchId) -> bool {
-        let key = self.fetches[f].url.to_string();
-        if let Some(resp) = self.predelivered.remove(&key) {
-            if let Some(&pf) = self.push_rows.get(&key) {
+        let key = &self.fetches[f].key;
+        if let Some(resp) = self.predelivered.remove(key) {
+            if let Some(&pf) = self.push_rows.get(key) {
                 self.fetches[pf].push_used = true;
             }
             self.fetches[f].outcome = FetchOutcome::Pushed;
@@ -1009,7 +1002,7 @@ impl<'a> Engine<'a> {
             self.net.set_timer(self.cfg.cache_overhead, tok);
             return true;
         }
-        if let Some(entry) = self.push_inflight.get_mut(&key) {
+        if let Some(entry) = self.push_inflight.get_mut(&self.fetches[f].key) {
             debug_assert!(entry.1.is_none(), "one requester per URL");
             entry.1 = Some(f);
             return true;
@@ -1170,7 +1163,7 @@ impl<'a> Engine<'a> {
         if self.fetches[f].started.is_none() {
             self.fetches[f].started = Some(now);
         }
-        let bytes = encode_request(&self.fetches[f].req).len() as u64;
+        let bytes = self.fetches[f].req.wire_len() as u64;
         self.fetches[f].bytes_up = bytes;
         let tok = self.token(Pending::UploadDone(f));
         self.net.start_flow_or_timer(self.uplink, tok, bytes, tok);
@@ -1209,7 +1202,6 @@ impl<'a> Engine<'a> {
             resp.headers.remove(HeaderName::X_CC_CONFIG_DIGEST);
             self.fetches[f].degraded = true;
         }
-        let url = self.fetches[f].url.to_string();
         if self.fetches[f].is_background {
             self.fetches[f].completed = Some(now);
             self.fetches[f].outcome = if resp.status == StatusCode::NOT_MODIFIED {
@@ -1218,12 +1210,20 @@ impl<'a> Engine<'a> {
                 FetchOutcome::FullTransfer
             };
             if resp.status == StatusCode::NOT_MODIFIED {
-                let _ = self
-                    .cache
-                    .update_with_304(&url, &resp, self.t_secs, self.t_secs);
+                let _ = self.cache.update_with_304(
+                    &self.fetches[f].key,
+                    &resp,
+                    self.t_secs,
+                    self.t_secs,
+                );
             } else {
-                self.cache
-                    .store(&url, &self.fetches[f].req, &resp, self.t_secs, self.t_secs);
+                self.cache.store(
+                    &self.fetches[f].key,
+                    &self.fetches[f].req,
+                    &resp,
+                    self.t_secs,
+                    self.t_secs,
+                );
             }
             return;
         }
@@ -1241,18 +1241,23 @@ impl<'a> Engine<'a> {
             } else {
                 FetchOutcome::FullTransfer
             };
-            delivered = self.sw.on_response(&url, &resp);
+            delivered = self.sw.on_response(&self.fetches[f].key, &resp);
         } else if self.cfg.use_http_cache {
             if resp.status == StatusCode::NOT_MODIFIED {
                 self.fetches[f].outcome = FetchOutcome::NotModified;
                 delivered = self
                     .cache
-                    .update_with_304(&url, &resp, self.t_secs, self.t_secs)
+                    .update_with_304(&self.fetches[f].key, &resp, self.t_secs, self.t_secs)
                     .unwrap_or(resp);
             } else {
                 self.fetches[f].outcome = FetchOutcome::FullTransfer;
-                self.cache
-                    .store(&url, &self.fetches[f].req, &resp, self.t_secs, self.t_secs);
+                self.cache.store(
+                    &self.fetches[f].key,
+                    &self.fetches[f].req,
+                    &resp,
+                    self.t_secs,
+                    self.t_secs,
+                );
                 delivered = resp;
             }
         } else {
@@ -1269,17 +1274,16 @@ impl<'a> Engine<'a> {
         self.fetches[f].completed = Some(now);
         // The audit digest covers the bytes the page actually sees.
         if !delivered.body.is_empty() {
-            self.fetches[f].body_digest = Some(fnv64(&delivered.body));
+            self.fetches[f].body_digest = Some(xxh64(&delivered.body));
         }
         // Pushed/bundled responses enter the regular caches, exactly
         // as browsers admit pushed streams into the HTTP cache.
         if self.fetches[f].outcome == FetchOutcome::Pushed {
-            let url = self.fetches[f].url.to_string();
             if self.cfg.use_service_worker {
-                let _ = self.sw.on_response(&url, &delivered);
+                let _ = self.sw.on_response(&self.fetches[f].key, &delivered);
             } else if self.cfg.use_http_cache {
                 self.cache.store(
-                    &url,
+                    &self.fetches[f].key,
                     &self.fetches[f].req,
                     &delivered,
                     self.t_secs,
@@ -1318,7 +1322,13 @@ impl<'a> Engine<'a> {
     /// Materializes server-push and RDR-bundle announcements carried
     /// on the navigation response.
     fn handle_predelivery(&mut self, f: FetchId, now: SimTime) {
-        let delivered = self.fetches[f].delivered.clone().expect("just set");
+        let headers = &self.fetches[f]
+            .delivered
+            .as_ref()
+            .expect("just set")
+            .headers;
+        let bundled = headers.get_combined(ext::X_RDR_BUNDLE);
+        let pushed = headers.get_combined(ext::X_PUSHED);
         let base = self.fetches[f].url.clone();
         // Internal materialization requests carry the trace context
         // too, parented under the navigation's span (bundles) or the
@@ -1330,7 +1340,7 @@ impl<'a> Engine<'a> {
         });
         // RDR bundle: bodies already arrived inside the bundle body;
         // make them instantly available.
-        if let Some(list) = delivered.headers.get_combined(ext::X_RDR_BUNDLE) {
+        if let Some(list) = bundled {
             for path in list.split(',').filter(|p| !p.trim().is_empty()) {
                 let Ok(url) = base.join(path.trim()) else {
                     continue;
@@ -1349,7 +1359,7 @@ impl<'a> Engine<'a> {
         }
         // Server push: bodies stream down after the navigation
         // response, sharing the downlink with everything else.
-        if let Some(list) = delivered.headers.get_combined(ext::X_PUSHED) {
+        if let Some(list) = pushed {
             for path in list.split(',').filter(|p| !p.trim().is_empty()) {
                 let Ok(url) = base.join(path.trim()) else {
                     continue;
@@ -1381,7 +1391,7 @@ impl<'a> Engine<'a> {
                     bytes_down: bytes,
                     is_push: true,
                     span: push_span,
-                    ..FetchState::new(url, req, now)
+                    ..FetchState::new(url, key.clone(), req, now)
                 });
                 self.push_inflight.insert(key, (pf, None));
                 let tok = self.token(Pending::PushDone(pf));
@@ -1391,10 +1401,12 @@ impl<'a> Engine<'a> {
     }
 
     fn on_parse(&mut self, f: FetchId, now: SimTime) {
-        let Some(delivered) = self.fetches[f].delivered.clone() else {
+        // A refcount bump: the body stays readable while the links it
+        // names are scheduled (which mutates `self.fetches`).
+        let Some(body) = self.fetches[f].delivered.as_ref().map(|d| d.body.clone()) else {
             return;
         };
-        let Ok(text) = std::str::from_utf8(&delivered.body) else {
+        let Ok(text) = std::str::from_utf8(&body) else {
             return;
         };
         let kind = ResourceKind::from_path(self.fetches[f].url.path());
@@ -1435,10 +1447,12 @@ impl<'a> Engine<'a> {
     }
 
     fn on_exec(&mut self, f: FetchId, now: SimTime) {
-        let Some(delivered) = self.fetches[f].delivered.clone() else {
+        // A refcount bump: the body stays readable while the links it
+        // names are scheduled (which mutates `self.fetches`).
+        let Some(body) = self.fetches[f].delivered.as_ref().map(|d| d.body.clone()) else {
             return;
         };
-        let Ok(text) = std::str::from_utf8(&delivered.body) else {
+        let Ok(text) = std::str::from_utf8(&body) else {
             return;
         };
         let base = self.fetches[f].url.clone();
@@ -1485,7 +1499,7 @@ impl<'a> Engine<'a> {
                 }
             }
             trace.fetches.push(FetchTrace {
-                url: f.url.to_string(),
+                url: f.key.clone(),
                 discovered: f.discovered,
                 started: f.started.unwrap_or(f.discovered),
                 completed,
@@ -1565,7 +1579,7 @@ impl<'a> Engine<'a> {
                     FetchOutcome::ServiceWorkerHit | FetchOutcome::CacheHit => f.audit_stale,
                 };
                 CacheAudit {
-                    url: f.url.to_string(),
+                    url: f.key.clone(),
                     decision,
                     etag: f.audit_etag.clone(),
                     epoch: f.audit_epoch,
@@ -1630,7 +1644,7 @@ impl<'a> Engine<'a> {
                 start_ms: self.abs_ms(f.discovered),
                 end_ms: self.abs_ms(completed),
                 attrs: vec![
-                    ("url", f.url.to_string()),
+                    ("url", f.key.clone()),
                     ("outcome", f.outcome.tag().trim().to_owned()),
                     ("role", role.to_owned()),
                     ("bytes_down", f.bytes_down.to_string()),

@@ -404,3 +404,59 @@ fn swr_serves_stale_and_revalidates_in_background() {
         .unwrap();
     assert_eq!(d.outcome, FetchOutcome::FullTransfer);
 }
+
+/// Records the encoded size of every request that reaches the origin.
+struct UploadSizes {
+    inner: SingleOrigin,
+    seen: std::sync::Mutex<std::collections::HashMap<String, u64>>,
+}
+
+impl Upstream for UploadSizes {
+    fn handle(&self, host: &str, req: &Request, t_secs: i64) -> Response {
+        let size = cachecatalyst_httpwire::codec::encode_request(req).len() as u64;
+        self.seen
+            .lock()
+            .unwrap()
+            .insert(format!("http://{host}{}", req.target), size);
+        self.inner.handle(host, req, t_secs)
+    }
+}
+
+#[test]
+fn bytes_up_is_the_encoded_request_size_on_the_example_site() {
+    // The engine charges the uplink by `Request::wire_len`; what the
+    // origin receives must encode to exactly that, on cold loads and
+    // on revisits (whose requests carry validators), in both modes.
+    let url = Url::parse("http://example.org/index.html").unwrap();
+    for (mode, mut browser) in [
+        (HeaderMode::Baseline, Browser::baseline()),
+        (HeaderMode::Catalyst, Browser::catalyst()),
+    ] {
+        let up = UploadSizes {
+            inner: SingleOrigin(Arc::new(OriginServer::new(example_site(), mode))),
+            seen: Default::default(),
+        };
+        for t in [0, 2 * 3600] {
+            up.seen.lock().unwrap().clear();
+            let report = browser.load(&up, cond(), &url, t);
+            let seen = up.seen.lock().unwrap();
+            let networked: Vec<_> = report
+                .trace
+                .fetches
+                .iter()
+                .filter(|f| f.bytes_up > 0)
+                .collect();
+            assert_eq!(networked.len(), seen.len(), "{mode:?} t={t}");
+            for f in networked {
+                assert_eq!(
+                    Some(&f.bytes_up),
+                    seen.get(&f.url),
+                    "{mode:?} t={t} {}",
+                    f.url
+                );
+            }
+            let total: u64 = seen.values().sum();
+            assert_eq!(report.bytes_up, total);
+        }
+    }
+}

@@ -4,6 +4,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use cachecatalyst_httpwire::hash::fnv1a64;
 use cachecatalyst_httpwire::{EntityTag, HeaderMap, HeaderName, Response, WireError};
 
 /// A map from same-origin resource path to its current entity tag.
@@ -157,12 +158,7 @@ impl EtagConfig {
     /// so the digest travels as an integrity check next to the map
     /// (`x-cc-config-digest`).
     pub fn digest64(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.to_header_value().bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        h
+        fnv1a64(self.to_header_value().as_bytes())
     }
 
     /// The `x-cc-config-digest` header value for this map.

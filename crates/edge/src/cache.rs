@@ -38,6 +38,7 @@ use cachecatalyst_browser::engine::ext;
 use cachecatalyst_browser::{ClientOptions, Upstream};
 use cachecatalyst_catalyst::{ConfigIntegrity, EtagConfig};
 use cachecatalyst_httpcache::freshness_lifetime;
+use cachecatalyst_httpwire::hash::xxh64;
 use cachecatalyst_httpwire::{tracectx, HeaderName, Method, Request, Response, StatusCode};
 use cachecatalyst_telemetry::span::{Span, SpanId, SpanSink, TraceContext};
 use cachecatalyst_telemetry::{CacheAudit, CacheDecision, Event, Recorder, Registry};
@@ -57,16 +58,6 @@ fn json_escape(s: impl ToString) -> String {
         }
     }
     out
-}
-
-/// FNV-1a, the digest the serve-correct-bytes oracle compares.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Counter handles for the edge's Prometheus series, shared with the
@@ -641,7 +632,7 @@ impl<U: Upstream> EdgeCache<U> {
                 etag,
                 epoch: None,
                 served_stale: None,
-                body_digest: body.map(fnv64),
+                body_digest: body.map(xxh64),
             },
         });
     }

@@ -9,12 +9,16 @@
 //! stay under the byte budget — a log-structured layout with segment
 //! granularity instead of per-record compaction.
 //!
-//! Each record carries an FNV-1a checksum over its header, key and
+//! Each record carries an XXH64 checksum
+//! ([`cachecatalyst_httpwire::hash::xxh64`]) over its header, key and
 //! encoded response. Recovery scans every segment sequentially,
 //! stopping a segment at the first record that fails validation and
 //! truncating the file back to the last valid boundary — so a crash
 //! mid-append costs exactly the record being written, never an
-//! earlier one. Recovered entries enter the index *stale*
+//! earlier one. The record magic is bumped whenever the checksum
+//! changes, so a segment written under another one fails at its first
+//! record and recovers to nothing rather than being mis-verified.
+//! Recovered entries enter the index *stale*
 //! (`fresh_until = i64::MIN`): they serve as revalidation candidates
 //! immediately, and the first verified catalyst config map re-freshens
 //! the matching ones through [`Tier::mark`] with zero origin contact.
@@ -25,16 +29,18 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use cachecatalyst_httpwire::hash::xxh64;
 use cachecatalyst_httpwire::{codec, EntityTag, Method, ParseLimits, Parsed};
 use parking_lot::Mutex;
 
-use super::{fnv64, AdmissionPolicy, EntryInfo, MarkOutcome, StoredEntry, Tier, TierStats};
+use super::{AdmissionPolicy, EntryInfo, MarkOutcome, StoredEntry, Tier, TierStats};
 
-/// First four bytes of every record.
-const MAGIC: u32 = 0xED6E_5E61;
+/// First four bytes of every record; the low byte counts format
+/// revisions (`61` trailed an FNV-1a sum, `62` trails XXH64).
+const MAGIC: u32 = 0xED6E_5E62;
 /// magic + key_len + wire_len + validated_at + fresh_until + flags.
 const HEADER_LEN: usize = 4 + 4 + 4 + 8 + 8 + 4;
-/// Trailing FNV-1a checksum.
+/// Trailing XXH64 checksum.
 const TRAILER_LEN: usize = 8;
 const FLAG_NEGATIVE: u32 = 1;
 /// Sanity bounds applied during recovery; anything larger is treated
@@ -185,7 +191,7 @@ fn encode_record(key: &str, entry: &StoredEntry) -> Vec<u8> {
     rec.extend_from_slice(&if entry.negative { FLAG_NEGATIVE } else { 0 }.to_le_bytes());
     rec.extend_from_slice(key.as_bytes());
     rec.extend_from_slice(&wire);
-    let sum = fnv64(&rec);
+    let sum = xxh64(&rec);
     rec.extend_from_slice(&sum.to_le_bytes());
     rec
 }
@@ -312,7 +318,7 @@ impl DiskTier {
                     .try_into()
                     .unwrap(),
             );
-            if fnv64(payload) != stored_sum {
+            if xxh64(payload) != stored_sum {
                 break;
             }
             let key_bytes = &payload[HEADER_LEN..HEADER_LEN + header.key_len as usize];
@@ -440,7 +446,7 @@ impl DiskTier {
             let payload = &buf[..HEADER_LEN + key_len + wire_len];
             let stored_sum =
                 u64::from_le_bytes(buf[buf.len() - TRAILER_LEN..][..8].try_into().ok()?);
-            if fnv64(payload) != stored_sum {
+            if xxh64(payload) != stored_sum {
                 return None;
             }
             let wire = &payload[HEADER_LEN + key_len..];

@@ -10,10 +10,11 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
+use cachecatalyst_httpwire::hash::fnv1a64;
 use cachecatalyst_httpwire::{EntityTag, Response};
 use parking_lot::Mutex;
 
-use super::{fnv64, EntryInfo, MarkOutcome, StoredEntry, Tier, TierStats};
+use super::{EntryInfo, MarkOutcome, StoredEntry, Tier, TierStats};
 
 /// One resident entry plus its recency stamp.
 struct Slot {
@@ -57,7 +58,7 @@ impl MemTier {
 
     fn shard_of(&self, key: &str) -> &Mutex<Shard> {
         // FNV-1a over the key picks the shard; stable across runs.
-        &self.shards[(fnv64(key.as_bytes()) % self.shards.len() as u64) as usize]
+        &self.shards[(fnv1a64(key.as_bytes()) % self.shards.len() as u64) as usize]
     }
 
     fn touch(&self) -> u64 {

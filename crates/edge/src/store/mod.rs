@@ -3,7 +3,7 @@
 //! * [`MemTier`] — the DRAM front: sharded, byte-budgeted, LRU-evicted
 //!   (PR 5's store, now one tier among several);
 //! * [`DiskTier`] — the persistent second tier: append-friendly
-//!   segment files with FNV-checksummed records and an in-memory
+//!   segment files with XXH64-checksummed records and an in-memory
 //!   index, rebuilt from record headers on boot;
 //! * [`TieredStore`] — the composition the cache layer talks to:
 //!   promotion on disk hit, demotion on DRAM eviction, disk writes
@@ -163,17 +163,6 @@ pub trait Tier: Send + Sync {
     fn stats(&self) -> TierStats;
     /// Every entry this tier holds, for the inspector endpoint.
     fn entries(&self) -> Vec<EntryInfo>;
-}
-
-/// FNV-1a over `bytes` — the workspace's standard digest, used here
-/// for shard selection, record checksums and admission sketch hashes.
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Configures a [`TieredStore`]: the DRAM budget/sharding and an

@@ -17,12 +17,13 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use cachecatalyst_httpwire::hash::fnv1a64;
 use cachecatalyst_httpwire::{EntityTag, Response};
 
 use super::admission::Admission;
 use super::disk::{DiskStats, DiskTier};
 use super::mem::MemTier;
-use super::{fnv64, EntryInfo, MarkOutcome, StoreOptions, StoredEntry, Tier, TierStats};
+use super::{EntryInfo, MarkOutcome, StoreOptions, StoredEntry, Tier, TierStats};
 
 /// Which tier served a [`TieredStore::get_traced`] hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,7 +103,7 @@ impl TieredStore {
         // Stateless policies skip even the key hash: this is the
         // hottest line in a mem-only store.
         if self.admission.observes_accesses() {
-            self.admission.record(fnv64(key.as_bytes()));
+            self.admission.record(fnv1a64(key.as_bytes()));
         }
         if let Some(mem) = &self.mem {
             if let Some(entry) = mem.get(key) {
@@ -140,7 +141,7 @@ impl TieredStore {
                 return;
             }
         }
-        if !self.admission.admit(fnv64(key.as_bytes())) {
+        if !self.admission.admit(fnv1a64(key.as_bytes())) {
             self.admission_rejects.fetch_add(1, Ordering::Relaxed);
             return;
         }

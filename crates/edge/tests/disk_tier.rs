@@ -9,12 +9,19 @@
 //!   bytes a crash cut short) is discarded by the boot scan; every
 //!   record before it survives byte-for-byte, and the reopened tier
 //!   appends cleanly over the truncation point.
+//! * **Format** — a segment written with the previous record magic
+//!   and FNV-1a sum is foreign: it recovers to an empty tier that
+//!   still accepts appends. A one-bit flip inside a record body is
+//!   caught by the XXH64 sum on the read path (the request falls
+//!   through to the origin) and again by the boot scan.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use cachecatalyst_edge::store::{AdmissionPolicy, DiskTierOptions, StoreOptions, TieredStore};
-use cachecatalyst_httpwire::Response;
+use cachecatalyst_edge::{EdgeCache, Upstream};
+use cachecatalyst_httpwire::hash::fnv1a64;
+use cachecatalyst_httpwire::{codec, Request, Response};
 use proptest::prelude::*;
 
 static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
@@ -230,5 +237,170 @@ fn crash_mid_write_discards_torn_tail_and_preserves_prefix() {
         keys.len() as u64, // 5 surviving + 1 post-crash append
     );
     assert!(store.get("h/after-crash").is_some());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One record as PR 10 wrote it: magic `0xED6E5E61`, the fixed header,
+/// key, wire-form response, trailing FNV-1a sum over all of it.
+fn previous_format_record(key: &str, resp: &Response) -> Vec<u8> {
+    let wire = codec::encode_response(resp);
+    let mut rec = Vec::new();
+    rec.extend_from_slice(&0xED6E_5E61_u32.to_le_bytes());
+    rec.extend_from_slice(&(key.len() as u32).to_le_bytes());
+    rec.extend_from_slice(&(wire.len() as u32).to_le_bytes());
+    rec.extend_from_slice(&0_i64.to_le_bytes()); // validated_at
+    rec.extend_from_slice(&100_i64.to_le_bytes()); // fresh_until
+    rec.extend_from_slice(&0_u32.to_le_bytes()); // flags
+    rec.extend_from_slice(key.as_bytes());
+    rec.extend_from_slice(&wire);
+    let sum = fnv1a64(&rec);
+    rec.extend_from_slice(&sum.to_le_bytes());
+    rec
+}
+
+#[test]
+fn previous_format_segment_recovers_empty_and_accepts_appends() {
+    let dir = scratch_dir("old-format");
+    std::fs::create_dir_all(&dir).unwrap();
+    let keys: Vec<String> = (0..4).map(|i| format!("h/old-{i}")).collect();
+    let segment: Vec<u8> = keys
+        .iter()
+        .flat_map(|key| previous_format_record(key, &body_response(key, "v1")))
+        .collect();
+    std::fs::write(dir.join("seg-00000000.seg"), &segment).unwrap();
+
+    let store = disk_only(&dir, AdmissionPolicy::AdmitAll);
+    let stats = store.disk_stats().unwrap();
+    assert_eq!(stats.recovered, 0, "foreign records were indexed");
+    assert_eq!(stats.objects, 0);
+    for key in &keys {
+        assert!(
+            store.get(key).is_none(),
+            "{key}: served from a foreign record"
+        );
+    }
+
+    // The foreign bytes were cut away, so new records land at a clean
+    // boundary and survive a reopen.
+    touch(&store, "h/new");
+    assert_eq!(
+        &store
+            .get("h/new")
+            .expect("append after recovery")
+            .response
+            .body[..],
+        &body_response("h/new", "v1").body[..]
+    );
+    drop(store);
+    let store = disk_only(&dir, AdmissionPolicy::AdmitAll);
+    assert_eq!(store.disk_stats().unwrap().recovered, 1);
+    assert!(store.get("h/new").is_some());
+    assert!(store.get(&keys[0]).is_none());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An origin with one fixed cacheable body per path, counting the
+/// requests that reach it.
+struct CountingOrigin {
+    requests: AtomicU64,
+}
+
+impl CountingOrigin {
+    fn body(path: &str) -> Vec<u8> {
+        format!("<{path}>").repeat(500).into_bytes()
+    }
+}
+
+impl Upstream for CountingOrigin {
+    fn handle(&self, _host: &str, req: &Request, _t_secs: i64) -> Response {
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        Response::ok(Self::body(req.target.path()))
+            .with_header("etag", "\"v1\"")
+            .with_header("cache-control", "max-age=3600")
+    }
+}
+
+fn disk_only_edge(dir: &PathBuf) -> EdgeCache<CountingOrigin> {
+    let origin = CountingOrigin {
+        requests: AtomicU64::new(0),
+    };
+    EdgeCache::builder(origin)
+        .store(
+            StoreOptions::new()
+                .mem_budget(0)
+                .disk(DiskTierOptions::at(dir).admission(AdmissionPolicy::AdmitAll)),
+        )
+        .build()
+}
+
+/// Whether the edge's registry shows exactly one failed disk read.
+fn one_read_error_counted(edge: &EdgeCache<CountingOrigin>) -> bool {
+    edge.metrics(); // syncs the store's counters into the registry
+    edge.telemetry()
+        .render_prometheus()
+        .contains("edge_disk_read_errors_total 1\n")
+}
+
+#[test]
+fn one_flipped_bit_is_caught_on_read_and_on_boot_scan() {
+    let dir = scratch_dir("bitflip");
+    let get = |edge: &EdgeCache<CountingOrigin>, path: &str| {
+        let resp = edge.handle("h", &Request::get(path), 10);
+        assert_eq!(
+            &resp.body[..],
+            &CountingOrigin::body(path)[..],
+            "{path}: wrong bytes served"
+        );
+    };
+    let edge = disk_only_edge(&dir);
+    get(&edge, "/a.bin");
+    get(&edge, "/b.bin");
+    get(&edge, "/b.bin");
+    assert_eq!(edge.upstream().requests.load(Ordering::Relaxed), 2);
+    assert_eq!(edge.metrics().disk_hits, 1, "the repeat is a disk hit");
+
+    // Flip one bit in the middle of /b.bin's stored body (the second
+    // record of the segment), leaving its trailing sum alone.
+    let seg = newest_segment(&dir);
+    let mut bytes = std::fs::read(&seg).unwrap();
+    let needle = CountingOrigin::body("/b.bin");
+    let at = bytes
+        .windows(needle.len())
+        .position(|w| w == &needle[..])
+        .expect("stored body found in the segment");
+    bytes[at + needle.len() / 2] ^= 0x10;
+    std::fs::write(&seg, &bytes).unwrap();
+
+    // Read path: the sum no longer matches, the entry is dropped and
+    // the request falls through to the origin with the right bytes.
+    get(&edge, "/b.bin");
+    assert_eq!(edge.upstream().requests.load(Ordering::Relaxed), 3);
+    assert!(
+        one_read_error_counted(&edge),
+        "the failed read was not counted"
+    );
+    get(&edge, "/a.bin");
+    assert_eq!(
+        edge.upstream().requests.load(Ordering::Relaxed),
+        3,
+        "the undamaged record still serves"
+    );
+    drop(edge);
+
+    // Boot scan: the damaged record still sits in the file (reads
+    // never rewrite segments); the scan stops there, keeping only the
+    // record before it.
+    let edge = disk_only_edge(&dir);
+    assert_eq!(edge.metrics().disk_recovered, 1);
+    get(&edge, "/b.bin");
+    assert_eq!(
+        edge.upstream().requests.load(Ordering::Relaxed),
+        1,
+        "a damaged record was served after the restart"
+    );
+    assert!(
+        !one_read_error_counted(&edge),
+        "the scan, not a read, rejected it"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

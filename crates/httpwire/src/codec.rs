@@ -343,12 +343,24 @@ pub fn response_head_len(resp: &Response) -> usize {
     // "HTTP/1.1 200 OK\r\n" = version + SP + 3 digits + SP + reason + CRLF
     let status_line =
         resp.version.as_str().len() + 1 + 3 + 1 + resp.status.canonical_reason().len() + 2;
-    let headers: usize = resp
-        .headers
+    status_line + headers_len(&resp.headers) + 2
+}
+
+/// The exact serialized size of a request head — the request-side twin
+/// of [`response_head_len`] (validated against `encode_request` in
+/// tests).
+pub fn request_head_len(req: &Request) -> usize {
+    // "GET /path?query HTTP/1.1\r\n"
+    let target = req.target.path().len() + req.target.query().map_or(0, |q| 1 + q.len());
+    let request_line = req.method.as_str().len() + 1 + target + 1 + req.version.as_str().len() + 2;
+    request_line + headers_len(&req.headers) + 2
+}
+
+fn headers_len(headers: &HeaderMap) -> usize {
+    headers
         .iter()
         .map(|(name, value)| name.as_str().len() + 2 + value.as_str().len() + 2)
-        .sum();
-    status_line + headers + 2
+        .sum()
 }
 
 fn encode_headers(headers: &HeaderMap, out: &mut BytesMut) {

@@ -4,6 +4,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use crate::error::WireError;
+use crate::hash::fnv1a64;
 
 /// An entity tag: an opaque validator for one representation of a
 /// resource.
@@ -66,17 +67,6 @@ impl EntityTag {
 
 fn is_etagc(b: u8) -> bool {
     b == 0x21 || (0x23..=0x7e).contains(&b) || b >= 0x80
-}
-
-/// FNV-1a 64-bit hash. Deterministic across platforms/runs, which the
-/// reproduction relies on (ETags must be stable for a given content).
-pub(crate) fn fnv1a64(data: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 impl fmt::Display for EntityTag {

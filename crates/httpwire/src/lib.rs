@@ -14,6 +14,7 @@
 //!   `Cache-Control` directives ([`cache_control`]), HTTP dates
 //!   ([`date`]) and server-side conditional-request evaluation
 //!   ([`conditional`]);
+//! * the two content and key hashes every crate shares ([`hash`]);
 //! * optional async connection adapters over tokio streams ([`aio`],
 //!   feature `aio`).
 //!
@@ -28,6 +29,7 @@ pub mod conditional;
 pub mod date;
 pub mod error;
 pub mod etag;
+pub mod hash;
 pub mod header;
 pub mod message;
 pub mod method;

@@ -95,6 +95,13 @@ impl Request {
             .map(|v| CacheControl::parse(&v))
             .unwrap_or_default()
     }
+
+    /// Total size on the wire of head + body: what
+    /// [`encode_request`](crate::codec::encode_request) would produce,
+    /// computed arithmetically — no serialization, no allocation.
+    pub fn wire_len(&self) -> usize {
+        crate::codec::request_head_len(self) + self.body.len()
+    }
 }
 
 /// An HTTP response.

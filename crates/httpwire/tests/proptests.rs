@@ -37,6 +37,26 @@ fn arb_path() -> impl Strategy<Value = String> {
     "(/[a-z0-9._\\-]{1,12}){1,4}(\\?[a-z0-9=&]{1,20})?".prop_map(|s| s)
 }
 
+fn arb_method() -> impl Strategy<Value = Method> {
+    prop_oneof![
+        (0usize..9).prop_map(|i| {
+            [
+                Method::Get,
+                Method::Head,
+                Method::Post,
+                Method::Put,
+                Method::Delete,
+                Method::Connect,
+                Method::Options,
+                Method::Trace,
+                Method::Patch,
+            ][i]
+                .clone()
+        }),
+        arb_token().prop_map(Method::Extension),
+    ]
+}
+
 fn arb_body() -> impl Strategy<Value = Vec<u8>> {
     prop::collection::vec(any::<u8>(), 0..2048)
 }
@@ -63,6 +83,25 @@ proptest! {
             }
             Parsed::Partial => prop_assert!(false, "complete message parsed as partial"),
         }
+    }
+
+    /// `Request::wire_len` is the encoder's output length, whatever
+    /// the method, target, headers and body — the request-side twin of
+    /// the `Response::wire_len` guarantee.
+    #[test]
+    fn request_wire_len_matches_the_encoder(
+        method in arb_method(),
+        path in arb_path(),
+        headers in arb_headers(),
+        body in arb_body(),
+    ) {
+        let mut req = Request::get(&path);
+        req.method = method;
+        for (n, v) in &headers {
+            req.headers.append(n, v);
+        }
+        req.body = Bytes::from(body);
+        prop_assert_eq!(req.wire_len(), encode_request(&req).len());
     }
 
     /// encode → parse is the identity for responses.

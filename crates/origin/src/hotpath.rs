@@ -15,6 +15,7 @@
 
 use std::collections::{HashMap, HashSet};
 
+use cachecatalyst_httpwire::hash::fnv1a64;
 use cachecatalyst_webmodel::{ChangeModel, Site};
 use parking_lot::RwLock;
 
@@ -24,14 +25,6 @@ const SHARDS: usize = 16;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// Precomputed per-resource dependency closures over a [`Site`].
 ///
@@ -106,7 +99,7 @@ impl<T: Clone> ShardedCache<T> {
     }
 
     fn shard(&self, key: &str) -> &RwLock<HashMap<String, Entry<T>>> {
-        &self.shards[(fnv1a(key.as_bytes()) as usize) % SHARDS]
+        &self.shards[(fnv1a64(key.as_bytes()) as usize) % SHARDS]
     }
 
     /// The cached value for `key`, if it was built under `epoch`.

@@ -10,6 +10,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 use cachecatalyst_catalyst::EtagConfig;
 use cachecatalyst_httpwire::{Request, StatusCode};
@@ -69,6 +70,10 @@ struct Observed {
 fn sharded_cache_readers_never_observe_cross_epoch_values() {
     const READERS: usize = 6;
     const EPOCHS: u64 = 400;
+    // Non-vacuity: the readers must land this many hits while the
+    // writer is still replacing entries, or the race assertions below
+    // never ran against a concurrent writer.
+    const MIN_HITS: u64 = 1000;
     // Spread keys across shards so replacements and reads contend on
     // the same locks the real config/body caches use.
     let keys: Vec<String> = (0..24).map(|i| format!("/page-{i}.html")).collect();
@@ -76,6 +81,7 @@ fn sharded_cache_readers_never_observe_cross_epoch_values() {
     let cache: Arc<ShardedCache<(u64, String)>> = Arc::new(ShardedCache::new());
     let current = Arc::new(AtomicU64::new(0));
     let done = Arc::new(AtomicBool::new(false));
+    let landed = AtomicU64::new(0);
     for key in &keys {
         cache.insert(key, 0, (0, format!("{key}@0")));
     }
@@ -86,10 +92,9 @@ fn sharded_cache_readers_never_observe_cross_epoch_values() {
                 let cache = Arc::clone(&cache);
                 let current = Arc::clone(&current);
                 let done = Arc::clone(&done);
-                let keys = &keys;
+                let (keys, landed) = (&keys, &landed);
                 scope.spawn(move || {
                     let mut rng = 0xfeed_0000_u64 | (id as u64 + 1);
-                    let mut hits = 0u64;
                     while !done.load(Ordering::Acquire) {
                         // Sample the epoch FIRST, then read: the writer
                         // may replace the entry in between, which is
@@ -105,10 +110,9 @@ fn sharded_cache_readers_never_observe_cross_epoch_values() {
                                 "hit for epoch {epoch} returned a value built at {tag}"
                             );
                             assert_eq!(body, format!("{key}@{tag}"));
-                            hits += 1;
+                            landed.fetch_add(1, Ordering::Relaxed);
                         }
                     }
-                    hits
                 })
             })
             .collect();
@@ -117,7 +121,21 @@ fn sharded_cache_readers_never_observe_cross_epoch_values() {
         // the same order the origin uses (epoch observed from the
         // clock before the cache is repopulated), so readers race a
         // window where `current` is new but entries are still old.
-        for epoch in 1..=EPOCHS {
+        // It keeps cycling past EPOCHS until the readers have been
+        // scheduled against it: on a two-core machine 400 epochs can
+        // finish before the first reader runs.
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let mut epoch = 0;
+        while epoch < EPOCHS || landed.load(Ordering::Relaxed) < MIN_HITS {
+            if Instant::now() >= deadline {
+                done.store(true, Ordering::Release); // let the scope join
+                panic!(
+                    "readers landed only {} of {MIN_HITS} epoch-validated hits in 60 s \
+                     ({epoch} epochs written)",
+                    landed.load(Ordering::Relaxed)
+                );
+            }
+            epoch += 1;
             current.store(epoch, Ordering::Release);
             for key in &keys {
                 cache.insert(key, epoch, (epoch, format!("{key}@{epoch}")));
@@ -125,14 +143,15 @@ fn sharded_cache_readers_never_observe_cross_epoch_values() {
         }
         done.store(true, Ordering::Release);
 
-        let hits: u64 = readers.into_iter().map(|h| h.join().unwrap()).sum();
-        // Non-vacuity: the readers must actually have landed hits, or
-        // the race assertions above never executed.
-        assert!(hits > 1000, "only {hits} epoch-validated hits observed");
+        for reader in readers {
+            reader
+                .join()
+                .expect("a reader observed a cross-epoch value");
+        }
     });
 
-    // Replacement, not accumulation: 400 epochs leave one live entry
-    // per key.
+    // Replacement, not accumulation: however many epochs ran, one
+    // live entry per key.
     assert_eq!(cache.len(), keys.len());
 }
 

@@ -114,7 +114,7 @@ pub struct CacheAudit {
     /// current version; `None` when unknowable (e.g. a classic
     /// freshness hit that never consulted the origin).
     pub served_stale: Option<bool>,
-    /// FNV-64 digest of the bytes actually handed to the page, when
+    /// XXH64 digest of the bytes actually handed to the page, when
     /// the fetch delivered a body. The serve-correct-bytes oracle
     /// compares this against an un-faulted reference load.
     pub body_digest: Option<u64>,

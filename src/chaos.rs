@@ -5,7 +5,7 @@
 //! twice at the same virtual time — once clean (the *reference*), once
 //! under a seeded [`FaultPlan`] — then checks the
 //! **serve-correct-bytes oracle**: every body the faulted load handed
-//! to the page is byte-identical (by FNV-64 digest) to what the
+//! to the page is byte-identical (by XXH64 digest) to what the
 //! reference load delivered, the audit trail is complete, and no
 //! service-worker hit served stale content whose churn epoch had
 //! advanced. Failures are reproducible:

@@ -15,6 +15,7 @@
 use std::sync::Arc;
 
 use cachecatalyst::httpwire::aio::ClientConn;
+use cachecatalyst::httpwire::hash::xxh64;
 use cachecatalyst::netsim::FaultPlan;
 use cachecatalyst::origin::{fixed_clock, watch_clock, ServeOptions, ServerFaults, TcpOrigin};
 use cachecatalyst::prelude::*;
@@ -41,18 +42,8 @@ fn fingerprint(resp: &Response) -> String {
         resp.status,
         headers.join("; "),
         resp.body.len(),
-        fnv64(&resp.body)
+        xxh64(&resp.body)
     )
-}
-
-/// FNV-1a, the digest the rest of the test suite standardizes on.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf29ce484222325;
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
 }
 
 /// Drives the canonical traffic pattern — a cold visit of every
@@ -210,7 +201,7 @@ async fn fault_outcomes(addr: std::net::SocketAddr, attempts: usize) -> Vec<Stri
                 "{}:{}:{:016x}",
                 resp.status.as_u16(),
                 resp.headers.get("x-cc-fault").unwrap_or("-"),
-                fnv64(&resp.body)
+                xxh64(&resp.body)
             )),
             Err(_) => {
                 outcomes.push("conn-error".to_owned());

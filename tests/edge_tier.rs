@@ -15,6 +15,7 @@ use std::time::Duration;
 use cachecatalyst::browser::ClientOptions;
 use cachecatalyst::catalyst::tamper_config_headers;
 use cachecatalyst::edge::{EdgeCache, TcpEdge};
+use cachecatalyst::httpwire::hash::xxh64;
 use cachecatalyst::httpwire::tracectx;
 use cachecatalyst::netsim::FaultPlan;
 use cachecatalyst::prelude::*;
@@ -24,16 +25,6 @@ use cachecatalyst::telemetry::{Event, MemoryRecorder};
 use cachecatalyst::webmodel::{
     ChangeModel, Discovery, GeneratedResource, HeaderPolicy, ResourceKind, ResourceSpec,
 };
-
-/// FNV-1a, the digest the serve-correct-bytes oracle compares.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Counts every request that reaches the wrapped upstream — an
 /// upstream-side witness independent of the edge's own counters.
@@ -157,7 +148,7 @@ fn eight_concurrent_misses_cost_exactly_one_upstream_fetch() {
                     barrier.wait();
                     let resp = edge.handle("example.org", &Request::get("/a.css"), 0);
                     assert_eq!(resp.status, StatusCode::OK);
-                    fnv64(&resp.body)
+                    xxh64(&resp.body)
                 })
             })
             .collect();
@@ -218,8 +209,8 @@ fn catalyst_map_validates_unchanged_subresources_with_zero_upstream() {
         "the marked-fresh subresource must not touch the origin"
     );
     assert_eq!(
-        fnv64(&s1.body),
-        fnv64(&origin.handle(&get("/s1.css"), t).body)
+        xxh64(&s1.body),
+        xxh64(&origin.handle(&get("/s1.css"), t).body)
     );
 
     // s2.js: exactly one conditional revalidation, which finds the
@@ -229,15 +220,15 @@ fn catalyst_map_validates_unchanged_subresources_with_zero_upstream() {
     assert_eq!(s2.status, StatusCode::OK);
     assert_eq!(edge.upstream().requests(), before + 1);
     assert_eq!(
-        fnv64(&s2.body),
-        fnv64(&origin.handle(&get("/s2.js"), t).body)
+        xxh64(&s2.body),
+        xxh64(&origin.handle(&get("/s2.js"), t).body)
     );
     assert_eq!(edge.metrics().revalidated_changed, 1);
 
     // And a second request for s2 at the same instant coalesces onto
     // the just-stored version: no more upstream traffic.
     let again = edge.handle(HOST, &get("/s2.js"), t);
-    assert_eq!(fnv64(&again.body), fnv64(&s2.body));
+    assert_eq!(xxh64(&again.body), xxh64(&s2.body));
     assert_eq!(edge.upstream().requests(), before + 1);
 }
 
@@ -253,7 +244,7 @@ fn stale_entries_revalidate_with_a_conditional_get() {
     // served again, not re-transferred.
     let later = edge.handle(HOST, &get("/s1.css"), 60);
     assert_eq!(later.status, StatusCode::OK);
-    assert_eq!(fnv64(&later.body), fnv64(&first.body));
+    assert_eq!(xxh64(&later.body), xxh64(&first.body));
     let m = edge.metrics();
     assert_eq!(m.revalidated_304, 1);
     assert_eq!(m.revalidated_changed, 0);
@@ -345,9 +336,9 @@ fn faulted_upstream_responses_never_poison_the_store() {
                     let resp = edge.handle(HOST, &get(path), t);
                     if resp.status == StatusCode::OK {
                         served_ok += 1;
-                        let want = fnv64(&reference.handle(&get(path), t).body);
+                        let want = xxh64(&reference.handle(&get(path), t).body);
                         assert_eq!(
-                            fnv64(&resp.body),
+                            xxh64(&resp.body),
                             want,
                             "seed {seed}: {path}@{t} served corrupt bytes"
                         );
@@ -503,7 +494,7 @@ async fn tcp_edge_serves_cached_bytes_end_to_end() {
         second.headers.get("x-served-by"),
         Some("cachecatalyst-edge")
     );
-    assert_eq!(fnv64(&first.body), fnv64(&second.body));
+    assert_eq!(xxh64(&first.body), xxh64(&second.body));
     assert!(edge.metrics().hits >= 1, "second fetch must hit the store");
 
     // Requests without a Host header are rejected, not crashed on.

@@ -14,6 +14,7 @@ use std::time::Duration;
 
 use cachecatalyst::catalyst::tamper_config_headers;
 use cachecatalyst::edge::{AdmissionPolicy, DiskTierOptions, EdgeCache, StoreOptions};
+use cachecatalyst::httpwire::hash::xxh64;
 use cachecatalyst::prelude::*;
 use cachecatalyst::webmodel::{
     ChangeModel, Discovery, GeneratedResource, HeaderPolicy, ResourceKind, ResourceSpec,
@@ -32,16 +33,6 @@ fn scratch_dir(name: &str) -> PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-/// FNV-1a, the digest the serve-correct-bytes oracle compares.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Counts every request that reaches the wrapped upstream — the
@@ -216,8 +207,8 @@ fn verified_map_refreshens_recovered_entries_with_zero_upstream() {
         "a map-verified recovered entry must not touch the origin"
     );
     assert_eq!(
-        fnv64(&s1.body),
-        fnv64(&origin.handle(&get("/s1.css"), t).body),
+        xxh64(&s1.body),
+        xxh64(&origin.handle(&get("/s1.css"), t).body),
         "recovered bytes must match the origin's current content"
     );
     assert!(edge.metrics().disk_hits >= 1);
@@ -228,8 +219,8 @@ fn verified_map_refreshens_recovered_entries_with_zero_upstream() {
     assert_eq!(s2.status, StatusCode::OK);
     assert_eq!(edge.upstream().requests(), 2);
     assert_eq!(
-        fnv64(&s2.body),
-        fnv64(&origin.handle(&get("/s2.js"), t).body)
+        xxh64(&s2.body),
+        xxh64(&origin.handle(&get("/s2.js"), t).body)
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -272,8 +263,8 @@ fn tampered_map_does_not_refreshen_recovered_entries() {
     assert_eq!(edge.upstream().requests(), before + 1);
     assert_eq!(edge.metrics().revalidated_304, 1);
     assert_eq!(
-        fnv64(&s1.body),
-        fnv64(&origin.handle(&get("/s1.css"), t).body)
+        xxh64(&s1.body),
+        xxh64(&origin.handle(&get("/s1.css"), t).body)
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -302,8 +293,8 @@ fn recovered_entries_are_stale_until_verified() {
     );
     assert_eq!(edge.metrics().revalidated_304, 1);
     assert_eq!(
-        fnv64(&s1.body),
-        fnv64(&origin.handle(&get("/s1.css"), t).body)
+        xxh64(&s1.body),
+        xxh64(&origin.handle(&get("/s1.css"), t).body)
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

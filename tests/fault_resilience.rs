@@ -3,7 +3,7 @@
 //! Runs hundreds of seeded fault schedules across three topologies
 //! (catalyst, baseline, RDR proxy) and checks the serve-correct-bytes
 //! oracle on every one: the faulted revisit must deliver bodies
-//! byte-identical (by FNV-64 digest) to an un-faulted reference load
+//! byte-identical (by XXH64 digest) to an un-faulted reference load
 //! at the same virtual time, with a complete audit trail and no stale
 //! zero-RTT serves. Any failing seed is written to
 //! `results/chaos_failure.txt` together with the exact replay command.

@@ -14,6 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
 use cachecatalyst::edge::EdgeCache;
+use cachecatalyst::httpwire::hash::xxh64;
 use cachecatalyst::prelude::*;
 use cachecatalyst_bench::fleet::{run_fleet, FleetOptions};
 use cachecatalyst_bench::ClientKind;
@@ -127,7 +128,7 @@ fn spike_costs_exactly_one_upstream_fetch_per_churn_epoch() {
                         barrier.wait();
                         let resp = edge.handle("example.org", &Request::get(HOT), t);
                         assert_eq!(resp.status, StatusCode::OK);
-                        fnv64(&resp.body)
+                        xxh64(&resp.body)
                     })
                 })
                 .collect();
@@ -155,13 +156,4 @@ fn spike_costs_exactly_one_upstream_fetch_per_churn_epoch() {
         epoch_digests[0], epoch_digests[1],
         "second epoch must serve the churned content"
     );
-}
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }

@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use cachecatalyst::browser::live::{ByteStream, Dialer, LiveBrowser, LiveMode};
@@ -154,8 +154,21 @@ fn replay_in_memory(trace: &Trace, kind: ClientKind) -> Vec<VisitAudits> {
         .collect()
 }
 
+/// Both tests replay over real sockets in wall-clock time. Side by
+/// side they take each other's cores, and the stability test would
+/// then compare one replay that overlapped its sibling's CPU-bound
+/// phase with one that overlapped its socket phase (a 10× gap on two
+/// cores, nothing to do with the replay). One at a time.
+async fn one_replay_at_a_time() -> tokio::sync::MutexGuard<'static, ()> {
+    static LOCK: OnceLock<tokio::sync::Mutex<()>> = OnceLock::new();
+    LOCK.get_or_init(|| tokio::sync::Mutex::new(()))
+        .lock()
+        .await
+}
+
 #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
 async fn tcp_replay_matches_in_memory_audit_sequence() {
+    let _alone = one_replay_at_a_time().await;
     let trace = parity_trace();
     assert!(trace.events.len() >= 15, "trace too small to mean much");
     for kind in [ClientKind::Baseline, ClientKind::Catalyst] {
@@ -183,6 +196,7 @@ async fn tcp_replay_matches_in_memory_audit_sequence() {
 
 #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
 async fn tcp_replay_is_stable_across_runs() {
+    let _alone = one_replay_at_a_time().await;
     let trace = parity_trace();
     let (audits_a, mut plts_a) = replay_over_tcp(&trace, ClientKind::Baseline).await;
     let (audits_b, mut plts_b) = replay_over_tcp(&trace, ClientKind::Baseline).await;
