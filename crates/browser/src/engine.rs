@@ -796,8 +796,8 @@ impl<'a> Engine<'a> {
         if !self.requested.insert(key.clone()) {
             return;
         }
-        let path = url.path().to_owned();
-        let mut req = Request::get(&url.target().to_string())
+        let path = url.path();
+        let mut req = Request::get_target(url.target().clone())
             .with_header(HeaderName::HOST, &url.authority())
             .with_header(HeaderName::USER_AGENT, "cachecatalyst-browser/0.1");
         if let Some(session) = &self.cfg.session {
@@ -853,11 +853,11 @@ impl<'a> Engine<'a> {
                 let consulted = self
                     .sw
                     .config()
-                    .get(&path)
+                    .get(path)
                     .or_else(|| self.sw.config().get(&key))
                     .cloned();
                 self.fetches[f].audit_etag = consulted.as_ref().map(|t| t.to_string());
-                match self.sw.intercept(&key, &path) {
+                match self.sw.intercept(&key, path) {
                     SwDecision::ServeLocal(resp) => {
                         // Staleness oracle: the served bytes are the
                         // cached entry; the consulted entry is the
@@ -960,7 +960,7 @@ impl<'a> Engine<'a> {
         served: FetchId,
     ) {
         let key = url.to_string();
-        let mut req = Request::get(&url.target().to_string())
+        let mut req = Request::get_target(url.target().clone())
             .with_header(HeaderName::HOST, &url.authority())
             .with_header(HeaderName::USER_AGENT, "cachecatalyst-browser/0.1");
         if let Some(tag) = etag {
@@ -1322,11 +1322,14 @@ impl<'a> Engine<'a> {
     /// Materializes server-push and RDR-bundle announcements carried
     /// on the navigation response.
     fn handle_predelivery(&mut self, f: FetchId, now: SimTime) {
-        let headers = &self.fetches[f]
+        // A refcount bump: the announcements stay readable while the
+        // fetches they name are created (which mutates `self.fetches`).
+        let headers = self.fetches[f]
             .delivered
             .as_ref()
             .expect("just set")
-            .headers;
+            .headers
+            .clone();
         let bundled = headers.get_combined(ext::X_RDR_BUNDLE);
         let pushed = headers.get_combined(ext::X_PUSHED);
         let base = self.fetches[f].url.clone();
@@ -1345,7 +1348,7 @@ impl<'a> Engine<'a> {
                 let Ok(url) = base.join(path.trim()) else {
                     continue;
                 };
-                let mut req = Request::get(&url.target().to_string())
+                let mut req = Request::get_target(url.target().clone())
                     .with_header(HeaderName::HOST, &url.authority())
                     .with_header(ext::X_INTERNAL, "bundle");
                 if let Some(ctx) = &nav_ctx {
@@ -1369,7 +1372,7 @@ impl<'a> Engine<'a> {
                     continue;
                 }
                 let push_span = self.tracer.as_ref().map(|_| SpanId::next());
-                let mut req = Request::get(&url.target().to_string())
+                let mut req = Request::get_target(url.target().clone())
                     .with_header(HeaderName::HOST, &url.authority())
                     .with_header(ext::X_INTERNAL, "push");
                 if let (Some(tracer), Some(span)) = (&self.tracer, push_span) {

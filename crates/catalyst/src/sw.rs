@@ -149,10 +149,21 @@ impl ServiceWorker {
     pub fn on_response(&mut self, url: &str, resp: &Response) -> Response {
         if resp.status == StatusCode::NOT_MODIFIED {
             if let Some(entry) = self.cache.get_mut(url) {
-                // Adopt any new validators/metadata from the 304.
+                // Adopt any new validators/metadata from the 304, but
+                // not its framing, the hop that served it, or the map:
+                // the map is installed from the network response by
+                // `on_navigation`, never read back from a stored copy.
                 for (name, value) in resp.headers.iter() {
                     let n = name.as_str();
-                    if n == HeaderName::CONTENT_LENGTH || n == HeaderName::TRANSFER_ENCODING {
+                    if [
+                        HeaderName::CONTENT_LENGTH,
+                        HeaderName::TRANSFER_ENCODING,
+                        HeaderName::X_SERVED_BY,
+                        HeaderName::X_ETAG_CONFIG,
+                        HeaderName::X_CC_CONFIG_DIGEST,
+                    ]
+                    .contains(&n)
+                    {
                         continue;
                     }
                     entry.response.headers.insert(n, value.as_str());
@@ -310,6 +321,31 @@ mod tests {
         let delivered = sw.on_response("http://s/a.css", &Response::not_modified(Some(&tag("v1"))));
         assert_eq!(&delivered.body[..], b"body");
         assert_eq!(delivered.status, StatusCode::OK);
+    }
+
+    #[test]
+    fn not_modified_keeps_hop_and_map_headers_out_of_the_stored_entry() {
+        let mut sw = ServiceWorker::new();
+        sw.on_response("http://s/", &resp_with_etag("<html>", "p1"));
+        // The 304 for the page comes through the edge and carries a
+        // map long enough to span two header lines.
+        let mut not_modified = Response::not_modified(Some(&tag("p1")))
+            .with_header("x-served-by", "cachecatalyst-edge")
+            .with_header("cache-control", "no-cache");
+        let mut config = EtagConfig::new();
+        for i in 0..8 {
+            config.insert(format!("/asset-{i}.css"), tag("v1"));
+        }
+        config.apply_to(&mut not_modified, 64);
+        config.attach_digest(&mut not_modified);
+        assert!(not_modified.headers.get_all("x-etag-config").count() >= 2);
+
+        let stored = sw.on_response("http://s/", &not_modified);
+        assert_eq!(&stored.body[..], b"<html>");
+        assert_eq!(stored.headers.get("cache-control"), Some("no-cache"));
+        for name in ["x-served-by", "x-etag-config", "x-cc-config-digest"] {
+            assert!(!stored.headers.contains(name), "{name} was adopted");
+        }
     }
 
     #[test]

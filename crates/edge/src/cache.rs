@@ -39,7 +39,9 @@ use cachecatalyst_browser::{ClientOptions, Upstream};
 use cachecatalyst_catalyst::{ConfigIntegrity, EtagConfig};
 use cachecatalyst_httpcache::freshness_lifetime;
 use cachecatalyst_httpwire::hash::xxh64;
-use cachecatalyst_httpwire::{tracectx, HeaderName, Method, Request, Response, StatusCode};
+use cachecatalyst_httpwire::{
+    tracectx, EntityTag, HeaderName, Method, Request, Response, StatusCode,
+};
 use cachecatalyst_telemetry::span::{Span, SpanId, SpanSink, TraceContext};
 use cachecatalyst_telemetry::{CacheAudit, CacheDecision, Event, Recorder, Registry};
 use parking_lot::Mutex;
@@ -574,25 +576,22 @@ impl<U: Upstream> EdgeCache<U> {
     }
 
     fn key(host: &str, req: &Request) -> String {
-        format!("{host}{}", req.target.path())
+        [host, req.target.path()].concat()
     }
 
     /// Starts an `edge.serve` hop when the request belongs to a
     /// sampled trace: the forwarded request is re-parented onto the
-    /// edge's span so origin spans nest beneath it.
-    fn trace_start(&self, req: &Request) -> (Request, Option<Hop>) {
+    /// edge's span so origin spans nest beneath it. `None` when there
+    /// is no hop — the client's request is then forwarded as it is.
+    fn trace_start(&self, req: &Request) -> Option<(Request, Hop)> {
         if !self.spans.enabled() {
-            return (req.clone(), None);
+            return None;
         }
-        match tracectx::extract(req) {
-            Some(ctx) => {
-                let span = SpanId::next();
-                let mut fwd = req.clone();
-                tracectx::inject(&mut fwd, &ctx.child_of(span));
-                (fwd, Some(Hop { ctx, span }))
-            }
-            None => (req.clone(), None),
-        }
+        let ctx = tracectx::extract(req)?;
+        let span = SpanId::next();
+        let mut fwd = req.clone();
+        tracectx::inject(&mut fwd, &ctx.child_of(span));
+        Some((fwd, Hop { ctx, span }))
     }
 
     fn trace_finish(&self, hop: Option<Hop>, t_secs: i64, decision: CacheDecision, key: &str) {
@@ -612,13 +611,16 @@ impl<U: Upstream> EdgeCache<U> {
         });
     }
 
+    /// Records the cache-decision audit for one served response. The
+    /// validator is looked up and rendered, and the body digested, only
+    /// when a recorder is attached.
     fn audit(
         &self,
         host: &str,
         req: &Request,
         t_secs: i64,
         decision: CacheDecision,
-        etag: Option<String>,
+        etag: impl FnOnce() -> Option<EntityTag>,
         body: Option<&[u8]>,
     ) {
         let Some(recorder) = &self.recorder else {
@@ -629,7 +631,7 @@ impl<U: Upstream> EdgeCache<U> {
             audit: CacheAudit {
                 url: format!("http://{host}{}", req.target.path()),
                 decision,
-                etag,
+                etag: etag().map(|t| t.to_string()),
                 epoch: None,
                 served_stale: None,
                 body_digest: body.map(xxh64),
@@ -641,11 +643,7 @@ impl<U: Upstream> EdgeCache<U> {
     /// the client's own conditional with a `304` when its validator
     /// matches. The client's conditional is evaluated here, locally —
     /// it is never forwarded upstream.
-    fn replay(
-        req: &Request,
-        response: &Response,
-        etag: Option<&cachecatalyst_httpwire::EntityTag>,
-    ) -> Response {
+    fn replay(req: &Request, response: &Response, etag: Option<&EntityTag>) -> Response {
         if let (Some(inm), Some(tag)) = (req.if_none_match(), etag) {
             if inm.matches(tag) {
                 return Response::not_modified(Some(tag))
@@ -863,7 +861,8 @@ impl<U: Upstream> Upstream for EdgeCache<U> {
             return self.upstream.handle(host, req, t_secs);
         }
 
-        let (fwd, hop) = self.trace_start(req);
+        let (fwd, hop) = self.trace_start(req).unzip();
+        let fwd = fwd.as_ref().unwrap_or(req);
         let key = Self::key(host, req);
 
         // Fast path: a fresh stored entry serves with zero upstream
@@ -892,7 +891,7 @@ impl<U: Upstream> Upstream for EdgeCache<U> {
                     req,
                     t_secs,
                     decision,
-                    entry.etag.as_ref().map(|t| t.to_string()),
+                    || entry.etag.clone(),
                     (!resp.body.is_empty()).then_some(&resp.body[..]),
                 );
                 self.trace_finish(hop, t_secs, decision, &key);
@@ -940,7 +939,7 @@ impl<U: Upstream> Upstream for EdgeCache<U> {
             stale => {
                 self.counters.misses.inc();
                 let stale = stale.map(|(entry, _)| entry);
-                let out = self.fetch_and_store(host, req, &fwd, t_secs, &key, stale.as_ref());
+                let out = self.fetch_and_store(host, req, fwd, t_secs, &key, stale.as_ref());
                 // Only the thread that actually flew removes the
                 // flight entry: a waiter waking to a hit must not tear
                 // down a newer flight another requester just opened.
@@ -961,7 +960,7 @@ impl<U: Upstream> Upstream for EdgeCache<U> {
             req,
             t_secs,
             decision,
-            resp.etag().map(|t| t.to_string()),
+            || resp.etag(),
             (!resp.body.is_empty()).then_some(&resp.body[..]),
         );
         self.trace_finish(hop, t_secs, decision, &key);

@@ -1,5 +1,6 @@
 //! The browser's HTTP cache.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use cachecatalyst_httpwire::{HeaderName, Method, Request, Response, StatusCode};
@@ -28,9 +29,9 @@ pub struct CacheEntry {
 impl CacheEntry {
     /// Whether a new request selects this stored variant.
     pub fn vary_matches(&self, req: &Request) -> bool {
-        self.vary
-            .iter()
-            .all(|(name, stored)| name != "*" && req.headers.get_combined(name) == *stored)
+        self.vary.iter().all(|(name, stored)| {
+            name != "*" && req.headers.get_combined(name).as_deref() == stored.as_deref()
+        })
     }
 }
 
@@ -235,7 +236,7 @@ impl HttpCache {
                 v.split(',')
                     .map(|name| {
                         let name = name.trim().to_ascii_lowercase();
-                        let value = req.headers.get_combined(&name);
+                        let value = req.headers.get_combined(&name).map(Cow::into_owned);
                         (name, value)
                     })
                     .collect()

@@ -68,28 +68,44 @@ impl CacheControl {
         for raw in split_list(value) {
             let (name, arg) = match raw.split_once('=') {
                 Some((n, v)) => (n.trim(), Some(unquote(v.trim()))),
-                None => (raw.trim(), None),
+                None => (raw, None),
             };
-            let secs = |arg: &Option<String>| arg.as_deref().and_then(|a| a.parse::<u64>().ok());
-            match name.to_ascii_lowercase().as_str() {
-                "no-store" => cc.no_store = true,
-                "no-cache" => cc.no_cache = true,
-                "no-transform" => cc.no_transform = true,
-                "must-revalidate" => cc.must_revalidate = true,
-                "proxy-revalidate" => cc.proxy_revalidate = true,
-                "public" => cc.public = true,
-                "private" => cc.private = true,
-                "immutable" => cc.immutable = true,
-                "only-if-cached" => cc.only_if_cached = true,
-                "max-age" => cc.max_age = secs(&arg).map(Duration::from_secs),
-                "s-maxage" => cc.s_maxage = secs(&arg).map(Duration::from_secs),
-                "max-stale" => cc.max_stale = Some(secs(&arg).map(Duration::from_secs)),
-                "min-fresh" => cc.min_fresh = secs(&arg).map(Duration::from_secs),
-                "stale-while-revalidate" => {
-                    cc.stale_while_revalidate = secs(&arg).map(Duration::from_secs)
-                }
-                "" => {}
-                other => cc.extensions.push((other.to_owned(), arg)),
+            let is = |directive: &str| name.eq_ignore_ascii_case(directive);
+            let secs = || {
+                arg.and_then(|a| a.parse::<u64>().ok())
+                    .map(Duration::from_secs)
+            };
+            if is("no-store") {
+                cc.no_store = true;
+            } else if is("no-cache") {
+                cc.no_cache = true;
+            } else if is("no-transform") {
+                cc.no_transform = true;
+            } else if is("must-revalidate") {
+                cc.must_revalidate = true;
+            } else if is("proxy-revalidate") {
+                cc.proxy_revalidate = true;
+            } else if is("public") {
+                cc.public = true;
+            } else if is("private") {
+                cc.private = true;
+            } else if is("immutable") {
+                cc.immutable = true;
+            } else if is("only-if-cached") {
+                cc.only_if_cached = true;
+            } else if is("max-age") {
+                cc.max_age = secs();
+            } else if is("s-maxage") {
+                cc.s_maxage = secs();
+            } else if is("max-stale") {
+                cc.max_stale = Some(secs());
+            } else if is("min-fresh") {
+                cc.min_fresh = secs();
+            } else if is("stale-while-revalidate") {
+                cc.stale_while_revalidate = secs();
+            } else if !name.is_empty() {
+                cc.extensions
+                    .push((name.to_ascii_lowercase(), arg.map(str::to_owned)));
             }
         }
         cc
@@ -101,36 +117,25 @@ impl CacheControl {
     }
 }
 
-/// Splits a comma-separated directive list, respecting quoted strings.
-fn split_list(value: &str) -> Vec<&str> {
-    let mut parts = Vec::new();
+/// Splits a comma-separated directive list, respecting quoted strings;
+/// yields the trimmed, non-empty items.
+fn split_list(value: &str) -> impl Iterator<Item = &str> {
     let mut in_quotes = false;
-    let mut start = 0;
-    for (i, b) in value.bytes().enumerate() {
-        match b {
-            b'"' => in_quotes = !in_quotes,
-            b',' if !in_quotes => {
-                let p = value[start..i].trim();
-                if !p.is_empty() {
-                    parts.push(p);
-                }
-                start = i + 1;
+    value
+        .split(move |c: char| {
+            if c == '"' {
+                in_quotes = !in_quotes;
             }
-            _ => {}
-        }
-    }
-    let p = value[start..].trim();
-    if !p.is_empty() {
-        parts.push(p);
-    }
-    parts
+            c == ',' && !in_quotes
+        })
+        .map(str::trim)
+        .filter(|p| !p.is_empty())
 }
 
-fn unquote(s: &str) -> String {
+fn unquote(s: &str) -> &str {
     s.strip_prefix('"')
         .and_then(|s| s.strip_suffix('"'))
         .unwrap_or(s)
-        .to_owned()
 }
 
 impl fmt::Display for CacheControl {

@@ -294,7 +294,7 @@ pub fn encode_request(req: &Request) -> Bytes {
     let mut out = BytesMut::with_capacity(256 + req.body.len());
     out.put_slice(req.method.as_str().as_bytes());
     out.put_u8(b' ');
-    out.put_slice(req.target.to_string().as_bytes());
+    out.put_slice(req.target.as_str().as_bytes());
     out.put_u8(b' ');
     out.put_slice(req.version.as_str().as_bytes());
     out.put_slice(b"\r\n");
@@ -351,7 +351,7 @@ pub fn response_head_len(resp: &Response) -> usize {
 /// tests).
 pub fn request_head_len(req: &Request) -> usize {
     // "GET /path?query HTTP/1.1\r\n"
-    let target = req.target.path().len() + req.target.query().map_or(0, |q| 1 + q.len());
+    let target = req.target.as_str().len();
     let request_line = req.method.as_str().len() + 1 + target + 1 + req.version.as_str().len() + 2;
     request_line + headers_len(&req.headers) + 2
 }

@@ -1,20 +1,60 @@
 //! Header names, values and an order-preserving multi-map.
+//!
+//! Storage is built so that copying a message is cheap: a name is
+//! either one of a fixed list of `&'static str`s (the standard names
+//! below plus the extension names the simulation uses) or a shared
+//! `Arc<str>`, a value is a shared `Arc<str>`, and a [`HeaderMap`] is
+//! one shared `Vec` of those pairs, copied the first time a holder
+//! that is not its only owner writes to it. Cloning a map is one
+//! reference-count increment and no allocation.
 
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::str::FromStr;
+use std::sync::Arc;
 
 use crate::error::WireError;
 use crate::method::is_token;
 
 /// A case-insensitive header field name, stored lowercased.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct HeaderName(Box<str>);
+///
+/// Equality, ordering and hashing go by the lowercased string, whichever
+/// representation holds it.
+#[derive(Clone)]
+pub struct HeaderName(NameRepr);
+
+#[derive(Clone)]
+enum NameRepr {
+    /// One of `KNOWN`: no allocation to make, none to copy.
+    Known(&'static str),
+    /// Any other token, lowercased once and shared by every copy.
+    Other(Arc<str>),
+}
 
 macro_rules! std_headers {
     ($($(#[$meta:meta])* $konst:ident => $name:literal;)*) => {
         impl HeaderName {
             $($(#[$meta])* pub const $konst: &'static str = $name;)*
         }
+
+        /// Every name stored without an allocation: the standard names
+        /// above, then the request fields the browser engine sets and
+        /// the `x-cc-*` extension names (`browser::engine::ext`, the
+        /// origin's `x-cc-error`) the simulation passes between layers.
+        const KNOWN: &[&str] = &[
+            $($name,)*
+            "cookie",
+            "referer",
+            "x-cc-pushed",
+            "x-cc-rdr-bundle",
+            "x-cc-server-delay-ms",
+            "x-cc-last-visit",
+            "x-cc-internal",
+            "x-cc-fault",
+            "x-cc-error",
+        ];
     };
 }
 
@@ -65,12 +105,51 @@ impl HeaderName {
         if !is_token(name) {
             return Err(WireError::InvalidHeaderName(name.to_owned()));
         }
-        Ok(HeaderName(name.to_ascii_lowercase().into_boxed_str()))
+        let repr = match KNOWN.iter().find(|k| k.eq_ignore_ascii_case(name)) {
+            Some(known) => NameRepr::Known(known),
+            None => NameRepr::Other(name.to_ascii_lowercase().into()),
+        };
+        Ok(HeaderName(repr))
     }
 
     /// The lowercased name.
     pub fn as_str(&self) -> &str {
-        &self.0
+        match &self.0 {
+            NameRepr::Known(s) => s,
+            NameRepr::Other(s) => s,
+        }
+    }
+}
+
+impl fmt::Debug for HeaderName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("HeaderName").field(&self.as_str()).finish()
+    }
+}
+
+impl PartialEq for HeaderName {
+    fn eq(&self, other: &HeaderName) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for HeaderName {}
+
+impl Hash for HeaderName {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state);
+    }
+}
+
+impl PartialOrd for HeaderName {
+    fn partial_cmp(&self, other: &HeaderName) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for HeaderName {
+    fn cmp(&self, other: &HeaderName) -> Ordering {
+        self.as_str().cmp(other.as_str())
     }
 }
 
@@ -83,13 +162,13 @@ impl FromStr for HeaderName {
 
 impl fmt::Display for HeaderName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(self.as_str())
     }
 }
 
 impl PartialEq<&str> for HeaderName {
     fn eq(&self, other: &&str) -> bool {
-        self.0.as_ref().eq_ignore_ascii_case(other)
+        self.as_str().eq_ignore_ascii_case(other)
     }
 }
 
@@ -97,9 +176,10 @@ impl PartialEq<&str> for HeaderName {
 ///
 /// Values are restricted to visible ASCII plus space and horizontal
 /// tab; CR, LF and NUL are rejected so a value can never break message
-/// framing (header injection).
+/// framing (header injection). The bytes are shared by every copy of
+/// the value.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct HeaderValue(Box<str>);
+pub struct HeaderValue(Arc<str>);
 
 impl HeaderValue {
     /// Validates and stores a header value (leading/trailing whitespace
@@ -112,7 +192,7 @@ impl HeaderValue {
         {
             return Err(WireError::InvalidHeaderValue(value.to_owned()));
         }
-        Ok(HeaderValue(trimmed.to_owned().into_boxed_str()))
+        Ok(HeaderValue(trimmed.into()))
     }
 
     pub fn as_str(&self) -> &str {
@@ -134,9 +214,13 @@ impl FromStr for HeaderValue {
 }
 
 /// An insertion-order-preserving multi-map of header fields.
+///
+/// Copy-on-write: clones share one field list until one of them is
+/// written to, and only the writer pays for its copy (the list, never
+/// the strings in it).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HeaderMap {
-    entries: Vec<(HeaderName, HeaderValue)>,
+    entries: Arc<Vec<(HeaderName, HeaderValue)>>,
 }
 
 impl HeaderMap {
@@ -170,19 +254,24 @@ impl HeaderMap {
     }
 
     /// All values for `name` joined as a single comma-separated list
-    /// (the RFC 9110 list-combination rule). `None` when absent.
-    pub fn get_combined(&self, name: &str) -> Option<String> {
-        let mut out: Option<String> = None;
-        for v in self.get_all(name) {
-            match &mut out {
-                None => out = Some(v.to_owned()),
-                Some(s) => {
-                    s.push_str(", ");
-                    s.push_str(v);
-                }
-            }
+    /// (the RFC 9110 list-combination rule). `None` when absent;
+    /// borrowed when the field has one line.
+    pub fn get_combined(&self, name: &str) -> Option<Cow<'_, str>> {
+        let mut values = self
+            .entries
+            .iter()
+            .filter(|(n, _)| n.as_str().eq_ignore_ascii_case(name))
+            .map(|(_, v)| v.as_str());
+        let first = values.next()?;
+        let Some(second) = values.next() else {
+            return Some(Cow::Borrowed(first));
+        };
+        let mut joined = String::from(first);
+        for v in std::iter::once(second).chain(values) {
+            joined.push_str(", ");
+            joined.push_str(v);
         }
-        out
+        Some(Cow::Owned(joined))
     }
 
     pub fn contains(&self, name: &str) -> bool {
@@ -202,8 +291,9 @@ impl HeaderMap {
     pub fn try_insert(&mut self, name: &str, value: &str) -> Result<(), WireError> {
         let name = HeaderName::new(name)?;
         let value = HeaderValue::new(value)?;
-        self.entries.retain(|(n, _)| *n != name);
-        self.entries.push((name, value));
+        let entries = Arc::make_mut(&mut self.entries);
+        entries.retain(|(n, _)| *n != name);
+        entries.push((name, value));
         Ok(())
     }
 
@@ -220,16 +310,20 @@ impl HeaderMap {
     pub fn try_append(&mut self, name: &str, value: &str) -> Result<(), WireError> {
         let name = HeaderName::new(name)?;
         let value = HeaderValue::new(value)?;
-        self.entries.push((name, value));
+        Arc::make_mut(&mut self.entries).push((name, value));
         Ok(())
     }
 
     /// Removes all values for `name`, returning how many were removed.
     pub fn remove(&mut self, name: &str) -> usize {
-        let before = self.entries.len();
-        self.entries
-            .retain(|(n, _)| !n.as_str().eq_ignore_ascii_case(name));
-        before - self.entries.len()
+        // An absent name must not cost a shared map its copy.
+        if !self.contains(name) {
+            return 0;
+        }
+        let entries = Arc::make_mut(&mut self.entries);
+        let before = entries.len();
+        entries.retain(|(n, _)| !n.as_str().eq_ignore_ascii_case(name));
+        before - entries.len()
     }
 
     /// Iterates over `(name, value)` pairs in insertion order.
@@ -314,6 +408,42 @@ mod tests {
         h.insert("Content-Type", "text/html");
         assert_eq!(h.get("content-type"), Some("text/html"));
         assert_eq!(h.get("CONTENT-TYPE"), Some("text/html"));
+    }
+
+    #[test]
+    fn listed_and_unlisted_names_behave_alike() {
+        use std::collections::HashSet;
+        // `etag` is in `KNOWN` (a static string), `x-unlisted` is not
+        // (a shared one); spelling never matters for either.
+        for (one, other) in [("ETag", "etag"), ("X-Unlisted", "x-unLISTED")] {
+            let (a, b) = (
+                HeaderName::new(one).unwrap(),
+                HeaderName::new(other).unwrap(),
+            );
+            assert_eq!(a, b);
+            assert_eq!(a.cmp(&b), Ordering::Equal);
+            assert_eq!(a.as_str(), one.to_ascii_lowercase());
+            assert_eq!(format!("{a:?}"), format!("{b:?}"));
+            assert_eq!(HashSet::from([a, b]).len(), 1);
+        }
+        assert!(HeaderName::new("etag").unwrap() < HeaderName::new("x-unlisted").unwrap());
+        assert!(KNOWN
+            .iter()
+            .all(|k| is_token(k) && *k == k.to_ascii_lowercase()));
+    }
+
+    #[test]
+    fn a_written_clone_leaves_the_original_alone() {
+        let mut original = HeaderMap::new();
+        original.append("vary", "accept");
+        let mut copy = original.clone();
+        assert_eq!(copy.remove("absent"), 0);
+        assert!(Arc::ptr_eq(&original.entries, &copy.entries));
+        copy.insert("Vary", "*");
+        copy.append("age", "1");
+        assert_eq!(original.len(), 1);
+        assert_eq!(original.get("vary"), Some("accept"));
+        assert_eq!(copy.get("vary"), Some("*"));
     }
 
     #[test]

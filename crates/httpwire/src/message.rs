@@ -49,9 +49,15 @@ pub struct Request {
 impl Request {
     /// A bodyless GET for `target`.
     pub fn get(target: &str) -> Request {
+        Request::get_target(Target::parse(target).expect("invalid target literal"))
+    }
+
+    /// A bodyless GET for an already-parsed target (e.g. a
+    /// [`Url`](crate::Url)'s), sharing its string.
+    pub fn get_target(target: Target) -> Request {
         Request {
             method: Method::Get,
-            target: Target::parse(target).expect("invalid target literal"),
+            target,
             version: Version::Http11,
             headers: HeaderMap::new(),
             body: Bytes::new(),

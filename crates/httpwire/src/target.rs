@@ -4,16 +4,24 @@
 //! absolute path and optional query — enough to address resources on
 //! the synthetic origins and third-party hosts.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Arc;
 
 use crate::error::WireError;
 
 /// An `origin-form` request target: absolute path plus optional query.
+///
+/// Stored as the one string it is on the wire, shared by every copy
+/// (a [`Request`](crate::Request) is cloned per hop; its target is
+/// not re-allocated).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Target {
-    path: String,
-    query: Option<String>,
+    /// `/path[?query]`, exactly as parsed.
+    raw: Arc<str>,
+    /// Byte offset of the first `?` in `raw`, if any.
+    query_at: Option<usize>,
 }
 
 impl Target {
@@ -22,36 +30,31 @@ impl Target {
         if !s.starts_with('/') || s.bytes().any(|b| b <= b' ' || b == 0x7f) {
             return Err(WireError::InvalidTarget(s.to_owned()));
         }
-        match s.split_once('?') {
-            Some((p, q)) => Ok(Target {
-                path: p.to_owned(),
-                query: Some(q.to_owned()),
-            }),
-            None => Ok(Target {
-                path: s.to_owned(),
-                query: None,
-            }),
-        }
+        Ok(Target {
+            raw: s.into(),
+            query_at: s.find('?'),
+        })
     }
 
     /// The absolute path component (always starts with `/`).
     pub fn path(&self) -> &str {
-        &self.path
+        &self.raw[..self.query_at.unwrap_or(self.raw.len())]
     }
 
     /// The query string without the `?`, if present.
     pub fn query(&self) -> Option<&str> {
-        self.query.as_deref()
+        self.query_at.map(|at| &self.raw[at + 1..])
+    }
+
+    /// The wire form, `/path[?query]` (what `Display` writes).
+    pub fn as_str(&self) -> &str {
+        &self.raw
     }
 }
 
 impl fmt::Display for Target {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.path)?;
-        if let Some(q) = &self.query {
-            write!(f, "?{q}")?;
-        }
-        Ok(())
+        f.write_str(&self.raw)
     }
 }
 
@@ -63,9 +66,10 @@ impl FromStr for Target {
 }
 
 /// A minimal absolute `http://` URL: host, optional port, target.
+/// Both strings are shared, so a clone allocates nothing.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Url {
-    host: String,
+    host: Arc<str>,
     port: Option<u16>,
     target: Target,
 }
@@ -98,7 +102,7 @@ impl Url {
             return Err(err());
         }
         Ok(Url {
-            host: host.to_ascii_lowercase(),
+            host: host.to_ascii_lowercase().into(),
             port,
             target: Target::parse(target_str)?,
         })
@@ -107,7 +111,7 @@ impl Url {
     /// Builds a URL from components.
     pub fn new(host: &str, port: Option<u16>, target: Target) -> Url {
         Url {
-            host: host.to_ascii_lowercase(),
+            host: host.to_ascii_lowercase().into(),
             port,
             target,
         }
@@ -135,11 +139,12 @@ impl Url {
         self.target.path()
     }
 
-    /// The `host[:port]` form used in the `Host` header.
-    pub fn authority(&self) -> String {
+    /// The `host[:port]` form used in the `Host` header (borrowed
+    /// when there is no explicit port).
+    pub fn authority(&self) -> Cow<'_, str> {
         match self.port {
-            Some(p) => format!("{}:{p}", self.host),
-            None => self.host.clone(),
+            Some(p) => Cow::Owned(format!("{}:{p}", self.host)),
+            None => Cow::Borrowed(&self.host),
         }
     }
 
@@ -187,7 +192,12 @@ impl Url {
 
 impl fmt::Display for Url {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "http://{}{}", self.authority(), self.target)
+        f.write_str("http://")?;
+        f.write_str(&self.host)?;
+        if let Some(p) = self.port {
+            write!(f, ":{p}")?;
+        }
+        f.write_str(self.target.as_str())
     }
 }
 

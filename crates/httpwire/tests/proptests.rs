@@ -6,7 +6,8 @@ use cachecatalyst_httpwire::codec::{
     ParseLimits, Parsed,
 };
 use cachecatalyst_httpwire::{
-    CacheControl, EntityTag, HeaderMap, HttpDate, Method, Request, Response, StatusCode, WireError,
+    CacheControl, EntityTag, HeaderMap, HeaderName, HttpDate, Method, Request, Response,
+    StatusCode, WireError,
 };
 use proptest::prelude::*;
 
@@ -19,8 +20,23 @@ fn arb_header_value() -> impl Strategy<Value = String> {
     "[!-~]([ -~]{0,30}[!-~])?".prop_map(|s| s)
 }
 
+/// A few names in several spellings, so that random operations keep
+/// hitting the same field: names `HeaderName` stores as a static
+/// string (`etag`, `vary`, `x-cc-fault`) and names it has to share.
+fn arb_colliding_name() -> impl Strategy<Value = String> {
+    "(etag|ETag|Vary|vary|x-cc-fault|X-CC-Fault|x-custom|X-Custom|a|A)".prop_map(|s| s)
+}
+
+fn hash_of(name: &HeaderName) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    name.hash(&mut hasher);
+    hasher.finish()
+}
+
 fn arb_headers() -> impl Strategy<Value = Vec<(String, String)>> {
-    prop::collection::vec((arb_token(), arb_header_value()), 0..8).prop_map(|pairs| {
+    let name = prop_oneof![arb_token(), arb_colliding_name()];
+    prop::collection::vec((name, arb_header_value()), 0..8).prop_map(|pairs| {
         // Avoid names that change framing semantics; those are
         // exercised deterministically in unit tests.
         pairs
@@ -122,6 +138,9 @@ proptest! {
         let parsed = parse_response(&wire, &Method::Get, &ParseLimits::default()).unwrap();
         match parsed {
             Parsed::Complete { message, consumed } => {
+                // Re-encoding what was parsed gives the same bytes:
+                // names come back lowercased and in wire order.
+                prop_assert_eq!(encode_response(&message), wire.clone());
                 prop_assert_eq!(message, resp);
                 prop_assert_eq!(consumed, wire.len());
             }
@@ -212,6 +231,70 @@ proptest! {
             let expect_first = model.iter().find(|(n, _)| *n == lname).map(|(_, v)| v.as_str());
             prop_assert_eq!(map.get(&lname), expect_first);
         }
+    }
+
+    /// Copy-on-write is invisible: maps cloned from one another at
+    /// random points each behave like their own `Vec` of pairs, and a
+    /// write through one never shows in another.
+    #[test]
+    fn header_map_clones_are_independent(ops in prop::collection::vec(
+        (0u8..4, arb_colliding_name(), arb_header_value(), any::<usize>()), 1..40)
+    ) {
+        let mut maps = vec![HeaderMap::new()];
+        let mut models: Vec<Vec<(String, String)>> = vec![Vec::new()];
+        for (op, name, value, pick) in ops {
+            let at = pick % maps.len();
+            let lname = name.to_ascii_lowercase();
+            match op {
+                0 => {
+                    maps[at].insert(&name, &value);
+                    models[at].retain(|(n, _)| *n != lname);
+                    models[at].push((lname, value));
+                }
+                1 => {
+                    maps[at].append(&name, &value);
+                    models[at].push((lname, value));
+                }
+                2 => {
+                    let before = models[at].len();
+                    models[at].retain(|(n, _)| *n != lname);
+                    prop_assert_eq!(maps[at].remove(&name), before - models[at].len());
+                }
+                _ => {
+                    maps.push(maps[at].clone());
+                    models.push(models[at].clone());
+                }
+            }
+            for (map, model) in maps.iter().zip(&models) {
+                let seen: Vec<(&str, &str)> =
+                    map.iter().map(|(n, v)| (n.as_str(), v.as_str())).collect();
+                let expected: Vec<(&str, &str)> =
+                    model.iter().map(|(n, v)| (n.as_str(), v.as_str())).collect();
+                prop_assert_eq!(seen, expected);
+            }
+        }
+    }
+
+    /// A name compares, hashes, orders and prints by its lowercased
+    /// string, whether it is held as a static string or a shared one.
+    #[test]
+    fn header_names_go_by_their_lowercased_string(
+        a in prop_oneof![arb_colliding_name(), arb_token()],
+        b in prop_oneof![arb_colliding_name(), arb_token()],
+    ) {
+        let (name_a, name_b) = (HeaderName::new(&a).unwrap(), HeaderName::new(&b).unwrap());
+        let (lower_a, lower_b) = (a.to_ascii_lowercase(), b.to_ascii_lowercase());
+        prop_assert_eq!(name_a.as_str(), lower_a.as_str());
+        prop_assert_eq!(name_a.to_string(), lower_a.clone());
+        prop_assert_eq!(name_a == name_b, lower_a == lower_b);
+        prop_assert_eq!(name_a.cmp(&name_b), lower_a.cmp(&lower_b));
+        if lower_a == lower_b {
+            prop_assert_eq!(hash_of(&name_a), hash_of(&name_b));
+        }
+        // Every spelling of a name is the same name.
+        let respelled = HeaderName::new(&a.to_ascii_uppercase()).unwrap();
+        prop_assert_eq!(hash_of(&respelled), hash_of(&name_a));
+        prop_assert_eq!(respelled, name_a);
     }
 }
 

@@ -55,65 +55,42 @@ pub fn extract_html_links(html: &str) -> Vec<ExtractedLink> {
         };
         let tag = &html[i + 1..tag_end];
         let (name, attrs) = split_tag(tag);
-        match name.to_ascii_lowercase().as_str() {
-            "link" => {
-                let rel = get_attr(attrs, "rel")
-                    .unwrap_or_default()
-                    .to_ascii_lowercase();
-                if let Some(href) = get_attr(attrs, "href") {
-                    if rel.split_whitespace().any(|r| r == "stylesheet") {
-                        out.push(ExtractedLink {
-                            href,
-                            context: LinkContext::Stylesheet,
-                        });
-                    } else if rel
-                        .split_whitespace()
-                        .any(|r| r == "preload" || r == "icon")
-                    {
-                        out.push(ExtractedLink {
-                            href,
-                            context: LinkContext::Preload,
-                        });
+        let is = |element: &str| name.eq_ignore_ascii_case(element);
+        let mut push = |href: &str, context| {
+            out.push(ExtractedLink {
+                href: href.to_owned(),
+                context,
+            })
+        };
+        if is("link") {
+            let rel = get_attr(attrs, "rel").unwrap_or_default();
+            let rel_has = |word: &str| rel.split_whitespace().any(|r| r.eq_ignore_ascii_case(word));
+            if let Some(href) = get_attr(attrs, "href") {
+                if rel_has("stylesheet") {
+                    push(href, LinkContext::Stylesheet);
+                } else if rel_has("preload") || rel_has("icon") {
+                    push(href, LinkContext::Preload);
+                }
+            }
+        } else if is("script") {
+            if let Some(src) = get_attr(attrs, "src") {
+                push(src, LinkContext::Script);
+            }
+        } else if is("img") || is("source") {
+            if let Some(src) = get_attr(attrs, "src") {
+                push(src, LinkContext::Image);
+            }
+            if let Some(srcset) = get_attr(attrs, "srcset") {
+                for candidate in srcset.split(',') {
+                    if let Some(url) = candidate.split_whitespace().next() {
+                        push(url, LinkContext::Image);
                     }
                 }
             }
-            "script" => {
-                if let Some(src) = get_attr(attrs, "src") {
-                    out.push(ExtractedLink {
-                        href: src,
-                        context: LinkContext::Script,
-                    });
-                }
+        } else if is("video") {
+            if let Some(poster) = get_attr(attrs, "poster") {
+                push(poster, LinkContext::Poster);
             }
-            "img" | "source" => {
-                if let Some(src) = get_attr(attrs, "src") {
-                    out.push(ExtractedLink {
-                        href: src,
-                        context: LinkContext::Image,
-                    });
-                }
-                if let Some(srcset) = get_attr(attrs, "srcset") {
-                    for candidate in srcset.split(',') {
-                        if let Some(url) = candidate.split_whitespace().next() {
-                            if !url.is_empty() {
-                                out.push(ExtractedLink {
-                                    href: url.to_owned(),
-                                    context: LinkContext::Image,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-            "video" => {
-                if let Some(poster) = get_attr(attrs, "poster") {
-                    out.push(ExtractedLink {
-                        href: poster,
-                        context: LinkContext::Poster,
-                    });
-                }
-            }
-            _ => {}
         }
         i = tag_end + 1;
     }
@@ -195,29 +172,30 @@ fn split_tag(tag: &str) -> (&str, &str) {
     }
 }
 
-/// Finds the value of `name` in an attribute list. Handles double,
-/// single and missing quotes; attribute names are case-insensitive.
-fn get_attr(attrs: &str, name: &str) -> Option<String> {
-    let lower = attrs.to_ascii_lowercase();
+/// Finds the value of `name` (given lowercase) in an attribute list.
+/// Handles double, single and missing quotes; attribute names are
+/// case-insensitive.
+fn get_attr<'a>(attrs: &'a str, name: &str) -> Option<&'a str> {
+    let bytes = attrs.as_bytes();
     let mut from = 0;
-    while let Some(rel) = lower[from..].find(name) {
+    while let Some(rel) = bytes[from..]
+        .windows(name.len())
+        .position(|w| w.eq_ignore_ascii_case(name.as_bytes()))
+    {
         let at = from + rel;
         // Must be a word boundary before, and `=` (with optional ws) after.
-        let before_ok = at == 0
-            || !lower.as_bytes()[at - 1].is_ascii_alphanumeric()
-                && lower.as_bytes()[at - 1] != b'-';
+        let before_ok = at == 0 || !bytes[at - 1].is_ascii_alphanumeric() && bytes[at - 1] != b'-';
         let after = &attrs[at + name.len()..];
         let after_trim = after.trim_start();
         if before_ok && after_trim.starts_with('=') {
             let val = after_trim[1..].trim_start();
-            let parsed = if let Some(v) = val.strip_prefix('"') {
-                v.split('"').next().map(|s| s.to_owned())
+            return if let Some(v) = val.strip_prefix('"') {
+                v.split('"').next()
             } else if let Some(v) = val.strip_prefix('\'') {
-                v.split('\'').next().map(|s| s.to_owned())
+                v.split('\'').next()
             } else {
-                val.split([' ', '\t', '>']).next().map(|s| s.to_owned())
+                val.split([' ', '\t', '>']).next()
             };
-            return parsed;
         }
         from = at + name.len();
     }
@@ -279,6 +257,19 @@ mod tests {
             hrefs(&links),
             vec!["/fallback.jpg", "/small.jpg", "/big.jpg"]
         );
+    }
+
+    #[test]
+    fn tag_and_attribute_names_are_case_insensitive() {
+        let html = r#"<IMG SRC="/Upper.PNG"><Link REL="Stylesheet" HREF="/a.css">
+                      <SCRIPT Src='/b.js'></SCRIPT><link Rel="ICON" hReF=/fav.ico>"#;
+        let links = extract_html_links(html);
+        assert_eq!(
+            hrefs(&links),
+            vec!["/Upper.PNG", "/a.css", "/b.js", "/fav.ico"]
+        );
+        assert_eq!(links[1].context, LinkContext::Stylesheet);
+        assert_eq!(links[3].context, LinkContext::Preload);
     }
 
     #[test]
