@@ -3,9 +3,12 @@
 //! Usage: `cargo run --release -p cachecatalyst-bench --bin all
 //!         [-- --out results] [--sites-scale 1.0]`
 //!
-//! Each experiment binary is invoked in-process-equivalent form via
-//! `cargo run` so the saved files match exactly what the individual
-//! binaries print.
+//! Each experiment is its own binary, built alongside this one: `all`
+//! spawns the sibling executable next to `current_exe()` (so build
+//! the whole package first — `cargo build --release -p
+//! cachecatalyst-bench` — or a missing sibling is reported as
+//! "FAILED to launch") and saves its stdout, so the files match
+//! exactly what the individual binaries print.
 
 use std::path::PathBuf;
 use std::process::Command;

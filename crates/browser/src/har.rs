@@ -3,10 +3,11 @@
 //! Emits a minimal but valid HAR 1.2 document so waterfalls from the
 //! simulator can be opened in standard tooling (Chrome DevTools'
 //! "Import HAR", WebPageTest viewers, `har-analyzer`, …). Hand-rolled
-//! JSON: the only string content is URLs and fixed enums, so a small
-//! escaper suffices.
+//! JSON: the only string content is URLs and fixed enums, so the
+//! telemetry crate's string escaper suffices.
 
 use cachecatalyst_netsim::{FetchOutcome, SimTime};
+use cachecatalyst_telemetry::json_string;
 
 use crate::engine::LoadReport;
 
@@ -89,25 +90,6 @@ pub fn to_har(report: &LoadReport, epoch: &str) -> String {
 
 fn ms(later: SimTime, earlier: SimTime) -> f64 {
     later.since(earlier).as_secs_f64() * 1000.0
-}
-
-/// Escapes a string for JSON.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

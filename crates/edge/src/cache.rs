@@ -4,7 +4,7 @@
 //! ## Serving model
 //!
 //! GET requests are keyed by `host + path` and answered from the
-//! [`EdgeStore`] when the stored entry is
+//! [`TieredStore`] when the stored entry is
 //! still fresh; everything else (non-GET, internal traffic, HTML)
 //! passes through. A miss or stale entry enters **single-flight**: the
 //! first requester becomes the leader and performs the one upstream
@@ -43,24 +43,10 @@ use cachecatalyst_httpwire::{
     tracectx, EntityTag, HeaderName, Method, Request, Response, StatusCode,
 };
 use cachecatalyst_telemetry::span::{Span, SpanId, SpanSink, TraceContext};
-use cachecatalyst_telemetry::{CacheAudit, CacheDecision, Event, Recorder, Registry};
+use cachecatalyst_telemetry::{json_string, CacheAudit, CacheDecision, Event, Recorder, Registry};
 use parking_lot::Mutex;
 
-use crate::store::{EdgeStore, MarkOutcome, StoreOptions, StoredEntry, Tier, TierHit};
-
-/// Minimal JSON string escaping for the inspector document.
-fn json_escape(s: impl ToString) -> String {
-    let mut out = String::new();
-    for ch in s.to_string().chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+use crate::store::{MarkOutcome, StoreOptions, StoredEntry, TierHit, TieredStore};
 
 /// Counter handles for the edge's Prometheus series, shared with the
 /// registry (scrapes and [`EdgeCache::metrics`] read the same cells).
@@ -308,16 +294,14 @@ pub struct EdgeBuilder<U> {
 
 impl<U: Upstream> EdgeBuilder<U> {
     /// Total bytes the DRAM tier may hold (default 64 MiB), spread
-    /// over the shards. Shorthand for `StoreOptions::mem_budget`.
+    /// over the shards: the one shorthand for a mem-only
+    /// `store(StoreOptions::new().mem_budget(bytes))`. It clamps `0`
+    /// to `1` — a DRAM tier too small to hold anything — whereas
+    /// `StoreOptions::mem_budget(0)` means "no DRAM tier"; everything
+    /// else about the store (shards, disk tier, admission) goes
+    /// through [`EdgeBuilder::store`].
     pub fn byte_budget(mut self, bytes: usize) -> EdgeBuilder<U> {
         self.store = self.store.mem_budget(bytes.max(1));
-        self
-    }
-
-    /// Number of independent DRAM shards (default 8). Shorthand for
-    /// `StoreOptions::shards`.
-    pub fn shards(mut self, shards: usize) -> EdgeBuilder<U> {
-        self.store = self.store.shards(shards);
         self
     }
 
@@ -429,7 +413,7 @@ struct Hop {
 /// [`TcpEdge`](crate::tcp::TcpEdge), or under another decorator.
 pub struct EdgeCache<U> {
     upstream: U,
-    store: EdgeStore,
+    store: TieredStore,
     /// Single-flight table: one lock per key currently being fetched.
     flights: Mutex<HashMap<String, Arc<Mutex<()>>>>,
     registry: Arc<Registry>,
@@ -551,13 +535,13 @@ impl<U: Upstream> EdgeCache<U> {
         let mut out = String::from("{\n  \"entries\": [\n");
         for (i, e) in entries.iter().enumerate() {
             let etag = match &e.etag {
-                Some(tag) => format!("\"{}\"", json_escape(tag)),
+                Some(tag) => json_string(tag),
                 None => "null".to_owned(),
             };
             out.push_str(&format!(
-                "    {{\"key\": \"{}\", \"tier\": \"{}\", \"size\": {}, \"etag\": {}, \
+                "    {{\"key\": {}, \"tier\": \"{}\", \"size\": {}, \"etag\": {}, \
                  \"validated_at\": {}, \"fresh_until\": {}, \"fresh\": {}, \"negative\": {}}}{}\n",
-                json_escape(&e.key),
+                json_string(&e.key),
                 e.tier,
                 e.size,
                 etag,

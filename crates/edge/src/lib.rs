@@ -6,11 +6,11 @@
 //!
 //! The tier is built from three layers:
 //!
-//! * [`TieredStore`] (alias [`EdgeStore`]) — the object store: a
-//!   sharded, byte-budgeted DRAM front with LRU eviction and negative
-//!   caching of 404s, plus an optional persistent segment-file tier
-//!   with admission control and crash-tolerant warm restarts
-//!   (configured through [`StoreOptions`]);
+//! * [`TieredStore`] — the object store: a sharded, byte-budgeted
+//!   DRAM front with LRU eviction and negative caching of 404s, plus
+//!   an optional persistent segment-file tier with admission control
+//!   and crash-tolerant warm restarts (configured through
+//!   [`StoreOptions`]);
 //! * [`EdgeCache`] — the cache proper: an [`Upstream`] decorator with
 //!   **single-flight coalescing** (N concurrent misses for one key
 //!   cost exactly one upstream fetch) and **catalyst-aware freshness**
@@ -27,14 +27,13 @@
 //! ```
 //! use std::sync::Arc;
 //! use cachecatalyst_browser::{SingleOrigin, Upstream};
-//! use cachecatalyst_edge::EdgeCache;
+//! use cachecatalyst_edge::{EdgeCache, StoreOptions};
 //! use cachecatalyst_origin::{HeaderMode, OriginServer};
 //! use cachecatalyst_webmodel::example_site;
 //!
 //! let origin = Arc::new(OriginServer::new(example_site(), HeaderMode::Catalyst));
 //! let edge = EdgeCache::builder(SingleOrigin(origin))
-//!     .byte_budget(16 << 20)
-//!     .shards(4)
+//!     .store(StoreOptions::new().mem_budget(16 << 20).shards(4))
 //!     .build();
 //! let resp = edge.handle(
 //!     "example.org",
@@ -52,8 +51,8 @@ pub mod tcp;
 
 pub use cache::{EdgeBuilder, EdgeCache, EdgeMetrics};
 pub use store::{
-    AdmissionPolicy, DiskStats, DiskTierOptions, EdgeStore, EntryInfo, MarkOutcome, StoreOptions,
-    StoredEntry, Tier, TierHit, TierStats, TieredCounters, TieredStore,
+    AdmissionPolicy, DiskStats, DiskTierOptions, EntryInfo, MarkOutcome, StoreOptions, StoredEntry,
+    TierHit, TieredCounters, TieredStore,
 };
 pub use tcp::{EdgeServeOptions, TcpEdge};
 

@@ -21,7 +21,7 @@
 //! Recovered entries enter the index *stale*
 //! (`fresh_until = i64::MIN`): they serve as revalidation candidates
 //! immediately, and the first verified catalyst config map re-freshens
-//! the matching ones through [`Tier::mark`] with zero origin contact.
+//! the matching ones through [`DiskTier::mark`] with zero origin contact.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{self, File, OpenOptions};
@@ -33,7 +33,7 @@ use cachecatalyst_httpwire::hash::xxh64;
 use cachecatalyst_httpwire::{codec, EntityTag, Method, ParseLimits, Parsed};
 use parking_lot::Mutex;
 
-use super::{AdmissionPolicy, EntryInfo, MarkOutcome, StoredEntry, Tier, TierStats};
+use super::{AdmissionPolicy, EntryInfo, MarkOutcome, StoredEntry};
 
 /// First four bytes of every record; the low byte counts format
 /// revisions (`61` trailed an FNV-1a sum, `62` trails XXH64).
@@ -474,19 +474,17 @@ impl DiskTier {
         self.hits.fetch_add(1, Ordering::Relaxed);
         Some(stored)
     }
-}
 
-impl Tier for DiskTier {
-    fn name(&self) -> &'static str {
-        "disk"
-    }
-
-    fn get(&self, key: &str) -> Option<StoredEntry> {
+    /// The entry under `key` (fresh or stale), read back from its
+    /// segment and checksum-verified.
+    pub fn get(&self, key: &str) -> Option<StoredEntry> {
         let mut state = self.state.lock();
         self.read_entry(&mut state, key)
     }
 
-    fn insert(&self, key: &str, entry: StoredEntry) -> bool {
+    /// Appends `entry`, rotating segments and retiring the oldest as
+    /// the budget requires. Returns `false` when the write failed.
+    pub fn insert(&self, key: &str, entry: StoredEntry) -> bool {
         let rec = encode_record(key, &entry);
         let mut state = self.state.lock();
         // Rotate when the active segment is full (a record larger than
@@ -538,7 +536,9 @@ impl Tier for DiskTier {
         true
     }
 
-    fn mark(&self, key: &str, current: &EntityTag, now: i64, fresh_until: i64) -> MarkOutcome {
+    /// Applies a catalyst mark: matching validator ⇒ freshness extends
+    /// to at least `fresh_until`; mismatch ⇒ immediately stale.
+    pub fn mark(&self, key: &str, current: &EntityTag, now: i64, fresh_until: i64) -> MarkOutcome {
         // Index-only: freshness metadata never rewrites the segment
         // files, which is what makes warm-restart re-freshening free.
         let mut state = self.state.lock();
@@ -566,21 +566,14 @@ impl Tier for DiskTier {
         }
     }
 
-    fn evict(&self, key: &str) {
+    /// Drops `key` outright (poisoned or superseded entry).
+    pub fn evict(&self, key: &str) {
         let mut state = self.state.lock();
         Self::remove_live(&mut state, key);
     }
 
-    fn stats(&self) -> TierStats {
-        let state = self.state.lock();
-        TierStats {
-            objects: state.index.len(),
-            bytes: state.live_bytes,
-            evictions: self.evicted_entries.load(Ordering::Relaxed),
-        }
-    }
-
-    fn entries(&self) -> Vec<EntryInfo> {
+    /// Every entry this tier holds, for the inspector endpoint.
+    pub fn entries(&self) -> Vec<EntryInfo> {
         let state = self.state.lock();
         state
             .index

@@ -14,7 +14,7 @@ use cachecatalyst_httpwire::hash::fnv1a64;
 use cachecatalyst_httpwire::{EntityTag, Response};
 use parking_lot::Mutex;
 
-use super::{EntryInfo, MarkOutcome, StoredEntry, Tier, TierStats};
+use super::{EntryInfo, MarkOutcome, StoredEntry};
 
 /// One resident entry plus its recency stamp.
 struct Slot {
@@ -171,14 +171,9 @@ impl MemTier {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
 
-impl Tier for MemTier {
-    fn name(&self) -> &'static str {
-        "mem"
-    }
-
-    fn get(&self, key: &str) -> Option<StoredEntry> {
+    /// The entry under `key` (fresh or stale), bumping its recency.
+    pub fn get(&self, key: &str) -> Option<StoredEntry> {
         let seq = self.touch();
         let mut shard = self.shard_of(key).lock();
         let slot = shard.map.get_mut(key)?;
@@ -186,11 +181,9 @@ impl Tier for MemTier {
         Some(slot.entry.clone())
     }
 
-    fn insert(&self, key: &str, entry: StoredEntry) -> bool {
-        self.insert_returning_victims(key, entry).0
-    }
-
-    fn mark(&self, key: &str, current: &EntityTag, now: i64, fresh_until: i64) -> MarkOutcome {
+    /// Applies a catalyst mark: matching validator ⇒ freshness extends
+    /// to at least `fresh_until`; mismatch ⇒ immediately stale.
+    pub fn mark(&self, key: &str, current: &EntityTag, now: i64, fresh_until: i64) -> MarkOutcome {
         let mut shard = self.shard_of(key).lock();
         let Some(slot) = shard.map.get_mut(key) else {
             return MarkOutcome::Absent;
@@ -215,7 +208,8 @@ impl Tier for MemTier {
         }
     }
 
-    fn evict(&self, key: &str) {
+    /// Drops `key` outright (poisoned or superseded entry).
+    pub fn evict(&self, key: &str) {
         let mut shard = self.shard_of(key).lock();
         if let Some(old) = shard.map.remove(key) {
             shard.bytes -= old.entry.size();
@@ -224,15 +218,8 @@ impl Tier for MemTier {
         }
     }
 
-    fn stats(&self) -> TierStats {
-        TierStats {
-            objects: self.len(),
-            bytes: self.bytes_held(),
-            evictions: self.evictions(),
-        }
-    }
-
-    fn entries(&self) -> Vec<EntryInfo> {
+    /// Every entry this tier holds, for the inspector endpoint.
+    pub fn entries(&self) -> Vec<EntryInfo> {
         let mut out = Vec::new();
         for shard in &self.shards {
             let shard = shard.lock();
@@ -263,7 +250,7 @@ mod tests {
     fn store_one(tier: &MemTier, key: &str, body: &str, tag: &str, t: i64, fresh: i64) {
         let r = resp(body, tag);
         let e = r.etag();
-        tier.insert(key, StoredEntry::positive(r, e, t, fresh));
+        tier.insert_returning_victims(key, StoredEntry::positive(r, e, t, fresh));
     }
 
     #[test]

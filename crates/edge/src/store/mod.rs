@@ -9,9 +9,9 @@
 //!   promotion on disk hit, demotion on DRAM eviction, disk writes
 //!   gated by a pluggable [`AdmissionPolicy`].
 //!
-//! Every tier implements the [`Tier`] trait, so mem-only, disk-only
-//! and hybrid configurations are one code path; construction goes
-//! through [`StoreOptions`]:
+//! Both tiers are optional, so mem-only, disk-only and hybrid
+//! configurations are one code path; construction goes through
+//! [`StoreOptions`]:
 //!
 //! ```
 //! use cachecatalyst_edge::store::StoreOptions;
@@ -30,11 +30,6 @@ pub use admission::{AdmissionPolicy, FreqSketch};
 pub use disk::{DiskStats, DiskTier, DiskTierOptions};
 pub use mem::MemTier;
 pub use tiered::{TierHit, TieredCounters, TieredStore};
-
-/// The historical name of the store. Since PR 10 the store is tiered;
-/// the alias (and the deprecated [`TieredStore::new`]) keep PR 5 code
-/// compiling against the mem-only configuration.
-pub type EdgeStore = TieredStore;
 
 /// One stored object.
 #[derive(Clone)]
@@ -110,18 +105,6 @@ pub enum MarkOutcome {
     Absent,
 }
 
-/// A point-in-time view of one tier's bookkeeping.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TierStats {
-    /// Objects currently addressable in this tier.
-    pub objects: usize,
-    /// Bytes currently held (for the disk tier: live index bytes, not
-    /// segment-file garbage awaiting retirement).
-    pub bytes: usize,
-    /// Cumulative entries this tier has dropped to stay in budget.
-    pub evictions: u64,
-}
-
 /// One entry as the read-only inspector reports it (`GET /inspect`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EntryInfo {
@@ -139,30 +122,6 @@ pub struct EntryInfo {
     pub fresh_until: i64,
     /// A negatively-cached 404.
     pub negative: bool,
-}
-
-/// What every store tier can do. Mem-only, disk-only and hybrid
-/// stores expose one shape to the cache layer; [`TieredStore`]
-/// implements the same trait over its composition.
-pub trait Tier: Send + Sync {
-    /// This tier's inspector label (`"mem"`, `"disk"`, `"tiered"`).
-    fn name(&self) -> &'static str;
-    /// The entry under `key` (fresh or stale), bumping recency where
-    /// the tier tracks it.
-    fn get(&self, key: &str) -> Option<StoredEntry>;
-    /// Stores `entry`, evicting/rotating as the tier requires. Returns
-    /// `false` when the entry was not retained (oversized for the
-    /// tier, or refused by an admission policy).
-    fn insert(&self, key: &str, entry: StoredEntry) -> bool;
-    /// Applies a catalyst mark: matching validator ⇒ freshness extends
-    /// to at least `fresh_until`; mismatch ⇒ immediately stale.
-    fn mark(&self, key: &str, current: &EntityTag, now: i64, fresh_until: i64) -> MarkOutcome;
-    /// Drops `key` outright (poisoned or superseded entry).
-    fn evict(&self, key: &str);
-    /// Bookkeeping snapshot.
-    fn stats(&self) -> TierStats;
-    /// Every entry this tier holds, for the inspector endpoint.
-    fn entries(&self) -> Vec<EntryInfo>;
 }
 
 /// Configures a [`TieredStore`]: the DRAM budget/sharding and an

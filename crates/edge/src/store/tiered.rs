@@ -13,7 +13,7 @@
 //!
 //! The store keeps the exact inherent API the PR 5 cache layer used
 //! (`get`/`insert`/`mark`/…), so a mem-only [`TieredStore`] behaves
-//! byte-for-byte like the old `EdgeStore`.
+//! byte-for-byte like the single-tier store it replaced.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -23,7 +23,7 @@ use cachecatalyst_httpwire::{EntityTag, Response};
 use super::admission::Admission;
 use super::disk::{DiskStats, DiskTier};
 use super::mem::MemTier;
-use super::{EntryInfo, MarkOutcome, StoreOptions, StoredEntry, Tier, TierStats};
+use super::{EntryInfo, MarkOutcome, StoredEntry};
 
 /// Which tier served a [`TieredStore::get_traced`] hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,7 +46,8 @@ pub struct TieredCounters {
     pub admission_rejects: u64,
 }
 
-/// The tiered store. Built by [`StoreOptions::build`]; both tiers are
+/// The tiered store. Built by
+/// [`StoreOptions::build`](super::StoreOptions::build); both tiers are
 /// optional, so mem-only (PR 5 behaviour), disk-only and hybrid
 /// configurations share this one type.
 pub struct TieredStore {
@@ -65,19 +66,6 @@ fn same_version(a: &Option<EntityTag>, b: &Option<EntityTag>) -> bool {
 }
 
 impl TieredStore {
-    /// Mem-only store, byte-for-byte the PR 5 `EdgeStore`.
-    #[deprecated(
-        since = "0.10.0",
-        note = "configure the store through `StoreOptions` (or `EdgeCache::builder().store(..)`)"
-    )]
-    pub fn new(byte_budget: usize, shards: usize) -> TieredStore {
-        StoreOptions::new()
-            .mem_budget(byte_budget.max(1))
-            .shards(shards)
-            .build()
-            .expect("a mem-only store performs no I/O")
-    }
-
     pub(super) fn assemble(
         mem: Option<MemTier>,
         disk: Option<DiskTier>,
@@ -316,41 +304,9 @@ impl TieredStore {
     pub fn get(&self, key: &str) -> Option<StoredEntry> {
         self.get_traced(key).map(|(entry, _)| entry)
     }
-}
 
-impl Tier for TieredStore {
-    fn name(&self) -> &'static str {
-        "tiered"
-    }
-
-    fn get(&self, key: &str) -> Option<StoredEntry> {
-        TieredStore::get(self, key)
-    }
-
-    fn insert(&self, key: &str, entry: StoredEntry) -> bool {
-        self.insert_entry(key, entry);
-        true
-    }
-
-    fn mark(&self, key: &str, current: &EntityTag, now: i64, fresh_until: i64) -> MarkOutcome {
-        TieredStore::mark(self, key, current, now, fresh_until)
-    }
-
-    fn evict(&self, key: &str) {
-        self.remove(key);
-    }
-
-    fn stats(&self) -> TierStats {
-        let mem = self.mem.as_ref().map(|m| m.stats()).unwrap_or_default();
-        let disk = self.disk.as_ref().map(|d| d.stats()).unwrap_or_default();
-        TierStats {
-            objects: mem.objects + disk.objects,
-            bytes: mem.bytes + disk.bytes,
-            evictions: mem.evictions + disk.evictions,
-        }
-    }
-
-    fn entries(&self) -> Vec<EntryInfo> {
+    /// Every entry of every tier, for the inspector endpoint.
+    pub fn entries(&self) -> Vec<EntryInfo> {
         let mut out = self.mem.as_ref().map(|m| m.entries()).unwrap_or_default();
         out.extend(self.disk.as_ref().map(|d| d.entries()).unwrap_or_default());
         out
@@ -359,7 +315,7 @@ impl Tier for TieredStore {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{AdmissionPolicy, DiskTierOptions};
+    use super::super::{AdmissionPolicy, DiskTierOptions, StoreOptions};
     use super::*;
     use std::path::PathBuf;
     use std::sync::atomic::AtomicU32;
@@ -484,15 +440,5 @@ mod tests {
         assert_eq!(entry.fresh_until, 500, "disk mark extended freshness");
         assert_eq!(store.mark("h/missing", &tag, 50, 500), MarkOutcome::Absent);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructor_is_mem_only() {
-        let store = TieredStore::new(1 << 20, 4);
-        assert!(!store.has_disk());
-        put(&store, "h/a", "alpha", "v1", 0, 10);
-        assert_eq!(&store.get("h/a").unwrap().response.body[..], b"alpha");
-        assert_eq!(store.bytes_held(), resp("alpha", "v1").wire_len());
     }
 }

@@ -6,24 +6,23 @@
 //! `Arc<EdgeCache<_>>`, so coalescing and the byte budget are global
 //! across clients, exactly as on the discrete-event path.
 //!
-//! Configuration is builder-first, mirroring the origin listener:
-//! `TcpEdge::builder(cache).clock(clock).ops(true).bind(addr)`. With
-//! ops enabled the edge answers `GET /metrics` (Prometheus text) and
-//! `GET /inspect` (a JSON listing of every stored entry, per tier) —
-//! but a site resource at either path always wins: the edge first
-//! serves the request normally and only answers from the operational
-//! surface when the site comes back `404`.
+//! The listener and the connection loop are
+//! [`cachecatalyst_httpwire::aio`]'s, the same ones the origin runs
+//! on; this module is the edge's [`Handler`]. Configuration is
+//! builder-first: `TcpEdge::builder(cache).clock(clock).ops(true)
+//! .bind(addr)`. With ops enabled the edge answers `GET /metrics`
+//! (Prometheus text) and `GET /inspect` (a JSON listing of every
+//! stored entry, per tier) — but a site resource at either path always
+//! wins: the edge first serves the request normally and only answers
+//! from the operational surface when the site comes back `404`.
 
 use std::io;
 use std::sync::Arc;
 
 use cachecatalyst_browser::Upstream;
-use cachecatalyst_httpwire::aio::{ConnError, ServerConn};
-use cachecatalyst_httpwire::{HeaderName, Method, Request, Response, StatusCode};
-use cachecatalyst_origin::{wall_clock, Clock};
+use cachecatalyst_httpwire::aio::{self, wall_clock, Clock, ConnError, Handler, Listener, Reply};
+use cachecatalyst_httpwire::{HeaderName, Request, Response, StatusCode};
 use tokio::io::{AsyncRead, AsyncWrite};
-use tokio::net::TcpListener;
-use tokio::sync::watch;
 
 use crate::cache::EdgeCache;
 
@@ -32,16 +31,6 @@ pub struct EdgeServeOptions<U> {
     cache: Arc<EdgeCache<U>>,
     clock: Clock,
     ops: bool,
-}
-
-impl<U> Clone for EdgeServeOptions<U> {
-    fn clone(&self) -> Self {
-        EdgeServeOptions {
-            cache: Arc::clone(&self.cache),
-            clock: self.clock.clone(),
-            ops: self.ops,
-        }
-    }
 }
 
 impl<U: Upstream + Send + Sync + 'static> EdgeServeOptions<U> {
@@ -68,28 +57,10 @@ impl<U: Upstream + Send + Sync + 'static> EdgeServeOptions<U> {
     /// Binds `addr` (e.g. `127.0.0.1:0`) and serves until
     /// [`TcpEdge::shutdown`] is called.
     pub async fn bind(self, addr: &str) -> io::Result<TcpEdge> {
-        let listener = TcpListener::bind(addr).await?;
-        let local_addr = listener.local_addr()?;
-        let (shutdown, mut shutdown_rx) = watch::channel(false);
-        let handle = tokio::spawn(async move {
-            loop {
-                tokio::select! {
-                    accepted = listener.accept() => {
-                        let Ok((stream, _peer)) = accepted else { break };
-                        let opts = self.clone();
-                        tokio::spawn(async move {
-                            stream.set_nodelay(true).ok();
-                            let _ = opts.serve_stream(stream).await;
-                        });
-                    }
-                    _ = shutdown_rx.changed() => break,
-                }
-            }
-        });
+        let listener = Listener::bind(addr, self).await?;
         Ok(TcpEdge {
-            local_addr,
-            shutdown,
-            handle,
+            local_addr: listener.local_addr,
+            listener,
         })
     }
 
@@ -101,52 +72,15 @@ impl<U: Upstream + Send + Sync + 'static> EdgeServeOptions<U> {
     where
         S: AsyncRead + AsyncWrite + Unpin,
     {
-        let mut conn = ServerConn::new(stream);
-        loop {
-            let req = match conn.read_request().await {
-                Ok(req) => req,
-                Err(ConnError::Closed) => return Ok(()),
-                Err(ConnError::Wire(_)) => {
-                    // Malformed request head: answer 400 best-effort
-                    // and drop the connection (mirrors the origin
-                    // listener).
-                    let resp = Response::empty(StatusCode::BAD_REQUEST);
-                    let _ = conn.write_response(&resp).await;
-                    return Ok(());
-                }
-                Err(e) => return Err(e),
-            };
-            let close = req.headers.wants_close();
-            let resp = match req.headers.get(HeaderName::HOST) {
-                Some(host) => {
-                    // `EdgeCache::handle` is synchronous sans-IO
-                    // compute (its upstream is too), so calling it
-                    // inline keeps request handling single-hop with no
-                    // channel bounce.
-                    let host = host.to_owned();
-                    let now = self.clock.secs();
-                    let resp = self.cache.handle(&host, &req, now);
-                    match ops_endpoint_of(&req, self.ops, &resp) {
-                        Some(OpsEndpoint::Metrics) => self.metrics_response(),
-                        Some(OpsEndpoint::Inspect) => self.inspect_response(now),
-                        None => resp,
-                    }
-                }
-                None => Response::empty(StatusCode::BAD_REQUEST),
-            };
-            conn.write_response(&resp).await?;
-            if close {
-                return Ok(());
-            }
-        }
+        aio::serve_stream(stream, &self).await
     }
 
     /// Renders the edge's telemetry registry in the Prometheus text
     /// format. Scrapes also publish the clock (ms resolution) so
     /// dashboards can align virtual-time runs.
     fn metrics_response(&self) -> Response {
-        self.cache
-            .telemetry()
+        let telemetry = self.cache.telemetry();
+        telemetry
             .gauge(
                 "edge_clock_milliseconds",
                 "The edge clock at scrape time (virtual or wall ms)",
@@ -155,51 +89,43 @@ impl<U: Upstream + Send + Sync + 'static> EdgeServeOptions<U> {
             .set(self.clock.millis() as f64);
         // Refresh the store gauges before rendering.
         self.cache.metrics();
-        let body = self.cache.telemetry().render_prometheus();
-        Response::ok(body.into_bytes())
-            .with_header(HeaderName::CONTENT_TYPE, "text/plain; version=0.0.4")
-            .with_header(HeaderName::CACHE_CONTROL, "no-store")
-    }
-
-    /// The read-only per-tier entry listing.
-    fn inspect_response(&self, t_secs: i64) -> Response {
-        let body = self.cache.inspect(t_secs);
-        Response::ok(body.into_bytes())
-            .with_header(HeaderName::CONTENT_TYPE, "application/json")
-            .with_header(HeaderName::CACHE_CONTROL, "no-store")
+        let body = telemetry.render_prometheus();
+        aio::ops_response("text/plain; version=0.0.4", body, &self.clock)
     }
 }
 
-enum OpsEndpoint {
-    Metrics,
-    Inspect,
-}
+impl<U: Upstream + Send + Sync + 'static> Handler for EdgeServeOptions<U> {
+    fn clock(&self) -> &Clock {
+        &self.clock
+    }
 
-/// Which operational endpoint (if any) answers `req`: only when the
-/// endpoints are enabled, only for GET, and only when the site served
-/// `404` for the path (site resources are never shadowed — the cache
-/// response `site_resp` is what the site actually said).
-fn ops_endpoint_of(req: &Request, enabled: bool, site_resp: &Response) -> Option<OpsEndpoint> {
-    if !enabled || req.method != Method::Get {
-        return None;
+    async fn handle(&self, req: &Request) -> Reply {
+        let Some(host) = req.headers.get(HeaderName::HOST) else {
+            return Reply::Send(Response::empty(StatusCode::BAD_REQUEST));
+        };
+        // `EdgeCache::handle` is synchronous sans-IO compute (its
+        // upstream is too), so calling it inline keeps request handling
+        // single-hop with no channel bounce.
+        let now = self.clock.secs();
+        let resp = self.cache.handle(host, req, now);
+        // An operational endpoint answers only where the site said
+        // `404`: site resources are never shadowed.
+        let unclaimed = resp.status == StatusCode::NOT_FOUND;
+        Reply::Send(match aio::ops_path(req, self.ops && unclaimed) {
+            Some("/metrics") => self.metrics_response(),
+            Some("/inspect") => {
+                aio::ops_response("application/json", self.cache.inspect(now), &self.clock)
+            }
+            _ => resp,
+        })
     }
-    let endpoint = match req.target.path() {
-        "/metrics" => OpsEndpoint::Metrics,
-        "/inspect" => OpsEndpoint::Inspect,
-        _ => return None,
-    };
-    if site_resp.status != StatusCode::NOT_FOUND {
-        return None;
-    }
-    Some(endpoint)
 }
 
 /// A running TCP edge tier in front of a shared [`EdgeCache`].
 pub struct TcpEdge {
     /// The bound listening address (useful with `127.0.0.1:0`).
     pub local_addr: std::net::SocketAddr,
-    shutdown: watch::Sender<bool>,
-    handle: tokio::task::JoinHandle<()>,
+    listener: Listener,
 }
 
 impl TcpEdge {
@@ -220,8 +146,8 @@ impl TcpEdge {
     /// site traffic only, no operational endpoints.
     ///
     /// `clock` supplies the virtual time each request is handled at —
-    /// share it with the origin (see `cachecatalyst_origin::Clock`) so
-    /// freshness arithmetic on both tiers reads one timeline.
+    /// share it with the origin so freshness arithmetic on both tiers
+    /// reads one timeline.
     pub async fn bind<U>(addr: &str, cache: Arc<EdgeCache<U>>, clock: Clock) -> io::Result<TcpEdge>
     where
         U: Upstream + Send + Sync + 'static,
@@ -231,48 +157,6 @@ impl TcpEdge {
 
     /// Stops accepting and tears the accept loop down.
     pub async fn shutdown(self) {
-        let _ = self.shutdown.send(true);
-        let _ = self.handle.await;
-    }
-}
-
-/// Serves HTTP/1.1 on one byte stream against a shared edge cache
-/// until the peer closes or requests `Connection: close`: site traffic
-/// only, no operational endpoints (use
-/// [`TcpEdge::builder`] + [`EdgeServeOptions::serve_stream`] for
-/// those).
-pub async fn serve_stream<U, S>(
-    cache: &EdgeCache<U>,
-    clock: &Clock,
-    stream: S,
-) -> Result<(), ConnError>
-where
-    U: Upstream,
-    S: AsyncRead + AsyncWrite + Unpin,
-{
-    let mut conn = ServerConn::new(stream);
-    loop {
-        let req = match conn.read_request().await {
-            Ok(req) => req,
-            Err(ConnError::Closed) => return Ok(()),
-            Err(ConnError::Wire(_)) => {
-                let resp = Response::empty(StatusCode::BAD_REQUEST);
-                let _ = conn.write_response(&resp).await;
-                return Ok(());
-            }
-            Err(e) => return Err(e),
-        };
-        let close = req.headers.wants_close();
-        let resp = match req.headers.get(HeaderName::HOST) {
-            Some(host) => {
-                let host = host.to_owned();
-                cache.handle(&host, &req, clock.secs())
-            }
-            None => Response::empty(StatusCode::BAD_REQUEST),
-        };
-        conn.write_response(&resp).await?;
-        if close {
-            return Ok(());
-        }
+        self.listener.shutdown().await;
     }
 }

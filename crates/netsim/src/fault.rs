@@ -14,6 +14,8 @@
 //! invariant harness compare a faulted load against an un-faulted
 //! reference at the same virtual time.
 
+use std::sync::{Arc, Mutex};
+
 /// One injected fault, applied to a single request attempt.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Fault {
@@ -225,6 +227,36 @@ impl FaultSchedule {
                 ms: 30 + magnitude % 270,
             },
         })
+    }
+}
+
+/// One seeded [`FaultSchedule`] shared by everything that serves
+/// through it — every connection of a TCP origin, every request
+/// through a chaos decorator: one draw per request, with a progress
+/// guarantee. After `max_consecutive` faulted requests in a row
+/// (whoever sent them), the next request is served clean, whatever
+/// the clients' retry pattern looks like.
+#[derive(Debug)]
+pub struct ServerFaults {
+    /// `(schedule, consecutive faults)`.
+    state: Mutex<(FaultSchedule, u32)>,
+}
+
+impl ServerFaults {
+    /// Fresh shared fault state from a seeded plan.
+    pub fn new(plan: FaultPlan) -> Arc<ServerFaults> {
+        Arc::new(ServerFaults {
+            state: Mutex::new((plan.schedule(), 0)),
+        })
+    }
+
+    /// Draws the fault (if any) for the next request served.
+    pub fn draw(&self) -> Option<Fault> {
+        let mut guard = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let (schedule, consecutive) = &mut *guard;
+        let fault = schedule.draw(*consecutive);
+        *consecutive = if fault.is_some() { *consecutive + 1 } else { 0 };
+        fault
     }
 }
 

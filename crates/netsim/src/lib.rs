@@ -44,7 +44,7 @@ pub mod emu;
 
 pub use bucket::TokenBucket;
 pub use conditions::NetworkConditions;
-pub use fault::{Fault, FaultPlan, FaultSchedule};
+pub use fault::{Fault, FaultPlan, FaultSchedule, ServerFaults};
 pub use fetch::FetchPlan;
 pub use link::{FlowToken, FluidLink};
 pub use network::{LinkId, NetEvent, Network};

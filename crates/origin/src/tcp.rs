@@ -4,92 +4,33 @@
 //! keep-alive — the end-to-end path used by the live demo and the
 //! integration tests (the discrete-event benchmarks bypass TCP).
 //!
-//! Configuration goes through one builder, [`ServeOptions`]
-//! (`TcpOrigin::builder().server(..).ops(true).faults(plan)
-//! .bind(addr)`). The pre-builder per-configuration entry points
-//! (`bind_with_ops`, `serve_stream_with_faults`, …) were deprecated
-//! for two release cycles and removed in PR 10; unlike them, the
-//! builder composes — an origin can serve `/metrics` *and* run a
-//! fault schedule at the same time.
+//! The listener and the connection loop are
+//! [`cachecatalyst_httpwire::aio`]'s; this module is the origin's
+//! [`Handler`]: site dispatch, the operational endpoints, and the
+//! seeded fault seam. Configuration goes through one builder,
+//! [`ServeOptions`] (`TcpOrigin::builder().server(..).ops(true)
+//! .faults(plan).bind(addr)`), which composes — an origin can serve
+//! `/metrics` *and* run a fault schedule at the same time.
 
 #![warn(missing_docs)]
 
-use std::sync::{Arc, Mutex};
+use std::io;
+use std::sync::Arc;
 use std::time::Duration;
 
-use cachecatalyst_httpwire::aio::{ConnError, ServerConn};
-use cachecatalyst_httpwire::{codec, HeaderName, HttpDate, Method, Response, StatusCode};
-use cachecatalyst_netsim::{Fault, FaultPlan, FaultSchedule};
-use tokio::io::{AsyncRead, AsyncWrite, AsyncWriteExt};
-use tokio::net::TcpListener;
-use tokio::sync::watch;
+use cachecatalyst_httpwire::aio::{self, ConnError, Handler, Listener, Reply};
+pub use cachecatalyst_httpwire::aio::{
+    fixed_clock, fixed_clock_ms, wall_clock, watch_clock, watch_clock_ms, Clock,
+};
+use cachecatalyst_httpwire::{Request, Response, StatusCode};
+use cachecatalyst_netsim::{Fault, FaultPlan};
+use tokio::io::{AsyncRead, AsyncWrite};
 
 use crate::server::OriginServer;
 
-/// Supplies the server's notion of "now". Wall time by default;
-/// tests inject fixed or watch-driven virtual clocks.
-///
-/// Internally the clock runs at **millisecond** resolution so
-/// telemetry timestamps don't quantize to whole seconds (the old
-/// `Fn() -> i64` seconds clock truncated with `as_secs`, collapsing
-/// every sub-second request to t=0). HTTP validators and freshness
-/// math still use whole seconds via [`Clock::secs`], matching the
-/// one-second resolution of HTTP dates.
-#[derive(Clone)]
-pub struct Clock {
-    millis: Arc<dyn Fn() -> i64 + Send + Sync>,
-}
-
-impl Clock {
-    /// Builds a clock from a milliseconds-since-epoch function.
-    pub fn from_millis_fn(f: impl Fn() -> i64 + Send + Sync + 'static) -> Clock {
-        Clock {
-            millis: Arc::new(f),
-        }
-    }
-
-    /// Now, in milliseconds (telemetry resolution).
-    pub fn millis(&self) -> i64 {
-        (self.millis)()
-    }
-
-    /// Now, in whole seconds (HTTP date / freshness resolution).
-    pub fn secs(&self) -> i64 {
-        self.millis().div_euclid(1000)
-    }
-}
-
-/// A wall clock measured from process start.
-pub fn wall_clock() -> Clock {
-    let start = std::time::Instant::now();
-    Clock::from_millis_fn(move || start.elapsed().as_millis() as i64)
-}
-
-/// A fixed virtual clock, pinned to a whole second. Convenient for
-/// HTTP-date tests; telemetry timestamps from this clock quantize to
-/// 1s — use [`fixed_clock_ms`] when sub-second telemetry matters.
-pub fn fixed_clock(t_secs: i64) -> Clock {
-    fixed_clock_ms(t_secs.saturating_mul(1000))
-}
-
-/// A fixed virtual clock at millisecond resolution.
-pub fn fixed_clock_ms(t_ms: i64) -> Clock {
-    Clock::from_millis_fn(move || t_ms)
-}
-
-/// A clock readable through a watch channel carrying virtual
-/// **seconds** (tests advance it). Telemetry timestamps from this
-/// clock quantize to whole seconds — use [`watch_clock_ms`] when the
-/// channel should drive sub-second telemetry.
-pub fn watch_clock(rx: watch::Receiver<i64>) -> Clock {
-    Clock::from_millis_fn(move || rx.borrow().saturating_mul(1000))
-}
-
-/// A clock readable through a watch channel carrying virtual
-/// **milliseconds**: full telemetry resolution under virtual time.
-pub fn watch_clock_ms(rx: watch::Receiver<i64>) -> Clock {
-    Clock::from_millis_fn(move || *rx.borrow())
-}
+/// Shared, seeded fault state for a TCP origin: one draw per request,
+/// with a progress guarantee across all connections.
+pub use cachecatalyst_netsim::ServerFaults;
 
 /// Everything configurable about serving an origin over TCP (or any
 /// byte stream): which [`OriginServer`], whose [`Clock`], whether the
@@ -170,35 +111,11 @@ impl ServeOptions {
     /// Binds `addr` (e.g. `127.0.0.1:0`) and serves until
     /// [`TcpOrigin::shutdown`] is called. Fails with
     /// `InvalidInput` if no server was configured.
-    pub async fn bind(self, addr: &str) -> std::io::Result<TcpOrigin> {
-        if self.server.is_none() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "ServeOptions::bind requires a server (ServeOptions::server)",
-            ));
-        }
-        let listener = TcpListener::bind(addr).await?;
-        let local_addr = listener.local_addr()?;
-        let (shutdown, mut shutdown_rx) = watch::channel(false);
-        let handle = tokio::spawn(async move {
-            loop {
-                tokio::select! {
-                    accepted = listener.accept() => {
-                        let Ok((stream, _peer)) = accepted else { break };
-                        let opts = self.clone();
-                        tokio::spawn(async move {
-                            stream.set_nodelay(true).ok();
-                            let _ = opts.serve_stream(stream).await;
-                        });
-                    }
-                    _ = shutdown_rx.changed() => break,
-                }
-            }
-        });
+    pub async fn bind(self, addr: &str) -> io::Result<TcpOrigin> {
+        let listener = Listener::bind(addr, self.handler()?).await?;
         Ok(TcpOrigin {
-            local_addr,
-            shutdown,
-            handle,
+            local_addr: listener.local_addr,
+            listener,
         })
     }
 
@@ -210,71 +127,88 @@ impl ServeOptions {
     where
         S: AsyncRead + AsyncWrite + Unpin,
     {
-        let Some(server) = self.server else {
-            return Err(ConnError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "ServeOptions::serve_stream requires a server (ServeOptions::server)",
-            )));
+        aio::serve_stream(stream, &self.handler()?).await
+    }
+
+    fn handler(self) -> io::Result<OriginHandler> {
+        let server = self.server.ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "ServeOptions requires a server (ServeOptions::server)",
+            )
+        })?;
+        Ok(OriginHandler {
+            server,
+            clock: self.clock,
+            ops: self.ops,
+            faults: self.faults,
+        })
+    }
+}
+
+/// A [`ServeOptions`] whose server is known to be set.
+struct OriginHandler {
+    server: Arc<OriginServer>,
+    clock: Clock,
+    ops: bool,
+    faults: Option<Arc<ServerFaults>>,
+}
+
+impl Handler for OriginHandler {
+    fn clock(&self) -> &Clock {
+        &self.clock
+    }
+
+    async fn handle(&self, req: &Request) -> Reply {
+        // An operational endpoint answers only where the site defines
+        // nothing: site resources are never shadowed.
+        let free = |path| self.server.site().get(path).is_none();
+        let mut resp = match aio::ops_path(req, self.ops) {
+            Some(path @ "/metrics") if free(path) => self.metrics_response(),
+            Some(path @ "/healthz") if free(path) => {
+                aio::ops_response("text/plain", &b"ok\n"[..], &self.clock)
+            }
+            _ => self.server.handle(req, self.clock.secs()),
         };
-        let mut conn = ServerConn::new(stream);
-        loop {
-            let req = match conn.read_request().await {
-                Ok(req) => req,
-                Err(ConnError::Closed) => return Ok(()),
-                Err(ConnError::Wire(e)) => {
-                    // Malformed or truncated request head: the peer is
-                    // broken, not the server. Answer 400 best-effort
-                    // and drop the connection instead of surfacing an
-                    // error (a panicking or erroring task would look
-                    // like an origin failure in the chaos harness).
-                    let resp = bad_request_response(&e, &self.clock);
-                    let _ = conn.write_response(&resp).await;
-                    return Ok(());
-                }
-                Err(e) => return Err(e),
-            };
-            let close = req.headers.wants_close();
-            let mut resp = match ops_endpoint_of(&server, &req, self.ops) {
-                Some(OpsEndpoint::Metrics) => metrics_response(&server, &self.clock),
-                Some(OpsEndpoint::Health) => health_response(&self.clock),
-                None => server.handle(&req, self.clock.secs()),
-            };
-            match self.faults.as_ref().and_then(|f| f.draw()) {
-                None => {}
-                Some(Fault::ServerError { status }) => {
-                    resp = Response::empty(StatusCode::new(status).expect("5xx is valid"))
-                        .with_header("x-cc-fault", "server-error");
-                }
-                Some(Fault::Delay { ms }) | Some(Fault::SlowStart { ms }) => {
-                    tokio::time::sleep(Duration::from_millis(ms)).await;
-                }
-                Some(Fault::CorruptConfigEntry { salt }) => {
-                    cachecatalyst_catalyst::tamper_config_headers(&mut resp, Some(salt));
-                }
-                Some(Fault::StaleConfigEntry) => {
-                    cachecatalyst_catalyst::tamper_config_headers(&mut resp, None);
-                }
-                Some(Fault::ResetMidBody { fraction } | Fault::TruncateBody { fraction }) => {
-                    // Announce the full length, deliver a prefix,
-                    // close: the client's response parser must see a
-                    // clean unexpected-EOF, never a short "valid"
-                    // body.
-                    let wire = codec::encode_response(&resp);
-                    let cut = ((wire.len() as f64 * fraction) as usize).clamp(1, wire.len() - 1);
-                    let mut stream = conn.into_inner();
-                    let _ = stream.write_all(&wire[..cut]).await;
-                    let _ = stream.flush().await;
-                    return Ok(());
-                }
-                Some(Fault::Stall | Fault::LossBurst { .. }) => {
-                    return Ok(());
-                }
+        match self.faults.as_ref().and_then(|f| f.draw()) {
+            None => {}
+            Some(Fault::ServerError { status }) => {
+                resp = Response::empty(StatusCode::new(status).expect("5xx is valid"))
+                    .with_header("x-cc-fault", "server-error");
             }
-            conn.write_response(&resp).await?;
-            if close {
-                return Ok(());
+            Some(Fault::Delay { ms } | Fault::SlowStart { ms }) => {
+                tokio::time::sleep(Duration::from_millis(ms)).await;
             }
+            Some(Fault::CorruptConfigEntry { salt }) => {
+                cachecatalyst_catalyst::tamper_config_headers(&mut resp, Some(salt));
+            }
+            Some(Fault::StaleConfigEntry) => {
+                cachecatalyst_catalyst::tamper_config_headers(&mut resp, None);
+            }
+            Some(Fault::ResetMidBody { fraction } | Fault::TruncateBody { fraction }) => {
+                return Reply::SendPrefix(resp, fraction);
+            }
+            Some(Fault::Stall | Fault::LossBurst { .. }) => return Reply::HangUp,
         }
+        Reply::Send(resp)
+    }
+}
+
+impl OriginHandler {
+    /// Renders the origin's telemetry registry in the Prometheus text
+    /// format. Scrapes also publish the clock (ms resolution) so
+    /// dashboards can align virtual-time runs.
+    fn metrics_response(&self) -> Response {
+        let telemetry = self.server.telemetry();
+        telemetry
+            .gauge(
+                "origin_clock_milliseconds",
+                "The server clock at scrape time (virtual or wall ms)",
+                &[],
+            )
+            .set(self.clock.millis() as f64);
+        let body = telemetry.render_prometheus();
+        aio::ops_response("text/plain; version=0.0.4", body, &self.clock)
     }
 }
 
@@ -282,8 +216,7 @@ impl ServeOptions {
 pub struct TcpOrigin {
     /// The bound listening address (useful with `127.0.0.1:0`).
     pub local_addr: std::net::SocketAddr,
-    shutdown: watch::Sender<bool>,
-    handle: tokio::task::JoinHandle<()>,
+    listener: Listener,
 }
 
 impl TcpOrigin {
@@ -297,96 +230,8 @@ impl TcpOrigin {
     /// Stops accepting and waits for the accept loop to exit
     /// (in-flight connections finish on their own).
     pub async fn shutdown(self) {
-        let _ = self.shutdown.send(true);
-        let _ = self.handle.await;
+        self.listener.shutdown().await;
     }
-}
-
-/// Shared, seeded fault state for a TCP origin: one draw per request,
-/// with a progress guarantee — after `max_consecutive` faulted
-/// requests in a row (across all connections), the next request is
-/// served clean, whatever the client's retry pattern looks like.
-pub struct ServerFaults {
-    state: Mutex<(FaultSchedule, u32)>,
-}
-
-impl ServerFaults {
-    /// Fresh shared fault state from a seeded plan.
-    pub fn new(plan: FaultPlan) -> Arc<ServerFaults> {
-        Arc::new(ServerFaults {
-            state: Mutex::new((plan.schedule(), 0)),
-        })
-    }
-
-    fn draw(&self) -> Option<Fault> {
-        let mut guard = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let (schedule, consecutive) = &mut *guard;
-        let fault = schedule.draw(*consecutive);
-        *consecutive = if fault.is_some() { *consecutive + 1 } else { 0 };
-        fault
-    }
-}
-
-fn bad_request_response(err: &cachecatalyst_httpwire::WireError, clock: &Clock) -> Response {
-    Response::empty(StatusCode::BAD_REQUEST)
-        .with_header(HeaderName::CONTENT_TYPE, "text/plain")
-        .with_header(HeaderName::CONNECTION, "close")
-        .with_header("x-cc-error", &err.to_string())
-        .with_header(HeaderName::DATE, &HttpDate(clock.secs()).to_imf_fixdate())
-}
-
-enum OpsEndpoint {
-    Metrics,
-    Health,
-}
-
-/// Which operational endpoint (if any) answers `req`: only when the
-/// endpoints are enabled, only for GET, and only for paths the site
-/// itself does not define (site resources are never shadowed).
-fn ops_endpoint_of(
-    server: &OriginServer,
-    req: &cachecatalyst_httpwire::Request,
-    enabled: bool,
-) -> Option<OpsEndpoint> {
-    if !enabled || req.method != Method::Get {
-        return None;
-    }
-    let path = req.target.path();
-    let endpoint = match path {
-        "/metrics" => OpsEndpoint::Metrics,
-        "/healthz" => OpsEndpoint::Health,
-        _ => return None,
-    };
-    if server.site().get(path).is_some() {
-        return None;
-    }
-    Some(endpoint)
-}
-
-/// Renders the origin's telemetry registry in the Prometheus text
-/// format. Scrapes also publish the clock (ms resolution) so dashboards
-/// can align virtual-time runs.
-fn metrics_response(server: &OriginServer, clock: &Clock) -> Response {
-    server
-        .telemetry()
-        .gauge(
-            "origin_clock_milliseconds",
-            "The server clock at scrape time (virtual or wall ms)",
-            &[],
-        )
-        .set(clock.millis() as f64);
-    let body = server.telemetry().render_prometheus();
-    Response::ok(body.into_bytes())
-        .with_header(HeaderName::CONTENT_TYPE, "text/plain; version=0.0.4")
-        .with_header(HeaderName::CACHE_CONTROL, "no-store")
-        .with_header(HeaderName::DATE, &HttpDate(clock.secs()).to_imf_fixdate())
-}
-
-fn health_response(clock: &Clock) -> Response {
-    Response::ok(&b"ok\n"[..])
-        .with_header(HeaderName::CONTENT_TYPE, "text/plain")
-        .with_header(HeaderName::CACHE_CONTROL, "no-store")
-        .with_header(HeaderName::DATE, &HttpDate(clock.secs()).to_imf_fixdate())
 }
 
 #[cfg(test)]
@@ -394,9 +239,10 @@ mod tests {
     use super::*;
     use crate::server::HeaderMode;
     use cachecatalyst_httpwire::aio::ClientConn;
-    use cachecatalyst_httpwire::{Request, StatusCode};
+    use cachecatalyst_httpwire::{Method, Request, StatusCode};
     use cachecatalyst_webmodel::example_site;
     use tokio::net::TcpStream;
+    use tokio::sync::watch;
 
     fn origin() -> Arc<OriginServer> {
         Arc::new(OriginServer::new(example_site(), HeaderMode::Catalyst))
@@ -449,22 +295,6 @@ mod tests {
     }
 
     #[tokio::test]
-    async fn connection_close_honored() {
-        let server = bind_plain().await;
-        let stream = TcpStream::connect(server.local_addr).await.unwrap();
-        let mut client = ClientConn::new(stream);
-        let resp = client
-            .round_trip(&Request::get("/a.css").with_header("connection", "close"))
-            .await
-            .unwrap();
-        assert_eq!(resp.status, StatusCode::OK);
-        // The server closes; a subsequent read sees EOF quickly.
-        let again = client.round_trip(&Request::get("/a.css")).await;
-        assert!(again.is_err());
-        server.shutdown().await;
-    }
-
-    #[tokio::test]
     async fn parallel_clients() {
         let server = bind_plain().await;
         let addr = server.local_addr;
@@ -483,31 +313,6 @@ mod tests {
             t.await.unwrap();
         }
         server.shutdown().await;
-    }
-
-    #[test]
-    fn clock_keeps_millisecond_resolution() {
-        let c = fixed_clock(3);
-        assert_eq!(c.millis(), 3000);
-        assert_eq!(c.secs(), 3);
-        // Sub-second precision survives (the old seconds-typed clock
-        // truncated everything below 1s to zero).
-        let c = Clock::from_millis_fn(|| 1500);
-        assert_eq!(c.millis(), 1500);
-        assert_eq!(c.secs(), 1);
-        // Negative times floor, not truncate toward zero.
-        let c = Clock::from_millis_fn(|| -500);
-        assert_eq!(c.secs(), -1);
-        // The ms-carrying constructors keep sub-second precision end
-        // to end (the seconds-carrying ones quantize by design).
-        let c = fixed_clock_ms(1500);
-        assert_eq!(c.millis(), 1500);
-        assert_eq!(c.secs(), 1);
-        let (tx, rx) = watch::channel(0i64);
-        let c = watch_clock_ms(rx);
-        tx.send(60_500).unwrap();
-        assert_eq!(c.millis(), 60_500);
-        assert_eq!(c.secs(), 60);
     }
 
     #[tokio::test]
@@ -615,45 +420,6 @@ mod tests {
         let health = client.round_trip(&Request::get("/healthz")).await.unwrap();
         assert_eq!(health.status, StatusCode::OK);
         assert_eq!(health.body.as_ref(), b"ok\n");
-        server.shutdown().await;
-    }
-
-    #[tokio::test]
-    async fn malformed_request_head_answers_400_and_closes() {
-        use tokio::io::{AsyncReadExt, AsyncWriteExt};
-        let server = bind_plain().await;
-        let mut stream = TcpStream::connect(server.local_addr).await.unwrap();
-        stream.write_all(b"THIS IS NOT HTTP\r\n\r\n").await.unwrap();
-        let mut buf = Vec::new();
-        let mut chunk = [0u8; 1024];
-        loop {
-            let n = stream.read(&mut chunk).await.unwrap();
-            if n == 0 {
-                break;
-            }
-            buf.extend_from_slice(&chunk[..n]);
-        }
-        let text = String::from_utf8_lossy(&buf);
-        assert!(text.starts_with("HTTP/1.1 400"), "{text}");
-        server.shutdown().await;
-    }
-
-    #[tokio::test]
-    async fn truncated_request_head_does_not_kill_the_server() {
-        use tokio::io::AsyncWriteExt;
-        let server = bind_plain().await;
-        // Half a request head, then a hangup.
-        let mut stream = TcpStream::connect(server.local_addr).await.unwrap();
-        stream.write_all(b"GET /index.html HT").await.unwrap();
-        drop(stream);
-        // The listener must still serve well-formed clients.
-        let stream = TcpStream::connect(server.local_addr).await.unwrap();
-        let mut client = ClientConn::new(stream);
-        let resp = client
-            .round_trip(&Request::get("/index.html"))
-            .await
-            .unwrap();
-        assert_eq!(resp.status, StatusCode::OK);
         server.shutdown().await;
     }
 

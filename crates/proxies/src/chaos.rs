@@ -2,7 +2,7 @@
 //!
 //! Wraps any upstream — an origin, or one of the proxy comparators —
 //! and damages responses according to a seeded
-//! [`FaultSchedule`], so chaos
+//! [`FaultSchedule`](cachecatalyst_netsim::FaultSchedule), so chaos
 //! runs can place the failure *behind* a proxy hop: the browser then
 //! exercises its retry/degradation machinery against a proxy whose
 //! backend is misbehaving, not just against a flaky last mile.
@@ -17,42 +17,34 @@
 //! subfetches) is never faulted — the chaos boundary is the
 //! client-facing hop.
 
-use std::sync::Mutex;
+use std::sync::Arc;
 
 use cachecatalyst_browser::engine::ext;
 use cachecatalyst_browser::Upstream;
 use cachecatalyst_catalyst::tamper_config_headers;
 use cachecatalyst_httpwire::{Request, Response, StatusCode};
-use cachecatalyst_netsim::{Fault, FaultPlan, FaultSchedule};
+use cachecatalyst_netsim::{Fault, FaultPlan, ServerFaults};
 
 /// A seeded chaos decorator around any [`Upstream`].
 pub struct FaultyUpstream<U> {
     inner: U,
-    /// `(schedule, consecutive faults)`: after `max_consecutive`
-    /// damaged responses in a row the next one is served clean, so a
-    /// bounded-retry client always makes progress.
-    state: Mutex<(FaultSchedule, u32)>,
+    /// After `max_consecutive` damaged responses in a row the next one
+    /// is served clean, so a bounded-retry client always makes
+    /// progress.
+    faults: Arc<ServerFaults>,
 }
 
 impl<U: Upstream> FaultyUpstream<U> {
     pub fn new(inner: U, plan: FaultPlan) -> FaultyUpstream<U> {
         FaultyUpstream {
             inner,
-            state: Mutex::new((plan.schedule(), 0)),
+            faults: ServerFaults::new(plan),
         }
     }
 
     /// The wrapped upstream (e.g. to inspect origin state in tests).
     pub fn inner(&self) -> &U {
         &self.inner
-    }
-
-    fn draw(&self) -> Option<Fault> {
-        let mut guard = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let (schedule, consecutive) = &mut *guard;
-        let fault = schedule.draw(*consecutive);
-        *consecutive = if fault.is_some() { *consecutive + 1 } else { 0 };
-        fault
     }
 }
 
@@ -62,7 +54,7 @@ impl<U: Upstream> Upstream for FaultyUpstream<U> {
         if req.headers.contains(ext::X_INTERNAL) {
             return resp;
         }
-        match self.draw() {
+        match self.faults.draw() {
             None => {}
             Some(Fault::ServerError { status }) => {
                 resp = Response::empty(StatusCode::new(status).expect("5xx is valid"))

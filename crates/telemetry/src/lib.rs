@@ -38,8 +38,10 @@ pub use registry::Registry;
 pub use span::{Sampling, Span, SpanId, SpanSink, TraceContext, TraceId};
 pub use time::{ManualTime, TimeSource, WallTime};
 
-/// Escapes a string for inclusion in JSON output.
-pub(crate) fn json_string(s: &str) -> String {
+/// Renders `s` as a JSON string literal, quotes included: the one
+/// escaper behind every JSON document the workspace writes (JSONL
+/// events and spans, HAR, the edge inspector).
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use cachecatalyst::browser::ClientOptions;
 use cachecatalyst::catalyst::tamper_config_headers;
-use cachecatalyst::edge::{EdgeCache, TcpEdge};
+use cachecatalyst::edge::{EdgeCache, StoreOptions, TcpEdge};
 use cachecatalyst::httpwire::hash::xxh64;
 use cachecatalyst::httpwire::tracectx;
 use cachecatalyst::netsim::FaultPlan;
@@ -398,8 +398,7 @@ fn byte_budget_forces_lru_eviction() {
     let origin = Arc::new(OriginServer::new(site, HeaderMode::Catalyst));
     let budget = 128 << 10;
     let edge = EdgeCache::builder(SingleOrigin(origin))
-        .byte_budget(budget)
-        .shards(2)
+        .store(StoreOptions::new().mem_budget(budget).shards(2))
         .build();
 
     for path in &paths {
