@@ -32,8 +32,7 @@ fn gain(sites: &[cachecatalyst_webmodel::Site], cfg: &EngineConfig) -> (f64, f64
                 Box::new(FrozenUpstream::new(SingleOrigin(origin), t0));
             let mut cold: Browser = kind.browser();
             cold.config = EngineConfig {
-                use_http_cache: cold.config.use_http_cache,
-                use_service_worker: cold.config.use_service_worker,
+                mode: cold.config.mode,
                 session: cold.config.session.clone(),
                 ..cfg.clone()
             };

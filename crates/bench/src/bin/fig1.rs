@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use cachecatalyst_browser::{Browser, EngineConfig, SingleOrigin};
+use cachecatalyst_browser::{Browser, CacheMode, EngineConfig, SingleOrigin};
 use cachecatalyst_httpwire::Url;
 use cachecatalyst_netsim::NetworkConditions;
 use cachecatalyst_origin::{HeaderMode, OriginServer};
@@ -58,8 +58,7 @@ fn main() {
     ));
     let up = SingleOrigin(origin);
     let mut browser = Browser::new(EngineConfig {
-        use_http_cache: false,
-        use_service_worker: true,
+        mode: CacheMode::ServiceWorker,
         session: Some("fig1".to_owned()),
         ..Default::default()
     });

@@ -4,7 +4,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cachecatalyst_browser::{
-    Browser, EngineConfig, FrozenUpstream, LoadReport, SingleOrigin, Upstream,
+    Browser, CacheMode, EngineConfig, FrozenUpstream, LoadReport, SingleOrigin, Upstream,
 };
 use cachecatalyst_httpwire::Url;
 use cachecatalyst_netsim::NetworkConditions;
@@ -57,8 +57,7 @@ impl ClientKind {
             ClientKind::Baseline => Browser::baseline(),
             ClientKind::Catalyst => Browser::catalyst(),
             ClientKind::CatalystCapture => Browser::new(EngineConfig {
-                use_http_cache: false,
-                use_service_worker: true,
+                mode: CacheMode::ServiceWorker,
                 session: Some("bench-session".to_owned()),
                 ..Default::default()
             }),

@@ -3,13 +3,14 @@
 use std::sync::Arc;
 
 use cachecatalyst_catalyst::ServiceWorker;
-use cachecatalyst_httpcache::{CacheMetrics, HttpCache};
+use cachecatalyst_httpcache::HttpCache;
 use cachecatalyst_httpwire::Url;
-use cachecatalyst_netsim::{FetchOutcome, NetworkConditions};
+use cachecatalyst_netsim::NetworkConditions;
 use cachecatalyst_telemetry::span::SpanSink;
-use cachecatalyst_telemetry::{Event, FetchKind, Recorder};
+use cachecatalyst_telemetry::Recorder;
 
 use crate::engine::{Engine, EngineConfig, LoadReport};
+use crate::profile::{emit_load_events, CacheMode, Profile, Tally};
 use crate::upstream::Upstream;
 
 /// A browser profile: an HTTP cache and a service-worker registration
@@ -21,17 +22,6 @@ pub struct Browser {
     pub config: EngineConfig,
     recorder: Option<Arc<dyn Recorder>>,
     spans: Option<Arc<SpanSink>>,
-}
-
-/// Maps a simulator outcome onto the telemetry vocabulary.
-pub(crate) fn fetch_kind(outcome: FetchOutcome) -> FetchKind {
-    match outcome {
-        FetchOutcome::FullTransfer => FetchKind::FullFetch,
-        FetchOutcome::NotModified => FetchKind::Conditional304,
-        FetchOutcome::CacheHit => FetchKind::CacheFresh,
-        FetchOutcome::ServiceWorkerHit => FetchKind::EtagConfigHit,
-        FetchOutcome::Pushed => FetchKind::Pushed,
-    }
 }
 
 impl Browser {
@@ -46,11 +36,9 @@ impl Browser {
         }
     }
 
-    /// Applies the shared [`ClientOptions`](crate::ClientOptions):
-    /// recorder and span sink attach as with
-    /// [`Browser::with_recorder`] / [`Browser::with_span_sink`], and
-    /// the resilience knobs overlay [`Browser::config`]. Unset
-    /// options leave the browser untouched.
+    /// Attaches whichever of the recorder and span sink `opts` carries
+    /// ([`Browser::with_recorder`] / [`Browser::with_span_sink`] in
+    /// one call). Unset options leave the browser untouched.
     pub fn with_options(mut self, opts: &crate::ClientOptions) -> Browser {
         if let Some(recorder) = &opts.recorder {
             self.recorder = Some(Arc::clone(recorder));
@@ -58,7 +46,6 @@ impl Browser {
         if let Some(spans) = &opts.spans {
             self.spans = Some(Arc::clone(spans));
         }
-        opts.apply_to(&mut self.config);
         self
     }
 
@@ -79,31 +66,26 @@ impl Browser {
         self
     }
 
-    /// Status-quo browser: classic HTTP cache, no service worker.
-    pub fn baseline() -> Browser {
+    fn with_mode(mode: CacheMode) -> Browser {
         Browser::new(EngineConfig {
-            use_http_cache: true,
-            use_service_worker: false,
+            mode,
             ..Default::default()
         })
+    }
+
+    /// Status-quo browser: classic HTTP cache, no service worker.
+    pub fn baseline() -> Browser {
+        Browser::with_mode(CacheMode::HttpCache)
     }
 
     /// CacheCatalyst browser: the service worker fronts all fetches.
     pub fn catalyst() -> Browser {
-        Browser::new(EngineConfig {
-            use_http_cache: false,
-            use_service_worker: true,
-            ..Default::default()
-        })
+        Browser::with_mode(CacheMode::ServiceWorker)
     }
 
     /// A browser that never reuses anything (cold path / lower bound).
     pub fn uncached() -> Browser {
-        Browser::new(EngineConfig {
-            use_http_cache: false,
-            use_service_worker: false,
-            ..Default::default()
-        })
+        Browser::with_mode(CacheMode::Uncached)
     }
 
     /// Loads `base_url` from `upstream` under `cond`, with the visit
@@ -117,14 +99,13 @@ impl Browser {
         t_secs: i64,
     ) -> LoadReport {
         let metrics_before = self.cache.metrics;
-        let mut engine = Engine::new(
-            upstream,
-            cond,
-            &self.config,
-            &mut self.cache,
-            &mut self.sw,
+        let profile = Profile {
+            cfg: &self.config,
+            cache: &mut self.cache,
+            sw: &mut self.sw,
             t_secs,
-        );
+        };
+        let mut engine = Engine::new(upstream, cond, profile);
         if let Some(spans) = &self.spans {
             engine = engine.with_span_sink(spans);
         }
@@ -133,11 +114,21 @@ impl Browser {
         // the `x-cc-last-visit` announcement on the next load.
         self.config.last_visit = Some(t_secs);
         if let Some(recorder) = &self.recorder {
+            // What the recorder stream takes from a tally.
+            let tally = Tally {
+                plt: report.plt,
+                faults_injected: report.faults_injected,
+                retries: report.retries,
+                degraded: report.degraded,
+                ..Tally::default()
+            };
             emit_load_events(
                 recorder.as_ref(),
                 base_url,
                 t_secs,
-                &report,
+                &report.trace,
+                &report.audits,
+                &tally,
                 self.cache.metrics.delta_since(&metrics_before),
             );
         }
@@ -148,68 +139,6 @@ impl Browser {
     pub fn clear(&mut self) {
         self.cache.clear();
         self.sw.clear();
-    }
-}
-
-/// Replays one finished load into the recorder: a page-load span, one
-/// start/end pair per fetch, and the HTTP-cache delta the load caused.
-fn emit_load_events(
-    recorder: &dyn Recorder,
-    base_url: &Url,
-    t_secs: i64,
-    report: &LoadReport,
-    delta: CacheMetrics,
-) {
-    let page = base_url.to_string();
-    let base_ms = t_secs as f64 * 1000.0;
-    recorder.record(&Event::PageLoadStart {
-        page: page.clone(),
-        t_ms: base_ms,
-    });
-    for f in &report.trace.fetches {
-        recorder.record(&Event::FetchStart {
-            url: f.url.clone(),
-            t_ms: base_ms + f.started.as_millis_f64(),
-        });
-        recorder.record(&Event::FetchEnd {
-            url: f.url.clone(),
-            t_ms: base_ms + f.completed.as_millis_f64(),
-            outcome: fetch_kind(f.outcome),
-            bytes_down: f.bytes_down,
-            bytes_up: f.bytes_up,
-            rtts: f.rtts,
-        });
-    }
-    // The audit trail: one cache-decision verdict per resource, in
-    // fetch order (audits[i] belongs to trace.fetches[i]).
-    for (f, audit) in report.trace.fetches.iter().zip(&report.audits) {
-        recorder.record(&Event::CacheDecision {
-            t_ms: base_ms + f.completed.as_millis_f64(),
-            audit: audit.clone(),
-        });
-    }
-    recorder.record(&Event::PageLoadEnd {
-        page,
-        t_ms: base_ms + report.plt.as_millis_f64(),
-        resources: report.trace.fetches.len(),
-        plt_ms: report.plt_ms(),
-    });
-    recorder.record(&Event::CacheDelta {
-        t_ms: base_ms + report.plt.as_millis_f64(),
-        fresh_hits: delta.fresh_hits,
-        stale_hits: delta.stale_hits,
-        misses: delta.misses,
-        stores: delta.stores,
-        evictions: delta.evictions,
-        revalidation_refreshes: delta.revalidation_refreshes,
-    });
-    if report.faults_injected > 0 || report.retries > 0 || report.degraded > 0 {
-        recorder.record(&Event::FaultSummary {
-            t_ms: base_ms + report.plt.as_millis_f64(),
-            faults_injected: report.faults_injected,
-            retries: report.retries,
-            degraded: report.degraded as u64,
-        });
     }
 }
 
@@ -337,8 +266,7 @@ mod tests {
         let baseline = b.load(&up_base, cond(), &base(), t1);
 
         let mut c = Browser::new(EngineConfig {
-            use_http_cache: false,
-            use_service_worker: true,
+            mode: CacheMode::ServiceWorker,
             session: Some("s1".to_owned()),
             ..Default::default()
         });
@@ -400,8 +328,7 @@ mod tests {
     fn session_capture_closes_the_js_gap() {
         let up = upstream(HeaderMode::CatalystWithCapture);
         let mut browser = Browser::new(EngineConfig {
-            use_http_cache: false,
-            use_service_worker: true,
+            mode: CacheMode::ServiceWorker,
             session: Some("alice".to_owned()),
             ..Default::default()
         });

@@ -3,30 +3,29 @@
 //! Reproduces the browser behaviour that determines PLT: per-origin
 //! connection pools with handshakes and keep-alive, parse-driven
 //! dependency discovery (HTML → CSS/JS → images/fonts, JS-executed
-//! fetches), and the three serving paths — network, the classic HTTP
-//! cache, and the CacheCatalyst service worker. All transfers share
-//! the access link's fluid capacity, so parallel fetches slow each
-//! other down exactly as under browser throttling.
+//! fetches), server push and fault injection, in virtual time. All
+//! transfers share the access link's fluid capacity, so parallel
+//! fetches slow each other down exactly as under browser throttling.
+//! What is served from where — network, the classic HTTP cache, the
+//! CacheCatalyst service worker — is not decided here: the engine
+//! drives the steps of [`crate::profile`] and schedules what they
+//! return.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
-use cachecatalyst_catalyst::{
-    tamper_config_headers, ConfigIntegrity, EtagConfig, ServiceWorker, SwDecision,
-};
-use cachecatalyst_httpcache::{HttpCache, Lookup};
-use cachecatalyst_httpwire::hash::xxh64;
-use cachecatalyst_httpwire::{tracectx, HeaderName, Request, Response, StatusCode, Url};
+use cachecatalyst_catalyst::tamper_config_headers;
+use cachecatalyst_httpwire::{tracectx, Request, Response, StatusCode, Url};
 use cachecatalyst_netsim::{
     Fault, FaultPlan, FaultSchedule, FetchOutcome, FetchTrace, LinkId, LoadTrace, NetEvent,
     Network, NetworkConditions, SimTime,
 };
 use cachecatalyst_telemetry::span::{Span, SpanId, SpanSink, TraceContext, TraceId};
-use cachecatalyst_telemetry::{CacheAudit, CacheDecision};
-use cachecatalyst_webmodel::extract::{extract_css_links, extract_html_links};
+use cachecatalyst_telemetry::CacheAudit;
 use cachecatalyst_webmodel::ResourceKind;
 
+use crate::profile::{self, CacheMode, FetchFacts, Profile, Purpose, Role, Tally};
 use crate::upstream::Upstream;
 
 /// Extension headers used by the proxy comparators (`cachecatalyst-
@@ -54,7 +53,10 @@ pub mod ext {
     pub const X_FAULT: &str = "x-cc-fault";
 }
 
-/// Tunables of the page-load engine.
+/// Tunables of a page load. The discrete-event engine reads all of
+/// them; the live loader reads the ones that are not about simulated
+/// transport (`mode`, `enable_swr`, `max_connections_per_origin`, the
+/// parse/exec costs, `session`, `last_visit` and the retry knobs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     /// Parallel connections per origin (browsers use 6 for HTTP/1.1).
@@ -96,10 +98,8 @@ pub struct EngineConfig {
     /// Fixed + size-proportional cost of executing JS.
     pub exec_base: Duration,
     pub exec_bytes_per_sec: f64,
-    /// Serve via the CacheCatalyst service worker (catalyst mode).
-    pub use_service_worker: bool,
-    /// Serve via the classic HTTP cache (baseline mode).
-    pub use_http_cache: bool,
+    /// Which store answers for resources the profile already holds.
+    pub mode: CacheMode,
     /// `cc-session` cookie attached to every request (enables the
     /// origin's session capture).
     pub session: Option<String>,
@@ -140,8 +140,7 @@ impl Default for EngineConfig {
             parse_bytes_per_sec: 50e6,
             exec_base: Duration::from_millis(2),
             exec_bytes_per_sec: 10e6,
-            use_service_worker: false,
-            use_http_cache: true,
+            mode: CacheMode::HttpCache,
             session: None,
             last_visit: None,
             fault_plan: None,
@@ -224,8 +223,8 @@ enum Pending {
     DownloadDone(FetchId),
     LastByte(FetchId),
     Instant(FetchId),
-    Parse(FetchId),
-    Exec(FetchId),
+    /// The parse / execution time of a delivered body elapsed.
+    Processed(FetchId),
     PushDone(FetchId),
     /// The backoff before a retry attempt elapsed.
     Retry(FetchId),
@@ -238,9 +237,8 @@ enum Pending {
 
 struct FetchState {
     url: Url,
-    /// `url` rendered once: the key of every per-URL map (caches,
-    /// service worker, push tables) and the trace/audit label.
-    key: String,
+    /// Everything about the fetch that is not timing.
+    facts: FetchFacts,
     req: Request,
     discovered: SimTime,
     started: Option<SimTime>,
@@ -248,15 +246,9 @@ struct FetchState {
     conn: Option<usize>,
     response: Option<Response>,
     delivered: Option<Response>,
-    outcome: FetchOutcome,
     bytes_up: u64,
     bytes_down: u64,
-    is_navigation: bool,
-    is_push: bool,
     push_used: bool,
-    /// Background revalidation: result updates the cache but does not
-    /// gate onLoad and produces no page-visible content processing.
-    is_background: bool,
     /// Round trips charged so far: DNS, handshake legs, the
     /// request/response exchange, retransmission timeouts.
     rtts: u32,
@@ -267,36 +259,21 @@ struct FetchState {
     /// When the response started flowing down (server turn taken,
     /// any proxy resolution delay paid).
     t_response_start: Option<SimTime>,
-    /// The `X-Etag-Config` entry (or conditional validator) consulted
-    /// for this fetch, for the audit trail.
-    audit_etag: Option<String>,
-    /// Whether the bytes handed to the page were stale against the
-    /// origin's current version (`None` = unknowable).
-    audit_stale: Option<bool>,
-    /// The origin's churn epoch (from `x-cc-epoch`, traced loads).
-    audit_epoch: Option<u64>,
     /// Zero-based attempt counter (0 = first try).
     attempt: u32,
-    /// Set when a fault forced this fetch off its preferred path
-    /// (retries, distrusted config map, exhausted retry budget).
-    degraded: bool,
     /// The fault drawn for the current attempt, applied when the
     /// server's turn comes.
     pending_fault: Option<Fault>,
     /// Bytes of partial transfers wasted on failed attempts.
     bytes_wasted: u64,
-    /// XXH64 of the body handed to the page (the serve-correct-bytes
-    /// oracle's comparand).
-    body_digest: Option<u64>,
 }
 
 impl FetchState {
-    /// A fetch in its initial state (not started, full transfer
-    /// assumed until the serving decision says otherwise).
-    fn new(url: Url, key: String, req: Request, discovered: SimTime) -> FetchState {
+    /// A fetch in its initial state (not started).
+    fn new(url: Url, facts: FetchFacts, req: Request, discovered: SimTime) -> FetchState {
         FetchState {
             url,
-            key,
+            facts,
             req,
             discovered,
             started: None,
@@ -304,25 +281,16 @@ impl FetchState {
             conn: None,
             response: None,
             delivered: None,
-            outcome: FetchOutcome::FullTransfer,
             bytes_up: 0,
             bytes_down: 0,
-            is_navigation: false,
-            is_push: false,
             push_used: false,
-            is_background: false,
             rtts: 0,
             span: None,
             t_upload_done: None,
             t_response_start: None,
-            audit_etag: None,
-            audit_stale: None,
-            audit_epoch: None,
             attempt: 0,
-            degraded: false,
             pending_fault: None,
             bytes_wasted: 0,
-            body_digest: None,
         }
     }
 }
@@ -354,6 +322,17 @@ impl Pool {
     }
 }
 
+/// Advances an xorshift64 stream and maps the draw onto `[0, 1)`
+/// (deterministic, decoupled from workload seeds).
+fn next_unit(state: &mut u64) -> f64 {
+    let mut x = *state;
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    *state = x;
+    (x >> 11) as f64 / (1u64 << 53) as f64
+}
+
 /// One page load in progress. Borrows the browser's persistent state
 /// (HTTP cache, service worker) for the duration of the load.
 pub struct Engine<'a> {
@@ -371,9 +350,7 @@ pub struct Engine<'a> {
     up: &'a dyn Upstream,
     cond: NetworkConditions,
     cfg: &'a EngineConfig,
-    cache: &'a mut HttpCache,
-    sw: &'a mut ServiceWorker,
-    t_secs: i64,
+    profile: Profile<'a>,
     net: Network,
     uplink: LinkId,
     downlink: LinkId,
@@ -411,14 +388,8 @@ struct Tracer {
 }
 
 impl<'a> Engine<'a> {
-    pub fn new(
-        up: &'a dyn Upstream,
-        cond: NetworkConditions,
-        cfg: &'a EngineConfig,
-        cache: &'a mut HttpCache,
-        sw: &'a mut ServiceWorker,
-        t_secs: i64,
-    ) -> Engine<'a> {
+    pub fn new(up: &'a dyn Upstream, cond: NetworkConditions, profile: Profile<'a>) -> Engine<'a> {
+        let cfg = profile.cfg;
         let mut net = Network::new();
         let downlink = net.add_link(cond.down_bps);
         let uplink = net.add_link(cond.up_bps);
@@ -435,9 +406,7 @@ impl<'a> Engine<'a> {
             up,
             cond,
             cfg,
-            cache,
-            sw,
-            t_secs,
+            profile,
             net,
             uplink,
             downlink,
@@ -470,28 +439,15 @@ impl<'a> Engine<'a> {
         self
     }
 
-    /// Applies the shared [`ClientOptions`](crate::ClientOptions).
-    /// The engine reads its resilience knobs from the [`EngineConfig`]
-    /// it was built with, so only the span sink applies here; overlay
-    /// the rest with [`crate::ClientOptions::apply_to`] *before*
-    /// [`Engine::new`] (or use [`crate::Browser::with_options`], which
-    /// does both).
-    pub fn with_options(self, opts: &crate::ClientOptions) -> Engine<'a> {
-        match &opts.spans {
-            Some(spans) => self.with_span_sink(spans),
-            None => self,
-        }
-    }
-
     /// Absolute virtual milliseconds for a sim instant (the page-load
     /// events' time base: `t_secs` plus the offset into the load).
     fn abs_ms(&self, t: SimTime) -> f64 {
-        self.t_secs as f64 * 1000.0 + t.as_millis_f64()
+        self.profile.t_secs as f64 * 1000.0 + t.as_millis_f64()
     }
 
     /// Loads `base_url` to completion and reports.
     pub fn load(mut self, base_url: &Url) -> LoadReport {
-        self.request_fetch(base_url.clone(), SimTime::ZERO, true);
+        self.request_fetch(base_url.clone(), SimTime::ZERO, Role::Navigation);
         while let Some((now, ev)) = self.net.next() {
             let token = match ev {
                 NetEvent::Timer(t) => t,
@@ -582,7 +538,7 @@ impl<'a> Engine<'a> {
                 let mut resp = self.up.handle(
                     self.fetches[f].url.host(),
                     &self.fetches[f].req,
-                    self.t_secs,
+                    self.profile.t_secs,
                 );
                 let mut fault_delay_ms = 0u64;
                 match fault {
@@ -660,7 +616,7 @@ impl<'a> Engine<'a> {
                     return;
                 }
                 if resp.status.is_server_error() && self.fetches[f].attempt > 0 {
-                    self.fetches[f].degraded = true;
+                    self.fetches[f].facts.degraded = true;
                 }
                 self.deliver_network(f, resp, now);
             }
@@ -668,12 +624,11 @@ impl<'a> Engine<'a> {
                 let resp = self.fetches[f].response.take().expect("local response");
                 self.complete(f, resp, now);
             }
-            Pending::Parse(f) => self.on_parse(f, now),
-            Pending::Exec(f) => self.on_exec(f, now),
+            Pending::Processed(f) => self.on_processed(f, now),
             Pending::PushDone(f) => {
                 self.fetches[f].completed = Some(now);
                 let resp = self.fetches[f].response.take().expect("pushed body");
-                let url = self.fetches[f].key.clone();
+                let url = self.fetches[f].facts.key.clone();
                 self.push_rows.insert(url.clone(), f);
                 let waiter = self
                     .push_inflight
@@ -684,7 +639,7 @@ impl<'a> Engine<'a> {
                         // The page asked while the push was in flight:
                         // the stream's completion answers the request.
                         self.fetches[f].push_used = true;
-                        self.fetches[w].outcome = FetchOutcome::Pushed;
+                        self.fetches[w].facts.outcome = FetchOutcome::Pushed;
                         self.fetches[w].started.get_or_insert(now);
                         self.complete(w, resp, now);
                     }
@@ -729,7 +684,7 @@ impl<'a> Engine<'a> {
     /// budget remains, else deliver a synthesized error so the page
     /// completes instead of hanging.
     fn fail_attempt(&mut self, f: FetchId, now: SimTime) {
-        self.fetches[f].degraded = true;
+        self.fetches[f].facts.degraded = true;
         if self.fetches[f].attempt < self.cfg.max_retries {
             self.schedule_retry(f);
             return;
@@ -739,21 +694,13 @@ impl<'a> Engine<'a> {
         self.deliver_network(f, resp, now);
     }
 
-    /// Arms the backoff timer for the next attempt of `f`:
-    /// `retry_base · 2^attempt`, scaled by up to +50% seeded jitter.
+    /// Arms the backoff timer for the next attempt of `f`.
     fn schedule_retry(&mut self, f: FetchId) {
         let attempt = self.fetches[f].attempt;
         self.fetches[f].attempt = attempt + 1;
-        self.fetches[f].degraded = true;
+        self.fetches[f].facts.degraded = true;
         self.n_retries += 1;
-        let base = self.cfg.retry_base.as_secs_f64() * (1u64 << attempt.min(16)) as f64;
-        let mut x = self.jitter_state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.jitter_state = x;
-        let jitter = (x >> 11) as f64 / (1u64 << 53) as f64;
-        let backoff = Duration::from_secs_f64(base * (1.0 + 0.5 * jitter));
+        let backoff = profile::backoff(self.cfg, attempt, next_unit(&mut self.jitter_state));
         let tok = self.token(Pending::Retry(f));
         self.net.set_timer(backoff, tok);
     }
@@ -791,197 +738,86 @@ impl<'a> Engine<'a> {
 
     // ---- fetch initiation ----
 
-    fn request_fetch(&mut self, url: Url, now: SimTime, is_navigation: bool) {
+    /// Starts the page's fetch of `url` unless it already has one;
+    /// says whether it did.
+    fn request_fetch(&mut self, url: Url, now: SimTime, role: Role) -> bool {
         let key = url.to_string();
         if !self.requested.insert(key.clone()) {
-            return;
+            return false;
         }
-        let path = url.path();
-        let mut req = Request::get_target(url.target().clone())
-            .with_header(HeaderName::HOST, &url.authority())
-            .with_header(HeaderName::USER_AGENT, "cachecatalyst-browser/0.1");
-        if let Some(session) = &self.cfg.session {
-            req.headers
-                .insert("cookie", &format!("cc-session={session}"));
-        }
-        if let Some(last) = self.cfg.last_visit {
-            req.headers.insert(ext::X_LAST_VISIT, &last.to_string());
-        }
+        let is_navigation = role == Role::Navigation;
         if is_navigation {
             self.navigation_url = Some(key.clone());
-        } else if let Some(nav) = &self.navigation_url {
-            req.headers.insert("referer", nav);
         }
+        let referer = self.navigation_url.as_deref().filter(|_| !is_navigation);
+        let mut req = profile::request(self.cfg, &url, Purpose::Page { referer });
+        let span = self.trace_request(&mut req, None, None);
+        let decision = self.profile.decide(&url, &key, &mut req, is_navigation);
 
         let f = self.fetches.len();
-        self.fetches.push(FetchState {
-            is_navigation,
-            ..FetchState::new(url.clone(), key.clone(), req, now)
-        });
+        let mut fetch = FetchState::new(url, FetchFacts::new(key, role), req, now);
+        fetch.span = span;
+        fetch.facts.etag = decision.etag;
+        fetch.facts.stale = decision.stale;
+        self.fetches.push(fetch);
         if is_navigation {
             self.render_blocking.push(f);
         }
-        // Traced loads: give the fetch its span id and put the trace
-        // context on the outgoing request (re-stamped with the virtual
-        // clock at the server turn).
-        if let Some(tracer) = &self.tracer {
-            let span = SpanId::next();
-            self.fetches[f].span = Some(span);
-            tracectx::inject(
-                &mut self.fetches[f].req,
-                &TraceContext::new(tracer.trace, span),
-            );
-        }
-
-        // --- the serving decision ---
-        if self.cfg.use_service_worker {
-            if is_navigation {
-                // Navigations always go upstream; attach the SW's
-                // stored validator so an unchanged page costs a 304.
-                if let Some(tag) = self.sw.cached_etag(&key) {
-                    let tag = tag.to_string();
-                    self.fetches[f].audit_etag = Some(tag.clone());
-                    self.fetches[f]
-                        .req
-                        .headers
-                        .insert(HeaderName::IF_NONE_MATCH, &tag);
-                }
-            } else {
-                // The `X-Etag-Config` entry consulted for this
-                // resource (same-origin keyed by path, cross-origin by
-                // full URL) — recorded on the audit trail.
-                let consulted = self
-                    .sw
-                    .config()
-                    .get(path)
-                    .or_else(|| self.sw.config().get(&key))
-                    .cloned();
-                self.fetches[f].audit_etag = consulted.as_ref().map(|t| t.to_string());
-                match self.sw.intercept(&key, path) {
-                    SwDecision::ServeLocal(resp) => {
-                        // Staleness oracle: the served bytes are the
-                        // cached entry; the consulted entry is the
-                        // origin's *current* version (the map was
-                        // installed by this very navigation). A serve
-                        // despite mismatch would be a catalyst bug.
-                        let served = self.sw.cached_etag(&key);
-                        self.fetches[f].audit_stale = match (served, &consulted) {
-                            (Some(s), Some(c)) => Some(!(s.strong_eq(c) || s.weak_eq(c))),
-                            _ => None,
-                        };
-                        self.fetches[f].outcome = FetchOutcome::ServiceWorkerHit;
-                        self.fetches[f].response = Some(resp);
-                        let tok = self.token(Pending::Instant(f));
-                        self.net.set_timer(self.cfg.sw_overhead, tok);
-                        return;
-                    }
-                    SwDecision::Forward { if_none_match } => {
-                        if let Some(tag) = if_none_match {
-                            let tag = tag.to_string();
-                            if self.fetches[f].audit_etag.is_none() {
-                                self.fetches[f].audit_etag = Some(tag.clone());
-                            }
-                            self.fetches[f]
-                                .req
-                                .headers
-                                .insert(HeaderName::IF_NONE_MATCH, &tag);
-                        }
-                    }
-                }
-            }
-        } else if self.cfg.use_http_cache {
-            let lookup = {
-                let req = &self.fetches[f].req;
-                self.cache.lookup_for(&key, req, self.t_secs)
+        if let Some((outcome, response)) = decision.local {
+            self.fetches[f].facts.outcome = outcome;
+            self.fetches[f].response = Some(response);
+            let overhead = match outcome {
+                FetchOutcome::ServiceWorkerHit => self.cfg.sw_overhead,
+                _ => self.cfg.cache_overhead,
             };
-            match lookup {
-                Lookup::Fresh(resp) => {
-                    self.fetches[f].outcome = FetchOutcome::CacheHit;
-                    self.fetches[f].response = Some(resp);
-                    let tok = self.token(Pending::Instant(f));
-                    self.net.set_timer(self.cfg.cache_overhead, tok);
-                    return;
-                }
-                Lookup::Stale {
-                    response,
-                    etag,
-                    last_modified,
-                    swr_usable,
-                } => {
-                    if swr_usable && self.cfg.enable_swr {
-                        // RFC 5861: serve the stale copy now, refresh
-                        // in the background.
-                        self.fetches[f].outcome = FetchOutcome::CacheHit;
-                        self.fetches[f].response = Some(response);
-                        let tok = self.token(Pending::Instant(f));
-                        self.net.set_timer(self.cfg.cache_overhead, tok);
-                        self.spawn_background_revalidation(
-                            url.clone(),
-                            etag,
-                            last_modified,
-                            now,
-                            f,
-                        );
-                        return;
-                    }
-                    if let Some(tag) = etag {
-                        self.fetches[f].audit_etag = Some(tag.clone());
-                        self.fetches[f]
-                            .req
-                            .headers
-                            .insert(HeaderName::IF_NONE_MATCH, &tag);
-                    } else if let Some(lm) = last_modified {
-                        self.fetches[f]
-                            .req
-                            .headers
-                            .insert(HeaderName::IF_MODIFIED_SINCE, &lm);
-                    }
-                }
-                Lookup::Miss => {}
+            let tok = self.token(Pending::Instant(f));
+            self.net.set_timer(overhead, tok);
+            if let Some(req) = decision.revalidate {
+                self.spawn_background_revalidation(req, now, f);
             }
+            return true;
         }
         // Pushed / bundled bodies that arrived ahead of the request are
         // used before going to the network (but never shadow a fresh
         // cache or SW hit, matching browsers' push-cache precedence).
-        if self.try_predelivered(f) {
-            return;
+        if !self.try_predelivered(f) {
+            self.assign_to_pool(f, now);
         }
-        self.assign_to_pool(f, now);
+        true
     }
 
-    /// Issues a conditional request that refreshes the cache without
-    /// gating onLoad (the revalidation half of stale-while-revalidate).
-    fn spawn_background_revalidation(
-        &mut self,
-        url: Url,
-        etag: Option<String>,
-        last_modified: Option<String>,
-        now: SimTime,
-        served: FetchId,
-    ) {
-        let key = url.to_string();
-        let mut req = Request::get_target(url.target().clone())
-            .with_header(HeaderName::HOST, &url.authority())
-            .with_header(HeaderName::USER_AGENT, "cachecatalyst-browser/0.1");
-        if let Some(tag) = etag {
-            req.headers.insert(HeaderName::IF_NONE_MATCH, &tag);
-        } else if let Some(lm) = last_modified {
-            req.headers.insert(HeaderName::IF_MODIFIED_SINCE, &lm);
+    /// Traced loads: puts the trace context on a request, under `span`
+    /// or else a fresh span id, stamped with the virtual clock when
+    /// `at` is given. Returns the span id.
+    fn trace_request(
+        &self,
+        req: &mut Request,
+        span: Option<SpanId>,
+        at: Option<SimTime>,
+    ) -> Option<SpanId> {
+        let tracer = self.tracer.as_ref()?;
+        let span = span.unwrap_or_else(SpanId::next);
+        let mut ctx = TraceContext::new(tracer.trace, span);
+        if let Some(now) = at {
+            ctx = ctx.at(self.abs_ms(now));
         }
+        tracectx::inject(req, &ctx);
+        Some(span)
+    }
+
+    /// Issues the conditional request `req`, which refreshes the cached
+    /// copy `served` was answered with, without gating onLoad (the
+    /// revalidation half of stale-while-revalidate).
+    fn spawn_background_revalidation(&mut self, mut req: Request, now: SimTime, served: FetchId) {
+        let span = self.trace_request(&mut req, None, None);
         let f = self.fetches.len();
+        let url = self.fetches[served].url.clone();
+        let mut facts = FetchFacts::new(self.fetches[served].facts.key.clone(), Role::Background);
+        facts.outcome = FetchOutcome::NotModified;
         self.fetches.push(FetchState {
-            outcome: FetchOutcome::NotModified,
-            is_background: true,
-            ..FetchState::new(url, key, req, now)
+            span,
+            ..FetchState::new(url, facts, req, now)
         });
-        if let Some(tracer) = &self.tracer {
-            let span = SpanId::next();
-            self.fetches[f].span = Some(span);
-            tracectx::inject(
-                &mut self.fetches[f].req,
-                &TraceContext::new(tracer.trace, span),
-            );
-        }
         // The revalidation outcome doubles as the staleness oracle for
         // the SWR-served response it refreshes (see `finalize`).
         self.swr_pairs.push((f, served));
@@ -991,18 +827,18 @@ impl<'a> Engine<'a> {
     /// Serves `f` from the predelivered set (or parks it on an
     /// in-flight push promise) if possible.
     fn try_predelivered(&mut self, f: FetchId) -> bool {
-        let key = &self.fetches[f].key;
+        let key = &self.fetches[f].facts.key;
         if let Some(resp) = self.predelivered.remove(key) {
             if let Some(&pf) = self.push_rows.get(key) {
                 self.fetches[pf].push_used = true;
             }
-            self.fetches[f].outcome = FetchOutcome::Pushed;
+            self.fetches[f].facts.outcome = FetchOutcome::Pushed;
             self.fetches[f].response = Some(resp);
             let tok = self.token(Pending::Instant(f));
             self.net.set_timer(self.cfg.cache_overhead, tok);
             return true;
         }
-        if let Some(entry) = self.push_inflight.get_mut(&self.fetches[f].key) {
+        if let Some(entry) = self.push_inflight.get_mut(&self.fetches[f].facts.key) {
             debug_assert!(entry.1.is_none(), "one requester per URL");
             entry.1 = Some(f);
             return true;
@@ -1128,14 +964,7 @@ impl<'a> Engine<'a> {
         if self.cfg.loss_rate <= 0.0 {
             return Duration::ZERO;
         }
-        // xorshift64*: deterministic, decoupled from workload seeds.
-        let mut x = self.loss_state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.loss_state = x;
-        let u = (x >> 11) as f64 / (1u64 << 53) as f64;
-        if u < self.cfg.loss_rate {
+        if next_unit(&mut self.loss_state) < self.cfg.loss_rate {
             self.cond.rtt * 2
         } else {
             Duration::ZERO
@@ -1171,149 +1000,50 @@ impl<'a> Engine<'a> {
 
     // ---- delivery ----
 
-    /// Remembers the origin's churn epoch (`x-cc-epoch`, attached to
-    /// responses of traced requests) for the audit trail. Cached/SW
-    /// copies keep the header from when they were fetched, so local
-    /// hits attribute to the epoch their bytes came from.
-    fn note_epoch(&mut self, f: FetchId, resp: &Response) {
-        if self.fetches[f].audit_epoch.is_none() {
-            if let Some(v) = resp.headers.get(HeaderName::X_CC_EPOCH) {
-                self.fetches[f].audit_epoch = v.parse().ok();
-            }
-        }
-    }
-
-    fn deliver_network(&mut self, f: FetchId, mut resp: Response, now: SimTime) {
-        self.note_epoch(f, &resp);
-        // Integrity gate for the catalyst map: a navigation response
-        // whose `X-Etag-Config` fails its digest is stripped of the
-        // map *before* the service worker sees it — the SW then clears
-        // its config and every subresource falls back to a
-        // conditional/full fetch (graceful degradation, never a serve
-        // from tampered state).
-        if self.fetches[f].is_navigation
-            && self.cfg.use_service_worker
-            && matches!(
-                EtagConfig::verify_headers(&resp.headers),
-                ConfigIntegrity::Tampered
-            )
-        {
-            resp.headers.remove(HeaderName::X_ETAG_CONFIG);
-            resp.headers.remove(HeaderName::X_CC_CONFIG_DIGEST);
-            self.fetches[f].degraded = true;
-        }
-        if self.fetches[f].is_background {
-            self.fetches[f].completed = Some(now);
-            self.fetches[f].outcome = if resp.status == StatusCode::NOT_MODIFIED {
-                FetchOutcome::NotModified
-            } else {
-                FetchOutcome::FullTransfer
-            };
-            if resp.status == StatusCode::NOT_MODIFIED {
-                let _ = self.cache.update_with_304(
-                    &self.fetches[f].key,
-                    &resp,
-                    self.t_secs,
-                    self.t_secs,
-                );
-            } else {
-                self.cache.store(
-                    &self.fetches[f].key,
-                    &self.fetches[f].req,
-                    &resp,
-                    self.t_secs,
-                    self.t_secs,
-                );
-            }
+    /// A network response for `f` arrived: the profile admits it into
+    /// the caches and says what the page gets.
+    fn deliver_network(&mut self, f: FetchId, resp: Response, now: SimTime) {
+        let fetch = &mut self.fetches[f];
+        fetch.facts.note_epoch(&resp);
+        let is_navigation = fetch.facts.role == Role::Navigation;
+        let admitted = self
+            .profile
+            .admit(&fetch.facts.key, &fetch.req, resp, is_navigation);
+        fetch.facts.outcome = admitted.outcome;
+        fetch.facts.degraded |= admitted.distrusted;
+        if fetch.facts.role == Role::Background {
+            fetch.completed = Some(now);
             return;
         }
-        let is_nav = self.fetches[f].is_navigation;
-        let delivered;
-        if self.cfg.use_service_worker {
-            if is_nav {
-                // The navigation response (200 or 304) carries the
-                // fresh X-Etag-Config; install it, then resolve the
-                // body through the SW cache.
-                self.sw.on_navigation(&resp);
-            }
-            self.fetches[f].outcome = if resp.status == StatusCode::NOT_MODIFIED {
-                FetchOutcome::NotModified
-            } else {
-                FetchOutcome::FullTransfer
-            };
-            delivered = self.sw.on_response(&self.fetches[f].key, &resp);
-        } else if self.cfg.use_http_cache {
-            if resp.status == StatusCode::NOT_MODIFIED {
-                self.fetches[f].outcome = FetchOutcome::NotModified;
-                delivered = self
-                    .cache
-                    .update_with_304(&self.fetches[f].key, &resp, self.t_secs, self.t_secs)
-                    .unwrap_or(resp);
-            } else {
-                self.fetches[f].outcome = FetchOutcome::FullTransfer;
-                self.cache.store(
-                    &self.fetches[f].key,
-                    &self.fetches[f].req,
-                    &resp,
-                    self.t_secs,
-                    self.t_secs,
-                );
-                delivered = resp;
-            }
-        } else {
-            self.fetches[f].outcome = FetchOutcome::FullTransfer;
-            delivered = resp;
-        }
-        self.complete(f, delivered, now);
+        self.complete(f, admitted.delivered, now);
     }
 
     /// A response is now available to the page: record it and schedule
     /// content processing (parse / execute).
-    fn complete(&mut self, f: FetchId, delivered: Response, now: SimTime) {
-        self.note_epoch(f, &delivered);
-        self.fetches[f].completed = Some(now);
-        // The audit digest covers the bytes the page actually sees.
-        if !delivered.body.is_empty() {
-            self.fetches[f].body_digest = Some(xxh64(&delivered.body));
-        }
+    fn complete(&mut self, f: FetchId, mut delivered: Response, now: SimTime) {
+        let fetch = &mut self.fetches[f];
+        fetch.completed = Some(now);
         // Pushed/bundled responses enter the regular caches, exactly
         // as browsers admit pushed streams into the HTTP cache.
-        if self.fetches[f].outcome == FetchOutcome::Pushed {
-            if self.cfg.use_service_worker {
-                let _ = self.sw.on_response(&self.fetches[f].key, &delivered);
-            } else if self.cfg.use_http_cache {
-                self.cache.store(
-                    &self.fetches[f].key,
-                    &self.fetches[f].req,
-                    &delivered,
-                    self.t_secs,
-                    self.t_secs,
-                );
-            }
+        if fetch.facts.outcome == FetchOutcome::Pushed {
+            delivered = self
+                .profile
+                .admit(&fetch.facts.key, &fetch.req, delivered, false)
+                .delivered;
         }
-        if !delivered.status.is_success() {
-            self.fetches[f].delivered = Some(delivered);
+        fetch.facts.note_delivered(&delivered);
+        let is_nav = fetch.facts.role == Role::Navigation;
+        let kind = ResourceKind::from_path(fetch.url.path());
+        let len = delivered.body.len();
+        let ok = delivered.status.is_success();
+        fetch.delivered = Some(delivered);
+        if !ok {
             return;
         }
-        let kind = ResourceKind::from_path(self.fetches[f].url.path());
-        let len = delivered.body.len() as f64;
-        match kind {
-            ResourceKind::Html | ResourceKind::Css => {
-                let dt = self.cfg.parse_base
-                    + Duration::from_secs_f64(len / self.cfg.parse_bytes_per_sec);
-                let tok = self.token(Pending::Parse(f));
-                self.net.set_timer(dt, tok);
-            }
-            ResourceKind::Js => {
-                let dt =
-                    self.cfg.exec_base + Duration::from_secs_f64(len / self.cfg.exec_bytes_per_sec);
-                let tok = self.token(Pending::Exec(f));
-                self.net.set_timer(dt, tok);
-            }
-            _ => {}
+        if let Some(dt) = profile::process_cost(self.cfg, kind, len) {
+            let tok = self.token(Pending::Processed(f));
+            self.net.set_timer(dt, tok);
         }
-        let is_nav = self.fetches[f].is_navigation;
-        self.fetches[f].delivered = Some(delivered);
         if is_nav {
             self.handle_predelivery(f, now);
         }
@@ -1336,11 +1066,8 @@ impl<'a> Engine<'a> {
         // Internal materialization requests carry the trace context
         // too, parented under the navigation's span (bundles) or the
         // push row's own span, so origin work they cause is attributed.
-        let nav_ctx = self.tracer.as_ref().and_then(|tracer| {
-            self.fetches[f]
-                .span
-                .map(|span| TraceContext::new(tracer.trace, span).at(self.abs_ms(now)))
-        });
+        let nav_span = self.fetches[f].span;
+        let t_secs = self.profile.t_secs;
         // RDR bundle: bodies already arrived inside the bundle body;
         // make them instantly available.
         if let Some(list) = bundled {
@@ -1348,13 +1075,9 @@ impl<'a> Engine<'a> {
                 let Ok(url) = base.join(path.trim()) else {
                     continue;
                 };
-                let mut req = Request::get_target(url.target().clone())
-                    .with_header(HeaderName::HOST, &url.authority())
-                    .with_header(ext::X_INTERNAL, "bundle");
-                if let Some(ctx) = &nav_ctx {
-                    tracectx::inject(&mut req, ctx);
-                }
-                let resp = self.up.handle(url.host(), &req, self.t_secs);
+                let mut req = profile::request(self.cfg, &url, Purpose::Internal("bundle"));
+                self.trace_request(&mut req, nav_span, Some(now));
+                let resp = self.up.handle(url.host(), &req, t_secs);
                 if resp.status.is_success() {
                     self.predelivered.insert(url.to_string(), resp);
                 }
@@ -1371,30 +1094,22 @@ impl<'a> Engine<'a> {
                 if self.requested.contains(&key) || self.predelivered.contains_key(&key) {
                     continue;
                 }
-                let push_span = self.tracer.as_ref().map(|_| SpanId::next());
-                let mut req = Request::get_target(url.target().clone())
-                    .with_header(HeaderName::HOST, &url.authority())
-                    .with_header(ext::X_INTERNAL, "push");
-                if let (Some(tracer), Some(span)) = (&self.tracer, push_span) {
-                    tracectx::inject(
-                        &mut req,
-                        &TraceContext::new(tracer.trace, span).at(self.abs_ms(now)),
-                    );
-                }
-                let resp = self.up.handle(url.host(), &req, self.t_secs);
+                let mut req = profile::request(self.cfg, &url, Purpose::Internal("push"));
+                let push_span = self.trace_request(&mut req, None, Some(now));
+                let resp = self.up.handle(url.host(), &req, t_secs);
                 if !resp.status.is_success() {
                     continue;
                 }
                 let bytes = resp.wire_len() as u64;
                 let pf = self.fetches.len();
+                let mut facts = FetchFacts::new(key.clone(), Role::Push);
+                facts.outcome = FetchOutcome::Pushed;
                 self.fetches.push(FetchState {
                     started: Some(now),
                     response: Some(resp),
-                    outcome: FetchOutcome::Pushed,
                     bytes_down: bytes,
-                    is_push: true,
                     span: push_span,
-                    ..FetchState::new(url, key.clone(), req, now)
+                    ..FetchState::new(url, facts, req, now)
                 });
                 self.push_inflight.insert(key, (pf, None));
                 let tok = self.token(Pending::PushDone(pf));
@@ -1403,110 +1118,64 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn on_parse(&mut self, f: FetchId, now: SimTime) {
+    /// A delivered body has been parsed / executed: start the fetches
+    /// it references.
+    fn on_processed(&mut self, f: FetchId, now: SimTime) {
         // A refcount bump: the body stays readable while the links it
         // names are scheduled (which mutates `self.fetches`).
         let Some(body) = self.fetches[f].delivered.as_ref().map(|d| d.body.clone()) else {
             return;
         };
-        let Ok(text) = std::str::from_utf8(&body) else {
-            return;
-        };
-        let kind = ResourceKind::from_path(self.fetches[f].url.path());
-        let links: Vec<String> = match kind {
-            ResourceKind::Html => extract_html_links(text)
-                .into_iter()
-                .map(|l| l.href)
-                .collect(),
-            _ => extract_css_links(text)
-                .into_iter()
-                .map(|l| l.href)
-                .collect(),
-        };
-        let base = self.fetches[f].url.clone();
-        let from_navigation = self.fetches[f].is_navigation;
-        for href in links {
-            if href == cachecatalyst_catalyst::SW_SCRIPT_PATH {
-                continue; // SW registration is out-of-band, not a subresource
-            }
-            if let Ok(url) = base.join(&href) {
-                let next_id = self.fetches.len();
-                let before = self.requested.len();
-                self.request_fetch(url.clone(), now, false);
-                let created = self.requested.len() > before;
-                // Stylesheets and scripts referenced by the base
-                // document's markup block first paint.
-                if created
-                    && from_navigation
-                    && matches!(
-                        ResourceKind::from_path(url.path()),
-                        ResourceKind::Css | ResourceKind::Js
-                    )
-                {
-                    self.render_blocking.push(next_id);
-                }
+        let from_navigation = self.fetches[f].facts.role == Role::Navigation;
+        for url in profile::discover(&self.fetches[f].url, &body) {
+            // Stylesheets and scripts referenced by the base
+            // document's markup block first paint.
+            let blocking = from_navigation
+                && matches!(
+                    ResourceKind::from_path(url.path()),
+                    ResourceKind::Css | ResourceKind::Js
+                );
+            let next_id = self.fetches.len();
+            if self.request_fetch(url, now, Role::Subresource) && blocking {
+                self.render_blocking.push(next_id);
             }
         }
     }
 
-    fn on_exec(&mut self, f: FetchId, now: SimTime) {
-        // A refcount bump: the body stays readable while the links it
-        // names are scheduled (which mutates `self.fetches`).
-        let Some(body) = self.fetches[f].delivered.as_ref().map(|d| d.body.clone()) else {
-            return;
-        };
-        let Ok(text) = std::str::from_utf8(&body) else {
-            return;
-        };
-        let base = self.fetches[f].url.clone();
-        for href in cachecatalyst_webmodel::jsdialect::evaluate(text) {
-            if let Ok(url) = base.join(&href) {
-                self.request_fetch(url, now, false);
-            }
+    fn finalize(mut self) -> LoadReport {
+        // The revalidation's outcome is the staleness oracle for the
+        // SWR-served copy it refreshed.
+        for &(background, served) in &self.swr_pairs {
+            let outcome = self.fetches[background].facts.outcome;
+            self.fetches[served].facts.refreshed_by(outcome);
         }
-    }
-
-    fn finalize(self) -> LoadReport {
         let mut trace = LoadTrace::default();
-        let mut full = 0;
-        let mut nm = 0;
-        let mut cache_hits = 0;
-        let mut sw_hits = 0;
+        let mut tally = Tally {
+            faults_injected: self.n_faults,
+            retries: self.n_retries,
+            ..Tally::default()
+        };
         let mut pushed = 0;
         let mut pushed_unused = 0;
         let mut pushed_bytes = 0u64;
         let mut pushed_unused_bytes = 0u64;
-        let mut background = 0;
-        let mut plt = SimTime::ZERO;
         for f in &self.fetches {
             let completed = f.completed.unwrap_or(f.discovered);
-            if f.is_background {
-                background += 1;
-            } else if f.is_push {
+            tally.add(&f.facts, completed);
+            if f.facts.role == Role::Push {
                 pushed += 1;
                 pushed_bytes += f.bytes_down;
                 if !f.push_used {
                     pushed_unused += 1;
                     pushed_unused_bytes += f.bytes_down;
                 }
-            } else {
-                // onLoad waits for requested resources, not for
-                // speculative pushes the page never asked for.
-                plt = plt.max(completed);
-                match f.outcome {
-                    FetchOutcome::FullTransfer => full += 1,
-                    FetchOutcome::NotModified => nm += 1,
-                    FetchOutcome::CacheHit => cache_hits += 1,
-                    FetchOutcome::ServiceWorkerHit => sw_hits += 1,
-                    FetchOutcome::Pushed => {}
-                }
             }
             trace.fetches.push(FetchTrace {
-                url: f.key.clone(),
+                url: f.facts.key.clone(),
                 discovered: f.discovered,
                 started: f.started.unwrap_or(f.discovered),
                 completed,
-                outcome: f.outcome,
+                outcome: f.facts.outcome,
                 // Wasted partial transfers count: the wire carried them.
                 bytes_down: f.bytes_down + f.bytes_wasted,
                 bytes_up: f.bytes_up,
@@ -1515,93 +1184,36 @@ impl<'a> Engine<'a> {
                 response_start: f.t_response_start,
             });
         }
-        let bytes_down = trace.bytes_down();
-        let bytes_up = trace.bytes_up();
+        let plt = tally.plt;
         let fcp = self
             .render_blocking
             .iter()
             .filter_map(|&f| self.fetches[f].completed)
             .max()
             .unwrap_or(plt);
-        let degraded = self.fetches.iter().filter(|f| f.degraded).count();
-        let audits = self.collect_audits();
         if let Some(tracer) = &self.tracer {
             self.emit_spans(tracer, plt);
         }
         LoadReport {
-            trace,
             plt,
             fcp,
-            full_transfers: full,
-            not_modified: nm,
-            cache_hits,
-            sw_hits,
-            bytes_down,
-            bytes_up,
+            full_transfers: tally.full_transfers,
+            not_modified: tally.not_modified,
+            cache_hits: tally.cache_hits,
+            sw_hits: tally.sw_hits,
+            bytes_down: trace.bytes_down(),
+            bytes_up: trace.bytes_up(),
             pushed,
             pushed_unused,
             pushed_bytes,
             pushed_unused_bytes,
-            // One background revalidation per SWR-served response.
-            swr_served: background,
-            faults_injected: self.n_faults,
-            retries: self.n_retries,
-            degraded,
-            audits,
+            swr_served: tally.swr_served,
+            faults_injected: tally.faults_injected,
+            retries: tally.retries,
+            degraded: tally.degraded,
+            audits: self.fetches.iter().map(|f| f.facts.audit()).collect(),
+            trace,
         }
-    }
-
-    /// One [`CacheAudit`] per fetch, same order as `trace.fetches`.
-    fn collect_audits(&self) -> Vec<CacheAudit> {
-        let mut audits: Vec<CacheAudit> = self
-            .fetches
-            .iter()
-            .map(|f| {
-                let decision = if f.degraded {
-                    // A fault pushed this fetch off its preferred
-                    // path; the audit says so regardless of how the
-                    // fallback was ultimately satisfied.
-                    CacheDecision::Degraded
-                } else {
-                    match f.outcome {
-                        FetchOutcome::ServiceWorkerHit => CacheDecision::SwHitZeroRtt,
-                        FetchOutcome::NotModified => CacheDecision::Conditional304,
-                        FetchOutcome::FullTransfer => CacheDecision::FullFetch,
-                        FetchOutcome::CacheHit | FetchOutcome::Pushed => CacheDecision::Bypass,
-                    }
-                };
-                let served_stale = match f.outcome {
-                    // Validated (or freshly transferred / pushed at the
-                    // current t): the delivered bytes match the origin.
-                    FetchOutcome::NotModified
-                    | FetchOutcome::FullTransfer
-                    | FetchOutcome::Pushed => Some(false),
-                    // SW hits carry the oracle verdict from intercept
-                    // time; classic freshness hits are unknowable
-                    // unless an SWR revalidation resolves them below.
-                    FetchOutcome::ServiceWorkerHit | FetchOutcome::CacheHit => f.audit_stale,
-                };
-                CacheAudit {
-                    url: f.key.clone(),
-                    decision,
-                    etag: f.audit_etag.clone(),
-                    epoch: f.audit_epoch,
-                    served_stale,
-                    body_digest: f.body_digest,
-                }
-            })
-            .collect();
-        // Stale-while-revalidate: the background revalidation's
-        // outcome is the staleness oracle for the copy it refreshed —
-        // a 304 proves the served bytes were current, a full transfer
-        // proves they were stale.
-        for &(bg, served) in &self.swr_pairs {
-            if self.fetches[bg].completed.is_some() {
-                audits[served].served_stale =
-                    Some(self.fetches[bg].outcome == FetchOutcome::FullTransfer);
-            }
-        }
-        audits
     }
 
     /// Emits the load's span tree: one `page_load` root, one `fetch`
@@ -1630,15 +1242,6 @@ impl<'a> Engine<'a> {
             let Some(span_id) = f.span else { continue };
             let completed = f.completed.unwrap_or(f.discovered);
             let started = f.started.unwrap_or(f.discovered);
-            let role = if f.is_navigation {
-                "navigation"
-            } else if f.is_push {
-                "push"
-            } else if f.is_background {
-                "background"
-            } else {
-                "subresource"
-            };
             tracer.sink.record(Span {
                 trace_id: tracer.trace,
                 span_id,
@@ -1647,9 +1250,9 @@ impl<'a> Engine<'a> {
                 start_ms: self.abs_ms(f.discovered),
                 end_ms: self.abs_ms(completed),
                 attrs: vec![
-                    ("url", f.key.clone()),
-                    ("outcome", f.outcome.tag().trim().to_owned()),
-                    ("role", role.to_owned()),
+                    ("url", f.facts.key.clone()),
+                    ("outcome", f.facts.outcome.tag().trim().to_owned()),
+                    ("role", f.facts.role.as_str().to_owned()),
                     ("bytes_down", f.bytes_down.to_string()),
                     ("rtts", f.rtts.to_string()),
                 ],

@@ -10,7 +10,8 @@
 //!   fonts), including resources only discoverable by *executing* JS;
 //! * the classic HTTP cache ([`cachecatalyst_httpcache`]) and the
 //!   CacheCatalyst service worker ([`cachecatalyst_catalyst`]) as
-//!   alternative serving paths;
+//!   alternative serving paths ([`CacheMode`]), decided in one place
+//!   ([`profile`]) for the engine and the live loader alike;
 //! * PLT measured as the completion of the last required resource
 //!   (the `onLoad` moment used in the paper).
 //!
@@ -22,6 +23,7 @@ pub mod browser;
 pub mod engine;
 pub mod har;
 pub mod options;
+pub mod profile;
 pub mod upstream;
 
 #[cfg(feature = "aio")]
@@ -31,6 +33,7 @@ pub use browser::Browser;
 pub use engine::{Engine, EngineConfig, LoadReport};
 pub use har::to_har;
 #[cfg(feature = "aio")]
-pub use live::{LiveBrowser, LiveMode, LiveReport};
+pub use live::{LiveBrowser, LiveReport};
 pub use options::ClientOptions;
+pub use profile::CacheMode;
 pub use upstream::{FrozenUpstream, MultiOrigin, SingleOrigin, Upstream};

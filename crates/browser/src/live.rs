@@ -1,31 +1,36 @@
 //! Live page loads over real byte streams (feature `aio`).
 //!
-//! The same browser semantics as the discrete-event engine — per-host
-//! connection pools of six, parse-driven discovery, JS-executed
-//! fetches, HTTP-cache or service-worker serving — but executed in
-//! wall-clock time over any tokio transport: loopback TCP, the
-//! emulated access link from `cachecatalyst_netsim::emu`, or anything
-//! a [`Dialer`] produces. Used by the end-to-end tests and by the
-//! sim-vs-live cross-validation experiment (E15): the simulator's PLT
-//! prediction is checked against an actual protocol execution.
+//! The same browser as the discrete-event engine — every serving
+//! decision, cache admission, discovery and retry schedule comes from
+//! [`crate::profile`] — executed in wall-clock time over any tokio
+//! transport: loopback TCP, the emulated access link from
+//! `cachecatalyst_netsim::emu`, or anything a [`Dialer`] produces.
+//! What lives here is what the profile cannot know: sockets, per-host
+//! connection pools, tasks and timeouts. Used by the end-to-end tests
+//! and by the sim-vs-live cross-validation experiment (E15): the
+//! simulator's PLT prediction is checked against an actual protocol
+//! execution.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::future::Future;
+use std::io;
 use std::pin::Pin;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use cachecatalyst_catalyst::{ServiceWorker, SwDecision};
-use cachecatalyst_httpcache::{HttpCache, Lookup};
+use cachecatalyst_catalyst::ServiceWorker;
+use cachecatalyst_httpcache::HttpCache;
 use cachecatalyst_httpwire::aio::ClientConn;
-use cachecatalyst_httpwire::{HeaderName, Request, Response, StatusCode, Url};
-use cachecatalyst_netsim::{FetchOutcome, FetchTrace, LoadTrace, SimTime};
-use cachecatalyst_telemetry::{Event, Recorder};
-use cachecatalyst_webmodel::extract::{extract_css_links, extract_html_links};
-use cachecatalyst_webmodel::{jsdialect, ResourceKind};
+use cachecatalyst_httpwire::{Request, Response, Url};
+use cachecatalyst_netsim::{FetchTrace, LoadTrace, SimTime};
+use cachecatalyst_telemetry::{CacheAudit, Recorder};
+use cachecatalyst_webmodel::ResourceKind;
 use tokio::io::{AsyncRead, AsyncWrite};
-use tokio::sync::{Mutex, Semaphore};
+use tokio::sync::Semaphore;
 use tokio::task::JoinSet;
+
+use crate::engine::EngineConfig;
+use crate::profile::{self, CacheMode, FetchFacts, Profile, Purpose, Role, Tally};
 
 /// Anything a connection can run over.
 pub trait ByteStream: AsyncRead + AsyncWrite + Unpin + Send {}
@@ -34,21 +39,10 @@ impl<T: AsyncRead + AsyncWrite + Unpin + Send> ByteStream for T {}
 /// Opens a byte stream to `host`. Implementations decide what that
 /// means: TCP dial, an emulated link to an in-process origin, …
 pub type Dialer = Arc<
-    dyn Fn(String) -> Pin<Box<dyn Future<Output = std::io::Result<Box<dyn ByteStream>>> + Send>>
+    dyn Fn(String) -> Pin<Box<dyn Future<Output = io::Result<Box<dyn ByteStream>>> + Send>>
         + Send
         + Sync,
 >;
-
-/// Serving mode of the live browser.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LiveMode {
-    /// Classic HTTP cache.
-    Baseline,
-    /// CacheCatalyst service worker.
-    Catalyst,
-    /// No reuse.
-    Uncached,
-}
 
 /// The result of one live page load.
 #[derive(Debug, Clone)]
@@ -60,55 +54,48 @@ pub struct LiveReport {
     pub cache_hits: usize,
     /// Round trips that failed (I/O error or timeout) and were retried.
     pub retries: u32,
+    /// The cache-decision audit trail, one record per entry of
+    /// `trace.fetches`, same order (as in [`crate::LoadReport`]).
+    pub audits: Vec<CacheAudit>,
 }
 
-struct PoolState {
-    idle: Vec<ClientConn<Box<dyn ByteStream>>>,
+/// Keep-alive connections to one host, at most
+/// `max_connections_per_origin` in use at a time.
+struct HostPool {
+    permits: Semaphore,
+    idle: Mutex<Vec<ClientConn<Box<dyn ByteStream>>>>,
 }
+
+type Pools = Arc<Mutex<HashMap<String, Arc<HostPool>>>>;
 
 /// A live browser profile. State persists across loads, like
 /// [`crate::Browser`].
 pub struct LiveBrowser {
     dialer: Dialer,
-    mode: LiveMode,
-    cache: Arc<Mutex<HttpCache>>,
-    sw: Arc<Mutex<ServiceWorker>>,
-    pools: Arc<Mutex<HashMap<String, Arc<HostPool>>>>,
+    /// The same configuration [`crate::Browser`] holds; the knobs that
+    /// model transport in virtual time have no meaning here.
+    pub config: EngineConfig,
+    /// The profile's stores, locked for one profile step at a time
+    /// (never across an `.await`).
+    stores: Arc<Mutex<(HttpCache, ServiceWorker)>>,
+    pools: Pools,
     recorder: Option<Arc<dyn Recorder>>,
     /// Virtual seconds used for cache freshness decisions.
     pub now_secs: i64,
-    /// Parse/exec pacing, matching the simulator's defaults.
-    pub parse_base: Duration,
-    pub exec_base: Duration,
-    /// Per-round-trip deadline; a server that stalls past it costs
-    /// one retry instead of hanging the page load.
-    pub fetch_timeout: Duration,
-    /// Failed round trips are redialed at most this many times.
-    pub max_retries: u32,
-    /// First backoff step; doubles per attempt.
-    pub retry_base: Duration,
-}
-
-struct HostPool {
-    permits: Semaphore,
-    state: Mutex<PoolState>,
 }
 
 impl LiveBrowser {
-    pub fn new(dialer: Dialer, mode: LiveMode) -> LiveBrowser {
+    pub fn new(dialer: Dialer, mode: CacheMode) -> LiveBrowser {
         LiveBrowser {
             dialer,
-            mode,
-            cache: Arc::new(Mutex::new(HttpCache::unbounded())),
-            sw: Arc::new(Mutex::new(ServiceWorker::new())),
-            pools: Arc::new(Mutex::new(HashMap::new())),
+            config: EngineConfig {
+                mode,
+                ..Default::default()
+            },
+            stores: Arc::new(Mutex::new((HttpCache::unbounded(), ServiceWorker::new()))),
+            pools: Pools::default(),
             recorder: None,
             now_secs: 0,
-            parse_base: Duration::from_millis(1),
-            exec_base: Duration::from_millis(2),
-            fetch_timeout: Duration::from_secs(3),
-            max_retries: 3,
-            retry_base: Duration::from_millis(25),
         }
     }
 
@@ -119,376 +106,272 @@ impl LiveBrowser {
     pub fn with_dialer(self, dialer: Dialer) -> LiveBrowser {
         LiveBrowser {
             dialer,
-            pools: Arc::new(Mutex::new(HashMap::new())),
+            pools: Pools::default(),
             ..self
         }
     }
 
-    /// Applies the shared [`ClientOptions`](crate::ClientOptions):
-    /// the recorder attaches (live loads then emit the same
-    /// page-load/fetch event stream as the discrete-event browser,
-    /// timestamped in wall milliseconds from `now_secs`), the retry
-    /// knobs overlay their fields, and a dialer replaces the
-    /// transport as [`LiveBrowser::with_dialer`] would. The span
-    /// sink and fault plan are discrete-event concerns and are
-    /// ignored here (faults live on the server side of a live run).
+    /// Attaches the recorder `opts` carries: live loads then emit the
+    /// same event stream as [`crate::Browser`], timestamped in wall
+    /// milliseconds from `now_secs`. Spans are recorded in virtual
+    /// time only, so a span sink is ignored here.
     pub fn with_options(mut self, opts: &crate::ClientOptions) -> LiveBrowser {
         if let Some(recorder) = &opts.recorder {
             self.recorder = Some(Arc::clone(recorder));
-        }
-        if let Some(retries) = opts.max_retries {
-            self.max_retries = retries;
-        }
-        if let Some(base) = opts.retry_base {
-            self.retry_base = base;
-        }
-        if let Some(timeout) = opts.fetch_timeout {
-            self.fetch_timeout = timeout;
-        }
-        if let Some(dialer) = &opts.dialer {
-            self = self.with_dialer(Arc::clone(dialer));
         }
         self
     }
 
     /// Loads `base_url` to completion, returning wall-clock timings.
-    pub async fn load(&mut self, base_url: &Url) -> std::io::Result<LiveReport> {
-        let t0 = Instant::now();
+    pub async fn load(&mut self, base_url: &Url) -> io::Result<LiveReport> {
+        let load = Arc::new(Load {
+            dialer: Arc::clone(&self.dialer),
+            cfg: self.config.clone(),
+            stores: Arc::clone(&self.stores),
+            pools: Arc::clone(&self.pools),
+            now_secs: self.now_secs,
+            page: base_url.to_string(),
+            t0: Instant::now(),
+        });
+        let metrics_before = self.lock_stores().0.metrics;
         let mut trace = LoadTrace::default();
-        let mut requested: std::collections::HashSet<String> = std::collections::HashSet::new();
-        let mut join: JoinSet<std::io::Result<FetchDone>> = JoinSet::new();
+        let mut facts: Vec<FetchFacts> = Vec::new();
+        let mut tally = Tally::default();
+        let mut requested: HashSet<String> = HashSet::from([load.page.clone()]);
+        let mut join: JoinSet<io::Result<FetchDone>> = JoinSet::new();
+        join.spawn(Arc::clone(&load).fetch(base_url.clone(), Role::Navigation, None));
 
-        requested.insert(base_url.to_string());
-        join.spawn(self.fetch_task(base_url.clone(), true, t0));
-
-        let mut network_requests = 0;
-        let mut sw_hits = 0;
-        let mut cache_hits = 0;
-        let mut retries = 0;
         while let Some(res) = join.join_next().await {
-            let done = res.map_err(|e| std::io::Error::other(e.to_string()))??;
-            retries += done.retries;
-            match done.outcome {
-                FetchOutcome::ServiceWorkerHit => sw_hits += 1,
-                FetchOutcome::CacheHit => cache_hits += 1,
-                _ => network_requests += 1,
-            }
+            let done = res.map_err(|e| io::Error::other(e.to_string()))??;
+            let row = facts.len();
+            tally.retries += done.retries;
+            tally.add(&done.facts, done.completed);
             trace.fetches.push(FetchTrace {
-                url: done.url.to_string(),
-                discovered: SimTime::from_nanos(done.discovered.as_nanos() as u64),
-                started: SimTime::from_nanos(done.discovered.as_nanos() as u64),
-                completed: SimTime::from_nanos(done.completed.as_nanos() as u64),
-                outcome: done.outcome,
+                url: done.facts.key.clone(),
+                discovered: done.discovered,
+                started: done.discovered,
+                completed: done.completed,
+                outcome: done.facts.outcome,
                 bytes_down: done.bytes_down,
-                bytes_up: done.bytes_up,
+                bytes_up: 0,
                 // Live fetches reuse pooled keep-alive connections:
                 // one request/response round trip per network fetch.
-                rtts: done.outcome.used_network() as u32,
+                rtts: done.facts.outcome.used_network() as u32,
                 // The live path doesn't observe intra-request phase
                 // boundaries; HAR export degrades gracefully.
                 upload_done: None,
                 response_start: None,
             });
+            if let Some(served) = done.refreshes {
+                facts[served].refreshed_by(done.facts.outcome);
+            }
+            facts.push(done.facts);
+            if let Some(req) = done.revalidate {
+                let refresh = Some((req, row));
+                join.spawn(Arc::clone(&load).fetch(done.url, Role::Background, refresh));
+            }
             for link in done.links {
                 if requested.insert(link.to_string()) {
-                    join.spawn(self.fetch_task(link, false, t0));
+                    join.spawn(Arc::clone(&load).fetch(link, Role::Subresource, None));
                 }
             }
         }
 
-        let plt = trace
-            .fetches
-            .iter()
-            .map(|f| f.completed)
-            .max()
-            .unwrap_or(SimTime::ZERO);
+        // Remember the visit, as `Browser::load` does.
+        self.config.last_visit = Some(self.now_secs);
         let report = LiveReport {
-            plt: Duration::from_nanos(plt.as_nanos()),
+            plt: Duration::from_nanos(tally.plt.as_nanos()),
             trace,
-            network_requests,
-            sw_hits,
-            cache_hits,
-            retries,
+            network_requests: tally.full_transfers + tally.not_modified,
+            sw_hits: tally.sw_hits,
+            cache_hits: tally.cache_hits,
+            retries: tally.retries,
+            audits: facts.iter().map(FetchFacts::audit).collect(),
         };
         if let Some(recorder) = &self.recorder {
-            self.emit_load_events(recorder.as_ref(), base_url, &report);
+            let delta = self.lock_stores().0.metrics.delta_since(&metrics_before);
+            profile::emit_load_events(
+                recorder.as_ref(),
+                base_url,
+                self.now_secs,
+                &report.trace,
+                &report.audits,
+                &tally,
+                delta,
+            );
         }
         Ok(report)
     }
 
-    /// Replays one finished live load into the recorder: the same
-    /// event stream the discrete-event browser emits, minus the
-    /// cache-delta and audit records (the live path does not observe
-    /// them). The time base is `now_secs × 1000` plus wall-clock
-    /// offsets into the load.
-    fn emit_load_events(&self, recorder: &dyn Recorder, base_url: &Url, report: &LiveReport) {
-        let page = base_url.to_string();
-        let base_ms = self.now_secs as f64 * 1000.0;
-        recorder.record(&Event::PageLoadStart {
-            page: page.clone(),
-            t_ms: base_ms,
-        });
-        for f in &report.trace.fetches {
-            recorder.record(&Event::FetchStart {
-                url: f.url.clone(),
-                t_ms: base_ms + f.started.as_millis_f64(),
-            });
-            recorder.record(&Event::FetchEnd {
-                url: f.url.clone(),
-                t_ms: base_ms + f.completed.as_millis_f64(),
-                outcome: crate::browser::fetch_kind(f.outcome),
-                bytes_down: f.bytes_down,
-                bytes_up: f.bytes_up,
-                rtts: f.rtts,
-            });
-        }
-        recorder.record(&Event::PageLoadEnd {
-            page,
-            t_ms: base_ms + report.plt.as_secs_f64() * 1000.0,
-            resources: report.trace.fetches.len(),
-            plt_ms: report.plt.as_secs_f64() * 1000.0,
-        });
-        if report.retries > 0 {
-            recorder.record(&Event::FaultSummary {
-                t_ms: base_ms + report.plt.as_secs_f64() * 1000.0,
-                faults_injected: 0,
-                retries: report.retries,
-                degraded: 0,
-            });
-        }
+    fn lock_stores(&self) -> std::sync::MutexGuard<'_, (HttpCache, ServiceWorker)> {
+        self.stores.lock().expect("a profile step panicked")
     }
+}
 
-    fn fetch_task(
-        &self,
-        url: Url,
-        is_navigation: bool,
-        t0: Instant,
-    ) -> impl Future<Output = std::io::Result<FetchDone>> + Send + 'static {
-        let dialer = Arc::clone(&self.dialer);
-        let mode = self.mode;
-        let cache = Arc::clone(&self.cache);
-        let sw = Arc::clone(&self.sw);
-        let pools = Arc::clone(&self.pools);
-        let now_secs = self.now_secs;
-        let parse_base = self.parse_base;
-        let exec_base = self.exec_base;
-        let fetch_timeout = self.fetch_timeout;
-        let max_retries = self.max_retries;
-        let retry_base = self.retry_base;
-        async move {
-            let mut retries = 0u32;
-            let discovered = t0.elapsed();
-            let path = url.path().to_owned();
-            let mut req = Request::get(&url.target().to_string())
-                .with_header(HeaderName::HOST, &url.authority())
-                .with_header(HeaderName::USER_AGENT, "cachecatalyst-live/0.1");
-
-            // --- serving decision (mirrors the simulator engine) ---
-            let mut outcome = FetchOutcome::FullTransfer;
-            let mut local: Option<Response> = None;
-            match mode {
-                LiveMode::Catalyst => {
-                    if is_navigation {
-                        let guard = sw.lock().await;
-                        if let Some(tag) = guard.cached_etag(&url.to_string()) {
-                            let tag = tag.to_string();
-                            drop(guard);
-                            req.headers.insert(HeaderName::IF_NONE_MATCH, &tag);
-                        }
-                    } else {
-                        match sw.lock().await.intercept(&url.to_string(), &path) {
-                            SwDecision::ServeLocal(resp) => {
-                                outcome = FetchOutcome::ServiceWorkerHit;
-                                local = Some(resp);
-                            }
-                            SwDecision::Forward { if_none_match } => {
-                                if let Some(tag) = if_none_match {
-                                    req.headers
-                                        .insert(HeaderName::IF_NONE_MATCH, &tag.to_string());
-                                }
-                            }
-                        }
-                    }
-                }
-                LiveMode::Baseline => {
-                    match cache
-                        .lock()
-                        .await
-                        .lookup_for(&url.to_string(), &req, now_secs)
-                    {
-                        Lookup::Fresh(resp) => {
-                            outcome = FetchOutcome::CacheHit;
-                            local = Some(resp);
-                        }
-                        Lookup::Stale {
-                            etag,
-                            last_modified,
-                            ..
-                        } => {
-                            if let Some(tag) = etag {
-                                req.headers.insert(HeaderName::IF_NONE_MATCH, &tag);
-                            } else if let Some(lm) = last_modified {
-                                req.headers.insert(HeaderName::IF_MODIFIED_SINCE, &lm);
-                            }
-                        }
-                        Lookup::Miss => {}
-                    }
-                }
-                LiveMode::Uncached => {}
-            }
-
-            let delivered = match local {
-                Some(resp) => resp,
-                None => {
-                    // --- network fetch through the host pool ---
-                    let pool = {
-                        let mut pools = pools.lock().await;
-                        Arc::clone(pools.entry(url.host().to_owned()).or_insert_with(|| {
-                            Arc::new(HostPool {
-                                permits: Semaphore::new(6),
-                                state: Mutex::new(PoolState { idle: Vec::new() }),
-                            })
-                        }))
-                    };
-                    let _permit = pool.permits.acquire().await.expect("semaphore not closed");
-                    // Bounded retry with exponential backoff: an I/O
-                    // error, a malformed response, or a round trip
-                    // that outlives `fetch_timeout` costs one attempt
-                    // and a fresh dial — the failed connection is
-                    // never returned to the pool.
-                    let mut attempt = 0u32;
-                    let resp = loop {
-                        let pooled = {
-                            let mut state = pool.state.lock().await;
-                            state.idle.pop()
-                        };
-                        let result = async {
-                            let mut conn = match pooled {
-                                Some(conn) => conn,
-                                None => {
-                                    let stream = (dialer)(url.host().to_owned()).await?;
-                                    ClientConn::new(stream)
-                                }
-                            };
-                            let resp = conn
-                                .round_trip(&req)
-                                .await
-                                .map_err(|e| std::io::Error::other(e.to_string()))?;
-                            Ok::<_, std::io::Error>((conn, resp))
-                        };
-                        match tokio::time::timeout(fetch_timeout, result).await {
-                            Ok(Ok((conn, resp))) => {
-                                pool.state.lock().await.idle.push(conn);
-                                break resp;
-                            }
-                            Ok(Err(e)) if attempt >= max_retries => return Err(e),
-                            Err(_) if attempt >= max_retries => {
-                                return Err(std::io::Error::new(
-                                    std::io::ErrorKind::TimedOut,
-                                    format!("{url}: no response within {fetch_timeout:?}"),
-                                ));
-                            }
-                            Ok(Err(_)) | Err(_) => {
-                                attempt += 1;
-                                retries += 1;
-                                let backoff = retry_base * 2u32.pow(attempt.min(10) - 1);
-                                tokio::time::sleep(backoff).await;
-                            }
-                        }
-                    };
-
-                    // --- post-processing (store / refresh) ---
-                    match mode {
-                        LiveMode::Catalyst => {
-                            let mut guard = sw.lock().await;
-                            if is_navigation {
-                                guard.on_navigation(&resp);
-                            }
-                            if resp.status == StatusCode::NOT_MODIFIED {
-                                outcome = FetchOutcome::NotModified;
-                            }
-                            guard.on_response(&url.to_string(), &resp)
-                        }
-                        LiveMode::Baseline => {
-                            let mut guard = cache.lock().await;
-                            if resp.status == StatusCode::NOT_MODIFIED {
-                                outcome = FetchOutcome::NotModified;
-                                guard
-                                    .update_with_304(&url.to_string(), &resp, now_secs, now_secs)
-                                    .unwrap_or(resp)
-                            } else {
-                                guard.store(&url.to_string(), &req, &resp, now_secs, now_secs);
-                                resp
-                            }
-                        }
-                        LiveMode::Uncached => resp,
-                    }
-                }
-            };
-
-            // --- content processing: discover children ---
-            let mut links: Vec<Url> = Vec::new();
-            if delivered.status.is_success() {
-                let kind = ResourceKind::from_path(&path);
-                if let Ok(text) = std::str::from_utf8(&delivered.body) {
-                    let hrefs: Vec<String> = match kind {
-                        ResourceKind::Html => {
-                            tokio::time::sleep(parse_base).await;
-                            extract_html_links(text)
-                                .into_iter()
-                                .map(|l| l.href)
-                                .collect()
-                        }
-                        ResourceKind::Css => {
-                            tokio::time::sleep(parse_base).await;
-                            extract_css_links(text)
-                                .into_iter()
-                                .map(|l| l.href)
-                                .collect()
-                        }
-                        ResourceKind::Js => {
-                            tokio::time::sleep(exec_base).await;
-                            jsdialect::evaluate(text)
-                        }
-                        _ => Vec::new(),
-                    };
-                    for href in hrefs {
-                        if href == cachecatalyst_catalyst::SW_SCRIPT_PATH {
-                            continue;
-                        }
-                        if let Ok(u) = url.join(&href) {
-                            links.push(u);
-                        }
-                    }
-                }
-            }
-
-            let bytes_down = if outcome.used_network() {
-                delivered.body.len() as u64
-            } else {
-                0
-            };
-            Ok(FetchDone {
-                url,
-                discovered,
-                completed: t0.elapsed(),
-                outcome,
-                bytes_down,
-                bytes_up: 0,
-                links,
-                retries,
-            })
-        }
-    }
+/// What every fetch task of one load shares.
+struct Load {
+    dialer: Dialer,
+    cfg: EngineConfig,
+    stores: Arc<Mutex<(HttpCache, ServiceWorker)>>,
+    pools: Pools,
+    now_secs: i64,
+    /// The navigation URL, the `Referer` of subresource fetches.
+    page: String,
+    t0: Instant,
 }
 
 struct FetchDone {
     url: Url,
-    discovered: Duration,
-    completed: Duration,
-    outcome: FetchOutcome,
+    facts: FetchFacts,
+    discovered: SimTime,
+    completed: SimTime,
     bytes_down: u64,
-    bytes_up: u64,
     links: Vec<Url>,
     retries: u32,
+    /// [`profile::Decision::revalidate`].
+    revalidate: Option<Request>,
+    /// A background revalidation names the row of the copy it
+    /// refreshed.
+    refreshes: Option<usize>,
+}
+
+impl Load {
+    fn elapsed(&self) -> SimTime {
+        SimTime::from_nanos(self.t0.elapsed().as_nanos() as u64)
+    }
+
+    /// Runs one profile step under the stores' lock.
+    fn with_profile<T>(&self, step: impl FnOnce(&mut Profile<'_>) -> T) -> T {
+        let mut stores = self.stores.lock().expect("a profile step panicked");
+        let (cache, sw) = &mut *stores;
+        step(&mut Profile {
+            cfg: &self.cfg,
+            cache,
+            sw,
+            t_secs: self.now_secs,
+        })
+    }
+
+    /// One fetch: decide, go to the network if the profile says so,
+    /// admit what came back, process the body. A background
+    /// revalidation arrives with its request (and the row it
+    /// refreshes) already made by the decide step of the fetch it
+    /// serves.
+    async fn fetch(
+        self: Arc<Self>,
+        url: Url,
+        role: Role,
+        refresh: Option<(Request, usize)>,
+    ) -> io::Result<FetchDone> {
+        let discovered = self.elapsed();
+        let is_navigation = role == Role::Navigation;
+        let mut facts = FetchFacts::new(url.to_string(), role);
+        let (refresh, refreshes) = refresh.unzip();
+        let mut req = refresh.unwrap_or_else(|| {
+            let referer = (!is_navigation).then_some(self.page.as_str());
+            profile::request(&self.cfg, &url, Purpose::Page { referer })
+        });
+        let decision = match role {
+            Role::Background => profile::Decision::default(),
+            _ => self.with_profile(|p| p.decide(&url, &facts.key, &mut req, is_navigation)),
+        };
+        facts.etag = decision.etag;
+        facts.stale = decision.stale;
+
+        let mut retries = 0;
+        let mut bytes_down = 0;
+        let delivered = match decision.local {
+            Some((outcome, response)) => {
+                facts.outcome = outcome;
+                response
+            }
+            None => {
+                let resp = self.round_trip(&url, &req, &mut retries).await?;
+                facts.note_epoch(&resp);
+                let admitted =
+                    self.with_profile(|p| p.admit(&facts.key, &req, resp, is_navigation));
+                facts.outcome = admitted.outcome;
+                facts.degraded = retries > 0 || admitted.distrusted;
+                bytes_down = admitted.delivered.body.len() as u64;
+                admitted.delivered
+            }
+        };
+
+        let mut links = Vec::new();
+        if role != Role::Background {
+            facts.note_delivered(&delivered);
+            let kind = ResourceKind::from_path(url.path());
+            let cost = profile::process_cost(&self.cfg, kind, delivered.body.len());
+            if let Some(dt) = cost.filter(|_| delivered.status.is_success()) {
+                tokio::time::sleep(dt).await;
+                links = profile::discover(&url, &delivered.body);
+            }
+        }
+        Ok(FetchDone {
+            url,
+            facts,
+            discovered,
+            completed: self.elapsed(),
+            bytes_down,
+            links,
+            retries,
+            revalidate: decision.revalidate,
+            refreshes,
+        })
+    }
+
+    /// One request/response exchange through the host's pool, with
+    /// bounded retry: an I/O error, a malformed response, or a round
+    /// trip that outlives `fetch_timeout` costs one attempt, a backoff
+    /// and a fresh dial — the failed connection is never returned to
+    /// the pool.
+    async fn round_trip(
+        &self,
+        url: &Url,
+        req: &Request,
+        retries: &mut u32,
+    ) -> io::Result<Response> {
+        let pool = {
+            let mut pools = self.pools.lock().expect("pool map lock");
+            Arc::clone(pools.entry(url.host().to_owned()).or_insert_with(|| {
+                Arc::new(HostPool {
+                    permits: Semaphore::new(self.cfg.max_connections_per_origin),
+                    idle: Mutex::new(Vec::new()),
+                })
+            }))
+        };
+        let _permit = pool.permits.acquire().await.expect("semaphore not closed");
+        loop {
+            let pooled = pool.idle.lock().expect("idle list lock").pop();
+            let exchange = async {
+                let mut conn = match pooled {
+                    Some(conn) => conn,
+                    None => ClientConn::new((self.dialer)(url.host().to_owned()).await?),
+                };
+                let resp = conn
+                    .round_trip(req)
+                    .await
+                    .map_err(|e| io::Error::other(e.to_string()))?;
+                Ok::<_, io::Error>((conn, resp))
+            };
+            let error = match tokio::time::timeout(self.cfg.fetch_timeout, exchange).await {
+                Ok(Ok((conn, resp))) => {
+                    pool.idle.lock().expect("idle list lock").push(conn);
+                    return Ok(resp);
+                }
+                Ok(Err(e)) => e,
+                Err(_) => io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    format!("{url}: no response within {:?}", self.cfg.fetch_timeout),
+                ),
+            };
+            if *retries >= self.cfg.max_retries {
+                return Err(error);
+            }
+            // No seeded stream in wall-clock time: the schedule without
+            // its jitter.
+            tokio::time::sleep(profile::backoff(&self.cfg, *retries, 0.0)).await;
+            *retries += 1;
+        }
+    }
 }

@@ -1,28 +1,23 @@
-//! One configuration type for every client.
+//! The observability sinks a client reports into.
 //!
-//! [`Browser`](crate::Browser), [`Engine`](crate::Engine) and the
-//! live loader each used to grow their own `with_recorder` /
-//! `with_span_sink` / `with_dialer` / retry-knob methods, so wiring
-//! observability through a topology meant learning three slightly
-//! different surfaces. [`ClientOptions`] is the one bag all of them
-//! (and the edge tier, which drives clients of its own) accept:
-//! build it once, hand it to whichever client sits at that position.
+//! Wiring telemetry through a topology means handing the same two
+//! sinks to whichever client sits at each position: a [`Browser`]
+//! (via [`Browser::with_options`](crate::Browser::with_options)), the
+//! live loader, or the edge tier, which drives clients of its own
+//! (`EdgeBuilder::client_options`). [`ClientOptions`] is that pair.
+//! Both fields are optional; an empty `ClientOptions::new()` changes
+//! nothing. Everything else about a client — cache mode, fault plan,
+//! retry policy, timeouts — is a field of
+//! [`EngineConfig`](crate::EngineConfig).
 //!
-//! Every field is optional; an empty `ClientOptions::new()` changes
-//! nothing. Resilience knobs (`fault_plan`, `max_retries`,
-//! `retry_base`, `fetch_timeout`) overlay the corresponding
-//! [`EngineConfig`] fields via [`ClientOptions::apply_to`].
+//! [`Browser`]: crate::Browser
 
 use std::sync::Arc;
-use std::time::Duration;
 
-use cachecatalyst_netsim::FaultPlan;
 use cachecatalyst_telemetry::span::SpanSink;
 use cachecatalyst_telemetry::Recorder;
 
-use crate::engine::EngineConfig;
-
-/// Shared observability + resilience configuration for all clients.
+/// Shared observability configuration for all clients.
 ///
 /// ```
 /// use cachecatalyst_browser::{Browser, ClientOptions};
@@ -30,9 +25,7 @@ use crate::engine::EngineConfig;
 /// use std::sync::Arc;
 ///
 /// let recorder = Arc::new(MemoryRecorder::new());
-/// let opts = ClientOptions::new()
-///     .recorder(recorder.clone())
-///     .max_retries(5);
+/// let opts = ClientOptions::new().recorder(recorder.clone());
 /// let browser = Browser::catalyst().with_options(&opts);
 /// ```
 #[derive(Clone, Default)]
@@ -41,18 +34,6 @@ pub struct ClientOptions {
     pub recorder: Option<Arc<dyn Recorder>>,
     /// Span sink for sampled distributed traces.
     pub spans: Option<Arc<SpanSink>>,
-    /// Deterministic fault injection on the client's network path.
-    pub fault_plan: Option<FaultPlan>,
-    /// Retry budget per request (overlay; `None` keeps the default).
-    pub max_retries: Option<u32>,
-    /// First backoff step, doubling per attempt (overlay).
-    pub retry_base: Option<Duration>,
-    /// Per-fetch deadline before an attempt is abandoned (overlay).
-    pub fetch_timeout: Option<Duration>,
-    /// Replacement transport for the live loader (ignored by the
-    /// discrete-event clients, which fetch through an `Upstream`).
-    #[cfg(feature = "aio")]
-    pub dialer: Option<crate::live::Dialer>,
 }
 
 impl ClientOptions {
@@ -71,86 +52,5 @@ impl ClientOptions {
     pub fn span_sink(mut self, spans: Arc<SpanSink>) -> ClientOptions {
         self.spans = Some(spans);
         self
-    }
-
-    /// Arm deterministic fault injection on the network path.
-    pub fn fault_plan(mut self, plan: FaultPlan) -> ClientOptions {
-        self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Override the per-request retry budget.
-    pub fn max_retries(mut self, retries: u32) -> ClientOptions {
-        self.max_retries = Some(retries);
-        self
-    }
-
-    /// Override the first backoff step (doubles per attempt).
-    pub fn retry_base(mut self, base: Duration) -> ClientOptions {
-        self.retry_base = Some(base);
-        self
-    }
-
-    /// Override the per-fetch deadline.
-    pub fn fetch_timeout(mut self, timeout: Duration) -> ClientOptions {
-        self.fetch_timeout = Some(timeout);
-        self
-    }
-
-    /// Replace the live loader's transport.
-    #[cfg(feature = "aio")]
-    pub fn dialer(mut self, dialer: crate::live::Dialer) -> ClientOptions {
-        self.dialer = Some(dialer);
-        self
-    }
-
-    /// Overlays the resilience fields onto an [`EngineConfig`]: each
-    /// `Some` replaces the config's value, each `None` leaves it
-    /// alone. Observability fields don't live in the config and are
-    /// applied by the client's `with_options`.
-    pub fn apply_to(&self, config: &mut EngineConfig) {
-        if let Some(plan) = self.fault_plan {
-            config.fault_plan = Some(plan);
-        }
-        if let Some(retries) = self.max_retries {
-            config.max_retries = retries;
-        }
-        if let Some(base) = self.retry_base {
-            config.retry_base = base;
-        }
-        if let Some(timeout) = self.fetch_timeout {
-            config.fetch_timeout = timeout;
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn empty_options_change_nothing() {
-        let mut config = EngineConfig::default();
-        let reference = EngineConfig::default();
-        ClientOptions::new().apply_to(&mut config);
-        assert_eq!(config.max_retries, reference.max_retries);
-        assert_eq!(config.retry_base, reference.retry_base);
-        assert_eq!(config.fetch_timeout, reference.fetch_timeout);
-        assert!(config.fault_plan.is_none());
-    }
-
-    #[test]
-    fn set_fields_overlay_and_unset_fields_keep_defaults() {
-        let mut config = EngineConfig::default();
-        let default_timeout = config.fetch_timeout;
-        ClientOptions::new()
-            .fault_plan(FaultPlan::new(9))
-            .max_retries(7)
-            .retry_base(Duration::from_millis(5))
-            .apply_to(&mut config);
-        assert_eq!(config.fault_plan, Some(FaultPlan::new(9)));
-        assert_eq!(config.max_retries, 7);
-        assert_eq!(config.retry_base, Duration::from_millis(5));
-        assert_eq!(config.fetch_timeout, default_timeout);
     }
 }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cachecatalyst_browser::engine::ext;
-use cachecatalyst_browser::{Browser, EngineConfig, SingleOrigin, Upstream};
+use cachecatalyst_browser::{Browser, CacheMode, EngineConfig, SingleOrigin, Upstream};
 use cachecatalyst_httpwire::{Request, Response, Url};
 use cachecatalyst_netsim::{FetchOutcome, NetworkConditions};
 use cachecatalyst_origin::{HeaderMode, OriginServer};
@@ -40,14 +40,12 @@ fn connection_pool_is_limited() {
 
     let mut narrow = Browser::new(EngineConfig {
         max_connections_per_origin: 6,
-        use_http_cache: false,
-        use_service_worker: false,
+        mode: CacheMode::Uncached,
         ..Default::default()
     });
     let mut wide = Browser::new(EngineConfig {
         max_connections_per_origin: 24,
-        use_http_cache: false,
-        use_service_worker: false,
+        mode: CacheMode::Uncached,
         ..Default::default()
     });
     let slow = narrow.load(&up, cond(), &url, 0);
@@ -232,12 +230,12 @@ fn http2_multiplexing_beats_pooled_h1_on_cold_loads() {
     let origin = Arc::new(OriginServer::new(site, HeaderMode::NoStore));
     let up = SingleOrigin(origin);
     let mut h1 = Browser::new(EngineConfig {
-        use_http_cache: false,
+        mode: CacheMode::Uncached,
         ..Default::default()
     });
     let mut h2 = Browser::new(EngineConfig {
         http2: true,
-        use_http_cache: false,
+        mode: CacheMode::Uncached,
         ..Default::default()
     });
     let h1_report = h1.load(&up, cond(), &url, 0);
@@ -281,8 +279,7 @@ fn dns_lookup_costs_one_rtt_per_host_when_modeled() {
     let plain = Browser::uncached().load(&SingleOrigin(Arc::clone(&origin)), cond(), &base, 0);
     let mut with_dns = Browser::new(EngineConfig {
         model_dns: true,
-        use_http_cache: false,
-        use_service_worker: false,
+        mode: CacheMode::Uncached,
         ..Default::default()
     });
     let dns_report = with_dns.load(&SingleOrigin(origin), cond(), &base, 0);
@@ -301,8 +298,7 @@ fn tls_adds_one_rtt_per_connection() {
     let plain = Browser::uncached().load(&SingleOrigin(Arc::clone(&origin)), cond(), &base, 0);
     let mut tls = Browser::new(EngineConfig {
         tls: true,
-        use_http_cache: false,
-        use_service_worker: false,
+        mode: CacheMode::Uncached,
         ..Default::default()
     });
     let tls_report = tls.load(&SingleOrigin(origin), cond(), &base, 0);
@@ -321,8 +317,7 @@ fn loss_is_deterministic_and_slows_loads() {
         let mut b = Browser::new(EngineConfig {
             loss_rate: rate,
             loss_seed: seed,
-            use_http_cache: false,
-            use_service_worker: false,
+            mode: CacheMode::Uncached,
             ..Default::default()
         });
         b.load(&SingleOrigin(Arc::clone(&origin)), cond(), &base, 0)

@@ -119,7 +119,7 @@ impl<W: SiteWorker> ComposedWorker<W> {
             return ComposedDecision::SiteServed(resp);
         }
         match self.catalyst.intercept(url, path) {
-            SwDecision::ServeLocal(resp) => ComposedDecision::CatalystServed(resp),
+            SwDecision::ServeLocal { response, .. } => ComposedDecision::CatalystServed(response),
             SwDecision::Forward { if_none_match } => ComposedDecision::Forward { if_none_match },
         }
     }

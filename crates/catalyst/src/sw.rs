@@ -12,7 +12,7 @@ use std::collections::HashMap;
 
 use cachecatalyst_httpwire::{EntityTag, HeaderName, Response, StatusCode};
 
-use crate::config::EtagConfig;
+use crate::config::{ConfigIntegrity, EtagConfig};
 
 /// One response held by the service worker.
 #[derive(Debug, Clone)]
@@ -37,8 +37,12 @@ pub struct SwMetrics {
 /// What the SW decided for an intercepted fetch.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SwDecision {
-    /// Serve this stored response; no network use.
-    ServeLocal(Response),
+    /// Serve this stored response; no network use. `entry` is the map
+    /// entry the stored copy's tag matched.
+    ServeLocal {
+        response: Response,
+        entry: EntityTag,
+    },
     /// Go upstream. `if_none_match` carries the cached validator (the
     /// forwarded request can still revalidate at the origin and be
     /// answered from the SW cache on a 304).
@@ -66,7 +70,7 @@ pub enum SwDecision {
 /// // …and the next fetch is served with zero round trips.
 /// assert!(matches!(
 ///     sw.intercept("http://s/a.css", "/a.css"),
-///     SwDecision::ServeLocal(_)
+///     SwDecision::ServeLocal { .. }
 /// ));
 /// ```
 #[derive(Debug, Default, Clone)]
@@ -92,24 +96,26 @@ impl ServiceWorker {
     }
 
     /// Handles the navigation (base HTML) response: installs the
-    /// config from its `X-Etag-Config` headers. Unparsable configs are
-    /// discarded (failing open to plain forwarding, never breaking the
-    /// page).
-    pub fn on_navigation(&mut self, resp: &Response) {
-        match EtagConfig::from_response(resp) {
-            Ok(config) if !config.is_empty() => {
-                self.config = config;
-                self.metrics.config_installs += 1;
+    /// config from its `X-Etag-Config` headers, and is the integrity
+    /// gate for it — a map that fails its `x-cc-config-digest` is never
+    /// installed. A response without a usable map clears the installed
+    /// one (failing open to plain forwarding, never breaking the page:
+    /// a stale map must not serve outdated content). Returns `true`
+    /// when the map was distrusted, so the caller can mark the fetch
+    /// degraded.
+    pub fn on_navigation(&mut self, resp: &Response) -> bool {
+        let (config, distrusted) = match EtagConfig::verify_headers(&resp.headers) {
+            ConfigIntegrity::Verified(config) => (config, false),
+            ConfigIntegrity::Unsigned => {
+                (EtagConfig::from_response(resp).unwrap_or_default(), false)
             }
-            Ok(_) => {
-                // No config on this response: keep forwarding; stale
-                // maps must not serve outdated content, so clear.
-                self.config = EtagConfig::new();
-            }
-            Err(_) => {
-                self.config = EtagConfig::new();
-            }
+            ConfigIntegrity::Tampered => (EtagConfig::new(), true),
+        };
+        if !config.is_empty() {
+            self.metrics.config_installs += 1;
         }
+        self.config = config;
+        distrusted
     }
 
     /// Intercepts a subresource fetch for `path` (the cache key is the
@@ -129,7 +135,10 @@ impl ServiceWorker {
                     let mut resp = entry.response.clone();
                     resp.headers
                         .insert(HeaderName::X_SERVED_BY, "cachecatalyst-sw");
-                    return SwDecision::ServeLocal(resp);
+                    return SwDecision::ServeLocal {
+                        response: resp,
+                        entry: current.clone(),
+                    };
                 }
             }
         }
@@ -243,9 +252,13 @@ mod tests {
         // Next visit: same config, cached copy matches.
         sw.on_navigation(&navigation_with_config(&[("/a.css", "v1")]));
         match sw.intercept("http://s/a.css", "/a.css") {
-            SwDecision::ServeLocal(resp) => {
-                assert_eq!(&resp.body[..], b"body-v1");
-                assert_eq!(resp.headers.get("x-served-by"), Some("cachecatalyst-sw"));
+            SwDecision::ServeLocal { response, entry } => {
+                assert_eq!(&response.body[..], b"body-v1");
+                assert_eq!(
+                    response.headers.get("x-served-by"),
+                    Some("cachecatalyst-sw")
+                );
+                assert_eq!(entry, tag("v1"));
             }
             other => panic!("{other:?}"),
         }
@@ -271,7 +284,7 @@ mod tests {
         sw.on_navigation(&navigation_with_config(&[("/a.css", "v2")]));
         assert!(matches!(
             sw.intercept("http://s/a.css", "/a.css"),
-            SwDecision::ServeLocal(_)
+            SwDecision::ServeLocal { .. }
         ));
     }
 
@@ -298,6 +311,40 @@ mod tests {
             sw.intercept("http://s/a.css", "/a.css"),
             SwDecision::Forward { .. }
         ));
+    }
+
+    #[test]
+    fn navigation_is_the_integrity_gate_for_the_map() {
+        use crate::tamper_config_headers;
+        let unsigned = navigation_with_config(&[("/a.css", "v1"), ("/b.js", "v2")]);
+        let mut signed = unsigned.clone();
+        EtagConfig::from_response(&unsigned)
+            .unwrap()
+            .attach_digest(&mut signed);
+        let mut tampered = signed.clone();
+        assert!(tamper_config_headers(&mut tampered, Some(7)));
+        // (navigation response, distrusted?, entries installed)
+        for (name, nav, distrusted, installed) in [
+            ("verified", &signed, false, 2),
+            ("unsigned", &unsigned, false, 2),
+            ("tampered", &tampered, true, 0),
+        ] {
+            let mut sw = ServiceWorker::new();
+            // A map from an earlier visit must not outlive a bad one.
+            sw.on_navigation(&navigation_with_config(&[("/old.css", "v0")]));
+            sw.on_response("http://s/a.css", &resp_with_etag("body", "v1"));
+            assert_eq!(sw.on_navigation(nav), distrusted, "{name}");
+            assert_eq!(sw.config().len(), installed, "{name}");
+            assert_eq!(sw.metrics.config_installs, 1 + (installed > 0) as u64);
+            assert_eq!(
+                matches!(
+                    sw.intercept("http://s/a.css", "/a.css"),
+                    SwDecision::ServeLocal { .. }
+                ),
+                installed > 0,
+                "{name}"
+            );
+        }
     }
 
     #[test]
@@ -361,7 +408,7 @@ mod tests {
         sw.on_navigation(&nav);
         assert!(matches!(
             sw.intercept("http://s/w", "/w"),
-            SwDecision::ServeLocal(_)
+            SwDecision::ServeLocal { .. }
         ));
     }
 

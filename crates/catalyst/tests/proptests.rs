@@ -99,7 +99,7 @@ proptest! {
         sw.on_navigation(&nav); // reinstall (idempotent)
 
         match sw.intercept(&url, &path) {
-            SwDecision::ServeLocal(resp) => {
+            SwDecision::ServeLocal { response: resp, .. } => {
                 prop_assert!(cached_tag.weak_eq(&mapped_tag));
                 prop_assert_eq!(&resp.body[..], b"body");
             }

@@ -356,8 +356,7 @@ impl<U: Upstream> EdgeBuilder<U> {
 
     /// Applies the shared [`ClientOptions`]: the recorder receives the
     /// edge's cache-decision audit events, the span sink its
-    /// `edge.serve` spans. The client-side resilience knobs do not
-    /// apply to a cache tier and are ignored.
+    /// `edge.serve` spans.
     pub fn client_options(mut self, opts: &ClientOptions) -> EdgeBuilder<U> {
         if let Some(recorder) = &opts.recorder {
             self.recorder = Some(Arc::clone(recorder));

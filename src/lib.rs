@@ -68,7 +68,7 @@ pub mod chaos;
 /// The most common imports in one place.
 pub mod prelude {
     pub use cachecatalyst_browser::{
-        Browser, EngineConfig, LoadReport, MultiOrigin, SingleOrigin, Upstream,
+        Browser, CacheMode, EngineConfig, LoadReport, MultiOrigin, SingleOrigin, Upstream,
     };
     pub use cachecatalyst_catalyst::{EtagConfig, ServiceWorker, SessionCapture};
     pub use cachecatalyst_httpcache::HttpCache;

@@ -121,8 +121,7 @@ fn capture_covers_js_resources_per_page() {
     let up = SingleOrigin(origin);
     let base = Url::parse(&format!("http://{}{}", site.spec.host, site.base_path())).unwrap();
     let mut browser = Browser::new(EngineConfig {
-        use_http_cache: false,
-        use_service_worker: true,
+        mode: CacheMode::ServiceWorker,
         session: Some("user-1".into()),
         ..Default::default()
     });

@@ -67,7 +67,7 @@ async fn catalyst_protocol_over_tcp() {
     for path in ["/a.css", "/b.js"] {
         let url = format!("http://example.org{path}");
         match sw.intercept(&url, path) {
-            SwDecision::ServeLocal(resp) => {
+            SwDecision::ServeLocal { response: resp, .. } => {
                 assert_eq!(resp.status, StatusCode::OK);
                 assert!(!resp.body.is_empty());
                 assert_eq!(resp.headers.get("x-served-by"), Some("cachecatalyst-sw"));

@@ -65,8 +65,7 @@ fn figure_1b_and_1c_improvement_chain() {
     ));
     let up = SingleOrigin(origin);
     let mut c = Browser::new(EngineConfig {
-        use_http_cache: false,
-        use_service_worker: true,
+        mode: CacheMode::ServiceWorker,
         session: Some("fig1".into()),
         ..Default::default()
     });

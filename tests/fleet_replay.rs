@@ -15,7 +15,7 @@ use std::net::SocketAddr;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use cachecatalyst::browser::live::{ByteStream, Dialer, LiveBrowser, LiveMode};
+use cachecatalyst::browser::live::{ByteStream, Dialer, LiveBrowser};
 use cachecatalyst::browser::ClientOptions;
 use cachecatalyst::chaos::{live_slack_ms, within_band};
 use cachecatalyst::edge::{EdgeCache, TcpEdge};
@@ -80,8 +80,8 @@ fn tcp_dialer(addr: SocketAddr) -> Dialer {
 /// per-visit PLTs (ms).
 async fn replay_over_tcp(trace: &Trace, kind: ClientKind) -> (Vec<VisitAudits>, Vec<f64>) {
     let mode = match kind {
-        ClientKind::Baseline => LiveMode::Baseline,
-        _ => LiveMode::Catalyst,
+        ClientKind::Baseline => CacheMode::HttpCache,
+        _ => CacheMode::ServiceWorker,
     };
     let sites = fleet_corpus(trace, RESOURCES_MEDIAN);
     let base_urls: Vec<Url> = sites.iter().map(base_url_of).collect();

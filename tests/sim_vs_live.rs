@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use cachecatalyst::browser::live::{Dialer, LiveBrowser, LiveMode};
+use cachecatalyst::browser::live::{Dialer, LiveBrowser};
 use cachecatalyst::chaos::{live_slack_ms, within_band};
 use cachecatalyst::netsim::emu::emulated_link;
 use cachecatalyst::origin::{fixed_clock, TcpOrigin};
@@ -52,7 +52,7 @@ async fn cold_load_times_agree() {
     let sim = Browser::uncached().load(&SingleOrigin(Arc::clone(&origin)), cond, &base, 0);
 
     // Live execution over emulated links.
-    let mut live = LiveBrowser::new(dialer_for(origin, cond, 0), LiveMode::Uncached);
+    let mut live = LiveBrowser::new(dialer_for(origin, cond, 0), CacheMode::Uncached);
     let live_report = live.load(&base).await.unwrap();
 
     let sim_ms = sim.plt_ms();
@@ -90,7 +90,7 @@ async fn catalyst_revisit_agrees_and_preserves_the_win() {
     // --- live: same protocol over emulated links ---
     let mut live_b = LiveBrowser::new(
         dialer_for(Arc::clone(&origin_b), cond, 0),
-        LiveMode::Baseline,
+        CacheMode::HttpCache,
     );
     live_b.load(&base).await.unwrap();
     // Reconnect at the revisit time (the old links embed t=0).
@@ -100,7 +100,7 @@ async fn catalyst_revisit_agrees_and_preserves_the_win() {
 
     let mut live_c = LiveBrowser::new(
         dialer_for(Arc::clone(&origin_c), cond, 0),
-        LiveMode::Catalyst,
+        CacheMode::ServiceWorker,
     );
     live_c.load(&base).await.unwrap();
     let mut live_c = live_c.with_dialer(dialer_for(origin_c, cond, t1));
