@@ -21,12 +21,10 @@ use std::time::Duration;
 
 use cachecatalyst_catalyst::{ServiceWorker, SwDecision, SW_SCRIPT_PATH};
 use cachecatalyst_httpcache::{CacheMetrics, HttpCache, Lookup};
-use cachecatalyst_httpwire::hash::xxh64;
-use cachecatalyst_httpwire::{HeaderName, Request, Response, StatusCode, Url};
+use cachecatalyst_httpwire::{Body, HeaderName, Request, Response, StatusCode, Url};
 use cachecatalyst_netsim::{FetchOutcome, LoadTrace, SimTime};
 use cachecatalyst_telemetry::{CacheAudit, CacheDecision, Event, FetchKind, Recorder};
-use cachecatalyst_webmodel::extract::{extract_css_links, extract_html_links};
-use cachecatalyst_webmodel::{jsdialect, ResourceKind};
+use cachecatalyst_webmodel::{extract, ResourceKind};
 
 use crate::engine::{ext, EngineConfig};
 
@@ -283,26 +281,24 @@ pub fn process_cost(cfg: &EngineConfig, kind: ResourceKind, len: usize) -> Optio
 }
 
 /// The fetches a delivered body starts: links in markup and
-/// stylesheets, requests made by executing scripts.
-pub fn discover(url: &Url, body: &[u8]) -> Vec<Url> {
-    let Ok(text) = std::str::from_utf8(body) else {
+/// stylesheets, requests made by executing scripts. Both the links and
+/// their resolution against `url` ride with the body, so delivering an
+/// allocation that has been here before (under this URL) parses
+/// nothing and allocates the returned list only.
+pub fn discover(url: &Url, body: &Body) -> Vec<Url> {
+    let Some(links) = extract::links(ResourceKind::from_path(url.path()), body) else {
         return Vec::new();
     };
-    match ResourceKind::from_path(url.path()) {
-        ResourceKind::Html => resolve(url, extract_html_links(text).into_iter().map(|l| l.href)),
-        ResourceKind::Css => resolve(url, extract_css_links(text).into_iter().map(|l| l.href)),
-        ResourceKind::Js => resolve(url, jsdialect::evaluate(text).into_iter()),
-        _ => Vec::new(),
-    }
-}
-
-fn resolve(base: &Url, hrefs: impl ExactSizeIterator<Item = String>) -> Vec<Url> {
-    let mut urls = Vec::with_capacity(hrefs.len());
+    let resolved = links.resolved(url);
+    let mut urls = Vec::with_capacity(resolved.len());
     urls.extend(
-        hrefs
+        links
+            .hrefs()
+            .iter()
+            .zip(resolved.iter())
             // SW registration is out-of-band, not a subresource.
-            .filter(|href| href != SW_SCRIPT_PATH)
-            .filter_map(|href| base.join(&href).ok()),
+            .filter(|(href, _)| *href != SW_SCRIPT_PATH)
+            .filter_map(|(_, url)| url.clone()),
     );
     urls
 }
@@ -369,7 +365,7 @@ impl FetchFacts {
     pub fn note_delivered(&mut self, delivered: &Response) {
         self.note_epoch(delivered);
         if !delivered.body.is_empty() {
-            self.body_digest = Some(xxh64(&delivered.body));
+            self.body_digest = Some(delivered.body.digest());
         }
     }
 

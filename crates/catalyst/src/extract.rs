@@ -10,17 +10,18 @@
 //! paper's, reproduced faithfully, and closed by the session-capture
 //! mode in [`crate::capture`].
 
-use bytes::Bytes;
-use cachecatalyst_httpwire::EntityTag;
-use cachecatalyst_webmodel::extract::{extract_css_links, extract_html_links};
+use cachecatalyst_httpwire::{Body, EntityTag};
+use cachecatalyst_webmodel::extract::links;
 use cachecatalyst_webmodel::ResourceKind;
 
 use crate::config::EtagConfig;
 
 /// Read access to the origin's same-origin resources.
 pub trait ResourceProvider {
-    /// Current body of the resource at `path`.
-    fn body(&self, path: &str) -> Option<Bytes>;
+    /// Current body of the resource at `path`. Handing out the
+    /// allocation the provider already holds lets the walk read links
+    /// someone has extracted before.
+    fn body(&self, path: &str) -> Option<Body>;
     /// Current entity tag of the resource at `path`.
     fn etag(&self, path: &str) -> Option<EntityTag>;
 }
@@ -62,20 +63,23 @@ pub struct ExtractStats {
 ///
 /// * `base_path` — the page's path (used to resolve relative links).
 /// * `html` — the page's current HTML body.
+///
+/// The page and every stylesheet are read through
+/// [`cachecatalyst_webmodel::extract::links`], so each is scanned once
+/// per [`Body`] allocation — by this walk or by whoever got there first.
 pub fn build_config(
     provider: &dyn ResourceProvider,
     base_path: &str,
-    html: &str,
+    html: &Body,
     opts: &ExtractOptions,
 ) -> (EtagConfig, ExtractStats) {
     let mut config = EtagConfig::new();
     let mut stats = ExtractStats::default();
     let mut visited = std::collections::HashSet::new();
 
-    let mut queue: Vec<(String, usize)> = extract_html_links(html)
-        .into_iter()
-        .map(|l| (l.href, 0))
-        .collect();
+    let page_links = links(ResourceKind::Html, html).expect("markup is a syntax");
+    let mut queue: Vec<(String, usize)> =
+        page_links.hrefs().iter().map(|h| (h.clone(), 0)).collect();
 
     while let Some((href, depth)) = queue.pop() {
         let Some(path) = resolve(base_path, &href, opts, &mut stats) else {
@@ -95,10 +99,9 @@ pub fn build_config(
         if ResourceKind::from_path(&path) == ResourceKind::Css && depth < opts.max_depth {
             if let Some(body) = provider.body(&path) {
                 stats.css_scanned += 1;
-                if let Ok(text) = std::str::from_utf8(&body) {
-                    for l in extract_css_links(text) {
-                        queue.push((resolve_relative(&path, &l.href), depth + 1));
-                    }
+                let sheet_links = links(ResourceKind::Css, &body).expect("css is a syntax");
+                for href in sheet_links.hrefs() {
+                    queue.push((resolve_relative(&path, href), depth + 1));
                 }
             }
         }
@@ -140,18 +143,23 @@ fn resolve_relative(context_path: &str, href: &str) -> String {
     format!("{dir}{href}")
 }
 
-/// Builds the config for a generated [`cachecatalyst_webmodel::Site`]
-/// at virtual time `t_secs` — the convenience entry point used by the
-/// origin server and the benchmarks.
-pub fn build_config_for_site(
+/// Builds the config for a page of a generated
+/// [`cachecatalyst_webmodel::Site`] at virtual time `t_secs`, reading
+/// bodies through `body_of` (a rooted path → its current body). The
+/// origin server passes its epoch cache, so the page and its
+/// stylesheets are rendered once per epoch and scanned once per
+/// allocation; [`build_config_for_site`] renders afresh.
+pub fn build_config_with_bodies(
     site: &cachecatalyst_webmodel::Site,
     page: &str,
     t_secs: i64,
     opts: &ExtractOptions,
+    body_of: &dyn Fn(&str) -> Option<Body>,
 ) -> (EtagConfig, ExtractStats) {
     struct SiteProvider<'a> {
         site: &'a cachecatalyst_webmodel::Site,
         t: i64,
+        body_of: &'a dyn Fn(&str) -> Option<Body>,
     }
     impl SiteProvider<'_> {
         /// Cross-origin references arrive as absolute URLs; the
@@ -170,19 +178,33 @@ pub fn build_config_for_site(
         }
     }
     impl ResourceProvider for SiteProvider<'_> {
-        fn body(&self, path: &str) -> Option<Bytes> {
-            self.site.body_at(self.local_path(path)?, self.t)
+        fn body(&self, path: &str) -> Option<Body> {
+            (self.body_of)(self.local_path(path)?)
         }
         fn etag(&self, path: &str) -> Option<EntityTag> {
             self.site.etag_at(self.local_path(path)?, self.t)
         }
     }
-    let provider = SiteProvider { site, t: t_secs };
-    let html = site
-        .body_at(page, t_secs)
-        .map(|b| String::from_utf8_lossy(&b).into_owned())
-        .unwrap_or_default();
+    let provider = SiteProvider {
+        site,
+        t: t_secs,
+        body_of,
+    };
+    let html = body_of(page).unwrap_or_default();
     build_config(&provider, page, &html, opts)
+}
+
+/// [`build_config_with_bodies`] over freshly rendered bodies — the
+/// convenience entry point used by the benchmarks.
+pub fn build_config_for_site(
+    site: &cachecatalyst_webmodel::Site,
+    page: &str,
+    t_secs: i64,
+    opts: &ExtractOptions,
+) -> (EtagConfig, ExtractStats) {
+    build_config_with_bodies(site, page, t_secs, opts, &|path| {
+        site.body_at(path, t_secs).map(Body::from)
+    })
 }
 
 #[cfg(test)]
@@ -191,7 +213,7 @@ mod tests {
     use std::collections::HashMap;
 
     struct MapProvider {
-        bodies: HashMap<String, Bytes>,
+        bodies: HashMap<String, Body>,
     }
 
     impl MapProvider {
@@ -199,14 +221,14 @@ mod tests {
             MapProvider {
                 bodies: entries
                     .iter()
-                    .map(|(p, b)| (p.to_string(), Bytes::copy_from_slice(b.as_bytes())))
+                    .map(|(p, b)| (p.to_string(), Body::from(b.to_string())))
                     .collect(),
             }
         }
     }
 
     impl ResourceProvider for MapProvider {
-        fn body(&self, path: &str) -> Option<Bytes> {
+        fn body(&self, path: &str) -> Option<Body> {
             self.bodies.get(path).cloned()
         }
         fn etag(&self, path: &str) -> Option<EntityTag> {
@@ -218,8 +240,12 @@ mod tests {
     fn finds_direct_links() {
         let provider = MapProvider::new(&[("/a.css", "css"), ("/b.js", "js")]);
         let html = r#"<link rel="stylesheet" href="/a.css"><script src="/b.js"></script>"#;
-        let (config, stats) =
-            build_config(&provider, "/index.html", html, &ExtractOptions::default());
+        let (config, stats) = build_config(
+            &provider,
+            "/index.html",
+            &Body::from(html),
+            &ExtractOptions::default(),
+        );
         assert_eq!(config.len(), 2);
         assert_eq!(stats.included, 2);
         assert_eq!(
@@ -239,8 +265,12 @@ mod tests {
             ("/img.png", "png"),
         ]);
         let html = r#"<link rel="stylesheet" href="/a.css">"#;
-        let (config, stats) =
-            build_config(&provider, "/index.html", html, &ExtractOptions::default());
+        let (config, stats) = build_config(
+            &provider,
+            "/index.html",
+            &Body::from(html),
+            &ExtractOptions::default(),
+        );
         assert_eq!(config.len(), 3, "{config}");
         assert!(config.get("/deep.css").is_some());
         assert!(config.get("/img.png").is_some());
@@ -261,7 +291,7 @@ mod tests {
             max_depth: 2,
             ..Default::default()
         };
-        let (config, _) = build_config(&provider, "/index.html", html, &opts);
+        let (config, _) = build_config(&provider, "/index.html", &Body::from(html), &opts);
         assert!(config.get("/c.css").is_some());
         assert!(config.get("/d.css").is_none());
     }
@@ -271,8 +301,12 @@ mod tests {
         let provider = MapProvider::new(&[("/local.js", "x")]);
         let html = r#"<script src="http://cdn.other.com/lib.js"></script>
                       <script src="/local.js"></script>"#;
-        let (config, stats) =
-            build_config(&provider, "/index.html", html, &ExtractOptions::default());
+        let (config, stats) = build_config(
+            &provider,
+            "/index.html",
+            &Body::from(html),
+            &ExtractOptions::default(),
+        );
         assert_eq!(config.len(), 1);
         assert_eq!(stats.cross_origin_skipped, 1);
     }
@@ -281,8 +315,12 @@ mod tests {
     fn missing_resources_are_counted() {
         let provider = MapProvider::new(&[]);
         let html = r#"<script src="/gone.js"></script>"#;
-        let (config, stats) =
-            build_config(&provider, "/index.html", html, &ExtractOptions::default());
+        let (config, stats) = build_config(
+            &provider,
+            "/index.html",
+            &Body::from(html),
+            &ExtractOptions::default(),
+        );
         assert!(config.is_empty());
         assert_eq!(stats.missing, 1);
     }
@@ -297,7 +335,7 @@ mod tests {
         let (config, _) = build_config(
             &provider,
             "/pages/about.html",
-            html,
+            &Body::from(html),
             &ExtractOptions::default(),
         );
         assert!(config.get("/pages/style.css").is_some());
@@ -326,7 +364,12 @@ mod tests {
     fn duplicate_references_counted_once() {
         let provider = MapProvider::new(&[("/x.png", "p")]);
         let html = r#"<img src="/x.png"><img src="/x.png">"#;
-        let (config, stats) = build_config(&provider, "/i.html", html, &ExtractOptions::default());
+        let (config, stats) = build_config(
+            &provider,
+            "/i.html",
+            &Body::from(html),
+            &ExtractOptions::default(),
+        );
         assert_eq!(config.len(), 1);
         assert_eq!(stats.included, 1);
     }

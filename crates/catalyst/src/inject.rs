@@ -99,9 +99,11 @@ pub fn inject_registration(html: &str) -> String {
 
 /// Byte offset just past `<head...>`, case-insensitive.
 fn find_head_open(html: &str) -> Option<usize> {
-    let lower = html.to_ascii_lowercase();
-    let start = lower.find("<head")?;
-    let close = lower[start..].find('>')?;
+    let start = html
+        .as_bytes()
+        .windows(5)
+        .position(|w| w.eq_ignore_ascii_case(b"<head"))?;
+    let close = html[start..].find('>')?;
     Some(start + close + 1)
 }
 
@@ -133,6 +135,24 @@ mod tests {
     }
 
     #[test]
+    fn head_open_is_found_in_any_case_or_not_at_all() {
+        for (html, want) in [
+            ("<head>x", Some(6)),
+            ("<HEAD lang=x><title>", Some(13)),
+            ("<!doctype html><HeAd\n>", Some(22)),
+            ("é<head>", Some(8)),
+            ("<body>no head here</body>", None),
+            ("<head never closes", None),
+            ("<hea", None),
+            ("", None),
+        ] {
+            assert_eq!(find_head_open(html), want, "{html:?}");
+        }
+        let out = inject_registration("<HEAD lang=x><title>t</title></HEAD>");
+        assert!(out.starts_with("<HEAD lang=x><script>"), "{out}");
+    }
+
+    #[test]
     fn falls_back_to_prefix_without_head() {
         let html = "<body>minimal</body>";
         let out = inject_registration(html);
@@ -146,6 +166,36 @@ mod tests {
         let out = inject_registration(html);
         let stripped = out.replace(REGISTRATION_SNIPPET, "");
         assert_eq!(stripped, html);
+    }
+
+    /// What lets the origin's map builder read the page it serves
+    /// (registration included) instead of rendering a second copy.
+    #[test]
+    fn injection_adds_no_link_to_generated_pages() {
+        use cachecatalyst_httpwire::Syntax;
+        use cachecatalyst_webmodel::extract::hrefs;
+        use cachecatalyst_webmodel::{Site, SiteSpec};
+        for seed in 0..8 {
+            let site = Site::generate(SiteSpec {
+                seed,
+                n_resources: 30,
+                n_pages: 3,
+                third_party_fraction: 0.2,
+                fingerprinted_fraction: 0.3,
+                ..SiteSpec::default()
+            });
+            for page in site.pages() {
+                let body = site.body_at(&page, 7200).unwrap();
+                let html = std::str::from_utf8(&body).unwrap();
+                let found = hrefs(Syntax::Markup, html);
+                assert!(!found.is_empty(), "{page} links nothing");
+                assert_eq!(
+                    hrefs(Syntax::Markup, &inject_registration(html)),
+                    found,
+                    "seed {seed} {page}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -33,7 +33,8 @@ pub use capture::SessionCapture;
 pub use compose::{AppShellWorker, ComposedDecision, ComposedWorker, SiteWorker};
 pub use config::{tamper_config_headers, ConfigIntegrity, EtagConfig};
 pub use extract::{
-    build_config, build_config_for_site, ExtractOptions, ExtractStats, ResourceProvider,
+    build_config, build_config_for_site, build_config_with_bodies, ExtractOptions, ExtractStats,
+    ResourceProvider,
 };
 pub use inject::{
     has_registration, inject_registration, REGISTRATION_SNIPPET, SW_SCRIPT, SW_SCRIPT_PATH,

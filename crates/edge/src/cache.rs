@@ -38,9 +38,8 @@ use cachecatalyst_browser::engine::ext;
 use cachecatalyst_browser::{ClientOptions, Upstream};
 use cachecatalyst_catalyst::{ConfigIntegrity, EtagConfig};
 use cachecatalyst_httpcache::freshness_lifetime;
-use cachecatalyst_httpwire::hash::xxh64;
 use cachecatalyst_httpwire::{
-    tracectx, EntityTag, HeaderName, Method, Request, Response, StatusCode,
+    tracectx, Body, EntityTag, HeaderName, Method, Request, Response, StatusCode,
 };
 use cachecatalyst_telemetry::span::{Span, SpanId, SpanSink, TraceContext};
 use cachecatalyst_telemetry::{json_string, CacheAudit, CacheDecision, Event, Recorder, Registry};
@@ -604,7 +603,7 @@ impl<U: Upstream> EdgeCache<U> {
         t_secs: i64,
         decision: CacheDecision,
         etag: impl FnOnce() -> Option<EntityTag>,
-        body: Option<&[u8]>,
+        body: &Body,
     ) {
         let Some(recorder) = &self.recorder else {
             return;
@@ -617,7 +616,7 @@ impl<U: Upstream> EdgeCache<U> {
                 etag: etag().map(|t| t.to_string()),
                 epoch: None,
                 served_stale: None,
-                body_digest: body.map(xxh64),
+                body_digest: (!body.is_empty()).then(|| body.digest()),
             },
         });
     }
@@ -875,7 +874,7 @@ impl<U: Upstream> Upstream for EdgeCache<U> {
                     t_secs,
                     decision,
                     || entry.etag.clone(),
-                    (!resp.body.is_empty()).then_some(&resp.body[..]),
+                    &resp.body,
                 );
                 self.trace_finish(hop, t_secs, decision, &key);
                 return resp;
@@ -938,14 +937,7 @@ impl<U: Upstream> Upstream for EdgeCache<U> {
             self.apply_config(host, &resp, t_secs);
         }
 
-        self.audit(
-            host,
-            req,
-            t_secs,
-            decision,
-            || resp.etag(),
-            (!resp.body.is_empty()).then_some(&resp.body[..]),
-        );
+        self.audit(host, req, t_secs, decision, || resp.etag(), &resp.body);
         self.trace_finish(hop, t_secs, decision, &key);
         resp
     }

@@ -14,11 +14,17 @@
 //!   still accepts appends. A one-bit flip inside a record body is
 //!   caught by the XXH64 sum on the read path (the request falls
 //!   through to the origin) and again by the boot scan.
+//! * **Content facts stop at the record** — a digest remembered on a
+//!   DRAM-resident body does not follow it to disk: a clean disk read
+//!   is a new allocation that is digested again, a damaged one is
+//!   rejected by the record sum before anyone asks.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-use cachecatalyst_edge::store::{AdmissionPolicy, DiskTierOptions, StoreOptions, TieredStore};
+use cachecatalyst_edge::store::{
+    AdmissionPolicy, DiskTierOptions, StoreOptions, TierHit, TieredStore,
+};
 use cachecatalyst_edge::{EdgeCache, Upstream};
 use cachecatalyst_httpwire::hash::fnv1a64;
 use cachecatalyst_httpwire::{codec, Request, Response};
@@ -402,5 +408,65 @@ fn one_flipped_bit_is_caught_on_read_and_on_boot_scan() {
         !one_read_error_counted(&edge),
         "the scan, not a read, rejected it"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_remembered_digest_does_not_cross_the_disk_record() {
+    let dir = scratch_dir("facts");
+    let unit = body_response("h/0", "v1").wire_len();
+    let store = StoreOptions::new()
+        .mem_budget(unit * 2 + unit / 2)
+        .shards(1)
+        .disk(DiskTierOptions::at(&dir).admission(AdmissionPolicy::AdmitAll))
+        .build()
+        .expect("hybrid store opens");
+    let put = |key: &str| {
+        let resp = body_response(key, "v1");
+        let served = resp.body.clone();
+        let etag = resp.etag();
+        store.insert(key, resp, etag, 0, 100);
+        served
+    };
+
+    // Warm the digest while the bodies sit in DRAM: the store holds
+    // the allocation the caller digested, so it sees the value too.
+    let (clean, damaged) = (put("h/0"), put("h/1"));
+    let want = clean.digest();
+    damaged.digest();
+    let (entry, hit) = store.get_traced("h/0").unwrap();
+    assert_eq!(hit, TierHit::Mem);
+    assert!(entry.response.body.shares_allocation_with(&clean));
+    assert_eq!(entry.response.body.known_digest(), Some(want));
+
+    // Two more inserts push both out of DRAM and onto disk.
+    put("h/2");
+    put("h/3");
+    assert_eq!(store.counters().demotions, 2);
+
+    // Flip one bit in h/1's stored body, leaving its trailing sum alone.
+    let seg = newest_segment(&dir);
+    let mut bytes = std::fs::read(&seg).unwrap();
+    let at = bytes
+        .windows(damaged.len())
+        .position(|w| w == &damaged[..])
+        .expect("stored body found in the segment");
+    bytes[at + damaged.len() / 2] ^= 0x01;
+    std::fs::write(&seg, &bytes).unwrap();
+
+    // The damaged record is rejected by its sum: the digest the DRAM
+    // copy remembered vouches for nothing that comes back from disk.
+    assert!(store.get("h/1").is_none(), "a damaged record was served");
+    assert_eq!(store.disk_stats().unwrap().read_errors, 1);
+
+    // The clean record reads back as a new allocation with nothing
+    // remembered, and digests to the same value once asked.
+    let (entry, hit) = store.get_traced("h/0").unwrap();
+    assert_eq!(hit, TierHit::Disk);
+    let reread = entry.response.body;
+    assert_eq!(reread, clean);
+    assert!(!reread.shares_allocation_with(&clean));
+    assert_eq!(reread.known_digest(), None);
+    assert_eq!(reread.digest(), want);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -15,11 +15,12 @@
 use std::future::Future;
 use std::sync::Arc;
 
-use bytes::{Bytes, BytesMut};
+use bytes::BytesMut;
 use tokio::io::{AsyncRead, AsyncReadExt, AsyncWrite, AsyncWriteExt};
 use tokio::net::TcpListener;
 use tokio::sync::watch;
 
+use crate::body::Body;
 use crate::codec::{self, ParseLimits, Parsed};
 use crate::date::HttpDate;
 use crate::error::WireError;
@@ -293,7 +294,7 @@ pub fn ops_path(req: &Request, enabled: bool) -> Option<&str> {
 
 /// A `200` from an operational endpoint: never cacheable, dated by the
 /// server's clock.
-pub fn ops_response(content_type: &str, body: impl Into<Bytes>, clock: &Clock) -> Response {
+pub fn ops_response(content_type: &str, body: impl Into<Body>, clock: &Clock) -> Response {
     Response::ok(body)
         .with_header(HeaderName::CONTENT_TYPE, content_type)
         .with_header(HeaderName::CACHE_CONTROL, "no-store")

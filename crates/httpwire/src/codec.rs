@@ -241,7 +241,7 @@ pub fn parse_response(
             version,
             status,
             headers,
-            body,
+            body: body.into(),
         },
         consumed,
     })
@@ -285,7 +285,7 @@ pub fn parse_response_eof(
         version,
         status,
         headers,
-        body: Bytes::copy_from_slice(body),
+        body: Bytes::copy_from_slice(body).into(),
     })
 }
 

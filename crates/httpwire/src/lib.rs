@@ -6,7 +6,8 @@
 //! The crate provides:
 //!
 //! * message types ([`Request`], [`Response`], [`HeaderMap`],
-//!   [`Method`], [`StatusCode`], [`Version`]);
+//!   [`Method`], [`StatusCode`], [`Version`]), and the response
+//!   [`Body`] that remembers its digest and links ([`body`]);
 //! * an incremental parser and deterministic serializer
 //!   ([`codec`]), including chunked transfer coding ([`chunked`]);
 //! * the caching-relevant header semantics the paper's mechanism is
@@ -22,6 +23,7 @@
 //! produces identical bytes, and content ETags are a stable FNV-1a
 //! hash — properties the discrete-event evaluation relies on.
 
+pub mod body;
 pub mod cache_control;
 pub mod chunked;
 pub mod codec;
@@ -40,6 +42,7 @@ pub mod tracectx;
 #[cfg(feature = "aio")]
 pub mod aio;
 
+pub use body::{Body, Links, Syntax};
 pub use cache_control::CacheControl;
 pub use codec::{ParseLimits, Parsed};
 pub use date::HttpDate;

@@ -2,6 +2,7 @@
 
 use bytes::Bytes;
 
+use crate::body::Body;
 use crate::cache_control::CacheControl;
 use crate::date::HttpDate;
 use crate::error::{WireError, WireResult};
@@ -116,12 +117,14 @@ pub struct Response {
     pub version: Version,
     pub status: StatusCode,
     pub headers: HeaderMap,
-    pub body: Bytes,
+    /// Immutable: to change the bytes, assign a new [`Body`] (which
+    /// starts with nothing remembered about it).
+    pub body: Body,
 }
 
 impl Response {
     /// A `200 OK` carrying `body` (sets `Content-Length`).
-    pub fn ok(body: impl Into<Bytes>) -> Response {
+    pub fn ok(body: impl Into<Body>) -> Response {
         let body = body.into();
         let mut headers = HeaderMap::new();
         headers.insert(HeaderName::CONTENT_LENGTH, &body.len().to_string());
@@ -144,7 +147,7 @@ impl Response {
             version: Version::Http11,
             status,
             headers,
-            body: Bytes::new(),
+            body: Body::new(),
         }
     }
 

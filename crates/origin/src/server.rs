@@ -14,16 +14,16 @@ use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
 use cachecatalyst_catalyst::{
-    build_config_for_site, inject_registration, AggregateCapture, EtagConfig, ExtractOptions,
+    build_config_with_bodies, inject_registration, AggregateCapture, EtagConfig, ExtractOptions,
     SessionCapture, SW_SCRIPT, SW_SCRIPT_PATH,
 };
 use cachecatalyst_httpwire::conditional::{evaluate, Disposition, Validators};
 use cachecatalyst_httpwire::{
-    tracectx, HeaderName, HttpDate, Method, Request, Response, StatusCode,
+    tracectx, Body, HeaderName, HttpDate, Method, Request, Response, StatusCode,
 };
 use cachecatalyst_telemetry::span::{Sampling, Span, SpanId, SpanSink};
 use cachecatalyst_telemetry::{Counter, Event, Gauge, Histogram, NullRecorder, Recorder, Registry};
-use cachecatalyst_webmodel::{ChangeModel, HeaderPolicy, ResourceKind, Site};
+use cachecatalyst_webmodel::{ChangeModel, GeneratedResource, HeaderPolicy, ResourceKind, Site};
 use parking_lot::Mutex;
 
 use crate::hotpath::{ChurnEpochs, ShardedCache};
@@ -222,9 +222,10 @@ pub struct OriginServer {
     /// entry per page (the old `(page, t)` key leaked per second).
     config_cache: ShardedCache<CachedConfig>,
     /// Rendered (and, in catalyst modes, registration-injected)
-    /// bodies keyed the same way — refcounted slices shared across
-    /// requests instead of per-request renders.
-    body_cache: ShardedCache<Bytes>,
+    /// bodies keyed the same way — one allocation shared across
+    /// requests (and with the map builder) instead of per-request
+    /// renders, carrying whatever has been derived from it so far.
+    body_cache: ShardedCache<Body>,
     capture: Mutex<SessionCapture>,
     aggregate: Mutex<AggregateCapture>,
     hot: OnceLock<HotMetrics>,
@@ -498,17 +499,7 @@ impl OriginServer {
             return self.finish(resp, req);
         }
 
-        // Full response. Bodies are rendered once per churn epoch and
-        // shared as refcounted `Bytes` slices; only fingerprinted
-        // request URLs (version pinned in the path, not derived from
-        // `t`) fall through to a direct render.
-        let body = match pinned {
-            None => self.body_for(path, t_secs, is_html),
-            Some(_) => self
-                .site
-                .body_at(path, t_secs)
-                .expect("resource exists, body exists"),
-        };
+        let body = self.body_of(path, t_secs, resource, pinned);
 
         let mut resp = Response::ok(body)
             .with_header(HeaderName::CONTENT_TYPE, resource.spec.kind.mime())
@@ -539,10 +530,28 @@ impl OriginServer {
         self.finish(resp, req)
     }
 
-    /// The body served for `path` at `t_secs`: the epoch-keyed cache
-    /// hit when valid, else one render (plus, for catalyst HTML, the
-    /// service-worker registration injection) stored for the epoch.
-    fn body_for(&self, path: &str, t_secs: i64, is_html: bool) -> Bytes {
+    /// The body served at `t_secs` for `path`, which [`Site::lookup`]
+    /// resolved to `(resource, pinned)`. Bodies are rendered once per
+    /// churn epoch (plus, for catalyst HTML, the service-worker
+    /// registration injection) and shared as one [`Body`] allocation
+    /// by every response and by the map builder; only fingerprinted
+    /// request URLs (version pinned in the path, not derived from `t`)
+    /// fall through to a direct render.
+    fn body_of(
+        &self,
+        path: &str,
+        t_secs: i64,
+        resource: &GeneratedResource,
+        pinned: Option<u64>,
+    ) -> Body {
+        let render = || {
+            self.site
+                .body_at(path, t_secs)
+                .expect("resource exists, body exists")
+        };
+        if pinned.is_some() {
+            return render().into();
+        }
         let epoch = self
             .epochs
             .epoch_at(path, t_secs)
@@ -550,15 +559,10 @@ impl OriginServer {
         if let Some(body) = self.body_cache.get(path, epoch) {
             return body;
         }
-        let body = self
-            .site
-            .body_at(path, t_secs)
-            .expect("resource exists, body exists");
-        let body = if is_html && self.mode.is_catalyst() {
-            let html = String::from_utf8_lossy(&body).into_owned();
-            Bytes::from(inject_registration(&html))
+        let body = if resource.spec.kind == ResourceKind::Html && self.mode.is_catalyst() {
+            Body::from(inject_registration(&String::from_utf8_lossy(&render())))
         } else {
-            body
+            Body::from(render())
         };
         self.body_cache.insert(path, epoch, body.clone());
         body
@@ -635,7 +639,15 @@ impl OriginServer {
         }
         notes.config_cache_hit = Some(false);
         let build_start = std::time::Instant::now();
-        let (config, _stats) = build_config_for_site(&self.site, page, t_secs, &self.extract_opts);
+        // The builder reads the bodies this server already holds for
+        // the epoch — the (injected) page and each stylesheet — so
+        // nothing is rendered a second time, and their links are the
+        // ones any later reader of those allocations reuses.
+        let (config, _stats) =
+            build_config_with_bodies(&self.site, page, t_secs, &self.extract_opts, &|path| {
+                let (resource, pinned) = self.site.lookup(path)?;
+                Some(self.body_of(path, t_secs, resource, pinned))
+            });
         let build = build_start.elapsed();
         let hot = self.hot();
         hot.configs_built.inc();
@@ -690,7 +702,7 @@ impl OriginServer {
         resp.headers
             .insert(HeaderName::SERVER, "cachecatalyst-origin");
         if req.method == Method::Head {
-            resp.body = Bytes::new();
+            resp.body = Body::new();
         }
         // Byte accounting happens once, in `observe_request` (the
         // wire length is arithmetic now — no serialization).
@@ -935,10 +947,10 @@ mod tests {
         let s = server(HeaderMode::Baseline);
         let a = s.handle(&Request::get("/a.css"), 0);
         let b = s.handle(&Request::get("/a.css"), 30);
-        // Same epoch → the two responses share one buffer (Bytes
-        // pointer equality), not equal copies.
+        // Same epoch → the two responses share one allocation, not
+        // equal copies.
         assert_eq!(a.body, b.body);
-        assert_eq!(a.body.as_ptr(), b.body.as_ptr());
+        assert!(a.body.shares_allocation_with(&b.body));
     }
 
     #[test]
@@ -1010,6 +1022,57 @@ mod tests {
         let resp = s.handle(&req, 0);
         assert!(resp.body.is_empty());
         assert!(resp.etag().is_some());
+    }
+
+    #[test]
+    fn a_head_after_a_get_hands_out_neither_the_body_nor_its_facts() {
+        let s = server(HeaderMode::Baseline);
+        let got = s.handle(&Request::get("/a.css"), 0);
+        let digest = got.body.digest();
+        let mut req = Request::get("/a.css");
+        req.method = Method::Head;
+        let head = s.handle(&req, 0);
+        assert_eq!(
+            head.headers.get("content-length"),
+            got.headers.get("content-length")
+        );
+        assert!(head.body.is_empty());
+        assert!(!head.body.shares_allocation_with(&got.body));
+        assert_eq!(head.body.known_digest(), None);
+        assert_ne!(head.body.digest(), digest);
+        // The epoch's body is untouched by the stripped copy.
+        let again = s.handle(&Request::get("/a.css"), 0);
+        assert!(again.body.shares_allocation_with(&got.body));
+        assert_eq!(again.body.known_digest(), Some(digest));
+    }
+
+    #[test]
+    fn the_map_read_from_served_bodies_equals_one_built_from_fresh_renders() {
+        use cachecatalyst_catalyst::build_config_for_site;
+        use cachecatalyst_webmodel::SiteSpec;
+        for seed in 0..4 {
+            let site = Site::generate(SiteSpec {
+                seed,
+                n_resources: 30,
+                n_pages: 2,
+                third_party_fraction: 0.2,
+                fingerprinted_fraction: 0.3,
+                ..SiteSpec::default()
+            });
+            let pages = site.pages();
+            let s = OriginServer::new(site.clone(), HeaderMode::Catalyst).with_cross_origin();
+            let opts = ExtractOptions {
+                include_cross_origin: true,
+                ..ExtractOptions::default()
+            };
+            for t in [0, 3_600, 86_400, 86_401] {
+                for page in &pages {
+                    let served = EtagConfig::from_response(&s.handle(&Request::get(page), t));
+                    let (fresh, _) = build_config_for_site(&site, page, t, &opts);
+                    assert_eq!(served.unwrap(), fresh, "seed {seed} {page} t={t}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,10 +15,9 @@ use std::time::Duration;
 
 use cachecatalyst_browser::engine::ext;
 use cachecatalyst_browser::Upstream;
-use cachecatalyst_httpwire::{Request, Response};
+use cachecatalyst_httpwire::{Body, Request, Response};
 use cachecatalyst_origin::OriginServer;
-use cachecatalyst_webmodel::extract::{extract_css_links, extract_html_links};
-use cachecatalyst_webmodel::{jsdialect, ResourceKind};
+use cachecatalyst_webmodel::{extract, ResourceKind};
 
 /// The RDR proxy fronting one origin.
 pub struct RdrProxy {
@@ -36,57 +35,49 @@ impl RdrProxy {
         }
     }
 
-    /// Resolves the full dependency closure of `page` at `t_secs` the
-    /// way a headless browser would: wave by wave, parsing markup and
-    /// executing scripts. Returns `(paths, waves)`.
-    fn resolve(&self, page: &str, t_secs: i64) -> (Vec<String>, usize) {
-        let site = self.inner.site();
-        let mut found: Vec<String> = Vec::new();
+    /// Resolves the full dependency closure of `page` (whose body the
+    /// origin just served as `page_body`) at `t_secs` the way a
+    /// headless browser would: wave by wave, parsing markup and
+    /// executing scripts. Each dependency is fetched from the origin
+    /// once, when first named — the origin's epoch cache hands out
+    /// the allocation it serves to everyone, so its links are read at
+    /// most once per epoch — and its wire size goes towards the bundle.
+    fn resolve(&self, page: &str, page_body: &Body, t_secs: i64) -> Closure {
+        let mut closure = Closure::default();
         let mut seen = std::collections::HashSet::new();
-        let mut frontier = vec![page.to_owned()];
-        let mut waves = 0;
-        while !frontier.is_empty() && waves < 16 {
-            waves += 1;
+        let mut frontier = vec![(ResourceKind::from_path(page), page_body.clone())];
+        while !frontier.is_empty() && closure.waves < 16 {
+            closure.waves += 1;
             let mut next = Vec::new();
-            for path in frontier.drain(..) {
-                let Some(body) = site.body_at(&path, t_secs) else {
+            for (kind, body) in frontier.drain(..) {
+                let Some(links) = extract::links(kind, &body) else {
                     continue;
                 };
-                let Ok(text) = std::str::from_utf8(&body) else {
-                    continue;
-                };
-                let links: Vec<String> = match ResourceKind::from_path(&path) {
-                    ResourceKind::Html => extract_html_links(text)
-                        .into_iter()
-                        .map(|l| l.href)
-                        .collect(),
-                    ResourceKind::Css => extract_css_links(text)
-                        .into_iter()
-                        .map(|l| l.href)
-                        .collect(),
-                    ResourceKind::Js => jsdialect::evaluate(text),
-                    _ => Vec::new(),
-                };
-                for href in links {
+                for href in links.hrefs() {
                     // Same-origin rooted paths only: cross-origin
                     // fetches would not be bundled by a same-origin
                     // RDR deployment (WatchTower-style).
-                    if !href.starts_with('/') {
+                    if !href.starts_with('/') || !seen.insert(href.clone()) {
                         continue;
                     }
-                    if seen.insert(href.clone()) {
-                        found.push(href.clone());
-                        next.push(href);
+                    closure.paths.push(href.clone());
+                    let body_req = Request::get(href).with_header(ext::X_INTERNAL, "bundle");
+                    let r = self.inner.handle(&body_req, t_secs);
+                    // What the origin cannot serve still takes its
+                    // turn in the next wave, with nothing to read.
+                    let mut body = Body::new();
+                    if r.status.is_success() {
+                        closure.wire_bytes += r.wire_len();
+                        body = r.body;
                     }
+                    next.push((ResourceKind::from_path(href), body));
                 }
             }
             frontier = next;
         }
-        (found, waves)
+        closure
     }
-}
 
-impl RdrProxy {
     fn handle_core(&self, req: &Request, t_secs: i64) -> Response {
         let mut resp = self.inner.handle(req, t_secs);
         if req.headers.contains(ext::X_INTERNAL) {
@@ -96,25 +87,21 @@ impl RdrProxy {
         if ResourceKind::from_path(page) != ResourceKind::Html || !resp.status.is_success() {
             return resp;
         }
-        let (paths, waves) = self.resolve(page, t_secs);
+        let Closure {
+            paths,
+            waves,
+            wire_bytes,
+        } = self.resolve(page, &resp.body, t_secs);
         if paths.is_empty() {
             return resp;
         }
         // The bundle body: the page itself followed by all resolved
         // resources (sizes matter for the transfer model; we pad with
         // the resources' wire sizes).
-        let mut extra = 0usize;
-        for p in &paths {
-            let body_req = Request::get(p).with_header(ext::X_INTERNAL, "bundle");
-            let r = self.inner.handle(&body_req, t_secs);
-            if r.status.is_success() {
-                extra += r.wire_len();
-            }
-        }
-        let mut bundle = Vec::with_capacity(resp.body.len() + extra);
+        let mut bundle = Vec::with_capacity(resp.body.len() + wire_bytes);
         bundle.extend_from_slice(&resp.body);
-        bundle.resize(resp.body.len() + extra, b' ');
-        resp.body = bytes::Bytes::from(bundle);
+        bundle.resize(resp.body.len() + wire_bytes, b' ');
+        resp.body = bundle.into();
         resp.headers
             .insert("content-length", &resp.body.len().to_string());
         for chunk in paths.chunks(64) {
@@ -127,6 +114,17 @@ impl RdrProxy {
             .insert(ext::X_SERVER_DELAY_MS, &delay_ms.to_string());
         resp
     }
+}
+
+/// What [`RdrProxy::resolve`] found.
+#[derive(Default)]
+struct Closure {
+    /// Same-origin dependencies, in discovery order.
+    paths: Vec<String>,
+    /// Dependency waves walked, the page's own included.
+    waves: usize,
+    /// Wire size of every dependency the origin could serve.
+    wire_bytes: usize,
 }
 
 impl Upstream for RdrProxy {
@@ -185,13 +183,17 @@ mod tests {
     #[test]
     fn resolves_full_closure_including_js() {
         let p = proxy();
-        let (paths, waves) = p.resolve("/index.html", 0);
+        let page = p.inner.handle(&Request::get("/index.html"), 0).body;
+        let closure = p.resolve("/index.html", &page, 0);
         for expect in ["/a.css", "/b.js", "/c.js", "/d.jpg"] {
-            assert!(paths.contains(&expect.to_string()), "{expect} missing");
+            assert!(
+                closure.paths.contains(&expect.to_string()),
+                "{expect} missing"
+            );
         }
         // index → (a.css, b.js) → c.js → d.jpg is three dependency waves
         // past the base document.
-        assert_eq!(waves, 4);
+        assert_eq!(closure.waves, 4);
     }
 
     #[test]

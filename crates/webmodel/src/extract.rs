@@ -8,6 +8,44 @@
 //! — but handle the markup our generator and common sites produce:
 //! `<link href>`, `<script src>`, `<img src/srcset>`, `<source
 //! src/srcset>`, `<video poster>`, CSS `url(...)` and `@import`.
+//!
+//! Everything outside this crate that wants "the references in this
+//! body" — the browser profile, the origin's map builder, the RDR
+//! proxy — asks [`links`], which reads them once per [`Body`]
+//! allocation.
+
+use std::borrow::Cow;
+
+use cachecatalyst_httpwire::{Body, Links, Syntax};
+
+use crate::jsdialect;
+use crate::resource::ResourceKind;
+
+/// The references in `text` read as `syntax`, as written, in discovery
+/// order: links in markup and stylesheets, requests made by executing
+/// a script. The workspace's one kind → extractor dispatch, and the
+/// function a [`Body`] memoises.
+pub fn hrefs(syntax: Syntax, text: &str) -> Vec<String> {
+    let of = |links: Vec<ExtractedLink>| links.into_iter().map(|l| l.href).collect();
+    match syntax {
+        Syntax::Markup => of(extract_html_links(text)),
+        Syntax::Stylesheet => of(extract_css_links(text)),
+        Syntax::Script => jsdialect::evaluate(text),
+    }
+}
+
+/// The references in `body`, read as what `kind` says it is (`None`
+/// for kinds that reference nothing). Extracted at most once per body
+/// allocation, by whoever asks first.
+pub fn links(kind: ResourceKind, body: &Body) -> Option<Cow<'_, Links>> {
+    let syntax = match kind {
+        ResourceKind::Html => Syntax::Markup,
+        ResourceKind::Css => Syntax::Stylesheet,
+        ResourceKind::Js => Syntax::Script,
+        _ => return None,
+    };
+    Some(body.links(syntax, hrefs))
+}
 
 /// A reference discovered in markup.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -321,6 +359,27 @@ mod tests {
         let js_body = r#"fetch("/api/data.json"); new Image().src = "/lazy.jpg";"#;
         // extract_html_links on JS content finds nothing.
         assert!(extract_html_links(js_body).is_empty());
+    }
+
+    #[test]
+    fn links_dispatch_on_kind_and_are_read_once_per_body() {
+        let page = Body::from(r#"<script src="/app.js"></script>"#);
+        let found = links(ResourceKind::Html, &page).unwrap();
+        assert!(matches!(found, Cow::Borrowed(_)));
+        assert_eq!(found.hrefs(), ["/app.js"]);
+        let sheet = Body::from(".a{background:url(/x.png)}");
+        assert_eq!(
+            links(ResourceKind::Css, &sheet).unwrap().hrefs(),
+            ["/x.png"]
+        );
+        let script = Body::from(r#"loadResource("/lazy.jpg");"#);
+        assert_eq!(
+            links(ResourceKind::Js, &script).unwrap().hrefs(),
+            ["/lazy.jpg"]
+        );
+        // The same bytes under another kind are read afresh.
+        assert!(links(ResourceKind::Js, &page).unwrap().hrefs().is_empty());
+        assert!(links(ResourceKind::Image, &page).is_none());
     }
 
     #[test]

@@ -55,17 +55,24 @@ impl ResourceKind {
         }
     }
 
-    /// Guesses a kind from a URL path.
+    /// Guesses a kind from a URL path (extension, any letter case).
     pub fn from_path(path: &str) -> ResourceKind {
         let ext = path.rsplit('.').next().unwrap_or("");
-        match ext.to_ascii_lowercase().as_str() {
-            "html" | "htm" => ResourceKind::Html,
-            "css" => ResourceKind::Css,
-            "js" | "mjs" => ResourceKind::Js,
-            "jpg" | "jpeg" | "png" | "gif" | "webp" | "svg" | "ico" | "avif" => ResourceKind::Image,
-            "woff" | "woff2" | "ttf" | "otf" => ResourceKind::Font,
-            "json" => ResourceKind::Json,
-            _ => ResourceKind::Other,
+        let is = |known: &[&str]| known.iter().any(|k| ext.eq_ignore_ascii_case(k));
+        if is(&["html", "htm"]) {
+            ResourceKind::Html
+        } else if is(&["css"]) {
+            ResourceKind::Css
+        } else if is(&["js", "mjs"]) {
+            ResourceKind::Js
+        } else if is(&["jpg", "jpeg", "png", "gif", "webp", "svg", "ico", "avif"]) {
+            ResourceKind::Image
+        } else if is(&["woff", "woff2", "ttf", "otf"]) {
+            ResourceKind::Font
+        } else if is(&["json"]) {
+            ResourceKind::Json
+        } else {
+            ResourceKind::Other
         }
     }
 }

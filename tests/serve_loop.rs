@@ -6,13 +6,15 @@
 //! checked once here against both servers, over real sockets and by
 //! bytes and headers alone. What the two handlers decide differently
 //! (a missing `Host`, the operational endpoints) follows; the edge's
-//! operational surface has no other over-TCP test.
+//! operational surface has no other over-TCP test. Last, the socket as
+//! a content-facts boundary: what a client reads off it is a new body.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
 use cachecatalyst::edge::{EdgeCache, TcpEdge};
+use cachecatalyst::httpwire::aio::ClientConn;
 use cachecatalyst::httpwire::{codec, ParseLimits, Parsed};
 use cachecatalyst::origin::{fixed_clock, TcpOrigin};
 use cachecatalyst::prelude::*;
@@ -313,4 +315,36 @@ async fn edge_ops_endpoints_are_opt_in_and_never_shadow_the_site() {
     let resp = fetch(on.addr(), get("/inspect")).await;
     assert_eq!(resp.headers.get("content-type"), Some("application/json"));
     on.shutdown().await;
+}
+
+#[tokio::test]
+async fn a_body_that_crossed_the_socket_is_a_fresh_allocation() {
+    let server = Server::start(Kind::Edge, example_site(), false).await;
+    let Server::Edge(_, edge) = &server else {
+        unreachable!()
+    };
+    // In process, the edge hands out the allocation it stores: the
+    // digest one caller takes is there for the next.
+    let held = edge.handle(HOST, &get("/a.css"), 0).body;
+    let want = held.digest();
+    let again = edge.handle(HOST, &get("/a.css"), 0).body;
+    assert!(again.shares_allocation_with(&held));
+    assert_eq!(again.known_digest(), Some(want));
+
+    // Over TCP the same bytes arrive through the codec: a new body
+    // with nothing remembered, digested again by whoever asks.
+    let stream = TcpStream::connect(server.addr()).await.unwrap();
+    let over_tcp = ClientConn::new(stream)
+        .round_trip(&get("/a.css"))
+        .await
+        .unwrap();
+    assert_eq!(
+        over_tcp.headers.get("x-served-by"),
+        Some("cachecatalyst-edge")
+    );
+    assert_eq!(over_tcp.body, held);
+    assert!(!over_tcp.body.shares_allocation_with(&held));
+    assert_eq!(over_tcp.body.known_digest(), None);
+    assert_eq!(over_tcp.body.digest(), want);
+    server.shutdown().await;
 }
