@@ -17,8 +17,7 @@
 //!   head (pure hits) and a long tail (misses + evictions) in one
 //!   request stream.
 //!
-//! Usage:
-//!   edge_throughput [--smoke] [--zipf] [--threads M] [--iters N] [--label L]
+//! Flags: see `USAGE` below.
 //!
 //! Appends a labelled section to `results/edge_throughput.txt` and
 //! splices the `"throughput"` section of `BENCH_edge.json` (repo
@@ -30,6 +29,7 @@ use std::fmt::Write as _;
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
+use cachecatalyst_bench::cli::{self, Args};
 use cachecatalyst_browser::{SingleOrigin, Upstream};
 use cachecatalyst_edge::EdgeCache;
 use cachecatalyst_httpwire::Request;
@@ -226,31 +226,31 @@ fn render_section(rows: &[Row], label: &str) -> String {
     out
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let flag = |name: &str| args.iter().any(|a| a == name);
-    let opt = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
+const USAGE: &str =
+    "usage: edge_throughput [--smoke] [--zipf] [--threads M] [--iters N] [--label L]";
 
-    let smoke = flag("--smoke");
-    let threads: usize = opt("--threads")
-        .and_then(|v| v.parse().ok())
+fn main() {
+    cli::exit_on_error(run(&mut Args::from_env()), USAGE);
+}
+
+fn run(args: &mut Args) -> cli::Result {
+    let smoke = args.flag("--smoke");
+    let zipf = args.flag("--zipf");
+    let threads: usize = args
+        .value("--threads")?
         .unwrap_or(if smoke { 2 } else { 8 });
-    let iters: usize = opt("--iters")
-        .and_then(|v| v.parse().ok())
+    let iters: usize = args
+        .value("--iters")?
         .unwrap_or(if smoke { 50 } else { 2000 });
-    let label = opt("--label").unwrap_or_else(|| "run".to_owned());
+    let label: String = args.value("--label")?.unwrap_or_else(|| "run".to_owned());
+    args.finish()?;
 
     let mut rows = vec![
         run_hot(threads, iters),
         run_churn(threads, iters),
         run_coalesce(threads, iters.min(500)),
     ];
-    if flag("--zipf") {
+    if zipf {
         rows.push(run_zipf(threads, iters, 1.0));
     }
 
@@ -277,7 +277,7 @@ fn main() {
     if smoke {
         // Smoke runs exist to prove the binary works (CI); their
         // numbers are noise and must not overwrite recorded results.
-        return;
+        return Ok(());
     }
 
     std::fs::create_dir_all("results").expect("create results/");
@@ -293,4 +293,5 @@ fn main() {
         "throughput",
         &render_section(&rows, &label),
     );
+    Ok(())
 }

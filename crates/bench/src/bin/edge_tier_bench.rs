@@ -17,9 +17,7 @@
 //!   upstream contact in the sweep is the HTML forwards themselves.
 //!   The re-driven workload then serves from the recovered tier.
 //!
-//! Usage:
-//!   edge_tier_bench [--smoke] [--iters N] [--mem-budget BYTES]
-//!                   [--dir PATH] [--label L]
+//! Flags: see `USAGE` below.
 //!
 //! Appends a labelled section to `results/edge_tier.txt` (smoke runs
 //! included — CI uploads it) and splices the `"tier"` section of
@@ -32,6 +30,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cachecatalyst_bench::benchjson::write_bench_edge;
+use cachecatalyst_bench::cli::{self, Args};
 use cachecatalyst_browser::{SingleOrigin, Upstream};
 use cachecatalyst_edge::{AdmissionPolicy, DiskTierOptions, EdgeCache, StoreOptions};
 use cachecatalyst_httpwire::Request;
@@ -254,33 +253,26 @@ fn render_section(rows: &[Row], iters: usize, mem_budget: usize, label: &str) ->
     out
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let flag = |name: &str| args.iter().any(|a| a == name);
-    let opt = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
+const USAGE: &str = "usage: edge_tier_bench [--smoke] [--iters N] [--mem-budget BYTES] \
+                     [--dir PATH] [--label L]";
 
-    let smoke = flag("--smoke");
-    let iters: usize = opt("--iters")
-        .and_then(|v| v.parse().ok())
+fn main() {
+    cli::exit_on_error(run(&mut Args::from_env()), USAGE);
+}
+
+fn run(args: &mut Args) -> cli::Result {
+    let smoke = args.flag("--smoke");
+    let iters: usize = args
+        .value("--iters")?
         .unwrap_or(if smoke { 2_000 } else { 40_000 });
-    let mem_budget: usize = opt("--mem-budget")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(256 << 10);
-    let dir = opt("--dir").map(PathBuf::from).unwrap_or_else(|| {
+    let mem_budget: usize = args.value("--mem-budget")?.unwrap_or(256 << 10);
+    let dir: PathBuf = args.value("--dir")?.unwrap_or_else(|| {
         std::env::temp_dir().join(format!("cc-edge-tier-bench-{}", std::process::id()))
     });
-    let label = opt("--label").unwrap_or_else(|| {
-        if smoke {
-            "smoke".to_owned()
-        } else {
-            "run".to_owned()
-        }
-    });
+    let label: String = args
+        .value("--label")?
+        .unwrap_or_else(|| if smoke { "smoke" } else { "run" }.to_owned());
+    args.finish()?;
 
     let mem = run_mem(iters, mem_budget);
     let hybrid = run_hybrid(iters, mem_budget, &dir.join("hybrid"));
@@ -327,11 +319,12 @@ fn main() {
     let _ = std::fs::remove_dir_all(&dir);
     if smoke {
         // Smoke numbers never overwrite the committed baseline.
-        return;
+        return Ok(());
     }
     write_bench_edge(
         "BENCH_edge.json",
         "tier",
         &render_section(&rows, iters, mem_budget, &label),
     );
+    Ok(())
 }

@@ -8,11 +8,7 @@
 //! `(seed, spec)`, and the replay is single-threaded in virtual time,
 //! so re-running with the same seed reproduces every counter exactly.
 //!
-//! Usage:
-//!   fleet_load [--smoke] [--users N] [--sites N] [--horizon SECS]
-//!              [--seed N] [--resources-median F] [--label L]
-//!              [--mode baseline|catalyst|both] [--disk-tier \[DIR\]]
-//!              [--write-trace PATH] [--replay PATH]
+//! Flags: see `USAGE` below.
 //!
 //! `--disk-tier` attaches the persistent segment-file tier under the
 //! edge's DRAM front (scratch directory under the system temp dir
@@ -32,6 +28,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use cachecatalyst_bench::cli::{self, Args};
 use cachecatalyst_bench::fleet::{run_fleet, FleetOptions, FleetReport};
 use cachecatalyst_bench::ClientKind;
 use cachecatalyst_edge::DiskTierOptions;
@@ -121,40 +118,49 @@ fn render_json(rows: &[FleetReport], trace: &Trace, label: &str) -> String {
     out
 }
 
+const USAGE: &str =
+    "usage: fleet_load [--smoke] [--users N] [--sites N] [--horizon SECS] [--seed N] \
+                     [--resources-median F] [--label L] [--mode baseline|catalyst|both] \
+                     [--disk-tier [DIR]] [--write-trace PATH] [--replay PATH]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let flag = |name: &str| args.iter().any(|a| a == name);
-    let opt = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
+    cli::exit_on_error(run(&mut Args::from_env()), USAGE);
+}
 
-    let smoke = flag("--smoke");
-    let users: u32 = opt("--users")
-        .and_then(|v| v.parse().ok())
+fn run(args: &mut Args) -> cli::Result {
+    let smoke = args.flag("--smoke");
+    let users: u32 = args
+        .value("--users")?
         .unwrap_or(if smoke { 1_000 } else { 100_000 });
-    let sites: u32 = opt("--sites")
-        .and_then(|v| v.parse().ok())
+    let sites: u32 = args
+        .value("--sites")?
         .unwrap_or(if smoke { 20 } else { 100 });
-    let horizon_secs: u64 = opt("--horizon")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(86_400);
-    let seed: u64 = opt("--seed").and_then(|v| v.parse().ok()).unwrap_or(2024);
-    let resources_median: f64 = opt("--resources-median")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(28.0);
-    let label = opt("--label").unwrap_or_else(|| {
-        if smoke {
-            "smoke".to_owned()
-        } else {
-            "run".to_owned()
-        }
+    let horizon_secs: u64 = args.value("--horizon")?.unwrap_or(86_400);
+    let seed: u64 = args.value("--seed")?.unwrap_or(2024);
+    let resources_median: f64 = args.value("--resources-median")?.unwrap_or(28.0);
+    let label: String = args
+        .value("--label")?
+        .unwrap_or_else(|| if smoke { "smoke" } else { "run" }.to_owned());
+    let kinds = args
+        .value_with("--mode", |v| match v {
+            "baseline" => Some(vec![ClientKind::Baseline]),
+            "catalyst" => Some(vec![ClientKind::Catalyst]),
+            "both" => Some(vec![ClientKind::Baseline, ClientKind::Catalyst]),
+            _ => None,
+        })?
+        .unwrap_or_else(|| vec![ClientKind::Baseline, ClientKind::Catalyst]);
+    // `--disk-tier [DIR]`: without the operand a scratch directory is
+    // used.
+    let disk_root = args.optional_value("--disk-tier").map(|dir| {
+        dir.map(std::path::PathBuf::from).unwrap_or_else(|| {
+            std::env::temp_dir().join(format!("cc-fleet-disk-{}", std::process::id()))
+        })
     });
-    let mode = opt("--mode").unwrap_or_else(|| "both".to_owned());
+    let replay: Option<String> = args.value("--replay")?;
+    let write_trace: Option<String> = args.value("--write-trace")?;
+    args.finish()?;
 
-    let trace = match opt("--replay") {
+    let trace = match replay {
         Some(path) => {
             let text = std::fs::read_to_string(&path).expect("read trace file");
             Trace::from_jsonl(&text).expect("parse trace file")
@@ -180,32 +186,10 @@ fn main() {
         }
     };
 
-    if let Some(path) = opt("--write-trace") {
+    if let Some(path) = write_trace {
         std::fs::write(&path, trace.to_jsonl()).expect("write trace file");
         eprintln!("trace written to {path} ({} events)", trace.events.len());
     }
-
-    let kinds: Vec<ClientKind> = match mode.as_str() {
-        "baseline" => vec![ClientKind::Baseline],
-        "catalyst" => vec![ClientKind::Catalyst],
-        "both" => vec![ClientKind::Baseline, ClientKind::Catalyst],
-        other => panic!("unknown --mode {other:?} (baseline|catalyst|both)"),
-    };
-
-    // `--disk-tier [DIR]`: DIR is optional; a following `--flag` means
-    // the operand was omitted and a scratch directory is used.
-    let disk_root = if flag("--disk-tier") {
-        Some(
-            opt("--disk-tier")
-                .filter(|v| !v.starts_with("--"))
-                .map(std::path::PathBuf::from)
-                .unwrap_or_else(|| {
-                    std::env::temp_dir().join(format!("cc-fleet-disk-{}", std::process::id()))
-                }),
-        )
-    } else {
-        None
-    };
 
     let started = Instant::now();
     let rows: Vec<FleetReport> = kinds
@@ -293,4 +277,5 @@ fn main() {
         std::fs::write("BENCH_fleet.json", render_json(&rows, &trace, &label))
             .expect("write BENCH_fleet.json");
     }
+    Ok(())
 }

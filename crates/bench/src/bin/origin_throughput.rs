@@ -11,9 +11,7 @@
 //! cache misses every request while an epoch-keyed cache hits every
 //! request after the first — exactly the gap this suite tracks.
 //!
-//! Usage:
-//!   origin_throughput [--smoke] [--threads M] [--iters N] [--label L]
-//!                     [--spans off|always]
+//! Flags: see `USAGE` below.
 //!
 //! `--spans always` runs the matrix with every request carrying an
 //! `x-cc-trace` context against a recording span sink — the worst
@@ -32,6 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use cachecatalyst_bench::cli::{self, Args};
 use cachecatalyst_httpwire::{tracectx, Request};
 use cachecatalyst_origin::{HeaderMode, OriginServer};
 use cachecatalyst_telemetry::span::{Sampling, SpanId, SpanSink, TraceContext, TraceId};
@@ -219,29 +218,30 @@ fn render_json(rows: &[Row], label: &str, spans: Option<&SpansDelta>) -> String 
     out
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let flag = |name: &str| args.iter().any(|a| a == name);
-    let opt = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
+const USAGE: &str = "usage: origin_throughput [--smoke] [--threads M] [--iters N] [--label L] \
+                     [--spans off|always]";
 
-    let smoke = flag("--smoke");
-    let threads: usize = opt("--threads")
-        .and_then(|v| v.parse().ok())
+fn main() {
+    cli::exit_on_error(run(&mut Args::from_env()), USAGE);
+}
+
+fn run(args: &mut Args) -> cli::Result {
+    let smoke = args.flag("--smoke");
+    let threads: usize = args
+        .value("--threads")?
         .unwrap_or(if smoke { 2 } else { 8 });
-    let iters: usize = opt("--iters")
-        .and_then(|v| v.parse().ok())
+    let iters: usize = args
+        .value("--iters")?
         .unwrap_or(if smoke { 50 } else { 600 });
-    let label = opt("--label").unwrap_or_else(|| "run".to_owned());
-    let spans_on = match opt("--spans").as_deref() {
-        None | Some("off") => false,
-        Some("always") => true,
-        Some(other) => panic!("--spans takes off|always, got {other:?}"),
-    };
+    let label: String = args.value("--label")?.unwrap_or_else(|| "run".to_owned());
+    let spans_on = args
+        .value_with("--spans", |v| match v {
+            "off" => Some(false),
+            "always" => Some(true),
+            _ => None,
+        })?
+        .unwrap_or(false);
+    args.finish()?;
 
     let modes = [
         HeaderMode::Baseline,
@@ -260,7 +260,7 @@ fn main() {
     if smoke {
         // Smoke runs exist to prove the binary works (CI); their
         // numbers are noise and must not overwrite recorded results.
-        return;
+        return Ok(());
     }
 
     // The tracing-overhead measurement: catalyst mode with sampling
@@ -300,4 +300,5 @@ fn main() {
         render_json(&rows, &label, Some(&delta)),
     )
     .expect("write BENCH_origin.json");
+    Ok(())
 }

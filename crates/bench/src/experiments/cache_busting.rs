@@ -9,23 +9,25 @@
 //! catalyst gain over the baseline (both sides get the fingerprinting;
 //! churning content so path changes actually happen).
 
-use std::sync::Arc;
+use std::io::Write;
 
-use cachecatalyst_bench::runner::{base_url_of, first_visit_time, ClientKind, REVISIT_DELAYS};
-use cachecatalyst_bench::table::render_table;
-use cachecatalyst_browser::{Browser, SingleOrigin};
+use crate::cli::{self, Args};
+use crate::runner::{reload_each, ClientKind, ContentModel, REVISIT_DELAYS};
+use crate::table::render_table;
 use cachecatalyst_netsim::NetworkConditions;
 use cachecatalyst_origin::OriginServer;
 use cachecatalyst_webmodel::{Site, SiteSpec};
 
-fn main() {
+pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
+    args.finish()?;
     let cond = NetworkConditions::five_g_median();
     let n_seeds = 8u64;
 
-    println!(
+    writeln!(
+        out,
         "== E19: cache-busting (fingerprinted assets) vs CacheCatalyst ({}, churning) ==\n",
         cond.label()
-    );
+    )?;
 
     let mut rows = Vec::new();
     for fp_frac in [0.0, 0.5, 1.0] {
@@ -41,19 +43,14 @@ fn main() {
                 fingerprinted_fraction: fp_frac,
                 ..Default::default()
             });
-            let base = base_url_of(&site);
-            let t0 = first_visit_time(&site);
             for (i, kind) in [ClientKind::Baseline, ClientKind::Catalyst]
                 .into_iter()
                 .enumerate()
             {
-                let origin = Arc::new(OriginServer::new(site.clone(), kind.header_mode()));
-                let upstream = SingleOrigin(origin);
-                let mut cold: Browser = kind.browser();
-                cold.load(&upstream, cond, &base, t0);
-                for delay in REVISIT_DELAYS {
-                    let mut b = cold.clone();
-                    let warm = b.load(&upstream, cond, &base, t0 + delay.as_secs() as i64);
+                let upstream = ContentModel::Churning
+                    .upstream(OriginServer::new(site.clone(), kind.header_mode()));
+                let browser = kind.browser();
+                for warm in reload_each(&*upstream, &site, browser, cond, &REVISIT_DELAYS).warm {
                     plt[i] += warm.plt_ms();
                     reqs[i] += warm.network_requests() as f64;
                     if i == 0 {
@@ -73,23 +70,28 @@ fn main() {
         ]);
     }
 
-    println!(
+    writeln!(
+        out,
         "{}",
         render_table(
             &[
-                "fingerprinted".to_owned(),
-                "base PLT ms".to_owned(),
-                "base reqs".to_owned(),
-                "cat PLT ms".to_owned(),
-                "cat reqs".to_owned(),
-                "catalyst gain".to_owned(),
+                "fingerprinted",
+                "base PLT ms",
+                "base reqs",
+                "cat PLT ms",
+                "cat reqs",
+                "catalyst gain",
             ],
             &rows
         )
-    );
-    println!("Fingerprinting already removes revalidations for build-pipeline");
-    println!("assets, shrinking what CacheCatalyst can add there — but HTML,");
-    println!("images and API data cannot be fingerprinted (their URLs are the");
-    println!("identity users navigate to), so a meaningful share of the gain");
-    println!("survives even at 100% fingerprinted CSS/JS.");
+    )?;
+    writeln!(
+        out,
+        "Fingerprinting already removes revalidations for build-pipeline\n\
+         assets, shrinking what CacheCatalyst can add there — but HTML,\n\
+         images and API data cannot be fingerprinted (their URLs are the\n\
+         identity users navigate to), so a meaningful share of the gain\n\
+         survives even at 100% fingerprinted CSS/JS."
+    )?;
+    Ok(())
 }

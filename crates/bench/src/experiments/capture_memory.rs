@@ -5,11 +5,15 @@
 //! Measures the per-session server memory as users visit, and the
 //! hit-rate effect of bounding the store with LRU eviction.
 
-use cachecatalyst_bench::table::render_table;
+use std::io::Write;
+
+use crate::cli::{self, Args};
+use crate::table::render_table;
 use cachecatalyst_catalyst::{AggregateCapture, SessionCapture};
 use cachecatalyst_webmodel::{Site, SiteSpec};
 
-fn main() {
+pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
+    args.finish()?;
     let site = Site::generate(SiteSpec {
         host: "capture.example".into(),
         seed: 31,
@@ -23,11 +27,12 @@ fn main() {
         .map(|r| r.spec.path.clone())
         .collect();
 
-    println!("== E11: session-capture memory footprint ==\n");
-    println!(
+    writeln!(out, "== E11: session-capture memory footprint ==\n")?;
+    writeln!(
+        out,
         "site: {} subresources; every visitor session records them all\n",
         paths.len()
-    );
+    )?;
 
     // Unbounded growth.
     let mut rows = Vec::new();
@@ -48,20 +53,17 @@ fn main() {
             ),
         ]);
     }
-    println!(
+    writeln!(
+        out,
         "{}",
-        render_table(
-            &[
-                "sessions".to_owned(),
-                "footprint".to_owned(),
-                "per session".to_owned(),
-            ],
-            &rows
-        )
-    );
+        render_table(&["sessions", "footprint", "per session"], &rows)
+    )?;
 
     // Bounded store: returning-visitor coverage under LRU pressure.
-    println!("\nBounded store (LRU), 50,000 visiting sessions, revisit probability by recency:");
+    writeln!(
+        out,
+        "\nBounded store (LRU), 50,000 visiting sessions, revisit probability by recency:"
+    )?;
     let mut rows = Vec::new();
     for budget in [1_000usize, 10_000, 50_000] {
         let mut capture = SessionCapture::new(budget);
@@ -87,23 +89,30 @@ fn main() {
             format!("{:.0}%", recent_covered as f64 / 10.0),
         ]);
     }
-    println!(
+    writeln!(
+        out,
         "{}",
         render_table(
             &[
-                "budget (records)".to_owned(),
-                "footprint".to_owned(),
-                "evicted".to_owned(),
-                "recent-1k coverage".to_owned(),
+                "budget (records)",
+                "footprint",
+                "evicted",
+                "recent-1k coverage",
             ],
             &rows
         )
-    );
-    println!("\nAn LRU budget keeps the footprint flat while preserving coverage for");
-    println!("recently-active sessions — the visitors most likely to return soon.");
+    )?;
+    writeln!(
+        out,
+        "\nAn LRU budget keeps the footprint flat while preserving coverage for\n\
+         recently-active sessions — the visitors most likely to return soon."
+    )?;
 
     // The aggregate alternative: memory independent of visitor count.
-    println!("\nAggregate (popularity) capture over the same traffic:");
+    writeln!(
+        out,
+        "\nAggregate (popularity) capture over the same traffic:"
+    )?;
     let mut rows = Vec::new();
     for sessions in [100usize, 10_000, 100_000] {
         let mut agg = AggregateCapture::default();
@@ -120,18 +129,16 @@ fn main() {
             format!("{}", config.len()),
         ]);
     }
-    println!(
+    writeln!(
+        out,
         "{}",
-        render_table(
-            &[
-                "sessions".to_owned(),
-                "footprint".to_owned(),
-                "paths mapped".to_owned(),
-            ],
-            &rows
-        )
-    );
-    println!("\nConstant kilobytes instead of hundreds of megabytes, with full");
-    println!("coverage of the resources every visitor loads — the optimization");
-    println!("strategy the paper's §6 calls for.");
+        render_table(&["sessions", "footprint", "paths mapped"], &rows)
+    )?;
+    writeln!(
+        out,
+        "\nConstant kilobytes instead of hundreds of megabytes, with full\n\
+         coverage of the resources every visitor loads — the optimization\n\
+         strategy the paper's §6 calls for."
+    )?;
+    Ok(())
 }

@@ -5,15 +5,17 @@
 //! Metrics per policy: warm-visit PLT, cold-visit PLT, network round
 //! trips, bytes down, and wasted push bytes.
 
+use std::io::Write;
 use std::sync::Arc;
 
-use cachecatalyst_bench::runner::{base_url_of, first_visit_time, ClientKind, REVISIT_DELAYS};
-use cachecatalyst_bench::table::render_table;
-use cachecatalyst_browser::{Browser, SingleOrigin, Upstream};
+use super::corpus_arg;
+use crate::cli::{self, Args};
+use crate::runner::{reload_each, ClientKind, REVISIT_DELAYS};
+use crate::table::render_table;
+use cachecatalyst_browser::{SingleOrigin, Upstream};
 use cachecatalyst_netsim::NetworkConditions;
 use cachecatalyst_origin::{HeaderMode, OriginServer};
 use cachecatalyst_proxies::{ExtremeCacheProxy, PushOrigin, PushPolicy, RdrProxy};
-use cachecatalyst_webmodel::{generate_corpus, CorpusSpec};
 
 struct Policy {
     name: &'static str,
@@ -22,16 +24,9 @@ struct Policy {
     client: ClientKind,
 }
 
-fn main() {
-    let n_sites: usize = std::env::args()
-        .skip_while(|a| a != "--sites")
-        .nth(1)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(30);
-    let sites = generate_corpus(&CorpusSpec {
-        n_sites,
-        ..Default::default()
-    });
+pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
+    let sites = corpus_arg(args, 30)?;
+    let n_sites = sites.len();
     let cond = NetworkConditions::five_g_median();
 
     let policies: Vec<Policy> = vec![
@@ -79,11 +74,12 @@ fn main() {
         },
     ];
 
-    println!(
+    writeln!(
+        out,
         "== E5: acceleration approaches compared ({n_sites} sites × {} delays, {}) ==\n",
         REVISIT_DELAYS.len(),
         cond.label()
-    );
+    )?;
 
     let mut rows = Vec::new();
     for policy in &policies {
@@ -97,15 +93,11 @@ fn main() {
         for site in &sites {
             let origin = Arc::new(OriginServer::new(site.clone(), policy.origin_mode));
             let upstream = (policy.make_upstream)(origin);
-            let base = base_url_of(site);
-            let t0 = first_visit_time(site);
-            let mut cold: Browser = policy.client.browser();
-            let first = cold.load(upstream.as_ref(), cond, &base, t0);
-            cold_plt += first.plt_ms();
+            let browser = policy.client.browser();
+            let visits = reload_each(&*upstream, site, browser, cond, &REVISIT_DELAYS);
+            cold_plt += visits.cold.plt_ms();
             cold_n += 1;
-            for delay in REVISIT_DELAYS {
-                let mut b = cold.clone();
-                let warm = b.load(upstream.as_ref(), cond, &base, t0 + delay.as_secs() as i64);
+            for warm in visits.warm {
                 warm_plt += warm.plt_ms();
                 warm_reqs += warm.network_requests();
                 warm_down += warm.bytes_down;
@@ -123,20 +115,25 @@ fn main() {
         ]);
     }
 
-    println!(
+    writeln!(
+        out,
         "{}",
         render_table(
             &[
-                "policy".to_owned(),
-                "cold PLT ms".to_owned(),
-                "warm PLT ms".to_owned(),
-                "warm reqs".to_owned(),
-                "warm KB down".to_owned(),
-                "wasted push KB".to_owned(),
+                "policy",
+                "cold PLT ms",
+                "warm PLT ms",
+                "warm reqs",
+                "warm KB down",
+                "wasted push KB",
             ],
             &rows
         )
-    );
-    println!("Expected shape: RDR/push shine cold; catalyst shines warm with zero waste;");
-    println!("push-all pays for its round-trip savings in wasted warm-visit bytes.");
+    )?;
+    writeln!(
+        out,
+        "Expected shape: RDR/push shine cold; catalyst shines warm with zero waste;\n\
+         push-all pays for its round-trip savings in wasted warm-visit bytes."
+    )?;
+    Ok(())
 }

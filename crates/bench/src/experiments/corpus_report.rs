@@ -1,33 +1,33 @@
 //! Workload transparency: what the synthetic corpus actually looks
 //! like, against the httparchive/paper-cited shape it targets.
 
-use cachecatalyst_bench::table::render_table;
+use std::io::Write;
+
+use super::corpus_arg;
+use crate::cli::{self, Args};
+use crate::table::render_table;
 use cachecatalyst_webmodel::stats::Summary;
-use cachecatalyst_webmodel::{generate_corpus, CorpusSpec, HeaderPolicy, ResourceKind};
+use cachecatalyst_webmodel::{HeaderPolicy, ResourceKind};
 
-fn main() {
-    let n_sites: usize = std::env::args()
-        .skip_while(|a| a != "--sites")
-        .nth(1)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(100);
-    let sites = generate_corpus(&CorpusSpec {
-        n_sites,
-        ..Default::default()
-    });
+pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
+    let sites = corpus_arg(args, 100)?;
+    let n_sites = sites.len();
 
-    println!("== Corpus report: {n_sites} synthetic top sites ==\n");
+    writeln!(out, "== Corpus report: {n_sites} synthetic top sites ==\n")?;
 
     // Page-level shape.
     let counts: Vec<f64> = sites.iter().map(|s| (s.len() - 1) as f64).collect();
     let weights: Vec<f64> = sites.iter().map(|s| s.total_bytes() as f64 / 1e6).collect();
     let c = Summary::of(&counts);
     let w = Summary::of(&weights);
-    println!(
+    writeln!(out,
         "resources/page: median {:.0} (p90 {:.0}, max {:.0});  page weight MB: median {:.2} (p90 {:.2})",
         c.p50, c.p90, c.max, w.p50, w.p90
-    );
-    println!("targets: ≈70 resources, ≈2.5 MB (httparchive, cited in §2.2)\n");
+    )?;
+    writeln!(
+        out,
+        "targets: ≈70 resources, ≈2.5 MB (httparchive, cited in §2.2)\n"
+    )?;
 
     // Per-kind composition.
     let mut rows = Vec::new();
@@ -57,19 +57,14 @@ fn main() {
             format!("{:.1} MB", bytes as f64 / 1e6 / n_sites as f64),
         ]);
     }
-    println!(
+    writeln!(
+        out,
         "{}",
         render_table(
-            &[
-                "kind".to_owned(),
-                "share".to_owned(),
-                "median size".to_owned(),
-                "p90 size".to_owned(),
-                "bytes/site".to_owned(),
-            ],
+            &["kind", "share", "median size", "p90 size", "bytes/site"],
             &rows
         )
-    );
+    )?;
 
     // Header-policy mix and TTL distribution.
     let mut ttls = Vec::new();
@@ -88,14 +83,17 @@ fn main() {
     }
     let total = no_store + no_cache + with_ttl;
     let t = Summary::of(&ttls);
-    println!(
+    writeln!(
+        out,
         "header mix: {:.0}% no-store, {:.0}% no-cache, {:.0}% max-age",
         no_store as f64 / total as f64 * 100.0,
         no_cache as f64 / total as f64 * 100.0,
         with_ttl as f64 / total as f64 * 100.0
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "assigned TTLs (hours): p50 {:.1}, p90 {:.0}, max {:.0}",
         t.p50, t.p90, t.max
-    );
+    )?;
+    Ok(())
 }

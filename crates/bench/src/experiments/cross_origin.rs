@@ -8,25 +8,27 @@
 //!  * the proposed extension (the origin fetches third-party ETags
 //!    itself and keys them by full URL in the map).
 
-use std::sync::Arc;
+use std::io::Write;
 use std::time::Duration;
 
-use cachecatalyst_bench::runner::{base_url_of, first_visit_time, ClientKind};
-use cachecatalyst_bench::table::render_table;
-use cachecatalyst_browser::{Browser, FrozenUpstream, SingleOrigin, Upstream};
+use crate::cli::{self, Args};
+use crate::runner::{reload_each, ClientKind, ContentModel};
+use crate::table::render_table;
 use cachecatalyst_netsim::NetworkConditions;
 use cachecatalyst_origin::{HeaderMode, OriginServer};
 use cachecatalyst_webmodel::{Site, SiteSpec};
 
-fn main() {
+pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
+    args.finish()?;
     let cond = NetworkConditions::five_g_median();
     let delay = Duration::from_secs(3600);
     let n_seeds = 6u64;
 
-    println!(
+    writeln!(
+        out,
         "== E9: cross-origin coverage ({} | revisit 1h, frozen content) ==\n",
         cond.label()
-    );
+    )?;
 
     let mut rows = Vec::new();
     for tp_frac in [0.0, 0.15, 0.3, 0.5] {
@@ -41,8 +43,6 @@ fn main() {
                 third_party_fraction: tp_frac,
                 ..Default::default()
             });
-            let base = base_url_of(&site);
-            let t0 = first_visit_time(&site);
             for (i, cross) in [(0usize, false), (1, false), (2, true)] {
                 let (kind, mode) = if i == 0 {
                     (ClientKind::Baseline, HeaderMode::Baseline)
@@ -53,13 +53,9 @@ fn main() {
                 if cross {
                     origin = origin.with_cross_origin();
                 }
-                let upstream: Box<dyn Upstream> =
-                    Box::new(FrozenUpstream::new(SingleOrigin(Arc::new(origin)), t0));
-                let mut browser: Browser = kind.browser();
-                browser.load(upstream.as_ref(), cond, &base, t0);
-                plts[i] += browser
-                    .load(upstream.as_ref(), cond, &base, t0 + delay.as_secs() as i64)
-                    .plt_ms();
+                let upstream = ContentModel::Frozen.upstream(origin);
+                let visits = reload_each(&*upstream, &site, kind.browser(), cond, &[delay]);
+                plts[i] += visits.warm[0].plt_ms();
             }
         }
         let gain = |i: usize| (plts[0] - plts[i]) / plts[0] * 100.0;
@@ -71,19 +67,24 @@ fn main() {
         ]);
     }
 
-    println!(
+    writeln!(
+        out,
         "{}",
         render_table(
             &[
-                "third-party share".to_owned(),
-                "baseline PLT ms".to_owned(),
-                "catalyst (paper)".to_owned(),
-                "catalyst + cross-origin ext".to_owned(),
+                "third-party share",
+                "baseline PLT ms",
+                "catalyst (paper)",
+                "catalyst + cross-origin ext",
             ],
             &rows
         )
-    );
-    println!("As more of the page lives on third-party origins, the paper's");
-    println!("same-origin map covers less; the extension recovers the gap at the");
-    println!("cost of the origin tracking third-party validators.");
+    )?;
+    writeln!(
+        out,
+        "As more of the page lives on third-party origins, the paper's\n\
+         same-origin map covers less; the extension recovers the gap at the\n\
+         cost of the origin tracking third-party validators."
+    )?;
+    Ok(())
 }

@@ -7,41 +7,35 @@
 //! condition for each variant. The *conclusion* should not hinge on
 //! any single knob.
 
-use std::sync::Arc;
+use std::io::Write;
 use std::time::Duration;
 
-use cachecatalyst_bench::runner::{base_url_of, first_visit_time, ClientKind, REVISIT_DELAYS};
-use cachecatalyst_bench::table::render_table;
-use cachecatalyst_browser::{Browser, EngineConfig, FrozenUpstream, SingleOrigin, Upstream};
+use super::corpus_arg;
+use crate::cli::{self, Args};
+use crate::runner::{reload_each, ClientKind, ContentModel, REVISIT_DELAYS};
+use crate::table::render_table;
+use cachecatalyst_browser::EngineConfig;
 use cachecatalyst_netsim::NetworkConditions;
 use cachecatalyst_origin::OriginServer;
-use cachecatalyst_webmodel::{generate_corpus, CorpusSpec};
 
 fn gain(sites: &[cachecatalyst_webmodel::Site], cfg: &EngineConfig) -> (f64, f64) {
     let cond = NetworkConditions::five_g_median();
     let mut plt = [0.0f64; 2];
     for site in sites {
-        let base = base_url_of(site);
-        let t0 = first_visit_time(site);
         for (i, kind) in [ClientKind::Baseline, ClientKind::Catalyst]
             .into_iter()
             .enumerate()
         {
-            let origin = Arc::new(OriginServer::new(site.clone(), kind.header_mode()));
-            let upstream: Box<dyn Upstream> =
-                Box::new(FrozenUpstream::new(SingleOrigin(origin), t0));
-            let mut cold: Browser = kind.browser();
-            cold.config = EngineConfig {
-                mode: cold.config.mode,
-                session: cold.config.session.clone(),
+            let upstream =
+                ContentModel::Frozen.upstream(OriginServer::new(site.clone(), kind.header_mode()));
+            let mut browser = kind.browser();
+            browser.config = EngineConfig {
+                mode: browser.config.mode,
+                session: browser.config.session.clone(),
                 ..cfg.clone()
             };
-            cold.load(upstream.as_ref(), cond, &base, t0);
-            for delay in REVISIT_DELAYS {
-                let mut b = cold.clone();
-                plt[i] += b
-                    .load(upstream.as_ref(), cond, &base, t0 + delay.as_secs() as i64)
-                    .plt_ms();
+            for warm in reload_each(&*upstream, site, browser, cond, &REVISIT_DELAYS).warm {
+                plt[i] += warm.plt_ms();
             }
         }
     }
@@ -49,21 +43,14 @@ fn gain(sites: &[cachecatalyst_webmodel::Site], cfg: &EngineConfig) -> (f64, f64
     (plt[0] / n, (plt[0] - plt[1]) / plt[0] * 100.0)
 }
 
-fn main() {
-    let n_sites: usize = std::env::args()
-        .skip_while(|a| a != "--sites")
-        .nth(1)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(15);
-    let sites = generate_corpus(&CorpusSpec {
-        n_sites,
-        ..Default::default()
-    });
+pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
+    let sites = corpus_arg(args, 15)?;
+    let n_sites = sites.len();
 
-    println!(
+    writeln!(out,
         "== E18: engine-parameter sensitivity ({n_sites} sites × {} delays, 60Mbps/40ms, frozen) ==\n",
         REVISIT_DELAYS.len()
-    );
+    )?;
 
     let base = EngineConfig::default();
     let variants: Vec<(String, EngineConfig)> = vec![
@@ -138,18 +125,19 @@ fn main() {
             format!("{g:.1}%"),
         ]);
     }
-    println!(
+    writeln!(
+        out,
         "{}",
         render_table(
-            &[
-                "engine variant".to_owned(),
-                "baseline PLT ms".to_owned(),
-                "catalyst gain".to_owned(),
-            ],
+            &["engine variant", "baseline PLT ms", "catalyst gain"],
             &rows
         )
-    );
-    println!("The gain moves with the knobs (fewer connections ⇒ more queueing ⇒");
-    println!("bigger gain; heavier client compute ⇒ smaller share for RTTs) but");
-    println!("stays firmly double-digit across every variant.");
+    )?;
+    writeln!(
+        out,
+        "The gain moves with the knobs (fewer connections ⇒ more queueing ⇒\n\
+         bigger gain; heavier client compute ⇒ smaller share for RTTs) but\n\
+         stays firmly double-digit across every variant."
+    )?;
+    Ok(())
 }

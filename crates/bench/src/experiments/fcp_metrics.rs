@@ -7,31 +7,25 @@
 //! covers them *completely* — so FCP improvements are at least as
 //! large as PLT improvements, often larger.
 
-use std::sync::Arc;
+use std::io::Write;
 use std::time::Duration;
 
-use cachecatalyst_bench::runner::{base_url_of, first_visit_time, ClientKind, REVISIT_DELAYS};
-use cachecatalyst_bench::table::render_table;
-use cachecatalyst_browser::{Browser, FrozenUpstream, SingleOrigin, Upstream};
+use super::corpus_arg;
+use crate::cli::{self, Args};
+use crate::runner::{reload_each, ClientKind, ContentModel, REVISIT_DELAYS};
+use crate::table::render_table;
 use cachecatalyst_netsim::NetworkConditions;
 use cachecatalyst_origin::OriginServer;
-use cachecatalyst_webmodel::{generate_corpus, CorpusSpec};
 
-fn main() {
-    let n_sites: usize = std::env::args()
-        .skip_while(|a| a != "--sites")
-        .nth(1)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(30);
-    let sites = generate_corpus(&CorpusSpec {
-        n_sites,
-        ..Default::default()
-    });
+pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
+    let sites = corpus_arg(args, 30)?;
+    let n_sites = sites.len();
 
-    println!(
+    writeln!(
+        out,
         "== E10: PLT vs FCP improvement ({n_sites} sites × {} delays, frozen content) ==\n",
         REVISIT_DELAYS.len()
-    );
+    )?;
 
     let mut rows = Vec::new();
     for (label, cond) in [
@@ -49,20 +43,14 @@ fn main() {
         let mut plt = [0.0f64; 2];
         let mut fcp = [0.0f64; 2];
         for site in &sites {
-            let base = base_url_of(site);
-            let t0 = first_visit_time(site);
             for (i, kind) in [ClientKind::Baseline, ClientKind::Catalyst]
                 .into_iter()
                 .enumerate()
             {
-                let origin = Arc::new(OriginServer::new(site.clone(), kind.header_mode()));
-                let upstream: Box<dyn Upstream> =
-                    Box::new(FrozenUpstream::new(SingleOrigin(origin), t0));
-                let mut cold: Browser = kind.browser();
-                cold.load(upstream.as_ref(), cond, &base, t0);
-                for delay in REVISIT_DELAYS {
-                    let mut b = cold.clone();
-                    let warm = b.load(upstream.as_ref(), cond, &base, t0 + delay.as_secs() as i64);
+                let upstream = ContentModel::Frozen
+                    .upstream(OriginServer::new(site.clone(), kind.header_mode()));
+                let browser = kind.browser();
+                for warm in reload_each(&*upstream, site, browser, cond, &REVISIT_DELAYS).warm {
                     plt[i] += warm.plt_ms();
                     fcp[i] += warm.fcp_ms();
                 }
@@ -79,19 +67,24 @@ fn main() {
         ]);
     }
 
-    println!(
+    writeln!(
+        out,
         "{}",
         render_table(
             &[
-                "condition".to_owned(),
-                "base PLT ms".to_owned(),
-                "PLT gain".to_owned(),
-                "base FCP ms".to_owned(),
-                "FCP gain".to_owned(),
+                "condition",
+                "base PLT ms",
+                "PLT gain",
+                "base FCP ms",
+                "FCP gain",
             ],
             &rows
         )
-    );
-    println!("Render-blocking resources are exactly the statically-extractable ones,");
-    println!("so the map covers the FCP-critical path completely.");
+    )?;
+    writeln!(
+        out,
+        "Render-blocking resources are exactly the statically-extractable ones,\n\
+         so the map covers the FCP-critical path completely."
+    )?;
+    Ok(())
 }

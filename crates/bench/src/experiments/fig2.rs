@@ -6,15 +6,18 @@
 //! This binary renders the diagram with real counters from driving a
 //! corpus site through cold + warm visits.
 
+use std::io::Write;
 use std::sync::Arc;
 
-use cachecatalyst_bench::runner::{base_url_of, first_visit_time};
+use crate::cli::{self, Args};
+use crate::runner::{base_url_of, first_visit_time};
 use cachecatalyst_browser::{Browser, SingleOrigin};
 use cachecatalyst_netsim::NetworkConditions;
 use cachecatalyst_origin::{HeaderMode, OriginServer};
 use cachecatalyst_webmodel::{Site, SiteSpec};
 
-fn main() {
+pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
+    args.finish()?;
     let site = Site::generate(SiteSpec {
         host: "fig2.example".into(),
         seed: 2,
@@ -33,47 +36,64 @@ fn main() {
     let warm = browser.load(&up, cond, &base, t0 + 3600);
     let sw = &browser.sw.metrics;
 
-    println!("== Figure 2: the Service Worker's interception paths ==\n");
-    println!(
+    writeln!(
+        out,
+        "== Figure 2: the Service Worker's interception paths ==\n"
+    )?;
+    writeln!(
+        out,
         "site {} ({} resources), cold visit + 1h revisit at {}\n",
         site.spec.host,
         site.len(),
         cond.label()
-    );
-    println!("                 ┌──────────────────────────────┐");
-    println!("   page fetches  │        Service Worker        │      origin");
-    println!("  ──────────────▶│  intercepts every request    │");
-    println!("                 │                              │");
-    println!(
+    )?;
+    writeln!(out, "                 ┌──────────────────────────────┐")?;
+    writeln!(
+        out,
+        "   page fetches  │        Service Worker        │      origin"
+    )?;
+    writeln!(out, "  ──────────────▶│  intercepts every request    │")?;
+    writeln!(out, "                 │                              │")?;
+    writeln!(
+        out,
         "                 │  ② forwarded upstream ───────┼──▶  {:>4} requests",
         sw.forwarded
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "                 │     (cold fills + changed    │◀──  {:>4} × 304",
         cold.not_modified + warm.not_modified
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "                 │      + JS-discovered)        │◀──  {:>4} × 200",
         cold.full_transfers + warm.full_transfers
-    );
-    println!("                 │                              │");
-    println!(
+    )?;
+    writeln!(out, "                 │                              │")?;
+    writeln!(
+        out,
         "                 │  ① served from SW cache ◀──  │     {:>4} responses,",
         sw.served_locally
-    );
-    println!("                 │     zero round trips         │      0 network bytes");
-    println!("                 └──────────────────────────────┘");
-    println!();
-    println!(
+    )?;
+    writeln!(
+        out,
+        "                 │     zero round trips         │      0 network bytes"
+    )?;
+    writeln!(out, "                 └──────────────────────────────┘")?;
+    writeln!(out)?;
+    writeln!(
+        out,
         "stored responses: {:>4}   map installs: {:>2}   map entries: {:>3}",
         sw.stored,
         sw.config_installs,
         browser.sw.config().len()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "cold PLT {:.0} ms → warm PLT {:.0} ms ({:.0}% reduction)",
         cold.plt_ms(),
         warm.plt_ms(),
         (cold.plt_ms() - warm.plt_ms()) / cold.plt_ms() * 100.0
-    );
+    )?;
+    Ok(())
 }

@@ -12,54 +12,40 @@
 //! distribution at the 5G-median condition (experiment E8);
 //! `--capture` uses the session-capture variant as treatment.
 
+use std::io::Write;
 use std::time::Duration;
 
-use cachecatalyst_bench::runner::{
-    base_url_of, first_visit_time, ClientKind, ContentModel, ExperimentGrid, REVISIT_DELAYS,
-};
-use cachecatalyst_bench::table::{render_series, render_table};
-use cachecatalyst_browser::SingleOrigin;
-use cachecatalyst_browser::{FrozenUpstream, Upstream};
+use super::corpus_arg;
+use crate::cli::{self, Args};
+use crate::runner::{reload_each, ClientKind, ContentModel, ExperimentGrid, REVISIT_DELAYS};
+use crate::table::{render_series, render_table};
 use cachecatalyst_netsim::NetworkConditions;
 use cachecatalyst_origin::OriginServer;
-use cachecatalyst_webmodel::{generate_corpus, CorpusSpec};
-use std::sync::Arc;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let arg_val = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let n_sites: usize = arg_val("--sites")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(100);
-    let want_cdf = args.iter().any(|a| a == "--cdf");
-    let treatment = if args.iter().any(|a| a == "--capture") {
+pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
+    let want_cdf = args.flag("--cdf");
+    let treatment = if args.flag("--capture") {
         ClientKind::CatalystCapture
     } else {
         ClientKind::Catalyst
     };
-    let content = if args.iter().any(|a| a == "--churn") {
+    let content = if args.flag("--churn") {
         ContentModel::Churning
     } else {
         ContentModel::Frozen
     };
-    let delays: Vec<Duration> = match arg_val("--delays").as_deref() {
-        Some("1m") => vec![Duration::from_secs(60)],
-        Some("1h") => vec![Duration::from_secs(3600)],
-        Some("6h") => vec![Duration::from_secs(6 * 3600)],
-        Some("1d") => vec![Duration::from_secs(86_400)],
-        Some("1w") => vec![Duration::from_secs(7 * 86_400)],
-        _ => REVISIT_DELAYS.to_vec(),
-    };
-
-    eprintln!("generating {n_sites}-site corpus…");
-    let sites = generate_corpus(&CorpusSpec {
-        n_sites,
-        ..Default::default()
-    });
+    let delays = args
+        .value_with("--delays", |v| match v {
+            "all" => Some(REVISIT_DELAYS.to_vec()),
+            "1m" => Some(vec![Duration::from_secs(60)]),
+            "1h" => Some(vec![Duration::from_secs(3600)]),
+            "6h" => Some(vec![Duration::from_secs(6 * 3600)]),
+            "1d" => Some(vec![Duration::from_secs(86_400)]),
+            "1w" => Some(vec![Duration::from_secs(7 * 86_400)]),
+            _ => None,
+        })?
+        .unwrap_or_else(|| REVISIT_DELAYS.to_vec());
+    let sites = corpus_arg(args, 100)?;
 
     let throughputs = NetworkConditions::figure3_throughputs();
     let latencies = NetworkConditions::figure3_latencies();
@@ -80,12 +66,15 @@ fn main() {
         content,
     );
 
-    println!("== Figure 3: PLT reduction (%) by network condition ==");
-    println!(
+    writeln!(
+        out,
+        "== Figure 3: PLT reduction (%) by network condition =="
+    )?;
+    writeln!(out,
         "   treatment: {treatment:?}; content: {content:?}; mean over {} sites × {} revisit delays\n",
         sites.len(),
         delays.len()
-    );
+    )?;
     let headers: Vec<String> = std::iter::once("throughput \\ RTT".to_owned())
         .chain(latencies.iter().map(|l| format!("{}ms", l.as_millis())))
         .collect();
@@ -103,9 +92,12 @@ fn main() {
                 .collect()
         })
         .collect();
-    println!("{}", render_table(&headers, &rows));
+    writeln!(out, "{}", render_table(&headers, &rows))?;
 
-    println!("== Absolute warm-visit PLT (ms), baseline → treatment ==\n");
+    writeln!(
+        out,
+        "== Absolute warm-visit PLT (ms), baseline → treatment ==\n"
+    )?;
     let rows: Vec<Vec<String>> = grid
         .throughputs
         .iter()
@@ -120,7 +112,7 @@ fn main() {
                 .collect()
         })
         .collect();
-    println!("{}", render_table(&headers, &rows));
+    writeln!(out, "{}", render_table(&headers, &rows))?;
 
     // The headline claim: mean reduction at the global 5G median.
     let median_cond = NetworkConditions::five_g_median();
@@ -134,49 +126,41 @@ fn main() {
         .iter()
         .position(|&l| l == median_cond.rtt)
         .unwrap();
-    println!(
+    writeln!(
+        out,
         "Headline (paper: ~30% at 60Mbps/40ms): {:.1}%\n",
         grid.cells[ti][li].improvement_percent()
-    );
+    )?;
 
     if want_cdf {
-        per_site_distribution(&sites, treatment, median_cond, &delays, content);
+        per_site_distribution(out, &sites, treatment, median_cond, &delays, content)?;
     }
+    Ok(())
 }
 
 /// E8: the per-site improvement distribution at one condition.
 fn per_site_distribution(
+    out: &mut dyn Write,
     sites: &[cachecatalyst_webmodel::Site],
     treatment: ClientKind,
     cond: NetworkConditions,
     delays: &[Duration],
     content: ContentModel,
-) {
+) -> cli::Result {
     let mut improvements: Vec<f64> = Vec::new();
     for site in sites {
-        let base = base_url_of(site);
-        let t0 = first_visit_time(site);
         let mut plts = [0.0f64; 2];
         for (i, kind) in [ClientKind::Baseline, treatment].into_iter().enumerate() {
-            let origin = Arc::new(OriginServer::new(site.clone(), kind.header_mode()));
-            let upstream: Box<dyn Upstream> = match content {
-                ContentModel::Frozen => Box::new(FrozenUpstream::new(SingleOrigin(origin), t0)),
-                ContentModel::Churning => Box::new(SingleOrigin(origin)),
-            };
-            let mut cold = kind.browser();
-            cold.load(upstream.as_ref(), cond, &base, t0);
-            for &d in delays {
-                let mut b = cold.clone();
-                plts[i] += b
-                    .load(upstream.as_ref(), cond, &base, t0 + d.as_secs() as i64)
-                    .plt_ms();
+            let upstream = content.upstream(OriginServer::new(site.clone(), kind.header_mode()));
+            for warm in reload_each(&*upstream, site, kind.browser(), cond, delays).warm {
+                plts[i] += warm.plt_ms();
             }
         }
         improvements.push((plts[0] - plts[1]) / plts[0] * 100.0);
     }
     improvements.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let pct = |p: f64| improvements[((improvements.len() - 1) as f64 * p) as usize];
-    println!("== E8: per-site PLT reduction at {} ==", cond.label());
+    writeln!(out, "== E8: per-site PLT reduction at {} ==", cond.label())?;
     let series: Vec<(String, f64)> = [
         ("p10", pct(0.10)),
         ("p25", pct(0.25)),
@@ -191,5 +175,10 @@ fn per_site_distribution(
     .into_iter()
     .map(|(l, v)| (l.to_owned(), v))
     .collect();
-    println!("{}", render_series("reduction percentiles", &series, "%"));
+    writeln!(
+        out,
+        "{}",
+        render_series("reduction percentiles", &series, "%")
+    )?;
+    Ok(())
 }

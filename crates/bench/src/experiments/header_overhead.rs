@@ -5,18 +5,24 @@
 //! relative to the HTML itself, and the resulting first-visit PLT cost
 //! at the evaluation's network conditions.
 
+use std::io::Write;
 use std::sync::Arc;
 
-use cachecatalyst_bench::runner::{base_url_of, first_visit_time, ClientKind};
-use cachecatalyst_bench::table::render_table;
+use crate::cli::{self, Args};
+use crate::runner::{base_url_of, first_visit_time, ClientKind};
+use crate::table::render_table;
 use cachecatalyst_browser::SingleOrigin;
 use cachecatalyst_catalyst::{build_config_for_site, ExtractOptions};
 use cachecatalyst_netsim::NetworkConditions;
 use cachecatalyst_origin::{HeaderMode, OriginServer};
 use cachecatalyst_webmodel::{Site, SiteSpec};
 
-fn main() {
-    println!("== E6: X-Etag-Config header overhead vs page size ==\n");
+pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
+    args.finish()?;
+    writeln!(
+        out,
+        "== E6: X-Etag-Config header overhead vs page size ==\n"
+    )?;
     let cond = NetworkConditions::five_g_median();
 
     let mut rows = Vec::new();
@@ -64,22 +70,27 @@ fn main() {
         ]);
     }
 
-    println!(
+    writeln!(
+        out,
         "{}",
         render_table(
             &[
-                "resources".to_owned(),
-                "mapped".to_owned(),
-                "map size".to_owned(),
-                "per entry".to_owned(),
-                "vs HTML".to_owned(),
-                "cold PLT base".to_owned(),
-                "cold PLT cat".to_owned(),
-                "cold cost".to_owned(),
+                "resources",
+                "mapped",
+                "map size",
+                "per entry",
+                "vs HTML",
+                "cold PLT base",
+                "cold PLT cat",
+                "cold cost",
             ],
             &rows
         )
-    );
-    println!("The map costs tens of bytes per resource — a negligible share of the");
-    println!("base document — so cold-visit PLT is essentially unchanged.");
+    )?;
+    writeln!(
+        out,
+        "The map costs tens of bytes per resource — a negligible share of the\n\
+         base document — so cold-visit PLT is essentially unchanged."
+    )?;
+    Ok(())
 }

@@ -9,25 +9,29 @@
 //! CacheCatalyst serves it from the service worker with zero RTTs
 //! using the map on each page's HTML.
 
+use std::io::Write;
 use std::sync::Arc;
 
-use cachecatalyst_bench::runner::{first_visit_time, ClientKind};
-use cachecatalyst_bench::table::render_table;
+use crate::cli::{self, Args};
+use crate::runner::{first_visit_time, ClientKind};
+use crate::table::render_table;
 use cachecatalyst_browser::{Browser, SingleOrigin};
 use cachecatalyst_httpwire::Url;
 use cachecatalyst_netsim::NetworkConditions;
 use cachecatalyst_origin::OriginServer;
 use cachecatalyst_webmodel::{Site, SiteSpec};
 
-fn main() {
+pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
+    args.finish()?;
     let cond = NetworkConditions::five_g_median();
     let n_seeds = 6u64;
     let n_pages = 4usize;
 
-    println!(
+    writeln!(
+        out,
         "== E12: browsing {n_pages} pages of the same site ({}, 10 s between clicks) ==\n",
         cond.label()
-    );
+    )?;
 
     let mut rows = Vec::new();
     for (label, kind) in [
@@ -72,8 +76,12 @@ fn main() {
     for i in 1..n_pages {
         headers.push(format!("click {i}"));
     }
-    println!("{}", render_table(&headers, &rows));
-    println!("Within-session clicks: the chrome is seconds old, yet the status quo");
-    println!("keeps revalidating its no-cache share on every page; CacheCatalyst");
-    println!("serves it locally because each page's HTML carries fresh tokens.");
+    writeln!(out, "{}", render_table(&headers, &rows))?;
+    writeln!(
+        out,
+        "Within-session clicks: the chrome is seconds old, yet the status quo\n\
+         keeps revalidating its no-cache share on every page; CacheCatalyst\n\
+         serves it locally because each page's HTML carries fresh tokens."
+    )?;
+    Ok(())
 }

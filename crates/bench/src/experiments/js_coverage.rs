@@ -6,22 +6,26 @@
 //! improvement survives, and how much the session-capture mode
 //! recovers.
 
+use std::io::Write;
 use std::time::Duration;
 
-use cachecatalyst_bench::runner::{visit_pair, ClientKind};
-use cachecatalyst_bench::table::render_table;
+use crate::cli::{self, Args};
+use crate::runner::{visit_pair, ClientKind};
+use crate::table::render_table;
 use cachecatalyst_netsim::NetworkConditions;
 use cachecatalyst_webmodel::{Site, SiteSpec};
 
-fn main() {
+pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
+    args.finish()?;
     let cond = NetworkConditions::five_g_median();
     let delay = Duration::from_secs(3600);
     let n_seeds = 8;
 
-    println!(
+    writeln!(
+        out,
         "== E7: improvement vs JS-discovered fraction ({} | revisit 1h) ==\n",
         cond.label()
-    );
+    )?;
 
     let mut rows = Vec::new();
     for js_pct in [0.0, 0.1, 0.2, 0.3, 0.4, 0.6] {
@@ -56,20 +60,25 @@ fn main() {
         ]);
     }
 
-    println!(
+    writeln!(
+        out,
         "{}",
         render_table(
             &[
-                "JS-discovered".to_owned(),
-                "baseline PLT ms".to_owned(),
-                "catalyst gain".to_owned(),
-                "capture gain".to_owned(),
-                "aggregate gain".to_owned(),
+                "JS-discovered",
+                "baseline PLT ms",
+                "catalyst gain",
+                "capture gain",
+                "aggregate gain",
             ],
             &rows
         )
-    );
-    println!("Static extraction loses ground as more of the page hides behind JS;");
-    println!("session capture (the paper's future-work mode) recovers it, and the");
-    println!("memory-bounded aggregate variant matches it without per-session state.");
+    )?;
+    writeln!(
+        out,
+        "Static extraction loses ground as more of the page hides behind JS;\n\
+         session capture (the paper's future-work mode) recovers it, and the\n\
+         memory-bounded aggregate variant matches it without per-session state."
+    )?;
+    Ok(())
 }

@@ -9,21 +9,17 @@
 //!  * "47% of resources expire in the cache even though their content
 //!    has not changed" (Ramanujam et al.).
 
+use std::io::Write;
 use std::time::Duration;
 
-use cachecatalyst_bench::table::render_table;
-use cachecatalyst_webmodel::{generate_corpus, ChangeModel, CorpusSpec, HeaderPolicy};
+use super::corpus_arg;
+use crate::cli::{self, Args};
+use crate::table::render_table;
+use cachecatalyst_webmodel::{ChangeModel, HeaderPolicy};
 
-fn main() {
-    let n_sites: usize = std::env::args()
-        .skip_while(|a| a != "--sites")
-        .nth(1)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(100);
-    let sites = generate_corpus(&CorpusSpec {
-        n_sites,
-        ..Default::default()
-    });
+pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
+    let sites = corpus_arg(args, 100)?;
+    let n_sites = sites.len();
 
     let day = Duration::from_secs(86_400);
     let mut total = 0usize;
@@ -73,7 +69,10 @@ fn main() {
         }
     };
 
-    println!("== E3: motivating statistics over {n_sites} sites ({total} subresources) ==\n");
+    writeln!(
+        out,
+        "== E3: motivating statistics over {n_sites} sites ({total} subresources) ==\n"
+    )?;
     let rows = vec![
         vec![
             "effectively cacheable-and-cached (max-age)".to_owned(),
@@ -106,17 +105,12 @@ fn main() {
             "paper cites 47%".to_owned(),
         ],
     ];
-    println!(
+    writeln!(
+        out,
         "{}",
-        render_table(
-            &[
-                "statistic".to_owned(),
-                "measured".to_owned(),
-                "reference".to_owned()
-            ],
-            &rows
-        )
-    );
+        render_table(&["statistic", "measured", "reference"], &rows)
+    )?;
+    Ok(())
 }
 
 fn changes_within(change: &ChangeModel, t0: i64, window: Duration) -> bool {

@@ -8,26 +8,20 @@
 //!  * CacheCatalyst;
 //!  * CacheCatalyst + session capture.
 
-use std::sync::Arc;
+use std::io::Write;
 use std::time::Duration;
 
-use cachecatalyst_bench::runner::{base_url_of, first_visit_time, ClientKind, REVISIT_DELAYS};
-use cachecatalyst_bench::table::render_table;
-use cachecatalyst_browser::{Browser, SingleOrigin};
+use super::corpus_arg;
+use crate::cli::{self, Args};
+use crate::runner::{first_visit_time, reload_each, ClientKind, ContentModel, REVISIT_DELAYS};
+use crate::table::render_table;
 use cachecatalyst_netsim::NetworkConditions;
 use cachecatalyst_origin::{HeaderMode, OriginServer};
-use cachecatalyst_webmodel::{generate_corpus, CorpusSpec, Site};
+use cachecatalyst_webmodel::Site;
 
-fn main() {
-    let n_sites: usize = std::env::args()
-        .skip_while(|a| a != "--sites")
-        .nth(1)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(50);
-    let sites = generate_corpus(&CorpusSpec {
-        n_sites,
-        ..Default::default()
-    });
+pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
+    let sites = corpus_arg(args, 50)?;
+    let n_sites = sites.len();
     let cond = NetworkConditions::five_g_median();
 
     let policies: Vec<(&str, ClientKind, HeaderMode)> = vec![
@@ -41,11 +35,12 @@ fn main() {
         ),
     ];
 
-    println!(
+    writeln!(
+        out,
         "== E4: redundant transfer bytes per warm visit ({n_sites} sites × {} delays, {}) ==\n",
         REVISIT_DELAYS.len(),
         cond.label()
-    );
+    )?;
 
     let mut rows = Vec::new();
     let oracle = oracle_bytes(&sites, &REVISIT_DELAYS);
@@ -54,15 +49,9 @@ fn main() {
         let mut requests = 0usize;
         let mut samples = 0usize;
         for site in &sites {
-            let origin = Arc::new(OriginServer::new(site.clone(), mode));
-            let upstream = SingleOrigin(origin);
-            let base = base_url_of(site);
-            let t0 = first_visit_time(site);
-            let mut cold: Browser = kind.browser();
-            cold.load(&upstream, cond, &base, t0);
-            for delay in REVISIT_DELAYS {
-                let mut b = cold.clone();
-                let warm = b.load(&upstream, cond, &base, t0 + delay.as_secs() as i64);
+            let upstream = ContentModel::Churning.upstream(OriginServer::new(site.clone(), mode));
+            let browser = kind.browser();
+            for warm in reload_each(&*upstream, site, browser, cond, &REVISIT_DELAYS).warm {
                 down += warm.bytes_down;
                 requests += warm.network_requests();
                 samples += 1;
@@ -85,18 +74,20 @@ fn main() {
         "0%".to_owned(),
     ]);
 
-    println!(
+    writeln!(
+        out,
         "{}",
         render_table(
             &[
-                "policy".to_owned(),
-                "mean bytes down / visit".to_owned(),
-                "mean requests".to_owned(),
-                "redundant share".to_owned(),
+                "policy",
+                "mean bytes down / visit",
+                "mean requests",
+                "redundant share",
             ],
             &rows
         )
-    );
+    )?;
+    Ok(())
 }
 
 /// Mean bytes per warm visit an oracle would transfer: exactly the

@@ -5,10 +5,12 @@
 //! mode: the extra work catalyst adds is DOM traversal + map
 //! construction on HTML responses, amortized by the config cache.
 
+use std::io::Write;
 use std::sync::Arc;
 use std::time::Instant;
 
-use cachecatalyst_bench::table::render_table;
+use crate::cli::{self, Args};
+use crate::table::render_table;
 use cachecatalyst_httpwire::Request;
 use cachecatalyst_origin::{HeaderMode, OriginServer};
 use cachecatalyst_webmodel::{Site, SiteSpec};
@@ -25,8 +27,12 @@ fn measure(origin: &OriginServer, req: &Request, t: i64, iters: u32) -> f64 {
     start.elapsed().as_secs_f64() * 1e6 / iters as f64
 }
 
-fn main() {
-    println!("== E17: origin handler cost (µs per request, host CPU) ==\n");
+pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
+    args.finish()?;
+    writeln!(
+        out,
+        "== E17: origin handler cost (µs per request, host CPU) ==\n"
+    )?;
     let mut rows = Vec::new();
     for n_resources in [25usize, 70, 200] {
         let site = Site::generate(SiteSpec {
@@ -72,25 +78,30 @@ fn main() {
         ]);
     }
 
-    println!(
+    writeln!(
+        out,
         "{}",
         render_table(
             &[
-                "resources".to_owned(),
-                "nav base µs".to_owned(),
-                "nav cat µs".to_owned(),
-                "first map build µs".to_owned(),
-                "nav 304 cat µs".to_owned(),
-                "subres base µs".to_owned(),
-                "subres cat µs".to_owned(),
+                "resources",
+                "nav base µs",
+                "nav cat µs",
+                "first map build µs",
+                "nav 304 cat µs",
+                "subres base µs",
+                "subres cat µs",
             ],
             &rows
         )
-    );
-    println!("The first map build (DOM + CSS walk) is the dominant cost and is");
-    println!("amortized by the per-(page, time) config cache. Steady-state");
-    println!("navigations still pay 2–4× the baseline (cloning + serializing the");
-    println!("map into headers) but stay well under a millisecond; subresource");
-    println!("serving is unchanged. (Subresource columns include body synthesis,");
-    println!("which depends on the sampled resource's size.)");
+    )?;
+    writeln!(
+        out,
+        "The first map build (DOM + CSS walk) is the dominant cost and is\n\
+         amortized by the per-(page, time) config cache. Steady-state\n\
+         navigations still pay 2–4× the baseline (cloning + serializing the\n\
+         map into headers) but stay well under a millisecond; subresource\n\
+         serving is unchanged. (Subresource columns include body synthesis,\n\
+         which depends on the sampled resource's size.)"
+    )?;
+    Ok(())
 }

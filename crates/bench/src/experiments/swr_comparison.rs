@@ -8,15 +8,18 @@
 //! response (via a decorating upstream) and compares PLT *and* the
 //! staleness each policy exposes to the user.
 
+use std::io::Write;
 use std::sync::Arc;
 
-use cachecatalyst_bench::runner::{base_url_of, first_visit_time, ClientKind, REVISIT_DELAYS};
-use cachecatalyst_bench::table::render_table;
-use cachecatalyst_browser::{Browser, SingleOrigin, Upstream};
+use super::corpus_arg;
+use crate::cli::{self, Args};
+use crate::runner::{first_visit_time, reload_each, ClientKind, REVISIT_DELAYS};
+use crate::table::render_table;
+use cachecatalyst_browser::{SingleOrigin, Upstream};
 use cachecatalyst_httpwire::{HeaderName, Request, Response};
 use cachecatalyst_netsim::{FetchOutcome, NetworkConditions};
 use cachecatalyst_origin::OriginServer;
-use cachecatalyst_webmodel::{generate_corpus, CorpusSpec, Site};
+use cachecatalyst_webmodel::Site;
 
 /// Appends `stale-while-revalidate=<window>` to every `max-age`
 /// response — what a site adopting SWR would deploy.
@@ -48,23 +51,16 @@ struct Row {
     samples: usize,
 }
 
-fn main() {
-    let n_sites: usize = std::env::args()
-        .skip_while(|a| a != "--sites")
-        .nth(1)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(25);
-    let sites = generate_corpus(&CorpusSpec {
-        n_sites,
-        ..Default::default()
-    });
+pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
+    let sites = corpus_arg(args, 25)?;
+    let n_sites = sites.len();
     let cond = NetworkConditions::five_g_median();
 
-    println!(
+    writeln!(out,
         "== E16: stale-while-revalidate vs CacheCatalyst ({n_sites} sites × {} delays, {}, churning) ==\n",
         REVISIT_DELAYS.len(),
         cond.label()
-    );
+    )?;
 
     let mut rows = Vec::new();
     for (label, kind, swr_window) in [
@@ -87,14 +83,11 @@ fn main() {
                 }),
                 None => Box::new(SingleOrigin(origin)),
             };
-            let base = base_url_of(site);
             let t0 = first_visit_time(site);
-            let mut cold: Browser = kind.browser();
-            cold.load(upstream.as_ref(), cond, &base, t0);
-            for delay in REVISIT_DELAYS {
-                let mut b = cold.clone();
+            let browser = kind.browser();
+            let visits = reload_each(&*upstream, site, browser, cond, &REVISIT_DELAYS);
+            for (delay, warm) in REVISIT_DELAYS.iter().zip(visits.warm) {
                 let t1 = t0 + delay.as_secs() as i64;
-                let warm = b.load(upstream.as_ref(), cond, &base, t1);
                 acc.plt_ms += warm.plt_ms();
                 acc.requests += warm.network_requests() as f64;
                 acc.stale_served += count_stale(site, &warm.trace, t0, t1) as f64;
@@ -110,21 +103,26 @@ fn main() {
         ]);
     }
 
-    println!(
+    writeln!(
+        out,
         "{}",
         render_table(
             &[
-                "policy".to_owned(),
-                "warm PLT ms".to_owned(),
-                "warm requests".to_owned(),
-                "stale resources shown / visit".to_owned(),
+                "policy",
+                "warm PLT ms",
+                "warm requests",
+                "stale resources shown / visit",
             ],
             &rows
         )
-    );
-    println!("SWR buys latency by showing outdated content; CacheCatalyst buys the");
-    println!("same class of RTT savings while staying current — the trade-off the");
-    println!("paper's design removes.");
+    )?;
+    writeln!(
+        out,
+        "SWR buys latency by showing outdated content; CacheCatalyst buys the\n\
+         same class of RTT savings while staying current — the trade-off the\n\
+         paper's design removes."
+    )?;
+    Ok(())
 }
 
 /// Resources whose displayed version (cache/SW hit ⇒ the t0 version)

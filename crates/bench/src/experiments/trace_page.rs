@@ -11,28 +11,25 @@
 //! * `results/waterfall_<kind>.txt` — the classic Figure-1-style
 //!   waterfalls of both visits for side-by-side reading.
 //!
-//! Usage: trace_page [--delay SECS]
+//! Usage: `experiments trace_page [--delay SECS]`
 
 use std::fmt::Write as _;
+use std::io::Write;
 use std::time::Duration;
 
-use cachecatalyst_bench::runner::visit_pair_traced;
-use cachecatalyst_bench::ClientKind;
+use crate::cli::{self, Args};
+use crate::runner::visit_pair_traced;
+use crate::ClientKind;
 use cachecatalyst_netsim::NetworkConditions;
 use cachecatalyst_webmodel::example_site;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let delay_secs: u64 = args
-        .iter()
-        .position(|a| a == "--delay")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3600);
+pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
+    let delay_secs: u64 = args.value("--delay")?.unwrap_or(3600);
+    args.finish()?;
 
     let site = example_site();
     let cond = NetworkConditions::five_g_median();
-    std::fs::create_dir_all("results").expect("create results/");
+    std::fs::create_dir_all("results")?;
 
     for (kind, name) in [
         (ClientKind::Baseline, "baseline"),
@@ -46,20 +43,22 @@ fn main() {
         let _ = writeln!(waterfalls, "\n# {name} warm revisit (+{delay_secs}s)");
         waterfalls.push_str(&traced.pair.warm.trace.render_waterfall(72));
 
-        std::fs::write(format!("results/trace_{name}.txt"), &traced.trace_text)
-            .expect("write trace text");
-        std::fs::write(format!("results/trace_{name}.jsonl"), &traced.jsonl)
-            .expect("write trace jsonl");
-        std::fs::write(format!("results/waterfall_{name}.txt"), &waterfalls)
-            .expect("write waterfalls");
+        std::fs::write(format!("results/trace_{name}.txt"), &traced.trace_text)?;
+        std::fs::write(format!("results/trace_{name}.jsonl"), &traced.jsonl)?;
+        std::fs::write(format!("results/waterfall_{name}.txt"), &waterfalls)?;
 
-        println!(
+        writeln!(
+            out,
             "{name}: {} spans over 2 traces, cold PLT {:.1} ms, warm PLT {:.1} ms",
             traced.spans.len(),
             traced.pair.cold.plt_ms(),
             traced.pair.warm.plt_ms(),
-        );
-        println!("{}", traced.trace_text);
+        )?;
+        writeln!(out, "{}", traced.trace_text)?;
     }
-    println!("wrote results/trace_*.txt, results/trace_*.jsonl, results/waterfall_*.txt");
+    writeln!(
+        out,
+        "wrote results/trace_*.txt, results/trace_*.jsonl, results/waterfall_*.txt"
+    )?;
+    Ok(())
 }

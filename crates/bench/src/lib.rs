@@ -1,11 +1,15 @@
 //! # cachecatalyst-bench
 //!
 //! The experiment harness: shared runners that drive the page-load
-//! engine over the evaluation corpus, plus plain-text table/series
-//! rendering. Each figure/table of the paper has a binary in
-//! `src/bin/` that regenerates it (see DESIGN.md §4 for the index).
+//! engine over the evaluation corpus, plain-text table/series
+//! rendering, and every figure/table of the paper as a function under
+//! [`experiments`], all behind one binary (`experiments`; see
+//! DESIGN.md §4 for the index). The four wall-clock harnesses are
+//! separate binaries in `src/bin/`.
 
 pub mod benchjson;
+pub mod cli;
+pub mod experiments;
 pub mod fleet;
 pub mod runner;
 pub mod table;

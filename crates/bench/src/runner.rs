@@ -100,19 +100,53 @@ pub fn visit_pair(
     visit_pair_with(&upstream, site, kind.browser(), cond, delay)
 }
 
+/// What [`reload_each`] measured: the cold load and one warm reload
+/// per delay, in the order the delays were given.
+#[derive(Debug, Clone)]
+pub struct Reloads {
+    pub cold: LoadReport,
+    pub warm: Vec<LoadReport>,
+}
+
+/// The evaluation procedure of the paper's §4, once: load `site` cold
+/// at its [`first_visit_time`], then for each delay reload from a
+/// clone of the cold profile at `t0 + delay`.
+///
+/// This is the only place a cold profile is cloned for a reload: an
+/// experiment chooses the upstream and the browser, and what it sums.
+pub fn reload_each(
+    upstream: &dyn Upstream,
+    site: &Site,
+    mut cold: Browser,
+    cond: NetworkConditions,
+    delays: &[Duration],
+) -> Reloads {
+    let base = base_url_of(site);
+    let t0 = first_visit_time(site);
+    let first = cold.load(upstream, cond, &base, t0);
+    let reload = |delay: &Duration| {
+        let t1 = t0 + delay.as_secs() as i64;
+        cold.clone().load(upstream, cond, &base, t1)
+    };
+    Reloads {
+        warm: delays.iter().map(reload).collect(),
+        cold: first,
+    }
+}
+
 /// Like [`visit_pair`] but against an arbitrary upstream (proxies).
 pub fn visit_pair_with(
     upstream: &dyn Upstream,
     site: &Site,
-    mut browser: Browser,
+    browser: Browser,
     cond: NetworkConditions,
     delay: Duration,
 ) -> VisitPair {
-    let base = base_url_of(site);
-    let t0 = first_visit_time(site);
-    let cold = browser.load(upstream, cond, &base, t0);
-    let warm = browser.load(upstream, cond, &base, t0 + delay.as_secs() as i64);
-    VisitPair { cold, warm }
+    let Reloads { cold, mut warm } = reload_each(upstream, site, browser, cond, &[delay]);
+    VisitPair {
+        cold,
+        warm: warm.remove(0),
+    }
 }
 
 /// Everything [`visit_pair_traced`] captures for one cold+warm pair.
@@ -202,6 +236,19 @@ pub enum ContentModel {
     Churning,
 }
 
+impl ContentModel {
+    /// What a client sees of `origin` under this model: frozen at the
+    /// site's [`first_visit_time`], or live.
+    pub fn upstream(self, origin: OriginServer) -> Box<dyn Upstream> {
+        let t0 = first_visit_time(origin.site());
+        let origin = SingleOrigin(Arc::new(origin));
+        match self {
+            ContentModel::Frozen => Box::new(FrozenUpstream::new(origin, t0)),
+            ContentModel::Churning => Box::new(origin),
+        }
+    }
+}
+
 impl ExperimentGrid {
     /// Sweeps the grid. For each site the cold load is done once per
     /// condition and the browser state is cloned per revisit delay —
@@ -238,24 +285,15 @@ impl ExperimentGrid {
     ) -> ExperimentGrid {
         let mut cells = vec![vec![GridCell::default(); latencies.len()]; throughputs.len()];
         for site in sites {
-            let base = base_url_of(site);
-            let t0 = first_visit_time(site);
             for (kind_idx, kind) in [baseline, treatment].into_iter().enumerate() {
-                let origin = Arc::new(OriginServer::new(site.clone(), kind.header_mode()));
-                let upstream: Box<dyn Upstream> = match content {
-                    ContentModel::Frozen => Box::new(FrozenUpstream::new(SingleOrigin(origin), t0)),
-                    ContentModel::Churning => Box::new(SingleOrigin(origin)),
-                };
-                let upstream = upstream.as_ref();
+                let upstream =
+                    content.upstream(OriginServer::new(site.clone(), kind.header_mode()));
                 for (ti, &bps) in throughputs.iter().enumerate() {
                     for (li, &rtt) in latencies.iter().enumerate() {
                         let cond = NetworkConditions::new(rtt, bps);
-                        let mut cold_browser = kind.browser();
-                        cold_browser.load(upstream, cond, &base, t0);
-                        for &delay in delays {
-                            let mut b = cold_browser.clone();
-                            let warm = b.load(upstream, cond, &base, t0 + delay.as_secs() as i64);
-                            let cell = &mut cells[ti][li];
+                        let cell = &mut cells[ti][li];
+                        let browser = kind.browser();
+                        for warm in reload_each(&*upstream, site, browser, cond, delays).warm {
                             if kind_idx == 0 {
                                 cell.baseline_plt_ms += warm.plt_ms();
                                 cell.samples += 1;

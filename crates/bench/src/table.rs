@@ -2,32 +2,29 @@
 
 /// Renders a table with a header row. Columns are right-aligned to the
 /// widest cell.
-pub fn render_table(headers: &[String], rows: &[Vec<String>]) -> String {
+pub fn render_table<S: AsRef<str>>(headers: &[S], rows: &[Vec<String>]) -> String {
     let ncols = headers.len();
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+    let mut widths: Vec<usize> = headers.iter().map(|h| h.as_ref().len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate().take(ncols) {
             widths[i] = widths[i].max(cell.len());
         }
     }
-    let mut out = String::new();
-    let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-        let mut line = String::new();
+    fn push_row<C: AsRef<str>>(out: &mut String, cells: &[C], widths: &[usize]) {
         for (i, cell) in cells.iter().enumerate() {
             if i > 0 {
-                line.push_str("  ");
+                out.push_str("  ");
             }
-            line.push_str(&format!("{:>w$}", cell, w = widths[i]));
+            out.push_str(&format!("{:>w$}", cell.as_ref(), w = widths[i]));
         }
-        line
-    };
-    out.push_str(&fmt_row(headers, &widths));
-    out.push('\n');
+        out.push('\n');
+    }
+    let mut out = String::new();
+    push_row(&mut out, headers, &widths);
     out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (ncols - 1)));
     out.push('\n');
     for row in rows {
-        out.push_str(&fmt_row(row, &widths));
-        out.push('\n');
+        push_row(&mut out, row, &widths);
     }
     out
 }
@@ -62,7 +59,7 @@ mod tests {
     #[test]
     fn table_alignment() {
         let t = render_table(
-            &["name".into(), "value".into()],
+            &["name", "value"],
             &[
                 vec!["a".into(), "1".into()],
                 vec!["long-name".into(), "12345".into()],

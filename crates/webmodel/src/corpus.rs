@@ -4,7 +4,6 @@
 use crate::site::{Site, SiteSpec};
 use crate::stats::{rng_for, sample_lognormal};
 use crate::ttl::DeveloperPolicyParams;
-use rand::Rng;
 
 /// Parameters of the corpus generator.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,7 +53,7 @@ pub fn corpus_specs(spec: &CorpusSpec) -> Vec<SiteSpec> {
                 sample_lognormal(&mut rng, spec.resources_median, spec.resources_sigma)
                     .clamp(10.0, 400.0) as usize;
             let (lo, hi) = spec.js_fraction_range;
-            let js_discovered_fraction = rng.gen_range(lo..hi);
+            let js_discovered_fraction = rng.range_f64(lo..hi);
             SiteSpec {
                 host: format!("site{i:03}.example"),
                 seed: spec.seed.wrapping_mul(1000).wrapping_add(i as u64),

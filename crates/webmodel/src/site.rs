@@ -11,7 +11,6 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use cachecatalyst_httpwire::EntityTag;
-use rand::Rng;
 
 use crate::content::render_body;
 use crate::resource::{ChangeModel, Discovery, ResourceKind, ResourceSpec};
@@ -132,19 +131,19 @@ impl Site {
             let kind = SUB_KINDS[weighted_choice(&mut rng, &weights)];
             let (_, med, sigma, p_imm, med_period) = kind_params(kind);
             let size = sample_lognormal(&mut rng, med, sigma).clamp(200.0, 2_000_000.0) as u64;
-            let change = if rng.gen::<f64>() < p_imm {
+            let change = if rng.unit() < p_imm {
                 ChangeModel::Immutable
             } else {
                 let period_secs = sample_lognormal(&mut rng, med_period.as_secs_f64(), 1.0)
                     .clamp(300.0, 365.0 * 86_400.0);
                 let period = Duration::from_secs(period_secs as u64);
-                let phase = Duration::from_secs(rng.gen_range(0..period.as_secs().max(1)));
+                let phase = Duration::from_secs(rng.range(0..period.as_secs().max(1)));
                 ChangeModel::Periodic { period, phase }
             };
             let path = format!("/assets/{kind}-{i:03}.{}", kind.extension());
-            let third_party = rng.gen::<f64>() < spec.third_party_fraction;
+            let third_party = rng.unit() < spec.third_party_fraction;
             let fingerprinted = matches!(kind, ResourceKind::Css | ResourceKind::Js)
-                && rng.gen::<f64>() < spec.fingerprinted_fraction;
+                && rng.unit() < spec.fingerprinted_fraction;
             let policy = if fingerprinted {
                 // Cache busting: the URL changes with the content, so
                 // the representation is immutable and gets a year.
@@ -314,13 +313,13 @@ impl Site {
                     sample_lognormal(&mut rng, base_period.as_secs_f64(), 1.0)
                         .clamp(600.0, 30.0 * 86_400.0) as u64,
                 ),
-                phase: Duration::from_secs(rng.gen_range(0..3600)),
+                phase: Duration::from_secs(rng.range(0..3600)),
             };
             // Developers rarely let a document be served stale.
-            let page_policy = match rng.gen::<f64>() {
+            let page_policy = match rng.unit() {
                 x if x < 0.10 => HeaderPolicy::NoStore,
                 x if x < 0.80 => HeaderPolicy::NoCache,
-                _ => HeaderPolicy::MaxAge(Duration::from_secs(rng.gen_range(60..300))),
+                _ => HeaderPolicy::MaxAge(Duration::from_secs(rng.range(60..300))),
             };
             let mut children = chrome.clone();
             for (i, p) in content.iter().enumerate() {

@@ -4,8 +4,7 @@
 //! deterministically from `(seed, label)` so that regenerating a site
 //! gives byte-identical results regardless of call order.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use std::ops::Range;
 
 /// Derives a child seed from a parent seed and a label (FNV-1a over the
 /// label, mixed with SplitMix64).
@@ -18,24 +17,74 @@ pub fn derive_seed(seed: u64, label: &str) -> u64 {
     splitmix64(h)
 }
 
+const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
 /// SplitMix64 finalizer: decorrelates nearby seeds.
 pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = x.wrapping_add(GOLDEN_GAMMA);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)
 }
 
+/// The workspace's only random generator: a SplitMix64 counter, one
+/// `u64` of state, three draw shapes.
+///
+/// It is owned here, not taken from the `rand` crate, because what
+/// every seeded corpus, trace, test golden, `results/*.txt` and exact
+/// benchmark metric requires of it is *value stability* — the same
+/// draws for the same seed in every build, on every platform, forever
+/// — and `StdRng` documents that it does not promise that. So this
+/// stream is frozen: "improving" the step, the `f64` conversion or the
+/// range reduction changes every pinned artefact at once.
+/// `the_stream_is_pinned` below and the corpus and trace fingerprints
+/// in `tests/determinism.rs` are what fail when that happens.
+#[derive(Debug, Clone)]
+pub struct SeededRng {
+    state: u64,
+}
+
+impl SeededRng {
+    /// A generator whose stream is a pure function of `seed`.
+    pub fn new(seed: u64) -> SeededRng {
+        SeededRng { state: seed }
+    }
+
+    /// The next 64 bits of the stream.
+    pub fn next_u64(&mut self) -> u64 {
+        let out = splitmix64(self.state);
+        self.state = self.state.wrapping_add(GOLDEN_GAMMA);
+        out
+    }
+
+    /// Uniform in `[0, 1)`: the top 53 bits as a mantissa.
+    pub fn unit(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// An integer in `range`, by plain modulo: the bias is below 2⁻³⁹
+    /// for every span the models draw, and part of the stream.
+    pub fn range(&mut self, range: Range<u64>) -> u64 {
+        assert!(range.start < range.end, "empty range");
+        range.start + self.next_u64() % (range.end - range.start)
+    }
+
+    /// Uniform in `range`: `lo + unit · (hi − lo)`.
+    pub fn range_f64(&mut self, range: Range<f64>) -> f64 {
+        range.start + self.unit() * (range.end - range.start)
+    }
+}
+
 /// A deterministic RNG for a `(seed, label)` pair.
-pub fn rng_for(seed: u64, label: &str) -> StdRng {
-    StdRng::seed_from_u64(derive_seed(seed, label))
+pub fn rng_for(seed: u64, label: &str) -> SeededRng {
+    SeededRng::new(derive_seed(seed, label))
 }
 
 /// Samples a standard normal via Box–Muller.
-pub fn sample_normal(rng: &mut StdRng) -> f64 {
+pub fn sample_normal(rng: &mut SeededRng) -> f64 {
     loop {
-        let u1: f64 = rng.gen::<f64>();
-        let u2: f64 = rng.gen::<f64>();
+        let u1 = rng.unit();
+        let u2 = rng.unit();
         if u1 > f64::EPSILON {
             return (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
         }
@@ -45,21 +94,20 @@ pub fn sample_normal(rng: &mut StdRng) -> f64 {
 /// Samples a log-normal with the given *median* and `sigma` (shape).
 /// The median parameterization (`exp(mu)`) is easier to calibrate
 /// against published percentile tables than the mean.
-pub fn sample_lognormal(rng: &mut StdRng, median: f64, sigma: f64) -> f64 {
+pub fn sample_lognormal(rng: &mut SeededRng, median: f64, sigma: f64) -> f64 {
     (median.ln() + sigma * sample_normal(rng)).exp()
 }
 
 /// Samples an exponential with the given mean.
-pub fn sample_exp(rng: &mut StdRng, mean: f64) -> f64 {
-    let u: f64 = rng.gen::<f64>();
-    -mean * (1.0 - u).ln()
+pub fn sample_exp(rng: &mut SeededRng, mean: f64) -> f64 {
+    -mean * (1.0 - rng.unit()).ln()
 }
 
 /// Weighted choice: returns the index of the chosen weight.
-pub fn weighted_choice(rng: &mut StdRng, weights: &[f64]) -> usize {
+pub fn weighted_choice(rng: &mut SeededRng, weights: &[f64]) -> usize {
     let total: f64 = weights.iter().sum();
     assert!(total > 0.0, "weights must not all be zero");
-    let mut x = rng.gen::<f64>() * total;
+    let mut x = rng.unit() * total;
     for (i, w) in weights.iter().enumerate() {
         x -= w;
         if x <= 0.0 {
@@ -119,9 +167,33 @@ mod tests {
     fn rng_for_is_reproducible() {
         let mut r1 = rng_for(7, "x");
         let mut r2 = rng_for(7, "x");
-        let v1: Vec<u32> = (0..8).map(|_| r1.gen()).collect();
-        let v2: Vec<u32> = (0..8).map(|_| r2.gen()).collect();
+        let v1: Vec<u64> = (0..8).map(|_| r1.next_u64()).collect();
+        let v2: Vec<u64> = (0..8).map(|_| r2.next_u64()).collect();
         assert_eq!(v1, v2);
+    }
+
+    /// The frozen stream (see [`SeededRng`]): captured at PR 16 from
+    /// `vendor/rand`'s `StdRng`, whose draws this type reproduces.
+    #[test]
+    fn the_stream_is_pinned() {
+        let mut rng = rng_for(42, "x");
+        let first: Vec<u64> = (0..8).map(|_| rng.next_u64()).collect();
+        assert_eq!(
+            first,
+            [
+                0xaef7_3cce_f06c_d72c,
+                0x1e53_b4df_aa23_f213,
+                0xa516_3e9a_df75_b67f,
+                0x80c3_a2ae_10ae_1815,
+                0x545e_1d2d_ff4c_79c0,
+                0xaa81_8c1f_e6b7_3be8,
+                0x38bd_9bf5_c3cc_6e66,
+                0xce85_68d5_5d64_766a,
+            ]
+        );
+        assert_eq!(rng.unit().to_bits(), 0x3fd9_66b3_67bc_7474);
+        assert_eq!(rng.range(10..20), 14);
+        assert_eq!(rng.range_f64(0.25..0.75).to_bits(), 0x3fe6_3d07_7aa3_b50c);
     }
 
     #[test]

@@ -13,11 +13,9 @@
 use std::time::Duration;
 
 use cachecatalyst_httpwire::CacheControl;
-use rand::rngs::StdRng;
-use rand::Rng;
 
 use crate::resource::{ChangeModel, ResourceKind};
-use crate::stats::sample_lognormal;
+use crate::stats::{sample_lognormal, SeededRng};
 
 /// The effective caching headers assigned to one resource.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -111,7 +109,7 @@ impl Default for DeveloperPolicyParams {
 /// Draws the header policy for one resource given how its content
 /// actually changes.
 pub fn assign_policy(
-    rng: &mut StdRng,
+    rng: &mut SeededRng,
     params: &DeveloperPolicyParams,
     change: &ChangeModel,
 ) -> HeaderPolicy {
@@ -121,7 +119,7 @@ pub fn assign_policy(
 /// Kind-aware variant: API payloads (JSON) are overwhelmingly served
 /// `no-cache`/`no-store` in the wild rather than TTL'd.
 pub fn assign_policy_for_kind(
-    rng: &mut StdRng,
+    rng: &mut SeededRng,
     params: &DeveloperPolicyParams,
     kind: ResourceKind,
     change: &ChangeModel,
@@ -130,14 +128,14 @@ pub fn assign_policy_for_kind(
         ResourceKind::Json => (params.p_no_store + 0.10, params.p_no_cache + 0.40),
         _ => (params.p_no_store, params.p_no_cache),
     };
-    let roll: f64 = rng.gen();
+    let roll = rng.unit();
     if roll < p_no_store {
         return HeaderPolicy::NoStore;
     }
     if roll < p_no_store + p_no_cache {
         return HeaderPolicy::NoCache;
     }
-    let ttl_secs = if rng.gen::<f64>() < params.p_short_ttl {
+    let ttl_secs = if rng.unit() < params.p_short_ttl {
         // Short camp: an absolute TTL below one day.
         sample_lognormal(
             rng,

@@ -25,10 +25,7 @@
 //! ([`Trace::to_jsonl`] / [`Trace::from_jsonl`]) so a recorded workload
 //! can be archived, diffed, and replayed bit-for-bit.
 
-use rand::rngs::StdRng;
-use rand::Rng;
-
-use crate::stats::{rng_for, sample_exp, sample_lognormal, weighted_choice};
+use crate::stats::{rng_for, sample_exp, sample_lognormal, weighted_choice, SeededRng};
 
 /// Version stamp written into (and required from) serialized traces.
 pub const TRACE_VERSION: u32 = 1;
@@ -86,8 +83,8 @@ impl ZipfSampler {
     }
 
     /// Draws one rank.
-    pub fn sample(&self, rng: &mut StdRng) -> usize {
-        let u: f64 = rng.gen();
+    pub fn sample(&self, rng: &mut SeededRng) -> usize {
+        let u = rng.unit();
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
     }
 }
@@ -125,17 +122,17 @@ impl Default for SessionParams {
 
 impl SessionParams {
     /// Draws one revisit gap in seconds (log-normal, always ≥ 1 s).
-    pub fn sample_gap_secs(&self, rng: &mut StdRng) -> f64 {
+    pub fn sample_gap_secs(&self, rng: &mut SeededRng) -> f64 {
         sample_lognormal(rng, self.revisit_median_secs, self.revisit_sigma).max(1.0)
     }
 
     /// Draws the visit count for one user: `1 + Exp(visits_mean − 1)`
     /// with stochastic rounding, so the expectation is exactly
     /// `visits_mean` (plain floor would bias it low by ~0.4 visits).
-    pub fn sample_visits(&self, rng: &mut StdRng) -> usize {
+    pub fn sample_visits(&self, rng: &mut SeededRng) -> usize {
         let extra = sample_exp(rng, (self.visits_mean - 1.0).max(1e-6));
         let base = extra.floor();
-        let round_up = rng.gen::<f64>() < extra - base;
+        let round_up = rng.unit() < extra - base;
         1 + (base as usize + usize::from(round_up)).min(200)
     }
 }
@@ -195,9 +192,9 @@ impl DiurnalCurve {
 
     /// Draws a second-of-day: a weighted hour choice plus a uniform
     /// offset inside the hour.
-    pub fn sample_offset_secs(&self, rng: &mut StdRng) -> u64 {
+    pub fn sample_offset_secs(&self, rng: &mut SeededRng) -> u64 {
         let hour = weighted_choice(rng, &self.weights);
-        hour as u64 * 3600 + rng.gen_range(0..3600u64)
+        hour as u64 * 3600 + rng.range(0..3600)
     }
 }
 
@@ -293,17 +290,17 @@ pub fn generate(spec: &WorkloadSpec) -> Trace {
         let mut rng = rng_for(spec.seed, &format!("user-{user}"));
         let home = zipf.sample(&mut rng) as u32;
         let visits = spec.session.sample_visits(&mut rng);
-        let day = rng.gen_range(0..days);
+        let day = rng.range(0..days);
         // Wrap into the horizon so sub-day traces still start every
         // user (the diurnal draw spans a full day).
         let start_secs =
             (day * 86_400 + spec.diurnal.sample_offset_secs(&mut rng)) % spec.horizon_secs;
-        let mut t_ms = start_secs * 1000 + rng.gen_range(0..1000u64);
+        let mut t_ms = start_secs * 1000 + rng.range(0..1000);
         for _ in 0..visits {
             if t_ms >= horizon_ms {
                 break;
             }
-            let site = if rng.gen::<f64>() < spec.session.home_bias {
+            let site = if rng.unit() < spec.session.home_bias {
                 home
             } else {
                 zipf.sample(&mut rng) as u32
@@ -315,7 +312,7 @@ pub fn generate(spec: &WorkloadSpec) -> Trace {
                 tab: 0,
                 flash: false,
             });
-            if rng.gen::<f64>() < spec.session.tab_prob {
+            if rng.unit() < spec.session.tab_prob {
                 let other = zipf.sample(&mut rng) as u32;
                 events.push(VisitEvent {
                     t_ms,
@@ -333,11 +330,11 @@ pub fn generate(spec: &WorkloadSpec) -> Trace {
     for (i, crowd) in spec.flash_crowds.iter().enumerate() {
         let mut rng = rng_for(spec.seed, &format!("flash-{i}"));
         for _ in 0..crowd.visits {
-            let t_ms = (crowd.at_secs * 1000 + rng.gen_range(0..crowd.duration_secs.max(1) * 1000))
+            let t_ms = (crowd.at_secs * 1000 + rng.range(0..crowd.duration_secs.max(1) * 1000))
                 .min(horizon_ms.saturating_sub(1));
             events.push(VisitEvent {
                 t_ms,
-                user: rng.gen_range(0..spec.users),
+                user: rng.range(0..u64::from(spec.users)) as u32,
                 site: crowd.site_rank.min(spec.sites - 1),
                 tab: 0,
                 flash: true,

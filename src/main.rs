@@ -13,9 +13,6 @@
 //!                    [--revisit SECS] [--waterfall] [--har FILE] [--csv FILE]
 //!     Simulate a cold visit + revisit of a generated site and print
 //!     the waterfalls and PLTs (optionally exporting HAR/CSV).
-//!
-//! cachecatalyst sweep [--sites N]
-//!     Print a miniature Figure-3 grid.
 //! ```
 
 use std::sync::Arc;
@@ -32,10 +29,10 @@ struct Args {
 }
 
 impl Args {
-    fn parse() -> Args {
+    fn parse(args: impl Iterator<Item = String>) -> Args {
         let mut positional = Vec::new();
         let mut flags = Vec::new();
-        let mut it = std::env::args().skip(1).peekable();
+        let mut it = args.peekable();
         while let Some(a) = it.next() {
             if let Some(name) = a.strip_prefix("--") {
                 let value = match it.peek() {
@@ -89,15 +86,14 @@ fn site_of(args: &Args) -> Site {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(std::env::args().skip(1));
     match args.positional.first().map(String::as_str) {
         Some("serve") => cmd_serve(&args),
         Some("fetch") => cmd_fetch(&args),
         Some("load") => cmd_load(&args),
-        Some("sweep") => cmd_sweep(&args),
         _ => {
             eprintln!(
-                "usage: cachecatalyst <serve|fetch|load|sweep> [options]\n\
+                "usage: cachecatalyst <serve|fetch|load> [options]\n\
                  see the crate docs or README for details"
             );
             std::process::exit(2);
@@ -239,74 +235,12 @@ fn cmd_load(args: &Args) {
     }
 }
 
-fn cmd_sweep(args: &Args) {
-    let n: usize = args.flag("sites").and_then(|v| v.parse().ok()).unwrap_or(8);
-    let sites = generate_corpus(&CorpusSpec {
-        n_sites: n,
-        ..Default::default()
-    });
-    println!("CacheCatalyst vs status quo, warm PLT reduction ({n} sites, 6h revisit)\n");
-    print!("{:>10}", "");
-    for rtt in NetworkConditions::figure3_latencies() {
-        print!("{:>8}", format!("{}ms", rtt.as_millis()));
-    }
-    println!();
-    for bps in NetworkConditions::figure3_throughputs() {
-        print!("{:>10}", format!("{}Mbps", bps / 1_000_000));
-        for rtt in NetworkConditions::figure3_latencies() {
-            let cond = NetworkConditions::new(rtt, bps);
-            let mut base_plt = 0.0;
-            let mut cat_plt = 0.0;
-            for site in &sites {
-                let url =
-                    Url::parse(&format!("http://{}{}", site.spec.host, site.base_path())).unwrap();
-                let t0: i64 = 35 * 86_400;
-                for (is_cat, acc) in [(false, &mut base_plt), (true, &mut cat_plt)] {
-                    let mode = if is_cat {
-                        HeaderMode::Catalyst
-                    } else {
-                        HeaderMode::Baseline
-                    };
-                    let origin = Arc::new(OriginServer::new(site.clone(), mode));
-                    let up = SingleOrigin(origin);
-                    let mut b = if is_cat {
-                        Browser::catalyst()
-                    } else {
-                        Browser::baseline()
-                    };
-                    b.load(&up, cond, &url, t0);
-                    *acc += b.load(&up, cond, &url, t0 + 6 * 3600).plt_ms();
-                }
-            }
-            print!(
-                "{:>8}",
-                format!("{:.0}%", (base_plt - cat_plt) / base_plt * 100.0)
-            );
-        }
-        println!();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> Args {
-        let mut positional = Vec::new();
-        let mut flags = Vec::new();
-        let mut it = args.iter().map(|s| s.to_string()).peekable();
-        while let Some(a) = it.next() {
-            if let Some(name) = a.strip_prefix("--") {
-                let value = match it.peek() {
-                    Some(v) if !v.starts_with("--") => Some(it.next().unwrap()),
-                    _ => None,
-                };
-                flags.push((name.to_owned(), value));
-            } else {
-                positional.push(a);
-            }
-        }
-        Args { positional, flags }
+        Args::parse(args.iter().map(|s| s.to_string()))
     }
 
     #[test]

@@ -51,6 +51,33 @@ fn different_seeds_differ() {
     assert_ne!(a.0, b.0);
 }
 
+/// The generator's stream, pinned where people read it: a corpus and a
+/// trace. Both constants were captured at PR 16 from `vendor/rand`'s
+/// `StdRng`; `webmodel::stats::SeededRng` must keep drawing that
+/// stream (its doc comment says why), in every build flavour.
+#[test]
+fn the_seeded_stream_is_the_one_pinned_at_pr16() {
+    use cachecatalyst::httpwire::hash::fnv1a64;
+    use cachecatalyst::webmodel::workload::generate;
+
+    let mut corpus = String::new();
+    for site in generate_corpus(&CorpusSpec {
+        n_sites: 3,
+        seed: 42,
+        ..Default::default()
+    }) {
+        for res in site.resources() {
+            let (host, path) = (&site.spec.host, &res.spec.path);
+            let etag = site.etag_at(path, 0).unwrap();
+            corpus.push_str(&format!("{host}{path} {etag}\n"));
+        }
+    }
+    assert_eq!(fnv1a64(corpus.as_bytes()), 0xf7e0_4309_5431_aa78);
+
+    let trace = generate(&fleet::spec(42)).to_jsonl();
+    assert_eq!(fnv1a64(trace.as_bytes()), 0x0fd0_52b4_6223_896d);
+}
+
 mod fleet {
     //! The population-scale tier must be deterministic end to end:
     //! trace bytes, replay counters, audits — all pure functions of
@@ -60,7 +87,7 @@ mod fleet {
     use cachecatalyst_bench::ClientKind;
     use cachecatalyst_webmodel::workload::{generate, Trace, WorkloadSpec};
 
-    fn spec(seed: u64) -> WorkloadSpec {
+    pub fn spec(seed: u64) -> WorkloadSpec {
         WorkloadSpec {
             users: 150,
             sites: 10,

@@ -1,0 +1,128 @@
+//! Integration: `results/*.txt` are what the experiments print. The
+//! quick rows of `bench::experiments::TABLE` are regenerated here and
+//! compared byte for byte (CI's `bench-smoke` job does every
+//! deterministic row); the table, `results/` and EXPERIMENTS.md must
+//! name the same things; and the command line refuses what it cannot
+//! read instead of running the defaults.
+
+use std::path::Path;
+
+use cachecatalyst_bench::cli::{Args, Error};
+use cachecatalyst_bench::experiments::{dispatch, Row, TABLE};
+
+/// The rows that take at most 0.2 s in a release build.
+const QUICK: [&str; 8] = [
+    "fig1",
+    "fig2",
+    "motivation_stats",
+    "header_overhead",
+    "intra_site",
+    "corpus_report",
+    "cross_origin",
+    "cache_busting",
+];
+
+fn results() -> &'static Path {
+    Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/results"))
+}
+
+fn print(row: &Row) -> String {
+    let mut report = Vec::new();
+    row.write_to(&mut report).expect("pinned arguments parse");
+    String::from_utf8(report).expect("reports are text")
+}
+
+#[test]
+fn quick_rows_print_their_committed_files_in_any_order() {
+    let quick: Vec<&Row> = TABLE.iter().filter(|r| QUICK.contains(&r.file)).collect();
+    assert_eq!(quick.len(), QUICK.len());
+    // Forwards, then backwards: what ran before an experiment in this
+    // process (span ids count up process-wide, for one) must not show
+    // in what it prints.
+    for row in quick.iter().chain(quick.iter().rev()) {
+        assert!(!row.wall_clock);
+        let committed = std::fs::read_to_string(results().join(format!("{}.txt", row.file)));
+        assert_eq!(print(row), committed.unwrap(), "results/{}.txt", row.file);
+    }
+}
+
+#[test]
+fn the_table_results_and_experiments_md_agree() {
+    let doc = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/EXPERIMENTS.md"));
+    let doc = doc.unwrap();
+    for row in TABLE {
+        assert!(
+            results().join(format!("{}.txt", row.file)).is_file(),
+            "results/{}.txt is missing",
+            row.file
+        );
+        assert!(
+            doc.contains(row.name),
+            "EXPERIMENTS.md never names {}",
+            row.name
+        );
+    }
+    // Everything else under results/ is an appended history of a
+    // wall-clock harness or one of `trace_page`'s artefacts.
+    let histories = [
+        "origin_throughput",
+        "edge_throughput",
+        "edge_tier",
+        "fleet_load",
+    ];
+    for entry in std::fs::read_dir(results()).unwrap() {
+        let path = entry.unwrap().path();
+        let stem = path.file_stem().unwrap().to_str().unwrap();
+        assert!(
+            TABLE.iter().any(|r| r.file == stem)
+                || histories.contains(&stem)
+                || stem.starts_with("trace_")
+                || stem.starts_with("waterfall_"),
+            "{} is nobody's output",
+            path.display()
+        );
+    }
+}
+
+#[test]
+fn bad_command_lines_are_usage_errors_and_run_nothing() {
+    for line in [
+        "fig3 --sites abc",
+        "fig3 --sites",
+        "fig3 --site 30",
+        "fig3 --delays 2h",
+        "fig1 --sites 30",
+        "all --sites-scale 1.0",
+        "nope",
+        "",
+    ] {
+        let mut sink = Vec::new();
+        let result = dispatch(&mut Args::new(line), &mut sink);
+        assert!(
+            matches!(result, Err(Error::Usage(_))),
+            "{line:?}: {result:?}"
+        );
+        assert!(sink.is_empty(), "{line:?} printed something");
+    }
+
+    let mut args = Args::new("--sites 30 --cdf --disk-tier --label x --disk-tier /tmp/d");
+    assert_eq!(args.value::<usize>("--sites").unwrap(), Some(30));
+    assert!(args.flag("--cdf") && !args.flag("--cdf"), "taken once");
+    assert_eq!(args.optional_value("--disk-tier"), Some(None));
+    assert_eq!(
+        args.optional_value("--disk-tier"),
+        Some(Some("/tmp/d".into()))
+    );
+    assert_eq!(
+        args.value::<String>("--label").unwrap().as_deref(),
+        Some("x")
+    );
+    args.finish().expect("nothing left over");
+
+    let mut listing = Vec::new();
+    dispatch(&mut Args::new("list"), &mut listing).unwrap();
+    assert_eq!(
+        listing.iter().filter(|&&b| b == b'\n').count(),
+        TABLE.len() + 1
+    );
+}
