@@ -53,6 +53,13 @@ pub mod ext {
     pub const X_FAULT: &str = "x-cc-fault";
 }
 
+/// Local serving overhead of a service-worker cache hit.
+const SW_OVERHEAD: Duration = Duration::from_micros(300);
+
+/// Local serving overhead of an HTTP-cache hit (or of handing over an
+/// already-delivered push).
+const CACHE_OVERHEAD: Duration = Duration::from_micros(150);
+
 /// Tunables of a page load. The discrete-event engine reads all of
 /// them; the live loader reads the ones that are not about simulated
 /// transport (`mode`, `enable_swr`, `max_connections_per_origin`, the
@@ -88,10 +95,6 @@ pub struct EngineConfig {
     pub prioritize_render_blocking: bool,
     /// Server processing time charged per request.
     pub server_think: Duration,
-    /// Local serving overhead of a service-worker cache hit.
-    pub sw_overhead: Duration,
-    /// Local serving overhead of an HTTP-cache hit.
-    pub cache_overhead: Duration,
     /// Fixed + size-proportional cost of parsing HTML/CSS.
     pub parse_base: Duration,
     pub parse_bytes_per_sec: f64,
@@ -134,8 +137,6 @@ impl Default for EngineConfig {
             enable_swr: true,
             prioritize_render_blocking: true,
             server_think: Duration::from_millis(1),
-            sw_overhead: Duration::from_micros(300),
-            cache_overhead: Duration::from_micros(150),
             parse_base: Duration::from_millis(1),
             parse_bytes_per_sec: 50e6,
             exec_base: Duration::from_millis(2),
@@ -767,8 +768,8 @@ impl<'a> Engine<'a> {
             self.fetches[f].facts.outcome = outcome;
             self.fetches[f].response = Some(response);
             let overhead = match outcome {
-                FetchOutcome::ServiceWorkerHit => self.cfg.sw_overhead,
-                _ => self.cfg.cache_overhead,
+                FetchOutcome::ServiceWorkerHit => SW_OVERHEAD,
+                _ => CACHE_OVERHEAD,
             };
             let tok = self.token(Pending::Instant(f));
             self.net.set_timer(overhead, tok);
@@ -835,7 +836,7 @@ impl<'a> Engine<'a> {
             self.fetches[f].facts.outcome = FetchOutcome::Pushed;
             self.fetches[f].response = Some(resp);
             let tok = self.token(Pending::Instant(f));
-            self.net.set_timer(self.cfg.cache_overhead, tok);
+            self.net.set_timer(CACHE_OVERHEAD, tok);
             return true;
         }
         if let Some(entry) = self.push_inflight.get_mut(&self.fetches[f].facts.key) {

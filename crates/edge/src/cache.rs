@@ -38,10 +38,9 @@ use cachecatalyst_browser::engine::ext;
 use cachecatalyst_browser::{ClientOptions, Upstream};
 use cachecatalyst_catalyst::{ConfigIntegrity, EtagConfig};
 use cachecatalyst_httpcache::freshness_lifetime;
-use cachecatalyst_httpwire::{
-    tracectx, Body, EntityTag, HeaderName, Method, Request, Response, StatusCode,
-};
-use cachecatalyst_telemetry::span::{Span, SpanId, SpanSink, TraceContext};
+use cachecatalyst_httpwire::tracectx::Hop;
+use cachecatalyst_httpwire::{Body, EntityTag, HeaderName, Method, Request, Response, StatusCode};
+use cachecatalyst_telemetry::span::SpanSink;
 use cachecatalyst_telemetry::{json_string, CacheAudit, CacheDecision, Event, Recorder, Registry};
 use parking_lot::Mutex;
 
@@ -49,6 +48,10 @@ use crate::store::{MarkOutcome, StoreOptions, StoredEntry, TierHit, TieredStore}
 
 /// Counter handles for the edge's Prometheus series, shared with the
 /// registry (scrapes and [`EdgeCache::metrics`] read the same cells).
+/// The request path moves only the series the edge owns; the ones
+/// derived from the store (evictions, tier movement, `edge_disk_*`,
+/// the held bytes/objects gauges) are filled from the store's own
+/// totals by [`EdgeCache::metrics`].
 struct Counters {
     requests: Arc<cachecatalyst_telemetry::Counter>,
     hits: Arc<cachecatalyst_telemetry::Counter>,
@@ -284,8 +287,6 @@ pub struct EdgeBuilder<U> {
     upstream: U,
     store: StoreOptions,
     min_fresh_secs: i64,
-    catalyst_fresh_secs: i64,
-    negative_ttl_secs: i64,
     registry: Option<Arc<Registry>>,
     recorder: Option<Arc<dyn Recorder>>,
     spans: Option<Arc<SpanSink>>,
@@ -331,23 +332,12 @@ impl<U: Upstream> EdgeBuilder<U> {
         self
     }
 
-    /// How long a catalyst-map validation keeps an entry fresh
-    /// (default 2 virtual seconds — the map speaks for "now", not for
-    /// an arbitrary future).
-    pub fn catalyst_fresh_secs(mut self, secs: i64) -> EdgeBuilder<U> {
-        self.catalyst_fresh_secs = secs.max(1);
-        self
-    }
-
-    /// Negative-cache TTL for 404s (default 5 virtual seconds).
-    pub fn negative_ttl_secs(mut self, secs: i64) -> EdgeBuilder<U> {
-        self.negative_ttl_secs = secs.max(1);
-        self
-    }
-
     /// Register the edge's Prometheus series in an existing registry
     /// (e.g. to scrape edge and origin from one endpoint). A fresh
-    /// registry is created otherwise.
+    /// registry is created otherwise. Whoever renders a shared
+    /// registry calls [`EdgeCache::metrics`] first, as
+    /// [`TcpEdge`](crate::tcp::TcpEdge) does: the store-derived series
+    /// are brought up to date there and nowhere else.
     pub fn registry(mut self, registry: Arc<Registry>) -> EdgeBuilder<U> {
         self.registry = Some(registry);
         self
@@ -393,17 +383,17 @@ impl<U: Upstream> EdgeBuilder<U> {
                 Arc::new(SpanSink::new(cachecatalyst_telemetry::span::Sampling::Off))
             }),
             min_fresh_secs: self.min_fresh_secs,
-            catalyst_fresh_secs: self.catalyst_fresh_secs,
-            negative_ttl_secs: self.negative_ttl_secs,
         })
     }
 }
 
-/// An in-flight distributed-trace hop (see `proxies::trace`).
-struct Hop {
-    ctx: TraceContext,
-    span: SpanId,
-}
+/// How long a catalyst-map validation keeps an entry fresh, in
+/// virtual seconds: the map speaks for "now", not for an arbitrary
+/// future.
+const CATALYST_FRESH_SECS: i64 = 2;
+
+/// Negative-cache TTL for 404s, in virtual seconds.
+const NEGATIVE_TTL_SECS: i64 = 5;
 
 /// The shared edge-cache tier. Decorates any [`Upstream`]; itself an
 /// [`Upstream`], so it slots anywhere an origin or proxy does — in
@@ -419,8 +409,6 @@ pub struct EdgeCache<U> {
     recorder: Option<Arc<dyn Recorder>>,
     spans: Arc<SpanSink>,
     min_fresh_secs: i64,
-    catalyst_fresh_secs: i64,
-    negative_ttl_secs: i64,
 }
 
 impl<U: Upstream> EdgeCache<U> {
@@ -430,8 +418,6 @@ impl<U: Upstream> EdgeCache<U> {
             upstream,
             store: StoreOptions::new(),
             min_fresh_secs: 1,
-            catalyst_fresh_secs: 2,
-            negative_ttl_secs: 5,
             registry: None,
             recorder: None,
             spans: None,
@@ -490,36 +476,30 @@ impl<U: Upstream> EdgeCache<U> {
         self.store.len()
     }
 
-    /// Mirrors the store's gauges/eviction count into the registry
-    /// (called after every store mutation and on snapshot). The store
-    /// keeps its own atomics; the registry counters follow by delta so
-    /// scrapes and [`EdgeCache::metrics`] read one source of truth.
+    /// Copies the store's own totals into the registry series derived
+    /// from them. The store's atomics are the source of truth and this
+    /// runs only where the copies are read — [`EdgeCache::metrics`],
+    /// which a scrape calls before rendering — never on the request
+    /// path.
     fn sync_store_series(&self) {
-        self.counters.bytes_held.set(self.store.bytes_held() as f64);
-        self.counters.objects_held.set(self.store.len() as f64);
-        let delta = |counter: &cachecatalyst_telemetry::Counter, total: u64| {
-            let seen = counter.get();
-            if total > seen {
-                counter.add(total - seen);
-            }
-        };
-        delta(&self.counters.evictions, self.store.evictions());
+        let c = &self.counters;
+        c.bytes_held.set(self.store.bytes_held() as f64);
+        c.objects_held.set(self.store.len() as f64);
+        c.evictions.advance_to(self.store.evictions());
         let movement = self.store.counters();
-        delta(&self.counters.promotions, movement.promotions);
-        delta(&self.counters.demotions, movement.demotions);
-        delta(&self.counters.admission_rejects, movement.admission_rejects);
+        c.promotions.advance_to(movement.promotions);
+        c.demotions.advance_to(movement.demotions);
+        c.admission_rejects.advance_to(movement.admission_rejects);
         if let Some(disk) = self.store.disk_stats() {
-            delta(&self.counters.disk_written_bytes, disk.written_bytes);
-            delta(&self.counters.disk_read_errors, disk.read_errors);
-            delta(&self.counters.disk_recovered, disk.recovered);
-            delta(
-                &self.counters.disk_recovered_refreshed,
-                disk.recovered_refreshed,
-            );
-            delta(&self.counters.disk_retired_segments, disk.retired_segments);
-            self.counters.disk_bytes.set(disk.live_bytes as f64);
-            self.counters.disk_objects.set(disk.objects as f64);
-            self.counters.disk_segments.set(disk.segments as f64);
+            c.disk_written_bytes.advance_to(disk.written_bytes);
+            c.disk_read_errors.advance_to(disk.read_errors);
+            c.disk_recovered.advance_to(disk.recovered);
+            c.disk_recovered_refreshed
+                .advance_to(disk.recovered_refreshed);
+            c.disk_retired_segments.advance_to(disk.retired_segments);
+            c.disk_bytes.set(disk.live_bytes as f64);
+            c.disk_objects.set(disk.objects as f64);
+            c.disk_segments.set(disk.segments as f64);
         }
     }
 
@@ -561,36 +541,19 @@ impl<U: Upstream> EdgeCache<U> {
         [host, req.target.path()].concat()
     }
 
-    /// Starts an `edge.serve` hop when the request belongs to a
-    /// sampled trace: the forwarded request is re-parented onto the
-    /// edge's span so origin spans nest beneath it. `None` when there
-    /// is no hop — the client's request is then forwarded as it is.
-    fn trace_start(&self, req: &Request) -> Option<(Request, Hop)> {
-        if !self.spans.enabled() {
-            return None;
-        }
-        let ctx = tracectx::extract(req)?;
-        let span = SpanId::next();
-        let mut fwd = req.clone();
-        tracectx::inject(&mut fwd, &ctx.child_of(span));
-        Some((fwd, Hop { ctx, span }))
-    }
-
+    /// Records the `edge.serve` span of a traced request.
     fn trace_finish(&self, hop: Option<Hop>, t_secs: i64, decision: CacheDecision, key: &str) {
         let Some(hop) = hop else { return };
-        let start_ms = hop.ctx.t_ms.unwrap_or(t_secs as f64 * 1000.0);
-        self.spans.record(Span {
-            trace_id: hop.ctx.trace_id,
-            span_id: hop.span,
-            parent: Some(hop.ctx.parent),
-            name: "edge.serve",
-            start_ms,
-            end_ms: start_ms,
-            attrs: vec![
+        hop.finish(
+            &self.spans,
+            "edge.serve",
+            t_secs,
+            0.0,
+            vec![
                 ("edge.decision", decision.as_str().to_owned()),
                 ("edge.key", key.to_owned()),
             ],
-        });
+        );
     }
 
     /// Records the cache-decision audit for one served response. The
@@ -636,6 +599,34 @@ impl<U: Upstream> EdgeCache<U> {
         resp.headers
             .insert(HeaderName::X_SERVED_BY, "cachecatalyst-edge");
         resp
+    }
+
+    /// Serves a fresh stored entry found in `tier`: the one place the
+    /// hit counters move. A disk-tier hit was just promoted into DRAM.
+    fn serve_fresh(
+        &self,
+        req: &Request,
+        entry: &StoredEntry,
+        tier: TierHit,
+    ) -> (Response, CacheDecision) {
+        let decision = if entry.negative {
+            self.counters.negative_hits.inc();
+            CacheDecision::EdgeNegative
+        } else if tier == TierHit::Disk {
+            self.counters.hits.inc();
+            self.counters.disk_hits.inc();
+            CacheDecision::EdgeDiskHit
+        } else {
+            self.counters.hits.inc();
+            CacheDecision::EdgeHit
+        };
+        self.counters
+            .hit_bytes
+            .add(entry.response.body.len() as u64);
+        (
+            Self::replay(req, &entry.response, entry.etag.as_ref()),
+            decision,
+        )
     }
 
     /// True when this request must not participate in caching: anything
@@ -707,7 +698,7 @@ impl<U: Upstream> EdgeCache<U> {
                 return;
             }
         };
-        let fresh_until = t_secs + self.catalyst_fresh_secs;
+        let fresh_until = t_secs + CATALYST_FRESH_SECS;
         for (path, tag) in config.iter() {
             let key = format!("{host}{path}");
             match self.store.mark(&key, tag, t_secs, fresh_until) {
@@ -769,7 +760,6 @@ impl<U: Upstream> EdgeCache<U> {
                 let fresh_until = self.fresh_until(&refreshed, t_secs);
                 self.store
                     .refresh(key, refreshed.clone(), etag.clone(), t_secs, fresh_until);
-                self.sync_store_series();
                 return (
                     Self::replay(req, &refreshed, etag.as_ref()),
                     CacheDecision::Conditional304,
@@ -788,15 +778,13 @@ impl<U: Upstream> EdgeCache<U> {
             if revalidating && resp.status.is_success() && !resp.headers.contains(ext::X_FAULT) {
                 self.counters.revalidated_changed.inc();
                 self.store.remove(key);
-                self.sync_store_series();
             }
             return (resp, CacheDecision::FullFetch);
         }
 
         if resp.status == StatusCode::NOT_FOUND {
             self.store
-                .insert_negative(key, resp.clone(), t_secs, t_secs + self.negative_ttl_secs);
-            self.sync_store_series();
+                .insert_negative(key, resp.clone(), t_secs, t_secs + NEGATIVE_TTL_SECS);
             return (resp, CacheDecision::FullFetch);
         }
 
@@ -810,7 +798,6 @@ impl<U: Upstream> EdgeCache<U> {
             .observe_secs(resp.wire_len() as f64);
         self.store
             .insert(key, resp.clone(), etag.clone(), t_secs, fresh_until);
-        self.sync_store_series();
         (
             Self::replay(req, &resp, etag.as_ref()),
             CacheDecision::FullFetch,
@@ -843,31 +830,18 @@ impl<U: Upstream> Upstream for EdgeCache<U> {
             return self.upstream.handle(host, req, t_secs);
         }
 
-        let (fwd, hop) = self.trace_start(req).unzip();
+        // A traced request is forwarded re-parented onto the edge's
+        // span, so origin spans nest beneath it.
+        let (fwd, hop) = Hop::start(&self.spans, req).unzip();
         let fwd = fwd.as_ref().unwrap_or(req);
         let key = Self::key(host, req);
 
         // Fast path: a fresh stored entry serves with zero upstream
         // contact — classic freshness, the catalyst window, or a live
-        // negative entry. A disk-tier hit was just promoted into DRAM.
+        // negative entry.
         if let Some((entry, tier)) = self.store.get_traced(&key) {
             if t_secs < entry.fresh_until {
-                let decision = if entry.negative {
-                    self.counters.negative_hits.inc();
-                    CacheDecision::EdgeNegative
-                } else if tier == TierHit::Disk {
-                    self.counters.hits.inc();
-                    self.counters.disk_hits.inc();
-                    self.sync_store_series();
-                    CacheDecision::EdgeDiskHit
-                } else {
-                    self.counters.hits.inc();
-                    CacheDecision::EdgeHit
-                };
-                self.counters
-                    .hit_bytes
-                    .add(entry.response.body.len() as u64);
-                let resp = Self::replay(req, &entry.response, entry.etag.as_ref());
+                let (resp, decision) = self.serve_fresh(req, &entry, tier);
                 self.audit(
                     host,
                     req,
@@ -898,25 +872,7 @@ impl<U: Upstream> Upstream for EdgeCache<U> {
         // request may have landed the object while we queued.
         let (resp, decision) = match self.store.get_traced(&key) {
             Some((entry, tier)) if t_secs < entry.fresh_until => {
-                let decision = if entry.negative {
-                    self.counters.negative_hits.inc();
-                    CacheDecision::EdgeNegative
-                } else if tier == TierHit::Disk {
-                    self.counters.hits.inc();
-                    self.counters.disk_hits.inc();
-                    self.sync_store_series();
-                    CacheDecision::EdgeDiskHit
-                } else {
-                    self.counters.hits.inc();
-                    CacheDecision::EdgeHit
-                };
-                self.counters
-                    .hit_bytes
-                    .add(entry.response.body.len() as u64);
-                (
-                    Self::replay(req, &entry.response, entry.etag.as_ref()),
-                    decision,
-                )
+                self.serve_fresh(req, &entry, tier)
             }
             stale => {
                 self.counters.misses.inc();

@@ -295,11 +295,6 @@ impl TieredStore {
         self.disk.as_ref().map(|d| d.disk_stats())
     }
 
-    /// True when a persistent tier is attached.
-    pub fn has_disk(&self) -> bool {
-        self.disk.is_some()
-    }
-
     /// The entry under `key`, whichever tier holds it.
     pub fn get(&self, key: &str) -> Option<StoredEntry> {
         self.get_traced(key).map(|(entry, _)| entry)

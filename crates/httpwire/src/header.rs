@@ -387,17 +387,6 @@ impl<'a> IntoIterator for &'a HeaderMap {
     }
 }
 
-impl HeaderMap {
-    /// Builds a map from `(name, value)` pairs, panicking on invalid input.
-    pub fn from_pairs<'a, I: IntoIterator<Item = (&'a str, &'a str)>>(pairs: I) -> HeaderMap {
-        let mut map = HeaderMap::new();
-        for (n, v) in pairs {
-            map.append(n, v);
-        }
-        map
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

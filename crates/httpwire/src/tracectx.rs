@@ -15,8 +15,11 @@
 //! Decoding is strict on shape (version `00`, exact field widths)
 //! and silently returns `None` on anything malformed — a trace
 //! header must never break request handling.
+//!
+//! [`Hop`] is what every intermediary between the browser and the
+//! origin (the edge, the proxy comparators) does with that context.
 
-use cachecatalyst_telemetry::span::{SpanId, TraceContext, TraceId};
+use cachecatalyst_telemetry::span::{Span, SpanId, SpanSink, TraceContext, TraceId};
 
 use crate::header::HeaderName;
 use crate::message::Request;
@@ -75,6 +78,56 @@ pub fn inject(req: &mut Request, ctx: &TraceContext) {
 /// receivers never record spans for it.
 pub fn extract(req: &Request) -> Option<TraceContext> {
     decode(req.headers.get(HeaderName::X_CC_TRACE)?).filter(|ctx| ctx.sampled)
+}
+
+/// One intermediary's part in a sampled trace: the context its
+/// request arrived with and the span id the forwarded request was
+/// re-parented onto, so whatever answers upstream nests beneath this
+/// hop, which nests beneath the sender's fetch span.
+pub struct Hop {
+    ctx: TraceContext,
+    span: SpanId,
+}
+
+impl Hop {
+    /// Starts a hop when `sink` is recording and `req` belongs to a
+    /// sampled trace; returns the request to forward in `req`'s place.
+    /// `None` otherwise — the caller forwards `req` itself, and the
+    /// untraced path has cost one relaxed load and no clone.
+    pub fn start(sink: &SpanSink, req: &Request) -> Option<(Request, Hop)> {
+        if !sink.enabled() {
+            return None;
+        }
+        let ctx = extract(req)?;
+        let span = SpanId::next();
+        let mut fwd = req.clone();
+        inject(&mut fwd, &ctx.child_of(span));
+        Some((fwd, Hop { ctx, span }))
+    }
+
+    /// Records the hop's span on the sender's timeline: it covers
+    /// `[sender clock, sender clock + busy_ms]`, where `busy_ms` is
+    /// how long the hop itself was busy in virtual time and `t_secs`
+    /// stands in for a sender that sent no clock.
+    pub fn finish(
+        self,
+        sink: &SpanSink,
+        name: &'static str,
+        t_secs: i64,
+        busy_ms: f64,
+        attrs: Vec<(&'static str, String)>,
+    ) {
+        let start_ms = self.ctx.t_ms.unwrap_or(t_secs as f64 * 1000.0);
+        sink.record(Span {
+            trace_id: self.ctx.trace_id,
+            span_id: self.span,
+            parent: Some(self.ctx.parent),
+            name,
+            start_ms,
+            end_ms: start_ms + busy_ms,
+            attrs,
+        });
+    }
 }
 
 #[cfg(test)]

@@ -39,12 +39,6 @@ impl NetworkConditions {
         NetworkConditions::new(Duration::from_millis(40), 60_000_000)
     }
 
-    /// A low-throughput DSL-like condition (8 Mbit/s), where the paper
-    /// reports little improvement because transmission dominates.
-    pub fn dsl_8mbps(rtt: Duration) -> NetworkConditions {
-        NetworkConditions::new(rtt, 8_000_000)
-    }
-
     /// The throughput values swept in Figure 3 (bits/second).
     pub fn figure3_throughputs() -> Vec<u64> {
         vec![8_000_000, 20_000_000, 60_000_000]

@@ -94,15 +94,6 @@ impl Fault {
             Fault::SlowStart { .. } => "slow-start",
         }
     }
-
-    /// True for faults that only make sense on the `X-Etag-Config`
-    /// header (no-ops on responses without one).
-    pub fn targets_config(&self) -> bool {
-        matches!(
-            self,
-            Fault::CorruptConfigEntry { .. } | Fault::StaleConfigEntry
-        )
-    }
 }
 
 /// A seeded description of a fault campaign. `Plan` is the replay

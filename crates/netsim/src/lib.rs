@@ -11,8 +11,6 @@
 //!   of the queue (fleet replay advances through idle gaps instantly).
 //! * [`link`] — fluid, egalitarian processor-sharing link: concurrent
 //!   transfers share capacity the way parallel browser connections do.
-//! * [`bucket`] — a token-bucket shaper (the burst-capable model real
-//!   browser throttles use).
 //! * [`network`] — the engine combining clock, timers and links;
 //!   page-load drivers consume [`network::NetEvent`]s from it.
 //! * [`conditions`] — the latency × throughput grid of the evaluation
@@ -20,7 +18,6 @@
 //! * [`fault`] — seeded, replayable fault plans (resets, truncation,
 //!   stalls, loss bursts, config corruption, origin errors) consumed
 //!   by the page-load drivers and the chaos harness.
-//! * [`fetch`] — closed-form single-fetch timings for cross-checks.
 //! * [`trace`] — waterfall traces (Figure-1-style timelines).
 //! * [`emu`] (feature `aio`) — wall-clock emulation of the same link
 //!   model over tokio byte streams, for end-to-end runs.
@@ -28,10 +25,8 @@
 //! Everything is deterministic: same inputs, same event order, same
 //! timings — down to the nanosecond.
 
-pub mod bucket;
 pub mod conditions;
 pub mod fault;
-pub mod fetch;
 pub mod link;
 pub mod network;
 pub mod queue;
@@ -42,10 +37,8 @@ pub mod trace;
 #[cfg(feature = "aio")]
 pub mod emu;
 
-pub use bucket::TokenBucket;
 pub use conditions::NetworkConditions;
 pub use fault::{Fault, FaultPlan, FaultSchedule, ServerFaults};
-pub use fetch::FetchPlan;
 pub use link::{FlowToken, FluidLink};
 pub use network::{LinkId, NetEvent, Network};
 pub use queue::EventQueue;

@@ -186,11 +186,8 @@ impl HotMetrics {
 #[derive(Clone)]
 struct CachedConfig {
     config: Arc<EtagConfig>,
-    /// `to_header_values(max_len)` output, computed once per build.
+    /// `to_header_values(MAX_HEADER_LEN)` output, computed once per build.
     values: Arc<Vec<String>>,
-    /// The `max_header_len` the values were split with; if the server
-    /// field has been changed since, the fast path re-splits.
-    max_len: usize,
     /// `x-cc-config-digest` value, computed once per build so the
     /// fast path attaches integrity without re-serializing the map.
     digest: Arc<str>,
@@ -234,13 +231,11 @@ pub struct OriginServer {
     /// Distributed-tracing sink. Off by default: the per-request cost
     /// is then a single relaxed atomic load in [`OriginServer::handle`].
     spans: Arc<SpanSink>,
-    /// Maximum bytes per X-Etag-Config header value before splitting.
-    pub max_header_len: usize,
-    /// Express baseline TTLs via `Expires` (absolute date) instead of
-    /// `Cache-Control: max-age` — the HTTP/1.0-era form many CMSes
-    /// still emit. Exercises the cache's Expires path end to end.
-    pub use_expires_header: bool,
 }
+
+/// Maximum bytes per `X-Etag-Config` header value before the map is
+/// split across several (common servers cap one header line at 8 KiB).
+const MAX_HEADER_LEN: usize = 6 * 1024;
 
 impl OriginServer {
     pub fn new(site: Site, mode: HeaderMode) -> OriginServer {
@@ -258,8 +253,6 @@ impl OriginServer {
             telemetry: Arc::new(Registry::new()),
             recorder: Arc::new(NullRecorder),
             spans: Arc::new(SpanSink::new(Sampling::Off)),
-            max_header_len: 6 * 1024,
-            use_expires_header: false,
         }
     }
 
@@ -495,7 +488,7 @@ impl OriginServer {
             if is_html && self.mode.is_catalyst() {
                 self.attach_config(&mut resp, path, req, t_secs, notes);
             }
-            let resp = self.apply_cache_headers(resp, &resource.policy, resource.spec.kind);
+            let resp = self.apply_cache_headers(resp, &resource.policy);
             return self.finish(resp, req);
         }
 
@@ -509,17 +502,7 @@ impl OriginServer {
                 &HttpDate(last_modified).to_imf_fixdate(),
             )
             .with_header(HeaderName::ETAG, &etag.to_string());
-        if self.use_expires_header && self.mode == HeaderMode::Baseline {
-            if let HeaderPolicy::MaxAge(ttl) = &resource.policy {
-                resp.headers.insert(
-                    HeaderName::EXPIRES,
-                    &HttpDate(t_secs + ttl.as_secs() as i64).to_imf_fixdate(),
-                );
-                self.hot().full_responses.inc();
-                return self.finish(resp, req);
-            }
-        }
-        resp = self.apply_cache_headers(resp, &resource.policy, resource.spec.kind);
+        resp = self.apply_cache_headers(resp, &resource.policy);
 
         // CacheCatalyst: HTML responses carry the validation-token map.
         if is_html && self.mode.is_catalyst() {
@@ -599,10 +582,10 @@ impl OriginServer {
                 // the extra entries) and serialize for this response.
                 let mut config = (*cached.config).clone();
                 config.merge(extra);
-                config.apply_to(resp, self.max_header_len);
+                config.apply_to(resp, MAX_HEADER_LEN);
                 config.attach_digest(resp);
             }
-            _ if cached.max_len == self.max_header_len => {
+            _ => {
                 // The common case: pre-split header values and a
                 // pre-computed digest, shared across the epoch.
                 resp.headers.remove(HeaderName::X_ETAG_CONFIG);
@@ -611,10 +594,6 @@ impl OriginServer {
                 }
                 resp.headers
                     .insert(HeaderName::X_CC_CONFIG_DIGEST, &cached.digest);
-            }
-            _ => {
-                cached.config.apply_to(resp, self.max_header_len);
-                cached.config.attach_digest(resp);
             }
         }
     }
@@ -661,8 +640,7 @@ impl OriginServer {
             build_micros: build.as_micros() as u64,
         });
         let cached = CachedConfig {
-            values: Arc::new(config.to_header_values(self.max_header_len)),
-            max_len: self.max_header_len,
+            values: Arc::new(config.to_header_values(MAX_HEADER_LEN)),
             digest: config.digest_header_value().into(),
             config: Arc::new(config),
         };
@@ -670,12 +648,7 @@ impl OriginServer {
         cached
     }
 
-    fn apply_cache_headers(
-        &self,
-        resp: Response,
-        policy: &HeaderPolicy,
-        kind: ResourceKind,
-    ) -> Response {
+    fn apply_cache_headers(&self, resp: Response, policy: &HeaderPolicy) -> Response {
         let cc = match self.mode {
             HeaderMode::Baseline => policy.to_cache_control().to_string(),
             HeaderMode::NoStore => "no-store".to_owned(),
@@ -687,7 +660,6 @@ impl OriginServer {
                 // keeps clients without the SW correct; HTML is also
                 // always revalidated. `no-store` is preserved — the
                 // paper's SW only caches resources without it.
-                let _ = kind;
                 if matches!(policy, HeaderPolicy::NoStore) {
                     "no-store".to_owned()
                 } else {
@@ -971,28 +943,6 @@ mod tests {
         let resp = s.handle(&other, 60);
         let config = EtagConfig::from_response(&resp).unwrap();
         assert!(config.get("/d.jpg").is_none());
-    }
-
-    #[test]
-    fn expires_form_is_equivalent_to_max_age() {
-        let mut s = server(HeaderMode::Baseline);
-        s.use_expires_header = true;
-        let resp = s.handle(&Request::get("/a.css"), 1000);
-        // Expressed as an absolute date, no max-age.
-        assert!(resp.headers.get("cache-control").is_none());
-        let expires = resp.headers.get("expires").unwrap();
-        assert_eq!(
-            HttpDate::parse_imf_fixdate(expires).unwrap().as_secs(),
-            1000 + 7 * 24 * 3600
-        );
-        // The cache computes the identical freshness lifetime.
-        assert_eq!(
-            cachecatalyst_httpcache::freshness_lifetime(&resp),
-            std::time::Duration::from_secs(7 * 24 * 3600)
-        );
-        // no-cache resources keep their directive.
-        let resp = s.handle(&Request::get("/b.js"), 1000);
-        assert_eq!(resp.headers.get("cache-control"), Some("no-cache"));
     }
 
     #[test]

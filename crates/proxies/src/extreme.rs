@@ -13,6 +13,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use cachecatalyst_browser::Upstream;
+use cachecatalyst_httpwire::tracectx::Hop;
 use cachecatalyst_httpwire::{EntityTag, HeaderName, Request, Response};
 use cachecatalyst_origin::OriginServer;
 use parking_lot::Mutex;
@@ -87,7 +88,7 @@ impl ExtremeCacheProxy {
 
 impl Upstream for ExtremeCacheProxy {
     fn handle(&self, _host: &str, req: &Request, t_secs: i64) -> Response {
-        match crate::trace::start(&self.inner, req) {
+        match Hop::start(self.inner.span_sink(), req) {
             None => self.handle_core(req, t_secs),
             Some((fwd, hop)) => {
                 let resp = self.handle_core(&fwd, t_secs);
@@ -96,9 +97,8 @@ impl Upstream for ExtremeCacheProxy {
                     .get(HeaderName::CACHE_CONTROL)
                     .unwrap_or("")
                     .to_owned();
-                crate::trace::finish(
-                    &self.inner,
-                    hop,
+                hop.finish(
+                    self.inner.span_sink(),
                     "proxy.extreme",
                     t_secs,
                     0.0,

@@ -18,14 +18,13 @@
 //! same page-load engine measures them under identical conditions.
 //! Every proxy is also a traced hop: sampled requests (`x-cc-trace`)
 //! get a `proxy.*` span nested between the browser's fetch span and
-//! the origin's `origin.handle` span (the crate-internal `trace`
-//! module).
+//! the origin's `origin.handle` span
+//! ([`cachecatalyst_httpwire::tracectx::Hop`]).
 
 pub mod chaos;
 pub mod extreme;
 pub mod push;
 pub mod rdr;
-mod trace;
 
 pub use chaos::FaultyUpstream;
 pub use extreme::ExtremeCacheProxy;

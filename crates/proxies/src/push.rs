@@ -15,6 +15,7 @@ use std::sync::Arc;
 
 use cachecatalyst_browser::engine::ext;
 use cachecatalyst_browser::Upstream;
+use cachecatalyst_httpwire::tracectx::Hop;
 use cachecatalyst_httpwire::{Request, Response};
 use cachecatalyst_origin::OriginServer;
 use cachecatalyst_webmodel::ResourceKind;
@@ -82,7 +83,7 @@ impl PushOrigin {
 
 impl Upstream for PushOrigin {
     fn handle(&self, _host: &str, req: &Request, t_secs: i64) -> Response {
-        match crate::trace::start(&self.inner, req) {
+        match Hop::start(self.inner.span_sink(), req) {
             None => self.handle_core(req, t_secs),
             Some((fwd, hop)) => {
                 let resp = self.handle_core(&fwd, t_secs);
@@ -91,9 +92,8 @@ impl Upstream for PushOrigin {
                     .get_combined(ext::X_PUSHED)
                     .map(|l| l.split(',').count())
                     .unwrap_or(0);
-                crate::trace::finish(
-                    &self.inner,
-                    hop,
+                hop.finish(
+                    self.inner.span_sink(),
                     "proxy.push",
                     t_secs,
                     0.0,

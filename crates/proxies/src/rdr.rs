@@ -15,6 +15,7 @@ use std::time::Duration;
 
 use cachecatalyst_browser::engine::ext;
 use cachecatalyst_browser::Upstream;
+use cachecatalyst_httpwire::tracectx::Hop;
 use cachecatalyst_httpwire::{Body, Request, Response};
 use cachecatalyst_origin::OriginServer;
 use cachecatalyst_webmodel::{extract, ResourceKind};
@@ -129,7 +130,7 @@ struct Closure {
 
 impl Upstream for RdrProxy {
     fn handle(&self, _host: &str, req: &Request, t_secs: i64) -> Response {
-        match crate::trace::start(&self.inner, req) {
+        match Hop::start(self.inner.span_sink(), req) {
             None => self.handle_core(req, t_secs),
             Some((fwd, hop)) => {
                 let resp = self.handle_core(&fwd, t_secs);
@@ -143,9 +144,8 @@ impl Upstream for RdrProxy {
                     .get(ext::X_SERVER_DELAY_MS)
                     .and_then(|v| v.parse().ok())
                     .unwrap_or(0.0);
-                crate::trace::finish(
-                    &self.inner,
-                    hop,
+                hop.finish(
+                    self.inner.span_sink(),
                     "proxy.rdr",
                     t_secs,
                     busy_ms,

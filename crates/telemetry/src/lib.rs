@@ -1,6 +1,6 @@
 //! # cachecatalyst-telemetry
 //!
-//! The workspace's observability layer. Three pieces, all std-only:
+//! The workspace's observability layer. Four pieces, all std-only:
 //!
 //! * [`metric`] — lock-free atomic [`Counter`]s, [`Gauge`]s and
 //!   fixed-bucket latency [`Histogram`]s with p50/p90/p99 summaries.
@@ -20,14 +20,13 @@
 //! Timestamps are **caller-supplied milliseconds**, which is what
 //! makes the layer virtual-time aware: the discrete-event simulator
 //! stamps events with `SimTime`-derived millis, the tokio TCP path
-//! stamps them from a wall [`TimeSource`]. Nothing in this crate reads
-//! a clock on its own.
+//! stamps them from its server's clock (`httpwire::aio::Clock`).
+//! Nothing in this crate reads a clock on its own.
 
 pub mod event;
 pub mod metric;
 pub mod registry;
 pub mod span;
-pub mod time;
 
 pub use event::{
     CacheAudit, CacheDecision, Event, FetchKind, JsonlRecorder, MemoryRecorder, NullRecorder,
@@ -36,7 +35,6 @@ pub use event::{
 pub use metric::{Counter, Gauge, Histogram};
 pub use registry::Registry;
 pub use span::{Sampling, Span, SpanId, SpanSink, TraceContext, TraceId};
-pub use time::{ManualTime, TimeSource, WallTime};
 
 /// Renders `s` as a JSON string literal, quotes included: the one
 /// escaper behind every JSON document the workspace writes (JSONL

@@ -23,6 +23,14 @@ impl Counter {
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Raises the counter to `total` when it is below it: how a series
+    /// that mirrors a total kept elsewhere follows it. One `fetch_max`,
+    /// so it never decreases, repeating it changes nothing, and racing
+    /// callers end at the largest total any of them saw.
+    pub fn advance_to(&self, total: u64) {
+        self.value.fetch_max(total, Ordering::Relaxed);
+    }
+
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
@@ -180,6 +188,36 @@ mod tests {
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
+    }
+
+    #[test]
+    fn advance_to_is_monotone_and_idempotent() {
+        let c = Counter::new();
+        c.advance_to(7);
+        c.advance_to(7);
+        assert_eq!(c.get(), 7);
+        c.advance_to(3);
+        assert_eq!(c.get(), 7, "never decreases");
+        c.advance_to(9);
+        assert_eq!(c.get(), 9);
+    }
+
+    #[test]
+    fn racing_advances_end_at_the_largest_total() {
+        const N: u64 = 10_000;
+        let c = Counter::new();
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    start.wait();
+                    for total in 1..=N {
+                        c.advance_to(total);
+                    }
+                });
+            }
+        });
+        assert_eq!(c.get(), N);
     }
 
     #[test]

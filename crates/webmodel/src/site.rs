@@ -490,14 +490,6 @@ impl Site {
         }
     }
 
-    /// Resolves a possibly-fingerprinted request path to
-    /// `(canonical_path, pinned_version)`. Allocating form of
-    /// [`Site::lookup`], kept for callers that want an owned key.
-    pub fn resolve_path(&self, path: &str) -> Option<(String, Option<u64>)> {
-        self.lookup(path)
-            .map(|(r, pinned)| (r.spec.path.clone(), pinned))
-    }
-
     /// The single CDN origin used for third-party resources.
     pub fn third_party_host(&self) -> String {
         format!("cdn.{}", self.spec.host)
@@ -768,8 +760,8 @@ mod tests {
         assert!(std::str::from_utf8(&html).unwrap().contains(&link0));
 
         // Fingerprinted requests resolve and pin their version.
-        let (canonical, pinned) = site.resolve_path(&link0).unwrap();
-        assert_eq!(canonical, asset.path);
+        let (canonical, pinned) = site.lookup(&link0).unwrap();
+        assert_eq!(canonical.spec.path, asset.path);
         assert_eq!(pinned, Some(asset.version_at(0)));
         assert_eq!(
             site.etag_at(&link0, i64::MAX / 2),
@@ -796,10 +788,10 @@ mod tests {
         let site = small_site(6);
         // Non-fingerprinted paths never resolve as fingerprints.
         assert!(
-            site.resolve_path("/assets/js-000.v3.js").is_none()
+            site.lookup("/assets/js-000.v3.js").is_none()
                 || site.get("/assets/js-000.js").map(|r| r.spec.fingerprinted) == Some(true)
         );
-        assert!(site.resolve_path("/missing.v1.js").is_none());
+        assert!(site.lookup("/missing.v1.js").is_none());
     }
 
     #[test]

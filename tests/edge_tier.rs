@@ -362,9 +362,7 @@ fn faulted_upstream_responses_never_poison_the_store() {
 #[test]
 fn negative_caching_absorbs_repeated_404s() {
     let origin = Arc::new(OriginServer::new(example_site(), HeaderMode::Catalyst));
-    let edge = EdgeCache::builder(CountingUpstream::new(SingleOrigin(origin)))
-        .negative_ttl_secs(5)
-        .build();
+    let edge = EdgeCache::builder(CountingUpstream::new(SingleOrigin(origin))).build();
 
     let first = edge.handle("example.org", &Request::get("/no-such-file"), 0);
     assert_eq!(first.status, StatusCode::NOT_FOUND);
@@ -412,6 +410,57 @@ fn byte_budget_forces_lru_eviction() {
         m.bytes_held
     );
     assert!(edge.stored_objects() > 0);
+}
+
+/// Answers every path with a cacheable body of one fixed size.
+struct FixedSizeOrigin;
+
+impl Upstream for FixedSizeOrigin {
+    fn handle(&self, _host: &str, _req: &Request, _t_secs: i64) -> Response {
+        Response::ok(vec![b'x'; 1024])
+            .with_header("etag", "\"v1\"")
+            .with_header("cache-control", "max-age=3600")
+    }
+}
+
+#[test]
+fn store_series_equal_the_store_after_concurrent_eviction() {
+    const THREADS: usize = 8;
+    const KEYS_PER_THREAD: usize = 400;
+    let edge = EdgeCache::builder(FixedSizeOrigin)
+        .byte_budget(64 << 10)
+        .build();
+    let barrier = Barrier::new(THREADS);
+
+    // Every key is requested once, so every request is a miss that
+    // inserts a new object: whatever is no longer held was evicted.
+    std::thread::scope(|scope| {
+        for thread in 0..THREADS {
+            let (edge, barrier) = (&edge, &barrier);
+            scope.spawn(move || {
+                barrier.wait();
+                for key in 0..KEYS_PER_THREAD {
+                    let resp = edge.handle(HOST, &get(&format!("/k/{thread}/{key}")), 0);
+                    assert_eq!(resp.status, StatusCode::OK);
+                }
+            });
+        }
+    });
+
+    let m = edge.metrics();
+    let text = edge.telemetry().render_prometheus();
+    let held = edge.stored_objects() as u64;
+    assert_eq!(m.misses, (THREADS * KEYS_PER_THREAD) as u64);
+    assert!(m.evictions > 0, "the key space must overflow the budget");
+    assert_eq!(m.evictions, m.misses - held);
+    // A scrape taken right after the snapshot prints the same numbers.
+    for line in [
+        format!("edge_evictions_total {}\n", m.evictions),
+        format!("edge_store_objects {held}\n"),
+        format!("edge_store_bytes {}\n", m.bytes_held),
+    ] {
+        assert!(text.contains(&line), "missing {line:?} in:\n{text}");
+    }
 }
 
 #[test]
