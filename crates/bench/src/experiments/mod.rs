@@ -18,16 +18,21 @@ mod capture_memory;
 mod compare_pushes;
 mod corpus_report;
 mod cross_origin;
+mod edge_throughput;
+mod edge_tier;
 mod engine_ablation;
 mod fcp_metrics;
 mod fig1;
 mod fig2;
 mod fig3;
+mod fleet_load;
+mod hammer;
 mod header_overhead;
 mod intra_site;
 mod js_coverage;
 mod loss_sensitivity;
 mod motivation_stats;
+mod origin_throughput;
 mod redundant_transfer;
 mod server_cost;
 mod swr_comparison;
@@ -116,6 +121,16 @@ pub const TABLE: &[Row] = &[
     row("corpus_report", corpus_report::run, ""),
     row("engine_ablation", engine_ablation::run, "--sites 15"),
     row("cache_busting", cache_busting::run, ""),
+    row("fleet_load", fleet_load::run, "--users 100000"),
+    row("edge_tier", edge_tier::run, ""),
+    Row {
+        wall_clock: true,
+        ..row("origin_throughput", origin_throughput::run, "")
+    },
+    Row {
+        wall_clock: true,
+        ..row("edge_throughput", edge_throughput::run, "")
+    },
 ];
 
 /// The one experiment that is not a row: it writes its own
@@ -137,7 +152,12 @@ pub fn dispatch(args: &mut Args, out: &mut dyn Write) -> cli::Result {
             args.finish()?;
             for row in TABLE {
                 let command = format!("{} {}", row.name, row.args);
-                writeln!(out, "{:<20} {}", row.file, command.trim_end())?;
+                let note = if row.wall_clock {
+                    "  (host timings: not compared)"
+                } else {
+                    ""
+                };
+                writeln!(out, "{:<20} {}{note}", row.file, command.trim_end())?;
             }
             writeln!(out, "{:<20} {TRACE_PAGE}", "-")?;
             Ok(())

@@ -4,10 +4,8 @@
 //! engine over the evaluation corpus, plain-text table/series
 //! rendering, and every figure/table of the paper as a function under
 //! [`experiments`], all behind one binary (`experiments`; see
-//! DESIGN.md §4 for the index). The four wall-clock harnesses are
-//! separate binaries in `src/bin/`.
+//! DESIGN.md §4 for the index).
 
-pub mod benchjson;
 pub mod cli;
 pub mod experiments;
 pub mod fleet;

@@ -16,13 +16,13 @@
 //! * [`capture`] — the session-capture alternative that also covers
 //!   JS-discovered resources (§3, future-work mode);
 //! * [`aggregate`] — the memory-bounded capture optimization §6 asks
-//!   for (per-page popularity counters instead of per-session lists);
-//! * [`compose`] — coexistence with a site's own service worker
-//!   (§6 issue 3): site worker first, catalyst for the rest.
+//!   for (per-page popularity counters instead of per-session lists).
+//!
+//! Coexistence with a site's own service worker (§6 issue 3) is not
+//! modelled.
 
 pub mod aggregate;
 pub mod capture;
-pub mod compose;
 pub mod config;
 pub mod extract;
 pub mod inject;
@@ -30,7 +30,6 @@ pub mod sw;
 
 pub use aggregate::AggregateCapture;
 pub use capture::SessionCapture;
-pub use compose::{AppShellWorker, ComposedDecision, ComposedWorker, SiteWorker};
 pub use config::{tamper_config_headers, ConfigIntegrity, EtagConfig};
 pub use extract::{
     build_config, build_config_for_site, build_config_with_bodies, ExtractOptions, ExtractStats,

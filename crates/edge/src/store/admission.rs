@@ -3,12 +3,10 @@
 //! Flash wears out and segment appends are the disk tier's only write
 //! path, so what gets written matters as much as what gets evicted:
 //! a request stream dominated by one-hit wonders must not converted
-//! into segment churn. Three policies are provided:
+//! into segment churn. Two policies are provided:
 //!
 //! * [`AdmissionPolicy::AdmitAll`] — every demotion is written (the
 //!   baseline, and the right choice for small warm sets);
-//! * [`AdmissionPolicy::AdmitP`] — a seeded coin flip admits a fixed
-//!   fraction, bounding write amplification without tracking state;
 //! * [`AdmissionPolicy::TinyLfuAdmit`] — a frequency sketch admits
 //!   only keys seen at least `min_hits` times, so one-hit-wonder
 //!   traffic never touches the segment files (the TinyLFU idea, with
@@ -24,15 +22,6 @@ use parking_lot::Mutex;
 pub enum AdmissionPolicy {
     /// Write every demotion.
     AdmitAll,
-    /// Admit each candidate independently with probability `p`
-    /// (clamped to `[0, 1]`), drawn from a seeded deterministic
-    /// stream.
-    AdmitP {
-        /// Admission probability.
-        p: f64,
-        /// Seed for the deterministic draw stream.
-        seed: u64,
-    },
     /// Admit a candidate only when the frequency sketch has counted
     /// its key at least `min_hits` times — repeated traffic passes,
     /// one-hit wonders are refused.
@@ -47,10 +36,6 @@ impl AdmissionPolicy {
     pub(crate) fn compile(&self) -> Admission {
         match *self {
             AdmissionPolicy::AdmitAll => Admission::All,
-            AdmissionPolicy::AdmitP { p, seed } => Admission::Probabilistic {
-                threshold: (p.clamp(0.0, 1.0) * (1u64 << 53) as f64) as u64,
-                draws: AtomicU64::new(seed),
-            },
             AdmissionPolicy::TinyLfuAdmit { min_hits } => Admission::TinyLfu {
                 sketch: FreqSketch::new(16, 1 << 16),
                 min_hits: min_hits.clamp(1, 15),
@@ -72,17 +57,7 @@ fn mix64(mut z: u64) -> u64 {
 /// [`AdmissionPolicy`].
 pub(crate) enum Admission {
     All,
-    Probabilistic {
-        /// `p` scaled to 53 bits, compared against a uniform draw.
-        threshold: u64,
-        /// Draw counter; mixing `seed + n` gives a deterministic
-        /// stream whatever the interleaving.
-        draws: AtomicU64,
-    },
-    TinyLfu {
-        sketch: FreqSketch,
-        min_hits: u8,
-    },
+    TinyLfu { sketch: FreqSketch, min_hits: u8 },
 }
 
 impl Admission {
@@ -106,10 +81,6 @@ impl Admission {
     pub(crate) fn admit(&self, key_hash: u64) -> bool {
         match self {
             Admission::All => true,
-            Admission::Probabilistic { threshold, draws } => {
-                let n = draws.fetch_add(1, Ordering::Relaxed);
-                (mix64(n) >> 11) < *threshold
-            }
             Admission::TinyLfu { sketch, min_hits } => sketch.estimate(key_hash) >= *min_hits,
         }
     }
@@ -221,29 +192,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn admit_all_and_extreme_probabilities() {
+    fn admit_all_admits() {
         let all = AdmissionPolicy::AdmitAll.compile();
         assert!(all.admit(1));
-        let never = AdmissionPolicy::AdmitP { p: 0.0, seed: 7 }.compile();
-        let always = AdmissionPolicy::AdmitP { p: 1.0, seed: 7 }.compile();
-        for h in 0..64u64 {
-            assert!(!never.admit(h));
-            assert!(always.admit(h));
-        }
-    }
-
-    #[test]
-    fn admit_p_hits_its_rate_and_is_seed_deterministic() {
-        let a = AdmissionPolicy::AdmitP { p: 0.25, seed: 42 }.compile();
-        let b = AdmissionPolicy::AdmitP { p: 0.25, seed: 42 }.compile();
-        let (mut hits, n) = (0u32, 10_000u64);
-        for h in 0..n {
-            let da = a.admit(h);
-            assert_eq!(da, b.admit(h), "same seed, same stream");
-            hits += da as u32;
-        }
-        let rate = hits as f64 / n as f64;
-        assert!((0.22..0.28).contains(&rate), "rate {rate}");
     }
 
     #[test]

@@ -2,9 +2,7 @@
 //!
 //! * **Admission** — under a flood of one-hit wonders, TinyLFU keeps
 //!   the segment files bounded: only keys seen at least `min_hits`
-//!   times earn a slot. Probabilistic admission is deterministic per
-//!   seed and honors its extremes (`p = 0` admits nothing, `p = 1`
-//!   everything).
+//!   times earn a slot.
 //! * **Crash-mid-write** — a torn record at the segment tail (the
 //!   bytes a crash cut short) is discarded by the boot scan; every
 //!   record before it survives byte-for-byte, and the reopened tier
@@ -124,54 +122,6 @@ proptest! {
             "segment files hold {} bytes",
             stats.segment_file_bytes
         );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Probabilistic admission is a pure function of (p, seed, draw
-    /// index): two stores given the same access sequence admit the
-    /// same keys.
-    #[test]
-    fn admit_p_is_deterministic_per_seed(seed in any::<u64>()) {
-        let keys: Vec<String> = (0..60).map(|i| format!("h/p-{i}")).collect();
-        let mut admitted = Vec::new();
-        for run in 0..2 {
-            let dir = scratch_dir(&format!("admitp-{run}"));
-            let store = disk_only(
-                &dir,
-                AdmissionPolicy::AdmitP { p: 0.5, seed },
-            );
-            for key in &keys {
-                touch(&store, key);
-            }
-            let on_disk: Vec<bool> = keys.iter().map(|k| store.get(k).is_some()).collect();
-            admitted.push(on_disk);
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-        prop_assert_eq!(&admitted[0], &admitted[1], "same seed, different admits");
-        let hits = admitted[0].iter().filter(|b| **b).count();
-        prop_assert!(
-            (10..=50).contains(&hits),
-            "p=0.5 admitted {hits}/60 — far outside plausibility"
-        );
-    }
-}
-
-#[test]
-fn admit_p_extremes_admit_nothing_and_everything() {
-    for (p, want_all) in [(0.0, false), (1.0, true)] {
-        let dir = scratch_dir("extreme");
-        let store = disk_only(&dir, AdmissionPolicy::AdmitP { p, seed: 7 });
-        for i in 0..25 {
-            touch(&store, &format!("h/e-{i}"));
-        }
-        let objects = store.disk_stats().unwrap().objects;
-        if want_all {
-            assert_eq!(objects, 25, "p=1 must admit every store");
-            assert_eq!(store.counters().admission_rejects, 0);
-        } else {
-            assert_eq!(objects, 0, "p=0 must admit nothing");
-            assert_eq!(store.counters().admission_rejects, 25);
-        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

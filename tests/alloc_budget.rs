@@ -154,6 +154,44 @@ fn an_edge_dram_hit_stays_inside_its_budget() {
     );
 }
 
+/// One warm `OriginServer::handle` of the example page at a second it
+/// has not been asked about before (same churn epoch, so the map comes
+/// from the config cache). Pinned within 10 % above what was measured
+/// when the `allocs/req` column of the `origin_throughput` harness
+/// moved here: 25 / 28 / 33 / 29, in debug and release alike (the
+/// column read 30 / 33 / 39 / 34 with the five or six allocations of
+/// building the request inside the count).
+const ORIGIN_PAGE_BUDGETS: [(HeaderMode, u64); 4] = [
+    (HeaderMode::Baseline, 27),
+    (HeaderMode::Catalyst, 30),
+    (HeaderMode::CatalystWithCapture, 36),
+    (HeaderMode::CatalystAggregate, 31),
+];
+
+#[test]
+fn a_warm_origin_page_stays_inside_its_budget_in_every_header_mode() {
+    for (mode, budget) in ORIGIN_PAGE_BUDGETS {
+        let origin = OriginServer::new(example_site(), mode);
+        let req = Request::get("/index.html")
+            .with_header("host", EXAMPLE_HOST)
+            .with_header("cookie", "cc-session=budget");
+        assert_eq!(origin.handle(&req, 0).status, StatusCode::OK);
+
+        const PAGES: u64 = 100;
+        let (_, allocations) = allocations_in(|| {
+            for t in 1..=PAGES as i64 {
+                assert_eq!(origin.handle(&req, t).status, StatusCode::OK);
+            }
+        });
+        let per_page = allocations.div_ceil(PAGES);
+        assert!(
+            per_page <= budget,
+            "{}: {per_page} allocations per page (budget {budget})",
+            mode.label()
+        );
+    }
+}
+
 /// One warm `Browser::load` of the example site (five resources), two
 /// virtual hours after the cold load. Pinned ~10 % above what was
 /// measured once bodies carried their links and the origin's map
