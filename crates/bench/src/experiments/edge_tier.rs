@@ -6,9 +6,9 @@
 //!
 //! * `zipf-mem` — DRAM-only edge at a budget far under the working
 //!   set: tail traffic misses upstream.
-//! * `zipf-hybrid` — same DRAM budget plus the segment-file tier
-//!   (TinyLFU admission): the tail demotes to disk instead of
-//!   vanishing, so OHR/BHR recover most of what the budget took away.
+//! * `zipf-hybrid` — same DRAM budget plus the segment-file tier:
+//!   the tail demotes to disk instead of vanishing, so OHR/BHR recover
+//!   most of what the budget took away.
 //! * `warm-restart` — fill a hybrid edge, drop it (unclean exit),
 //!   reopen over the same directory, then sweep the site's HTML pages
 //!   once: every forwarded page carries a verified catalyst map that
@@ -27,7 +27,7 @@ use super::hammer::{fetch, ohr_pct, upstream_per_req, BenchSite};
 use crate::cli::{self, Args};
 use crate::table::render_table;
 use cachecatalyst_browser::SingleOrigin;
-use cachecatalyst_edge::{AdmissionPolicy, DiskTierOptions, EdgeCache, EdgeMetrics, StoreOptions};
+use cachecatalyst_edge::{DiskTierOptions, EdgeCache, EdgeMetrics, StoreOptions};
 
 const MEM_BUDGET: usize = 256 << 10;
 
@@ -45,10 +45,10 @@ fn drive(workload: &str, edge: &EdgeCache<SingleOrigin>, site: &BenchSite, keys:
     eprintln!("# {workload}: {:.2} s", started.elapsed().as_secs_f64());
 }
 
-fn hybrid(site: &BenchSite, dir: &Path, admission: AdmissionPolicy) -> EdgeCache<SingleOrigin> {
+fn hybrid(site: &BenchSite, dir: &Path) -> EdgeCache<SingleOrigin> {
     let store = StoreOptions::new()
         .mem_budget(MEM_BUDGET)
-        .disk(DiskTierOptions::at(dir).admission(admission));
+        .disk(DiskTierOptions::at(dir));
     site.edge().store(store).build()
 }
 
@@ -73,21 +73,19 @@ pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
     let mem = site.edge().byte_budget(MEM_BUDGET).build();
     drive("zipf-mem", &mem, &site, &keys);
 
-    let tiny_lfu = AdmissionPolicy::TinyLfuAdmit { min_hits: 2 };
-    let tiered = hybrid(&site, &hybrid_dir, tiny_lfu);
+    let tiered = hybrid(&site, &hybrid_dir);
     drive("zipf-hybrid", &tiered, &site, &keys);
 
-    // Fill admitting everything, so the restart has the full tail to
-    // recover, then "crash": drop writes no shutdown state.
+    // Fill, then "crash": drop writes no shutdown state.
     drive(
         "warm-restart fill",
-        &hybrid(&site, &restart_dir, AdmissionPolicy::AdmitAll),
+        &hybrid(&site, &restart_dir),
         &site,
         &keys,
     );
     // Reopen: the boot scan rebuilds the index, and every recovered
     // entry is stale until a verified map vouches for it.
-    let restarted = hybrid(&site, &restart_dir, AdmissionPolicy::AdmitAll);
+    let restarted = hybrid(&site, &restart_dir);
     for page in &site.pages {
         fetch(&restarted, page, 0);
     }
@@ -139,7 +137,6 @@ pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
                 format!("{:.3}", upstream_per_req(m)),
                 m.disk_hits.to_string(),
                 m.demotions.to_string(),
-                m.admission_rejects.to_string(),
                 m.disk_recovered.to_string(),
                 m.disk_recovered_refreshed.to_string(),
             ]
@@ -156,7 +153,6 @@ pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
                 "upstream/req",
                 "disk_hits",
                 "demotions",
-                "rejects",
                 "recovered",
                 "refreshed",
             ],

@@ -181,13 +181,8 @@ pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
         for r in &reports {
             writeln!(
                 out,
-                "{} disk tier: hits {} promotions {} demotions {} rejects {} objects {}",
-                r.mode,
-                r.edge.disk_hits,
-                r.edge.promotions,
-                r.edge.demotions,
-                r.edge.admission_rejects,
-                r.edge.disk_objects,
+                "{} disk tier: hits {} promotions {} demotions {} objects {}",
+                r.mode, r.edge.disk_hits, r.edge.promotions, r.edge.demotions, r.edge.disk_objects,
             )?;
         }
     }

@@ -19,7 +19,7 @@
 
 use std::time::Duration;
 
-use cachecatalyst_catalyst::{ServiceWorker, SwDecision, SW_SCRIPT_PATH};
+use cachecatalyst_catalyst::{EtagConfig, ServiceWorker, SwDecision, SW_SCRIPT_PATH};
 use cachecatalyst_httpcache::{CacheMetrics, HttpCache, Lookup};
 use cachecatalyst_httpwire::{Body, HeaderName, Request, Response, StatusCode, Url};
 use cachecatalyst_netsim::{FetchOutcome, LoadTrace, SimTime};
@@ -168,7 +168,7 @@ impl Profile<'_> {
                     // would be a catalyst bug.
                     decision.stale = response
                         .etag()
-                        .map(|served| !(served.strong_eq(&entry) || served.weak_eq(&entry)));
+                        .map(|served| !EtagConfig::entry_matches(&entry, &served));
                     decision.etag = Some(entry.to_string());
                     decision.local = Some((FetchOutcome::ServiceWorkerHit, response));
                 }

@@ -61,6 +61,14 @@ impl EtagConfig {
         self.entries.get(path)
     }
 
+    /// Whether a cached copy tagged `cached` is the representation the
+    /// map entry `current` names. The comparison is weak: the map names
+    /// the current representation by opaque tag, and an intermediary
+    /// may have weakened the cached copy's validator on the way.
+    pub fn entry_matches(current: &EntityTag, cached: &EntityTag) -> bool {
+        cached.weak_eq(current)
+    }
+
     pub fn iter(&self) -> impl Iterator<Item = (&str, &EntityTag)> {
         self.entries.iter().map(|(p, t)| (p.as_str(), t))
     }
@@ -184,6 +192,20 @@ impl EtagConfig {
         match Self::from_headers(headers) {
             Ok(config) if config.digest64() == claimed => ConfigIntegrity::Verified(config),
             _ => ConfigIntegrity::Tampered,
+        }
+    }
+
+    /// The map a receiver of `headers` may act on — the one gate every
+    /// hop that installs or applies a forwarded map goes through.
+    /// `None` means the map fails its digest and must be ignored
+    /// wholesale. A verified map is returned as parsed; so is an
+    /// unsigned one (pre-digest origins: taken at face value), with an
+    /// absent or unparsable unsigned map reading as empty.
+    pub fn accept(headers: &HeaderMap) -> Option<EtagConfig> {
+        match Self::verify_headers(headers) {
+            ConfigIntegrity::Verified(config) => Some(config),
+            ConfigIntegrity::Unsigned => Some(Self::from_headers(headers).unwrap_or_default()),
+            ConfigIntegrity::Tampered => None,
         }
     }
 

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 
 use cachecatalyst_httpwire::{EntityTag, HeaderName, Response, StatusCode};
 
-use crate::config::{ConfigIntegrity, EtagConfig};
+use crate::config::EtagConfig;
 
 /// One response held by the service worker.
 #[derive(Debug, Clone)]
@@ -104,17 +104,12 @@ impl ServiceWorker {
     /// when the map was distrusted, so the caller can mark the fetch
     /// degraded.
     pub fn on_navigation(&mut self, resp: &Response) -> bool {
-        let (config, distrusted) = match EtagConfig::verify_headers(&resp.headers) {
-            ConfigIntegrity::Verified(config) => (config, false),
-            ConfigIntegrity::Unsigned => {
-                (EtagConfig::from_response(resp).unwrap_or_default(), false)
-            }
-            ConfigIntegrity::Tampered => (EtagConfig::new(), true),
-        };
-        if !config.is_empty() {
+        let accepted = EtagConfig::accept(&resp.headers);
+        let distrusted = accepted.is_none();
+        self.config = accepted.unwrap_or_default();
+        if !self.config.is_empty() {
             self.metrics.config_installs += 1;
         }
-        self.config = config;
         distrusted
     }
 
@@ -128,9 +123,9 @@ impl ServiceWorker {
         let mapped = self.config.get(path).or_else(|| self.config.get(url));
         if let (Some(entry), Some(current)) = (entry, mapped) {
             if let Some(cached_tag) = &entry.etag {
-                // Strong comparison: the map is authoritative about the
-                // *exact* representation currently served.
-                if cached_tag.strong_eq(current) || cached_tag.weak_eq(current) {
+                // The map is authoritative about the representation
+                // currently served.
+                if EtagConfig::entry_matches(current, cached_tag) {
                     self.metrics.served_locally += 1;
                     let mut resp = entry.response.clone();
                     resp.headers
@@ -158,25 +153,9 @@ impl ServiceWorker {
     pub fn on_response(&mut self, url: &str, resp: &Response) -> Response {
         if resp.status == StatusCode::NOT_MODIFIED {
             if let Some(entry) = self.cache.get_mut(url) {
-                // Adopt any new validators/metadata from the 304, but
-                // not its framing, the hop that served it, or the map:
-                // the map is installed from the network response by
-                // `on_navigation`, never read back from a stored copy.
-                for (name, value) in resp.headers.iter() {
-                    let n = name.as_str();
-                    if [
-                        HeaderName::CONTENT_LENGTH,
-                        HeaderName::TRANSFER_ENCODING,
-                        HeaderName::X_SERVED_BY,
-                        HeaderName::X_ETAG_CONFIG,
-                        HeaderName::X_CC_CONFIG_DIGEST,
-                    ]
-                    .contains(&n)
-                    {
-                        continue;
-                    }
-                    entry.response.headers.insert(n, value.as_str());
-                }
+                // The map is installed from the network response by
+                // `on_navigation`; the merge keeps it out of the copy.
+                entry.response.merge_not_modified(resp);
                 if let Some(tag) = resp.etag() {
                     entry.etag = Some(tag);
                 }
@@ -214,6 +193,8 @@ impl ServiceWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cachecatalyst_edge::{EdgeCache, Upstream};
+    use cachecatalyst_httpwire::Request;
 
     fn tag(s: &str) -> EntityTag {
         EntityTag::strong(s).unwrap()
@@ -313,6 +294,20 @@ mod tests {
         ));
     }
 
+    /// Serves `nav` for `/` and a `"v1"` stylesheet for anything else.
+    struct Scripted {
+        nav: Response,
+    }
+
+    impl Upstream for Scripted {
+        fn handle(&self, _host: &str, req: &Request, _t_secs: i64) -> Response {
+            match req.target.path() {
+                "/" => self.nav.clone(),
+                _ => resp_with_etag("body", "v1"),
+            }
+        }
+    }
+
     #[test]
     fn navigation_is_the_integrity_gate_for_the_map() {
         use crate::tamper_config_headers;
@@ -342,6 +337,22 @@ mod tests {
                     SwDecision::ServeLocal { .. }
                 ),
                 installed > 0,
+                "{name}"
+            );
+
+            // The edge forwarding the same navigation goes through the
+            // same gate: it holds /a.css, stale by the time the page
+            // passes, and re-freshens it only off a map it may act on.
+            let edge = EdgeCache::new(Scripted { nav: nav.clone() });
+            edge.handle("s", &Request::get("/a.css"), 0);
+            edge.handle("s", &Request::get("/"), 10);
+            let m = edge.metrics();
+            assert_eq!(m.marks_fresh, (installed > 0) as u64, "{name}");
+            assert_eq!(m.tampered_configs, distrusted as u64, "{name}");
+            edge.handle("s", &Request::get("/a.css"), 10);
+            assert_eq!(
+                edge.metrics().upstream_requests,
+                2 + distrusted as u64,
                 "{name}"
             );
         }

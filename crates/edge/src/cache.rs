@@ -21,8 +21,8 @@
 //! mapped path whose stored validator matches is proactively marked
 //! fresh (subsequent requests are served with zero upstream
 //! revalidations), mismatches are marked stale so the next request
-//! revalidates conditionally, and tamper-flagged maps (PR 4's
-//! [`ConfigIntegrity`]) are distrusted wholesale.
+//! revalidates conditionally, and maps failing their digest
+//! ([`EtagConfig::accept`]) are distrusted wholesale.
 //!
 //! ## Fault tolerance
 //!
@@ -36,7 +36,7 @@ use std::sync::Arc;
 
 use cachecatalyst_browser::engine::ext;
 use cachecatalyst_browser::{ClientOptions, Upstream};
-use cachecatalyst_catalyst::{ConfigIntegrity, EtagConfig};
+use cachecatalyst_catalyst::EtagConfig;
 use cachecatalyst_httpcache::freshness_lifetime;
 use cachecatalyst_httpwire::tracectx::Hop;
 use cachecatalyst_httpwire::{Body, EntityTag, HeaderName, Method, Request, Response, StatusCode};
@@ -72,7 +72,6 @@ struct Counters {
     disk_hits: Arc<cachecatalyst_telemetry::Counter>,
     promotions: Arc<cachecatalyst_telemetry::Counter>,
     demotions: Arc<cachecatalyst_telemetry::Counter>,
-    admission_rejects: Arc<cachecatalyst_telemetry::Counter>,
     disk_written_bytes: Arc<cachecatalyst_telemetry::Counter>,
     disk_read_errors: Arc<cachecatalyst_telemetry::Counter>,
     disk_recovered: Arc<cachecatalyst_telemetry::Counter>,
@@ -162,10 +161,6 @@ impl Counters {
             demotions: c(
                 "edge_disk_demotions_total",
                 "DRAM evictions written down to the disk tier",
-            ),
-            admission_rejects: c(
-                "edge_disk_admission_rejects_total",
-                "Demotions the disk admission policy refused",
             ),
             disk_written_bytes: c(
                 "edge_disk_written_bytes_total",
@@ -269,7 +264,8 @@ pub struct EdgeMetrics {
     pub promotions: u64,
     /// DRAM evictions written down to disk.
     pub demotions: u64,
-    /// Demotions the disk admission policy refused.
+    /// Always 0: demotion has no admission gate to refuse anything
+    /// (DESIGN §10). The repo benchmark reads this field by name.
     pub admission_rejects: u64,
     /// Entries rebuilt from segment files at boot.
     pub disk_recovered: u64,
@@ -295,28 +291,22 @@ pub struct EdgeBuilder<U> {
 impl<U: Upstream> EdgeBuilder<U> {
     /// Total bytes the DRAM tier may hold (default 64 MiB), spread
     /// over the shards: the one shorthand for a mem-only
-    /// `store(StoreOptions::new().mem_budget(bytes))`. It clamps `0`
-    /// to `1` — a DRAM tier too small to hold anything — whereas
-    /// `StoreOptions::mem_budget(0)` means "no DRAM tier"; everything
-    /// else about the store (shards, disk tier, admission) goes
-    /// through [`EdgeBuilder::store`].
+    /// `store(StoreOptions::new().mem_budget(bytes))`. Everything else
+    /// about the store (shards, disk tier) goes through
+    /// [`EdgeBuilder::store`].
     pub fn byte_budget(mut self, bytes: usize) -> EdgeBuilder<U> {
-        self.store = self.store.mem_budget(bytes.max(1));
+        self.store = self.store.mem_budget(bytes);
         self
     }
 
     /// Full store configuration — DRAM budget/sharding plus an
-    /// optional persistent disk tier with admission control:
+    /// optional persistent disk tier:
     ///
     /// ```no_run
-    /// # use cachecatalyst_edge::{AdmissionPolicy, DiskTierOptions, StoreOptions};
+    /// # use cachecatalyst_edge::{DiskTierOptions, StoreOptions};
     /// StoreOptions::new()
     ///     .mem_budget(16 << 20)
-    ///     .disk(
-    ///         DiskTierOptions::at("/var/cache/edge")
-    ///             .segment_bytes(4 << 20)
-    ///             .admission(AdmissionPolicy::TinyLfuAdmit { min_hits: 2 }),
-    ///     );
+    ///     .disk(DiskTierOptions::at("/var/cache/edge").segment_bytes(4 << 20));
     /// ```
     pub fn store(mut self, store: StoreOptions) -> EdgeBuilder<U> {
         self.store = store;
@@ -463,7 +453,7 @@ impl<U: Upstream> EdgeCache<U> {
             disk_hits: self.counters.disk_hits.get(),
             promotions: self.counters.promotions.get(),
             demotions: self.counters.demotions.get(),
-            admission_rejects: self.counters.admission_rejects.get(),
+            admission_rejects: 0,
             disk_recovered: self.counters.disk_recovered.get(),
             disk_recovered_refreshed: self.counters.disk_recovered_refreshed.get(),
             disk_bytes_held: self.counters.disk_bytes.get() as u64,
@@ -489,7 +479,6 @@ impl<U: Upstream> EdgeCache<U> {
         let movement = self.store.counters();
         c.promotions.advance_to(movement.promotions);
         c.demotions.advance_to(movement.demotions);
-        c.admission_rejects.advance_to(movement.admission_rejects);
         if let Some(disk) = self.store.disk_stats() {
             c.disk_written_bytes.advance_to(disk.written_bytes);
             c.disk_read_errors.advance_to(disk.read_errors);
@@ -512,8 +501,8 @@ impl<U: Upstream> EdgeCache<U> {
         entries.sort_by(|a, b| a.key.cmp(&b.key).then(a.tier.cmp(b.tier)));
         let mut out = String::from("{\n  \"entries\": [\n");
         for (i, e) in entries.iter().enumerate() {
-            let etag = match &e.etag {
-                Some(tag) => json_string(tag),
+            let etag = match &e.meta.etag {
+                Some(tag) => json_string(&tag.to_string()),
                 None => "null".to_owned(),
             };
             out.push_str(&format!(
@@ -523,10 +512,10 @@ impl<U: Upstream> EdgeCache<U> {
                 e.tier,
                 e.size,
                 etag,
-                e.validated_at,
-                e.fresh_until,
-                t_secs < e.fresh_until,
-                e.negative,
+                e.meta.validated_at,
+                e.meta.fresh_until,
+                t_secs < e.meta.fresh_until,
+                e.meta.negative,
                 if i + 1 < entries.len() { "," } else { "" },
             ));
         }
@@ -609,7 +598,7 @@ impl<U: Upstream> EdgeCache<U> {
         entry: &StoredEntry,
         tier: TierHit,
     ) -> (Response, CacheDecision) {
-        let decision = if entry.negative {
+        let decision = if entry.meta.negative {
             self.counters.negative_hits.inc();
             CacheDecision::EdgeNegative
         } else if tier == TierHit::Disk {
@@ -624,7 +613,7 @@ impl<U: Upstream> EdgeCache<U> {
             .hit_bytes
             .add(entry.response.body.len() as u64);
         (
-            Self::replay(req, &entry.response, entry.etag.as_ref()),
+            Self::replay(req, &entry.response, entry.meta.etag.as_ref()),
             decision,
         )
     }
@@ -681,22 +670,11 @@ impl<U: Upstream> EdgeCache<U> {
     /// Applies a forwarded base-HTML response's config map to the
     /// store (the tentpole's catalyst-aware freshness).
     fn apply_config(&self, host: &str, resp: &Response, t_secs: i64) {
-        let config = match EtagConfig::verify_headers(&resp.headers) {
-            ConfigIntegrity::Verified(config) => config,
-            ConfigIntegrity::Unsigned => {
-                // Pre-digest origins: take the map at face value, as
-                // the client-side service worker does.
-                match EtagConfig::from_response(resp) {
-                    Ok(config) => config,
-                    Err(_) => return,
-                }
-            }
-            ConfigIntegrity::Tampered => {
-                // Damaged in transit: the client will detect the same
-                // and fall back; the edge must not act on it.
-                self.counters.tampered_configs.inc();
-                return;
-            }
+        let Some(config) = EtagConfig::accept(&resp.headers) else {
+            // Damaged in transit: the client will detect the same
+            // and fall back; the edge must not act on it.
+            self.counters.tampered_configs.inc();
+            return;
         };
         let fresh_until = t_secs + CATALYST_FRESH_SECS;
         for (path, tag) in config.iter() {
@@ -728,7 +706,7 @@ impl<U: Upstream> EdgeCache<U> {
         up_req.headers.remove(HeaderName::IF_NONE_MATCH);
         up_req.headers.remove(HeaderName::IF_MODIFIED_SINCE);
         let revalidating = match stale {
-            Some(entry) if !entry.negative => match &entry.etag {
+            Some(entry) if !entry.meta.negative => match &entry.meta.etag {
                 Some(tag) => {
                     up_req
                         .headers
@@ -745,18 +723,10 @@ impl<U: Upstream> EdgeCache<U> {
 
         if resp.status == StatusCode::NOT_MODIFIED {
             if let Some(entry) = stale {
-                // Adopt the 304's validators/metadata onto the stored
-                // response, mirroring the client SW's merge.
                 self.counters.revalidated_304.inc();
                 let mut refreshed = entry.response.clone();
-                for (name, value) in resp.headers.iter() {
-                    let n = name.as_str();
-                    if n == HeaderName::CONTENT_LENGTH || n == HeaderName::TRANSFER_ENCODING {
-                        continue;
-                    }
-                    refreshed.headers.insert(n, value.as_str());
-                }
-                let etag = resp.etag().or_else(|| entry.etag.clone());
+                refreshed.merge_not_modified(&resp);
+                let etag = resp.etag().or_else(|| entry.meta.etag.clone());
                 let fresh_until = self.fresh_until(&refreshed, t_secs);
                 self.store
                     .refresh(key, refreshed.clone(), etag.clone(), t_secs, fresh_until);
@@ -840,14 +810,14 @@ impl<U: Upstream> Upstream for EdgeCache<U> {
         // contact — classic freshness, the catalyst window, or a live
         // negative entry.
         if let Some((entry, tier)) = self.store.get_traced(&key) {
-            if t_secs < entry.fresh_until {
+            if t_secs < entry.meta.fresh_until {
                 let (resp, decision) = self.serve_fresh(req, &entry, tier);
                 self.audit(
                     host,
                     req,
                     t_secs,
                     decision,
-                    || entry.etag.clone(),
+                    || entry.meta.etag.clone(),
                     &resp.body,
                 );
                 self.trace_finish(hop, t_secs, decision, &key);
@@ -871,7 +841,7 @@ impl<U: Upstream> Upstream for EdgeCache<U> {
         // Holding the flight lock: re-check the store, because another
         // request may have landed the object while we queued.
         let (resp, decision) = match self.store.get_traced(&key) {
-            Some((entry, tier)) if t_secs < entry.fresh_until => {
+            Some((entry, tier)) if t_secs < entry.meta.fresh_until => {
                 self.serve_fresh(req, &entry, tier)
             }
             stale => {

@@ -8,9 +8,8 @@
 //!
 //! * [`TieredStore`] — the object store: a sharded, byte-budgeted
 //!   DRAM front with LRU eviction and negative caching of 404s, plus
-//!   an optional persistent segment-file tier with admission control
-//!   and crash-tolerant warm restarts (configured through
-//!   [`StoreOptions`]);
+//!   an optional persistent segment-file tier with crash-tolerant
+//!   warm restarts (configured through [`StoreOptions`]);
 //! * [`EdgeCache`] — the cache proper: an [`Upstream`] decorator with
 //!   **single-flight coalescing** (N concurrent misses for one key
 //!   cost exactly one upstream fetch) and **catalyst-aware freshness**
@@ -51,8 +50,8 @@ pub mod tcp;
 
 pub use cache::{EdgeBuilder, EdgeCache, EdgeMetrics};
 pub use store::{
-    AdmissionPolicy, DiskStats, DiskTierOptions, EntryInfo, MarkOutcome, StoreOptions, StoredEntry,
-    TierHit, TieredCounters, TieredStore,
+    DiskStats, DiskTierOptions, EntryInfo, MarkOutcome, Meta, StoreOptions, StoredEntry, TierHit,
+    TieredCounters, TieredStore,
 };
 pub use tcp::{EdgeServeOptions, TcpEdge};
 

@@ -30,10 +30,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cachecatalyst_httpwire::hash::xxh64;
-use cachecatalyst_httpwire::{codec, EntityTag, Method, ParseLimits, Parsed};
+use cachecatalyst_httpwire::{codec, EntityTag, Method, ParseLimits, Parsed, Response};
 use parking_lot::Mutex;
 
-use super::{AdmissionPolicy, EntryInfo, MarkOutcome, StoredEntry};
+use super::{EntryInfo, MarkOutcome, Meta, StoredEntry};
 
 /// First four bytes of every record; the low byte counts format
 /// revisions (`61` trailed an FNV-1a sum, `62` trails XXH64).
@@ -55,19 +55,17 @@ pub struct DiskTierOptions {
     dir: PathBuf,
     segment_bytes: u64,
     byte_budget: u64,
-    pub(super) admission: AdmissionPolicy,
 }
 
 impl DiskTierOptions {
     /// A disk tier rooted at `dir` (created if missing; existing
     /// segments are recovered). Defaults: 4 MiB segments, 1 GiB
-    /// budget, [`AdmissionPolicy::TinyLfuAdmit`] with `min_hits: 2`.
+    /// budget.
     pub fn at(dir: impl Into<PathBuf>) -> DiskTierOptions {
         DiskTierOptions {
             dir: dir.into(),
             segment_bytes: 4 << 20,
             byte_budget: 1 << 30,
-            admission: AdmissionPolicy::TinyLfuAdmit { min_hits: 2 },
         }
     }
 
@@ -86,12 +84,6 @@ impl DiskTierOptions {
         self.byte_budget = bytes;
         self
     }
-
-    /// The admission policy gating every demotion onto this tier.
-    pub fn admission(mut self, policy: AdmissionPolicy) -> DiskTierOptions {
-        self.admission = policy;
-        self
-    }
 }
 
 /// Where one live record sits, plus the metadata the index answers
@@ -102,10 +94,7 @@ struct IndexEntry {
     record_len: u64,
     key_len: u32,
     wire_len: u32,
-    etag: Option<EntityTag>,
-    validated_at: i64,
-    fresh_until: i64,
-    negative: bool,
+    meta: Meta,
     /// Rebuilt from a segment scan and not yet re-freshened by a
     /// catalyst map.
     recovered: bool,
@@ -186,9 +175,10 @@ fn encode_record(key: &str, entry: &StoredEntry) -> Vec<u8> {
     rec.extend_from_slice(&MAGIC.to_le_bytes());
     rec.extend_from_slice(&(key.len() as u32).to_le_bytes());
     rec.extend_from_slice(&(wire.len() as u32).to_le_bytes());
-    rec.extend_from_slice(&entry.validated_at.to_le_bytes());
-    rec.extend_from_slice(&entry.fresh_until.to_le_bytes());
-    rec.extend_from_slice(&if entry.negative { FLAG_NEGATIVE } else { 0 }.to_le_bytes());
+    rec.extend_from_slice(&entry.meta.validated_at.to_le_bytes());
+    rec.extend_from_slice(&entry.meta.fresh_until.to_le_bytes());
+    let flags = u32::from(entry.meta.negative) * FLAG_NEGATIVE;
+    rec.extend_from_slice(&flags.to_le_bytes());
     rec.extend_from_slice(key.as_bytes());
     rec.extend_from_slice(&wire);
     let sum = xxh64(&rec);
@@ -229,6 +219,22 @@ fn decode_header(buf: &[u8]) -> Option<RecordHeader> {
         // surfaced: no freshness claim survives a restart un-verified.
         negative: flags & FLAG_NEGATIVE != 0,
     })
+}
+
+/// Checks one whole record (header through trailer) against its
+/// trailing XXH64 and parses the stored response back out. Every byte
+/// that leaves a segment file — into the index at boot, to a client on
+/// a hit — goes through here.
+fn verify_record(record: &[u8], key_len: usize) -> Option<Response> {
+    let (payload, sum) = record.split_at(record.len().checked_sub(TRAILER_LEN)?);
+    if xxh64(payload) != u64::from_le_bytes(sum.try_into().ok()?) {
+        return None;
+    }
+    let wire = payload.get(HEADER_LEN + key_len..)?;
+    match codec::parse_response(wire, &Method::Get, &ParseLimits::default()) {
+        Ok(Parsed::Complete { message, .. }) => Some(message),
+        _ => None,
+    }
 }
 
 impl DiskTier {
@@ -307,30 +313,17 @@ impl DiskTier {
             let Some(header) = decode_header(&buf[pos..]) else {
                 break;
             };
-            let body_len = header.key_len as usize + header.wire_len as usize;
-            let total = HEADER_LEN + body_len + TRAILER_LEN;
+            let key_len = header.key_len as usize;
+            let total = HEADER_LEN + key_len + header.wire_len as usize + TRAILER_LEN;
             if pos + total > buf.len() {
                 break; // crash mid-append: the tail record is incomplete
             }
-            let payload = &buf[pos..pos + HEADER_LEN + body_len];
-            let stored_sum = u64::from_le_bytes(
-                buf[pos + HEADER_LEN + body_len..pos + total][..8]
-                    .try_into()
-                    .unwrap(),
-            );
-            if xxh64(payload) != stored_sum {
-                break;
-            }
-            let key_bytes = &payload[HEADER_LEN..HEADER_LEN + header.key_len as usize];
-            let Ok(key) = std::str::from_utf8(key_bytes) else {
+            let record = &buf[pos..pos + total];
+            let Some(response) = verify_record(record, key_len) else {
                 break;
             };
-            let wire = &payload[HEADER_LEN + header.key_len as usize..];
-            // The validator lives in the encoded response; parse it
-            // back out so catalyst marks can match without file I/O.
-            let etag = match codec::parse_response(wire, &Method::Get, &ParseLimits::default()) {
-                Ok(Parsed::Complete { message, .. }) => message.etag(),
-                _ => break,
+            let Ok(key) = std::str::from_utf8(&record[HEADER_LEN..HEADER_LEN + key_len]) else {
+                break;
             };
             index.insert(
                 key.to_owned(),
@@ -340,12 +333,17 @@ impl DiskTier {
                     record_len: total as u64,
                     key_len: header.key_len,
                     wire_len: header.wire_len,
-                    etag,
-                    validated_at: header.validated_at,
-                    // Recovered entries start stale: no freshness
-                    // claim survives a restart un-verified.
-                    fresh_until: i64::MIN,
-                    negative: header.negative,
+                    meta: Meta {
+                        // The validator lives in the encoded response;
+                        // the index keeps it so catalyst marks can
+                        // match without file I/O.
+                        etag: response.etag(),
+                        validated_at: header.validated_at,
+                        // Recovered entries start stale: no freshness
+                        // claim survives a restart un-verified.
+                        fresh_until: i64::MIN,
+                        negative: header.negative,
+                    },
                     recovered: true,
                 },
             );
@@ -398,7 +396,7 @@ impl DiskTier {
     /// supersession without reading the record back.
     pub(super) fn stored_etag(&self, key: &str) -> Option<Option<EntityTag>> {
         let state = self.state.lock();
-        state.index.get(key).map(|e| e.etag.clone())
+        state.index.get(key).map(|e| e.meta.etag.clone())
     }
 
     /// Live object count.
@@ -434,45 +432,22 @@ impl DiskTier {
     /// cache falls through to the origin instead of looping.
     fn read_entry(&self, state: &mut DiskState, key: &str) -> Option<StoredEntry> {
         let entry = state.index.get(key)?;
-        let (segment, offset, record_len) = (entry.segment, entry.offset, entry.record_len);
-        let (key_len, wire_len) = (entry.key_len as usize, entry.wire_len as usize);
-        let mut buf = vec![0u8; record_len as usize];
+        let mut buf = vec![0u8; entry.record_len as usize];
         let read = (|| -> std::io::Result<()> {
-            let mut file = File::open(segment_path(&self.dir, segment))?;
-            file.seek(SeekFrom::Start(offset))?;
+            let mut file = File::open(segment_path(&self.dir, entry.segment))?;
+            file.seek(SeekFrom::Start(entry.offset))?;
             file.read_exact(&mut buf)
         })();
-        let parsed = read.ok().and_then(|()| {
-            let payload = &buf[..HEADER_LEN + key_len + wire_len];
-            let stored_sum =
-                u64::from_le_bytes(buf[buf.len() - TRAILER_LEN..][..8].try_into().ok()?);
-            if xxh64(payload) != stored_sum {
-                return None;
-            }
-            let wire = &payload[HEADER_LEN + key_len..];
-            match codec::parse_response(wire, &Method::Get, &ParseLimits::default()) {
-                Ok(Parsed::Complete { message, .. }) => Some(message),
-                _ => None,
-            }
-        });
-        let Some(response) = parsed else {
+        let verified = read
+            .ok()
+            .and_then(|()| verify_record(&buf, entry.key_len as usize));
+        let Some(response) = verified else {
             self.read_errors.fetch_add(1, Ordering::Relaxed);
             Self::remove_live(state, key);
             return None;
         };
-        let entry = &state.index[key];
-        let stored = if entry.negative {
-            StoredEntry::negative(response, entry.validated_at, entry.fresh_until)
-        } else {
-            StoredEntry::positive(
-                response,
-                entry.etag.clone(),
-                entry.validated_at,
-                entry.fresh_until,
-            )
-        };
         self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(stored)
+        Some(StoredEntry::new(response, entry.meta.clone()))
     }
 
     /// The entry under `key` (fresh or stale), read back from its
@@ -525,10 +500,7 @@ impl DiskTier {
                 record_len: rec.len() as u64,
                 key_len: key.len() as u32,
                 wire_len,
-                etag: entry.etag.clone(),
-                validated_at: entry.validated_at,
-                fresh_until: entry.fresh_until,
-                negative: entry.negative,
+                meta: entry.meta,
                 recovered: false,
             },
         );
@@ -536,8 +508,8 @@ impl DiskTier {
         true
     }
 
-    /// Applies a catalyst mark: matching validator ⇒ freshness extends
-    /// to at least `fresh_until`; mismatch ⇒ immediately stale.
+    /// Applies a catalyst mark ([`Meta::mark`]) to the entry under
+    /// `key`, if indexed.
     pub fn mark(&self, key: &str, current: &EntityTag, now: i64, fresh_until: i64) -> MarkOutcome {
         // Index-only: freshness metadata never rewrites the segment
         // files, which is what makes warm-restart re-freshening free.
@@ -545,25 +517,12 @@ impl DiskTier {
         let Some(entry) = state.index.get_mut(key) else {
             return MarkOutcome::Absent;
         };
-        if entry.negative {
-            entry.fresh_until = now;
-            return MarkOutcome::Mismatch;
+        let outcome = entry.meta.mark(current, now, fresh_until);
+        if outcome == MarkOutcome::Fresh && entry.recovered {
+            entry.recovered = false;
+            self.recovered_refreshed.fetch_add(1, Ordering::Relaxed);
         }
-        match &entry.etag {
-            Some(tag) if tag.strong_eq(current) || tag.weak_eq(current) => {
-                entry.validated_at = now;
-                entry.fresh_until = entry.fresh_until.max(fresh_until);
-                if entry.recovered {
-                    entry.recovered = false;
-                    self.recovered_refreshed.fetch_add(1, Ordering::Relaxed);
-                }
-                MarkOutcome::Fresh
-            }
-            _ => {
-                entry.fresh_until = entry.fresh_until.min(now);
-                MarkOutcome::Mismatch
-            }
-        }
+        outcome
     }
 
     /// Drops `key` outright (poisoned or superseded entry).
@@ -578,15 +537,7 @@ impl DiskTier {
         state
             .index
             .iter()
-            .map(|(key, e)| EntryInfo {
-                key: key.clone(),
-                tier: "disk",
-                size: e.wire_len as usize,
-                etag: e.etag.as_ref().map(|t| t.to_string()),
-                validated_at: e.validated_at,
-                fresh_until: e.fresh_until,
-                negative: e.negative,
-            })
+            .map(|(key, e)| e.meta.info(key, "disk", e.wire_len as usize))
             .collect()
     }
 }
@@ -620,11 +571,11 @@ mod tests {
         tier.insert("h/gone", StoredEntry::negative(miss, 5, 10));
         let got = tier.get("h/a").unwrap();
         assert_eq!(&got.response.body[..], b"alpha");
-        assert_eq!(got.validated_at, 5);
-        assert_eq!(got.fresh_until, 60);
-        assert!(!got.negative);
+        assert_eq!(got.meta.validated_at, 5);
+        assert_eq!(got.meta.fresh_until, 60);
+        assert!(!got.meta.negative);
         let neg = tier.get("h/gone").unwrap();
-        assert!(neg.negative);
+        assert!(neg.meta.negative);
         assert_eq!(neg.response.status.as_u16(), 404);
         assert!(tier.get("h/missing").is_none());
         let _ = fs::remove_dir_all(&dir);
@@ -641,14 +592,18 @@ mod tests {
         let tier = DiskTier::open(&DiskTierOptions::at(&dir)).unwrap();
         assert_eq!(tier.disk_stats().recovered, 2);
         let got = tier.get("h/a").unwrap();
-        assert_eq!(got.fresh_until, i64::MIN, "recovered entries are stale");
+        assert_eq!(
+            got.meta.fresh_until,
+            i64::MIN,
+            "recovered entries are stale"
+        );
         assert_eq!(&got.response.body[..], b"alpha");
         // A catalyst mark with the matching validator re-freshens with
         // zero file I/O.
         let tag = EntityTag::strong("v1").unwrap();
         assert_eq!(tier.mark("h/a", &tag, 100, 400), MarkOutcome::Fresh);
         assert_eq!(tier.disk_stats().recovered_refreshed, 1);
-        assert_eq!(tier.get("h/a").unwrap().fresh_until, 400);
+        assert_eq!(tier.get("h/a").unwrap().meta.fresh_until, 400);
         // A mismatching validator keeps the entry stale.
         let wrong = EntityTag::strong("v9").unwrap();
         assert_eq!(tier.mark("h/b", &wrong, 100, 400), MarkOutcome::Mismatch);

@@ -37,11 +37,12 @@ pub struct MemTier {
 }
 
 impl MemTier {
-    /// A tier spreading `byte_budget` over `shards` shards.
+    /// A tier spreading `byte_budget` over `shards` shards. A shard
+    /// whose share rounds to zero holds nothing.
     pub fn new(byte_budget: usize, shards: usize) -> MemTier {
         let shards = shards.max(1);
         MemTier {
-            budget_per_shard: (byte_budget / shards).max(1),
+            budget_per_shard: byte_budget / shards,
             shards: (0..shards)
                 .map(|_| {
                     Mutex::new(Shard {
@@ -130,9 +131,9 @@ impl MemTier {
         };
         let old_size = slot.entry.size();
         slot.entry.response = response;
-        slot.entry.etag = etag;
-        slot.entry.validated_at = validated_at;
-        slot.entry.fresh_until = fresh_until;
+        slot.entry.meta.etag = etag;
+        slot.entry.meta.validated_at = validated_at;
+        slot.entry.meta.fresh_until = fresh_until;
         slot.entry.resize();
         slot.seq = seq;
         let new_size = slot.entry.size();
@@ -145,11 +146,6 @@ impl MemTier {
                 .fetch_sub(old_size - new_size, Ordering::Relaxed);
         }
         true
-    }
-
-    /// True when `key` is resident (no recency bump).
-    pub fn contains(&self, key: &str) -> bool {
-        self.shard_of(key).lock().map.contains_key(key)
     }
 
     /// Total bytes currently held across all shards.
@@ -181,30 +177,13 @@ impl MemTier {
         Some(slot.entry.clone())
     }
 
-    /// Applies a catalyst mark: matching validator ⇒ freshness extends
-    /// to at least `fresh_until`; mismatch ⇒ immediately stale.
+    /// Applies a catalyst mark ([`Meta::mark`](super::Meta::mark)) to
+    /// the entry under `key`, if resident.
     pub fn mark(&self, key: &str, current: &EntityTag, now: i64, fresh_until: i64) -> MarkOutcome {
         let mut shard = self.shard_of(key).lock();
-        let Some(slot) = shard.map.get_mut(key) else {
-            return MarkOutcome::Absent;
-        };
-        let entry = &mut slot.entry;
-        if entry.negative {
-            // The map says this path exists now; the cached 404 is out
-            // of date.
-            entry.fresh_until = now;
-            return MarkOutcome::Mismatch;
-        }
-        match &entry.etag {
-            Some(tag) if tag.strong_eq(current) || tag.weak_eq(current) => {
-                entry.validated_at = now;
-                entry.fresh_until = entry.fresh_until.max(fresh_until);
-                MarkOutcome::Fresh
-            }
-            _ => {
-                entry.fresh_until = entry.fresh_until.min(now);
-                MarkOutcome::Mismatch
-            }
+        match shard.map.get_mut(key) {
+            Some(slot) => slot.entry.meta.mark(current, now, fresh_until),
+            None => MarkOutcome::Absent,
         }
     }
 
@@ -224,15 +203,7 @@ impl MemTier {
         for shard in &self.shards {
             let shard = shard.lock();
             for (key, slot) in shard.map.iter() {
-                out.push(EntryInfo {
-                    key: key.clone(),
-                    tier: "mem",
-                    size: slot.entry.size(),
-                    etag: slot.entry.etag.as_ref().map(|t| t.to_string()),
-                    validated_at: slot.entry.validated_at,
-                    fresh_until: slot.entry.fresh_until,
-                    negative: slot.entry.negative,
-                });
+                out.push(slot.entry.meta.info(key, "mem", slot.entry.size()));
             }
         }
         out
@@ -288,7 +259,7 @@ mod tests {
         let tag = refreshed.etag();
         assert!(tier.refresh("h/a", refreshed, tag, 50, 55));
         let entry = tier.get("h/a").unwrap();
-        assert_eq!(entry.validated_at, 50);
+        assert_eq!(entry.meta.validated_at, 50);
         assert_eq!(entry.response.headers.get("x-new"), Some("yes"));
         assert!(!tier.refresh("h/missing", resp("x", "v"), None, 0, 1));
     }

@@ -1,17 +1,19 @@
-//! The edge's object store, split into tiers behind one pluggable API.
+//! The edge's object store, split into tiers behind one API.
 //!
-//! * [`MemTier`] — the DRAM front: sharded, byte-budgeted, LRU-evicted
-//!   (PR 5's store, now one tier among several);
+//! * [`MemTier`] — the DRAM front: sharded, byte-budgeted, LRU-evicted;
 //! * [`DiskTier`] — the persistent second tier: append-friendly
 //!   segment files with XXH64-checksummed records and an in-memory
 //!   index, rebuilt from record headers on boot;
 //! * [`TieredStore`] — the composition the cache layer talks to:
-//!   promotion on disk hit, demotion on DRAM eviction, disk writes
-//!   gated by a pluggable [`AdmissionPolicy`].
+//!   promotion on disk hit, demotion on DRAM eviction.
 //!
-//! Both tiers are optional, so mem-only, disk-only and hybrid
-//! configurations are one code path; construction goes through
-//! [`StoreOptions`]:
+//! Both tiers keep the same [`Meta`] beside an entry's bytes — DRAM in
+//! the [`StoredEntry`], disk in its index — so the catalyst mark
+//! ([`Meta::mark`]) and the `/inspect` row are written once, here.
+//!
+//! There is one store shape: a DRAM front, whose budget may be zero
+//! and then holds nothing, over an optional disk tier. Construction
+//! goes through [`StoreOptions`]:
 //!
 //! ```
 //! use cachecatalyst_edge::store::StoreOptions;
@@ -19,24 +21,21 @@
 //! assert!(store.is_empty());
 //! ```
 
+use cachecatalyst_catalyst::EtagConfig;
 use cachecatalyst_httpwire::{EntityTag, Response};
 
-pub mod admission;
 pub mod disk;
 pub mod mem;
 pub mod tiered;
 
-pub use admission::{AdmissionPolicy, FreqSketch};
 pub use disk::{DiskStats, DiskTier, DiskTierOptions};
 pub use mem::MemTier;
 pub use tiered::{TierHit, TieredCounters, TieredStore};
 
-/// One stored object.
-#[derive(Clone)]
-pub struct StoredEntry {
-    /// The full response to replay (the `Bytes` body makes cloning an
-    /// entry a refcount bump, not a copy).
-    pub response: Response,
+/// What a tier knows about an entry besides its bytes: the validator
+/// and the freshness bookkeeping every serving decision reads.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Meta {
     /// The validator the object was stored under.
     pub etag: Option<EntityTag>,
     /// When the edge last confirmed this entry with the origin (store
@@ -48,39 +47,95 @@ pub struct StoredEntry {
     pub fresh_until: i64,
     /// A negatively-cached 404.
     pub negative: bool,
+}
+
+impl Meta {
+    /// Applies a catalyst mark — the paper's one comparison, the
+    /// cached validator against the map's `current` entry: a match
+    /// extends freshness to at least `fresh_until`, anything else is
+    /// stale as of `now`.
+    pub fn mark(&mut self, current: &EntityTag, now: i64, fresh_until: i64) -> MarkOutcome {
+        if self.negative {
+            // The map says this path exists now; the cached 404 is out
+            // of date.
+            self.fresh_until = now;
+            return MarkOutcome::Mismatch;
+        }
+        match &self.etag {
+            Some(tag) if EtagConfig::entry_matches(current, tag) => {
+                self.validated_at = now;
+                self.fresh_until = self.fresh_until.max(fresh_until);
+                MarkOutcome::Fresh
+            }
+            _ => {
+                self.fresh_until = self.fresh_until.min(now);
+                MarkOutcome::Mismatch
+            }
+        }
+    }
+
+    /// This entry's `/inspect` row.
+    fn info(&self, key: &str, tier: &'static str, size: usize) -> EntryInfo {
+        EntryInfo {
+            key: key.to_owned(),
+            tier,
+            size,
+            meta: self.clone(),
+        }
+    }
+}
+
+/// One stored object.
+#[derive(Clone)]
+pub struct StoredEntry {
+    /// The full response to replay (the `Bytes` body makes cloning an
+    /// entry a refcount bump, not a copy).
+    pub response: Response,
+    /// Validator and freshness.
+    pub meta: Meta,
     size: usize,
 }
 
 impl StoredEntry {
-    /// A positive entry. Size is the wire footprint: body plus headers.
+    /// Size is the wire footprint: body plus headers.
+    fn new(response: Response, meta: Meta) -> StoredEntry {
+        let size = response.wire_len();
+        StoredEntry {
+            response,
+            meta,
+            size,
+        }
+    }
+
+    /// A positive entry.
     pub fn positive(
         response: Response,
         etag: Option<EntityTag>,
         validated_at: i64,
         fresh_until: i64,
     ) -> StoredEntry {
-        let size = response.wire_len();
-        StoredEntry {
+        StoredEntry::new(
             response,
-            etag,
-            validated_at,
-            fresh_until,
-            negative: false,
-            size,
-        }
+            Meta {
+                etag,
+                validated_at,
+                fresh_until,
+                negative: false,
+            },
+        )
     }
 
     /// A negatively-cached 404, fresh until `fresh_until`.
     pub fn negative(response: Response, validated_at: i64, fresh_until: i64) -> StoredEntry {
-        let size = response.wire_len();
-        StoredEntry {
+        StoredEntry::new(
             response,
-            etag: None,
-            validated_at,
-            fresh_until,
-            negative: true,
-            size,
-        }
+            Meta {
+                etag: None,
+                validated_at,
+                fresh_until,
+                negative: true,
+            },
+        )
     }
 
     /// Approximate retained bytes: body plus headers on the wire.
@@ -114,27 +169,17 @@ pub struct EntryInfo {
     pub tier: &'static str,
     /// Wire footprint in bytes.
     pub size: usize,
-    /// The stored validator, rendered (`"v1"` / `W/"v1"`), if any.
-    pub etag: Option<String>,
-    /// Last origin confirmation, virtual seconds.
-    pub validated_at: i64,
-    /// Freshness horizon (exclusive), virtual seconds.
-    pub fresh_until: i64,
-    /// A negatively-cached 404.
-    pub negative: bool,
+    /// Validator and freshness, as that tier holds them.
+    pub meta: Meta,
 }
 
 /// Configures a [`TieredStore`]: the DRAM budget/sharding and an
 /// optional persistent [`DiskTierOptions`] second tier.
-///
-/// `mem_budget(0)` drops the DRAM tier entirely (a disk-only store);
-/// omitting `.disk(..)` keeps the PR 5 mem-only behaviour.
 #[derive(Clone, Debug)]
 pub struct StoreOptions {
     mem_budget: usize,
     shards: usize,
     disk: Option<DiskTierOptions>,
-    admission: AdmissionPolicy,
 }
 
 impl Default for StoreOptions {
@@ -143,7 +188,6 @@ impl Default for StoreOptions {
             mem_budget: 64 << 20,
             shards: 8,
             disk: None,
-            admission: AdmissionPolicy::TinyLfuAdmit { min_hits: 2 },
         }
     }
 }
@@ -154,8 +198,9 @@ impl StoreOptions {
         StoreOptions::default()
     }
 
-    /// Total bytes the DRAM tier may hold, spread over the shards.
-    /// `0` removes the DRAM tier (disk-only configurations).
+    /// Total bytes the DRAM tier may hold, spread over the shards. At
+    /// `0` it holds nothing: every insert is offered straight to the
+    /// disk tier and every hit is read from it.
     pub fn mem_budget(mut self, bytes: usize) -> StoreOptions {
         self.mem_budget = bytes;
         self
@@ -167,10 +212,8 @@ impl StoreOptions {
         self
     }
 
-    /// Attach a persistent disk tier. The admission policy configured
-    /// on the [`DiskTierOptions`] gates every segment write.
+    /// Attach a persistent disk tier.
     pub fn disk(mut self, disk: DiskTierOptions) -> StoreOptions {
-        self.admission = disk.admission.clone();
         self.disk = Some(disk);
         self
     }
@@ -178,19 +221,11 @@ impl StoreOptions {
     /// Builds the store. Fails only when a disk tier was requested and
     /// its directory cannot be opened/recovered.
     pub fn build(self) -> std::io::Result<TieredStore> {
-        let mem = (self.mem_budget > 0).then(|| MemTier::new(self.mem_budget, self.shards));
+        let mem = MemTier::new(self.mem_budget, self.shards);
         let disk = match self.disk {
             Some(opts) => Some(DiskTier::open(&opts)?),
             None => None,
         };
-        // Admission only gates disk writes. Without a disk tier the
-        // sketch would be fed on every lookup (the DRAM hot path) and
-        // never consulted — compile it away instead.
-        let admission = if disk.is_some() {
-            self.admission.compile()
-        } else {
-            AdmissionPolicy::AdmitAll.compile()
-        };
-        Ok(TieredStore::assemble(mem, disk, admission))
+        Ok(TieredStore::assemble(mem, disk))
     }
 }

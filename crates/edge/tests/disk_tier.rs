@@ -1,8 +1,9 @@
-//! Property and crash tests for the persistent disk tier.
+//! Flood and crash tests for the persistent disk tier.
 //!
-//! * **Admission** — under a flood of one-hit wonders, TinyLFU keeps
-//!   the segment files bounded: only keys seen at least `min_hits`
-//!   times earn a slot.
+//! * **Once-requested keys** — driven through `EdgeCache::handle`
+//!   (two store lookups per miss, as in production), a flood of keys
+//!   requested once each ends up on disk and is served from there;
+//!   cached 404s never are, and nothing is written twice.
 //! * **Crash-mid-write** — a torn record at the segment tail (the
 //!   bytes a crash cut short) is discarded by the boot scan; every
 //!   record before it survives byte-for-byte, and the reopened tier
@@ -19,14 +20,14 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::Arc;
 
-use cachecatalyst_edge::store::{
-    AdmissionPolicy, DiskTierOptions, StoreOptions, TierHit, TieredStore,
-};
+use cachecatalyst_browser::ClientOptions;
+use cachecatalyst_edge::store::{DiskTierOptions, StoreOptions, TierHit, TieredStore};
 use cachecatalyst_edge::{EdgeCache, Upstream};
 use cachecatalyst_httpwire::hash::fnv1a64;
-use cachecatalyst_httpwire::{codec, Request, Response};
-use proptest::prelude::*;
+use cachecatalyst_httpwire::{codec, Request, Response, StatusCode};
+use cachecatalyst_telemetry::{CacheDecision, Event, MemoryRecorder};
 
 static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
 
@@ -40,12 +41,12 @@ fn scratch_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// Disk-only store (no DRAM tier): every insert faces the admission
-/// policy directly, which is exactly what these properties probe.
-fn disk_only(dir: &PathBuf, admission: AdmissionPolicy) -> TieredStore {
+/// A store whose DRAM front holds nothing: every insert lands on
+/// disk, which is exactly what these tests probe.
+fn disk_only(dir: &PathBuf) -> TieredStore {
     StoreOptions::new()
         .mem_budget(0)
-        .disk(DiskTierOptions::at(dir).admission(admission))
+        .disk(DiskTierOptions::at(dir))
         .build()
         .expect("disk tier opens")
 }
@@ -55,74 +56,12 @@ fn body_response(key: &str, tag: &str) -> Response {
         .with_header("etag", &format!("\"{tag}\""))
 }
 
-/// One cache-shaped access: a lookup (feeding the admission sketch)
-/// followed, on miss, by a store attempt.
+/// One cache-shaped access: a lookup followed, on miss, by a store.
 fn touch(store: &TieredStore, key: &str) {
     if store.get(key).is_none() {
         let resp = body_response(key, "v1");
         let etag = resp.etag();
         store.insert(key, resp, etag, 0, 100);
-    }
-}
-
-proptest! {
-    /// The one-hit-wonder flood. Wonders are touched once, popular
-    /// keys twice (≥ `min_hits`); TinyLFU must keep the wonders out of
-    /// the segment files while admitting every repeat.
-    #[test]
-    fn one_hit_wonder_floods_keep_disk_bounded(
-        seed in any::<u64>(),
-        wonders in 40usize..120,
-        repeats in 4usize..12,
-    ) {
-        let dir = scratch_dir("flood");
-        let store = disk_only(&dir, AdmissionPolicy::TinyLfuAdmit { min_hits: 2 });
-
-        // Round 1: everything is seen once (estimate 1 at store time,
-        // so *nothing* is admitted yet — not even the future repeats).
-        for i in 0..wonders {
-            touch(&store, &format!("h/wonder-{seed:x}-{i}"));
-        }
-        for i in 0..repeats {
-            touch(&store, &format!("h/repeat-{seed:x}-{i}"));
-        }
-        // Round 2: only the repeats come back; their second lookup
-        // lifts the sketch estimate to min_hits and the re-store lands.
-        for i in 0..repeats {
-            touch(&store, &format!("h/repeat-{seed:x}-{i}"));
-        }
-
-        let stats = store.disk_stats().expect("disk tier attached");
-        // Sketch rows can collide, so allow a hair of slack — but the
-        // flood must not reach the segment files wholesale.
-        prop_assert!(
-            stats.objects <= repeats + 2,
-            "disk holds {} objects for {repeats} repeated keys ({wonders} wonders flooded)",
-            stats.objects
-        );
-        for i in 0..repeats {
-            let key = format!("h/repeat-{seed:x}-{i}");
-            let entry = store.get(&key);
-            prop_assert!(entry.is_some(), "repeated key {key} missing from disk");
-            prop_assert_eq!(
-                &entry.unwrap().response.body[..],
-                &body_response(&key, "v1").body[..]
-            );
-        }
-        // Each wonder burned exactly one refused store attempt.
-        prop_assert!(
-            store.counters().admission_rejects >= wonders as u64,
-            "expected ≥{wonders} rejects, saw {}",
-            store.counters().admission_rejects
-        );
-        // Bounded bytes, not just bounded objects: a record is well
-        // under 4 KiB here, so the files stay proportional to repeats.
-        prop_assert!(
-            stats.segment_file_bytes <= ((repeats + 2) * 4096) as u64,
-            "segment files hold {} bytes",
-            stats.segment_file_bytes
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -143,7 +82,7 @@ fn crash_mid_write_discards_torn_tail_and_preserves_prefix() {
     let dir = scratch_dir("torn");
     let keys: Vec<String> = (0..6).map(|i| format!("h/c-{i}")).collect();
     {
-        let store = disk_only(&dir, AdmissionPolicy::AdmitAll);
+        let store = disk_only(&dir);
         for key in &keys {
             touch(&store, key);
         }
@@ -160,7 +99,7 @@ fn crash_mid_write_discards_torn_tail_and_preserves_prefix() {
 
     // Boot scan: the torn record is discarded, everything before it
     // survives byte-for-byte.
-    let store = disk_only(&dir, AdmissionPolicy::AdmitAll);
+    let store = disk_only(&dir);
     let stats = store.disk_stats().unwrap();
     assert_eq!(stats.recovered, keys.len() as u64 - 1);
     assert!(
@@ -175,7 +114,7 @@ fn crash_mid_write_discards_torn_tail_and_preserves_prefix() {
             "{key}: corrupted bytes after recovery"
         );
         assert_eq!(
-            entry.fresh_until,
+            entry.meta.fresh_until,
             i64::MIN,
             "{key}: a recovered entry must come back stale"
         );
@@ -187,7 +126,7 @@ fn crash_mid_write_discards_torn_tail_and_preserves_prefix() {
     drop(store);
 
     // ...and a second clean reopen recovers old prefix + new record.
-    let store = disk_only(&dir, AdmissionPolicy::AdmitAll);
+    let store = disk_only(&dir);
     assert_eq!(
         store.disk_stats().unwrap().recovered,
         keys.len() as u64, // 5 surviving + 1 post-crash append
@@ -225,7 +164,7 @@ fn previous_format_segment_recovers_empty_and_accepts_appends() {
         .collect();
     std::fs::write(dir.join("seg-00000000.seg"), &segment).unwrap();
 
-    let store = disk_only(&dir, AdmissionPolicy::AdmitAll);
+    let store = disk_only(&dir);
     let stats = store.disk_stats().unwrap();
     assert_eq!(stats.recovered, 0, "foreign records were indexed");
     assert_eq!(stats.objects, 0);
@@ -248,15 +187,16 @@ fn previous_format_segment_recovers_empty_and_accepts_appends() {
         &body_response("h/new", "v1").body[..]
     );
     drop(store);
-    let store = disk_only(&dir, AdmissionPolicy::AdmitAll);
+    let store = disk_only(&dir);
     assert_eq!(store.disk_stats().unwrap().recovered, 1);
     assert!(store.get("h/new").is_some());
     assert!(store.get(&keys[0]).is_none());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// An origin with one fixed cacheable body per path, counting the
-/// requests that reach it.
+/// An origin with one fixed cacheable body per path (a 404 under
+/// `/gone`), counting the requests that reach it.
+#[derive(Default)]
 struct CountingOrigin {
     requests: AtomicU64,
 }
@@ -270,6 +210,9 @@ impl CountingOrigin {
 impl Upstream for CountingOrigin {
     fn handle(&self, _host: &str, req: &Request, _t_secs: i64) -> Response {
         self.requests.fetch_add(1, Ordering::Relaxed);
+        if req.target.path().starts_with("/gone") {
+            return Response::empty(StatusCode::NOT_FOUND);
+        }
         Response::ok(Self::body(req.target.path()))
             .with_header("etag", "\"v1\"")
             .with_header("cache-control", "max-age=3600")
@@ -277,16 +220,90 @@ impl Upstream for CountingOrigin {
 }
 
 fn disk_only_edge(dir: &PathBuf) -> EdgeCache<CountingOrigin> {
-    let origin = CountingOrigin {
-        requests: AtomicU64::new(0),
-    };
-    EdgeCache::builder(origin)
+    EdgeCache::builder(CountingOrigin::default())
         .store(
             StoreOptions::new()
                 .mem_budget(0)
-                .disk(DiskTierOptions::at(dir).admission(AdmissionPolicy::AdmitAll)),
+                .disk(DiskTierOptions::at(dir)),
         )
         .build()
+}
+
+#[test]
+fn once_requested_keys_reach_the_disk_and_are_served_from_it() {
+    let dir = scratch_dir("flood");
+    let recorder = Arc::new(MemoryRecorder::new());
+    // DRAM for about three bodies in front of the disk tier.
+    let edge = EdgeCache::builder(CountingOrigin::default())
+        .store(
+            StoreOptions::new()
+                .mem_budget(3 * CountingOrigin::body("/once-00.bin").len() + 1024)
+                .shards(1)
+                .disk(DiskTierOptions::at(&dir)),
+        )
+        .client_options(&ClientOptions::new().recorder(recorder.clone()))
+        .build();
+    let (positives, negatives) = (40u64, 10u64);
+    let once = |i: u64| format!("/once-{i:02}.bin");
+
+    // The flood: every key exactly once, a 404 after every fourth.
+    for i in 0..positives {
+        edge.handle("h", &Request::get(&once(i)), 10);
+        if i % 4 == 3 {
+            edge.handle("h", &Request::get(&format!("/gone-{i:02}")), 10);
+        }
+    }
+    let upstream = || edge.upstream().requests.load(Ordering::Relaxed);
+    assert_eq!(upstream(), positives + negatives);
+    recorder.take();
+
+    // Every flooded key comes back from the segment files.
+    for i in 0..positives {
+        let resp = edge.handle("h", &Request::get(&once(i)), 11);
+        assert_eq!(&resp.body[..], &CountingOrigin::body(&once(i))[..]);
+    }
+    assert_eq!(
+        upstream(),
+        positives + negatives,
+        "a disk hit went upstream"
+    );
+    let decisions: Vec<CacheDecision> = recorder
+        .take()
+        .iter()
+        .filter_map(|e| match e {
+            Event::CacheDecision { audit, .. } => Some(audit.decision),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        decisions,
+        vec![CacheDecision::EdgeDiskHit; positives as usize]
+    );
+
+    // What the tiers hold afterwards, from the inspector's rows.
+    let inspect = edge.inspect(11);
+    let rows = |tier: &str, negative: bool| {
+        let (tier, negative) = (
+            format!("\"tier\": \"{tier}\""),
+            format!("\"negative\": {negative}"),
+        );
+        inspect
+            .lines()
+            .filter(|l| l.contains(&tier) && l.contains(&negative))
+            .count() as u64
+    };
+    assert_eq!(rows("disk", true), 0, "a cached 404 was demoted");
+    assert_eq!(rows("disk", false), positives);
+
+    // An eviction is a cached 404 (dropped), a key on its way out of
+    // DRAM for the first time (written), or a promoted key leaving
+    // again (its record is already there): each key is written once.
+    let m = edge.metrics();
+    let dropped_404s = negatives - rows("mem", true);
+    let already_on_disk = m.promotions - rows("mem", false);
+    assert_eq!(m.demotions, positives);
+    assert_eq!(m.evictions - dropped_404s - already_on_disk, m.demotions);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Whether the edge's registry shows exactly one failed disk read.
@@ -368,7 +385,7 @@ fn a_remembered_digest_does_not_cross_the_disk_record() {
     let store = StoreOptions::new()
         .mem_budget(unit * 2 + unit / 2)
         .shards(1)
-        .disk(DiskTierOptions::at(&dir).admission(AdmissionPolicy::AdmitAll))
+        .disk(DiskTierOptions::at(&dir))
         .build()
         .expect("hybrid store opens");
     let put = |key: &str| {

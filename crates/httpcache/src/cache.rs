@@ -273,14 +273,7 @@ impl HttpCache {
         response_time: i64,
     ) -> Option<Response> {
         let entry = self.entries.get_mut(url)?;
-        for (name, value) in resp_304.headers.iter() {
-            // Update all metadata except framing headers.
-            let n = name.as_str();
-            if n == HeaderName::CONTENT_LENGTH || n == HeaderName::TRANSFER_ENCODING {
-                continue;
-            }
-            entry.response.headers.insert(n, value.as_str());
-        }
+        entry.response.merge_not_modified(resp_304);
         entry.request_time = request_time;
         entry.response_time = response_time;
         entry.last_used = response_time;

@@ -8,7 +8,7 @@
 //!   speed and good dispersion. XXH64 consumes 32 bytes per step over
 //!   four independent lanes and runs at memory speed.
 //! * [`fnv1a64`] hashes *keys* and anything whose value is visible:
-//!   shard choice, the admission sketch, content-derived
+//!   shard choice, content-derived
 //!   [`EntityTag`](crate::EntityTag)s and `x-cc-config-digest`. Those
 //!   inputs are short, and their values reach wire bytes and exact
 //!   metrics, so they must never change.

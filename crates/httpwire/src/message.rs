@@ -167,6 +167,28 @@ impl Response {
         self
     }
 
+    /// Updates this stored response from a `304 Not Modified` for it
+    /// (RFC 9111 §4.3.4): every header of the 304 replaces the stored
+    /// one, except those that describe the 304 itself and not the
+    /// representation — its framing, the hop that answered it, and the
+    /// `X-Etag-Config` map with its digest, which a receiver acts on
+    /// when it arrives and never reads back from a stored copy.
+    pub fn merge_not_modified(&mut self, not_modified: &Response) {
+        const ABOUT_THE_304: [&str; 5] = [
+            HeaderName::CONTENT_LENGTH,
+            HeaderName::TRANSFER_ENCODING,
+            HeaderName::X_SERVED_BY,
+            HeaderName::X_ETAG_CONFIG,
+            HeaderName::X_CC_CONFIG_DIGEST,
+        ];
+        for (name, value) in not_modified.headers.iter() {
+            let name = name.as_str();
+            if !ABOUT_THE_304.contains(&name) {
+                self.headers.insert(name, value.as_str());
+            }
+        }
+    }
+
     /// Parsed `ETag` header.
     pub fn etag(&self) -> Option<EntityTag> {
         self.headers
@@ -255,6 +277,39 @@ mod tests {
         assert_eq!(resp.status, StatusCode::NOT_MODIFIED);
         assert!(resp.headers.get("content-length").is_none());
         assert_eq!(resp.etag().unwrap(), tag);
+    }
+
+    #[test]
+    fn a_304_updates_the_representation_and_nothing_about_itself() {
+        let mut stored = Response::ok("body")
+            .with_header("etag", "\"v1\"")
+            .with_header("cache-control", "max-age=5")
+            .with_header("x-served-by", "origin");
+        let mut not_modified = Response::not_modified(Some(&EntityTag::strong("v2").unwrap()))
+            .with_header("cache-control", "no-cache")
+            .with_header("date", "Thu, 01 Jan 1970 00:00:00 GMT")
+            .with_header("content-length", "0")
+            .with_header("transfer-encoding", "chunked")
+            .with_header("x-served-by", "cachecatalyst-edge")
+            .with_header("x-cc-config-digest", "00000000deadbeef");
+        not_modified.headers.append("x-etag-config", "/a=\"1\"");
+        not_modified.headers.append("x-etag-config", "/b=\"2\"");
+        stored.merge_not_modified(&not_modified);
+        // (header, what the stored copy reads afterwards)
+        for (name, want) in [
+            ("etag", Some("\"v2\"")),
+            ("cache-control", Some("no-cache")),
+            ("date", Some("Thu, 01 Jan 1970 00:00:00 GMT")),
+            ("content-length", Some("4")),
+            ("transfer-encoding", None),
+            ("x-served-by", Some("origin")),
+            ("x-etag-config", None),
+            ("x-cc-config-digest", None),
+        ] {
+            assert_eq!(stored.headers.get(name), want, "{name}");
+        }
+        assert_eq!(&stored.body[..], b"body");
+        assert_eq!(stored.status, StatusCode::OK);
     }
 
     #[test]

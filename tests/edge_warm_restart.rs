@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cachecatalyst::catalyst::tamper_config_headers;
-use cachecatalyst::edge::{AdmissionPolicy, DiskTierOptions, EdgeCache, StoreOptions};
+use cachecatalyst::edge::{DiskTierOptions, EdgeCache, StoreOptions};
 use cachecatalyst::httpwire::hash::xxh64;
 use cachecatalyst::prelude::*;
 use cachecatalyst::webmodel::{
@@ -142,7 +142,7 @@ fn get(path: &str) -> Request {
 fn disk_only(dir: &PathBuf) -> StoreOptions {
     StoreOptions::new()
         .mem_budget(0)
-        .disk(DiskTierOptions::at(dir).admission(AdmissionPolicy::AdmitAll))
+        .disk(DiskTierOptions::at(dir))
 }
 
 /// Fills the disk tier at `dir` via a first edge process: one cold
