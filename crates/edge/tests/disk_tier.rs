@@ -12,7 +12,9 @@
 //!   and FNV-1a sum is foreign: it recovers to an empty tier that
 //!   still accepts appends. A one-bit flip inside a record body is
 //!   caught by the XXH64 sum on the read path (the request falls
-//!   through to the origin) and again by the boot scan.
+//!   through to the origin) and again by the boot scan. And the
+//!   reverse: what the tier writes is, byte for byte, the record built
+//!   the way it was before the tier encoded into one buffer.
 //! * **Content facts stop at the record** — a digest remembered on a
 //!   DRAM-resident body does not follow it to disk: a clean disk read
 //!   is a new allocation that is digested again, a damaged one is
@@ -25,7 +27,7 @@ use std::sync::Arc;
 use cachecatalyst_browser::ClientOptions;
 use cachecatalyst_edge::store::{DiskTierOptions, StoreOptions, TierHit, TieredStore};
 use cachecatalyst_edge::{EdgeCache, Upstream};
-use cachecatalyst_httpwire::hash::fnv1a64;
+use cachecatalyst_httpwire::hash::{fnv1a64, xxh64};
 use cachecatalyst_httpwire::{codec, Request, Response, StatusCode};
 use cachecatalyst_telemetry::{CacheDecision, Event, MemoryRecorder};
 
@@ -192,6 +194,48 @@ fn previous_format_segment_recovers_empty_and_accepts_appends() {
     assert!(store.get("h/new").is_some());
     assert!(store.get(&keys[0]).is_none());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn what_the_tier_writes_is_the_record_built_the_old_way() {
+    let dir = scratch_dir("format");
+    let keys: Vec<String> = (0..5).map(|i| format!("h/fmt-{i}")).collect();
+    {
+        let store = disk_only(&dir);
+        for key in &keys {
+            touch(&store, key);
+        }
+    }
+    // The layout of `previous_format_record` (header ‖ key ‖
+    // `codec::encode_response` ‖ sum, each part built on its own and
+    // then copied together) under today's magic and XXH64.
+    let expected: Vec<u8> = keys
+        .iter()
+        .flat_map(|key| {
+            let mut rec = previous_format_record(key, &body_response(key, "v1"));
+            rec[..4].copy_from_slice(&0xED6E_5E62_u32.to_le_bytes());
+            let payload = rec.len() - 8;
+            let sum = xxh64(&rec[..payload]);
+            rec[payload..].copy_from_slice(&sum.to_le_bytes());
+            rec
+        })
+        .collect();
+    assert_eq!(std::fs::read(newest_segment(&dir)).unwrap(), expected);
+
+    // And such bytes, written by anyone, are recovered in full.
+    let copy = scratch_dir("format-copy");
+    std::fs::create_dir_all(&copy).unwrap();
+    std::fs::write(copy.join("seg-00000000.seg"), &expected).unwrap();
+    let store = disk_only(&copy);
+    assert_eq!(store.disk_stats().unwrap().recovered, keys.len() as u64);
+    for key in &keys {
+        assert_eq!(
+            store.get(key).expect("record lost").response,
+            body_response(key, "v1")
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&copy);
 }
 
 /// An origin with one fixed cacheable body per path (a 404 under

@@ -5,6 +5,8 @@
 //! bytes consumed), report that more bytes are needed, or fail. This is
 //! the shape an async read loop wants — feed, try, repeat.
 
+use std::ops::Range;
+
 use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::chunked;
@@ -177,11 +179,40 @@ pub fn parse_request(buf: &[u8], limits: &ParseLimits) -> WireResult<Parsed<Requ
 }
 
 /// Attempts to parse one complete response from the front of `buf`.
-/// `request_method` is needed because HEAD responses have no body.
+/// `request_method` is needed because HEAD responses have no body. The
+/// body is a copy of its bytes: the caller's buffer is free to go.
 pub fn parse_response(
     buf: &[u8],
     request_method: &Method,
     limits: &ParseLimits,
+) -> WireResult<Parsed<Response>> {
+    parse_response_with(buf, request_method, limits, |body| {
+        Bytes::copy_from_slice(&buf[body])
+    })
+}
+
+/// [`parse_response`] over a buffer that is already shared: a
+/// `Content-Length` body is `buf.slice(..)`, a view that keeps all of
+/// `buf` alive and copies nothing (a chunked body is decoded into a
+/// buffer of its own either way). For a caller that holds the whole
+/// message in one `Bytes` and would drop it after parsing — the edge's
+/// disk tier reading a record back.
+pub fn parse_response_shared(
+    buf: &Bytes,
+    request_method: &Method,
+    limits: &ParseLimits,
+) -> WireResult<Parsed<Response>> {
+    parse_response_with(buf, request_method, limits, |body| buf.slice(body))
+}
+
+/// The response parser under both entry points, which differ only in
+/// `take_body`: how a `Content-Length` body's range of `buf` becomes
+/// `Bytes`.
+fn parse_response_with(
+    buf: &[u8],
+    request_method: &Method,
+    limits: &ParseLimits,
+    take_body: impl FnOnce(Range<usize>) -> Bytes,
 ) -> WireResult<Parsed<Response>> {
     let head_end = match find_head_end(buf) {
         Some(i) => i,
@@ -228,7 +259,7 @@ pub fn parse_response(
             if body_rest.len() < n {
                 return Ok(Parsed::Partial);
             }
-            (Bytes::copy_from_slice(&body_rest[..n]), head_end + n)
+            (take_body(head_end..head_end + n), head_end + n)
         }
         BodyFraming::Chunked => match chunked::decode(body_rest, limits.max_body)? {
             Some((body, used)) => (body, head_end + used),

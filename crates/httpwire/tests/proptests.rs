@@ -3,7 +3,7 @@
 use bytes::Bytes;
 use cachecatalyst_httpwire::codec::{
     encode_request, encode_response, parse_request, parse_response, parse_response_eof,
-    ParseLimits, Parsed,
+    parse_response_shared, ParseLimits, Parsed,
 };
 use cachecatalyst_httpwire::{
     CacheControl, EntityTag, HeaderMap, HeaderName, HttpDate, Method, Request, Response,
@@ -442,5 +442,123 @@ proptest! {
             Err(WireError::BodyTooLarge { limit }) => prop_assert_eq!(limit, max_body),
             other => prop_assert!(false, "oversized EOF body gave {other:?}"),
         }
+    }
+}
+
+/// Whether `inner`'s bytes lie inside `outer`'s.
+fn lies_within(inner: &[u8], outer: &[u8]) -> bool {
+    let (i, o) = (inner.as_ptr_range(), outer.as_ptr_range());
+    o.start <= i.start && i.end <= o.end
+}
+
+/// A `200` carrying `body` in chunks of `chunk` bytes.
+fn chunked_response(body: &[u8], chunk: usize) -> Vec<u8> {
+    let mut wire = b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n".to_vec();
+    wire.extend_from_slice(&cachecatalyst_httpwire::chunked::encode(body, chunk));
+    wire
+}
+
+/// Both response entry points over the same bytes, under both request
+/// methods and under limits the input does and does not fit.
+fn assert_entry_points_agree(input: &[u8]) {
+    let tight = ParseLimits {
+        max_head: 48,
+        max_body: 24,
+    };
+    let shared = Bytes::from(input.to_vec());
+    for limits in [ParseLimits::default(), tight] {
+        for method in [Method::Get, Method::Head] {
+            assert_eq!(
+                parse_response_shared(&shared, &method, &limits),
+                parse_response(input, &method, &limits),
+                "{method:?} {limits:?} {:?}",
+                Bytes::copy_from_slice(input)
+            );
+        }
+    }
+}
+
+proptest! {
+    /// One parser, two entry points: on garbage, on a valid message,
+    /// on its truncations and mutations, on chunked framing and over
+    /// the limits, `parse_response_shared` and `parse_response` give
+    /// the same `Complete { message, consumed }`, `Partial` or error.
+    #[test]
+    fn both_response_entry_points_agree(
+        garbage in prop::collection::vec(any::<u8>(), 0..2048),
+        code in 200u16..=599,
+        headers in arb_headers(),
+        body in arb_body(),
+        frac in 0.0f64..1.0,
+        chunk in 1usize..512,
+        flips in prop::collection::vec((0usize..4096, any::<u8>()), 1..8),
+    ) {
+        assert_entry_points_agree(&garbage);
+
+        let mut resp = Response::ok(body.clone());
+        resp.status = StatusCode::new(code).unwrap();
+        for (n, v) in &headers {
+            resp.headers.append(n, v);
+        }
+        let wire = encode_response(&resp).to_vec();
+        for framed in [wire, chunked_response(&body, chunk)] {
+            assert_entry_points_agree(&framed);
+            assert_entry_points_agree(&framed[..(framed.len() as f64 * frac) as usize]);
+            // Pipelined bytes after the message are not consumed.
+            assert_entry_points_agree(&[&framed[..], &garbage[..]].concat());
+            let mut mutated = framed;
+            for (pos, byte) in &flips {
+                let at = pos % mutated.len();
+                mutated[at] = *byte;
+            }
+            assert_entry_points_agree(&mutated);
+        }
+    }
+
+    /// What differs is where the body lives: a `Content-Length` body
+    /// parsed from a shared buffer is a view into it (and still the
+    /// message that was encoded); the copying entry point's is not; a
+    /// chunked body is decoded into a buffer of its own either way.
+    /// The view is a new `Body`, with nothing remembered about it.
+    #[test]
+    fn a_shared_parse_aliases_a_length_framed_body_and_nothing_else(
+        headers in arb_headers(),
+        body in prop::collection::vec(any::<u8>(), 1..2048),
+        chunk in 1usize..512,
+    ) {
+        let mut resp = Response::ok(body.clone());
+        for (n, v) in &headers {
+            resp.headers.append(n, v);
+        }
+        resp.body.digest();
+        let wire = encode_response(&resp);
+        let limits = ParseLimits::default();
+        let Ok(Parsed::Complete { message, consumed }) =
+            parse_response_shared(&wire, &Method::Get, &limits)
+        else {
+            panic!("an encoded response did not parse");
+        };
+        prop_assert_eq!(consumed, wire.len());
+        prop_assert!(lies_within(&message.body, &wire));
+        prop_assert_eq!(message.body.known_digest(), None);
+        prop_assert_eq!(encode_response(&message), wire.clone());
+        prop_assert_eq!(&message, &resp);
+        let Ok(Parsed::Complete { message: copied, .. }) =
+            parse_response(&wire, &Method::Get, &limits)
+        else {
+            panic!("an encoded response did not parse");
+        };
+        prop_assert!(!lies_within(&copied.body, &wire));
+
+        let chunked_wire = Bytes::from(chunked_response(&body, chunk));
+        let Ok(Parsed::Complete { message, consumed }) =
+            parse_response_shared(&chunked_wire, &Method::Get, &limits)
+        else {
+            panic!("a chunked response did not parse");
+        };
+        prop_assert_eq!(consumed, chunked_wire.len());
+        prop_assert_eq!(&message.body[..], &body[..]);
+        prop_assert!(!lies_within(&message.body, &chunked_wire));
+        prop_assert_eq!(message.body.known_digest(), None);
     }
 }
