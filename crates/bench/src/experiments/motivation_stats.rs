@@ -15,7 +15,7 @@ use std::time::Duration;
 use super::corpus_arg;
 use crate::cli::{self, Args};
 use crate::table::render_table;
-use cachecatalyst_webmodel::{ChangeModel, HeaderPolicy};
+use cachecatalyst_webmodel::HeaderPolicy;
 
 pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
     let sites = corpus_arg(args, 100)?;
@@ -46,14 +46,14 @@ pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
                     let t0 = 40 * 86_400i64;
                     if *ttl < day {
                         ttl_under_day += 1;
-                        if !changes_within(&r.spec.change, t0, day) {
+                        if !r.spec.change.changes_within(t0, day) {
                             ttl_under_day_unchanged += 1;
                         }
                     }
                     // "Expire unchanged": the TTL elapses before the
                     // content actually changes.
                     expired += 1;
-                    if !changes_within(&r.spec.change, t0, *ttl) {
+                    if !r.spec.change.changes_within(t0, *ttl) {
                         expired_unchanged += 1;
                     }
                 }
@@ -111,8 +111,4 @@ pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
         render_table(&["statistic", "measured", "reference"], &rows)
     )?;
     Ok(())
-}
-
-fn changes_within(change: &ChangeModel, t0: i64, window: Duration) -> bool {
-    change.changes_within(t0, window)
 }

@@ -17,11 +17,11 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use cachecatalyst_browser::{Browser, ClientOptions, MultiOrigin};
+use cachecatalyst_browser::{Browser, MultiOrigin};
 use cachecatalyst_edge::{DiskTierOptions, EdgeCache, EdgeMetrics, StoreOptions};
 use cachecatalyst_netsim::{NetworkConditions, SimTime, VirtualSchedule};
 use cachecatalyst_origin::OriginServer;
-use cachecatalyst_telemetry::{CacheAudit, Event, Histogram, MemoryRecorder, Registry};
+use cachecatalyst_telemetry::{CacheAudit, Event, Histogram, Recorder, Registry};
 use cachecatalyst_webmodel::workload::Trace;
 use cachecatalyst_webmodel::{generate_corpus, CorpusSpec, Site};
 
@@ -192,7 +192,7 @@ pub fn run_fleet(trace: &Trace, opts: &FleetOptions) -> FleetReport {
         multi.add(&host, Arc::new(origin));
     }
 
-    let recorder = opts.collect_audits.then(|| Arc::new(MemoryRecorder::new()));
+    let recorder = opts.collect_audits.then(|| Arc::new(Recorder::new()));
     let mut store = StoreOptions::new().mem_budget(opts.edge_budget);
     if let Some(disk) = &opts.disk {
         store = store.disk(disk.clone());
@@ -201,9 +201,7 @@ pub fn run_fleet(trace: &Trace, opts: &FleetOptions) -> FleetReport {
         .store(store)
         .registry(Arc::clone(&registry));
     if let Some(recorder) = &recorder {
-        let client_opts = ClientOptions::new()
-            .recorder(Arc::clone(recorder) as Arc<dyn cachecatalyst_telemetry::Recorder>);
-        builder = builder.client_options(&client_opts);
+        builder = builder.recorder(Arc::clone(recorder));
     }
     let edge = builder.try_build().expect("edge store opens");
 

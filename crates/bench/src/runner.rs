@@ -10,7 +10,7 @@ use cachecatalyst_httpwire::Url;
 use cachecatalyst_netsim::NetworkConditions;
 use cachecatalyst_origin::{HeaderMode, OriginServer};
 use cachecatalyst_telemetry::span::{Sampling, Span, SpanSink};
-use cachecatalyst_telemetry::{Event, JsonlRecorder, Recorder};
+use cachecatalyst_telemetry::{to_jsonl, Event, Recorder};
 use cachecatalyst_webmodel::stats::derive_seed;
 use cachecatalyst_webmodel::Site;
 
@@ -166,7 +166,8 @@ pub struct TracedVisits {
 /// [`visit_pair`] with full capture: both visits run with sampling
 /// forced on, a span sink shared between the browser and the origin
 /// (so `origin.handle` spans nest under the browser's fetch spans via
-/// the propagated `x-cc-trace` context), and a JSONL recorder.
+/// the propagated `x-cc-trace` context), and a recorder whose events
+/// (spans appended) are rendered with [`to_jsonl`].
 pub fn visit_pair_traced(
     site: &Site,
     kind: ClientKind,
@@ -178,7 +179,7 @@ pub fn visit_pair_traced(
         OriginServer::new(site.clone(), kind.header_mode()).with_span_sink(Arc::clone(&sink)),
     );
     let upstream = SingleOrigin(origin);
-    let recorder = Arc::new(JsonlRecorder::new());
+    let recorder = Arc::new(Recorder::new());
     let browser = kind
         .browser()
         .with_recorder(recorder.clone())
@@ -191,7 +192,7 @@ pub fn visit_pair_traced(
     let trace_text = crate::tracefmt::render(&spans);
     TracedVisits {
         pair,
-        jsonl: recorder.drain(),
+        jsonl: to_jsonl(&recorder.take()),
         spans,
         trace_text,
     }

@@ -20,7 +20,7 @@ pub struct Browser {
     pub cache: HttpCache,
     pub sw: ServiceWorker,
     pub config: EngineConfig,
-    recorder: Option<Arc<dyn Recorder>>,
+    recorder: Option<Arc<Recorder>>,
     spans: Option<Arc<SpanSink>>,
 }
 
@@ -36,31 +36,18 @@ impl Browser {
         }
     }
 
-    /// Attaches whichever of the recorder and span sink `opts` carries
-    /// ([`Browser::with_recorder`] / [`Browser::with_span_sink`] in
-    /// one call). Unset options leave the browser untouched.
-    pub fn with_options(mut self, opts: &crate::ClientOptions) -> Browser {
-        if let Some(recorder) = &opts.recorder {
-            self.recorder = Some(Arc::clone(recorder));
-        }
-        if let Some(spans) = &opts.spans {
-            self.spans = Some(Arc::clone(spans));
-        }
-        self
-    }
-
     /// Attaches an event sink; every subsequent [`Browser::load`]
     /// emits a page-load trace through it. Timestamps are virtual
     /// milliseconds (`t_secs × 1000` plus simulated offsets), so
     /// traces from discrete-event runs line up across visits.
-    pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Browser {
+    pub fn with_recorder(mut self, recorder: Arc<Recorder>) -> Browser {
         self.recorder = Some(recorder);
         self
     }
 
-    /// Attaches a span sink; each subsequent load is offered to its
-    /// sampler, and sampled loads record a full distributed trace
-    /// (browser, proxies and origin share the propagated trace id).
+    /// Attaches a span sink; while it is on, each subsequent load
+    /// records a full distributed trace (browser, edge, proxies and
+    /// origin share the propagated trace id).
     pub fn with_span_sink(mut self, spans: Arc<SpanSink>) -> Browser {
         self.spans = Some(spans);
         self
@@ -393,10 +380,10 @@ mod tests {
 
     #[test]
     fn recorder_sees_one_fetch_pair_per_resource() {
-        use cachecatalyst_telemetry::{Event, FetchKind, MemoryRecorder};
+        use cachecatalyst_telemetry::{Event, FetchKind};
 
         let up = upstream(HeaderMode::Baseline);
-        let recorder = Arc::new(MemoryRecorder::new());
+        let recorder = Arc::new(Recorder::new());
         let mut browser = Browser::baseline().with_recorder(recorder.clone());
         let report = browser.load(&up, cond(), &base(), 7);
 
@@ -444,10 +431,10 @@ mod tests {
 
     #[test]
     fn recorder_outcomes_follow_the_cache_state() {
-        use cachecatalyst_telemetry::{Event, FetchKind, MemoryRecorder};
+        use cachecatalyst_telemetry::{Event, FetchKind};
 
         let up = upstream(HeaderMode::Catalyst);
-        let recorder = Arc::new(MemoryRecorder::new());
+        let recorder = Arc::new(Recorder::new());
         let mut browser = Browser::catalyst().with_recorder(recorder.clone());
         browser.load(&up, cond(), &base(), 0);
         recorder.take();

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cachecatalyst_catalyst::tamper_config_headers;
-use cachecatalyst_httpwire::{tracectx, Request, Response, StatusCode, Url};
+use cachecatalyst_httpwire::{tracectx, HeaderName, Request, Response, StatusCode, Url};
 use cachecatalyst_netsim::{
     Fault, FaultPlan, FaultSchedule, FetchOutcome, FetchTrace, LinkId, LoadTrace, NetEvent,
     Network, NetworkConditions, SimTime,
@@ -27,31 +27,6 @@ use cachecatalyst_webmodel::ResourceKind;
 
 use crate::profile::{self, CacheMode, FetchFacts, Profile, Purpose, Role, Tally};
 use crate::upstream::Upstream;
-
-/// Extension headers used by the proxy comparators (`cachecatalyst-
-/// proxies`). They model out-of-band channels real deployments have
-/// (HTTP/2 PUSH_PROMISE frames, RDR bundle manifests) inside our
-/// HTTP/1.1 wire format.
-pub mod ext {
-    /// Comma-separated paths the server pushed after this response.
-    pub const X_PUSHED: &str = "x-cc-pushed";
-    /// Comma-separated paths whose bodies are embedded in this
-    /// response (an RDR bundle).
-    pub const X_RDR_BUNDLE: &str = "x-cc-rdr-bundle";
-    /// Extra server-side delay in milliseconds (proxy resolution
-    /// time) charged before the response starts downloading.
-    pub const X_SERVER_DELAY_MS: &str = "x-cc-server-delay-ms";
-    /// Client's previous visit time in virtual seconds (a stand-in
-    /// for cache digests, used by push-if-changed).
-    pub const X_LAST_VISIT: &str = "x-cc-last-visit";
-    /// Marks engine-internal body fetches (push/bundle materation);
-    /// origins should not treat these as real client requests.
-    pub const X_INTERNAL: &str = "x-cc-internal";
-    /// Marks a response as fault-injected (the injected fault's
-    /// `kind()`), so harnesses can tell synthesized errors from
-    /// genuine upstream ones.
-    pub const X_FAULT: &str = "x-cc-fault";
-}
 
 /// Local serving overhead of a service-worker cache hit.
 const SW_OVERHEAD: Duration = Duration::from_micros(300);
@@ -426,11 +401,11 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Samples this load against `sink`; when sampled, every fetch,
-    /// phase and downstream (proxy/origin) hop records spans there,
-    /// all sharing one fresh trace id rooted in a `page_load` span.
+    /// Traces this load into `sink` when it is on: every fetch, phase
+    /// and downstream (edge/proxy/origin) hop records spans there, all
+    /// sharing one fresh trace id rooted in a `page_load` span.
     pub fn with_span_sink(mut self, sink: &Arc<SpanSink>) -> Engine<'a> {
-        if sink.sample() {
+        if sink.enabled() {
             self.tracer = Some(Tracer {
                 sink: Arc::clone(sink),
                 trace: TraceId::next(),
@@ -546,7 +521,7 @@ impl<'a> Engine<'a> {
                     Some(Fault::ServerError { status }) => {
                         self.n_faults += 1;
                         resp = Response::empty(StatusCode::new(status).expect("5xx is valid"))
-                            .with_header(ext::X_FAULT, "server-error");
+                            .with_header(HeaderName::X_CC_FAULT, "server-error");
                     }
                     Some(Fault::Delay { ms }) | Some(Fault::SlowStart { ms }) => {
                         self.n_faults += 1;
@@ -566,7 +541,7 @@ impl<'a> Engine<'a> {
                 }
                 let extra_delay = resp
                     .headers
-                    .get(ext::X_SERVER_DELAY_MS)
+                    .get(HeaderName::X_CC_SERVER_DELAY_MS)
                     .and_then(|v| v.parse::<u64>().ok())
                     .unwrap_or(0)
                     + fault_delay_ms;
@@ -690,8 +665,8 @@ impl<'a> Engine<'a> {
             self.schedule_retry(f);
             return;
         }
-        let resp =
-            Response::empty(StatusCode::GATEWAY_TIMEOUT).with_header(ext::X_FAULT, "gave-up");
+        let resp = Response::empty(StatusCode::GATEWAY_TIMEOUT)
+            .with_header(HeaderName::X_CC_FAULT, "gave-up");
         self.deliver_network(f, resp, now);
     }
 
@@ -1061,8 +1036,8 @@ impl<'a> Engine<'a> {
             .expect("just set")
             .headers
             .clone();
-        let bundled = headers.get_combined(ext::X_RDR_BUNDLE);
-        let pushed = headers.get_combined(ext::X_PUSHED);
+        let bundled = headers.get_combined(HeaderName::X_CC_RDR_BUNDLE);
+        let pushed = headers.get_combined(HeaderName::X_CC_PUSHED);
         let base = self.fetches[f].url.clone();
         // Internal materialization requests carry the trace context
         // too, parented under the navigation's span (bundles) or the

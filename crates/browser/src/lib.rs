@@ -22,7 +22,6 @@
 pub mod browser;
 pub mod engine;
 pub mod har;
-pub mod options;
 pub mod profile;
 pub mod upstream;
 
@@ -34,6 +33,5 @@ pub use engine::{Engine, EngineConfig, LoadReport};
 pub use har::to_har;
 #[cfg(feature = "aio")]
 pub use live::{LiveBrowser, LiveReport};
-pub use options::ClientOptions;
 pub use profile::CacheMode;
 pub use upstream::{FrozenUpstream, MultiOrigin, SingleOrigin, Upstream};

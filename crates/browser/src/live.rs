@@ -79,7 +79,7 @@ pub struct LiveBrowser {
     /// (never across an `.await`).
     stores: Arc<Mutex<(HttpCache, ServiceWorker)>>,
     pools: Pools,
-    recorder: Option<Arc<dyn Recorder>>,
+    recorder: Option<Arc<Recorder>>,
     /// Virtual seconds used for cache freshness decisions.
     pub now_secs: i64,
 }
@@ -111,14 +111,12 @@ impl LiveBrowser {
         }
     }
 
-    /// Attaches the recorder `opts` carries: live loads then emit the
-    /// same event stream as [`crate::Browser`], timestamped in wall
-    /// milliseconds from `now_secs`. Spans are recorded in virtual
-    /// time only, so a span sink is ignored here.
-    pub fn with_options(mut self, opts: &crate::ClientOptions) -> LiveBrowser {
-        if let Some(recorder) = &opts.recorder {
-            self.recorder = Some(Arc::clone(recorder));
-        }
+    /// Attaches an event sink: live loads then emit the same event
+    /// stream as [`crate::Browser`], timestamped in wall milliseconds
+    /// from `now_secs`. (There is no span sink to attach: spans are
+    /// recorded in virtual time only.)
+    pub fn with_recorder(mut self, recorder: Arc<Recorder>) -> LiveBrowser {
+        self.recorder = Some(recorder);
         self
     }
 

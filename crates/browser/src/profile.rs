@@ -26,7 +26,7 @@ use cachecatalyst_netsim::{FetchOutcome, LoadTrace, SimTime};
 use cachecatalyst_telemetry::{CacheAudit, CacheDecision, Event, FetchKind, Recorder};
 use cachecatalyst_webmodel::{extract, ResourceKind};
 
-use crate::engine::{ext, EngineConfig};
+use crate::engine::EngineConfig;
 
 /// Which store answers for a resource the profile already holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -80,7 +80,7 @@ pub fn request(cfg: &EngineConfig, url: &Url, purpose: Purpose<'_>) -> Request {
     let req =
         Request::get_target(url.target().clone()).with_header(HeaderName::HOST, &url.authority());
     let mut req = match purpose {
-        Purpose::Internal(what) => return req.with_header(ext::X_INTERNAL, what),
+        Purpose::Internal(what) => return req.with_header(HeaderName::X_CC_INTERNAL, what),
         _ => req.with_header(HeaderName::USER_AGENT, "cachecatalyst-browser/0.1"),
     };
     if let Purpose::Page { referer } = purpose {
@@ -89,7 +89,8 @@ pub fn request(cfg: &EngineConfig, url: &Url, purpose: Purpose<'_>) -> Request {
                 .insert("cookie", &format!("cc-session={session}"));
         }
         if let Some(last) = cfg.last_visit {
-            req.headers.insert(ext::X_LAST_VISIT, &last.to_string());
+            req.headers
+                .insert(HeaderName::X_CC_LAST_VISIT, &last.to_string());
         }
         if let Some(nav) = referer {
             req.headers.insert("referer", nav);
@@ -471,7 +472,7 @@ fn fetch_kind(outcome: FetchOutcome) -> FetchKind {
 /// the fault counters are read (the per-outcome counts are in the
 /// fetch events already).
 pub fn emit_load_events(
-    recorder: &dyn Recorder,
+    recorder: &Recorder,
     page: &Url,
     t_secs: i64,
     trace: &LoadTrace,

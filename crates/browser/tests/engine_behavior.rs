@@ -5,9 +5,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use cachecatalyst_browser::engine::ext;
 use cachecatalyst_browser::{Browser, CacheMode, EngineConfig, SingleOrigin, Upstream};
-use cachecatalyst_httpwire::{Request, Response, Url};
+use cachecatalyst_httpwire::{HeaderName, Request, Response, Url};
 use cachecatalyst_netsim::{FetchOutcome, NetworkConditions};
 use cachecatalyst_origin::{HeaderMode, OriginServer};
 use cachecatalyst_webmodel::{example_site, Site, SiteSpec};
@@ -89,7 +88,7 @@ impl Upstream for DelayedUpstream {
         let mut resp = self.0.handle(req, t);
         if req.target.path().ends_with(".html") {
             resp.headers
-                .insert(ext::X_SERVER_DELAY_MS, &self.1.to_string());
+                .insert(HeaderName::X_CC_SERVER_DELAY_MS, &self.1.to_string());
         }
         resp
     }
@@ -115,8 +114,9 @@ struct PushOne(Arc<OriginServer>, &'static str);
 impl Upstream for PushOne {
     fn handle(&self, _host: &str, req: &Request, t: i64) -> Response {
         let mut resp = self.0.handle(req, t);
-        if req.target.path().ends_with(".html") && !req.headers.contains(ext::X_INTERNAL) {
-            resp.headers.insert(ext::X_PUSHED, self.1);
+        if req.target.path().ends_with(".html") && !req.headers.contains(HeaderName::X_CC_INTERNAL)
+        {
+            resp.headers.insert(HeaderName::X_CC_PUSHED, self.1);
         }
         resp
     }
@@ -201,8 +201,11 @@ fn rdr_bundle_header_makes_resources_instant() {
     impl Upstream for Bundler {
         fn handle(&self, _host: &str, req: &Request, t: i64) -> Response {
             let mut resp = self.0.handle(req, t);
-            if req.target.path().ends_with(".html") && !req.headers.contains(ext::X_INTERNAL) {
-                resp.headers.insert(ext::X_RDR_BUNDLE, "/a.css,/b.js");
+            if req.target.path().ends_with(".html")
+                && !req.headers.contains(HeaderName::X_CC_INTERNAL)
+            {
+                resp.headers
+                    .insert(HeaderName::X_CC_RDR_BUNDLE, "/a.css,/b.js");
             }
             resp
         }

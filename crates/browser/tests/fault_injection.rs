@@ -9,7 +9,7 @@ use cachecatalyst_browser::{Browser, LoadReport, SingleOrigin};
 use cachecatalyst_httpwire::Url;
 use cachecatalyst_netsim::{FaultPlan, NetworkConditions};
 use cachecatalyst_origin::{HeaderMode, OriginServer};
-use cachecatalyst_telemetry::{CacheDecision, Event, MemoryRecorder};
+use cachecatalyst_telemetry::{CacheDecision, Event, Recorder};
 use cachecatalyst_webmodel::example_site;
 
 fn cond() -> NetworkConditions {
@@ -128,7 +128,7 @@ fn retries_surface_in_report_audits_and_events() {
     let up = upstream(HeaderMode::Catalyst);
     let mut hit = None;
     for seed in 1..=50u64 {
-        let recorder = Arc::new(MemoryRecorder::default());
+        let recorder = Arc::new(Recorder::new());
         let mut b = Browser::catalyst().with_recorder(recorder.clone());
         b.config.fault_plan = Some(FaultPlan::new(seed).with_fault_rate(0.5));
         let report = b.load(&up, cond(), &base(), 0);

@@ -100,13 +100,13 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 
-use cachecatalyst_browser::{Browser, ClientOptions, EngineConfig, Upstream};
+use cachecatalyst_browser::{Browser, EngineConfig, Upstream};
 use cachecatalyst_catalyst::tamper_config_headers;
 use cachecatalyst_httpwire::aio::{fixed_clock as clock_at, serve_stream, Clock, Handler, Reply};
 use cachecatalyst_httpwire::{Request, Response};
 use cachecatalyst_netsim::NetworkConditions;
 use cachecatalyst_origin::HeaderMode;
-use cachecatalyst_telemetry::{CacheAudit, CacheDecision, Event, MemoryRecorder};
+use cachecatalyst_telemetry::{CacheAudit, CacheDecision, Event, Recorder};
 
 /// A server that departs from the origin on script: lets `d.jpg` be
 /// served stale for a day while it is revalidated, damages every
@@ -274,9 +274,9 @@ async fn both_loaders_make_the_same_decisions() {
             mode,
             ..Default::default()
         });
-        let recorder = Arc::new(MemoryRecorder::new());
-        let mut live = LiveBrowser::new(scripted_dialer(server(0)).0, mode)
-            .with_options(&ClientOptions::new().recorder(recorder.clone()));
+        let recorder = Arc::new(Recorder::new());
+        let mut live =
+            LiveBrowser::new(scripted_dialer(server(0)).0, mode).with_recorder(recorder.clone());
         // Cold, unchanged a minute later, and two hours on (`d.jpg`
         // and the page have changed; with `swr`, the stale `d.jpg` is
         // served while a background fetch finds that out).

@@ -401,7 +401,11 @@ mod tests {
         let stored = sw.on_response("http://s/", &not_modified);
         assert_eq!(&stored.body[..], b"<html>");
         assert_eq!(stored.headers.get("cache-control"), Some("no-cache"));
-        for name in ["x-served-by", "x-etag-config", "x-cc-config-digest"] {
+        for name in [
+            HeaderName::X_SERVED_BY,
+            HeaderName::X_ETAG_CONFIG,
+            HeaderName::X_CC_CONFIG_DIGEST,
+        ] {
             assert!(!stored.headers.contains(name), "{name} was adopted");
         }
     }

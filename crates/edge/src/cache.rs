@@ -34,13 +34,12 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use cachecatalyst_browser::engine::ext;
-use cachecatalyst_browser::{ClientOptions, Upstream};
+use cachecatalyst_browser::Upstream;
 use cachecatalyst_catalyst::EtagConfig;
 use cachecatalyst_httpcache::freshness_lifetime;
 use cachecatalyst_httpwire::tracectx::Hop;
 use cachecatalyst_httpwire::{Body, EntityTag, HeaderName, Method, Request, Response, StatusCode};
-use cachecatalyst_telemetry::span::SpanSink;
+use cachecatalyst_telemetry::span::{Sampling, SpanSink};
 use cachecatalyst_telemetry::{json_string, CacheAudit, CacheDecision, Event, Recorder, Registry};
 use parking_lot::Mutex;
 
@@ -284,7 +283,7 @@ pub struct EdgeBuilder<U> {
     store: StoreOptions,
     min_fresh_secs: i64,
     registry: Option<Arc<Registry>>,
-    recorder: Option<Arc<dyn Recorder>>,
+    recorder: Option<Arc<Recorder>>,
     spans: Option<Arc<SpanSink>>,
 }
 
@@ -333,16 +332,15 @@ impl<U: Upstream> EdgeBuilder<U> {
         self
     }
 
-    /// Applies the shared [`ClientOptions`]: the recorder receives the
-    /// edge's cache-decision audit events, the span sink its
-    /// `edge.serve` spans.
-    pub fn client_options(mut self, opts: &ClientOptions) -> EdgeBuilder<U> {
-        if let Some(recorder) = &opts.recorder {
-            self.recorder = Some(Arc::clone(recorder));
-        }
-        if let Some(spans) = &opts.spans {
-            self.spans = Some(Arc::clone(spans));
-        }
+    /// Routes the edge's cache-decision audit events to `recorder`.
+    pub fn recorder(mut self, recorder: Arc<Recorder>) -> EdgeBuilder<U> {
+        self.recorder = Some(recorder);
+        self
+    }
+
+    /// Routes the edge's `edge.serve` spans to `spans`.
+    pub fn span_sink(mut self, spans: Arc<SpanSink>) -> EdgeBuilder<U> {
+        self.spans = Some(spans);
         self
     }
 
@@ -369,9 +367,9 @@ impl<U: Upstream> EdgeBuilder<U> {
             registry,
             counters,
             recorder: self.recorder,
-            spans: self.spans.unwrap_or_else(|| {
-                Arc::new(SpanSink::new(cachecatalyst_telemetry::span::Sampling::Off))
-            }),
+            spans: self
+                .spans
+                .unwrap_or_else(|| Arc::new(SpanSink::new(Sampling::Off))),
             min_fresh_secs: self.min_fresh_secs,
         })
     }
@@ -396,7 +394,7 @@ pub struct EdgeCache<U> {
     flights: Mutex<HashMap<String, Arc<Mutex<()>>>>,
     registry: Arc<Registry>,
     counters: Counters,
-    recorder: Option<Arc<dyn Recorder>>,
+    recorder: Option<Arc<Recorder>>,
     spans: Arc<SpanSink>,
     min_fresh_secs: i64,
 }
@@ -622,12 +620,12 @@ impl<U: Upstream> EdgeCache<U> {
     /// that is not a plain GET, and internal traffic (bundle
     /// subfetches, probes) whose semantics belong to the endpoints.
     fn is_passthrough_request(req: &Request) -> bool {
-        req.method != Method::Get || req.headers.contains(ext::X_INTERNAL)
+        req.method != Method::Get || req.headers.contains(HeaderName::X_CC_INTERNAL)
     }
 
     /// True when a fetched response may be admitted to the store.
     fn is_cacheable(resp: &Response) -> bool {
-        if resp.headers.contains(ext::X_FAULT) {
+        if resp.headers.contains(HeaderName::X_CC_FAULT) {
             // A fault schedule damaged this response in transit; the
             // bytes reach the requesting client (whose retry machinery
             // owns the problem) but never the shared store.
@@ -745,7 +743,10 @@ impl<U: Upstream> EdgeCache<U> {
             // it turned no-store) supersedes the stored entry. A
             // faulted or 5xx response must NOT: the stale entry and
             // its validator stay for the next revalidation attempt.
-            if revalidating && resp.status.is_success() && !resp.headers.contains(ext::X_FAULT) {
+            if revalidating
+                && resp.status.is_success()
+                && !resp.headers.contains(HeaderName::X_CC_FAULT)
+            {
                 self.counters.revalidated_changed.inc();
                 self.store.remove(key);
             }

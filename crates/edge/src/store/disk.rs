@@ -125,11 +125,11 @@ struct Segment {
 
 struct DiskState {
     index: HashMap<String, IndexEntry>,
+    /// Every segment file, the active one included: it is entered
+    /// when opened and never retired.
     segments: BTreeMap<u64, Segment>,
     active_id: u64,
     active: File,
-    /// Bytes appended to the active segment so far.
-    written: u64,
     /// Sum of live (indexed) wire bytes; segment files additionally
     /// hold garbage awaiting retirement.
     live_bytes: usize,
@@ -305,7 +305,7 @@ impl DiskTier {
             Some(id) => id + 1,
             None => 0,
         };
-        let written = segments.entry(active_id).or_default().bytes;
+        segments.entry(active_id).or_default();
         let active = OpenOptions::new()
             .create(true)
             .append(true)
@@ -320,7 +320,6 @@ impl DiskTier {
                 segments,
                 active_id,
                 active,
-                written,
                 live_bytes,
                 file_bytes,
             }),
@@ -523,10 +522,12 @@ impl DiskTier {
     /// the budget requires. Returns `false` when the write failed.
     pub fn insert(&self, key: &str, entry: StoredEntry) -> bool {
         let rec = encode_record(key, &entry);
+        let len = rec.len() as u64;
         let mut state = self.state.lock();
         // Rotate when the active segment is full (a record larger than
         // a whole segment gets a dedicated one).
-        if state.written > 0 && state.written + rec.len() as u64 > self.segment_bytes {
+        let written = state.segments[&state.active_id].bytes;
+        if written > 0 && written + len > self.segment_bytes {
             let next = state.active_id + 1;
             let file = match OpenOptions::new()
                 .create(true)
@@ -538,19 +539,20 @@ impl DiskTier {
             };
             state.active_id = next;
             state.active = file;
-            state.written = 0;
             state.segments.insert(next, Segment::default());
         }
         if state.active.write_all(&rec).is_err() {
             return false;
         }
-        let offset = state.written;
-        state.written += rec.len() as u64;
-        state.file_bytes += rec.len() as u64;
-        let (active_id, written) = (state.active_id, state.written);
-        state.segments.entry(active_id).or_default().bytes = written;
-        self.written_bytes
-            .fetch_add(rec.len() as u64, Ordering::Relaxed);
+        let active_id = state.active_id;
+        let segment = state
+            .segments
+            .get_mut(&active_id)
+            .expect("the active segment is listed");
+        let offset = segment.bytes;
+        segment.bytes += len;
+        state.file_bytes += len;
+        self.written_bytes.fetch_add(len, Ordering::Relaxed);
         // The old record (if any) becomes garbage in its segment.
         Self::remove_live(&mut state, key);
         let wire_len = (rec.len() - HEADER_LEN - key.len() - TRAILER_LEN) as u32;
@@ -560,7 +562,7 @@ impl DiskTier {
             IndexEntry {
                 segment: active_id,
                 offset,
-                record_len: rec.len() as u64,
+                record_len: len,
                 key_len: key.len() as u32,
                 wire_len,
                 meta: entry.meta,

@@ -24,12 +24,11 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use cachecatalyst_browser::ClientOptions;
 use cachecatalyst_edge::store::{DiskTierOptions, StoreOptions, TierHit, TieredStore};
 use cachecatalyst_edge::{EdgeCache, Upstream};
 use cachecatalyst_httpwire::hash::{fnv1a64, xxh64};
 use cachecatalyst_httpwire::{codec, Request, Response, StatusCode};
-use cachecatalyst_telemetry::{CacheDecision, Event, MemoryRecorder};
+use cachecatalyst_telemetry::{CacheDecision, Event, Recorder};
 
 static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
 
@@ -276,7 +275,7 @@ fn disk_only_edge(dir: &PathBuf) -> EdgeCache<CountingOrigin> {
 #[test]
 fn once_requested_keys_reach_the_disk_and_are_served_from_it() {
     let dir = scratch_dir("flood");
-    let recorder = Arc::new(MemoryRecorder::new());
+    let recorder = Arc::new(Recorder::new());
     // DRAM for about three bodies in front of the disk tier.
     let edge = EdgeCache::builder(CountingOrigin::default())
         .store(
@@ -285,7 +284,7 @@ fn once_requested_keys_reach_the_disk_and_are_served_from_it() {
                 .shards(1)
                 .disk(DiskTierOptions::at(&dir)),
         )
-        .client_options(&ClientOptions::new().recorder(recorder.clone()))
+        .recorder(recorder.clone())
         .build();
     let (positives, negatives) = (40u64, 10u64);
     let once = |i: u64| format!("/once-{i:02}.bin");

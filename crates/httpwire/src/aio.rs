@@ -305,7 +305,7 @@ fn bad_request_response(err: &WireError, clock: &Clock) -> Response {
     Response::empty(StatusCode::BAD_REQUEST)
         .with_header(HeaderName::CONTENT_TYPE, "text/plain")
         .with_header(HeaderName::CONNECTION, "close")
-        .with_header("x-cc-error", &err.to_string())
+        .with_header(HeaderName::X_CC_ERROR, &err.to_string())
         .with_header(HeaderName::DATE, &HttpDate(clock.secs()).to_imf_fixdate())
 }
 

@@ -39,21 +39,14 @@ macro_rules! std_headers {
             $($(#[$meta])* pub const $konst: &'static str = $name;)*
         }
 
-        /// Every name stored without an allocation: the standard names
-        /// above, then the request fields the browser engine sets and
-        /// the `x-cc-*` extension names (`browser::engine::ext`, the
-        /// origin's `x-cc-error`) the simulation passes between layers.
+        /// Every name stored without an allocation: the names above
+        /// (the standard ones and the `x-cc-*` extensions the simulation
+        /// passes between layers), then the request fields the browser
+        /// engine sets.
         const KNOWN: &[&str] = &[
             $($name,)*
             "cookie",
             "referer",
-            "x-cc-pushed",
-            "x-cc-rdr-bundle",
-            "x-cc-server-delay-ms",
-            "x-cc-last-visit",
-            "x-cc-internal",
-            "x-cc-fault",
-            "x-cc-error",
         ];
     };
 }
@@ -96,6 +89,31 @@ std_headers! {
     /// in-transit corruption and fall back to conditional fetches
     /// instead of trusting a tampered map.
     X_CC_CONFIG_DIGEST => "x-cc-config-digest";
+    // The private extensions below model out-of-band channels real
+    // deployments have (HTTP/2 PUSH_PROMISE frames, RDR bundle
+    // manifests, fault markers) inside the HTTP/1.1 wire format.
+    /// Comma-separated paths the server pushed after this response.
+    X_CC_PUSHED => "x-cc-pushed";
+    /// Comma-separated paths whose bodies are embedded in this
+    /// response (an RDR bundle).
+    X_CC_RDR_BUNDLE => "x-cc-rdr-bundle";
+    /// Extra server-side delay in milliseconds (proxy resolution
+    /// time) charged before the response starts downloading.
+    X_CC_SERVER_DELAY_MS => "x-cc-server-delay-ms";
+    /// Client's previous visit time in virtual seconds (a stand-in
+    /// for cache digests, used by push-if-changed).
+    X_CC_LAST_VISIT => "x-cc-last-visit";
+    /// Marks loader-internal body fetches (push/bundle
+    /// materialization); origins should not treat these as real
+    /// client requests.
+    X_CC_INTERNAL => "x-cc-internal";
+    /// Marks a response as fault-injected (the injected fault's
+    /// `kind()`), so harnesses can tell synthesized errors from
+    /// genuine upstream ones.
+    X_CC_FAULT => "x-cc-fault";
+    /// Why the connection loop answered `400` to a head it could not
+    /// parse.
+    X_CC_ERROR => "x-cc-error";
 }
 
 impl HeaderName {

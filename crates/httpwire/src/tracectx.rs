@@ -16,8 +16,9 @@
 //! and silently returns `None` on anything malformed — a trace
 //! header must never break request handling.
 //!
-//! [`Hop`] is what every intermediary between the browser and the
-//! origin (the edge, the proxy comparators) does with that context.
+//! [`Hop`] is what every server between the browser and the content
+//! (the edge, the proxy comparators, the origin itself) does with
+//! that context.
 
 use cachecatalyst_telemetry::span::{Span, SpanId, SpanSink, TraceContext, TraceId};
 
@@ -80,34 +81,46 @@ pub fn extract(req: &Request) -> Option<TraceContext> {
     decode(req.headers.get(HeaderName::X_CC_TRACE)?).filter(|ctx| ctx.sampled)
 }
 
-/// One intermediary's part in a sampled trace: the context its
-/// request arrived with and the span id the forwarded request was
-/// re-parented onto, so whatever answers upstream nests beneath this
-/// hop, which nests beneath the sender's fetch span.
+/// One server's part in a sampled trace: the context its request
+/// arrived with and the id of its own span, which nests beneath the
+/// sender's and onto which an intermediary re-parents the request it
+/// forwards, so whatever answers upstream nests beneath this hop.
 pub struct Hop {
     ctx: TraceContext,
     span: SpanId,
 }
 
 impl Hop {
-    /// Starts a hop when `sink` is recording and `req` belongs to a
-    /// sampled trace; returns the request to forward in `req`'s place.
-    /// `None` otherwise — the caller forwards `req` itself, and the
-    /// untraced path has cost one relaxed load and no clone.
-    pub fn start(sink: &SpanSink, req: &Request) -> Option<(Request, Hop)> {
+    /// Enters a hop when `sink` is recording and `req` belongs to a
+    /// sampled trace — what a server that forwards nothing (the
+    /// origin) does. `None` otherwise, at the cost of one field
+    /// compare when the sink is off.
+    pub fn enter(sink: &SpanSink, req: &Request) -> Option<Hop> {
         if !sink.enabled() {
             return None;
         }
         let ctx = extract(req)?;
-        let span = SpanId::next();
+        Some(Hop {
+            ctx,
+            span: SpanId::next(),
+        })
+    }
+
+    /// [`Hop::enter`] for an intermediary: also returns the request to
+    /// forward in `req`'s place, re-parented onto this hop. `None`
+    /// otherwise — the caller forwards `req` itself, and the untraced
+    /// path made no clone.
+    pub fn start(sink: &SpanSink, req: &Request) -> Option<(Request, Hop)> {
+        let hop = Hop::enter(sink, req)?;
         let mut fwd = req.clone();
-        inject(&mut fwd, &ctx.child_of(span));
-        Some((fwd, Hop { ctx, span }))
+        inject(&mut fwd, &hop.ctx.child_of(hop.span));
+        Some((fwd, hop))
     }
 
     /// Records the hop's span on the sender's timeline: it covers
     /// `[sender clock, sender clock + busy_ms]`, where `busy_ms` is
-    /// how long the hop itself was busy in virtual time and `t_secs`
+    /// how long the hop itself was busy (virtual time at the edge and
+    /// the proxies, real handler time at the origin) and `t_secs`
     /// stands in for a sender that sent no clock.
     pub fn finish(
         self,

@@ -18,12 +18,11 @@ use cachecatalyst_catalyst::{
     SessionCapture, SW_SCRIPT, SW_SCRIPT_PATH,
 };
 use cachecatalyst_httpwire::conditional::{evaluate, Disposition, Validators};
-use cachecatalyst_httpwire::{
-    tracectx, Body, HeaderName, HttpDate, Method, Request, Response, StatusCode,
-};
-use cachecatalyst_telemetry::span::{Sampling, Span, SpanId, SpanSink};
-use cachecatalyst_telemetry::{Counter, Event, Gauge, Histogram, NullRecorder, Recorder, Registry};
-use cachecatalyst_webmodel::{ChangeModel, GeneratedResource, HeaderPolicy, ResourceKind, Site};
+use cachecatalyst_httpwire::tracectx::Hop;
+use cachecatalyst_httpwire::{Body, HeaderName, HttpDate, Method, Request, Response, StatusCode};
+use cachecatalyst_telemetry::span::{Sampling, SpanSink};
+use cachecatalyst_telemetry::{Counter, Gauge, Histogram, Registry};
+use cachecatalyst_webmodel::{GeneratedResource, HeaderPolicy, ResourceKind, Site};
 use parking_lot::Mutex;
 
 use crate::hotpath::{ChurnEpochs, ShardedCache};
@@ -227,9 +226,8 @@ pub struct OriginServer {
     aggregate: Mutex<AggregateCapture>,
     hot: OnceLock<HotMetrics>,
     telemetry: Arc<Registry>,
-    recorder: Arc<dyn Recorder>,
     /// Distributed-tracing sink. Off by default: the per-request cost
-    /// is then a single relaxed atomic load in [`OriginServer::handle`].
+    /// is then a single field compare in [`OriginServer::handle`].
     spans: Arc<SpanSink>,
 }
 
@@ -251,7 +249,6 @@ impl OriginServer {
             aggregate: Mutex::new(AggregateCapture::default()),
             hot: OnceLock::new(),
             telemetry: Arc::new(Registry::new()),
-            recorder: Arc::new(NullRecorder),
             spans: Arc::new(SpanSink::new(Sampling::Off)),
         }
     }
@@ -260,12 +257,6 @@ impl OriginServer {
     fn hot(&self) -> &HotMetrics {
         self.hot
             .get_or_init(|| HotMetrics::resolve(&self.telemetry, self.mode.label()))
-    }
-
-    /// Routes structured telemetry events (map builds) to `recorder`.
-    pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> OriginServer {
-        self.recorder = recorder;
-        self
     }
 
     /// The server's metric registry (rendered by `/metrics`).
@@ -288,9 +279,9 @@ impl OriginServer {
         self
     }
 
-    /// Routes origin-side tracing spans to `spans`. With the sink's
-    /// sampling off (the default) the handler's tracing cost is one
-    /// relaxed atomic load per request.
+    /// Routes origin-side tracing spans to `spans`. With the sink off
+    /// (the default) the handler's tracing cost is one field compare
+    /// per request.
     pub fn with_span_sink(mut self, spans: Arc<SpanSink>) -> OriginServer {
         self.spans = spans;
         self
@@ -345,30 +336,22 @@ impl OriginServer {
     /// Handles one request at virtual time `t_secs`.
     pub fn handle(&self, req: &Request, t_secs: i64) -> Response {
         let started = std::time::Instant::now();
-        // Tracing gate: with sampling off this is one relaxed atomic
-        // load and `ctx` is `None` — no header lookup, no allocation.
-        let ctx = if self.spans.enabled() {
-            tracectx::extract(req)
-        } else {
-            None
-        };
+        // Tracing gate: with the sink off this is one field compare and
+        // `hop` is `None` — no header lookup, no allocation.
+        let hop = Hop::enter(&self.spans, req);
         let mut notes = HandleNotes {
-            traced: ctx.is_some(),
+            traced: hop.is_some(),
             ..HandleNotes::default()
         };
         let mut resp = self.handle_inner(req, t_secs, &mut notes);
         let took = started.elapsed();
-        if let Some(ctx) = ctx {
+        if let Some(hop) = hop {
             // The epoch header lets the client-side audit attribute
             // its decision to the origin's churn epoch.
             if let Some(epoch) = notes.epoch {
                 resp.headers
                     .insert(HeaderName::X_CC_EPOCH, &epoch.to_string());
             }
-            // Span timestamps live on the *sender's* clock when the
-            // context carries one (virtual ms under the simulator);
-            // the duration is the real handler time.
-            let start_ms = ctx.t_ms.unwrap_or(t_secs as f64 * 1000.0);
             let mut attrs = vec![
                 ("path", req.target.path().to_owned()),
                 ("status", resp.status.as_u16().to_string()),
@@ -381,15 +364,11 @@ impl OriginServer {
             if let Some(epoch) = notes.epoch {
                 attrs.push(("epoch", epoch.to_string()));
             }
-            self.spans.record(Span {
-                trace_id: ctx.trace_id,
-                span_id: SpanId::next(),
-                parent: Some(ctx.parent),
-                name: "origin.handle",
-                start_ms,
-                end_ms: start_ms + took.as_secs_f64() * 1000.0,
-                attrs,
-            });
+            // On the sender's clock when the context carries one
+            // (virtual ms under the simulator); the duration is the
+            // real handler time.
+            let took_ms = took.as_secs_f64() * 1000.0;
+            hop.finish(&self.spans, "origin.handle", t_secs, took_ms, attrs);
         }
         self.observe_request(&resp, took);
         resp
@@ -455,7 +434,7 @@ impl OriginServer {
             .site
             .etag_at(path, t_secs)
             .expect("resource exists, etag exists");
-        let last_modified = last_change_time(&resource.spec.change, t_secs);
+        let last_modified = resource.spec.change.last_change_at(t_secs);
 
         // Record for session capture (subresources only), keyed by the
         // page that referenced the resource (Referer header; fall back
@@ -632,13 +611,6 @@ impl OriginServer {
         hot.configs_built.inc();
         hot.map_build_seconds.observe(build);
         hot.map_entries.set(config.len() as f64);
-        self.recorder.record(&Event::MapBuilt {
-            page: page.to_owned(),
-            t_ms: t_secs as f64 * 1000.0,
-            entries: config.len(),
-            header_bytes: config.wire_size(),
-            build_micros: build.as_micros() as u64,
-        });
         let cached = CachedConfig {
             values: Arc::new(config.to_header_values(MAX_HEADER_LEN)),
             digest: config.digest_header_value().into(),
@@ -679,18 +651,6 @@ impl OriginServer {
         // Byte accounting happens once, in `observe_request` (the
         // wire length is arithmetic now — no serialization).
         resp
-    }
-}
-
-/// The instant `path`'s content last changed before `t`.
-fn last_change_time(change: &ChangeModel, t: i64) -> i64 {
-    match change {
-        ChangeModel::Immutable => 0,
-        ChangeModel::Periodic { period, phase } => {
-            let p = period.as_secs().max(1) as i64;
-            let ph = phase.as_secs() as i64;
-            (((t + ph).max(0) / p) * p - ph).max(0)
-        }
     }
 }
 
@@ -1034,26 +994,6 @@ mod tests {
     }
 
     #[test]
-    fn last_change_time_is_consistent_with_versions() {
-        let change = ChangeModel::Periodic {
-            period: std::time::Duration::from_secs(100),
-            phase: std::time::Duration::from_secs(30),
-        };
-        for t in [0i64, 69, 70, 170, 1000] {
-            let lc = last_change_time(&change, t);
-            assert!(lc <= t);
-            assert_eq!(
-                change.version_at(lc),
-                change.version_at(t),
-                "version at last-change equals version at t={t}"
-            );
-            if lc > 0 {
-                assert_ne!(change.version_at(lc - 1), change.version_at(t));
-            }
-        }
-    }
-
-    #[test]
     fn telemetry_counts_requests_and_status_classes() {
         let s = server(HeaderMode::Catalyst);
         s.handle(&Request::get("/index.html"), 0);
@@ -1081,30 +1021,60 @@ mod tests {
     }
 
     #[test]
-    fn map_builds_emit_recorder_events() {
-        use cachecatalyst_telemetry::MemoryRecorder;
-        let recorder = Arc::new(MemoryRecorder::new());
-        let s = OriginServer::new(example_site(), HeaderMode::Catalyst)
-            .with_recorder(recorder.clone() as Arc<dyn Recorder>);
-        s.handle(&Request::get("/index.html"), 7);
-        s.handle(&Request::get("/index.html"), 7); // config cache hit: no rebuild
-        let events = recorder.take();
-        assert_eq!(events.len(), 1, "{events:?}");
-        match &events[0] {
-            Event::MapBuilt {
-                page,
-                t_ms,
-                entries,
-                header_bytes,
-                ..
-            } => {
-                assert_eq!(page, "/index.html");
-                assert_eq!(*t_ms, 7000.0);
-                assert_eq!(*entries, 2);
-                assert!(*header_bytes > 0);
-            }
-            other => panic!("unexpected event {other:?}"),
-        }
+    fn a_traced_request_records_one_origin_span_through_its_hop() {
+        use cachecatalyst_httpwire::tracectx;
+        use cachecatalyst_telemetry::span::{SpanId, TraceContext, TraceId};
+        let traced = |path: &str, ctx: &TraceContext| {
+            let mut req = Request::get(path);
+            tracectx::inject(&mut req, ctx);
+            req
+        };
+        let sink = Arc::new(SpanSink::new(Sampling::Always));
+        let s = server(HeaderMode::Catalyst).with_span_sink(Arc::clone(&sink));
+        let ctx = TraceContext::new(TraceId::next(), SpanId::next()).at(1234.5);
+        let resp = s.handle(&traced("/index.html", &ctx), 60);
+        let spans = sink.drain();
+        assert_eq!(spans.len(), 1, "{spans:?}");
+        let span = &spans[0];
+        assert_eq!(span.name, "origin.handle");
+        assert_eq!(span.trace_id, ctx.trace_id);
+        assert_eq!(span.parent, Some(ctx.parent));
+        assert_eq!(span.start_ms, 1234.5);
+        assert!(span.end_ms >= span.start_ms);
+        let keys: Vec<&str> = span.attrs.iter().map(|(k, _)| *k).collect();
+        assert_eq!(
+            keys,
+            ["path", "status", "mode", "bytes", "config_cache", "epoch"]
+        );
+        assert_eq!(span.attr("path"), Some("/index.html"));
+        assert_eq!(span.attr("status"), Some("200"));
+        assert_eq!(span.attr("config_cache"), Some("miss"));
+        let epoch = resp.headers.get(HeaderName::X_CC_EPOCH);
+        assert!(epoch.is_some());
+        assert_eq!(span.attr("epoch"), epoch);
+
+        // A context without a clock: the span starts at `t_secs × 1000`.
+        let unclocked = TraceContext::new(ctx.trace_id, ctx.parent);
+        s.handle(&traced("/a.css", &unclocked), 60);
+        let spans = sink.drain();
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].start_ms, 60_000.0);
+
+        // An unsampled context records nothing and learns no epoch.
+        let unsampled = TraceContext {
+            sampled: false,
+            ..ctx
+        };
+        let resp = s.handle(&traced("/index.html", &unsampled), 60);
+        assert!(sink.is_empty());
+        assert!(resp.headers.get(HeaderName::X_CC_EPOCH).is_none());
+
+        // Neither does a sampled one against an `Off` sink.
+        let off = Arc::new(SpanSink::new(Sampling::Off));
+        let s = server(HeaderMode::Catalyst).with_span_sink(Arc::clone(&off));
+        let resp = s.handle(&traced("/index.html", &ctx), 60);
+        assert!(off.is_empty());
+        assert!(resp.headers.get(HeaderName::X_CC_EPOCH).is_none());
     }
 
     #[test]

@@ -22,7 +22,7 @@ use cachecatalyst_httpwire::aio::{self, ConnError, Handler, Listener, Reply};
 pub use cachecatalyst_httpwire::aio::{
     fixed_clock, fixed_clock_ms, wall_clock, watch_clock, watch_clock_ms, Clock,
 };
-use cachecatalyst_httpwire::{Request, Response, StatusCode};
+use cachecatalyst_httpwire::{HeaderName, Request, Response, StatusCode};
 use cachecatalyst_netsim::{Fault, FaultPlan};
 use tokio::io::{AsyncRead, AsyncWrite};
 
@@ -174,7 +174,7 @@ impl Handler for OriginHandler {
             None => {}
             Some(Fault::ServerError { status }) => {
                 resp = Response::empty(StatusCode::new(status).expect("5xx is valid"))
-                    .with_header("x-cc-fault", "server-error");
+                    .with_header(HeaderName::X_CC_FAULT, "server-error");
             }
             Some(Fault::Delay { ms } | Fault::SlowStart { ms }) => {
                 tokio::time::sleep(Duration::from_millis(ms)).await;

@@ -19,10 +19,9 @@
 
 use std::sync::Arc;
 
-use cachecatalyst_browser::engine::ext;
 use cachecatalyst_browser::Upstream;
 use cachecatalyst_catalyst::tamper_config_headers;
-use cachecatalyst_httpwire::{Request, Response, StatusCode};
+use cachecatalyst_httpwire::{HeaderName, Request, Response, StatusCode};
 use cachecatalyst_netsim::{Fault, FaultPlan, ServerFaults};
 
 /// A seeded chaos decorator around any [`Upstream`].
@@ -51,14 +50,14 @@ impl<U: Upstream> FaultyUpstream<U> {
 impl<U: Upstream> Upstream for FaultyUpstream<U> {
     fn handle(&self, host: &str, req: &Request, t_secs: i64) -> Response {
         let mut resp = self.inner.handle(host, req, t_secs);
-        if req.headers.contains(ext::X_INTERNAL) {
+        if req.headers.contains(HeaderName::X_CC_INTERNAL) {
             return resp;
         }
         match self.faults.draw() {
             None => {}
             Some(Fault::ServerError { status }) => {
                 resp = Response::empty(StatusCode::new(status).expect("5xx is valid"))
-                    .with_header(ext::X_FAULT, "server-error");
+                    .with_header(HeaderName::X_CC_FAULT, "server-error");
             }
             Some(
                 Fault::ResetMidBody { .. }
@@ -67,16 +66,16 @@ impl<U: Upstream> Upstream for FaultyUpstream<U> {
                 | Fault::LossBurst { .. },
             ) => {
                 resp = Response::empty(StatusCode::SERVICE_UNAVAILABLE)
-                    .with_header(ext::X_FAULT, "upstream-connection");
+                    .with_header(HeaderName::X_CC_FAULT, "upstream-connection");
             }
             Some(Fault::Delay { ms }) | Some(Fault::SlowStart { ms }) => {
                 let prior: u64 = resp
                     .headers
-                    .get(ext::X_SERVER_DELAY_MS)
+                    .get(HeaderName::X_CC_SERVER_DELAY_MS)
                     .and_then(|v| v.parse().ok())
                     .unwrap_or(0);
                 resp.headers
-                    .insert(ext::X_SERVER_DELAY_MS, &(prior + ms).to_string());
+                    .insert(HeaderName::X_CC_SERVER_DELAY_MS, &(prior + ms).to_string());
             }
             Some(Fault::CorruptConfigEntry { salt }) => {
                 tamper_config_headers(&mut resp, Some(salt));
@@ -116,7 +115,7 @@ mod tests {
         let up = faulty(0.0, 1);
         let resp = up.handle("example.org", &Request::get("/index.html"), 0);
         assert_eq!(resp.status, StatusCode::OK);
-        assert!(resp.headers.get(ext::X_FAULT).is_none());
+        assert!(resp.headers.get(HeaderName::X_CC_FAULT).is_none());
     }
 
     #[test]
@@ -126,8 +125,8 @@ mod tests {
         let mut clean = 0;
         for _ in 0..30 {
             let resp = up.handle("example.org", &Request::get("/a.css"), 0);
-            let damaged = resp.headers.get(ext::X_FAULT).is_some()
-                || resp.headers.get(ext::X_SERVER_DELAY_MS).is_some()
+            let damaged = resp.headers.get(HeaderName::X_CC_FAULT).is_some()
+                || resp.headers.get(HeaderName::X_CC_SERVER_DELAY_MS).is_some()
                 || resp.status != StatusCode::OK;
             if !damaged {
                 clean += 1;
@@ -142,11 +141,11 @@ mod tests {
         for _ in 0..10 {
             let resp = up.handle(
                 "example.org",
-                &Request::get("/a.css").with_header(ext::X_INTERNAL, "probe"),
+                &Request::get("/a.css").with_header(HeaderName::X_CC_INTERNAL, "probe"),
                 0,
             );
             assert_eq!(resp.status, StatusCode::OK);
-            assert!(resp.headers.get(ext::X_FAULT).is_none());
+            assert!(resp.headers.get(HeaderName::X_CC_FAULT).is_none());
         }
     }
 

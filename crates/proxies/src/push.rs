@@ -13,10 +13,9 @@
 
 use std::sync::Arc;
 
-use cachecatalyst_browser::engine::ext;
 use cachecatalyst_browser::Upstream;
 use cachecatalyst_httpwire::tracectx::Hop;
-use cachecatalyst_httpwire::{Request, Response};
+use cachecatalyst_httpwire::{HeaderName, Request, Response};
 use cachecatalyst_origin::OriginServer;
 use cachecatalyst_webmodel::ResourceKind;
 
@@ -45,7 +44,7 @@ impl PushOrigin {
         let site = self.inner.site();
         let last_visit: Option<i64> = req
             .headers
-            .get(ext::X_LAST_VISIT)
+            .get(HeaderName::X_CC_LAST_VISIT)
             .and_then(|v| v.parse().ok());
         site.resources()
             .filter(|r| r.spec.path != site.base_path() && !r.spec.third_party)
@@ -64,7 +63,7 @@ impl PushOrigin {
     fn handle_core(&self, req: &Request, t_secs: i64) -> Response {
         let mut resp = self.inner.handle(req, t_secs);
         // Engine-internal body materialization must not recurse.
-        if req.headers.contains(ext::X_INTERNAL) {
+        if req.headers.contains(HeaderName::X_CC_INTERNAL) {
             return resp;
         }
         let is_navigation = ResourceKind::from_path(req.target.path()) == ResourceKind::Html;
@@ -73,7 +72,8 @@ impl PushOrigin {
             if !list.is_empty() {
                 // Split long lists across multiple header lines.
                 for chunk in list.chunks(64) {
-                    resp.headers.append(ext::X_PUSHED, &chunk.join(","));
+                    resp.headers
+                        .append(HeaderName::X_CC_PUSHED, &chunk.join(","));
                 }
             }
         }
@@ -89,7 +89,7 @@ impl Upstream for PushOrigin {
                 let resp = self.handle_core(&fwd, t_secs);
                 let pushed = resp
                     .headers
-                    .get_combined(ext::X_PUSHED)
+                    .get_combined(HeaderName::X_CC_PUSHED)
                     .map(|l| l.split(',').count())
                     .unwrap_or(0);
                 hop.finish(
@@ -126,7 +126,7 @@ mod tests {
     fn push_all_announces_every_subresource() {
         let up = PushOrigin::new(origin(), PushPolicy::All);
         let resp = up.handle("example.org", &Request::get("/index.html"), 0);
-        let list = resp.headers.get_combined(ext::X_PUSHED).unwrap();
+        let list = resp.headers.get_combined(HeaderName::X_CC_PUSHED).unwrap();
         for p in ["/a.css", "/b.js", "/c.js", "/d.jpg"] {
             assert!(list.contains(p), "{p} missing from {list}");
         }
@@ -137,24 +137,24 @@ mod tests {
     fn subresource_responses_do_not_push() {
         let up = PushOrigin::new(origin(), PushPolicy::All);
         let resp = up.handle("example.org", &Request::get("/a.css"), 0);
-        assert!(resp.headers.get(ext::X_PUSHED).is_none());
+        assert!(resp.headers.get(HeaderName::X_CC_PUSHED).is_none());
     }
 
     #[test]
     fn internal_fetches_do_not_push() {
         let up = PushOrigin::new(origin(), PushPolicy::All);
-        let req = Request::get("/index.html").with_header(ext::X_INTERNAL, "push");
+        let req = Request::get("/index.html").with_header(HeaderName::X_CC_INTERNAL, "push");
         let resp = up.handle("example.org", &req, 0);
-        assert!(resp.headers.get(ext::X_PUSHED).is_none());
+        assert!(resp.headers.get(HeaderName::X_CC_PUSHED).is_none());
     }
 
     #[test]
     fn if_changed_filters_by_last_visit() {
         let up = PushOrigin::new(origin(), PushPolicy::IfChanged);
         // At +2h, only index.html (not pushed) and d.jpg changed.
-        let req = Request::get("/index.html").with_header(ext::X_LAST_VISIT, "0");
+        let req = Request::get("/index.html").with_header(HeaderName::X_CC_LAST_VISIT, "0");
         let resp = up.handle("example.org", &req, 7200);
-        let list = resp.headers.get_combined(ext::X_PUSHED).unwrap();
+        let list = resp.headers.get_combined(HeaderName::X_CC_PUSHED).unwrap();
         assert!(list.contains("/d.jpg"));
         assert!(!list.contains("/a.css"));
         assert!(!list.contains("/b.js"));
@@ -164,7 +164,7 @@ mod tests {
     fn if_changed_without_announcement_pushes_all() {
         let up = PushOrigin::new(origin(), PushPolicy::IfChanged);
         let resp = up.handle("example.org", &Request::get("/index.html"), 7200);
-        let list = resp.headers.get_combined(ext::X_PUSHED).unwrap();
+        let list = resp.headers.get_combined(HeaderName::X_CC_PUSHED).unwrap();
         assert!(list.contains("/a.css"));
     }
 

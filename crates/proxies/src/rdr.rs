@@ -13,10 +13,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use cachecatalyst_browser::engine::ext;
 use cachecatalyst_browser::Upstream;
 use cachecatalyst_httpwire::tracectx::Hop;
-use cachecatalyst_httpwire::{Body, Request, Response};
+use cachecatalyst_httpwire::{Body, HeaderName, Request, Response};
 use cachecatalyst_origin::OriginServer;
 use cachecatalyst_webmodel::{extract, ResourceKind};
 
@@ -62,7 +61,8 @@ impl RdrProxy {
                         continue;
                     }
                     closure.paths.push(href.clone());
-                    let body_req = Request::get(href).with_header(ext::X_INTERNAL, "bundle");
+                    let body_req =
+                        Request::get(href).with_header(HeaderName::X_CC_INTERNAL, "bundle");
                     let r = self.inner.handle(&body_req, t_secs);
                     // What the origin cannot serve still takes its
                     // turn in the next wave, with nothing to read.
@@ -81,7 +81,7 @@ impl RdrProxy {
 
     fn handle_core(&self, req: &Request, t_secs: i64) -> Response {
         let mut resp = self.inner.handle(req, t_secs);
-        if req.headers.contains(ext::X_INTERNAL) {
+        if req.headers.contains(HeaderName::X_CC_INTERNAL) {
             return resp;
         }
         let page = req.target.path();
@@ -106,13 +106,14 @@ impl RdrProxy {
         resp.headers
             .insert("content-length", &resp.body.len().to_string());
         for chunk in paths.chunks(64) {
-            resp.headers.append(ext::X_RDR_BUNDLE, &chunk.join(","));
+            resp.headers
+                .append(HeaderName::X_CC_RDR_BUNDLE, &chunk.join(","));
         }
         // Dependency resolution near the origin: one proxy↔origin RTT
         // per wave (fetches within a wave run in parallel).
         let delay_ms = (self.proxy_origin_rtt.as_millis() as u64) * waves as u64;
         resp.headers
-            .insert(ext::X_SERVER_DELAY_MS, &delay_ms.to_string());
+            .insert(HeaderName::X_CC_SERVER_DELAY_MS, &delay_ms.to_string());
         resp
     }
 }
@@ -136,12 +137,12 @@ impl Upstream for RdrProxy {
                 let resp = self.handle_core(&fwd, t_secs);
                 let bundled = resp
                     .headers
-                    .get_combined(ext::X_RDR_BUNDLE)
+                    .get_combined(HeaderName::X_CC_RDR_BUNDLE)
                     .map(|m| m.split(',').count())
                     .unwrap_or(0);
                 let busy_ms: f64 = resp
                     .headers
-                    .get(ext::X_SERVER_DELAY_MS)
+                    .get(HeaderName::X_CC_SERVER_DELAY_MS)
                     .and_then(|v| v.parse().ok())
                     .unwrap_or(0.0);
                 hop.finish(
@@ -200,9 +201,12 @@ mod tests {
     fn bundle_response_carries_manifest_and_padding() {
         let p = proxy();
         let resp = p.handle("example.org", &Request::get("/index.html"), 0);
-        let manifest = resp.headers.get_combined(ext::X_RDR_BUNDLE).unwrap();
+        let manifest = resp
+            .headers
+            .get_combined(HeaderName::X_CC_RDR_BUNDLE)
+            .unwrap();
         assert!(manifest.contains("/d.jpg"));
-        assert!(resp.headers.get(ext::X_SERVER_DELAY_MS).is_some());
+        assert!(resp.headers.get(HeaderName::X_CC_SERVER_DELAY_MS).is_some());
         // Bundle is much larger than the bare page.
         let bare = p.inner.handle(&Request::get("/index.html"), 0);
         assert!(resp.body.len() > bare.body.len() + 100_000);
@@ -212,7 +216,7 @@ mod tests {
     fn subresource_requests_pass_through() {
         let p = proxy();
         let resp = p.handle("example.org", &Request::get("/a.css"), 0);
-        assert!(resp.headers.get(ext::X_RDR_BUNDLE).is_none());
+        assert!(resp.headers.get(HeaderName::X_CC_RDR_BUNDLE).is_none());
     }
 
     #[test]

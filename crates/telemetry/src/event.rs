@@ -1,10 +1,11 @@
-//! Structured span-like events and the `Recorder` sink trait.
+//! Structured span-like events, the one [`Recorder`] that collects
+//! them and [`to_jsonl`], which renders them.
 //!
 //! Events mark the milestones of a page load as the paper's
 //! evaluation cares about them: when the load started and ended, how
 //! each resource was satisfied (and how many round trips it cost),
-//! when the origin built an `X-Etag-Config` map and how big it was,
-//! and how the browser's HTTP cache moved during the load.
+//! which cache decided it, and how the browser's HTTP cache moved
+//! during the load.
 //!
 //! Timestamps (`t_ms`) are supplied by the emitter in milliseconds —
 //! virtual milliseconds under the discrete-event simulator, wall
@@ -148,14 +149,6 @@ pub enum Event {
         /// Network round trips this fetch paid (0 for local hits).
         rtts: u32,
     },
-    /// The origin built (or rebuilt) an `X-Etag-Config` map.
-    MapBuilt {
-        page: String,
-        t_ms: f64,
-        entries: usize,
-        header_bytes: usize,
-        build_micros: u64,
-    },
     /// The per-resource cache-decision audit record (see
     /// [`CacheAudit`]).
     CacheDecision {
@@ -198,7 +191,6 @@ impl Event {
             Event::PageLoadEnd { .. } => "page_load_end",
             Event::FetchStart { .. } => "fetch_start",
             Event::FetchEnd { .. } => "fetch_end",
-            Event::MapBuilt { .. } => "map_built",
             Event::CacheDecision { .. } => "cache_decision",
             Event::Span(_) => "span",
             Event::CacheDelta { .. } => "cache_delta",
@@ -241,18 +233,6 @@ impl Event {
                  \"bytes_up\":{bytes_up},\"rtts\":{rtts}}}",
                 json_string(url),
                 json_string(outcome.as_str())
-            ),
-            Event::MapBuilt {
-                page,
-                t_ms,
-                entries,
-                header_bytes,
-                build_micros,
-            } => format!(
-                "{{\"event\":{kind},\"t_ms\":{t_ms:.3},\"page\":{},\
-                 \"entries\":{entries},\"header_bytes\":{header_bytes},\
-                 \"build_micros\":{build_micros}}}",
-                json_string(page)
             ),
             Event::CacheDecision { t_ms, audit } => {
                 let mut out = format!(
@@ -306,28 +286,24 @@ impl Event {
     }
 }
 
-/// An event sink. Implementations must tolerate concurrent emitters.
-pub trait Recorder: Send + Sync {
-    fn record(&self, event: &Event);
-}
-
-/// Discards everything.
+/// The event sink: keeps every event in memory, in arrival order, for
+/// whoever reads them (tests, in-process analysis, [`to_jsonl`]).
+/// Tolerates concurrent emitters.
 #[derive(Debug, Default)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    fn record(&self, _event: &Event) {}
-}
-
-/// Keeps events in memory (tests, in-process analysis).
-#[derive(Debug, Default)]
-pub struct MemoryRecorder {
+pub struct Recorder {
     events: Mutex<Vec<Event>>,
 }
 
-impl MemoryRecorder {
-    pub fn new() -> MemoryRecorder {
-        MemoryRecorder::default()
+impl Recorder {
+    pub fn new() -> Recorder {
+        Recorder::default()
+    }
+
+    pub fn record(&self, event: &Event) {
+        self.events
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(event.clone());
     }
 
     /// All events so far, clearing the buffer.
@@ -344,43 +320,15 @@ impl MemoryRecorder {
     }
 }
 
-impl Recorder for MemoryRecorder {
-    fn record(&self, event: &Event) {
-        self.events
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(event.clone());
+/// Renders `events` as JSON Lines: one [`Event::to_json`] object per
+/// event, each followed by a newline.
+pub fn to_jsonl(events: &[Event]) -> String {
+    let mut out = String::new();
+    for event in events {
+        out.push_str(&event.to_json());
+        out.push('\n');
     }
-}
-
-/// Serializes events to JSON Lines as they arrive.
-#[derive(Debug, Default)]
-pub struct JsonlRecorder {
-    lines: Mutex<String>,
-}
-
-impl JsonlRecorder {
-    pub fn new() -> JsonlRecorder {
-        JsonlRecorder::default()
-    }
-
-    /// The JSONL document so far, clearing the buffer.
-    pub fn drain(&self) -> String {
-        std::mem::take(&mut self.lines.lock().unwrap_or_else(|e| e.into_inner()))
-    }
-
-    /// A copy of the document without clearing.
-    pub fn snapshot(&self) -> String {
-        self.lines.lock().unwrap_or_else(|e| e.into_inner()).clone()
-    }
-}
-
-impl Recorder for JsonlRecorder {
-    fn record(&self, event: &Event) {
-        let mut lines = self.lines.lock().unwrap_or_else(|e| e.into_inner());
-        lines.push_str(&event.to_json());
-        lines.push('\n');
-    }
+    out
 }
 
 #[cfg(test)]
@@ -412,33 +360,32 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_recorder_emits_one_line_per_event() {
-        let r = JsonlRecorder::new();
-        r.record(&Event::PageLoadStart {
-            page: "http://s/".into(),
-            t_ms: 0.0,
-        });
-        r.record(&Event::PageLoadEnd {
-            page: "http://s/".into(),
-            t_ms: 80.0,
-            resources: 5,
-            plt_ms: 80.0,
-        });
-        let doc = r.drain();
+    fn jsonl_is_one_line_per_event() {
+        let events = [
+            Event::PageLoadStart {
+                page: "http://s/".into(),
+                t_ms: 0.0,
+            },
+            Event::PageLoadEnd {
+                page: "http://s/".into(),
+                t_ms: 80.0,
+                resources: 5,
+                plt_ms: 80.0,
+            },
+        ];
+        let doc = to_jsonl(&events);
         assert_eq!(doc.lines().count(), 2);
+        assert!(doc.ends_with('\n'));
         assert!(doc.lines().all(|l| l.starts_with('{') && l.ends_with('}')));
-        assert!(r.drain().is_empty(), "drained");
+        assert!(to_jsonl(&[]).is_empty());
     }
 
     #[test]
-    fn memory_recorder_roundtrips() {
-        let r = MemoryRecorder::new();
-        let e = Event::MapBuilt {
-            page: "/index.html".into(),
+    fn recorder_roundtrips() {
+        let r = Recorder::new();
+        let e = Event::FetchStart {
+            url: "http://s/index.html".into(),
             t_ms: 1.0,
-            entries: 10,
-            header_bytes: 420,
-            build_micros: 37,
         };
         r.record(&e);
         assert_eq!(r.snapshot(), vec![e.clone()]);

@@ -7,15 +7,15 @@
 //! * [`registry`] — a named-metric [`Registry`] that renders the
 //!   Prometheus text exposition format (served by the origin's
 //!   `/metrics` endpoint).
-//! * [`event`] — the [`Recorder`] sink trait and the structured,
-//!   span-like [`Event`]s the origin, browser and bench runner emit
-//!   (page loads, per-resource fetches with their outcome, config-map
-//!   builds, cache-metric deltas, per-resource cache-decision
-//!   audits). Events serialize to JSONL.
+//! * [`event`] — the structured, span-like [`Event`]s the browser,
+//!   the edge and the bench runner emit (page loads, per-resource
+//!   fetches with their outcome, cache-metric deltas, per-resource
+//!   cache-decision audits), the one [`Recorder`] that collects them
+//!   and [`to_jsonl`], which renders them as JSON Lines.
 //! * [`span`] — request-scoped distributed tracing: [`TraceId`] /
 //!   [`SpanId`], the propagated [`TraceContext`], and the lock-light
-//!   sampled [`SpanSink`] ring buffer. The sampled-off path costs one
-//!   relaxed atomic load.
+//!   [`SpanSink`] ring buffer, on or off for its whole life. The off
+//!   path costs one field compare.
 //!
 //! Timestamps are **caller-supplied milliseconds**, which is what
 //! makes the layer virtual-time aware: the discrete-event simulator
@@ -28,10 +28,7 @@ pub mod metric;
 pub mod registry;
 pub mod span;
 
-pub use event::{
-    CacheAudit, CacheDecision, Event, FetchKind, JsonlRecorder, MemoryRecorder, NullRecorder,
-    Recorder,
-};
+pub use event::{to_jsonl, CacheAudit, CacheDecision, Event, FetchKind, Recorder};
 pub use metric::{Counter, Gauge, Histogram};
 pub use registry::Registry;
 pub use span::{Sampling, Span, SpanId, SpanSink, TraceContext, TraceId};

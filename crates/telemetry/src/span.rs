@@ -1,6 +1,6 @@
 //! Request-scoped distributed tracing: trace/span identifiers, a
 //! `traceparent`-style propagation context, and a lock-light,
-//! ring-buffered, sampled [`SpanSink`].
+//! ring-buffered, on-or-off [`SpanSink`].
 //!
 //! Like the rest of the crate this module is std-only and reads no
 //! clock of its own: span timestamps are **caller-supplied
@@ -11,12 +11,13 @@
 //! to the server inside the trace context ([`TraceContext::t_ms`])
 //! precisely so that server-side spans line up with client-side ones.
 //!
-//! Cost model: the sampled-off path is a single relaxed atomic load
+//! Cost model: the off path is a single field compare
 //! ([`SpanSink::enabled`]) — no allocation, no locking, no id
 //! generation — so tracing can stay compiled-in on the origin hot
 //! path.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::json_string;
@@ -158,55 +159,46 @@ impl Span {
     }
 }
 
-/// The sink's sampling policy.
+/// The sink's sampling policy, fixed for the sink's life.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Sampling {
     /// Record nothing; [`SpanSink::enabled`] is false and every other
     /// call is a no-op.
     Off,
-    /// Record one page load (trace) in `n`; `Ratio(1)` ≡ `Always`,
-    /// `Ratio(0)` ≡ `Off`.
-    Ratio(u32),
     /// Record every trace.
     Always,
 }
 
-const MODE_OFF: u8 = 0;
-const MODE_RATIO: u8 = 1;
-const MODE_ALWAYS: u8 = 2;
-
-/// How many independent buffers span recording spreads over; bounds
+/// How many independent rings span recording spreads over; bounds
 /// lock contention between concurrent emitters.
 const SHARDS: usize = 8;
 
+/// Spans one ring holds before it overwrites its oldest.
+const SHARD_CAPACITY: usize = 1024;
+
 /// A lock-light, bounded span collector.
 ///
-/// * The **off** path costs one relaxed atomic load.
-/// * Sampling is decided **per trace** (page load), via [`sample`]
-///   at root creation; downstream emitters inherit the decision
-///   through the propagated context's `sampled` flag.
-/// * Storage is `SHARDS` independent mutex-guarded rings; a full
-///   sink overwrites its oldest spans and counts them in
-///   [`dropped`], so a forgotten drain can never grow memory
-///   unboundedly.
+/// * The **off** path is one field compare ([`enabled`]).
+/// * Whether a page load is traced is decided once, at its root
+///   (every load when the sink is on); downstream emitters inherit
+///   the decision through the propagated context's `sampled` flag.
+/// * Storage is `SHARDS` mutex-guarded rings of `SHARD_CAPACITY`
+///   spans each, a span going to ring `span_id % SHARDS`; a full ring
+///   overwrites its oldest span and counts it in [`dropped`], so a
+///   forgotten drain can never grow memory unboundedly.
 ///
-/// [`sample`]: SpanSink::sample
+/// [`enabled`]: SpanSink::enabled
 /// [`dropped`]: SpanSink::dropped
 pub struct SpanSink {
-    mode: AtomicU8,
-    ratio: AtomicU64,
-    /// Per-trace decision counter for `Ratio` mode.
-    decisions: AtomicU64,
+    sampling: Sampling,
     dropped: AtomicU64,
-    next_shard: AtomicUsize,
-    capacity_per_shard: usize,
-    shards: [Mutex<Vec<Span>>; SHARDS],
+    shards: [Mutex<VecDeque<Span>>; SHARDS],
 }
 
 impl std::fmt::Debug for SpanSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SpanSink")
-            .field("sampling", &self.sampling())
+            .field("sampling", &self.sampling)
             .field("len", &self.len())
             .field("dropped", &self.dropped())
             .finish()
@@ -214,84 +206,37 @@ impl std::fmt::Debug for SpanSink {
 }
 
 impl SpanSink {
-    /// A sink holding up to 8192 spans (ample for hundreds of page
-    /// loads between drains).
+    /// A sink holding up to `SHARDS × SHARD_CAPACITY` = 8192 spans
+    /// (ample for hundreds of page loads between drains).
     pub fn new(sampling: Sampling) -> SpanSink {
-        SpanSink::with_capacity(sampling, 8192)
-    }
-
-    /// A sink bounded to `capacity` spans (rounded up to a multiple
-    /// of the shard count, minimum one per shard).
-    pub fn with_capacity(sampling: Sampling, capacity: usize) -> SpanSink {
-        let sink = SpanSink {
-            mode: AtomicU8::new(MODE_OFF),
-            ratio: AtomicU64::new(1),
-            decisions: AtomicU64::new(0),
+        SpanSink {
+            sampling,
             dropped: AtomicU64::new(0),
-            next_shard: AtomicUsize::new(0),
-            capacity_per_shard: capacity.div_ceil(SHARDS).max(1),
-            shards: std::array::from_fn(|_| Mutex::new(Vec::new())),
-        };
-        sink.set_sampling(sampling);
-        sink
-    }
-
-    /// Change the sampling policy at runtime (e.g. a bench toggling
-    /// spans on mid-process).
-    pub fn set_sampling(&self, sampling: Sampling) {
-        let (mode, ratio) = match sampling {
-            Sampling::Off | Sampling::Ratio(0) => (MODE_OFF, 0),
-            Sampling::Ratio(n) => (MODE_RATIO, u64::from(n)),
-            Sampling::Always => (MODE_ALWAYS, 1),
-        };
-        self.ratio.store(ratio, Ordering::Relaxed);
-        self.mode.store(mode, Ordering::Release);
-    }
-
-    pub fn sampling(&self) -> Sampling {
-        match self.mode.load(Ordering::Acquire) {
-            MODE_OFF => Sampling::Off,
-            MODE_ALWAYS => Sampling::Always,
-            _ => Sampling::Ratio(self.ratio.load(Ordering::Relaxed) as u32),
+            shards: std::array::from_fn(|_| Mutex::new(VecDeque::new())),
         }
     }
 
     /// Whether any recording can happen at all. **This is the hot-path
-    /// guard**: one relaxed load, nothing else, so callers gate all
+    /// guard**: one field compare, nothing else, so callers gate all
     /// per-request tracing work behind it.
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.mode.load(Ordering::Relaxed) != MODE_OFF
+        self.sampling == Sampling::Always
     }
 
-    /// Decide whether to trace one new page load. `Always` → true,
-    /// `Off` → false, `Ratio(n)` → every n-th call.
-    pub fn sample(&self) -> bool {
-        match self.mode.load(Ordering::Relaxed) {
-            MODE_OFF => false,
-            MODE_ALWAYS => true,
-            _ => {
-                let n = self.ratio.load(Ordering::Relaxed).max(1);
-                self.decisions
-                    .fetch_add(1, Ordering::Relaxed)
-                    .is_multiple_of(n)
-            }
-        }
-    }
-
-    /// Record one finished span. No-op when sampling is off; evicts
-    /// the shard's oldest span when full.
+    /// Record one finished span. No-op when the sink is off; evicts
+    /// the ring's oldest span when full.
     pub fn record(&self, span: Span) {
         if !self.enabled() {
             return;
         }
-        let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % SHARDS;
-        let mut buf = self.shards[shard].lock().unwrap_or_else(|e| e.into_inner());
-        if buf.len() >= self.capacity_per_shard {
-            buf.remove(0);
+        let shard = (span.span_id.0 % SHARDS as u64) as usize;
+        let mut ring = self.shards[shard].lock().unwrap_or_else(|e| e.into_inner());
+        if ring.len() >= SHARD_CAPACITY {
+            ring.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
-        buf.push(span);
+        ring.push_back(span);
     }
 
     /// All spans so far, clearing the sink, ordered by
@@ -299,24 +244,7 @@ impl SpanSink {
     pub fn drain(&self) -> Vec<Span> {
         let mut all = Vec::new();
         for shard in &self.shards {
-            all.append(&mut shard.lock().unwrap_or_else(|e| e.into_inner()));
-        }
-        sort_timeline(&mut all);
-        all
-    }
-
-    /// A copy of the spans without clearing, same order as
-    /// [`drain`](SpanSink::drain).
-    pub fn snapshot(&self) -> Vec<Span> {
-        let mut all = Vec::new();
-        for shard in &self.shards {
-            all.extend(
-                shard
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .iter()
-                    .cloned(),
-            );
+            all.extend(shard.lock().unwrap_or_else(|e| e.into_inner()).drain(..));
         }
         sort_timeline(&mut all);
         all
@@ -376,7 +304,6 @@ mod tests {
     fn off_sink_records_nothing() {
         let sink = SpanSink::new(Sampling::Off);
         assert!(!sink.enabled());
-        assert!(!sink.sample());
         sink.record(span(TraceId::next(), None, 0.0));
         assert!(sink.is_empty());
     }
@@ -394,46 +321,28 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_does_not_clear() {
-        let sink = SpanSink::new(Sampling::Always);
-        sink.record(span(TraceId::next(), None, 0.0));
-        assert_eq!(sink.snapshot().len(), 1);
-        assert_eq!(sink.len(), 1);
-    }
-
-    #[test]
-    fn ratio_samples_one_in_n() {
-        let sink = SpanSink::new(Sampling::Ratio(4));
-        let sampled = (0..16).filter(|_| sink.sample()).count();
-        assert_eq!(sampled, 4);
-    }
-
-    #[test]
-    fn ratio_zero_is_off() {
-        let sink = SpanSink::new(Sampling::Ratio(0));
-        assert!(!sink.enabled());
-    }
-
-    #[test]
     fn full_sink_evicts_oldest_and_counts_drops() {
-        let sink = SpanSink::with_capacity(Sampling::Always, 8);
+        let sink = SpanSink::new(Sampling::Always);
         let trace = TraceId::next();
-        for start in 0..40 {
-            sink.record(span(trace, None, f64::from(start)));
+        // Explicit ids spread the spans evenly over the rings (shard =
+        // id % SHARDS), so every ring overflows whatever ids other
+        // tests draw meanwhile.
+        let recorded = 2 * SHARDS * SHARD_CAPACITY + 5;
+        for id in 0..recorded as u64 {
+            sink.record(Span {
+                span_id: SpanId(id),
+                ..span(trace, None, id as f64)
+            });
         }
-        assert!(sink.len() <= 8);
-        assert_eq!(sink.dropped() as usize + sink.len(), 40);
-    }
-
-    #[test]
-    fn sampling_toggles_at_runtime() {
-        let sink = SpanSink::new(Sampling::Off);
-        sink.record(span(TraceId::next(), None, 0.0));
-        assert!(sink.is_empty());
-        sink.set_sampling(Sampling::Always);
-        assert_eq!(sink.sampling(), Sampling::Always);
-        sink.record(span(TraceId::next(), None, 0.0));
-        assert_eq!(sink.len(), 1);
+        assert_eq!(sink.len(), SHARDS * SHARD_CAPACITY);
+        assert_eq!(sink.dropped() as usize + sink.len(), recorded);
+        let kept = sink.drain();
+        let newest = SpanId(recorded as u64 - 1);
+        assert!(kept.iter().any(|s| s.span_id == newest), "newest kept");
+        assert!(
+            kept.iter().all(|s| s.span_id != SpanId(0)),
+            "oldest evicted"
+        );
     }
 
     #[test]

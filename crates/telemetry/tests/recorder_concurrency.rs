@@ -1,11 +1,11 @@
-//! `JsonlRecorder` under concurrent recording: many threads append
-//! while another drains — no torn or interleaved lines may ever be
-//! observed, and nothing may be lost or duplicated.
+//! `Recorder` + `to_jsonl` under concurrent recording: many threads
+//! append while another drains — no torn or interleaved lines may ever
+//! be observed, and nothing may be lost or duplicated.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use cachecatalyst_telemetry::{Event, JsonlRecorder, Recorder};
+use cachecatalyst_telemetry::{to_jsonl, Event, Recorder};
 
 const WRITERS: usize = 4;
 const EVENTS_PER_WRITER: usize = 500;
@@ -36,7 +36,7 @@ fn parse_line(line: &str) -> (usize, usize) {
 
 #[test]
 fn concurrent_drain_sees_whole_lines_and_loses_nothing() {
-    let recorder = Arc::new(JsonlRecorder::new());
+    let recorder = Arc::new(Recorder::new());
     let done = Arc::new(AtomicBool::new(false));
 
     let mut collected = String::new();
@@ -49,12 +49,12 @@ fn concurrent_drain_sees_whole_lines_and_loses_nothing() {
             scope.spawn(move || {
                 let mut out = String::new();
                 while !done.load(Ordering::Acquire) {
-                    let chunk = recorder.drain();
+                    let chunk = to_jsonl(&recorder.take());
                     assert!(chunk.is_empty() || chunk.ends_with('\n'));
                     out.push_str(&chunk);
                     std::thread::yield_now();
                 }
-                out.push_str(&recorder.drain());
+                out.push_str(&to_jsonl(&recorder.take()));
                 out
             })
         };
@@ -88,7 +88,7 @@ fn concurrent_drain_sees_whole_lines_and_loses_nothing() {
 
 #[test]
 fn snapshot_is_consistent_while_writers_append() {
-    let recorder = Arc::new(JsonlRecorder::new());
+    let recorder = Arc::new(Recorder::new());
     std::thread::scope(|scope| {
         for writer in 0..WRITERS {
             let recorder = Arc::clone(&recorder);
@@ -103,7 +103,7 @@ fn snapshot_is_consistent_while_writers_append() {
         // sequence numbers must appear in order (the Mutex serializes
         // whole events, never fragments).
         for _ in 0..50 {
-            let snap = recorder.snapshot();
+            let snap = to_jsonl(&recorder.snapshot());
             assert!(snap.is_empty() || snap.ends_with('\n'));
             let mut next_seq = [0usize; WRITERS];
             for line in snap.lines() {
@@ -115,7 +115,7 @@ fn snapshot_is_consistent_while_writers_append() {
         }
     });
     assert_eq!(
-        recorder.drain().lines().count(),
+        to_jsonl(&recorder.take()).lines().count(),
         WRITERS * EVENTS_PER_WRITER
     );
 }

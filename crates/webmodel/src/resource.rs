@@ -143,6 +143,19 @@ impl ChangeModel {
         }
     }
 
+    /// The instant the content last changed at or before `t_secs`
+    /// (0 when it never has): the start of the version `t_secs` sees.
+    pub fn last_change_at(&self, t_secs: i64) -> i64 {
+        match self {
+            ChangeModel::Immutable => 0,
+            ChangeModel::Periodic { period, phase } => {
+                let p = period.as_secs().max(1) as i64;
+                let ph = phase.as_secs() as i64;
+                (self.version_at(t_secs) as i64 * p - ph).max(0)
+            }
+        }
+    }
+
     /// Whether the content changes in the half-open interval
     /// `(t0, t0+delta]`.
     pub fn changes_within(&self, t0_secs: i64, delta: Duration) -> bool {
@@ -236,6 +249,27 @@ mod tests {
         assert_eq!(m.version_at(0), 0);
         assert_eq!(m.version_at(69), 0);
         assert_eq!(m.version_at(70), 1);
+    }
+
+    #[test]
+    fn last_change_time_is_consistent_with_versions() {
+        let change = ChangeModel::Periodic {
+            period: Duration::from_secs(100),
+            phase: Duration::from_secs(30),
+        };
+        for t in [0i64, 69, 70, 170, 1000] {
+            let lc = change.last_change_at(t);
+            assert!(lc <= t);
+            assert_eq!(
+                change.version_at(lc),
+                change.version_at(t),
+                "version at last-change equals version at t={t}"
+            );
+            if lc > 0 {
+                assert_ne!(change.version_at(lc - 1), change.version_at(t));
+            }
+        }
+        assert_eq!(ChangeModel::Immutable.last_change_at(1_000), 0);
     }
 
     #[test]

@@ -90,6 +90,25 @@ proptest! {
         }
     }
 
+    /// `last_change_at(t)` is the start of the version `t` sees: no
+    /// later than `t`, the same version as `t`, and — unless it is the
+    /// beginning of time — a different one a second earlier.
+    #[test]
+    fn last_change_at_starts_the_version_t_sees(
+        period in 1u64..10_000_000,
+        phase_frac in 0.0f64..1.0,
+        t in 0i64..100_000_000,
+    ) {
+        let phase = Duration::from_secs((period as f64 * phase_frac) as u64);
+        let m = ChangeModel::Periodic { period: Duration::from_secs(period), phase };
+        let lc = m.last_change_at(t);
+        prop_assert!(lc <= t);
+        prop_assert_eq!(m.version_at(lc), m.version_at(t));
+        if lc > 0 {
+            prop_assert_ne!(m.version_at(lc - 1), m.version_at(t));
+        }
+    }
+
     /// Site generation holds its structural invariants for arbitrary
     /// small specs: reachability, parent consistency, positive sizes.
     #[test]

@@ -12,7 +12,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-use cachecatalyst::browser::ClientOptions;
 use cachecatalyst::catalyst::tamper_config_headers;
 use cachecatalyst::edge::{EdgeCache, StoreOptions, TcpEdge};
 use cachecatalyst::httpwire::hash::xxh64;
@@ -21,7 +20,7 @@ use cachecatalyst::netsim::FaultPlan;
 use cachecatalyst::prelude::*;
 use cachecatalyst::proxies::FaultyUpstream;
 use cachecatalyst::telemetry::span::{Sampling, SpanId, SpanSink, TraceContext, TraceId};
-use cachecatalyst::telemetry::{Event, MemoryRecorder};
+use cachecatalyst::telemetry::{Event, Recorder};
 use cachecatalyst::webmodel::{
     ChangeModel, Discovery, GeneratedResource, HeaderPolicy, ResourceKind, ResourceSpec,
 };
@@ -465,14 +464,12 @@ fn store_series_equal_the_store_after_concurrent_eviction() {
 
 #[test]
 fn audits_and_metrics_flow_through_client_options() {
-    let recorder = Arc::new(MemoryRecorder::new());
+    let recorder = Arc::new(Recorder::new());
     let spans = Arc::new(SpanSink::new(Sampling::Always));
-    let opts = ClientOptions::new()
-        .recorder(recorder.clone())
-        .span_sink(spans.clone());
     let origin = Arc::new(OriginServer::new(example_site(), HeaderMode::Catalyst));
     let edge = EdgeCache::builder(SingleOrigin(origin))
-        .client_options(&opts)
+        .recorder(recorder.clone())
+        .span_sink(spans.clone())
         .build();
 
     // A traced request: the edge must re-parent its hop onto the

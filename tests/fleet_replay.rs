@@ -16,12 +16,11 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use cachecatalyst::browser::live::{ByteStream, Dialer, LiveBrowser};
-use cachecatalyst::browser::ClientOptions;
 use cachecatalyst::chaos::{live_slack_ms, within_band};
 use cachecatalyst::edge::{EdgeCache, TcpEdge};
 use cachecatalyst::origin::watch_clock;
 use cachecatalyst::prelude::*;
-use cachecatalyst::telemetry::{Event, MemoryRecorder};
+use cachecatalyst::telemetry::{Event, Recorder};
 use cachecatalyst_bench::fleet::{fleet_corpus, run_fleet, FleetOptions};
 use cachecatalyst_bench::runner::base_url_of;
 use cachecatalyst_bench::ClientKind;
@@ -47,7 +46,7 @@ fn parity_trace() -> Trace {
 /// is).
 type VisitAudits = Vec<(String, String, Option<u64>)>;
 
-fn drain_audits(recorder: &MemoryRecorder) -> VisitAudits {
+fn drain_audits(recorder: &Recorder) -> VisitAudits {
     let mut audits: VisitAudits = recorder
         .take()
         .into_iter()
@@ -91,12 +90,11 @@ async fn replay_over_tcp(trace: &Trace, kind: ClientKind) -> (Vec<VisitAudits>, 
         multi.add(&host, Arc::new(OriginServer::new(site, kind.header_mode())));
     }
 
-    let recorder = Arc::new(MemoryRecorder::new());
-    let opts = ClientOptions::new().recorder(Arc::clone(&recorder) as _);
+    let recorder = Arc::new(Recorder::new());
     let edge = Arc::new(
         EdgeCache::builder(multi)
             .byte_budget(FleetOptions::default().edge_budget)
-            .client_options(&opts)
+            .recorder(Arc::clone(&recorder))
             .build(),
     );
     let (clock_tx, clock_rx) = watch::channel(0i64);

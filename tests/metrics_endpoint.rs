@@ -8,7 +8,7 @@ use std::sync::Arc;
 use cachecatalyst::httpwire::aio::ClientConn;
 use cachecatalyst::origin::{watch_clock_ms, TcpOrigin};
 use cachecatalyst::prelude::*;
-use cachecatalyst::telemetry::JsonlRecorder;
+use cachecatalyst::telemetry::{to_jsonl, Recorder};
 use tokio::net::TcpStream;
 use tokio::sync::watch;
 
@@ -150,11 +150,11 @@ fn jsonl_trace_outcomes_sum_to_resource_count() {
     let origin = Arc::new(OriginServer::new(example_site(), HeaderMode::Catalyst));
     let upstream = SingleOrigin(origin);
     let base = Url::parse("http://example.org/index.html").unwrap();
-    let recorder = Arc::new(JsonlRecorder::new());
+    let recorder = Arc::new(Recorder::new());
     let mut browser = Browser::catalyst().with_recorder(recorder.clone());
 
     browser.load(&upstream, NetworkConditions::five_g_median(), &base, 0);
-    let trace = recorder.drain();
+    let trace = to_jsonl(&recorder.take());
 
     let fetch_ends: Vec<&str> = trace
         .lines()
