@@ -6,15 +6,30 @@
 //! This binary renders the diagram with real counters from driving a
 //! corpus site through cold + warm visits.
 
+use std::cell::Cell;
 use std::io::Write;
-use std::sync::Arc;
 
 use crate::cli::{self, Args};
 use crate::runner::{base_url_of, first_visit_time};
-use cachecatalyst_browser::{Browser, SingleOrigin};
+use cachecatalyst_browser::{Browser, Upstream};
+use cachecatalyst_httpwire::{Request, Response};
 use cachecatalyst_netsim::NetworkConditions;
 use cachecatalyst_origin::{HeaderMode, OriginServer};
 use cachecatalyst_webmodel::{Site, SiteSpec};
+
+/// The origin, counting the responses the service worker keeps: a 2xx
+/// without `no-store`, as `ServiceWorker::on_response` decides.
+struct Kept(OriginServer, Cell<usize>);
+
+impl Upstream for Kept {
+    fn handle(&self, _host: &str, req: &Request, t_secs: i64) -> Response {
+        let resp = self.0.handle(req, t_secs);
+        if resp.status.is_success() && !resp.cache_control().no_store {
+            self.1.set(self.1.get() + 1);
+        }
+        resp
+    }
+}
 
 pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
     args.finish()?;
@@ -26,15 +41,23 @@ pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
         ..Default::default()
     });
     let cond = NetworkConditions::five_g_median();
-    let origin = Arc::new(OriginServer::new(site.clone(), HeaderMode::Catalyst));
-    let up = SingleOrigin(Arc::clone(&origin));
+    let up = Kept(
+        OriginServer::new(site.clone(), HeaderMode::Catalyst),
+        Cell::new(0),
+    );
     let base = base_url_of(&site);
     let t0 = first_visit_time(&site);
 
     let mut browser = Browser::catalyst();
-    let cold = browser.load(&up, cond, &base, t0);
-    let warm = browser.load(&up, cond, &base, t0 + 3600);
-    let sw = &browser.sw.metrics;
+    let mut installs = 0;
+    let [cold, warm] = [t0, t0 + 3600].map(|t| {
+        let report = browser.load(&up, cond, &base, t);
+        // Each visit's one navigation installs the map it carries.
+        installs += usize::from(!browser.sw.config().is_empty());
+        report
+    });
+    // Every fetch but the navigation passes the SW's intercept.
+    let forwarded = cold.network_requests() + warm.network_requests() - 2;
 
     writeln!(
         out,
@@ -56,8 +79,7 @@ pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
     writeln!(out, "                 │                              │")?;
     writeln!(
         out,
-        "                 │  ② forwarded upstream ───────┼──▶  {:>4} requests",
-        sw.forwarded
+        "                 │  ② forwarded upstream ───────┼──▶  {forwarded:>4} requests",
     )?;
     writeln!(
         out,
@@ -73,7 +95,7 @@ pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
     writeln!(
         out,
         "                 │  ① served from SW cache ◀──  │     {:>4} responses,",
-        sw.served_locally
+        cold.sw_hits + warm.sw_hits
     )?;
     writeln!(
         out,
@@ -83,9 +105,8 @@ pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
     writeln!(out)?;
     writeln!(
         out,
-        "stored responses: {:>4}   map installs: {:>2}   map entries: {:>3}",
-        sw.stored,
-        sw.config_installs,
+        "stored responses: {:>4}   map installs: {installs:>2}   map entries: {:>3}",
+        up.1.get(),
         browser.sw.config().len()
     )?;
     writeln!(

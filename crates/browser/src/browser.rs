@@ -28,7 +28,7 @@ impl Browser {
     /// A browser with the given engine configuration and a cold cache.
     pub fn new(config: EngineConfig) -> Browser {
         Browser {
-            cache: HttpCache::unbounded(),
+            cache: HttpCache::new(),
             sw: ServiceWorker::new(),
             config,
             recorder: None,
@@ -120,12 +120,6 @@ impl Browser {
             );
         }
         report
-    }
-
-    /// Drops all cached state (a fresh profile).
-    pub fn clear(&mut self) {
-        self.cache.clear();
-        self.sw.clear();
     }
 }
 
@@ -346,16 +340,6 @@ mod tests {
         let second = browser.load(&up, cond(), &base(), 60);
         assert_eq!(second.full_transfers, 5);
         assert_eq!(second.cache_hits + second.sw_hits, 0);
-    }
-
-    #[test]
-    fn clear_resets_to_cold() {
-        let up = upstream(HeaderMode::Baseline);
-        let mut browser = Browser::baseline();
-        browser.load(&up, cond(), &base(), 0);
-        browser.clear();
-        let report = browser.load(&up, cond(), &base(), 60);
-        assert_eq!(report.full_transfers, 5);
     }
 
     #[test]

@@ -37,7 +37,7 @@ const CACHE_OVERHEAD: Duration = Duration::from_micros(150);
 
 /// Tunables of a page load. The discrete-event engine reads all of
 /// them; the live loader reads the ones that are not about simulated
-/// transport (`mode`, `enable_swr`, `max_connections_per_origin`, the
+/// transport (`mode`, `max_connections_per_origin`, the
 /// parse/exec costs, `session`, `last_visit` and the retry knobs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
@@ -60,10 +60,6 @@ pub struct EngineConfig {
     pub loss_rate: f64,
     /// Seed for the loss stream (same seed ⇒ same losses).
     pub loss_seed: u64,
-    /// Honor RFC 5861 `stale-while-revalidate`: serve an eligible
-    /// stale entry immediately and revalidate in the background
-    /// (browsers implement this; on by default).
-    pub enable_swr: bool,
     /// Prioritize render-blocking fetches (HTML/CSS/JS) over images
     /// and other content when queueing for connections, as browsers
     /// do. On by default.
@@ -109,7 +105,6 @@ impl Default for EngineConfig {
             tls: false,
             loss_rate: 0.0,
             loss_seed: 0,
-            enable_swr: true,
             prioritize_render_blocking: true,
             server_think: Duration::from_millis(1),
             parse_base: Duration::from_millis(1),
@@ -523,7 +518,7 @@ impl<'a> Engine<'a> {
                         resp = Response::empty(StatusCode::new(status).expect("5xx is valid"))
                             .with_header(HeaderName::X_CC_FAULT, "server-error");
                     }
-                    Some(Fault::Delay { ms }) | Some(Fault::SlowStart { ms }) => {
+                    Some(Fault::Delay { ms }) => {
                         self.n_faults += 1;
                         fault_delay_ms = ms;
                     }
@@ -548,9 +543,7 @@ impl<'a> Engine<'a> {
                 let bytes = resp.wire_len() as u64;
                 // Mid-body reset / truncation: only a prefix of the
                 // response crosses the wire, then the attempt fails.
-                if let Some(Fault::ResetMidBody { fraction } | Fault::TruncateBody { fraction }) =
-                    fault
-                {
+                if let Some(Fault::ResetMidBody { fraction }) = fault {
                     self.n_faults += 1;
                     let partial = ((bytes as f64 * fraction) as u64).max(1);
                     self.fetches[f].bytes_down = partial;

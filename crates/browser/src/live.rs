@@ -92,7 +92,7 @@ impl LiveBrowser {
                 mode,
                 ..Default::default()
             },
-            stores: Arc::new(Mutex::new((HttpCache::unbounded(), ServiceWorker::new()))),
+            stores: Arc::new(Mutex::new((HttpCache::new(), ServiceWorker::new()))),
             pools: Pools::default(),
             recorder: None,
             now_secs: 0,

@@ -186,7 +186,7 @@ impl Profile<'_> {
                     }
                 }
             },
-            CacheMode::HttpCache => match self.cache.lookup_for(key, req, self.t_secs) {
+            CacheMode::HttpCache => match self.cache.lookup(key, req, self.t_secs) {
                 Lookup::Fresh(response) => {
                     decision.local = Some((FetchOutcome::CacheHit, response));
                 }
@@ -198,12 +198,12 @@ impl Profile<'_> {
                 } => {
                     // RFC 5861: an eligible stale copy is served now
                     // and the validators go on a background request.
-                    let swr = swr_usable && self.cfg.enable_swr;
-                    let mut background = swr.then(|| request(self.cfg, url, Purpose::Revalidation));
+                    let mut background =
+                        swr_usable.then(|| request(self.cfg, url, Purpose::Revalidation));
                     let conditional = background.as_mut().unwrap_or(req);
                     if let Some(tag) = etag {
                         conditional.headers.insert(HeaderName::IF_NONE_MATCH, &tag);
-                        if !swr {
+                        if !swr_usable {
                             decision.etag = Some(tag);
                         }
                     } else if let Some(lm) = last_modified {
@@ -211,7 +211,7 @@ impl Profile<'_> {
                             .headers
                             .insert(HeaderName::IF_MODIFIED_SINCE, &lm);
                     }
-                    if swr {
+                    if swr_usable {
                         decision.local = Some((FetchOutcome::CacheHit, response));
                         decision.revalidate = background;
                     }
@@ -519,7 +519,6 @@ pub fn emit_load_events(
         stale_hits: delta.stale_hits,
         misses: delta.misses,
         stores: delta.stores,
-        evictions: delta.evictions,
         revalidation_refreshes: delta.revalidation_refreshes,
     });
     if tally.faults_injected > 0 || tally.retries > 0 || tally.degraded > 0 {

@@ -383,24 +383,6 @@ fn swr_serves_stale_and_revalidates_in_background() {
         .find(|f| f.url.ends_with("/d.jpg"))
         .unwrap();
     assert_eq!(d3.outcome, FetchOutcome::CacheHit);
-
-    // Disabling SWR restores the blocking revalidation.
-    let origin = Arc::new(OriginServer::new(example_site(), HeaderMode::Baseline));
-    let up = SwrOne(origin, "/d.jpg", 86_400);
-    let mut strict = Browser::new(EngineConfig {
-        enable_swr: false,
-        ..Default::default()
-    });
-    strict.load(&up, cond(), &base, 0);
-    let warm = strict.load(&up, cond(), &base, 7200);
-    assert_eq!(warm.swr_served, 0);
-    let d = warm
-        .trace
-        .fetches
-        .iter()
-        .find(|f| f.url.ends_with("/d.jpg"))
-        .unwrap();
-    assert_eq!(d.outcome, FetchOutcome::FullTransfer);
 }
 
 /// Records the encoded size of every request that reaches the origin.

@@ -46,7 +46,15 @@ impl SessionCapture {
         let key = (session.to_owned(), page.to_owned());
         if !self.records.contains_key(&key) {
             self.order.push_back(key.clone());
-            self.evict_if_needed();
+            // Make room by dropping the oldest records.
+            while self.records.len() >= self.max_records {
+                let Some(oldest) = self.order.pop_front() else {
+                    break;
+                };
+                if self.records.remove(&oldest).is_some() {
+                    self.evicted += 1;
+                }
+            }
         }
         self.records.entry(key).or_default().insert(path.to_owned());
     }
@@ -92,17 +100,6 @@ impl SessionCapture {
                 s.len() + p.len() + set.iter().map(|x| x.len() + 48).sum::<usize>() + 96
             })
             .sum()
-    }
-
-    fn evict_if_needed(&mut self) {
-        while self.records.len() >= self.max_records {
-            let Some(oldest) = self.order.pop_front() else {
-                break;
-            };
-            if self.records.remove(&oldest).is_some() {
-                self.evicted += 1;
-            }
-        }
     }
 }
 

@@ -38,4 +38,4 @@ pub use extract::{
 pub use inject::{
     has_registration, inject_registration, REGISTRATION_SNIPPET, SW_SCRIPT, SW_SCRIPT_PATH,
 };
-pub use sw::{ServiceWorker, SwDecision, SwMetrics};
+pub use sw::{ServiceWorker, SwDecision};

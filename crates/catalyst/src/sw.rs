@@ -21,19 +21,6 @@ struct SwEntry {
     response: Response,
 }
 
-/// Counters for the SW's behaviour.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SwMetrics {
-    /// Fetches answered from the SW cache (zero network).
-    pub served_locally: u64,
-    /// Fetches forwarded to the network.
-    pub forwarded: u64,
-    /// Responses stored into the SW cache.
-    pub stored: u64,
-    /// Navigations that installed a config.
-    pub config_installs: u64,
-}
-
 /// What the SW decided for an intercepted fetch.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SwDecision {
@@ -77,17 +64,11 @@ pub enum SwDecision {
 pub struct ServiceWorker {
     cache: HashMap<String, SwEntry>,
     config: EtagConfig,
-    pub metrics: SwMetrics,
 }
 
 impl ServiceWorker {
     pub fn new() -> ServiceWorker {
         ServiceWorker::default()
-    }
-
-    /// Number of stored responses.
-    pub fn cached_responses(&self) -> usize {
-        self.cache.len()
     }
 
     /// The currently installed config.
@@ -107,15 +88,12 @@ impl ServiceWorker {
         let accepted = EtagConfig::accept(&resp.headers);
         let distrusted = accepted.is_none();
         self.config = accepted.unwrap_or_default();
-        if !self.config.is_empty() {
-            self.metrics.config_installs += 1;
-        }
         distrusted
     }
 
     /// Intercepts a subresource fetch for `path` (the cache key is the
     /// absolute `url`).
-    pub fn intercept(&mut self, url: &str, path: &str) -> SwDecision {
+    pub fn intercept(&self, url: &str, path: &str) -> SwDecision {
         let entry = self.cache.get(url);
         // Same-origin entries are keyed by path; the cross-origin
         // extension (paper §6, issue 2) keys third-party resources by
@@ -126,7 +104,6 @@ impl ServiceWorker {
                 // The map is authoritative about the representation
                 // currently served.
                 if EtagConfig::entry_matches(current, cached_tag) {
-                    self.metrics.served_locally += 1;
                     let mut resp = entry.response.clone();
                     resp.headers
                         .insert(HeaderName::X_SERVED_BY, "cachecatalyst-sw");
@@ -137,7 +114,6 @@ impl ServiceWorker {
                 }
             }
         }
-        self.metrics.forwarded += 1;
         SwDecision::Forward {
             if_none_match: self.cache.get(url).and_then(|e| e.etag.clone()),
         }
@@ -173,7 +149,6 @@ impl ServiceWorker {
                     response: resp.clone(),
                 },
             );
-            self.metrics.stored += 1;
         }
         resp.clone()
     }
@@ -181,12 +156,6 @@ impl ServiceWorker {
     /// The ETag of the stored response for `url`, if any.
     pub fn cached_etag(&self, url: &str) -> Option<&EntityTag> {
         self.cache.get(url).and_then(|e| e.etag.as_ref())
-    }
-
-    /// Drops all state (a new browser profile).
-    pub fn clear(&mut self) {
-        self.cache.clear();
-        self.config = EtagConfig::new();
     }
 }
 
@@ -243,7 +212,6 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        assert_eq!(sw.metrics.served_locally, 1);
     }
 
     #[test]
@@ -330,7 +298,6 @@ mod tests {
             sw.on_response("http://s/a.css", &resp_with_etag("body", "v1"));
             assert_eq!(sw.on_navigation(nav), distrusted, "{name}");
             assert_eq!(sw.config().len(), installed, "{name}");
-            assert_eq!(sw.metrics.config_installs, 1 + (installed > 0) as u64);
             assert_eq!(
                 matches!(
                     sw.intercept("http://s/a.css", "/a.css"),
@@ -364,7 +331,7 @@ mod tests {
         sw.on_navigation(&navigation_with_config(&[("/secret", "v1")]));
         let resp = resp_with_etag("secret", "v1").with_header("cache-control", "no-store");
         sw.on_response("http://s/secret", &resp);
-        assert_eq!(sw.cached_responses(), 0);
+        assert!(sw.cached_etag("http://s/secret").is_none());
         assert!(matches!(
             sw.intercept("http://s/secret", "/secret"),
             SwDecision::Forward { .. }
@@ -425,15 +392,5 @@ mod tests {
             sw.intercept("http://s/w", "/w"),
             SwDecision::ServeLocal { .. }
         ));
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let mut sw = ServiceWorker::new();
-        sw.on_navigation(&navigation_with_config(&[("/a", "v")]));
-        sw.on_response("http://s/a", &resp_with_etag("b", "v"));
-        sw.clear();
-        assert_eq!(sw.cached_responses(), 0);
-        assert!(sw.config().is_empty());
     }
 }

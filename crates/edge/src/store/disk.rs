@@ -518,6 +518,18 @@ impl DiskTier {
         self.read_entry(&mut state, key)
     }
 
+    /// Moves appends to a new, empty segment; the old one is sealed.
+    fn rotate(&self, state: &mut DiskState) -> io::Result<()> {
+        let next = state.active_id + 1;
+        state.active = OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(segment_path(&self.dir, next))?;
+        state.active_id = next;
+        state.segments.insert(next, Segment::default());
+        Ok(())
+    }
+
     /// Appends `entry`, rotating segments and retiring the oldest as
     /// the budget requires. Returns `false` when the write failed.
     pub fn insert(&self, key: &str, entry: StoredEntry) -> bool {
@@ -527,29 +539,26 @@ impl DiskTier {
         // Rotate when the active segment is full (a record larger than
         // a whole segment gets a dedicated one).
         let written = state.segments[&state.active_id].bytes;
-        if written > 0 && written + len > self.segment_bytes {
-            let next = state.active_id + 1;
-            let file = match OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(segment_path(&self.dir, next))
-            {
-                Ok(f) => f,
-                Err(_) => return false,
-            };
-            state.active_id = next;
-            state.active = file;
-            state.segments.insert(next, Segment::default());
-        }
-        if state.active.write_all(&rec).is_err() {
+        if written > 0 && written + len > self.segment_bytes && self.rotate(&mut state).is_err() {
             return false;
         }
         let active_id = state.active_id;
+        let offset = state.segments[&active_id].bytes;
+        if state.active.write_all(&rec).is_err() {
+            // A failed append can leave part of the record behind (a
+            // short write, then EFBIG or ENOSPC). Cut it off, so that
+            // the next append lands at the offset it is indexed at and
+            // the boot scan keeps what follows; failing that, seal the
+            // segment.
+            if state.active.set_len(offset).is_err() {
+                let _ = self.rotate(&mut state);
+            }
+            return false;
+        }
         let segment = state
             .segments
             .get_mut(&active_id)
             .expect("the active segment is listed");
-        let offset = segment.bytes;
         segment.bytes += len;
         state.file_bytes += len;
         self.written_bytes.fetch_add(len, Ordering::Relaxed);

@@ -15,12 +15,17 @@
 //!   through to the origin) and again by the boot scan. And the
 //!   reverse: what the tier writes is, byte for byte, the record built
 //!   the way it was before the tier encoded into one buffer.
+//! * **Failed append** — an append the kernel cuts short (the
+//!   process's file-size limit: a short write, then `EFBIG`) leaves no
+//!   partial record behind: every later record in the segment is
+//!   served, accounted and recovered.
 //! * **Content facts stop at the record** — a digest remembered on a
 //!   DRAM-resident body does not follow it to disk: a clean disk read
 //!   is a new allocation that is digested again, a damaged one is
 //!   rejected by the record sum before anyone asks.
 
 use std::path::PathBuf;
+use std::process::Command;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -478,5 +483,106 @@ fn a_remembered_digest_does_not_cross_the_disk_record() {
     assert!(!reread.shares_allocation_with(&clean));
     assert_eq!(reread.known_digest(), None);
     assert_eq!(reread.digest(), want);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Set in the child process [`a_failed_append_leaves_its_segment_serving`]
+/// runs its scenario in.
+const FSIZE_CHILD: &str = "CC_EDGE_FSIZE_CHILD";
+
+/// Sets this process's soft file-size limit through util-linux
+/// `prlimit` (`None`: back up to the hard limit).
+fn limit_file_size(bytes: Option<u64>) {
+    let pid = format!("--pid={}", std::process::id());
+    let soft = match bytes {
+        Some(bytes) => bytes.to_string(),
+        None => {
+            let hard = Command::new("prlimit")
+                .args([&pid, "--fsize", "--output=HARD", "--noheadings", "--raw"])
+                .output()
+                .expect("prlimit runs");
+            String::from_utf8(hard.stdout).unwrap().trim().to_owned()
+        }
+    };
+    let set = Command::new("prlimit")
+        .args([&pid, &format!("--fsize={soft}:")])
+        .status()
+        .expect("prlimit runs");
+    assert!(set.success(), "prlimit --fsize={soft}: failed");
+}
+
+#[test]
+fn a_failed_append_leaves_its_segment_serving() {
+    if std::env::var_os(FSIZE_CHILD).is_some() {
+        return failed_append_in_this_process();
+    }
+    if Command::new("prlimit").arg("--version").output().is_err() {
+        eprintln!("skipped: no util-linux prlimit to set a file-size limit with");
+        return;
+    }
+    // Past its file-size limit a process is sent SIGXFSZ, which kills
+    // it; the shell ignores the signal and the test binary inherits
+    // that, so the append fails with a short write and then EFBIG.
+    let name = "a_failed_append_leaves_its_segment_serving";
+    let out = Command::new("bash")
+        .args(["-c", "trap '' XFSZ; exec \"$@\"", "bash"])
+        .arg(std::env::current_exe().unwrap())
+        .args(["--exact", name, "--nocapture", "--test-threads=1"])
+        .env(FSIZE_CHILD, "1")
+        .output()
+        .expect("bash runs");
+    assert!(
+        out.status.success(),
+        "{}{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+fn failed_append_in_this_process() {
+    let dir = scratch_dir("efbig");
+    let store = disk_only(&dir);
+    let before: Vec<String> = (0..3).map(|i| format!("h/before-{i}")).collect();
+    for key in &before {
+        touch(&store, key);
+    }
+    let seg = newest_segment(&dir);
+    let good = std::fs::metadata(&seg).unwrap().len();
+    let demotions = store.counters().demotions;
+
+    // The next record fits only partly under the limit.
+    limit_file_size(Some(good + 100));
+    touch(&store, "h/cut-short");
+    limit_file_size(None);
+    assert_eq!(store.counters().demotions, demotions, "the append failed");
+    assert!(store.get("h/cut-short").is_none());
+
+    // Everything appended to the same segment afterwards is served.
+    let after: Vec<String> = (0..5).map(|i| format!("h/after-{i}")).collect();
+    for key in &after {
+        touch(&store, key);
+    }
+    assert_eq!(newest_segment(&dir), seg);
+    for key in before.iter().chain(&after) {
+        let entry = store.get(key).unwrap_or_else(|| panic!("{key} not served"));
+        assert_eq!(&entry.response.body[..], &body_response(key, "v1").body[..]);
+    }
+    let stats = store.disk_stats().unwrap();
+    assert_eq!(stats.read_errors, 0);
+    let on_disk: u64 = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().metadata().unwrap().len())
+        .sum();
+    assert_eq!(stats.segment_file_bytes, on_disk);
+    drop(store);
+
+    // And the boot scan recovers every one of them.
+    let store = disk_only(&dir);
+    let stats = store.disk_stats().unwrap();
+    assert_eq!(stats.recovered, (before.len() + after.len()) as u64);
+    for key in before.iter().chain(&after) {
+        assert!(store.get(key).is_some(), "{key} lost at reopen");
+    }
+    assert_eq!(store.disk_stats().unwrap().read_errors, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }

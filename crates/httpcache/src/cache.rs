@@ -10,35 +10,24 @@ use crate::metrics::CacheMetrics;
 
 /// One stored response.
 #[derive(Debug, Clone)]
-pub struct CacheEntry {
-    pub response: Response,
+struct CacheEntry {
+    response: Response,
     /// Virtual seconds when the request producing this entry was sent.
-    pub request_time: i64,
+    request_time: i64,
     /// Virtual seconds when the response arrived.
-    pub response_time: i64,
-    /// Last use, for LRU eviction.
-    pub last_used: i64,
+    response_time: i64,
     /// The response's `Vary` selection: for each varied request header
     /// (lowercased), the value the original request carried
     /// (RFC 9111 §4.1). `("*", _)` never matches.
-    pub vary: Vec<(String, Option<String>)>,
-    /// Monotonic use counter to break LRU ties deterministically.
-    use_seq: u64,
+    vary: Vec<(String, Option<String>)>,
 }
 
 impl CacheEntry {
     /// Whether a new request selects this stored variant.
-    pub fn vary_matches(&self, req: &Request) -> bool {
+    fn vary_matches(&self, req: &Request) -> bool {
         self.vary.iter().all(|(name, stored)| {
             name != "*" && req.headers.get_combined(name).as_deref() == stored.as_deref()
         })
-    }
-}
-
-impl CacheEntry {
-    /// Approximate memory footprint used for the size budget.
-    fn weight(&self) -> u64 {
-        self.response.body.len() as u64 + 512
     }
 }
 
@@ -61,47 +50,33 @@ pub enum Lookup {
     Miss,
 }
 
-/// A private (browser) HTTP cache with LRU eviction, keyed by absolute
-/// URL.
+/// A private (browser) HTTP cache keyed by absolute URL, one variant
+/// per URL. It has no byte budget: a browser gives an origin tens to
+/// hundreds of MB, more than any visit in the evaluation stores.
 ///
 /// ```
 /// use cachecatalyst_httpcache::{HttpCache, Lookup};
 /// use cachecatalyst_httpwire::{HttpDate, Request, Response};
 ///
-/// let mut cache = HttpCache::unbounded();
+/// let mut cache = HttpCache::new();
 /// let req = Request::get("/logo.png");
 /// let resp = Response::ok("png-bytes")
 ///     .with_header("cache-control", "max-age=60")
 ///     .with_header("date", &HttpDate(0).to_imf_fixdate());
 /// cache.store("http://s/logo.png", &req, &resp, 0, 0);
-/// assert!(matches!(cache.lookup("http://s/logo.png", 30), Lookup::Fresh(_)));
-/// assert!(matches!(cache.lookup("http://s/logo.png", 90), Lookup::Stale { .. }));
+/// assert!(matches!(cache.lookup("http://s/logo.png", &req, 30), Lookup::Fresh(_)));
+/// assert!(matches!(cache.lookup("http://s/logo.png", &req, 90), Lookup::Stale { .. }));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct HttpCache {
-    capacity_bytes: u64,
-    used_bytes: u64,
     entries: HashMap<String, CacheEntry>,
-    seq: u64,
     pub metrics: CacheMetrics,
 }
 
 impl HttpCache {
-    /// A cache with the given capacity (bytes of stored bodies).
-    pub fn new(capacity_bytes: u64) -> HttpCache {
-        HttpCache {
-            capacity_bytes,
-            used_bytes: 0,
-            entries: HashMap::new(),
-            seq: 0,
-            metrics: CacheMetrics::default(),
-        }
-    }
-
-    /// A cache big enough that eviction never triggers in the
-    /// evaluation (browsers give tens-to-hundreds of MB per origin).
-    pub fn unbounded() -> HttpCache {
-        HttpCache::new(u64::MAX)
+    /// An empty cache.
+    pub fn new() -> HttpCache {
+        HttpCache::default()
     }
 
     pub fn len(&self) -> usize {
@@ -112,49 +87,14 @@ impl HttpCache {
         self.entries.is_empty()
     }
 
-    pub fn used_bytes(&self) -> u64 {
-        self.used_bytes
-    }
-
-    /// Whether any entry is stored for `url`.
-    pub fn contains(&self, url: &str) -> bool {
-        self.entries.contains_key(url)
-    }
-
-    /// Raw access to a stored entry (diagnostics / service worker).
-    pub fn peek(&self, url: &str) -> Option<&CacheEntry> {
-        self.entries.get(url)
-    }
-
-    /// Looks up `url` at virtual time `now`, ignoring `Vary` (i.e. as
-    /// if the request carried the same selecting headers as the one
-    /// that stored the entry). Prefer [`HttpCache::lookup_for`].
-    pub fn lookup(&mut self, url: &str, now: i64) -> Lookup {
-        self.lookup_inner(url, None, now)
-    }
-
-    /// Looks up `url` for a specific request, honoring the stored
-    /// response's `Vary` selection (RFC 9111 §4.1): a mismatching
-    /// variant is a miss (browsers keep one variant per URL).
-    pub fn lookup_for(&mut self, url: &str, req: &Request, now: i64) -> Lookup {
-        self.lookup_inner(url, Some(req), now)
-    }
-
-    fn lookup_inner(&mut self, url: &str, req: Option<&Request>, now: i64) -> Lookup {
-        self.seq += 1;
-        let seq = self.seq;
-        let Some(entry) = self.entries.get_mut(url) else {
+    /// Looks up `url` for `req` at virtual time `now`, honoring the
+    /// stored response's `Vary` selection (RFC 9111 §4.1): a
+    /// mismatching variant is a miss.
+    pub fn lookup(&mut self, url: &str, req: &Request, now: i64) -> Lookup {
+        let Some(entry) = self.entries.get(url).filter(|e| e.vary_matches(req)) else {
             self.metrics.misses += 1;
             return Lookup::Miss;
         };
-        if let Some(req) = req {
-            if !entry.vary_matches(req) {
-                self.metrics.misses += 1;
-                return Lookup::Miss;
-            }
-        }
-        entry.last_used = now;
-        entry.use_seq = seq;
         if is_fresh(
             &entry.response,
             entry.request_time,
@@ -242,22 +182,16 @@ impl HttpCache {
                     .collect()
             })
             .unwrap_or_default();
-        self.seq += 1;
-        let entry = CacheEntry {
-            response: resp.clone(),
-            request_time,
-            response_time,
-            last_used: response_time,
-            vary,
-            use_seq: self.seq,
-        };
-        let w = entry.weight();
-        if let Some(old) = self.entries.insert(url.to_owned(), entry) {
-            self.used_bytes -= old.weight();
-        }
-        self.used_bytes += w;
+        self.entries.insert(
+            url.to_owned(),
+            CacheEntry {
+                response: resp.clone(),
+                request_time,
+                response_time,
+                vary,
+            },
+        );
         self.metrics.stores += 1;
-        self.evict_if_needed();
         true
     }
 
@@ -276,38 +210,8 @@ impl HttpCache {
         entry.response.merge_not_modified(resp_304);
         entry.request_time = request_time;
         entry.response_time = response_time;
-        entry.last_used = response_time;
         self.metrics.revalidation_refreshes += 1;
         Some(entry.response.clone())
-    }
-
-    /// Removes an entry.
-    pub fn invalidate(&mut self, url: &str) {
-        if let Some(old) = self.entries.remove(url) {
-            self.used_bytes -= old.weight();
-        }
-    }
-
-    /// Clears the whole cache (a "cold cache" reset).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.used_bytes = 0;
-    }
-
-    fn evict_if_needed(&mut self) {
-        while self.used_bytes > self.capacity_bytes && self.entries.len() > 1 {
-            // Evict the least-recently-used entry (ties by use_seq).
-            let victim = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| (e.last_used, e.use_seq))
-                .map(|(k, _)| k.clone())
-                .expect("non-empty");
-            if let Some(old) = self.entries.remove(&victim) {
-                self.used_bytes -= old.weight();
-                self.metrics.evictions += 1;
-            }
-        }
     }
 }
 
@@ -325,15 +229,15 @@ mod tests {
 
     #[test]
     fn miss_then_fresh_then_stale() {
-        let mut cache = HttpCache::unbounded();
+        let mut cache = HttpCache::new();
         let req = Request::get("/r");
-        assert!(matches!(cache.lookup("u", 0), Lookup::Miss));
+        assert!(matches!(cache.lookup("u", &req, 0), Lookup::Miss));
 
         let resp = cacheable_response(100, "v1");
         assert!(cache.store("u", &req, &resp, 0, 0));
 
-        assert!(matches!(cache.lookup("u", 50), Lookup::Fresh(_)));
-        match cache.lookup("u", 150) {
+        assert!(matches!(cache.lookup("u", &req, 50), Lookup::Fresh(_)));
+        match cache.lookup("u", &req, 150) {
             Lookup::Stale { etag, .. } => assert_eq!(etag.as_deref(), Some("\"v1\"")),
             other => panic!("expected stale, got {other:?}"),
         }
@@ -344,7 +248,7 @@ mod tests {
 
     #[test]
     fn no_store_is_not_stored() {
-        let mut cache = HttpCache::unbounded();
+        let mut cache = HttpCache::new();
         let req = Request::get("/r");
         let resp = Response::ok("x").with_header("cache-control", "no-store");
         assert!(!cache.store("u", &req, &resp, 0, 0));
@@ -353,18 +257,18 @@ mod tests {
 
     #[test]
     fn no_cache_is_stored_but_always_stale() {
-        let mut cache = HttpCache::unbounded();
+        let mut cache = HttpCache::new();
         let req = Request::get("/r");
         let resp = Response::ok("x")
             .with_header("cache-control", "no-cache")
             .with_header("etag", "\"e\"");
         assert!(cache.store("u", &req, &resp, 0, 0));
-        assert!(matches!(cache.lookup("u", 0), Lookup::Stale { .. }));
+        assert!(matches!(cache.lookup("u", &req, 0), Lookup::Stale { .. }));
     }
 
     #[test]
     fn non_get_not_stored() {
-        let mut cache = HttpCache::unbounded();
+        let mut cache = HttpCache::new();
         let mut req = Request::get("/r");
         req.method = Method::Post;
         let resp = cacheable_response(100, "v");
@@ -373,7 +277,7 @@ mod tests {
 
     #[test]
     fn response_without_any_caching_info_not_stored() {
-        let mut cache = HttpCache::unbounded();
+        let mut cache = HttpCache::new();
         let req = Request::get("/r");
         let resp = Response::ok("x");
         assert!(!cache.store("u", &req, &resp, 0, 0));
@@ -381,7 +285,7 @@ mod tests {
 
     #[test]
     fn error_responses_not_stored() {
-        let mut cache = HttpCache::unbounded();
+        let mut cache = HttpCache::new();
         let req = Request::get("/r");
         let mut resp = cacheable_response(100, "v");
         resp.status = StatusCode::INTERNAL_SERVER_ERROR;
@@ -390,7 +294,7 @@ mod tests {
 
     #[test]
     fn revalidation_freshens_entry() {
-        let mut cache = HttpCache::unbounded();
+        let mut cache = HttpCache::new();
         let req = Request::get("/r");
         cache.store("u", &req, &cacheable_response(100, "v1"), 0, 0);
 
@@ -400,13 +304,13 @@ mod tests {
             Response::not_modified(None).with_header("date", &HttpDate(150).to_imf_fixdate());
         let refreshed = cache.update_with_304("u", &resp304, 150, 150).unwrap();
         assert_eq!(&refreshed.body[..], b"0123456789");
-        assert!(matches!(cache.lookup("u", 200), Lookup::Fresh(_)));
-        assert!(matches!(cache.lookup("u", 251), Lookup::Stale { .. }));
+        assert!(matches!(cache.lookup("u", &req, 200), Lookup::Fresh(_)));
+        assert!(matches!(cache.lookup("u", &req, 251), Lookup::Stale { .. }));
     }
 
     #[test]
     fn update_304_keeps_body_and_updates_headers() {
-        let mut cache = HttpCache::unbounded();
+        let mut cache = HttpCache::new();
         let req = Request::get("/r");
         cache.store("u", &req, &cacheable_response(100, "v1"), 0, 0);
         let resp304 = Response::not_modified(Some(&"\"v1\"".parse().unwrap()))
@@ -417,87 +321,51 @@ mod tests {
     }
 
     #[test]
-    fn lru_eviction() {
-        // Each entry weighs body(10) + 512 = 522; capacity fits 2.
-        let mut cache = HttpCache::new(1100);
-        let req = Request::get("/r");
-        cache.store("a", &req, &cacheable_response(100, "a"), 0, 0);
-        cache.store("b", &req, &cacheable_response(100, "b"), 1, 1);
-        // Touch "a" so "b" is the LRU victim.
-        let _ = cache.lookup("a", 2);
-        cache.store("c", &req, &cacheable_response(100, "c"), 3, 3);
-        assert!(cache.contains("a"));
-        assert!(!cache.contains("b"), "LRU entry should be evicted");
-        assert!(cache.contains("c"));
-        assert_eq!(cache.metrics.evictions, 1);
-    }
-
-    #[test]
-    fn replacing_entry_updates_byte_accounting() {
-        let mut cache = HttpCache::unbounded();
+    fn replacing_an_entry_keeps_one_per_url() {
+        let mut cache = HttpCache::new();
         let req = Request::get("/r");
         cache.store("u", &req, &cacheable_response(100, "v1"), 0, 0);
-        let used1 = cache.used_bytes();
         cache.store("u", &req, &cacheable_response(100, "v2"), 1, 1);
-        assert_eq!(cache.used_bytes(), used1);
         assert_eq!(cache.len(), 1);
+        match cache.lookup("u", &req, 2) {
+            Lookup::Fresh(resp) => assert_eq!(resp.headers.get("etag"), Some("\"v2\"")),
+            other => panic!("expected fresh, got {other:?}"),
+        }
     }
 
     #[test]
     fn vary_mismatch_is_a_miss() {
-        let mut cache = HttpCache::unbounded();
+        let mut cache = HttpCache::new();
         let req_gzip = Request::get("/r").with_header("accept-encoding", "gzip");
         let resp = cacheable_response(100, "v").with_header("vary", "Accept-Encoding");
         assert!(cache.store("u", &req_gzip, &resp, 0, 0));
 
         // Same selecting header: hit.
-        assert!(matches!(
-            cache.lookup_for("u", &req_gzip, 10),
-            Lookup::Fresh(_)
-        ));
+        assert!(matches!(cache.lookup("u", &req_gzip, 10), Lookup::Fresh(_)));
         // Different selecting header: miss.
         let req_br = Request::get("/r").with_header("accept-encoding", "br");
-        assert!(matches!(cache.lookup_for("u", &req_br, 10), Lookup::Miss));
+        assert!(matches!(cache.lookup("u", &req_br, 10), Lookup::Miss));
         // Absent selecting header: miss too.
         let req_none = Request::get("/r");
-        assert!(matches!(cache.lookup_for("u", &req_none, 10), Lookup::Miss));
+        assert!(matches!(cache.lookup("u", &req_none, 10), Lookup::Miss));
     }
 
     #[test]
     fn vary_star_never_matches() {
-        let mut cache = HttpCache::unbounded();
+        let mut cache = HttpCache::new();
         let req = Request::get("/r");
         let resp = cacheable_response(100, "v").with_header("vary", "*");
         assert!(cache.store("u", &req, &resp, 0, 0));
-        assert!(matches!(cache.lookup_for("u", &req, 10), Lookup::Miss));
-        // The vary-ignoring lookup still sees it (diagnostics path).
-        assert!(matches!(cache.lookup("u", 10), Lookup::Fresh(_)));
+        assert!(matches!(cache.lookup("u", &req, 10), Lookup::Miss));
     }
 
     #[test]
     fn no_vary_matches_any_request() {
-        let mut cache = HttpCache::unbounded();
+        let mut cache = HttpCache::new();
         let req = Request::get("/r").with_header("accept-encoding", "gzip");
         let resp = cacheable_response(100, "v");
         assert!(cache.store("u", &req, &resp, 0, 0));
         let other = Request::get("/r").with_header("accept-encoding", "br");
-        assert!(matches!(
-            cache.lookup_for("u", &other, 10),
-            Lookup::Fresh(_)
-        ));
-    }
-
-    #[test]
-    fn invalidate_and_clear() {
-        let mut cache = HttpCache::unbounded();
-        let req = Request::get("/r");
-        cache.store("u", &req, &cacheable_response(100, "v"), 0, 0);
-        cache.invalidate("u");
-        assert!(!cache.contains("u"));
-        assert_eq!(cache.used_bytes(), 0);
-        cache.store("u", &req, &cacheable_response(100, "v"), 0, 0);
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.used_bytes(), 0);
+        assert!(matches!(cache.lookup("u", &other, 10), Lookup::Fresh(_)));
     }
 }

@@ -11,8 +11,6 @@ pub struct CacheMetrics {
     pub stale_hits: u64,
     /// Responses stored.
     pub stores: u64,
-    /// Entries evicted by the size budget.
-    pub evictions: u64,
     /// Stored entries refreshed by a 304.
     pub revalidation_refreshes: u64,
 }
@@ -23,14 +21,6 @@ impl CacheMetrics {
         self.misses + self.fresh_hits + self.stale_hits
     }
 
-    /// Fraction of lookups served without touching the network.
-    pub fn fresh_hit_ratio(&self) -> f64 {
-        match self.lookups() {
-            0 => 0.0,
-            n => self.fresh_hits as f64 / n as f64,
-        }
-    }
-
     /// Difference between two snapshots (for per-page-load deltas).
     pub fn delta_since(&self, earlier: &CacheMetrics) -> CacheMetrics {
         CacheMetrics {
@@ -38,7 +28,6 @@ impl CacheMetrics {
             fresh_hits: self.fresh_hits - earlier.fresh_hits,
             stale_hits: self.stale_hits - earlier.stale_hits,
             stores: self.stores - earlier.stores,
-            evictions: self.evictions - earlier.evictions,
             revalidation_refreshes: self.revalidation_refreshes - earlier.revalidation_refreshes,
         }
     }
@@ -49,7 +38,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ratios() {
+    fn lookups() {
         let m = CacheMetrics {
             misses: 2,
             fresh_hits: 6,
@@ -57,8 +46,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(m.lookups(), 10);
-        assert!((m.fresh_hit_ratio() - 0.6).abs() < 1e-12);
-        assert_eq!(CacheMetrics::default().fresh_hit_ratio(), 0.0);
     }
 
     #[test]

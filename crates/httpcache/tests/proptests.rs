@@ -1,6 +1,6 @@
 //! Property-based tests for the browser cache: a reference model for
-//! freshness decisions, byte-accounting invariants, and robustness of
-//! the store/lookup/304 lifecycle under arbitrary operation sequences.
+//! freshness decisions, and robustness of the store/lookup/304
+//! lifecycle under arbitrary operation sequences.
 
 use cachecatalyst_httpcache::{HttpCache, Lookup};
 use cachecatalyst_httpwire::{HttpDate, Request, Response};
@@ -30,9 +30,6 @@ enum Op {
         key: u8,
         at: i64,
     },
-    Invalidate {
-        key: u8,
-    },
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -48,7 +45,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
         ),
         (0u8..6, 0i64..20_000).prop_map(|(key, at)| Op::Lookup { key, at }),
         (0u8..6, 0i64..20_000).prop_map(|(key, at)| Op::Refresh304 { key, at }),
-        (0u8..6).prop_map(|key| Op::Invalidate { key }),
     ]
 }
 
@@ -58,25 +54,25 @@ proptest! {
     /// from then on (single-key, monotone time).
     #[test]
     fn freshness_boundary_is_exact(max_age in 1u64..100_000, probe in 0u64..200_000) {
-        let mut cache = HttpCache::unbounded();
+        let mut cache = HttpCache::new();
         let req = Request::get("/r");
         let stored_at = 1_000i64;
         let resp = cacheable(max_age, 0, 64, stored_at);
         prop_assert!(cache.store("u", &req, &resp, stored_at, stored_at));
         let now = stored_at + probe as i64;
-        match cache.lookup("u", now) {
+        match cache.lookup("u", &req, now) {
             Lookup::Fresh(_) => prop_assert!(probe < max_age, "fresh at age {probe} ≥ {max_age}"),
             Lookup::Stale { .. } => prop_assert!(probe >= max_age, "stale at age {probe} < {max_age}"),
             Lookup::Miss => prop_assert!(false, "stored entry cannot miss"),
         }
     }
 
-    /// Arbitrary operation sequences never corrupt the cache: byte
-    /// accounting stays consistent, lookups never panic, and a Fresh
-    /// body always equals the last stored body for that key.
+    /// Arbitrary operation sequences never corrupt the cache: it holds
+    /// exactly the model's keys, lookups never panic, and a Fresh body
+    /// always equals the last stored body for that key.
     #[test]
     fn model_equivalence(ops in prop::collection::vec(arb_op(), 1..64)) {
-        let mut cache = HttpCache::unbounded();
+        let mut cache = HttpCache::new();
         let req = Request::get("/r");
         // Reference model: key → (etag, body_len, stored_at, max_age)
         let mut model: std::collections::HashMap<u8, (u8, usize, i64, u64)> =
@@ -90,7 +86,7 @@ proptest! {
                     model.insert(key, (etag, body_len, at, max_age));
                 }
                 Op::Lookup { key, at } => {
-                    match (cache.lookup(&key.to_string(), at), model.get(&key)) {
+                    match (cache.lookup(&key.to_string(), &req, at), model.get(&key)) {
                         (Lookup::Miss, None) => {}
                         (Lookup::Miss, Some(_)) => prop_assert!(false, "model has entry, cache missed"),
                         (_, None) => prop_assert!(false, "cache has entry, model does not"),
@@ -113,36 +109,8 @@ proptest! {
                         entry.2 = at; // freshness clock restarts
                     }
                 }
-                Op::Invalidate { key } => {
-                    cache.invalidate(&key.to_string());
-                    model.remove(&key);
-                }
             }
             prop_assert_eq!(cache.len(), model.len());
-            // Byte accounting: used = Σ(body + overhead).
-            let expect: u64 = model.values().map(|&(_, len, _, _)| len as u64 + 512).sum();
-            prop_assert_eq!(cache.used_bytes(), expect);
-        }
-    }
-
-    /// Capacity is always respected after any store sequence (when more
-    /// than one entry exists, eviction brings usage back under budget).
-    #[test]
-    fn capacity_respected(
-        sizes in prop::collection::vec(1usize..5_000, 2..24),
-        capacity in 2_000u64..20_000,
-    ) {
-        let mut cache = HttpCache::new(capacity);
-        let req = Request::get("/r");
-        for (i, &len) in sizes.iter().enumerate() {
-            let resp = cacheable(1_000, 0, len, i as i64);
-            cache.store(&format!("k{i}"), &req, &resp, i as i64, i as i64);
-            prop_assert!(
-                cache.used_bytes() <= capacity || cache.len() <= 1,
-                "over budget with {} entries ({} > {capacity})",
-                cache.len(),
-                cache.used_bytes()
-            );
         }
     }
 }

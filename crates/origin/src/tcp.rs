@@ -176,7 +176,7 @@ impl Handler for OriginHandler {
                 resp = Response::empty(StatusCode::new(status).expect("5xx is valid"))
                     .with_header(HeaderName::X_CC_FAULT, "server-error");
             }
-            Some(Fault::Delay { ms } | Fault::SlowStart { ms }) => {
+            Some(Fault::Delay { ms }) => {
                 tokio::time::sleep(Duration::from_millis(ms)).await;
             }
             Some(Fault::CorruptConfigEntry { salt }) => {
@@ -185,7 +185,7 @@ impl Handler for OriginHandler {
             Some(Fault::StaleConfigEntry) => {
                 cachecatalyst_catalyst::tamper_config_headers(&mut resp, None);
             }
-            Some(Fault::ResetMidBody { fraction } | Fault::TruncateBody { fraction }) => {
+            Some(Fault::ResetMidBody { fraction }) => {
                 return Reply::SendPrefix(resp, fraction);
             }
             Some(Fault::Stall | Fault::LossBurst { .. }) => return Reply::HangUp,

@@ -59,16 +59,11 @@ impl<U: Upstream> Upstream for FaultyUpstream<U> {
                 resp = Response::empty(StatusCode::new(status).expect("5xx is valid"))
                     .with_header(HeaderName::X_CC_FAULT, "server-error");
             }
-            Some(
-                Fault::ResetMidBody { .. }
-                | Fault::TruncateBody { .. }
-                | Fault::Stall
-                | Fault::LossBurst { .. },
-            ) => {
+            Some(Fault::ResetMidBody { .. } | Fault::Stall | Fault::LossBurst { .. }) => {
                 resp = Response::empty(StatusCode::SERVICE_UNAVAILABLE)
                     .with_header(HeaderName::X_CC_FAULT, "upstream-connection");
             }
-            Some(Fault::Delay { ms }) | Some(Fault::SlowStart { ms }) => {
+            Some(Fault::Delay { ms }) => {
                 let prior: u64 = resp
                     .headers
                     .get(HeaderName::X_CC_SERVER_DELAY_MS)

@@ -166,7 +166,6 @@ pub enum Event {
         stale_hits: u64,
         misses: u64,
         stores: u64,
-        evictions: u64,
         revalidation_refreshes: u64,
     },
     /// Fault-injection outcome of one page load: emitted only when a
@@ -263,13 +262,11 @@ impl Event {
                 stale_hits,
                 misses,
                 stores,
-                evictions,
                 revalidation_refreshes,
             } => format!(
                 "{{\"event\":{kind},\"t_ms\":{t_ms:.3},\
                  \"fresh_hits\":{fresh_hits},\"stale_hits\":{stale_hits},\
                  \"misses\":{misses},\"stores\":{stores},\
-                 \"evictions\":{evictions},\
                  \"revalidation_refreshes\":{revalidation_refreshes}}}"
             ),
             Event::FaultSummary {
@@ -476,7 +473,6 @@ mod tests {
                 stale_hits: 2,
                 misses: 3,
                 stores: 4,
-                evictions: 0,
                 revalidation_refreshes: 1,
             },
         ];

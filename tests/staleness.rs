@@ -203,7 +203,6 @@ fn audit_decisions_reconcile_with_cache_metric_deltas() {
                 delta.stores, storable_fulls,
                 "{ctx}: stores vs full fetches"
             );
-            assert_eq!(delta.evictions, 0, "{ctx}: unbounded cache never evicts");
         }
 
         // The catalyst browser resolves everything through the service
