@@ -12,6 +12,7 @@
 //!   handler over real connections.
 
 pub mod hotpath;
+mod served;
 pub mod server;
 pub mod tcp;
 

@@ -26,6 +26,7 @@ use cachecatalyst_webmodel::{GeneratedResource, HeaderPolicy, ResourceKind, Site
 use parking_lot::Mutex;
 
 use crate::hotpath::{ChurnEpochs, ShardedCache};
+use crate::served::{date_field, field, Field, Served, SERVER};
 
 /// How the origin sets caching headers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -180,26 +181,35 @@ impl HotMetrics {
     }
 }
 
-/// A built page config plus its pre-split header values, shared
-/// across requests behind `Arc`s: a cache hit clones two pointers.
+/// A built page config plus its header fields, shared across requests
+/// behind `Arc`s: a cache hit clones two pointers.
 #[derive(Clone)]
 struct CachedConfig {
     config: Arc<EtagConfig>,
-    /// `to_header_values(MAX_HEADER_LEN)` output, computed once per build.
-    values: Arc<Vec<String>>,
-    /// `x-cc-config-digest` value, computed once per build so the
-    /// fast path attaches integrity without re-serializing the map.
-    digest: Arc<str>,
+    /// The map as the head carries it ([`map_fields`]), built once.
+    fields: Arc<[Field]>,
+}
+
+/// The `X-Etag-Config` fields of `config` (split at
+/// [`MAX_HEADER_LEN`]) followed by its `x-cc-config-digest`.
+fn map_fields(config: &EtagConfig) -> Vec<Field> {
+    let mut fields: Vec<Field> = config
+        .to_header_values(MAX_HEADER_LEN)
+        .iter()
+        .map(|value| field(HeaderName::X_ETAG_CONFIG, value))
+        .collect();
+    fields.push(field(
+        HeaderName::X_CC_CONFIG_DIGEST,
+        &config.digest_header_value(),
+    ));
+    fields
 }
 
 /// Facts the handler learns along the way, surfaced on a traced
 /// request's span and `x-cc-epoch` header. Lives on the stack of one
-/// `handle` call; the untraced path only ever writes `config_cache_hit`.
+/// `handle` call.
 #[derive(Default)]
 struct HandleNotes {
-    /// Whether the request carries a sampled trace context; gates the
-    /// epoch computation (the only non-free note).
-    traced: bool,
     epoch: Option<u64>,
     config_cache_hit: Option<bool>,
 }
@@ -217,11 +227,11 @@ pub struct OriginServer {
     /// replaces the entry in place, so the cache never exceeds one
     /// entry per page (the old `(page, t)` key leaked per second).
     config_cache: ShardedCache<CachedConfig>,
-    /// Rendered (and, in catalyst modes, registration-injected)
-    /// bodies keyed the same way — one allocation shared across
-    /// requests (and with the map builder) instead of per-request
-    /// renders, carrying whatever has been derived from it so far.
-    body_cache: ShardedCache<Body>,
+    /// What each path serves, keyed the same way: the rendered (and,
+    /// in catalyst modes, registration-injected) body — one allocation
+    /// shared by every response and the map builder, carrying whatever
+    /// has been derived from it so far — with its validators and heads.
+    served: ShardedCache<Arc<Served>>,
     capture: Mutex<SessionCapture>,
     aggregate: Mutex<AggregateCapture>,
     hot: OnceLock<HotMetrics>,
@@ -244,7 +254,7 @@ impl OriginServer {
             extract_opts: ExtractOptions::default(),
             epochs,
             config_cache: ShardedCache::new(),
-            body_cache: ShardedCache::new(),
+            served: ShardedCache::new(),
             capture: Mutex::new(SessionCapture::new(10_000)),
             aggregate: Mutex::new(AggregateCapture::default()),
             hot: OnceLock::new(),
@@ -339,10 +349,7 @@ impl OriginServer {
         // Tracing gate: with the sink off this is one field compare and
         // `hop` is `None` — no header lookup, no allocation.
         let hop = Hop::enter(&self.spans, req);
-        let mut notes = HandleNotes {
-            traced: hop.is_some(),
-            ..HandleNotes::default()
-        };
+        let mut notes = HandleNotes::default();
         let mut resp = self.handle_inner(req, t_secs, &mut notes);
         let took = started.elapsed();
         if let Some(hop) = hop {
@@ -409,32 +416,19 @@ impl OriginServer {
         }
         let path = req.target.path();
 
-        // The service-worker script itself.
         if path == SW_SCRIPT_PATH {
-            let resp = Response::ok(Bytes::from_static(SW_SCRIPT.as_bytes()))
-                .with_header(HeaderName::CONTENT_TYPE, "application/javascript")
-                .with_header(HeaderName::CACHE_CONTROL, "max-age=86400")
-                .with_header(HeaderName::DATE, &HttpDate(t_secs).to_imf_fixdate());
-            return self.finish(resp, req);
+            return sw_script(req, t_secs);
         }
 
         let Some((resource, pinned)) = self.site.lookup(path) else {
             self.hot().not_found.inc();
-            return Response::empty(StatusCode::NOT_FOUND)
-                .with_header(HeaderName::DATE, &HttpDate(t_secs).to_imf_fixdate());
+            let mut resp = Response::empty(StatusCode::NOT_FOUND);
+            resp.headers
+                .insert(HeaderName::DATE, date_field(t_secs).1.as_str());
+            return resp;
         };
-
-        // Traced requests learn their churn epoch (fingerprinted URLs
-        // pin a version in the path and have no epoch of their own).
-        if notes.traced && pinned.is_none() {
-            notes.epoch = self.epochs.epoch_at(path, t_secs);
-        }
-
-        let etag = self
-            .site
-            .etag_at(path, t_secs)
-            .expect("resource exists, etag exists");
-        let last_modified = resource.spec.change.last_change_at(t_secs);
+        let epoch = self.epoch_of(path, pinned, t_secs);
+        notes.epoch = epoch;
 
         // Record for session capture (subresources only), keyed by the
         // page that referenced the resource (Referer header; fall back
@@ -455,93 +449,91 @@ impl OriginServer {
             }
         }
 
-        let is_html = resource.spec.kind == ResourceKind::Html;
-
-        // Conditional request? The stored tag is borrowed, not cloned.
-        let validators = Validators::new(Some(&etag), Some(HttpDate(last_modified)));
-        if evaluate(req, &validators) == Disposition::NotModified {
-            let mut resp = Response::not_modified(Some(&etag))
-                .with_header(HeaderName::DATE, &HttpDate(t_secs).to_imf_fixdate());
-            // Even an unchanged base document must deliver the *fresh*
-            // token map: subresources may have changed independently.
-            if is_html && self.mode.is_catalyst() {
-                self.attach_config(&mut resp, path, req, t_secs, notes);
+        let served = self.served(path, t_secs, resource, epoch);
+        let validators = Validators::new(Some(&served.etag), Some(served.last_modified));
+        let not_modified = evaluate(req, &validators) == Disposition::NotModified;
+        // CacheCatalyst: pages carry the validation-token map — a 304
+        // too, since subresources may have changed under an unchanged
+        // page.
+        let map = match epoch {
+            Some(epoch) if resource.spec.kind == ResourceKind::Html && self.mode.is_catalyst() => {
+                Some(self.map_for(path, epoch, req, t_secs, notes))
             }
-            let resp = self.apply_cache_headers(resp, &resource.policy);
-            return self.finish(resp, req);
+            _ => None,
+        };
+        if !not_modified {
+            self.hot().full_responses.inc();
         }
-
-        let body = self.body_of(path, t_secs, resource, pinned);
-
-        let mut resp = Response::ok(body)
-            .with_header(HeaderName::CONTENT_TYPE, resource.spec.kind.mime())
-            .with_header(HeaderName::DATE, &HttpDate(t_secs).to_imf_fixdate())
-            .with_header(
-                HeaderName::LAST_MODIFIED,
-                &HttpDate(last_modified).to_imf_fixdate(),
-            )
-            .with_header(HeaderName::ETAG, &etag.to_string());
-        resp = self.apply_cache_headers(resp, &resource.policy);
-
-        // CacheCatalyst: HTML responses carry the validation-token map.
-        if is_html && self.mode.is_catalyst() {
-            self.attach_config(&mut resp, path, req, t_secs, notes);
-        }
-
-        self.hot().full_responses.inc();
-        self.finish(resp, req)
+        served.respond(
+            not_modified,
+            req.method == Method::Head,
+            date_field(t_secs),
+            map.as_deref().unwrap_or_default(),
+        )
     }
 
-    /// The body served at `t_secs` for `path`, which [`Site::lookup`]
-    /// resolved to `(resource, pinned)`. Bodies are rendered once per
-    /// churn epoch (plus, for catalyst HTML, the service-worker
-    /// registration injection) and shared as one [`Body`] allocation
-    /// by every response and by the map builder; only fingerprinted
-    /// request URLs (version pinned in the path, not derived from `t`)
-    /// fall through to a direct render.
-    fn body_of(
+    /// The churn epoch `path` is served under at `t_secs`; `None` for a
+    /// fingerprinted URL, which pins its version in the path.
+    fn epoch_of(&self, path: &str, pinned: Option<u64>, t_secs: i64) -> Option<u64> {
+        pinned.is_none().then(|| {
+            self.epochs
+                .epoch_at(path, t_secs)
+                .expect("a site resource has an epoch")
+        })
+    }
+
+    /// What `path` serves at `t_secs`, which [`Site::lookup`] resolved
+    /// to `resource` and [`OriginServer::epoch_of`] to `epoch`. Built
+    /// once per churn epoch (the body rendered, and registration-
+    /// injected for catalyst HTML) and shared by every response and by
+    /// the map builder; a fingerprinted URL (no epoch) builds one that
+    /// is not kept.
+    fn served(
         &self,
         path: &str,
         t_secs: i64,
         resource: &GeneratedResource,
-        pinned: Option<u64>,
-    ) -> Body {
-        let render = || {
-            self.site
-                .body_at(path, t_secs)
-                .expect("resource exists, body exists")
-        };
-        if pinned.is_some() {
-            return render().into();
+        epoch: Option<u64>,
+    ) -> Arc<Served> {
+        if let Some(hit) = epoch.and_then(|epoch| self.served.get(path, epoch)) {
+            return hit;
         }
-        let epoch = self
-            .epochs
-            .epoch_at(path, t_secs)
-            .expect("resource exists, epoch exists");
-        if let Some(body) = self.body_cache.get(path, epoch) {
-            return body;
-        }
+        let rendered = self
+            .site
+            .body_at(path, t_secs)
+            .expect("resource exists, body exists");
         let body = if resource.spec.kind == ResourceKind::Html && self.mode.is_catalyst() {
-            Body::from(inject_registration(&String::from_utf8_lossy(&render())))
+            Body::from(inject_registration(&String::from_utf8_lossy(&rendered)))
         } else {
-            Body::from(render())
+            Body::from(rendered)
         };
-        self.body_cache.insert(path, epoch, body.clone());
-        body
+        let served = Arc::new(Served::new(
+            body,
+            resource.spec.kind.mime(),
+            self.site
+                .etag_at(path, t_secs)
+                .expect("resource exists, etag exists"),
+            HttpDate(resource.spec.change.last_change_at(t_secs)),
+            &self.cache_control(&resource.policy),
+        ));
+        if let Some(epoch) = epoch {
+            self.served.insert(path, epoch, Arc::clone(&served));
+        }
+        served
     }
 
-    /// Attaches the `X-Etag-Config` header(s) for a page request:
-    /// the cached static-extraction config, extended with any
-    /// session-captured or aggregate-learned paths.
-    fn attach_config(
+    /// The map fields a request for `page` carries: the cached
+    /// static-extraction config, extended with any session-captured or
+    /// aggregate-learned paths.
+    fn map_for(
         &self,
-        resp: &mut Response,
         page: &str,
+        epoch: u64,
         req: &Request,
         t_secs: i64,
         notes: &mut HandleNotes,
-    ) {
-        let cached = self.config_for(page, t_secs, notes);
+    ) -> Arc<[Field]> {
+        let cached = self.config_for(page, epoch, t_secs, notes);
         let extra = match self.mode {
             HeaderMode::CatalystWithCapture => session_of(req).map(|session| {
                 self.capture
@@ -556,24 +548,15 @@ impl OriginServer {
             _ => None,
         };
         match extra {
+            // Session- or population-specific map: merge (moving the
+            // extra entries) and serialize for this response.
             Some(extra) if !extra.is_empty() => {
-                // Session- or population-specific map: merge (moving
-                // the extra entries) and serialize for this response.
                 let mut config = (*cached.config).clone();
                 config.merge(extra);
-                config.apply_to(resp, MAX_HEADER_LEN);
-                config.attach_digest(resp);
+                map_fields(&config).into()
             }
-            _ => {
-                // The common case: pre-split header values and a
-                // pre-computed digest, shared across the epoch.
-                resp.headers.remove(HeaderName::X_ETAG_CONFIG);
-                for value in cached.values.iter() {
-                    resp.headers.append(HeaderName::X_ETAG_CONFIG, value);
-                }
-                resp.headers
-                    .insert(HeaderName::X_CC_CONFIG_DIGEST, &cached.digest);
-            }
+            // The common case: the fields built with the config.
+            _ => cached.fields,
         }
     }
 
@@ -582,14 +565,16 @@ impl OriginServer {
         self.aggregate.lock().memory_footprint()
     }
 
-    /// Builds (or reuses) the static-extraction config for a page. A
-    /// hit costs one shard read-lock and two `Arc` bumps; any `t`
-    /// within the page's current churn epoch hits.
-    fn config_for(&self, page: &str, t_secs: i64, notes: &mut HandleNotes) -> CachedConfig {
-        let epoch = self
-            .epochs
-            .epoch_at(page, t_secs)
-            .expect("page is a site resource");
+    /// Builds (or reuses) the static-extraction config for a page at
+    /// its churn `epoch`. A hit costs one shard read-lock and two `Arc`
+    /// bumps; any `t` within the page's current churn epoch hits.
+    fn config_for(
+        &self,
+        page: &str,
+        epoch: u64,
+        t_secs: i64,
+        notes: &mut HandleNotes,
+    ) -> CachedConfig {
         if let Some(hit) = self.config_cache.get(page, epoch) {
             self.hot().config_cache_hits.inc();
             notes.config_cache_hit = Some(true);
@@ -604,7 +589,8 @@ impl OriginServer {
         let (config, _stats) =
             build_config_with_bodies(&self.site, page, t_secs, &self.extract_opts, &|path| {
                 let (resource, pinned) = self.site.lookup(path)?;
-                Some(self.body_of(path, t_secs, resource, pinned))
+                let epoch = self.epoch_of(path, pinned, t_secs);
+                Some(self.served(path, t_secs, resource, epoch).body.clone())
             });
         let build = build_start.elapsed();
         let hot = self.hot();
@@ -612,16 +598,17 @@ impl OriginServer {
         hot.map_build_seconds.observe(build);
         hot.map_entries.set(config.len() as f64);
         let cached = CachedConfig {
-            values: Arc::new(config.to_header_values(MAX_HEADER_LEN)),
-            digest: config.digest_header_value().into(),
+            fields: map_fields(&config).into(),
             config: Arc::new(config),
         };
         self.config_cache.insert(page, epoch, cached.clone());
         cached
     }
 
-    fn apply_cache_headers(&self, resp: Response, policy: &HeaderPolicy) -> Response {
-        let cc = match self.mode {
+    /// The `Cache-Control` this server's mode puts on a resource whose
+    /// developer policy is `policy`.
+    fn cache_control(&self, policy: &HeaderPolicy) -> String {
+        match self.mode {
             HeaderMode::Baseline => policy.to_cache_control().to_string(),
             HeaderMode::NoStore => "no-store".to_owned(),
             HeaderMode::Catalyst
@@ -638,20 +625,27 @@ impl OriginServer {
                     "no-cache".to_owned()
                 }
             }
-        };
-        resp.with_header(HeaderName::CACHE_CONTROL, &cc)
-    }
-
-    fn finish(&self, mut resp: Response, req: &Request) -> Response {
-        resp.headers
-            .insert(HeaderName::SERVER, "cachecatalyst-origin");
-        if req.method == Method::Head {
-            resp.body = Body::new();
         }
-        // Byte accounting happens once, in `observe_request` (the
-        // wire length is arithmetic now — no serialization).
-        resp
     }
+}
+
+/// The service-worker script: the one 200 the origin serves that is
+/// not a site resource, so it has no epoch and builds its own head.
+fn sw_script(req: &Request, t_secs: i64) -> Response {
+    let mut resp = Response::ok(Bytes::from_static(SW_SCRIPT.as_bytes()));
+    let date = date_field(t_secs);
+    for (name, value) in [
+        (HeaderName::CONTENT_TYPE, "application/javascript"),
+        (HeaderName::CACHE_CONTROL, "max-age=86400"),
+        (HeaderName::DATE, date.1.as_str()),
+        (HeaderName::SERVER, SERVER),
+    ] {
+        resp.headers.insert(name, value);
+    }
+    if req.method == Method::Head {
+        resp.body = Body::new();
+    }
+    resp
 }
 
 /// The page a subresource request belongs to, from its Referer.

@@ -7,31 +7,47 @@
 //! markup links to their children so the server-side extractor and the
 //! browser parser operate on genuine content rather than metadata.
 
+use std::io::Write;
+
 use bytes::Bytes;
 
 use crate::resource::{ResourceKind, ResourceSpec};
-use crate::stats::derive_seed;
+use crate::stats::derive_seed_fmt;
 
 /// Renders the body of `spec` at content `version`, embedding links to
 /// children. `url_of` maps a child path to the absolute or rooted URL
 /// to write into the markup.
+///
+/// Everything is written straight into one buffer of the body's size,
+/// which is what the body then owns: nothing grows, shrinks or is
+/// copied, except when the markup alone outgrows `spec.size`.
 pub fn render_body(
     host: &str,
     spec: &ResourceSpec,
     version: u64,
     url_of: &dyn Fn(&str) -> String,
 ) -> Bytes {
-    let essential = match spec.kind {
-        ResourceKind::Html => render_html(host, spec, version, url_of),
-        ResourceKind::Css => render_css(host, spec, version, url_of),
-        ResourceKind::Js => render_js(host, spec, version, url_of),
-        _ => String::new(),
-    };
+    let size = spec.size as usize;
+    let mut out = Vec::with_capacity(size);
     if spec.kind.is_textual() {
-        pad_text(essential, spec.size as usize)
+        match spec.kind {
+            ResourceKind::Html => render_html(&mut out, host, spec, version, url_of),
+            ResourceKind::Css => render_css(&mut out, host, spec, version, url_of),
+            ResourceKind::Js => render_js(&mut out, host, spec, version, url_of),
+            _ => {}
+        }
+        pad_text(&mut out, size);
     } else {
-        binary_body(host, spec, version)
+        binary_body(&mut out, host, spec, version);
     }
+    Bytes::from(out)
+}
+
+/// `write!` into a `Vec<u8>`, which cannot fail.
+macro_rules! put {
+    ($out:expr, $($fmt:tt)*) => {
+        write!($out, $($fmt)*).expect("writing to a Vec cannot fail")
+    };
 }
 
 impl ResourceKind {
@@ -45,111 +61,105 @@ impl ResourceKind {
 }
 
 fn render_html(
+    out: &mut Vec<u8>,
     host: &str,
     spec: &ResourceSpec,
     version: u64,
     url_of: &dyn Fn(&str) -> String,
-) -> String {
-    let mut head = String::new();
-    let mut body = String::new();
-    for child in &spec.static_children {
+) {
+    let path = &spec.path;
+    put!(
+        out,
+        "<!DOCTYPE html>\n<!-- {host}{path} v{version} -->\n<html><head>\n<title>{host}</title>\n"
+    );
+    // Images go in the body, everything else in the head: two passes,
+    // each asking for the URLs it writes.
+    let is_image = |child: &String| ResourceKind::from_path(child) == ResourceKind::Image;
+    for child in spec.static_children.iter().filter(|c| !is_image(c)) {
         let url = url_of(child);
         match ResourceKind::from_path(child) {
-            ResourceKind::Css => {
-                head.push_str(&format!("<link rel=\"stylesheet\" href=\"{url}\">\n"))
-            }
-            ResourceKind::Js => head.push_str(&format!("<script src=\"{url}\"></script>\n")),
-            ResourceKind::Image => body.push_str(&format!("<img src=\"{url}\" alt=\"\">\n")),
-            ResourceKind::Font => head.push_str(&format!(
-                "<link rel=\"preload\" href=\"{url}\" as=\"font\">\n"
-            )),
-            _ => head.push_str(&format!(
-                "<link rel=\"preload\" href=\"{url}\" as=\"fetch\">\n"
-            )),
+            ResourceKind::Css => put!(out, "<link rel=\"stylesheet\" href=\"{url}\">\n"),
+            ResourceKind::Js => put!(out, "<script src=\"{url}\"></script>\n"),
+            ResourceKind::Font => put!(out, "<link rel=\"preload\" href=\"{url}\" as=\"font\">\n"),
+            _ => put!(out, "<link rel=\"preload\" href=\"{url}\" as=\"fetch\">\n"),
         }
     }
-    format!(
-        "<!DOCTYPE html>\n<!-- {host}{path} v{version} -->\n<html><head>\n<title>{host}</title>\n{head}</head>\n<body>\n{body}",
-        path = spec.path
-    )
+    put!(out, "</head>\n<body>\n");
+    for child in spec.static_children.iter().filter(|c| is_image(c)) {
+        put!(out, "<img src=\"{}\" alt=\"\">\n", url_of(child));
+    }
 }
 
 fn render_css(
+    out: &mut Vec<u8>,
     host: &str,
     spec: &ResourceSpec,
     version: u64,
     url_of: &dyn Fn(&str) -> String,
-) -> String {
-    let mut rules = String::new();
+) {
+    put!(out, "/* {host}{path} v{version} */\n", path = spec.path);
     for (i, child) in spec.static_children.iter().enumerate() {
         let url = url_of(child);
         match ResourceKind::from_path(child) {
-            ResourceKind::Css => rules.push_str(&format!("@import url({url});\n")),
-            ResourceKind::Font => rules.push_str(&format!(
+            ResourceKind::Css => put!(out, "@import url({url});\n"),
+            ResourceKind::Font => put!(
+                out,
                 "@font-face {{ font-family: f{i}; src: url(\"{url}\"); }}\n"
-            )),
-            _ => rules.push_str(&format!(".bg{i} {{ background-image: url(\"{url}\"); }}\n")),
+            ),
+            _ => put!(out, ".bg{i} {{ background-image: url(\"{url}\"); }}\n"),
         }
     }
-    format!("/* {host}{path} v{version} */\n{rules}", path = spec.path)
 }
 
 fn render_js(
+    out: &mut Vec<u8>,
     host: &str,
     spec: &ResourceSpec,
     version: u64,
     url_of: &dyn Fn(&str) -> String,
-) -> String {
-    let mut code = String::new();
+) {
+    put!(
+        out,
+        "/* {host}{path} v{version} */\n\"use strict\";\n",
+        path = spec.path
+    );
     // Dynamic children are fetched by running code — written in a form
     // no markup extractor recognizes (string concatenation), mirroring
     // how real bundles assemble URLs at runtime.
     for (i, child) in spec.dynamic_children.iter().enumerate() {
         let url = url_of(child);
         let (a, b) = url.split_at(url.len() / 2);
-        code.push_str(&format!(
-            "const u{i} = {a:?} + {b:?};\nloadResource(u{i});\n"
-        ));
+        put!(out, "const u{i} = {a:?} + {b:?};\nloadResource(u{i});\n");
     }
-    format!(
-        "/* {host}{path} v{version} */\n\"use strict\";\n{code}",
-        path = spec.path
-    )
 }
 
-/// Pads (or accepts overflow of) text content to the target size using
-/// a deterministic filler comment.
-fn pad_text(essential: String, target: usize) -> Bytes {
-    let mut out = essential.into_bytes();
-    if out.len() >= target {
-        return Bytes::from(out);
-    }
+/// Pads text content up to the target size (or accepts its overflow)
+/// with a deterministic filler comment.
+fn pad_text(out: &mut Vec<u8>, target: usize) {
     const FILLER: &[u8] =
         b"/* lorem ipsum dolor sit amet consectetur adipiscing elit sed do eiusmod */\n";
     while out.len() < target {
         let take = FILLER.len().min(target - out.len());
         out.extend_from_slice(&FILLER[..take]);
     }
-    Bytes::from(out)
 }
 
-/// Deterministic pseudo-binary body for images/fonts/other.
-fn binary_body(host: &str, spec: &ResourceSpec, version: u64) -> Bytes {
+/// Deterministic pseudo-binary body for images/fonts/other: at least
+/// its header, otherwise exactly `spec.size` bytes.
+fn binary_body(out: &mut Vec<u8>, host: &str, spec: &ResourceSpec, version: u64) {
     let size = spec.size as usize;
-    let mut out = Vec::with_capacity(size);
     // A recognizable header carrying identity + version, then a cheap
-    // xorshift stream so the body is not trivially constant.
-    let header = format!("BIN:{host}{}:v{version}\n", spec.path);
-    out.extend_from_slice(header.as_bytes());
-    let mut x = derive_seed(version, &format!("{host}{}", spec.path)) | 1;
+    // xorshift stream so the body is not trivially constant. The last
+    // draw is cut to what is left, so the buffer never outgrows `size`.
+    put!(out, "BIN:{host}{}:v{version}\n", spec.path);
+    let mut x = derive_seed_fmt(version, format_args!("{host}{}", spec.path)) | 1;
     while out.len() < size {
         x ^= x << 13;
         x ^= x >> 7;
         x ^= x << 17;
-        out.extend_from_slice(&x.to_le_bytes());
+        let take = 8.min(size - out.len());
+        out.extend_from_slice(&x.to_le_bytes()[..take]);
     }
-    out.truncate(size.max(header.len()));
-    Bytes::from(out)
 }
 
 #[cfg(test)]

@@ -70,13 +70,11 @@ pub enum LinkContext {
 /// Extracts subresource links from an HTML document, in document order.
 pub fn extract_html_links(html: &str) -> Vec<ExtractedLink> {
     let mut out = Vec::new();
-    let bytes = html.as_bytes();
     let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] != b'<' {
-            i += 1;
-            continue;
-        }
+    // Text between tags (most of a padded page) is skipped by `find`,
+    // which scans for the next `<` a word at a time.
+    while let Some(lt) = html[i..].find('<') {
+        i += lt;
         // Skip comments.
         if html[i..].starts_with("<!--") {
             match html[i + 4..].find("-->") {

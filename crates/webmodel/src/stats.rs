@@ -4,17 +4,44 @@
 //! deterministically from `(seed, label)` so that regenerating a site
 //! gives byte-identical results regardless of call order.
 
+use std::fmt;
 use std::ops::Range;
 
 /// Derives a child seed from a parent seed and a label (FNV-1a over the
 /// label, mixed with SplitMix64).
 pub fn derive_seed(seed: u64, label: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ seed;
-    for &b in label.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut fold = Fold(0xcbf2_9ce4_8422_2325 ^ seed);
+    fold.bytes(label.as_bytes());
+    splitmix64(fold.0)
+}
+
+/// [`derive_seed`] of the label `args` would format to, fed to the
+/// fold piece by piece instead of built: `derive_seed_fmt(s,
+/// format_args!("{host}{path}"))` equals `derive_seed(s,
+/// &format!("{host}{path}"))` and allocates nothing.
+pub fn derive_seed_fmt(seed: u64, label: fmt::Arguments<'_>) -> u64 {
+    let mut fold = Fold(0xcbf2_9ce4_8422_2325 ^ seed);
+    fmt::write(&mut fold, label).expect("folding bytes cannot fail");
+    splitmix64(fold.0)
+}
+
+/// The FNV-1a state `derive_seed` folds a label into.
+struct Fold(u64);
+
+impl Fold {
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
     }
-    splitmix64(h)
+}
+
+impl fmt::Write for Fold {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.bytes(s.as_bytes());
+        Ok(())
+    }
 }
 
 const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -161,6 +188,20 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_ne!(a, d);
+    }
+
+    #[test]
+    fn a_formatted_label_folds_as_the_string_it_formats_to() {
+        for (host, path, version) in [
+            ("", "", 0u64),
+            ("s.example", "/a.css", 7),
+            ("h", "/x", u64::MAX),
+        ] {
+            assert_eq!(
+                derive_seed_fmt(9, format_args!("{host}{path}:v{version}")),
+                derive_seed(9, &format!("{host}{path}:v{version}"))
+            );
+        }
     }
 
     #[test]
