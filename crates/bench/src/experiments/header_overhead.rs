@@ -12,7 +12,8 @@ use crate::cli::{self, Args};
 use crate::runner::{base_url_of, first_visit_time, ClientKind};
 use crate::table::render_table;
 use cachecatalyst_browser::SingleOrigin;
-use cachecatalyst_catalyst::{build_config_for_site, ExtractOptions};
+use cachecatalyst_catalyst::{build_config_with_bodies, ExtractOptions};
+use cachecatalyst_httpwire::Body;
 use cachecatalyst_netsim::NetworkConditions;
 use cachecatalyst_origin::{HeaderMode, OriginServer};
 use cachecatalyst_webmodel::{Site, SiteSpec};
@@ -35,10 +36,15 @@ pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
             ..Default::default()
         });
         let t0 = first_visit_time(&site);
-        let (config, stats) =
-            build_config_for_site(&site, site.base_path(), t0, &ExtractOptions::default());
+        let config = build_config_with_bodies(
+            &site,
+            site.base_path(),
+            t0,
+            &ExtractOptions::default(),
+            &|path| site.body_at(path, t0).map(Body::from),
+        );
         let html_len = site.body_at(site.base_path(), t0).unwrap().len();
-        let map_len = config.wire_size();
+        let map_len = config.to_string().len();
 
         // First-visit PLT with and without the map.
         let base = base_url_of(&site);
@@ -60,9 +66,9 @@ pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
 
         rows.push(vec![
             format!("{n_resources}"),
-            format!("{}", stats.included),
+            format!("{}", config.len()),
             format!("{:.1} KB", map_len as f64 / 1000.0),
-            format!("{:.0} B", map_len as f64 / stats.included.max(1) as f64),
+            format!("{:.0} B", map_len as f64 / config.len().max(1) as f64),
             format!("{:.1}%", map_len as f64 / html_len as f64 * 100.0),
             format!("{:.0}", plts[0]),
             format!("{:.0}", plts[1]),

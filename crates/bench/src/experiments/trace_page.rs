@@ -13,7 +13,6 @@
 //!
 //! Usage: `experiments trace_page [--delay SECS]`
 
-use std::fmt::Write as _;
 use std::io::Write;
 use std::time::Duration;
 
@@ -36,16 +35,12 @@ pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
         (ClientKind::Catalyst, "catalyst"),
     ] {
         let traced = visit_pair_traced(&site, kind, cond, Duration::from_secs(delay_secs));
-
-        let mut waterfalls = String::new();
-        let _ = writeln!(waterfalls, "# {name} cold visit");
-        waterfalls.push_str(&traced.pair.cold.trace.render_waterfall(72));
-        let _ = writeln!(waterfalls, "\n# {name} warm revisit (+{delay_secs}s)");
-        waterfalls.push_str(&traced.pair.warm.trace.render_waterfall(72));
-
         std::fs::write(format!("results/trace_{name}.txt"), &traced.trace_text)?;
         std::fs::write(format!("results/trace_{name}.jsonl"), &traced.jsonl)?;
-        std::fs::write(format!("results/waterfall_{name}.txt"), &waterfalls)?;
+        std::fs::write(
+            format!("results/waterfall_{name}.txt"),
+            traced.waterfalls(name, delay_secs),
+        )?;
 
         writeln!(
             out,

@@ -163,6 +163,19 @@ pub struct TracedVisits {
     pub trace_text: String,
 }
 
+impl TracedVisits {
+    /// Both visits' waterfalls under `# <name> …` headings, as
+    /// `results/waterfall_<name>.txt` holds them; `delay_secs` is the
+    /// revisit delay the pair ran with.
+    pub fn waterfalls(&self, name: &str, delay_secs: u64) -> String {
+        format!(
+            "# {name} cold visit\n{}\n# {name} warm revisit (+{delay_secs}s)\n{}",
+            self.pair.cold.trace.render_waterfall(72),
+            self.pair.warm.trace.render_waterfall(72),
+        )
+    }
+}
+
 /// [`visit_pair`] with full capture: both visits run with sampling
 /// forced on, a span sink shared between the browser and the origin
 /// (so `origin.handle` spans nest under the browser's fetch spans via

@@ -1,11 +1,24 @@
 //! The `X-Etag-Config` map: validation tokens for a page's
 //! subresources, delivered with the base HTML response (§3).
+//!
+//! One writer and one gate. [`EtagConfig::header_fields`] is the only
+//! code that puts a map on a head — its `X-Etag-Config` lines and the
+//! `x-cc-config-digest` after them — and [`EtagConfig::accept`] the only
+//! code that takes one off; the service worker the origin serves to real
+//! browsers ([`crate::SW_SCRIPT`]) reads it by the same rules.
+//! [`tamper_config_headers`], the fault injector, is the one other
+//! thing that touches the field.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use cachecatalyst_httpwire::hash::fnv1a64;
-use cachecatalyst_httpwire::{EntityTag, HeaderMap, HeaderName, Response, WireError};
+use cachecatalyst_httpwire::{EntityTag, HeaderMap, HeaderName, HeaderValue, Response, WireError};
+
+/// Longest `X-Etag-Config` line [`EtagConfig::header_fields`] makes
+/// before it continues the map on another (common servers cap one
+/// header line at 8 KiB).
+pub const MAX_HEADER_LEN: usize = 6 * 1024;
 
 /// A map from same-origin resource path to its current entity tag.
 ///
@@ -13,13 +26,13 @@ use cachecatalyst_httpwire::{EntityTag, HeaderMap, HeaderName, Response, WireErr
 ///
 /// ```
 /// use cachecatalyst_catalyst::EtagConfig;
-/// use cachecatalyst_httpwire::EntityTag;
+/// use cachecatalyst_httpwire::{EntityTag, HeaderMap};
 ///
 /// let mut config = EtagConfig::new();
 /// config.insert("/app.css", EntityTag::strong("v1").unwrap());
-/// let header = config.to_header_value();
-/// assert_eq!(header, "/app.css=\"v1\"");
-/// assert_eq!(EtagConfig::parse(&header).unwrap(), config);
+/// assert_eq!(config.to_string(), "/app.css=\"v1\"");
+/// let head = HeaderMap::from_entries(config.header_fields());
+/// assert_eq!(EtagConfig::accept(&head), Some(config));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EtagConfig {
@@ -73,48 +86,34 @@ impl EtagConfig {
         self.entries.iter().map(|(p, t)| (p.as_str(), t))
     }
 
-    /// Serializes to one header value: `path=etag,path=etag,…` with
-    /// `%`-escaping of `%`, `,` and `=` inside paths.
-    pub fn to_header_value(&self) -> String {
-        let mut out = String::new();
-        for (i, (path, tag)) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+    /// The map as a head carries it: `X-Etag-Config` lines of at most
+    /// [`MAX_HEADER_LEN`] bytes (HTTP lets a list field repeat; an
+    /// entry is never split, so one longer than that gets a line of its
+    /// own), none for an empty map, then the `x-cc-config-digest` that
+    /// describes them. The only writer of either field.
+    pub fn header_fields(&self) -> Vec<(HeaderName, HeaderValue)> {
+        let mut fields = Vec::new();
+        let mut line = String::new();
+        for (path, tag) in &self.entries {
+            let piece = format!("{}={tag}", escape(path));
+            if !line.is_empty() && line.len() + 1 + piece.len() > MAX_HEADER_LEN {
+                fields.push(field(HeaderName::X_ETAG_CONFIG, &std::mem::take(&mut line)));
             }
-            out.push_str(&escape(path));
-            out.push('=');
-            out.push_str(&tag.to_string());
+            if !line.is_empty() {
+                line.push(',');
+            }
+            line.push_str(&piece);
         }
-        out
+        if !line.is_empty() {
+            fields.push(field(HeaderName::X_ETAG_CONFIG, &line));
+        }
+        let digest = format!("{:016x}", self.digest64());
+        fields.push(field(HeaderName::X_CC_CONFIG_DIGEST, &digest));
+        fields
     }
 
-    /// Serializes to multiple header values of at most `max_len` bytes
-    /// each (headers have practical size limits; HTTP allows repeating
-    /// a field and combining on receipt).
-    ///
-    /// A single entry cannot be split across values, so one value may
-    /// exceed `max_len` when an individual `path=etag` pair does.
-    pub fn to_header_values(&self, max_len: usize) -> Vec<String> {
-        assert!(max_len >= 64, "max_len too small to hold one entry");
-        let mut values = Vec::new();
-        let mut current = String::new();
-        for (path, tag) in self.entries.iter() {
-            let piece = format!("{}={}", escape(path), tag);
-            if !current.is_empty() && current.len() + 1 + piece.len() > max_len {
-                values.push(std::mem::take(&mut current));
-            }
-            if !current.is_empty() {
-                current.push(',');
-            }
-            current.push_str(&piece);
-        }
-        if !current.is_empty() {
-            values.push(current);
-        }
-        values
-    }
-
-    /// Parses a (possibly comma-combined) header value.
+    /// Parses a (possibly comma-combined) header value: the inverse of
+    /// the [`Display`](fmt::Display) form.
     pub fn parse(value: &str) -> Result<EtagConfig, WireError> {
         let mut config = EtagConfig::new();
         for piece in split_entries(value) {
@@ -132,87 +131,37 @@ impl EtagConfig {
         Ok(config)
     }
 
-    /// Extracts the config from a response's `X-Etag-Config` header(s).
-    /// Returns an empty config when the header is absent.
-    pub fn from_response(resp: &Response) -> Result<EtagConfig, WireError> {
-        Self::from_headers(&resp.headers)
+    /// FNV-1a 64 over the canonical one-line form. Because entries are
+    /// kept sorted, two equal maps always digest equally, so the digest
+    /// travels next to the map as a check against damage in transit.
+    fn digest64(&self) -> u64 {
+        fnv1a64(self.to_string().as_bytes())
     }
 
-    /// Extracts the config from a header map.
-    pub fn from_headers(headers: &HeaderMap) -> Result<EtagConfig, WireError> {
-        match headers.get_combined(HeaderName::X_ETAG_CONFIG) {
-            Some(v) => EtagConfig::parse(&v),
-            None => Ok(EtagConfig::new()),
-        }
-    }
-
-    /// Attaches the config to a response as one or more
-    /// `X-Etag-Config` headers (splitting at `max_len`).
-    pub fn apply_to(&self, resp: &mut Response, max_len: usize) {
-        resp.headers.remove(HeaderName::X_ETAG_CONFIG);
-        for value in self.to_header_values(max_len) {
-            resp.headers.append(HeaderName::X_ETAG_CONFIG, &value);
-        }
-    }
-
-    /// Total serialized size in bytes (for the header-overhead
-    /// experiment E6).
-    pub fn wire_size(&self) -> usize {
-        self.to_header_value().len()
-    }
-
-    /// FNV-1a 64 digest over the canonical serialization. Because
-    /// entries are kept sorted, two equal maps always digest equally,
-    /// so the digest travels as an integrity check next to the map
-    /// (`x-cc-config-digest`).
-    pub fn digest64(&self) -> u64 {
-        fnv1a64(self.to_header_value().as_bytes())
-    }
-
-    /// The `x-cc-config-digest` header value for this map.
-    pub fn digest_header_value(&self) -> String {
-        format!("{:016x}", self.digest64())
-    }
-
-    /// Sets the integrity digest header describing this map.
-    pub fn attach_digest(&self, resp: &mut Response) {
-        resp.headers
-            .insert(HeaderName::X_CC_CONFIG_DIGEST, &self.digest_header_value());
-    }
-
-    /// Checks the `X-Etag-Config` map in `headers` against its
-    /// `x-cc-config-digest`, if one is present.
-    pub fn verify_headers(headers: &HeaderMap) -> ConfigIntegrity {
-        let Some(claimed) = headers.get(HeaderName::X_CC_CONFIG_DIGEST) else {
-            return ConfigIntegrity::Unsigned;
-        };
-        let Ok(claimed) = u64::from_str_radix(claimed.trim(), 16) else {
-            return ConfigIntegrity::Tampered;
-        };
-        match Self::from_headers(headers) {
-            Ok(config) if config.digest64() == claimed => ConfigIntegrity::Verified(config),
-            _ => ConfigIntegrity::Tampered,
-        }
-    }
-
-    /// The map a receiver of `headers` may act on — the one gate every
-    /// hop that installs or applies a forwarded map goes through.
-    /// `None` means the map fails its digest and must be ignored
-    /// wholesale. A verified map is returned as parsed; so is an
-    /// unsigned one (pre-digest origins: taken at face value), with an
-    /// absent or unparsable unsigned map reading as empty.
+    /// The map a receiver of `headers` may act on — the only reader of
+    /// a map off a head, and so the gate every hop that installs or
+    /// applies a forwarded map goes through. `None` means the map fails
+    /// its digest (or the digest is unreadable) and must be ignored
+    /// wholesale. A map whose digest matches is returned as parsed; so
+    /// is an unsigned one (origins before the digest: taken at face
+    /// value), with an absent or unparsable unsigned map reading as
+    /// empty.
     pub fn accept(headers: &HeaderMap) -> Option<EtagConfig> {
-        match Self::verify_headers(headers) {
-            ConfigIntegrity::Verified(config) => Some(config),
-            ConfigIntegrity::Unsigned => Some(Self::from_headers(headers).unwrap_or_default()),
-            ConfigIntegrity::Tampered => None,
-        }
+        let parsed = match headers.get_combined(HeaderName::X_ETAG_CONFIG) {
+            Some(value) => EtagConfig::parse(&value),
+            None => Ok(EtagConfig::new()),
+        };
+        let Some(claimed) = headers.get(HeaderName::X_CC_CONFIG_DIGEST) else {
+            return Some(parsed.unwrap_or_default());
+        };
+        let claimed = u64::from_str_radix(claimed.trim(), 16).ok()?;
+        parsed.ok().filter(|config| config.digest64() == claimed)
     }
 
     /// Replaces one entry's etag with a salt-derived bogus tag
     /// (simulating an in-transit bit flip). Returns `false` when the
     /// map is empty — nothing to corrupt.
-    pub fn corrupt_entry(&mut self, salt: u64) -> bool {
+    fn corrupt_entry(&mut self, salt: u64) -> bool {
         if self.entries.is_empty() {
             return false;
         }
@@ -230,7 +179,7 @@ impl EtagConfig {
     /// Swaps the etags of the first and last entries (a plausible but
     /// wrong map — every tag individually looks valid). Returns
     /// `false` when the map has fewer than two distinct tags to swap.
-    pub fn swap_two_etags(&mut self) -> bool {
+    fn swap_two_etags(&mut self) -> bool {
         if self.entries.len() < 2 {
             return false;
         }
@@ -247,23 +196,10 @@ impl EtagConfig {
     }
 }
 
-/// Outcome of checking an `X-Etag-Config` map against its integrity
-/// digest (see [`EtagConfig::verify_headers`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ConfigIntegrity {
-    /// No digest header present — nothing to verify (pre-digest
-    /// origins; the map, if any, is taken at face value).
-    Unsigned,
-    /// Digest present and it matches the (parsed) map.
-    Verified(EtagConfig),
-    /// Digest present but the map is missing, unparsable, or digests
-    /// to a different value: the map must not be trusted.
-    Tampered,
-}
-
 /// Applies in-transit `X-Etag-Config` tampering to a response:
 /// `Some(salt)` corrupts one entry, `None` swaps two entries' etags.
-/// The integrity digest header is deliberately left describing the
+/// The map's lines are replaced by one line holding the damaged map;
+/// the integrity digest header is deliberately left describing the
 /// *original* map — this models a fault, not a malicious re-signer —
 /// so receivers can detect the damage. Returns `false` when the
 /// response carries no (parsable, mutable) map.
@@ -279,23 +215,47 @@ pub fn tamper_config_headers(resp: &mut Response, salt: Option<u64>) -> bool {
         None => config.swap_two_etags(),
     };
     if changed {
-        config.apply_to(resp, usize::MAX);
+        resp.headers.remove(HeaderName::X_ETAG_CONFIG);
+        resp.headers
+            .append(HeaderName::X_ETAG_CONFIG, &config.to_string());
     }
     changed
 }
 
+/// The canonical one-line form, `path=etag,path=etag,…` in path order,
+/// which the digest is taken over.
 impl fmt::Display for EtagConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_header_value())
+        for (i, (path, tag)) in self.entries.iter().enumerate() {
+            if i > 0 {
+                f.write_str(",")?;
+            }
+            write!(f, "{}={tag}", escape(path))?;
+        }
+        Ok(())
     }
 }
 
+fn field(name: &str, value: &str) -> (HeaderName, HeaderValue) {
+    (
+        HeaderName::new(name).expect("a map field name is a token"),
+        HeaderValue::new(value).expect("an escaped map holds no control byte"),
+    )
+}
+
+/// `%XX`-escapes what would end a path early on the way back —
+/// `%`, `,`, `=`, a space (which also keeps the value free of the
+/// spaces a `, ` join adds), `"` (the splitter tracks quotes) — and
+/// the control bytes a header value cannot hold.
 fn escape(path: &str) -> String {
+    use fmt::Write as _;
     let mut out = String::with_capacity(path.len());
-    for b in path.bytes() {
-        match b {
-            b'%' | b',' | b'=' | b' ' => out.push_str(&format!("%{b:02X}")),
-            _ => out.push(b as char),
+    for c in path.chars() {
+        match c {
+            '%' | ',' | '=' | ' ' | '"' | '\0'..='\x1f' | '\x7f' => {
+                let _ = write!(out, "%{:02X}", c as u8);
+            }
+            _ => out.push(c),
         }
     }
     out
@@ -307,12 +267,13 @@ fn unescape(s: &str) -> Result<String, WireError> {
     let mut i = 0;
     while i < bytes.len() {
         if bytes[i] == b'%' {
+            // Two hex digits exactly (`from_str_radix` alone would
+            // also take a sign).
             let hex = s
                 .get(i + 1..i + 3)
+                .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
                 .ok_or_else(|| WireError::InvalidHeader(s.to_owned()))?;
-            let v =
-                u8::from_str_radix(hex, 16).map_err(|_| WireError::InvalidHeader(s.to_owned()))?;
-            out.push(v);
+            out.push(u8::from_str_radix(hex, 16).expect("two hex digits"));
             i += 3;
         } else {
             out.push(bytes[i]);
@@ -351,12 +312,16 @@ mod tests {
         EntityTag::strong(s).unwrap()
     }
 
+    fn head(config: &EtagConfig) -> HeaderMap {
+        HeaderMap::from_entries(config.header_fields())
+    }
+
     #[test]
     fn roundtrip_simple() {
         let mut c = EtagConfig::new();
         c.insert("/a.css", tag("e1"));
         c.insert("/b.js", tag("e2"));
-        let v = c.to_header_value();
+        let v = c.to_string();
         assert_eq!(v, "/a.css=\"e1\",/b.js=\"e2\"");
         assert_eq!(EtagConfig::parse(&v).unwrap(), c);
     }
@@ -365,7 +330,7 @@ mod tests {
     fn roundtrip_weak_tags() {
         let mut c = EtagConfig::new();
         c.insert("/x", EntityTag::weak("w1").unwrap());
-        let parsed = EtagConfig::parse(&c.to_header_value()).unwrap();
+        let parsed = EtagConfig::parse(&c.to_string()).unwrap();
         assert!(parsed.get("/x").unwrap().is_weak());
     }
 
@@ -374,11 +339,14 @@ mod tests {
         let mut c = EtagConfig::new();
         c.insert("/query=1,2%3", tag("e"));
         c.insert("/with space", tag("f"));
-        let v = c.to_header_value();
+        c.insert("/a\"b", tag("g"));
+        c.insert("/tab\there", tag("h"));
+        c.insert("/é", tag("i"));
+        let v = c.to_string();
         assert!(!v.contains(' '), "spaces must be escaped: {v}");
-        let parsed = EtagConfig::parse(&v).unwrap();
-        assert_eq!(parsed.get("/query=1,2%3").unwrap(), &tag("e"));
-        assert_eq!(parsed.get("/with space").unwrap(), &tag("f"));
+        assert!(v.contains("/a%22b="), "quotes must be escaped: {v}");
+        assert_eq!(EtagConfig::parse(&v).unwrap(), c);
+        assert_eq!(EtagConfig::accept(&head(&c)), Some(c));
     }
 
     #[test]
@@ -386,45 +354,47 @@ mod tests {
         let mut c = EtagConfig::new();
         c.insert("/a", tag("v1,v2"));
         c.insert("/b", tag("x"));
-        let parsed = EtagConfig::parse(&c.to_header_value()).unwrap();
+        let parsed = EtagConfig::parse(&c.to_string()).unwrap();
         assert_eq!(parsed, c);
     }
 
+    /// A map too long for one line is split between entries, each line
+    /// within the cap, and the lines recombine to the map.
     #[test]
-    fn splitting_across_header_values() {
+    fn long_maps_span_several_lines() {
         let mut c = EtagConfig::new();
-        for i in 0..50 {
+        for i in 0..400 {
             c.insert(
                 format!("/assets/resource-{i:03}.js"),
                 tag(&format!("{i:016x}")),
             );
         }
-        let values = c.to_header_values(256);
-        assert!(values.len() > 1);
-        for v in &values {
-            assert!(v.len() <= 256, "{}", v.len());
-        }
-        // Combining and parsing restores the map.
-        let combined = values.join(",");
-        assert_eq!(EtagConfig::parse(&combined).unwrap(), c);
+        let fields = c.header_fields();
+        let lines: Vec<&str> = fields
+            .iter()
+            .filter(|(n, _)| n.as_str() == HeaderName::X_ETAG_CONFIG)
+            .map(|(_, v)| v.as_str())
+            .collect();
+        assert!(lines.len() > 1);
+        assert!(lines.iter().all(|l| l.len() <= MAX_HEADER_LEN));
+        assert_eq!(lines.join(","), c.to_string());
+        let (last, _) = fields.last().unwrap();
+        assert_eq!(last.as_str(), HeaderName::X_CC_CONFIG_DIGEST);
+        assert_eq!(EtagConfig::accept(&head(&c)), Some(c));
     }
 
     #[test]
-    fn apply_and_extract_from_response() {
-        let mut c = EtagConfig::new();
-        for i in 0..40 {
-            c.insert(format!("/r{i}"), tag(&format!("{i}")));
-        }
-        let mut resp = Response::ok("html");
-        c.apply_to(&mut resp, 200);
-        assert!(resp.headers.get_all("x-etag-config").count() > 1);
-        assert_eq!(EtagConfig::from_response(&resp).unwrap(), c);
+    fn an_empty_map_is_one_digest_field() {
+        let fields = EtagConfig::new().header_fields();
+        assert_eq!(fields.len(), 1);
+        assert_eq!(fields[0].0.as_str(), HeaderName::X_CC_CONFIG_DIGEST);
+        assert_eq!(fields[0].1.as_str(), "cbf29ce484222325");
     }
 
     #[test]
     fn absent_header_is_empty_config() {
         let resp = Response::ok("x");
-        assert!(EtagConfig::from_response(&resp).unwrap().is_empty());
+        assert_eq!(EtagConfig::accept(&resp.headers), Some(EtagConfig::new()));
     }
 
     #[test]
@@ -432,6 +402,7 @@ mod tests {
         assert!(EtagConfig::parse("no-equals-sign").is_err());
         assert!(EtagConfig::parse("/p=notquoted").is_err());
         assert!(EtagConfig::parse("/p=%ZZ=\"e\"").is_err());
+        assert!(EtagConfig::parse("/p%+F=\"e\"").is_err());
     }
 
     #[test]
@@ -456,7 +427,7 @@ mod tests {
         let mut b = EtagConfig::new();
         b.insert("/a", tag("2"));
         b.insert("/z", tag("1"));
-        assert_eq!(a.to_header_value(), b.to_header_value());
+        assert_eq!(a.to_string(), b.to_string());
     }
 
     fn signed_response(n: usize) -> (EtagConfig, Response) {
@@ -465,8 +436,7 @@ mod tests {
             c.insert(format!("/r{i}.js"), tag(&format!("v{i}")));
         }
         let mut resp = Response::ok("html");
-        c.apply_to(&mut resp, 200);
-        c.attach_digest(&mut resp);
+        resp.headers = head(&c);
         (c, resp)
     }
 
@@ -484,24 +454,19 @@ mod tests {
     }
 
     #[test]
-    fn verify_headers_accepts_intact_signed_maps() {
+    fn accept_takes_intact_signed_maps() {
         let (c, resp) = signed_response(10);
-        assert_eq!(
-            EtagConfig::verify_headers(&resp.headers),
-            ConfigIntegrity::Verified(c)
-        );
+        assert_eq!(EtagConfig::accept(&resp.headers), Some(c));
     }
 
     #[test]
-    fn verify_headers_passes_unsigned_maps_through() {
-        let mut c = EtagConfig::new();
-        c.insert("/a", tag("1"));
-        let mut resp = Response::ok("html");
-        c.apply_to(&mut resp, 200);
-        assert_eq!(
-            EtagConfig::verify_headers(&resp.headers),
-            ConfigIntegrity::Unsigned
-        );
+    fn accept_takes_unsigned_maps_at_face_value() {
+        let (c, mut resp) = signed_response(3);
+        resp.headers.remove(HeaderName::X_CC_CONFIG_DIGEST);
+        assert_eq!(EtagConfig::accept(&resp.headers), Some(c));
+        resp.headers
+            .insert(HeaderName::X_ETAG_CONFIG, "not a valid map");
+        assert_eq!(EtagConfig::accept(&resp.headers), Some(EtagConfig::new()));
     }
 
     #[test]
@@ -509,31 +474,21 @@ mod tests {
         for salt in [None, Some(7u64), Some(u64::MAX)] {
             let (_, mut resp) = signed_response(10);
             assert!(tamper_config_headers(&mut resp, salt), "{salt:?}");
-            assert_eq!(
-                EtagConfig::verify_headers(&resp.headers),
-                ConfigIntegrity::Tampered,
-                "{salt:?}"
-            );
+            assert_eq!(EtagConfig::accept(&resp.headers), None, "{salt:?}");
         }
     }
 
     #[test]
-    fn garbage_map_or_digest_is_tampered() {
+    fn garbage_map_or_digest_is_refused() {
         let (_, mut resp) = signed_response(3);
         resp.headers.remove(HeaderName::X_ETAG_CONFIG);
         resp.headers
             .insert(HeaderName::X_ETAG_CONFIG, "not a valid map");
-        assert_eq!(
-            EtagConfig::verify_headers(&resp.headers),
-            ConfigIntegrity::Tampered
-        );
+        assert_eq!(EtagConfig::accept(&resp.headers), None);
         let (_, mut resp) = signed_response(3);
         resp.headers
             .insert(HeaderName::X_CC_CONFIG_DIGEST, "zz-not-hex");
-        assert_eq!(
-            EtagConfig::verify_headers(&resp.headers),
-            ConfigIntegrity::Tampered
-        );
+        assert_eq!(EtagConfig::accept(&resp.headers), None);
     }
 
     #[test]
@@ -544,33 +499,34 @@ mod tests {
         let mut c = EtagConfig::new();
         c.insert("/only", tag("1"));
         let mut resp = Response::ok("x");
-        c.apply_to(&mut resp, 200);
+        resp.headers = head(&c);
         assert!(!tamper_config_headers(&mut resp, None));
         assert!(tamper_config_headers(&mut resp, Some(3)));
     }
 
+    /// The damaged map replaces every line of the original with one
+    /// line at the end of the head; the digest stays where it was.
     #[test]
     fn corrupt_entry_changes_exactly_one_tag() {
-        let (orig, mut resp) = signed_response(8);
+        let (orig, mut resp) = signed_response(400);
+        let digest = resp.headers.get(HeaderName::X_CC_CONFIG_DIGEST).unwrap();
+        let digest = digest.to_owned();
         assert!(tamper_config_headers(&mut resp, Some(5)));
-        let mutated = EtagConfig::from_response(&resp).unwrap();
+        let names: Vec<&str> = resp.headers.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(
+            names,
+            [HeaderName::X_CC_CONFIG_DIGEST, HeaderName::X_ETAG_CONFIG]
+        );
+        assert_eq!(
+            resp.headers.get(HeaderName::X_CC_CONFIG_DIGEST),
+            Some(digest.as_str())
+        );
+        let line = resp.headers.get(HeaderName::X_ETAG_CONFIG).unwrap();
+        let mutated = EtagConfig::parse(line).unwrap();
         let changed = orig
             .iter()
             .filter(|(p, t)| mutated.get(p) != Some(*t))
             .count();
         assert_eq!(changed, 1);
-    }
-
-    #[test]
-    fn wire_size_grows_linearly() {
-        let mut c = EtagConfig::new();
-        let mut sizes = Vec::new();
-        for i in 0..100 {
-            c.insert(format!("/assets/file-{i:04}.js"), tag(&format!("{i:016x}")));
-            sizes.push(c.wire_size());
-        }
-        // Roughly linear: each entry ≈ path + etag + separators.
-        let per_entry = (sizes[99] - sizes[9]) / 90;
-        assert!((30..60).contains(&per_entry), "{per_entry}");
     }
 }

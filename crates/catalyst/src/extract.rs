@@ -26,37 +26,17 @@ pub trait ResourceProvider {
     fn etag(&self, path: &str) -> Option<EntityTag>;
 }
 
+/// How deep the walk follows stylesheets into stylesheets (imports of
+/// imports …).
+const MAX_CSS_DEPTH: usize = 4;
+
 /// Knobs for the extraction walk.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ExtractOptions {
-    /// Maximum CSS recursion depth (imports of imports …).
-    pub max_depth: usize,
     /// Include cross-origin references by fetching their ETags via the
     /// provider (the paper's future-work extension). When false
-    /// (default, matching the paper) they are skipped and counted.
+    /// (default, matching the paper) they are skipped.
     pub include_cross_origin: bool,
-}
-
-impl Default for ExtractOptions {
-    fn default() -> Self {
-        ExtractOptions {
-            max_depth: 4,
-            include_cross_origin: false,
-        }
-    }
-}
-
-/// What the walk saw, for diagnostics and the coverage experiment (E7).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExtractStats {
-    /// Same-origin resources whose tags were included.
-    pub included: usize,
-    /// Cross-origin references skipped.
-    pub cross_origin_skipped: usize,
-    /// Referenced paths the provider could not resolve.
-    pub missing: usize,
-    /// CSS files scanned transitively.
-    pub css_scanned: usize,
 }
 
 /// Builds the `X-Etag-Config` map for a page.
@@ -67,14 +47,14 @@ pub struct ExtractStats {
 /// The page and every stylesheet are read through
 /// [`cachecatalyst_webmodel::extract::links`], so each is scanned once
 /// per [`Body`] allocation — by this walk or by whoever got there first.
+/// References the provider cannot resolve are left out.
 pub fn build_config(
     provider: &dyn ResourceProvider,
     base_path: &str,
     html: &Body,
     opts: &ExtractOptions,
-) -> (EtagConfig, ExtractStats) {
+) -> EtagConfig {
     let mut config = EtagConfig::new();
-    let mut stats = ExtractStats::default();
     let mut visited = std::collections::HashSet::new();
 
     let page_links = links(ResourceKind::Html, html).expect("markup is a syntax");
@@ -82,23 +62,20 @@ pub fn build_config(
         page_links.hrefs().iter().map(|h| (h.clone(), 0)).collect();
 
     while let Some((href, depth)) = queue.pop() {
-        let Some(path) = resolve(base_path, &href, opts, &mut stats) else {
+        let Some(path) = resolve(base_path, &href, opts) else {
             continue;
         };
         if !visited.insert(path.clone()) {
             continue;
         }
         let Some(etag) = provider.etag(&path) else {
-            stats.missing += 1;
             continue;
         };
         config.insert(&path, etag);
-        stats.included += 1;
 
         // Recurse into same-origin stylesheets.
-        if ResourceKind::from_path(&path) == ResourceKind::Css && depth < opts.max_depth {
+        if ResourceKind::from_path(&path) == ResourceKind::Css && depth < MAX_CSS_DEPTH {
             if let Some(body) = provider.body(&path) {
-                stats.css_scanned += 1;
                 let sheet_links = links(ResourceKind::Css, &body).expect("css is a syntax");
                 for href in sheet_links.hrefs() {
                     queue.push((resolve_relative(&path, href), depth + 1));
@@ -107,26 +84,17 @@ pub fn build_config(
         }
     }
 
-    (config, stats)
+    config
 }
 
-/// Resolves an href found in the *base document* to a same-origin
-/// path, or records why it was skipped.
-fn resolve(
-    base_path: &str,
-    href: &str,
-    opts: &ExtractOptions,
-    stats: &mut ExtractStats,
-) -> Option<String> {
+/// Resolves an href found in the *base document* to a path to map,
+/// or `None` for a cross-origin reference the options skip.
+fn resolve(base_path: &str, href: &str, opts: &ExtractOptions) -> Option<String> {
     if href.starts_with("http://") || href.starts_with("https://") || href.starts_with("//") {
-        if opts.include_cross_origin {
-            // The future-work extension would fetch the third-party
-            // resource itself; in this codebase the provider is handed
-            // the full URL and may choose to resolve it.
-            return Some(href.to_owned());
-        }
-        stats.cross_origin_skipped += 1;
-        return None;
+        // The future-work extension would fetch the third-party
+        // resource itself; in this codebase the provider is handed the
+        // full URL and may choose to resolve it.
+        return opts.include_cross_origin.then(|| href.to_owned());
     }
     Some(resolve_relative(base_path, href))
 }
@@ -148,14 +116,14 @@ fn resolve_relative(context_path: &str, href: &str) -> String {
 /// bodies through `body_of` (a rooted path → its current body). The
 /// origin server passes its epoch cache, so the page and its
 /// stylesheets are rendered once per epoch and scanned once per
-/// allocation; [`build_config_for_site`] renders afresh.
+/// allocation; a caller without one passes `Site::body_at`.
 pub fn build_config_with_bodies(
     site: &cachecatalyst_webmodel::Site,
     page: &str,
     t_secs: i64,
     opts: &ExtractOptions,
     body_of: &dyn Fn(&str) -> Option<Body>,
-) -> (EtagConfig, ExtractStats) {
+) -> EtagConfig {
     struct SiteProvider<'a> {
         site: &'a cachecatalyst_webmodel::Site,
         t: i64,
@@ -194,19 +162,6 @@ pub fn build_config_with_bodies(
     build_config(&provider, page, &html, opts)
 }
 
-/// [`build_config_with_bodies`] over freshly rendered bodies — the
-/// convenience entry point used by the benchmarks.
-pub fn build_config_for_site(
-    site: &cachecatalyst_webmodel::Site,
-    page: &str,
-    t_secs: i64,
-    opts: &ExtractOptions,
-) -> (EtagConfig, ExtractStats) {
-    build_config_with_bodies(site, page, t_secs, opts, &|path| {
-        site.body_at(path, t_secs).map(Body::from)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,18 +191,21 @@ mod tests {
         }
     }
 
+    fn walk(provider: &MapProvider, page: &str, html: &str) -> EtagConfig {
+        build_config(
+            provider,
+            page,
+            &Body::from(html.to_owned()),
+            &ExtractOptions::default(),
+        )
+    }
+
     #[test]
     fn finds_direct_links() {
         let provider = MapProvider::new(&[("/a.css", "css"), ("/b.js", "js")]);
         let html = r#"<link rel="stylesheet" href="/a.css"><script src="/b.js"></script>"#;
-        let (config, stats) = build_config(
-            &provider,
-            "/index.html",
-            &Body::from(html),
-            &ExtractOptions::default(),
-        );
+        let config = walk(&provider, "/index.html", html);
         assert_eq!(config.len(), 2);
-        assert_eq!(stats.included, 2);
         assert_eq!(
             config.get("/a.css").unwrap(),
             &EntityTag::from_content(b"css")
@@ -265,35 +223,32 @@ mod tests {
             ("/img.png", "png"),
         ]);
         let html = r#"<link rel="stylesheet" href="/a.css">"#;
-        let (config, stats) = build_config(
-            &provider,
-            "/index.html",
-            &Body::from(html),
-            &ExtractOptions::default(),
-        );
+        let config = walk(&provider, "/index.html", html);
         assert_eq!(config.len(), 3, "{config}");
         assert!(config.get("/deep.css").is_some());
         assert!(config.get("/img.png").is_some());
-        assert_eq!(stats.css_scanned, 2);
     }
 
     #[test]
     fn css_depth_limit() {
-        // a → b → c → d with max_depth 2 stops after c.
-        let provider = MapProvider::new(&[
-            ("/a.css", "@import \"b.css\";"),
-            ("/b.css", "@import \"c.css\";"),
-            ("/c.css", "@import \"d.css\";"),
-            ("/d.css", ""),
-        ]);
-        let html = r#"<link rel="stylesheet" href="/a.css">"#;
-        let opts = ExtractOptions {
-            max_depth: 2,
-            ..Default::default()
-        };
-        let (config, _) = build_config(&provider, "/index.html", &Body::from(html), &opts);
-        assert!(config.get("/c.css").is_some());
-        assert!(config.get("/d.css").is_none());
+        // s0 → s1 → … → s6: the walk scans sheets down to depth
+        // MAX_CSS_DEPTH, so it maps s4 (found in s3) and not s5.
+        let sheets: Vec<(String, String)> = (0..=6)
+            .map(|i| (format!("/s{i}.css"), format!("@import \"s{}.css\";", i + 1)))
+            .collect();
+        let entries: Vec<(&str, &str)> = sheets
+            .iter()
+            .map(|(p, b)| (p.as_str(), b.as_str()))
+            .collect();
+        let provider = MapProvider::new(&entries);
+        let config = walk(
+            &provider,
+            "/index.html",
+            r#"<link rel="stylesheet" href="/s0.css">"#,
+        );
+        assert_eq!(MAX_CSS_DEPTH, 4);
+        assert!(config.get("/s4.css").is_some(), "{config}");
+        assert!(config.get("/s5.css").is_none(), "{config}");
     }
 
     #[test]
@@ -301,28 +256,20 @@ mod tests {
         let provider = MapProvider::new(&[("/local.js", "x")]);
         let html = r#"<script src="http://cdn.other.com/lib.js"></script>
                       <script src="/local.js"></script>"#;
-        let (config, stats) = build_config(
-            &provider,
-            "/index.html",
-            &Body::from(html),
-            &ExtractOptions::default(),
-        );
+        let config = walk(&provider, "/index.html", html);
         assert_eq!(config.len(), 1);
-        assert_eq!(stats.cross_origin_skipped, 1);
+        assert!(config.get("/local.js").is_some());
     }
 
     #[test]
-    fn missing_resources_are_counted() {
+    fn missing_resources_are_left_out() {
         let provider = MapProvider::new(&[]);
-        let html = r#"<script src="/gone.js"></script>"#;
-        let (config, stats) = build_config(
+        let config = walk(
             &provider,
             "/index.html",
-            &Body::from(html),
-            &ExtractOptions::default(),
+            r#"<script src="/gone.js"></script>"#,
         );
         assert!(config.is_empty());
-        assert_eq!(stats.missing, 1);
     }
 
     #[test]
@@ -332,21 +279,18 @@ mod tests {
             ("/pages/img/bg.png", "png"),
         ]);
         let html = r#"<link rel="stylesheet" href="style.css">"#;
-        let (config, _) = build_config(
-            &provider,
-            "/pages/about.html",
-            &Body::from(html),
-            &ExtractOptions::default(),
-        );
+        let config = walk(&provider, "/pages/about.html", html);
         assert!(config.get("/pages/style.css").is_some());
         assert!(config.get("/pages/img/bg.png").is_some(), "{config}");
     }
 
     #[test]
-    fn site_convenience_covers_static_tree_only() {
+    fn site_walk_covers_static_tree_only() {
         let site = cachecatalyst_webmodel::example_site();
-        let (config, _) =
-            build_config_for_site(&site, "/index.html", 0, &ExtractOptions::default());
+        let config =
+            build_config_with_bodies(&site, "/index.html", 0, &ExtractOptions::default(), &|p| {
+                site.body_at(p, 0).map(Body::from)
+            });
         // Static children a.css and b.js are covered; JS-discovered
         // c.js / d.jpg are not (the paper's coverage gap).
         assert!(config.get("/a.css").is_some());
@@ -363,14 +307,11 @@ mod tests {
     #[test]
     fn duplicate_references_counted_once() {
         let provider = MapProvider::new(&[("/x.png", "p")]);
-        let html = r#"<img src="/x.png"><img src="/x.png">"#;
-        let (config, stats) = build_config(
+        let config = walk(
             &provider,
             "/i.html",
-            &Body::from(html),
-            &ExtractOptions::default(),
+            r#"<img src="/x.png"><img src="/x.png">"#,
         );
         assert_eq!(config.len(), 1);
-        assert_eq!(stats.included, 1);
     }
 }

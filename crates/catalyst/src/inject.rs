@@ -15,7 +15,11 @@ pub const REGISTRATION_SNIPPET: &str = "<script>if('serviceWorker' in navigator)
 /// The service-worker script body served at [`SW_SCRIPT_PATH`]. A
 /// faithful JS rendering of [`crate::sw::ServiceWorker`]'s logic — what
 /// a real browser would execute; the Rust struct is what the simulated
-/// browser executes.
+/// browser executes. Its map reader, `acceptConfig`, follows
+/// [`crate::EtagConfig::accept`]: the same entries, the same refusals,
+/// the digest checked over the parsed map's canonical form whatever
+/// order or escaping the lines arrived in
+/// (`crates/catalyst/tests/sw_script.rs` runs it under `node`).
 pub const SW_SCRIPT: &str = r#"// CacheCatalyst service worker.
 // Serves unchanged resources from cache with zero round trips, keyed
 // by the X-Etag-Config map delivered on each navigation.
@@ -23,24 +27,108 @@ pub const SW_SCRIPT: &str = r#"// CacheCatalyst service worker.
 const CACHE = 'cachecatalyst-v1';
 let etagConfig = new Map();
 
-function parseConfig(value) {
-  const map = new Map();
-  if (!value) return map;
-  // split on commas outside quotes
-  let parts = [], depth = false, start = 0;
+// The map a navigation installs, read by the rules of the Rust gate
+// (EtagConfig::accept): null when a digest is present and the map
+// fails it, so nothing of it is acted on; an unsigned map is taken at
+// face value, and an unreadable one reads as empty.
+function acceptConfig(value, digest) {
+  const map = parseConfig(splitEntries(value || ''));
+  if (digest === null) return map || new Map();
+  const claimed = parseDigest(digest.trim());
+  if (claimed === null || map === null) return null;
+  return fnv1a64(canonicalForm(map)) === claimed ? map : null;
+}
+
+// The text the digest covers: the parsed map in its one-line canonical
+// form (EtagConfig's Display), one entry per path in UTF-8 byte order,
+// each path escaped as the origin escapes it. A byte string.
+function canonicalForm(map) {
+  const encoder = new TextEncoder();
+  const entries = [...map].map(([path, tag]) => [encoder.encode(path), tag]);
+  entries.sort(([a], [b]) => compareBytes(a, b));
+  return entries.map(([path, tag]) => escapePath(path) + '=' + tag).join(',');
+}
+
+function compareBytes(a, b) {
+  for (let i = 0; i < a.length && i < b.length; i++) {
+    if (a[i] !== b[i]) return a[i] - b[i];
+  }
+  return a.length - b.length;
+}
+
+// %XX-escapes the bytes EtagConfig's escape does: % , = space " and
+// the control bytes.
+function escapePath(bytes) {
+  let out = '';
+  for (const b of bytes) {
+    const special = b === 0x25 || b === 0x2c || b === 0x3d || b === 0x20 || b === 0x22 ||
+      b < 0x20 || b === 0x7f;
+    out += special ? '%' + b.toString(16).toUpperCase().padStart(2, '0') : String.fromCharCode(b);
+  }
+  return out;
+}
+
+// Splits on commas outside quotes (ETags may hold commas) and trims
+// each piece: Fetch joins repeated header lines with ', '.
+function splitEntries(value) {
+  const parts = [];
+  let quoted = false, start = 0;
   for (let i = 0; i < value.length; i++) {
     const ch = value[i];
-    if (ch === '"') depth = !depth;
-    else if (ch === ',' && !depth) { parts.push(value.slice(start, i)); start = i + 1; }
+    if (ch === '"') quoted = !quoted;
+    else if (ch === ',' && !quoted) { parts.push(value.slice(start, i)); start = i + 1; }
   }
   parts.push(value.slice(start));
-  for (const part of parts) {
-    const eq = part.indexOf('=');
-    if (eq < 0) continue;
-    const path = decodeURIComponent(part.slice(0, eq));
-    map.set(path, part.slice(eq + 1));
+  return parts.map((p) => p.trim()).filter((p) => p !== '');
+}
+
+const ETAG = /^(W\/)?"[\x21\x23-\x7e\u0080-\uffff]*"$/;
+
+// path=etag pieces to a Map, or null when any piece is unreadable.
+function parseConfig(pieces) {
+  const map = new Map();
+  for (const piece of pieces) {
+    const eq = piece.indexOf('=');
+    if (eq < 0) return null;
+    const path = unescapePath(piece.slice(0, eq));
+    const tag = piece.slice(eq + 1).trim();
+    if (path === null || !ETAG.test(tag)) return null;
+    map.set(path, tag);
   }
   return map;
+}
+
+// Header values reach a worker as byte strings, one code unit per
+// byte: undo the %XX escapes, then decode the bytes as UTF-8.
+function unescapePath(s) {
+  const bytes = [];
+  for (let i = 0; i < s.length; i++) {
+    if (s[i] !== '%') { bytes.push(s.charCodeAt(i) & 0xff); continue; }
+    const hex = s.slice(i + 1, i + 3);
+    if (!/^[0-9A-Fa-f]{2}$/.test(hex)) return null;
+    bytes.push(parseInt(hex, 16));
+    i += 2;
+  }
+  try {
+    return new TextDecoder('utf-8', { fatal: true }).decode(new Uint8Array(bytes));
+  } catch (e) {
+    return null;
+  }
+}
+
+function parseDigest(text) {
+  if (!/^\+?[0-9A-Fa-f]+$/.test(text)) return null;
+  const value = BigInt('0x' + text.replace('+', ''));
+  return value < (1n << 64n) ? value : null;
+}
+
+function fnv1a64(text) {
+  let h = 0xcbf29ce484222325n;
+  for (let i = 0; i < text.length; i++) {
+    h ^= BigInt(text.charCodeAt(i) & 0xff);
+    h = (h * 0x100000001b3n) & 0xffffffffffffffffn;
+  }
+  return h;
 }
 
 self.addEventListener('install', () => self.skipWaiting());
@@ -52,7 +140,8 @@ self.addEventListener('fetch', (event) => {
   if (event.request.mode === 'navigate') {
     event.respondWith((async () => {
       const resp = await fetch(event.request);
-      etagConfig = parseConfig(resp.headers.get('x-etag-config'));
+      etagConfig = acceptConfig(resp.headers.get('x-etag-config'),
+                                resp.headers.get('x-cc-config-digest')) || new Map();
       return resp;
     })());
     return;

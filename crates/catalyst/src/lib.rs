@@ -7,7 +7,9 @@
 //! copy uses it **without any network round trip**, and no `max-age`
 //! tuning is ever needed.
 //!
-//! * [`config`] — the `X-Etag-Config` map and its header codec.
+//! * [`config`] — the `X-Etag-Config` map and its header codec: one
+//!   writer ([`EtagConfig::header_fields`]) and one gate
+//!   ([`EtagConfig::accept`]).
 //! * [`extract`] — server-side map construction by walking the page's
 //!   HTML (and, transitively, CSS).
 //! * [`sw`] — the client-side service-worker interceptor (Figure 2).
@@ -30,11 +32,8 @@ pub mod sw;
 
 pub use aggregate::AggregateCapture;
 pub use capture::SessionCapture;
-pub use config::{tamper_config_headers, ConfigIntegrity, EtagConfig};
-pub use extract::{
-    build_config, build_config_for_site, build_config_with_bodies, ExtractOptions, ExtractStats,
-    ResourceProvider,
-};
+pub use config::{tamper_config_headers, EtagConfig};
+pub use extract::{build_config, build_config_with_bodies, ExtractOptions, ResourceProvider};
 pub use inject::{
     has_registration, inject_registration, REGISTRATION_SNIPPET, SW_SCRIPT, SW_SCRIPT_PATH,
 };

@@ -40,14 +40,14 @@ pub enum SwDecision {
 ///
 /// ```
 /// use cachecatalyst_catalyst::{EtagConfig, ServiceWorker, SwDecision};
-/// use cachecatalyst_httpwire::{EntityTag, Response};
+/// use cachecatalyst_httpwire::{EntityTag, HeaderMap, Response};
 ///
 /// let mut sw = ServiceWorker::new();
 /// // A navigation response carrying the map…
 /// let mut config = EtagConfig::new();
 /// config.insert("/a.css", EntityTag::strong("v1").unwrap());
 /// let mut nav = Response::ok("<html>");
-/// config.apply_to(&mut nav, 4096);
+/// nav.headers = HeaderMap::from_entries(config.header_fields());
 /// sw.on_navigation(&nav);
 /// // …a cached copy with the matching tag…
 /// sw.on_response(
@@ -163,7 +163,7 @@ impl ServiceWorker {
 mod tests {
     use super::*;
     use cachecatalyst_edge::{EdgeCache, Upstream};
-    use cachecatalyst_httpwire::Request;
+    use cachecatalyst_httpwire::{HeaderMap, Request};
 
     fn tag(s: &str) -> EntityTag {
         EntityTag::strong(s).unwrap()
@@ -173,14 +173,19 @@ mod tests {
         Response::ok(body.to_owned()).with_header("etag", &tag(etag).to_string())
     }
 
+    /// `body` with the head the origin gives `config`.
+    fn carrying(body: &str, config: &EtagConfig) -> Response {
+        let mut resp = Response::ok(body.to_owned());
+        resp.headers = HeaderMap::from_entries(config.header_fields());
+        resp
+    }
+
     fn navigation_with_config(entries: &[(&str, &str)]) -> Response {
         let mut config = EtagConfig::new();
         for (p, e) in entries {
             config.insert(*p, tag(e));
         }
-        let mut resp = Response::ok("<html>");
-        config.apply_to(&mut resp, 4096);
-        resp
+        carrying("<html>", &config)
     }
 
     #[test]
@@ -279,11 +284,9 @@ mod tests {
     #[test]
     fn navigation_is_the_integrity_gate_for_the_map() {
         use crate::tamper_config_headers;
-        let unsigned = navigation_with_config(&[("/a.css", "v1"), ("/b.js", "v2")]);
-        let mut signed = unsigned.clone();
-        EtagConfig::from_response(&unsigned)
-            .unwrap()
-            .attach_digest(&mut signed);
+        let signed = navigation_with_config(&[("/a.css", "v1"), ("/b.js", "v2")]);
+        let mut unsigned = signed.clone();
+        unsigned.headers.remove(HeaderName::X_CC_CONFIG_DIGEST);
         let mut tampered = signed.clone();
         assert!(tamper_config_headers(&mut tampered, Some(7)));
         // (navigation response, distrusted?, entries installed)
@@ -358,11 +361,12 @@ mod tests {
             .with_header("x-served-by", "cachecatalyst-edge")
             .with_header("cache-control", "no-cache");
         let mut config = EtagConfig::new();
-        for i in 0..8 {
+        for i in 0..400 {
             config.insert(format!("/asset-{i}.css"), tag("v1"));
         }
-        config.apply_to(&mut not_modified, 64);
-        config.attach_digest(&mut not_modified);
+        for (name, value) in config.header_fields() {
+            not_modified.headers.append(name.as_str(), value.as_str());
+        }
         assert!(not_modified.headers.get_all("x-etag-config").count() >= 2);
 
         let stored = sw.on_response("http://s/", &not_modified);
@@ -382,8 +386,7 @@ mod tests {
         let mut sw = ServiceWorker::new();
         let mut config = EtagConfig::new();
         config.insert("/w", EntityTag::weak("w1").unwrap());
-        let mut nav = Response::ok("html");
-        config.apply_to(&mut nav, 4096);
+        let nav = carrying("html", &config);
         sw.on_navigation(&nav);
         let stored = Response::ok("wbody").with_header("etag", "W/\"w1\"");
         sw.on_response("http://s/w", &stored);

@@ -1,12 +1,13 @@
 //! Property-based tests for the CacheCatalyst protocol pieces.
 
+use cachecatalyst_catalyst::config::MAX_HEADER_LEN;
 use cachecatalyst_catalyst::{EtagConfig, ServiceWorker, SwDecision};
-use cachecatalyst_httpwire::{EntityTag, Response};
+use cachecatalyst_httpwire::{EntityTag, HeaderMap, HeaderName, Response};
 use proptest::prelude::*;
 
 fn arb_path() -> impl Strategy<Value = String> {
     // Paths with every special character the escaper must handle.
-    "(/[a-zA-Z0-9._%,= -]{1,16}){1,3}".prop_map(|s| s)
+    "(/[a-zA-Z0-9._%,=\" -]{1,16}){1,3}".prop_map(|s| s)
 }
 
 fn arb_tag() -> impl Strategy<Value = EntityTag> {
@@ -19,55 +20,34 @@ fn arb_tag() -> impl Strategy<Value = EntityTag> {
     })
 }
 
+/// A navigation response carrying `config` the way the origin writes it.
+fn navigation(config: &EtagConfig) -> Response {
+    let mut nav = Response::ok("<html>");
+    nav.headers = HeaderMap::from_entries(config.header_fields());
+    nav
+}
+
 proptest! {
-    /// The header codec is lossless for any path/tag mix, through both
-    /// single-value and split-value serialization.
+    /// The header codec is lossless for any path/tag mix, through the
+    /// one-line form and through the head the origin writes — split
+    /// into lines of at most MAX_HEADER_LEN once long paths push the
+    /// map past one line, and read back through the one gate.
     #[test]
     fn config_roundtrips(entries in prop::collection::btree_map(arb_path(), arb_tag(), 0..40),
-                         max_len in 64usize..512) {
+                         pad in 0usize..240) {
         let mut config = EtagConfig::new();
         for (p, t) in &entries {
-            config.insert(p, t.clone());
+            config.insert(format!("/{}{p}", "x".repeat(pad)), t.clone());
         }
-        // Single value.
-        let parsed = EtagConfig::parse(&config.to_header_value()).unwrap();
+        let parsed = EtagConfig::parse(&config.to_string()).unwrap();
         prop_assert_eq!(&parsed, &config);
-        // Split values, recombined the way HeaderMap::get_combined does.
-        // A single entry cannot be split, so the cap is max(max_len,
-        // longest single serialized entry).
-        let longest_entry = entries
-            .iter()
-            .map(|(p, t)| {
-                let mut one = EtagConfig::new();
-                one.insert(p, t.clone());
-                one.to_header_value().len()
-            })
-            .max()
-            .unwrap_or(0);
-        let values = config.to_header_values(max_len);
-        for v in &values {
-            prop_assert!(
-                v.len() <= max_len.max(longest_entry + 8),
-                "{} > {max_len}",
-                v.len()
-            );
+        let head = HeaderMap::from_entries(config.header_fields());
+        let lines: Vec<&str> = head.get_all(HeaderName::X_ETAG_CONFIG).collect();
+        for line in &lines {
+            prop_assert!(line.len() <= MAX_HEADER_LEN, "{} > {MAX_HEADER_LEN}", line.len());
         }
-        let recombined = values.join(",");
-        let parsed = EtagConfig::parse(&recombined).unwrap();
-        prop_assert_eq!(&parsed, &config);
-    }
-
-    /// Applying a config to a response and extracting it back is the
-    /// identity.
-    #[test]
-    fn apply_extract_roundtrips(entries in prop::collection::btree_map(arb_path(), arb_tag(), 0..24)) {
-        let mut config = EtagConfig::new();
-        for (p, t) in &entries {
-            config.insert(p, t.clone());
-        }
-        let mut resp = Response::ok("<html>");
-        config.apply_to(&mut resp, 256);
-        prop_assert_eq!(EtagConfig::from_response(&resp).unwrap(), config);
+        prop_assert_eq!(lines.join(","), config.to_string());
+        prop_assert_eq!(EtagConfig::accept(&head), Some(config));
     }
 
     /// Config parsing never panics on arbitrary input.
@@ -88,8 +68,7 @@ proptest! {
         let mut sw = ServiceWorker::new();
         let mut config = EtagConfig::new();
         config.insert(&path, mapped_tag.clone());
-        let mut nav = Response::ok("<html>");
-        config.apply_to(&mut nav, 4096);
+        let nav = navigation(&config);
         sw.on_navigation(&nav);
 
         let url = format!("http://h{path}");

@@ -351,8 +351,12 @@ where
     }
 }
 
+/// How long [`Listener`] waits after a failed accept before trying again.
+const ACCEPT_RETRY: std::time::Duration = std::time::Duration::from_millis(10);
+
 /// A running HTTP/1.1 listener: one task per accepted connection,
-/// each running [`serve_stream`] against the shared handler.
+/// each running [`serve_stream`] against the shared handler. A failed
+/// accept pauses the loop; it does not end it.
 pub struct Listener {
     /// The bound listening address (useful with `127.0.0.1:0`).
     pub local_addr: std::net::SocketAddr,
@@ -375,7 +379,14 @@ impl Listener {
             loop {
                 tokio::select! {
                     accepted = listener.accept() => {
-                        let Ok((stream, _peer)) = accepted else { break };
+                        let Ok((stream, _peer)) = accepted else {
+                            // Out of descriptors (EMFILE, ENFILE) or a peer
+                            // gone before it was taken: the listener is
+                            // fine. Pause so a shortage can clear instead
+                            // of spinning on it, then accept again.
+                            tokio::time::sleep(ACCEPT_RETRY).await;
+                            continue;
+                        };
                         let handler = Arc::clone(&handler);
                         tokio::spawn(async move {
                             stream.set_nodelay(true).ok();

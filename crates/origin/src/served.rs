@@ -4,16 +4,18 @@
 //! as long as the resource's churn epoch lasts — length, type,
 //! validators, cache policy, server — plus two things that are not:
 //! `Date`, and on a catalyst page the `X-Etag-Config` map (fixed per
-//! page epoch too, but kept by the map cache, and merged per session
-//! in the capture modes). A [`Served`] holds the body, its validators
-//! and both heads as shared `(HeaderName, HeaderValue)` fields, built
-//! on the epoch's first request; every later request gathers
-//! reference counts into one field list. This is the item-handle idea
-//! CacheLib uses for stored objects (SNIPPETS.md §3), applied to
-//! response heads.
+//! page epoch too, and kept here, but merged per session in the
+//! capture modes). A [`Served`] holds the body, its validators, both
+//! heads as shared `(HeaderName, HeaderValue)` fields and, on a page,
+//! its map, built on the epoch's first request that needs each; every
+//! later request gathers reference counts into one field list. This is
+//! the item-handle idea CacheLib uses for stored objects (SNIPPETS.md
+//! §3), applied to response heads.
 
 use std::cell::RefCell;
+use std::sync::OnceLock;
 
+use cachecatalyst_catalyst::EtagConfig;
 use cachecatalyst_httpwire::{
     Body, EntityTag, HeaderMap, HeaderName, HeaderValue, HttpDate, Response, StatusCode, Version,
 };
@@ -71,13 +73,22 @@ impl Head {
     }
 }
 
+/// A catalyst page's static-extraction map for one epoch and the
+/// fields it puts on a head ([`EtagConfig::header_fields`]).
+pub(crate) struct PageMap {
+    pub(crate) config: EtagConfig,
+    pub(crate) fields: Vec<Field>,
+}
+
 /// One resource's representation for one churn epoch (or for one
-/// request, for a fingerprinted URL): the body, its validators and
-/// its 200 and 304 heads.
+/// request, for a fingerprinted URL): the body, its validators, its
+/// 200 and 304 heads and, once a catalyst request for the page has
+/// built it, the page's map.
 pub(crate) struct Served {
     pub(crate) body: Body,
     pub(crate) etag: EntityTag,
     pub(crate) last_modified: HttpDate,
+    pub(crate) map: OnceLock<PageMap>,
     ok: Head,
     not_modified: Head,
 }
@@ -118,6 +129,7 @@ impl Served {
             body,
             etag,
             last_modified,
+            map: OnceLock::new(),
             ok,
             not_modified,
         }

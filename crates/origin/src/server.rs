@@ -10,11 +10,12 @@
 //! discrete-event transport calls it with virtual time; the tokio TCP
 //! front end (see [`crate::tcp`]) calls it with wall time.
 
+use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
 use cachecatalyst_catalyst::{
-    build_config_with_bodies, inject_registration, AggregateCapture, EtagConfig, ExtractOptions,
+    build_config_with_bodies, inject_registration, AggregateCapture, ExtractOptions,
     SessionCapture, SW_SCRIPT, SW_SCRIPT_PATH,
 };
 use cachecatalyst_httpwire::conditional::{evaluate, Disposition, Validators};
@@ -26,7 +27,7 @@ use cachecatalyst_webmodel::{GeneratedResource, HeaderPolicy, ResourceKind, Site
 use parking_lot::Mutex;
 
 use crate::hotpath::{ChurnEpochs, ShardedCache};
-use crate::served::{date_field, field, Field, Served, SERVER};
+use crate::served::{date_field, Field, PageMap, Served, SERVER};
 
 /// How the origin sets caching headers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -181,30 +182,6 @@ impl HotMetrics {
     }
 }
 
-/// A built page config plus its header fields, shared across requests
-/// behind `Arc`s: a cache hit clones two pointers.
-#[derive(Clone)]
-struct CachedConfig {
-    config: Arc<EtagConfig>,
-    /// The map as the head carries it ([`map_fields`]), built once.
-    fields: Arc<[Field]>,
-}
-
-/// The `X-Etag-Config` fields of `config` (split at
-/// [`MAX_HEADER_LEN`]) followed by its `x-cc-config-digest`.
-fn map_fields(config: &EtagConfig) -> Vec<Field> {
-    let mut fields: Vec<Field> = config
-        .to_header_values(MAX_HEADER_LEN)
-        .iter()
-        .map(|value| field(HeaderName::X_ETAG_CONFIG, value))
-        .collect();
-    fields.push(field(
-        HeaderName::X_CC_CONFIG_DIGEST,
-        &config.digest_header_value(),
-    ));
-    fields
-}
-
 /// Facts the handler learns along the way, surfaced on a traced
 /// request's span and `x-cc-epoch` header. Lives on the stack of one
 /// `handle` call.
@@ -222,15 +199,14 @@ pub struct OriginServer {
     /// Per-resource churn epochs: precomputed dependency closures
     /// whose version fold decides cache validity at any `t`.
     epochs: ChurnEpochs,
-    /// Built configs keyed by page path, validated by churn epoch. A
-    /// revisit at any `t` in the same epoch is a hit; an epoch change
+    /// What each path serves, keyed by path and validated by churn
+    /// epoch: the rendered (and, in catalyst modes, registration-
+    /// injected) body — one allocation shared by every response and
+    /// the map builder, carrying whatever has been derived from it so
+    /// far — with its validators, heads and, on a page, its map. A
+    /// request at any `t` in the same epoch is a hit; an epoch change
     /// replaces the entry in place, so the cache never exceeds one
-    /// entry per page (the old `(page, t)` key leaked per second).
-    config_cache: ShardedCache<CachedConfig>,
-    /// What each path serves, keyed the same way: the rendered (and,
-    /// in catalyst modes, registration-injected) body — one allocation
-    /// shared by every response and the map builder, carrying whatever
-    /// has been derived from it so far — with its validators and heads.
+    /// entry per path (a `(path, t)` key would leak one per second).
     served: ShardedCache<Arc<Served>>,
     capture: Mutex<SessionCapture>,
     aggregate: Mutex<AggregateCapture>,
@@ -241,10 +217,6 @@ pub struct OriginServer {
     spans: Arc<SpanSink>,
 }
 
-/// Maximum bytes per `X-Etag-Config` header value before the map is
-/// split across several (common servers cap one header line at 8 KiB).
-const MAX_HEADER_LEN: usize = 6 * 1024;
-
 impl OriginServer {
     pub fn new(site: Site, mode: HeaderMode) -> OriginServer {
         let epochs = ChurnEpochs::new(&site);
@@ -253,7 +225,6 @@ impl OriginServer {
             mode,
             extract_opts: ExtractOptions::default(),
             epochs,
-            config_cache: ShardedCache::new(),
             served: ShardedCache::new(),
             capture: Mutex::new(SessionCapture::new(10_000)),
             aggregate: Mutex::new(AggregateCapture::default()),
@@ -335,12 +306,6 @@ impl OriginServer {
             configs_built: hot.configs_built.get(),
             config_cache_hits: hot.config_cache_hits.get(),
         }
-    }
-
-    /// Live entries in the page-config cache (diagnostics; bounded by
-    /// the number of pages, regardless of elapsed virtual time).
-    pub fn config_cache_len(&self) -> usize {
-        self.config_cache.len()
     }
 
     /// Handles one request at virtual time `t_secs`.
@@ -455,11 +420,11 @@ impl OriginServer {
         // CacheCatalyst: pages carry the validation-token map — a 304
         // too, since subresources may have changed under an unchanged
         // page.
-        let map = match epoch {
-            Some(epoch) if resource.spec.kind == ResourceKind::Html && self.mode.is_catalyst() => {
-                Some(self.map_for(path, epoch, req, t_secs, notes))
-            }
-            _ => None,
+        let is_page = resource.spec.kind == ResourceKind::Html && self.mode.is_catalyst();
+        let map = if is_page && epoch.is_some() {
+            self.map_for(&served, path, req, t_secs, notes)
+        } else {
+            Cow::Borrowed(&[][..])
         };
         if !not_modified {
             self.hot().full_responses.inc();
@@ -468,7 +433,7 @@ impl OriginServer {
             not_modified,
             req.method == Method::Head,
             date_field(t_secs),
-            map.as_deref().unwrap_or_default(),
+            &map,
         )
     }
 
@@ -522,18 +487,18 @@ impl OriginServer {
         served
     }
 
-    /// The map fields a request for `page` carries: the cached
-    /// static-extraction config, extended with any session-captured or
-    /// aggregate-learned paths.
-    fn map_for(
+    /// The map fields a request for `page`, served from `served`,
+    /// carries: the epoch's static-extraction map, extended with any
+    /// session-captured or aggregate-learned paths.
+    fn map_for<'s>(
         &self,
+        served: &'s Served,
         page: &str,
-        epoch: u64,
         req: &Request,
         t_secs: i64,
         notes: &mut HandleNotes,
-    ) -> Arc<[Field]> {
-        let cached = self.config_for(page, epoch, t_secs, notes);
+    ) -> Cow<'s, [Field]> {
+        let built = self.page_map(served, page, t_secs, notes);
         let extra = match self.mode {
             HeaderMode::CatalystWithCapture => session_of(req).map(|session| {
                 self.capture
@@ -551,12 +516,12 @@ impl OriginServer {
             // Session- or population-specific map: merge (moving the
             // extra entries) and serialize for this response.
             Some(extra) if !extra.is_empty() => {
-                let mut config = (*cached.config).clone();
+                let mut config = built.config.clone();
                 config.merge(extra);
-                map_fields(&config).into()
+                Cow::Owned(config.header_fields())
             }
-            // The common case: the fields built with the config.
-            _ => cached.fields,
+            // The common case: the fields built with the map.
+            _ => Cow::Borrowed(&built.fields),
         }
     }
 
@@ -565,44 +530,45 @@ impl OriginServer {
         self.aggregate.lock().memory_footprint()
     }
 
-    /// Builds (or reuses) the static-extraction config for a page at
-    /// its churn `epoch`. A hit costs one shard read-lock and two `Arc`
-    /// bumps; any `t` within the page's current churn epoch hits.
-    fn config_for(
+    /// The static-extraction map of `page` for the epoch `served`
+    /// belongs to, built by the first request that needs it: that
+    /// request counts a build, every other one (including any that
+    /// waited for the build) a hit.
+    fn page_map<'s>(
         &self,
+        served: &'s Served,
         page: &str,
-        epoch: u64,
         t_secs: i64,
         notes: &mut HandleNotes,
-    ) -> CachedConfig {
-        if let Some(hit) = self.config_cache.get(page, epoch) {
+    ) -> &'s PageMap {
+        let mut built = false;
+        let map = served.map.get_or_init(|| {
+            built = true;
+            let build_start = std::time::Instant::now();
+            // The builder reads the bodies this server already holds
+            // for the epoch — the (injected) page and each stylesheet —
+            // so nothing is rendered a second time, and their links are
+            // the ones any later reader of those allocations reuses.
+            let config =
+                build_config_with_bodies(&self.site, page, t_secs, &self.extract_opts, &|path| {
+                    let (resource, pinned) = self.site.lookup(path)?;
+                    let epoch = self.epoch_of(path, pinned, t_secs);
+                    Some(self.served(path, t_secs, resource, epoch).body.clone())
+                });
+            let hot = self.hot();
+            hot.configs_built.inc();
+            hot.map_build_seconds.observe(build_start.elapsed());
+            hot.map_entries.set(config.len() as f64);
+            PageMap {
+                fields: config.header_fields(),
+                config,
+            }
+        });
+        if !built {
             self.hot().config_cache_hits.inc();
-            notes.config_cache_hit = Some(true);
-            return hit;
         }
-        notes.config_cache_hit = Some(false);
-        let build_start = std::time::Instant::now();
-        // The builder reads the bodies this server already holds for
-        // the epoch — the (injected) page and each stylesheet — so
-        // nothing is rendered a second time, and their links are the
-        // ones any later reader of those allocations reuses.
-        let (config, _stats) =
-            build_config_with_bodies(&self.site, page, t_secs, &self.extract_opts, &|path| {
-                let (resource, pinned) = self.site.lookup(path)?;
-                let epoch = self.epoch_of(path, pinned, t_secs);
-                Some(self.served(path, t_secs, resource, epoch).body.clone())
-            });
-        let build = build_start.elapsed();
-        let hot = self.hot();
-        hot.configs_built.inc();
-        hot.map_build_seconds.observe(build);
-        hot.map_entries.set(config.len() as f64);
-        let cached = CachedConfig {
-            fields: map_fields(&config).into(),
-            config: Arc::new(config),
-        };
-        self.config_cache.insert(page, epoch, cached.clone());
-        cached
+        notes.config_cache_hit = Some(!built);
+        map
     }
 
     /// The `Cache-Control` this server's mode puts on a resource whose
@@ -671,7 +637,13 @@ fn session_of(req: &Request) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cachecatalyst_catalyst::EtagConfig;
     use cachecatalyst_webmodel::example_site;
+
+    /// The map a client may act on, off a response's head.
+    fn map_of(resp: &Response) -> EtagConfig {
+        EtagConfig::accept(&resp.headers).expect("the origin's map passes its digest")
+    }
 
     fn server(mode: HeaderMode) -> OriginServer {
         OriginServer::new(example_site(), mode)
@@ -737,7 +709,7 @@ mod tests {
     fn catalyst_html_carries_config_and_registration() {
         let s = server(HeaderMode::Catalyst);
         let resp = s.handle(&Request::get("/index.html"), 0);
-        let config = EtagConfig::from_response(&resp).unwrap();
+        let config = map_of(&resp);
         assert!(config.get("/a.css").is_some());
         assert!(config.get("/b.js").is_some());
         assert!(config.get("/c.js").is_none(), "JS-discovered not covered");
@@ -749,29 +721,21 @@ mod tests {
 
     #[test]
     fn catalyst_config_carries_matching_integrity_digest() {
-        use cachecatalyst_catalyst::ConfigIntegrity;
         let s = server(HeaderMode::Catalyst);
         // Full response and conditional 304 both carry a verifiable
         // map; the cached fast path (second request) reuses the
         // precomputed digest.
-        for _ in 0..2 {
-            let resp = s.handle(&Request::get("/index.html"), 0);
-            let config = EtagConfig::from_response(&resp).unwrap();
-            match EtagConfig::verify_headers(&resp.headers) {
-                ConfigIntegrity::Verified(v) => assert_eq!(v, config),
-                other => panic!("expected verified map, got {other:?}"),
-            }
-        }
+        let first = map_of(&s.handle(&Request::get("/index.html"), 0));
+        assert!(!first.is_empty());
+        assert_eq!(map_of(&s.handle(&Request::get("/index.html"), 0)), first);
         let tag = s.handle(&Request::get("/index.html"), 0).etag().unwrap();
         let resp = s.handle(
             &Request::get("/index.html").with_header("if-none-match", &tag.to_string()),
             60,
         );
         assert_eq!(resp.status, StatusCode::NOT_MODIFIED);
-        assert!(matches!(
-            EtagConfig::verify_headers(&resp.headers),
-            ConfigIntegrity::Verified(_)
-        ));
+        assert!(resp.headers.contains(HeaderName::X_CC_CONFIG_DIGEST));
+        assert_eq!(map_of(&resp), first);
         // Subresources and baseline HTML carry no digest.
         let resp = s.handle(&Request::get("/a.css"), 0);
         assert!(resp.headers.get(HeaderName::X_CC_CONFIG_DIGEST).is_none());
@@ -779,18 +743,14 @@ mod tests {
 
     #[test]
     fn capture_merged_config_is_redigested() {
-        use cachecatalyst_catalyst::ConfigIntegrity;
         let s = server(HeaderMode::CatalystWithCapture);
         let session = |r: Request| r.with_header("cookie", "cc-session=alice");
         s.handle(&session(Request::get("/index.html")), 0);
         s.handle(&session(Request::get("/d.jpg")), 0);
         let resp = s.handle(&session(Request::get("/index.html")), 60);
-        let config = EtagConfig::from_response(&resp).unwrap();
+        assert!(resp.headers.contains(HeaderName::X_CC_CONFIG_DIGEST));
+        let config = map_of(&resp);
         assert!(config.get("/d.jpg").is_some(), "capture extended the map");
-        assert!(matches!(
-            EtagConfig::verify_headers(&resp.headers),
-            ConfigIntegrity::Verified(_)
-        ));
     }
 
     #[test]
@@ -837,17 +797,40 @@ mod tests {
     }
 
     #[test]
-    fn config_cache_stays_bounded_across_epochs() {
+    fn the_epoch_cache_stays_bounded_across_epochs() {
         let s = server(HeaderMode::Catalyst);
         // Sweep a week of virtual time: hundreds of distinct `t`s and
-        // dozens of epoch changes. The old `(page, t)` keying grew one
-        // entry per distinct `t`; the page-keyed cache replaces in
-        // place, so it never exceeds one entry per page.
+        // dozens of epoch changes. A `(path, t)` key would grow one
+        // entry per distinct `t`; the path-keyed cache replaces in
+        // place, so it never exceeds one entry per path the map
+        // builder or a request touched.
         for i in 0..500 {
             s.handle(&Request::get("/index.html"), i * 1200);
         }
-        assert_eq!(s.config_cache_len(), 1);
+        assert_eq!(s.served.len(), 2, "the page and its stylesheet");
         assert!(s.metrics().configs_built > 10, "epochs did roll over");
+    }
+
+    /// The same bound with eight threads racing through the epochs, and
+    /// every page request counted once: it built its epoch's map or used
+    /// the one another request built.
+    #[test]
+    fn the_epoch_cache_stays_bounded_under_eight_threads() {
+        let s = server(HeaderMode::Catalyst);
+        std::thread::scope(|scope| {
+            for thread in 0..8 {
+                let s = &s;
+                scope.spawn(move || {
+                    for i in 0..100 {
+                        s.handle(&Request::get("/index.html"), i * 1200 + thread);
+                    }
+                });
+            }
+        });
+        assert_eq!(s.served.len(), 2, "the page and its stylesheet");
+        let m = s.metrics();
+        assert_eq!(m.configs_built + m.config_cache_hits, 800);
+        assert!(m.configs_built > 10, "epochs did roll over");
     }
 
     #[test]
@@ -889,13 +872,13 @@ mod tests {
         s.handle(&session(Request::get("/d.jpg")), 0);
         // Second visit: the map now covers the captured resources.
         let resp = s.handle(&session(Request::get("/index.html")), 60);
-        let config = EtagConfig::from_response(&resp).unwrap();
+        let config = map_of(&resp);
         assert!(config.get("/c.js").is_some());
         assert!(config.get("/d.jpg").is_some());
         // A different session does not get them.
         let other = Request::get("/index.html").with_header("cookie", "cc-session=bob");
         let resp = s.handle(&other, 60);
-        let config = EtagConfig::from_response(&resp).unwrap();
+        let config = map_of(&resp);
         assert!(config.get("/d.jpg").is_none());
     }
 
@@ -912,7 +895,7 @@ mod tests {
             s.handle(&referer(Request::get("/d.jpg")), 0);
         }
         let resp = s.handle(&Request::get("/index.html"), 60);
-        let config = EtagConfig::from_response(&resp).unwrap();
+        let config = map_of(&resp);
         assert!(config.get("/c.js").is_some(), "{config}");
         assert!(config.get("/d.jpg").is_some());
         assert!(s.aggregate_footprint() > 0);
@@ -952,7 +935,6 @@ mod tests {
 
     #[test]
     fn the_map_read_from_served_bodies_equals_one_built_from_fresh_renders() {
-        use cachecatalyst_catalyst::build_config_for_site;
         use cachecatalyst_webmodel::SiteSpec;
         for seed in 0..4 {
             let site = Site::generate(SiteSpec {
@@ -967,13 +949,14 @@ mod tests {
             let s = OriginServer::new(site.clone(), HeaderMode::Catalyst).with_cross_origin();
             let opts = ExtractOptions {
                 include_cross_origin: true,
-                ..ExtractOptions::default()
             };
             for t in [0, 3_600, 86_400, 86_401] {
                 for page in &pages {
-                    let served = EtagConfig::from_response(&s.handle(&Request::get(page), t));
-                    let (fresh, _) = build_config_for_site(&site, page, t, &opts);
-                    assert_eq!(served.unwrap(), fresh, "seed {seed} {page} t={t}");
+                    let served = map_of(&s.handle(&Request::get(page), t));
+                    let fresh = build_config_with_bodies(&site, page, t, &opts, &|path| {
+                        site.body_at(path, t).map(Body::from)
+                    });
+                    assert_eq!(served, fresh, "seed {seed} {page} t={t}");
                 }
             }
         }

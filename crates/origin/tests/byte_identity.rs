@@ -3,8 +3,9 @@
 //! [`Reference`] is the request handler as it was before heads were
 //! kept per churn epoch: it renders the body and builds the map afresh
 //! on every request and assembles the response with `Response::ok` /
-//! `Response::not_modified`, a `with_header` chain, the
-//! `X-Etag-Config` attach and the `Server` / `HEAD` finish. Every
+//! `Response::not_modified`, a `with_header` chain, the map's fields
+//! appended as `EtagConfig::header_fields` writes them and the
+//! `Server` / `HEAD` finish. Every
 //! response `OriginServer` gives — in every header mode, for GET,
 //! HEAD, both conditionals, fingerprinted URLs, a 404 and the
 //! service-worker script, on both sides of churn-epoch boundaries and
@@ -20,8 +21,6 @@ use cachecatalyst_httpwire::{
 };
 use cachecatalyst_origin::{HeaderMode, OriginServer};
 use cachecatalyst_webmodel::{ChangeModel, HeaderPolicy, ResourceKind, Site, SiteSpec};
-
-const MAX_HEADER_LEN: usize = 6 * 1024;
 
 const MODES: [HeaderMode; 5] = [
     HeaderMode::Baseline,
@@ -46,7 +45,6 @@ impl Reference {
             mode,
             opts: ExtractOptions {
                 include_cross_origin: cross_origin,
-                ..ExtractOptions::default()
             },
             capture: SessionCapture::new(10_000),
             aggregate: AggregateCapture::default(),
@@ -124,11 +122,10 @@ impl Reference {
     }
 
     fn attach_config(&mut self, resp: &mut Response, page: &str, req: &Request, t_secs: i64) {
-        let (mut config, _) =
-            build_config_with_bodies(&self.site, page, t_secs, &self.opts, &|path| {
-                self.site.lookup(path)?;
-                Some(self.body_of(path, t_secs))
-            });
+        let mut config = build_config_with_bodies(&self.site, page, t_secs, &self.opts, &|path| {
+            self.site.lookup(path)?;
+            Some(self.body_of(path, t_secs))
+        });
         let site = &self.site;
         let extra = match self.mode {
             HeaderMode::CatalystWithCapture => session_of(req).map(|session| {
@@ -144,8 +141,9 @@ impl Reference {
         if let Some(extra) = extra {
             config.merge(extra);
         }
-        config.apply_to(resp, MAX_HEADER_LEN);
-        config.attach_digest(resp);
+        for (name, value) in config.header_fields() {
+            resp.headers.append(name.as_str(), value.as_str());
+        }
     }
 
     fn cc(&self, policy: &HeaderPolicy) -> String {

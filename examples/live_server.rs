@@ -40,7 +40,7 @@ async fn main() {
         resp.status,
         resp.body.len()
     );
-    let config = EtagConfig::from_response(&resp).unwrap();
+    let config = EtagConfig::accept(&resp.headers).expect("the map passes its digest");
     println!("X-Etag-Config entries: {}", config.len());
     let css_tag = config.get("/a.css").unwrap().clone();
     println!("  /a.css = {css_tag}");

@@ -50,7 +50,7 @@ fn main() {
     // Peek at the mechanism itself: the header the server attaches.
     let origin = OriginServer::new(example_site(), HeaderMode::Catalyst);
     let resp = origin.handle(&Request::get("/index.html"), revisit_at);
-    let config = EtagConfig::from_response(&resp).unwrap();
+    let config = EtagConfig::accept(&resp.headers).expect("the map passes its digest");
     println!(
         "X-Etag-Config carried by the base HTML ({} entries):",
         config.len()

@@ -161,13 +161,15 @@ fn cmd_fetch(args: &Args) {
                 println!("{n}: {v}");
             }
         }
-        if let Ok(config) = EtagConfig::from_response(&resp) {
-            if !config.is_empty() {
+        match EtagConfig::accept(&resp.headers) {
+            Some(config) if !config.is_empty() => {
                 println!("\nX-Etag-Config ({} entries):", config.len());
                 for (p, t) in config.iter() {
                     println!("  {p} = {t}");
                 }
             }
+            Some(_) => {}
+            None => println!("\nX-Etag-Config failed its digest"),
         }
         println!("\n{} body bytes", resp.body.len());
     });

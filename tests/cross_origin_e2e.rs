@@ -23,7 +23,7 @@ fn cross_origin_extension_maps_and_serves_third_party() {
     // Paper behaviour: third-party references never mapped.
     let plain = Arc::new(OriginServer::new(site.clone(), HeaderMode::Catalyst));
     let resp = plain.handle(&Request::get("/index.html"), 0);
-    let config = EtagConfig::from_response(&resp).unwrap();
+    let config = EtagConfig::accept(&resp.headers).unwrap();
     assert!(
         !config.iter().any(|(p, _)| p.contains(&cdn_host)),
         "paper mode must skip third-party entries"
@@ -33,7 +33,7 @@ fn cross_origin_extension_maps_and_serves_third_party() {
     let extended =
         Arc::new(OriginServer::new(site.clone(), HeaderMode::Catalyst).with_cross_origin());
     let resp = extended.handle(&Request::get("/index.html"), 0);
-    let config = EtagConfig::from_response(&resp).unwrap();
+    let config = EtagConfig::accept(&resp.headers).unwrap();
     let tp_entries: Vec<&str> = config
         .iter()
         .map(|(p, _)| p)

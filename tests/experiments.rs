@@ -2,13 +2,18 @@
 //! quick rows of `bench::experiments::TABLE` are regenerated here and
 //! compared byte for byte (CI's `bench-smoke` job does every
 //! deterministic row); the table, `results/` and EXPERIMENTS.md must
-//! name the same things; and the command line refuses what it cannot
-//! read instead of running the defaults.
+//! name the same things; the seeded parts of `trace_page`'s artefacts
+//! are what a traced pair prints; and the command line refuses what it
+//! cannot read instead of running the defaults.
 
 use std::path::Path;
+use std::time::Duration;
 
+use cachecatalyst::netsim::NetworkConditions;
+use cachecatalyst::webmodel::example_site;
 use cachecatalyst_bench::cli::{Args, Error};
 use cachecatalyst_bench::experiments::{dispatch, Row, TABLE};
+use cachecatalyst_bench::{visit_pair_traced, ClientKind};
 
 /// The rows that take at most 0.2 s in a release build. (`edge_tier`
 /// takes 1.2 s there and 11 s in a debug build, and this test runs a
@@ -75,6 +80,44 @@ fn the_table_results_and_experiments_md_agree() {
                 || stem.starts_with("waterfall_"),
             "{} is nobody's output",
             path.display()
+        );
+    }
+}
+
+/// `experiments trace_page` (example site, 5G median, +3600 s): every
+/// event line of `results/trace_<kind>.jsonl` but the spans — page
+/// loads, fetches and cache decisions, with the map's `etag`, `epoch`
+/// and `body_digest` — and both waterfalls. Span ids count up across a
+/// process and span durations are host time; neither is pinned.
+#[test]
+fn trace_page_artefacts_are_what_a_traced_pair_prints() {
+    let seeded = |jsonl: &str| -> Vec<String> {
+        jsonl
+            .lines()
+            .filter(|line| !line.starts_with("{\"event\":\"span\""))
+            .map(str::to_owned)
+            .collect()
+    };
+    for (kind, name) in [
+        (ClientKind::Baseline, "baseline"),
+        (ClientKind::Catalyst, "catalyst"),
+    ] {
+        let traced = visit_pair_traced(
+            &example_site(),
+            kind,
+            NetworkConditions::five_g_median(),
+            Duration::from_secs(3600),
+        );
+        let committed = |file: String| std::fs::read_to_string(results().join(file)).unwrap();
+        let events = seeded(&committed(format!("trace_{name}.jsonl")));
+        assert!(events
+            .iter()
+            .any(|l| l.contains("\"event\":\"cache_decision\"")));
+        assert_eq!(seeded(&traced.jsonl), events, "results/trace_{name}.jsonl");
+        assert_eq!(
+            traced.waterfalls(name, 3600),
+            committed(format!("waterfall_{name}.txt")),
+            "results/waterfall_{name}.txt"
         );
     }
 }

@@ -6,10 +6,13 @@
 //! checked once here against both servers, over real sockets and by
 //! bytes and headers alone. What the two handlers decide differently
 //! (a missing `Host`, the operational endpoints) follows; the edge's
-//! operational surface has no other over-TCP test. Last, the socket as
+//! operational surface has no other over-TCP test. Then the socket as
 //! a content-facts boundary: what a client reads off it is a new body.
+//! Last, a listener that runs out of descriptors keeps accepting once
+//! they are back.
 
 use std::net::SocketAddr;
+use std::process::Command;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -96,10 +99,16 @@ fn closing(req: Request) -> Request {
 
 /// Writes `wire` in a single write, then reads until the server closes
 /// the connection and parses everything it sent. A server that keeps
-/// the connection open fails the test instead of hanging it.
+/// the connection open (or never answers) fails the test instead of
+/// hanging it.
 async fn exchange(addr: SocketAddr, wire: &[u8]) -> Vec<Response> {
     let mut stream = TcpStream::connect(addr).await.unwrap();
     stream.write_all(wire).await.unwrap();
+    read_until_closed(stream).await
+}
+
+/// Everything the server sends on `stream` until it closes it, parsed.
+async fn read_until_closed(mut stream: TcpStream) -> Vec<Response> {
     let mut answer = Vec::new();
     let mut chunk = [0u8; 16 << 10];
     let read_to_eof = async {
@@ -347,4 +356,104 @@ async fn a_body_that_crossed_the_socket_is_a_fresh_allocation() {
     assert_eq!(over_tcp.body.known_digest(), None);
     assert_eq!(over_tcp.body.digest(), want);
     server.shutdown().await;
+}
+
+/// Set in the child process [`a_failed_accept_leaves_the_listener_serving`]
+/// runs its scenario in.
+const NOFILE_CHILD: &str = "CC_SERVE_LOOP_NOFILE_CHILD";
+
+/// This process's soft open-file limit, read or set through util-linux
+/// `prlimit`.
+fn soft_nofile() -> String {
+    let out = Command::new("prlimit")
+        .args([
+            &format!("--pid={}", std::process::id()),
+            "--nofile",
+            "--output=SOFT",
+            "--noheadings",
+            "--raw",
+        ])
+        .output()
+        .expect("prlimit runs");
+    String::from_utf8(out.stdout).unwrap().trim().to_owned()
+}
+
+fn set_soft_nofile(soft: &str) {
+    let set = Command::new("prlimit")
+        .args([
+            &format!("--pid={}", std::process::id()),
+            &format!("--nofile={soft}:"),
+        ])
+        .status()
+        .expect("prlimit runs");
+    assert!(set.success(), "prlimit --nofile={soft}: failed");
+}
+
+#[tokio::test]
+async fn a_failed_accept_leaves_the_listener_serving() {
+    if std::env::var_os(NOFILE_CHILD).is_some() {
+        return failed_accepts_in_this_process().await;
+    }
+    if Command::new("prlimit").arg("--version").output().is_err() {
+        eprintln!("skipped: no util-linux prlimit to set an open-file limit with");
+        return;
+    }
+    // The limit is the whole process's: run alone, in a child.
+    let name = "a_failed_accept_leaves_the_listener_serving";
+    let out = Command::new(std::env::current_exe().unwrap())
+        .args(["--exact", name, "--nocapture", "--test-threads=1"])
+        .env(NOFILE_CHILD, "1")
+        .output()
+        .expect("the test binary runs");
+    assert!(
+        out.status.success(),
+        "{}{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+async fn failed_accepts_in_this_process() {
+    let soft = soft_nofile();
+    for kind in BOTH {
+        let server = Server::start(kind, example_site(), false).await;
+        assert_eq!(
+            fetch(server.addr(), get("/a.css")).await.status,
+            StatusCode::OK
+        );
+
+        // Leave the process a few descriptors, hold all but one, and
+        // connect with that one: the server's accept finds none (EMFILE)
+        // for as long as they are held.
+        let open = std::fs::read_dir("/proc/self/fd").unwrap().count();
+        set_soft_nofile(&(open + 8).to_string());
+        let mut held = Vec::new();
+        while let Ok(file) = std::fs::File::open("/dev/null") {
+            held.push(file);
+        }
+        assert!(!held.is_empty(), "{kind:?}: the limit left nothing to hold");
+        held.pop();
+        let mut waiting = TcpStream::connect(server.addr()).await.unwrap();
+        waiting
+            .write_all(&codec::encode_request(&closing(get("/b.js"))))
+            .await
+            .unwrap();
+        tokio::time::sleep(Duration::from_millis(100)).await;
+        drop(held);
+        set_soft_nofile(&soft);
+
+        // The connection that waited is served, and so is the next.
+        let statuses: Vec<_> = read_until_closed(waiting)
+            .await
+            .iter()
+            .map(|r| r.status)
+            .collect();
+        assert_eq!(statuses, [StatusCode::OK], "{kind:?}");
+        assert_eq!(
+            fetch(server.addr(), get("/d.jpg")).await.status,
+            StatusCode::OK,
+            "{kind:?}"
+        );
+        server.shutdown().await;
+    }
 }
