@@ -12,7 +12,7 @@ use super::corpus_arg;
 use crate::cli::{self, Args};
 use crate::runner::{reload_each, ClientKind, REVISIT_DELAYS};
 use crate::table::render_table;
-use cachecatalyst_browser::{SingleOrigin, Upstream};
+use cachecatalyst_browser::Upstream;
 use cachecatalyst_netsim::NetworkConditions;
 use cachecatalyst_origin::{HeaderMode, OriginServer};
 use cachecatalyst_proxies::{ExtremeCacheProxy, PushOrigin, PushPolicy, RdrProxy};
@@ -32,19 +32,19 @@ pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
     let policies: Vec<Policy> = vec![
         Policy {
             name: "baseline",
-            make_upstream: Box::new(|o| Box::new(SingleOrigin(o))),
+            make_upstream: Box::new(|o| Box::new(o)),
             origin_mode: HeaderMode::Baseline,
             client: ClientKind::Baseline,
         },
         Policy {
             name: "catalyst",
-            make_upstream: Box::new(|o| Box::new(SingleOrigin(o))),
+            make_upstream: Box::new(|o| Box::new(o)),
             origin_mode: HeaderMode::Catalyst,
             client: ClientKind::Catalyst,
         },
         Policy {
             name: "catalyst+capture",
-            make_upstream: Box::new(|o| Box::new(SingleOrigin(o))),
+            make_upstream: Box::new(|o| Box::new(o)),
             origin_mode: HeaderMode::CatalystWithCapture,
             client: ClientKind::CatalystCapture,
         },

@@ -19,12 +19,10 @@ use std::io::Write;
 use std::sync::Barrier;
 
 use super::hammer::{
-    fetch, hammer, ohr_pct, threads_arg, threads_on_cores, upstream_per_req, BenchSite,
+    fetch, hammer, ohr_pct, threads_arg, threads_on_cores, upstream_per_req, BenchEdge, BenchSite,
 };
 use crate::cli::{self, Args};
 use crate::table::render_table;
-use cachecatalyst_browser::SingleOrigin;
-use cachecatalyst_edge::EdgeCache;
 
 /// Requests per timed section: fixed work, sized so that each runs for
 /// over a second on the 2-vCPU build box.
@@ -54,7 +52,7 @@ fn measure(
     workload: &'static str,
     requests: usize,
     threads: usize,
-    edge: &EdgeCache<SingleOrigin>,
+    edge: &BenchEdge,
     f: impl Fn(usize, usize) + Sync,
 ) -> Measured {
     let iters = requests / threads;

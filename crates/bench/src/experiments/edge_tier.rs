@@ -23,11 +23,10 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use super::hammer::{fetch, ohr_pct, upstream_per_req, BenchSite};
+use super::hammer::{fetch, ohr_pct, upstream_per_req, BenchEdge, BenchSite};
 use crate::cli::{self, Args};
 use crate::table::render_table;
-use cachecatalyst_browser::SingleOrigin;
-use cachecatalyst_edge::{DiskTierOptions, EdgeCache, EdgeMetrics, StoreOptions};
+use cachecatalyst_edge::{DiskTierOptions, EdgeMetrics, StoreOptions};
 
 const MEM_BUDGET: usize = 256 << 10;
 
@@ -37,7 +36,7 @@ fn bhr_pct(m: &EdgeMetrics) -> f64 {
 }
 
 /// Requests `keys` in order at t=0; the wall seconds go to stderr.
-fn drive(workload: &str, edge: &EdgeCache<SingleOrigin>, site: &BenchSite, keys: &[usize]) {
+fn drive(workload: &str, edge: &BenchEdge, site: &BenchSite, keys: &[usize]) {
     let started = Instant::now();
     for &key in keys {
         fetch(edge, &site.assets[key], 0);
@@ -45,7 +44,7 @@ fn drive(workload: &str, edge: &EdgeCache<SingleOrigin>, site: &BenchSite, keys:
     eprintln!("# {workload}: {:.2} s", started.elapsed().as_secs_f64());
 }
 
-fn hybrid(site: &BenchSite, dir: &Path) -> EdgeCache<SingleOrigin> {
+fn hybrid(site: &BenchSite, dir: &Path) -> BenchEdge {
     let store = StoreOptions::new()
         .mem_budget(MEM_BUDGET)
         .disk(DiskTierOptions::at(dir));

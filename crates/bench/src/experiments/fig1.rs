@@ -9,10 +9,9 @@
 //! Output: three waterfalls plus the PLT of each scenario.
 
 use std::io::Write;
-use std::sync::Arc;
 
 use crate::cli::{self, Args};
-use cachecatalyst_browser::{Browser, CacheMode, EngineConfig, SingleOrigin};
+use cachecatalyst_browser::{Browser, CacheMode, EngineConfig};
 use cachecatalyst_httpwire::Url;
 use cachecatalyst_netsim::NetworkConditions;
 use cachecatalyst_origin::{HeaderMode, OriginServer};
@@ -28,10 +27,9 @@ pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
     writeln!(out, "Network: {} | revisit delay: 2h\n", cond.label())?;
 
     // (a) First visit, cold cache.
-    let origin = Arc::new(OriginServer::new(example_site(), HeaderMode::Baseline));
-    let up = SingleOrigin(Arc::clone(&origin));
+    let origin = OriginServer::new(example_site(), HeaderMode::Baseline);
     let mut browser = Browser::baseline();
-    let first = browser.load(&up, cond, &base, t0);
+    let first = browser.load(&origin, cond, &base, t0);
     writeln!(out, "== Figure 1(a): first visit (cold cache) ==")?;
     writeln!(out, "{}", first.trace.render_waterfall(48))?;
     writeln!(
@@ -43,7 +41,7 @@ pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
     )?;
 
     // (b) Revisit +2h under the current caching approach.
-    let second = browser.load(&up, cond, &base, t1);
+    let second = browser.load(&origin, cond, &base, t1);
     writeln!(out, "== Figure 1(b): revisit +2h, current caching ==")?;
     writeln!(out, "{}", second.trace.render_waterfall(48))?;
     writeln!(
@@ -57,18 +55,14 @@ pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
 
     // (c) The optimized revisit: CacheCatalyst with session capture
     // (covers the JS-discovered c.js/d.jpg like the figure assumes).
-    let origin = Arc::new(OriginServer::new(
-        example_site(),
-        HeaderMode::CatalystWithCapture,
-    ));
-    let up = SingleOrigin(origin);
+    let origin = OriginServer::new(example_site(), HeaderMode::CatalystWithCapture);
     let mut browser = Browser::new(EngineConfig {
         mode: CacheMode::ServiceWorker,
         session: Some("fig1".to_owned()),
         ..Default::default()
     });
-    browser.load(&up, cond, &base, t0);
-    let optimized = browser.load(&up, cond, &base, t1);
+    browser.load(&origin, cond, &base, t0);
+    let optimized = browser.load(&origin, cond, &base, t1);
     writeln!(out, "== Figure 1(c): optimized revisit (CacheCatalyst) ==")?;
     writeln!(out, "{}", optimized.trace.render_waterfall(48))?;
     writeln!(

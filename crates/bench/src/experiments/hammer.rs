@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::cli::{self, Args};
-use cachecatalyst_browser::{SingleOrigin, Upstream};
+use cachecatalyst_browser::Upstream;
 use cachecatalyst_edge::{EdgeBuilder, EdgeCache, EdgeMetrics};
 use cachecatalyst_httpwire::Request;
 use cachecatalyst_origin::{HeaderMode, OriginServer};
@@ -42,6 +42,9 @@ pub(super) fn hammer(threads: usize, iters: usize, f: impl Fn(usize, usize) + Sy
     });
     started.elapsed().as_secs_f64()
 }
+
+/// An edge in front of a [`BenchSite`].
+pub(super) type BenchEdge = EdgeCache<Arc<OriginServer>>;
 
 /// A generated many-asset site behind a catalyst origin.
 pub(super) struct BenchSite {
@@ -85,8 +88,8 @@ impl BenchSite {
 
     /// An edge in front of this site on which whatever is stored stays
     /// fresh for the whole run.
-    pub fn edge(&self) -> EdgeBuilder<SingleOrigin> {
-        EdgeCache::builder(SingleOrigin(Arc::clone(&self.origin))).min_fresh_secs(1 << 20)
+    pub fn edge(&self) -> EdgeBuilder<Arc<OriginServer>> {
+        EdgeCache::builder(Arc::clone(&self.origin)).min_fresh_secs(1 << 20)
     }
 
     /// `count` asset indices drawn rank-weighted (Zipf, s = 1) from
@@ -99,7 +102,7 @@ impl BenchSite {
 }
 
 /// One client request for `path` through `edge` at `t_secs`.
-pub(super) fn fetch(edge: &EdgeCache<SingleOrigin>, path: &str, t_secs: i64) {
+pub(super) fn fetch(edge: &BenchEdge, path: &str, t_secs: i64) {
     let req = Request::get(path).with_header("host", HOST);
     let resp = edge.handle(HOST, &req, t_secs);
     assert!(resp.status.as_u16() < 500, "unexpected {}", resp.status);

@@ -6,12 +6,10 @@
 //! at the evaluation's network conditions.
 
 use std::io::Write;
-use std::sync::Arc;
 
 use crate::cli::{self, Args};
 use crate::runner::{base_url_of, first_visit_time, ClientKind};
 use crate::table::render_table;
-use cachecatalyst_browser::SingleOrigin;
 use cachecatalyst_catalyst::{build_config_with_bodies, ExtractOptions};
 use cachecatalyst_httpwire::Body;
 use cachecatalyst_netsim::NetworkConditions;
@@ -53,15 +51,14 @@ pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
             .into_iter()
             .enumerate()
         {
-            let origin = Arc::new(OriginServer::new(site.clone(), mode));
-            let upstream = SingleOrigin(origin);
+            let origin = OriginServer::new(site.clone(), mode);
             let kind = if i == 0 {
                 ClientKind::Baseline
             } else {
                 ClientKind::Catalyst
             };
             let mut browser = kind.browser();
-            plts[i] = browser.load(&upstream, cond, &base, t0).plt_ms();
+            plts[i] = browser.load(&origin, cond, &base, t0).plt_ms();
         }
 
         rows.push(vec![

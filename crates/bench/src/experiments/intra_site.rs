@@ -10,12 +10,11 @@
 //! using the map on each page's HTML.
 
 use std::io::Write;
-use std::sync::Arc;
 
 use crate::cli::{self, Args};
 use crate::runner::{first_visit_time, ClientKind};
 use crate::table::render_table;
-use cachecatalyst_browser::{Browser, SingleOrigin};
+use cachecatalyst_browser::Browser;
 use cachecatalyst_httpwire::Url;
 use cachecatalyst_netsim::NetworkConditions;
 use cachecatalyst_origin::OriginServer;
@@ -50,13 +49,12 @@ pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
                 n_pages,
                 ..Default::default()
             });
-            let origin = Arc::new(OriginServer::new(site.clone(), kind.header_mode()));
-            let upstream = SingleOrigin(origin);
+            let origin = OriginServer::new(site.clone(), kind.header_mode());
             let t0 = first_visit_time(&site);
             let mut browser: Browser = kind.browser();
             for (i, page) in site.pages().iter().enumerate() {
                 let url = Url::parse(&format!("http://{}{page}", site.spec.host)).unwrap();
-                let report = browser.load(&upstream, cond, &url, t0 + (i as i64) * 10);
+                let report = browser.load(&origin, cond, &url, t0 + (i as i64) * 10);
                 per_page[i] += report.plt_ms();
                 reqs[i] += report.network_requests() as f64;
             }

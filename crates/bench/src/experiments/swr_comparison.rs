@@ -15,7 +15,7 @@ use super::corpus_arg;
 use crate::cli::{self, Args};
 use crate::runner::{first_visit_time, reload_each, ClientKind, REVISIT_DELAYS};
 use crate::table::render_table;
-use cachecatalyst_browser::{SingleOrigin, Upstream};
+use cachecatalyst_browser::Upstream;
 use cachecatalyst_httpwire::{HeaderName, Request, Response};
 use cachecatalyst_netsim::{FetchOutcome, NetworkConditions};
 use cachecatalyst_origin::OriginServer;
@@ -30,7 +30,7 @@ struct SwrUpstream {
 
 impl Upstream for SwrUpstream {
     fn handle(&self, _host: &str, req: &Request, t: i64) -> Response {
-        let mut resp = self.inner.handle(req, t);
+        let mut resp = (*self.inner).handle(req, t);
         let cc = resp.cache_control();
         if cc.max_age.is_some() && !cc.no_store && !cc.no_cache {
             let value = format!(
@@ -81,7 +81,7 @@ pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
                     inner: origin,
                     window_secs,
                 }),
-                None => Box::new(SingleOrigin(origin)),
+                None => Box::new(origin),
             };
             let t0 = first_visit_time(site);
             let browser = kind.browser();

@@ -4,7 +4,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cachecatalyst_browser::{
-    Browser, CacheMode, EngineConfig, FrozenUpstream, LoadReport, SingleOrigin, Upstream,
+    Browser, CacheMode, EngineConfig, FrozenUpstream, LoadReport, Upstream,
 };
 use cachecatalyst_httpwire::Url;
 use cachecatalyst_netsim::NetworkConditions;
@@ -95,9 +95,8 @@ pub fn visit_pair(
     cond: NetworkConditions,
     delay: Duration,
 ) -> VisitPair {
-    let origin = Arc::new(OriginServer::new(site.clone(), kind.header_mode()));
-    let upstream = SingleOrigin(origin);
-    visit_pair_with(&upstream, site, kind.browser(), cond, delay)
+    let origin = OriginServer::new(site.clone(), kind.header_mode());
+    visit_pair_with(&origin, site, kind.browser(), cond, delay)
 }
 
 /// What [`reload_each`] measured: the cold load and one warm reload
@@ -191,13 +190,12 @@ pub fn visit_pair_traced(
     let origin = Arc::new(
         OriginServer::new(site.clone(), kind.header_mode()).with_span_sink(Arc::clone(&sink)),
     );
-    let upstream = SingleOrigin(origin);
     let recorder = Arc::new(Recorder::new());
     let browser = kind
         .browser()
         .with_recorder(recorder.clone())
         .with_span_sink(Arc::clone(&sink));
-    let pair = visit_pair_with(&upstream, site, browser, cond, delay);
+    let pair = visit_pair_with(&origin, site, browser, cond, delay);
     let spans = sink.drain();
     for span in &spans {
         recorder.record(&Event::Span(span.clone()));
@@ -255,7 +253,6 @@ impl ContentModel {
     /// site's [`first_visit_time`], or live.
     pub fn upstream(self, origin: OriginServer) -> Box<dyn Upstream> {
         let t0 = first_visit_time(origin.site());
-        let origin = SingleOrigin(Arc::new(origin));
         match self {
             ContentModel::Frozen => Box::new(FrozenUpstream::new(origin, t0)),
             ContentModel::Churning => Box::new(origin),

@@ -126,7 +126,6 @@ impl Browser {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::upstream::SingleOrigin;
     use cachecatalyst_netsim::FetchOutcome;
     use cachecatalyst_origin::{HeaderMode, OriginServer};
     use cachecatalyst_webmodel::{example_site, revisit_delay};
@@ -137,8 +136,8 @@ mod tests {
         NetworkConditions::five_g_median()
     }
 
-    fn upstream(mode: HeaderMode) -> SingleOrigin {
-        SingleOrigin(Arc::new(OriginServer::new(example_site(), mode)))
+    fn upstream(mode: HeaderMode) -> Arc<OriginServer> {
+        Arc::new(OriginServer::new(example_site(), mode))
     }
 
     fn base() -> Url {

@@ -95,7 +95,6 @@ fn ms(later: SimTime, earlier: SimTime) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::upstream::SingleOrigin;
     use cachecatalyst_httpwire::Url;
     use cachecatalyst_netsim::NetworkConditions;
     use cachecatalyst_origin::{HeaderMode, OriginServer};
@@ -104,9 +103,8 @@ mod tests {
 
     fn report() -> LoadReport {
         let origin = Arc::new(OriginServer::new(example_site(), HeaderMode::Baseline));
-        let up = SingleOrigin(origin);
         crate::Browser::baseline().load(
-            &up,
+            &origin,
             NetworkConditions::five_g_median(),
             &Url::parse("http://example.org/index.html").unwrap(),
             0,

@@ -17,7 +17,10 @@
 //!
 //! The engine runs on the deterministic simulator from
 //! [`cachecatalyst_netsim`]; all concurrent transfers share the access
-//! link's capacity.
+//! link's capacity. The far side of every load is an [`Upstream`], the
+//! hop trait `cachecatalyst-httpwire` defines (re-exported here): an
+//! origin, an edge, a proxy or a [`MultiOrigin`] routing between them,
+//! none of which this crate depends on.
 
 pub mod browser;
 pub mod engine;
@@ -34,4 +37,4 @@ pub use har::to_har;
 #[cfg(feature = "aio")]
 pub use live::{LiveBrowser, LiveReport};
 pub use profile::CacheMode;
-pub use upstream::{FrozenUpstream, MultiOrigin, SingleOrigin, Upstream};
+pub use upstream::{FrozenUpstream, MultiOrigin, Upstream};

@@ -3,36 +3,21 @@
 //! In the discrete-event path, server compute is instantaneous (its
 //! cost is modeled by the engine's think-time parameter) and the
 //! response bytes then travel through the simulated links. [`Upstream`]
-//! abstracts who produces the response: a single origin, a multi-origin
-//! map (for third-party experiments), or a proxy from
-//! `cachecatalyst-proxies`.
+//! (defined in `cachecatalyst-httpwire`, re-exported here) abstracts who
+//! produces the response: an origin, which answers for any host, a
+//! multi-origin map (for third-party experiments), an edge cache, or a
+//! proxy from `cachecatalyst-proxies`.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
+pub use cachecatalyst_httpwire::Upstream;
 use cachecatalyst_httpwire::{Request, Response, StatusCode};
-use cachecatalyst_origin::OriginServer;
 
-/// Produces responses for requests addressed to `host`.
-pub trait Upstream {
-    /// Handles `req` for `host` at virtual time `t_secs`.
-    fn handle(&self, host: &str, req: &Request, t_secs: i64) -> Response;
-}
-
-/// A single origin serving every host (the paper's cloned-onto-one-
-/// server methodology).
-pub struct SingleOrigin(pub Arc<OriginServer>);
-
-impl Upstream for SingleOrigin {
-    fn handle(&self, _host: &str, req: &Request, t_secs: i64) -> Response {
-        self.0.handle(req, t_secs)
-    }
-}
-
-/// Routes by host; unknown hosts get `502 Bad Gateway`.
+/// Routes by host to any [`Upstream`]; unknown hosts get
+/// `502 Bad Gateway`.
 #[derive(Default)]
 pub struct MultiOrigin {
-    origins: HashMap<String, Arc<OriginServer>>,
+    origins: HashMap<String, Box<dyn Upstream + Send + Sync>>,
 }
 
 impl MultiOrigin {
@@ -40,8 +25,9 @@ impl MultiOrigin {
         MultiOrigin::default()
     }
 
-    pub fn add(&mut self, host: &str, origin: Arc<OriginServer>) -> &mut Self {
-        self.origins.insert(host.to_ascii_lowercase(), origin);
+    pub fn add(&mut self, host: &str, origin: impl Upstream + Send + Sync + 'static) -> &mut Self {
+        self.origins
+            .insert(host.to_ascii_lowercase(), Box::new(origin));
         self
     }
 }
@@ -75,7 +61,7 @@ impl<U: Upstream> Upstream for FrozenUpstream<U> {
 impl Upstream for MultiOrigin {
     fn handle(&self, host: &str, req: &Request, t_secs: i64) -> Response {
         match self.origins.get(&host.to_ascii_lowercase()) {
-            Some(origin) => origin.handle(req, t_secs),
+            Some(origin) => origin.handle(host, req, t_secs),
             None => Response::empty(StatusCode::BAD_GATEWAY),
         }
     }
@@ -84,18 +70,9 @@ impl Upstream for MultiOrigin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cachecatalyst_origin::HeaderMode;
+    use cachecatalyst_origin::{HeaderMode, OriginServer};
     use cachecatalyst_webmodel::example_site;
-
-    #[test]
-    fn single_origin_ignores_host() {
-        let up = SingleOrigin(Arc::new(OriginServer::new(
-            example_site(),
-            HeaderMode::Baseline,
-        )));
-        let resp = up.handle("anything.example", &Request::get("/a.css"), 0);
-        assert_eq!(resp.status, StatusCode::OK);
-    }
+    use std::sync::Arc;
 
     #[test]
     fn multi_origin_routes_and_rejects() {
@@ -113,5 +90,18 @@ mod tests {
                 .status,
             StatusCode::BAD_GATEWAY
         );
+    }
+
+    #[test]
+    fn multi_origin_routes_to_any_upstream() {
+        let mut shielded = MultiOrigin::new();
+        shielded.add(
+            "example.org",
+            OriginServer::new(example_site(), HeaderMode::Baseline),
+        );
+        let mut front = MultiOrigin::new();
+        front.add("example.org", FrozenUpstream::new(Arc::new(shielded), 7200));
+        let resp = front.handle("example.org", &Request::get("/index.html"), 0);
+        assert_eq!(resp.date().unwrap().as_secs(), 7200);
     }
 }

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use cachecatalyst_browser::{Browser, CacheMode, EngineConfig, SingleOrigin, Upstream};
+use cachecatalyst_browser::{Browser, CacheMode, EngineConfig, Upstream};
 use cachecatalyst_httpwire::{HeaderName, Request, Response, Url};
 use cachecatalyst_netsim::{FetchOutcome, NetworkConditions};
 use cachecatalyst_origin::{HeaderMode, OriginServer};
@@ -35,7 +35,6 @@ fn connection_pool_is_limited() {
     // parse. The pooled load must be slower.
     let (site, url) = flat_site(24);
     let origin = Arc::new(OriginServer::new(site, HeaderMode::NoStore));
-    let up = SingleOrigin(origin);
 
     let mut narrow = Browser::new(EngineConfig {
         max_connections_per_origin: 6,
@@ -47,8 +46,8 @@ fn connection_pool_is_limited() {
         mode: CacheMode::Uncached,
         ..Default::default()
     });
-    let slow = narrow.load(&up, cond(), &url, 0);
-    let fast = wide.load(&up, cond(), &url, 0);
+    let slow = narrow.load(&origin, cond(), &url, 0);
+    let fast = wide.load(&origin, cond(), &url, 0);
     assert!(
         fast.plt < slow.plt,
         "6 conns {:?} vs 24 conns {:?}",
@@ -63,8 +62,7 @@ fn every_fetch_waits_for_a_connection() {
     // than 6 transfers may overlap at any instant.
     let (site, url) = flat_site(30);
     let origin = Arc::new(OriginServer::new(site, HeaderMode::NoStore));
-    let up = SingleOrigin(origin);
-    let report = Browser::uncached().load(&up, cond(), &url, 0);
+    let report = Browser::uncached().load(&origin, cond(), &url, 0);
     for f in &report.trace.fetches {
         assert!(f.started >= f.discovered, "{}", f.url);
         assert!(f.completed >= f.started, "{}", f.url);
@@ -85,7 +83,7 @@ struct DelayedUpstream(Arc<OriginServer>, u64);
 
 impl Upstream for DelayedUpstream {
     fn handle(&self, _host: &str, req: &Request, t: i64) -> Response {
-        let mut resp = self.0.handle(req, t);
+        let mut resp = (*self.0).handle(req, t);
         if req.target.path().ends_with(".html") {
             resp.headers
                 .insert(HeaderName::X_CC_SERVER_DELAY_MS, &self.1.to_string());
@@ -99,7 +97,7 @@ fn server_delay_header_is_charged() {
     let origin = Arc::new(OriginServer::new(example_site(), HeaderMode::Baseline));
     let base = Url::parse("http://example.org/index.html").unwrap();
 
-    let plain = Browser::uncached().load(&SingleOrigin(Arc::clone(&origin)), cond(), &base, 0);
+    let plain = Browser::uncached().load(&origin, cond(), &base, 0);
     let delayed = Browser::uncached().load(&DelayedUpstream(origin, 250), cond(), &base, 0);
     let diff = delayed.plt_ms() - plain.plt_ms();
     assert!(
@@ -113,7 +111,7 @@ struct PushOne(Arc<OriginServer>, &'static str);
 
 impl Upstream for PushOne {
     fn handle(&self, _host: &str, req: &Request, t: i64) -> Response {
-        let mut resp = self.0.handle(req, t);
+        let mut resp = (*self.0).handle(req, t);
         if req.target.path().ends_with(".html") && !req.headers.contains(HeaderName::X_CC_INTERNAL)
         {
             resp.headers.insert(HeaderName::X_CC_PUSHED, self.1);
@@ -164,7 +162,7 @@ fn unused_push_does_not_gate_onload() {
     // The wasted push completes after PLT or before, but PLT only
     // tracks requested resources.
     let plain_origin = Arc::new(OriginServer::new(example_site(), HeaderMode::Baseline));
-    let plain = Browser::uncached().load(&SingleOrigin(plain_origin), cond(), &base, 0);
+    let plain = Browser::uncached().load(&plain_origin, cond(), &base, 0);
     // The push shares bandwidth, so PLT may shift slightly, but must
     // not jump by the full push transfer.
     let ratio = report.plt_ms() / plain.plt_ms();
@@ -175,7 +173,7 @@ fn unused_push_does_not_gate_onload() {
 fn fcp_precedes_plt_and_tracks_render_blocking() {
     let origin = Arc::new(OriginServer::new(example_site(), HeaderMode::Baseline));
     let base = Url::parse("http://example.org/index.html").unwrap();
-    let report = Browser::baseline().load(&SingleOrigin(origin), cond(), &base, 0);
+    let report = Browser::baseline().load(&origin, cond(), &base, 0);
     assert!(report.fcp <= report.plt);
     // FCP is gated by a.css/b.js (render-blocking), not by the
     // JS-discovered d.jpg chain.
@@ -200,7 +198,7 @@ fn rdr_bundle_header_makes_resources_instant() {
     struct Bundler(Arc<OriginServer>);
     impl Upstream for Bundler {
         fn handle(&self, _host: &str, req: &Request, t: i64) -> Response {
-            let mut resp = self.0.handle(req, t);
+            let mut resp = (*self.0).handle(req, t);
             if req.target.path().ends_with(".html")
                 && !req.headers.contains(HeaderName::X_CC_INTERNAL)
             {
@@ -231,7 +229,6 @@ fn rdr_bundle_header_makes_resources_instant() {
 fn http2_multiplexing_beats_pooled_h1_on_cold_loads() {
     let (site, url) = flat_site(30);
     let origin = Arc::new(OriginServer::new(site, HeaderMode::NoStore));
-    let up = SingleOrigin(origin);
     let mut h1 = Browser::new(EngineConfig {
         mode: CacheMode::Uncached,
         ..Default::default()
@@ -241,15 +238,15 @@ fn http2_multiplexing_beats_pooled_h1_on_cold_loads() {
         mode: CacheMode::Uncached,
         ..Default::default()
     });
-    let h1_report = h1.load(&up, cond(), &url, 0);
-    let h2_report = h2.load(&up, cond(), &url, 0);
+    let h1_report = h1.load(&origin, cond(), &url, 0);
+    let h2_report = h2.load(&origin, cond(), &url, 0);
     assert!(
         h2_report.plt < h1_report.plt,
         "h2 {:?} vs h1 {:?}",
         h2_report.plt,
         h1_report.plt
     );
-    // h2 pays exactly one handshake; h1 up to 6.
+    // h2 pays exactly one handshake; h1 origin to 6.
     assert!(h2_report
         .trace
         .fetches
@@ -261,13 +258,12 @@ fn http2_multiplexing_beats_pooled_h1_on_cold_loads() {
 fn http2_results_are_deterministic_and_complete() {
     let (site, url) = flat_site(20);
     let origin = Arc::new(OriginServer::new(site, HeaderMode::Baseline));
-    let up = SingleOrigin(origin);
     let run = || {
         let mut b = Browser::new(EngineConfig {
             http2: true,
             ..Default::default()
         });
-        let r = b.load(&up, cond(), &url, 0);
+        let r = b.load(&origin, cond(), &url, 0);
         (r.plt.as_nanos(), r.trace.fetches.len())
     };
     let a = run();
@@ -279,13 +275,13 @@ fn http2_results_are_deterministic_and_complete() {
 fn dns_lookup_costs_one_rtt_per_host_when_modeled() {
     let origin = Arc::new(OriginServer::new(example_site(), HeaderMode::Baseline));
     let base = Url::parse("http://example.org/index.html").unwrap();
-    let plain = Browser::uncached().load(&SingleOrigin(Arc::clone(&origin)), cond(), &base, 0);
+    let plain = Browser::uncached().load(&origin, cond(), &base, 0);
     let mut with_dns = Browser::new(EngineConfig {
         model_dns: true,
         mode: CacheMode::Uncached,
         ..Default::default()
     });
-    let dns_report = with_dns.load(&SingleOrigin(origin), cond(), &base, 0);
+    let dns_report = with_dns.load(&origin, cond(), &base, 0);
     let diff = dns_report.plt_ms() - plain.plt_ms();
     // One host → exactly one extra RTT (40 ms) on the critical path.
     assert!(
@@ -298,13 +294,13 @@ fn dns_lookup_costs_one_rtt_per_host_when_modeled() {
 fn tls_adds_one_rtt_per_connection() {
     let origin = Arc::new(OriginServer::new(example_site(), HeaderMode::Baseline));
     let base = Url::parse("http://example.org/index.html").unwrap();
-    let plain = Browser::uncached().load(&SingleOrigin(Arc::clone(&origin)), cond(), &base, 0);
+    let plain = Browser::uncached().load(&origin, cond(), &base, 0);
     let mut tls = Browser::new(EngineConfig {
         tls: true,
         mode: CacheMode::Uncached,
         ..Default::default()
     });
-    let tls_report = tls.load(&SingleOrigin(origin), cond(), &base, 0);
+    let tls_report = tls.load(&origin, cond(), &base, 0);
     // Two handshakes sit on the critical path (the navigation's
     // connection, then the parallel connection b.js opens while a.css
     // reuses the first) → exactly +2 RTT (80 ms).
@@ -323,8 +319,7 @@ fn loss_is_deterministic_and_slows_loads() {
             mode: CacheMode::Uncached,
             ..Default::default()
         });
-        b.load(&SingleOrigin(Arc::clone(&origin)), cond(), &base, 0)
-            .plt
+        b.load(&origin, cond(), &base, 0).plt
     };
     let clean = run(0.0, 1);
     let lossy = run(0.5, 1);
@@ -340,7 +335,7 @@ struct SwrOne(Arc<OriginServer>, &'static str, u64);
 
 impl Upstream for SwrOne {
     fn handle(&self, _host: &str, req: &Request, t: i64) -> Response {
-        let mut resp = self.0.handle(req, t);
+        let mut resp = (*self.0).handle(req, t);
         if req.target.path() == self.1 {
             let cc = format!(
                 "{}, stale-while-revalidate={}",
@@ -387,7 +382,7 @@ fn swr_serves_stale_and_revalidates_in_background() {
 
 /// Records the encoded size of every request that reaches the origin.
 struct UploadSizes {
-    inner: SingleOrigin,
+    inner: Arc<OriginServer>,
     seen: std::sync::Mutex<std::collections::HashMap<String, u64>>,
 }
 
@@ -413,7 +408,7 @@ fn bytes_up_is_the_encoded_request_size_on_the_example_site() {
         (HeaderMode::Catalyst, Browser::catalyst()),
     ] {
         let up = UploadSizes {
-            inner: SingleOrigin(Arc::new(OriginServer::new(example_site(), mode))),
+            inner: Arc::new(OriginServer::new(example_site(), mode)),
             seen: Default::default(),
         };
         for t in [0, 2 * 3600] {

@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use cachecatalyst_browser::{Browser, LoadReport, SingleOrigin};
+use cachecatalyst_browser::{Browser, LoadReport};
 use cachecatalyst_httpwire::Url;
 use cachecatalyst_netsim::{FaultPlan, NetworkConditions};
 use cachecatalyst_origin::{HeaderMode, OriginServer};
@@ -16,8 +16,8 @@ fn cond() -> NetworkConditions {
     NetworkConditions::five_g_median()
 }
 
-fn upstream(mode: HeaderMode) -> SingleOrigin {
-    SingleOrigin(Arc::new(OriginServer::new(example_site(), mode)))
+fn upstream(mode: HeaderMode) -> Arc<OriginServer> {
+    Arc::new(OriginServer::new(example_site(), mode))
 }
 
 fn base() -> Url {

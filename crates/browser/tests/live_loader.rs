@@ -123,7 +123,7 @@ struct Scripted {
 
 impl Scripted {
     fn respond(&self, req: &Request, t_secs: i64) -> Response {
-        let mut resp = self.origin.handle(req, t_secs);
+        let mut resp = (*self.origin).handle(req, t_secs);
         if self.swr && req.target.path() == "/d.jpg" {
             let cc = resp.headers.get("cache-control").unwrap_or("").to_owned();
             let swr = format!("{cc}, stale-while-revalidate=86400");

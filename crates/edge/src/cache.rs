@@ -34,11 +34,13 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use cachecatalyst_browser::Upstream;
 use cachecatalyst_catalyst::EtagConfig;
 use cachecatalyst_httpcache::freshness_lifetime;
+use cachecatalyst_httpwire::conditional::{evaluate, Disposition, Validators};
 use cachecatalyst_httpwire::tracectx::Hop;
-use cachecatalyst_httpwire::{Body, EntityTag, HeaderName, Method, Request, Response, StatusCode};
+use cachecatalyst_httpwire::{
+    Body, EntityTag, HeaderName, Method, Request, Response, StatusCode, Upstream,
+};
 use cachecatalyst_telemetry::span::{Sampling, SpanSink};
 use cachecatalyst_telemetry::{json_string, CacheAudit, CacheDecision, Event, Recorder, Registry};
 use parking_lot::Mutex;
@@ -571,14 +573,17 @@ impl<U: Upstream> EdgeCache<U> {
         });
     }
 
-    /// Serves cached (or just-fetched) bytes to this client, answering
-    /// the client's own conditional with a `304` when its validator
-    /// matches. The client's conditional is evaluated here, locally —
-    /// it is never forwarded upstream.
+    /// Serves cached (or just-fetched) bytes to this client. Its own
+    /// conditional is never forwarded: a stored success answers it by
+    /// the origin's rule ([`evaluate`]), reading `Last-Modified` only
+    /// where the date decides; a cached 404 has nothing to be unmodified.
     fn replay(req: &Request, response: &Response, etag: Option<&EntityTag>) -> Response {
-        if let (Some(inm), Some(tag)) = (req.if_none_match(), etag) {
-            if inm.matches(tag) {
-                return Response::not_modified(Some(tag))
+        if response.status.is_success() && req.is_conditional() {
+            let since = req
+                .if_modified_since()
+                .and_then(|_| response.last_modified());
+            if evaluate(req, &Validators::new(etag, since)) == Disposition::NotModified {
+                return Response::not_modified(etag)
                     .with_header(HeaderName::X_SERVED_BY, "cachecatalyst-edge");
             }
         }

@@ -18,20 +18,20 @@
 //! * [`TcpEdge`] — a tokio front end serving a shared `EdgeCache`
 //!   over real TCP, for live topologies.
 //!
-//! Because [`EdgeCache`] is itself an [`Upstream`], it slots anywhere
-//! an origin does: in front of the discrete-event browser, under the
-//! chaos decorators from `cachecatalyst-proxies`, or behind
-//! [`TcpEdge`]. Construction is builder-first:
+//! Because [`EdgeCache`] is itself an [`Upstream`] — the hop trait
+//! `cachecatalyst-httpwire` defines for clients and servers alike — it
+//! slots anywhere an origin does: in front of the discrete-event
+//! browser, under the chaos decorators from `cachecatalyst-proxies`,
+//! behind [`TcpEdge`], or in front of another edge. Construction is
+//! builder-first:
 //!
 //! ```
-//! use std::sync::Arc;
-//! use cachecatalyst_browser::{SingleOrigin, Upstream};
-//! use cachecatalyst_edge::{EdgeCache, StoreOptions};
+//! use cachecatalyst_edge::{EdgeCache, StoreOptions, Upstream};
 //! use cachecatalyst_origin::{HeaderMode, OriginServer};
 //! use cachecatalyst_webmodel::example_site;
 //!
-//! let origin = Arc::new(OriginServer::new(example_site(), HeaderMode::Catalyst));
-//! let edge = EdgeCache::builder(SingleOrigin(origin))
+//! let origin = OriginServer::new(example_site(), HeaderMode::Catalyst);
+//! let edge = EdgeCache::builder(origin)
 //!     .store(StoreOptions::new().mem_budget(16 << 20).shards(4))
 //!     .build();
 //! let resp = edge.handle(
@@ -56,5 +56,5 @@ pub use store::{
 pub use tcp::{EdgeServeOptions, TcpEdge};
 
 // Re-exported so edge users name the decorated trait without also
-// depending on the browser crate directly.
-pub use cachecatalyst_browser::Upstream;
+// depending on the wire crate directly.
+pub use cachecatalyst_httpwire::Upstream;

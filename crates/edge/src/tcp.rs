@@ -19,10 +19,8 @@
 use std::io;
 use std::sync::Arc;
 
-use cachecatalyst_browser::Upstream;
-use cachecatalyst_httpwire::aio::{self, wall_clock, Clock, ConnError, Handler, Listener, Reply};
-use cachecatalyst_httpwire::{HeaderName, Request, Response, StatusCode};
-use tokio::io::{AsyncRead, AsyncWrite};
+use cachecatalyst_httpwire::aio::{self, wall_clock, Clock, Handler, Listener, Reply};
+use cachecatalyst_httpwire::{HeaderName, Request, Response, StatusCode, Upstream};
 
 use crate::cache::EdgeCache;
 
@@ -62,17 +60,6 @@ impl<U: Upstream + Send + Sync + 'static> EdgeServeOptions<U> {
             local_addr: listener.local_addr,
             listener,
         })
-    }
-
-    /// Serves HTTP/1.1 on one byte stream (TCP, duplex pipe, emulated
-    /// link) until the peer closes or requests `Connection: close`,
-    /// honoring every configured option. The `Host` header (required,
-    /// as in HTTP/1.1) routes the request upstream.
-    pub async fn serve_stream<S>(self, stream: S) -> Result<(), ConnError>
-    where
-        S: AsyncRead + AsyncWrite + Unpin,
-    {
-        aio::serve_stream(stream, &self).await
     }
 
     /// Renders the edge's telemetry registry in the Prometheus text

@@ -236,13 +236,9 @@ pub fn wall_clock() -> Clock {
 
 /// A fixed virtual clock, pinned to a whole second. Convenient for
 /// HTTP-date tests; telemetry timestamps from this clock quantize to
-/// 1s — use [`fixed_clock_ms`] when sub-second telemetry matters.
+/// 1s.
 pub fn fixed_clock(t_secs: i64) -> Clock {
-    fixed_clock_ms(t_secs.saturating_mul(1000))
-}
-
-/// A fixed virtual clock at millisecond resolution.
-pub fn fixed_clock_ms(t_ms: i64) -> Clock {
+    let t_ms = t_secs.saturating_mul(1000);
     Clock::from_millis_fn(move || t_ms)
 }
 
@@ -495,11 +491,8 @@ mod tests {
         // Negative times floor, not truncate toward zero.
         let c = Clock::from_millis_fn(|| -500);
         assert_eq!(c.secs(), -1);
-        // The ms-carrying constructors keep sub-second precision end
+        // The ms-carrying watch clock keeps sub-second precision end
         // to end (the seconds-carrying ones quantize by design).
-        let c = fixed_clock_ms(1500);
-        assert_eq!(c.millis(), 1500);
-        assert_eq!(c.secs(), 1);
         let (tx, rx) = watch::channel(0i64);
         let c = watch_clock_ms(rx);
         tx.send(60_500).unwrap();

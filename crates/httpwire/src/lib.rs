@@ -16,6 +16,8 @@
 //!   ([`date`]) and server-side conditional-request evaluation
 //!   ([`conditional`]);
 //! * the two content and key hashes every crate shares ([`hash`]);
+//! * [`Upstream`], the one trait every hop implements — origin, edge,
+//!   proxy or decorator — and every client calls ([`upstream`]);
 //! * optional async connection adapters over tokio streams ([`aio`],
 //!   feature `aio`).
 //!
@@ -38,6 +40,7 @@ pub mod method;
 pub mod status;
 pub mod target;
 pub mod tracectx;
+pub mod upstream;
 
 #[cfg(feature = "aio")]
 pub mod aio;
@@ -53,3 +56,4 @@ pub use message::{Request, Response, Version};
 pub use method::Method;
 pub use status::StatusCode;
 pub use target::{Target, Url};
+pub use upstream::Upstream;

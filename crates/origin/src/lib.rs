@@ -18,6 +18,6 @@ pub mod tcp;
 
 pub use server::{HeaderMode, OriginMetrics, OriginServer};
 pub use tcp::{
-    fixed_clock, fixed_clock_ms, wall_clock, watch_clock, watch_clock_ms, Clock, ServeOptions,
-    ServerFaults, TcpOrigin,
+    fixed_clock, wall_clock, watch_clock, watch_clock_ms, Clock, ServeOptions, ServerFaults,
+    TcpOrigin,
 };

@@ -20,7 +20,7 @@ use std::time::Duration;
 
 use cachecatalyst_httpwire::aio::{self, ConnError, Handler, Listener, Reply};
 pub use cachecatalyst_httpwire::aio::{
-    fixed_clock, fixed_clock_ms, wall_clock, watch_clock, watch_clock_ms, Clock,
+    fixed_clock, wall_clock, watch_clock, watch_clock_ms, Clock,
 };
 use cachecatalyst_httpwire::{HeaderName, Request, Response, StatusCode};
 use cachecatalyst_netsim::{Fault, FaultPlan};

@@ -1,11 +1,14 @@
 //! A fault-injecting [`Upstream`] decorator.
 //!
-//! Wraps any upstream — an origin, or one of the proxy comparators —
-//! and damages responses according to a seeded
-//! [`FaultSchedule`](cachecatalyst_netsim::FaultSchedule), so chaos
-//! runs can place the failure *behind* a proxy hop: the browser then
-//! exercises its retry/degradation machinery against a proxy whose
-//! backend is misbehaving, not just against a flaky last mile.
+//! Wraps any upstream — an origin, an edge, or one of the proxy
+//! comparators — and damages the responses it hands its caller
+//! according to a seeded
+//! [`FaultSchedule`](cachecatalyst_netsim::FaultSchedule): the damage
+//! sits on the hop between the caller and the wrapped upstream. Around
+//! an [`RdrProxy`](crate::RdrProxy), as in the chaos matrix, that is the
+//! client↔proxy hop (the proxy's own fetches go straight to its
+//! origin), so the browser exercises its retry/degradation machinery
+//! against a misbehaving proxy, not just against a flaky last mile.
 //!
 //! Fault kinds map onto the sans-IO seam as follows. Response-body
 //! truncation and connection resets have no byte stream to cut here,
@@ -19,9 +22,8 @@
 
 use std::sync::Arc;
 
-use cachecatalyst_browser::Upstream;
 use cachecatalyst_catalyst::tamper_config_headers;
-use cachecatalyst_httpwire::{HeaderName, Request, Response, StatusCode};
+use cachecatalyst_httpwire::{HeaderName, Request, Response, StatusCode, Upstream};
 use cachecatalyst_netsim::{Fault, FaultPlan, ServerFaults};
 
 /// A seeded chaos decorator around any [`Upstream`].
@@ -86,7 +88,7 @@ impl<U: Upstream> Upstream for FaultyUpstream<U> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cachecatalyst_browser::{Browser, SingleOrigin};
+    use cachecatalyst_browser::Browser;
     use cachecatalyst_httpwire::Url;
     use cachecatalyst_netsim::NetworkConditions;
     use cachecatalyst_origin::{HeaderMode, OriginServer};
@@ -97,12 +99,9 @@ mod tests {
         Url::parse("http://example.org/index.html").unwrap()
     }
 
-    fn faulty(rate: f64, seed: u64) -> FaultyUpstream<SingleOrigin> {
+    fn faulty(rate: f64, seed: u64) -> FaultyUpstream<Arc<OriginServer>> {
         let origin = Arc::new(OriginServer::new(example_site(), HeaderMode::Catalyst));
-        FaultyUpstream::new(
-            SingleOrigin(origin),
-            FaultPlan::new(seed).with_fault_rate(rate),
-        )
+        FaultyUpstream::new(origin, FaultPlan::new(seed).with_fault_rate(rate))
     }
 
     #[test]
@@ -148,12 +147,7 @@ mod tests {
     fn browser_with_retries_survives_a_faulty_upstream() {
         let reference = {
             let origin = Arc::new(OriginServer::new(example_site(), HeaderMode::Catalyst));
-            Browser::catalyst().load(
-                &SingleOrigin(origin),
-                NetworkConditions::five_g_median(),
-                &base(),
-                0,
-            )
+            Browser::catalyst().load(&origin, NetworkConditions::five_g_median(), &base(), 0)
         };
         for seed in 1..=10u64 {
             let up = faulty(0.5, seed);

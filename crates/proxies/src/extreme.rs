@@ -12,9 +12,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use cachecatalyst_browser::Upstream;
-use cachecatalyst_httpwire::tracectx::Hop;
-use cachecatalyst_httpwire::{EntityTag, HeaderName, Request, Response};
+use cachecatalyst_httpwire::{EntityTag, HeaderName, Request, Response, Upstream};
 use cachecatalyst_origin::OriginServer;
 use parking_lot::Mutex;
 
@@ -25,15 +23,16 @@ struct Observed {
     since: i64,
 }
 
+/// Aggressiveness of the estimator: TTL = α × observed age.
+const ALPHA: f64 = 0.5;
+/// Floor and ceiling for assigned TTLs (seconds).
+const MIN_TTL: u64 = 60;
+const MAX_TTL: u64 = 7 * 24 * 3600;
+
 /// The TTL-estimating proxy.
 pub struct ExtremeCacheProxy {
     inner: Arc<OriginServer>,
     observed: Mutex<HashMap<String, Observed>>,
-    /// Aggressiveness of the estimator: TTL = α × observed age.
-    pub alpha: f64,
-    /// Floor and ceiling for assigned TTLs (seconds).
-    pub min_ttl: u64,
-    pub max_ttl: u64,
 }
 
 impl ExtremeCacheProxy {
@@ -41,9 +40,6 @@ impl ExtremeCacheProxy {
         ExtremeCacheProxy {
             inner,
             observed: Mutex::new(HashMap::new()),
-            alpha: 0.5,
-            min_ttl: 60,
-            max_ttl: 7 * 24 * 3600,
         }
     }
 
@@ -60,18 +56,11 @@ impl ExtremeCacheProxy {
             entry.since = t;
         }
         let age = (t - entry.since).max(0) as f64;
-        ((age * self.alpha) as u64).clamp(self.min_ttl, self.max_ttl)
+        ((age * ALPHA) as u64).clamp(MIN_TTL, MAX_TTL)
     }
 
-    /// Number of objects with observation history.
-    pub fn tracked(&self) -> usize {
-        self.observed.lock().len()
-    }
-}
-
-impl ExtremeCacheProxy {
     fn handle_core(&self, req: &Request, t_secs: i64) -> Response {
-        let mut resp = self.inner.handle(req, t_secs);
+        let mut resp = (*self.inner).handle(req, t_secs);
         let cc = resp.cache_control();
         // Respect genuinely uncacheable content.
         if cc.no_store {
@@ -88,25 +77,11 @@ impl ExtremeCacheProxy {
 
 impl Upstream for ExtremeCacheProxy {
     fn handle(&self, _host: &str, req: &Request, t_secs: i64) -> Response {
-        match Hop::start(self.inner.span_sink(), req) {
-            None => self.handle_core(req, t_secs),
-            Some((fwd, hop)) => {
-                let resp = self.handle_core(&fwd, t_secs);
-                let assigned = resp
-                    .headers
-                    .get(HeaderName::CACHE_CONTROL)
-                    .unwrap_or("")
-                    .to_owned();
-                hop.finish(
-                    self.inner.span_sink(),
-                    "proxy.extreme",
-                    t_secs,
-                    0.0,
-                    vec![("cache_control", assigned)],
-                );
-                resp
-            }
-        }
+        let core = |req: &Request| self.handle_core(req, t_secs);
+        crate::traced_hop(&self.inner, "proxy.extreme", req, t_secs, core, |resp| {
+            let assigned = resp.headers.get(HeaderName::CACHE_CONTROL).unwrap_or("");
+            (0.0, vec![("cache_control", assigned.to_owned())])
+        })
     }
 }
 
@@ -149,7 +124,7 @@ mod tests {
         // age clock restarts.
         let r = p.handle("h", &Request::get("/d.jpg"), 7200);
         assert_eq!(r.headers.get("cache-control"), Some("max-age=60"));
-        assert_eq!(p.tracked(), 1);
+        assert_eq!(p.observed.lock().len(), 1);
     }
 
     #[test]

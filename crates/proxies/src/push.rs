@@ -13,9 +13,7 @@
 
 use std::sync::Arc;
 
-use cachecatalyst_browser::Upstream;
-use cachecatalyst_httpwire::tracectx::Hop;
-use cachecatalyst_httpwire::{HeaderName, Request, Response};
+use cachecatalyst_httpwire::{HeaderName, Request, Response, Upstream};
 use cachecatalyst_origin::OriginServer;
 use cachecatalyst_webmodel::ResourceKind;
 
@@ -57,11 +55,9 @@ impl PushOrigin {
             .map(|r| r.spec.path.clone())
             .collect()
     }
-}
 
-impl PushOrigin {
     fn handle_core(&self, req: &Request, t_secs: i64) -> Response {
-        let mut resp = self.inner.handle(req, t_secs);
+        let mut resp = (*self.inner).handle(req, t_secs);
         // Engine-internal body materialization must not recurse.
         if req.headers.contains(HeaderName::X_CC_INTERNAL) {
             return resp;
@@ -83,25 +79,15 @@ impl PushOrigin {
 
 impl Upstream for PushOrigin {
     fn handle(&self, _host: &str, req: &Request, t_secs: i64) -> Response {
-        match Hop::start(self.inner.span_sink(), req) {
-            None => self.handle_core(req, t_secs),
-            Some((fwd, hop)) => {
-                let resp = self.handle_core(&fwd, t_secs);
-                let pushed = resp
-                    .headers
-                    .get_combined(HeaderName::X_CC_PUSHED)
-                    .map(|l| l.split(',').count())
-                    .unwrap_or(0);
-                hop.finish(
-                    self.inner.span_sink(),
-                    "proxy.push",
-                    t_secs,
-                    0.0,
-                    vec![("pushed", pushed.to_string())],
-                );
-                resp
-            }
-        }
+        let core = |req: &Request| self.handle_core(req, t_secs);
+        crate::traced_hop(&self.inner, "proxy.push", req, t_secs, core, |resp| {
+            let pushed = resp
+                .headers
+                .get_combined(HeaderName::X_CC_PUSHED)
+                .map(|l| l.split(',').count())
+                .unwrap_or(0);
+            (0.0, vec![("pushed", pushed.to_string())])
+        })
     }
 }
 

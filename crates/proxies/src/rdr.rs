@@ -11,28 +11,23 @@
 //! mercifully free of).
 
 use std::sync::Arc;
-use std::time::Duration;
 
-use cachecatalyst_browser::Upstream;
-use cachecatalyst_httpwire::tracectx::Hop;
-use cachecatalyst_httpwire::{Body, HeaderName, Request, Response};
+use cachecatalyst_httpwire::{Body, HeaderName, Request, Response, Upstream};
 use cachecatalyst_origin::OriginServer;
 use cachecatalyst_webmodel::{extract, ResourceKind};
+
+/// Round-trip time between the proxy and the origin, in ms: the proxy
+/// is deployed close by.
+const PROXY_ORIGIN_RTT_MS: u64 = 4;
 
 /// The RDR proxy fronting one origin.
 pub struct RdrProxy {
     inner: Arc<OriginServer>,
-    /// Round-trip time between the proxy and the origin (the proxy is
-    /// deployed close by; default 4 ms).
-    pub proxy_origin_rtt: Duration,
 }
 
 impl RdrProxy {
     pub fn new(inner: Arc<OriginServer>) -> RdrProxy {
-        RdrProxy {
-            inner,
-            proxy_origin_rtt: Duration::from_millis(4),
-        }
+        RdrProxy { inner }
     }
 
     /// Resolves the full dependency closure of `page` (whose body the
@@ -63,7 +58,7 @@ impl RdrProxy {
                     closure.paths.push(href.clone());
                     let body_req =
                         Request::get(href).with_header(HeaderName::X_CC_INTERNAL, "bundle");
-                    let r = self.inner.handle(&body_req, t_secs);
+                    let r = (*self.inner).handle(&body_req, t_secs);
                     // What the origin cannot serve still takes its
                     // turn in the next wave, with nothing to read.
                     let mut body = Body::new();
@@ -80,7 +75,7 @@ impl RdrProxy {
     }
 
     fn handle_core(&self, req: &Request, t_secs: i64) -> Response {
-        let mut resp = self.inner.handle(req, t_secs);
+        let mut resp = (*self.inner).handle(req, t_secs);
         if req.headers.contains(HeaderName::X_CC_INTERNAL) {
             return resp;
         }
@@ -111,7 +106,7 @@ impl RdrProxy {
         }
         // Dependency resolution near the origin: one proxy↔origin RTT
         // per wave (fetches within a wave run in parallel).
-        let delay_ms = (self.proxy_origin_rtt.as_millis() as u64) * waves as u64;
+        let delay_ms = PROXY_ORIGIN_RTT_MS * waves as u64;
         resp.headers
             .insert(HeaderName::X_CC_SERVER_DELAY_MS, &delay_ms.to_string());
         resp
@@ -131,33 +126,24 @@ struct Closure {
 
 impl Upstream for RdrProxy {
     fn handle(&self, _host: &str, req: &Request, t_secs: i64) -> Response {
-        match Hop::start(self.inner.span_sink(), req) {
-            None => self.handle_core(req, t_secs),
-            Some((fwd, hop)) => {
-                let resp = self.handle_core(&fwd, t_secs);
-                let bundled = resp
-                    .headers
-                    .get_combined(HeaderName::X_CC_RDR_BUNDLE)
-                    .map(|m| m.split(',').count())
-                    .unwrap_or(0);
-                let busy_ms: f64 = resp
-                    .headers
-                    .get(HeaderName::X_CC_SERVER_DELAY_MS)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(0.0);
-                hop.finish(
-                    self.inner.span_sink(),
-                    "proxy.rdr",
-                    t_secs,
-                    busy_ms,
-                    vec![
-                        ("bundled", bundled.to_string()),
-                        ("bytes", resp.body.len().to_string()),
-                    ],
-                );
-                resp
-            }
-        }
+        let core = |req: &Request| self.handle_core(req, t_secs);
+        crate::traced_hop(&self.inner, "proxy.rdr", req, t_secs, core, |resp| {
+            let bundled = resp
+                .headers
+                .get_combined(HeaderName::X_CC_RDR_BUNDLE)
+                .map(|m| m.split(',').count())
+                .unwrap_or(0);
+            let busy_ms: f64 = resp
+                .headers
+                .get(HeaderName::X_CC_SERVER_DELAY_MS)
+                .and_then(|v| v.parse().ok())
+                .unwrap_or(0.0);
+            let attrs = vec![
+                ("bundled", bundled.to_string()),
+                ("bytes", resp.body.len().to_string()),
+            ];
+            (busy_ms, attrs)
+        })
     }
 }
 
@@ -169,6 +155,7 @@ mod tests {
     use cachecatalyst_netsim::NetworkConditions;
     use cachecatalyst_origin::HeaderMode;
     use cachecatalyst_webmodel::example_site;
+    use std::time::Duration;
 
     fn proxy() -> RdrProxy {
         RdrProxy::new(Arc::new(OriginServer::new(
@@ -184,7 +171,7 @@ mod tests {
     #[test]
     fn resolves_full_closure_including_js() {
         let p = proxy();
-        let page = p.inner.handle(&Request::get("/index.html"), 0).body;
+        let page = (*p.inner).handle(&Request::get("/index.html"), 0).body;
         let closure = p.resolve("/index.html", &page, 0);
         for expect in ["/a.css", "/b.js", "/c.js", "/d.jpg"] {
             assert!(
@@ -208,7 +195,7 @@ mod tests {
         assert!(manifest.contains("/d.jpg"));
         assert!(resp.headers.get(HeaderName::X_CC_SERVER_DELAY_MS).is_some());
         // Bundle is much larger than the bare page.
-        let bare = p.inner.handle(&Request::get("/index.html"), 0);
+        let bare = (*p.inner).handle(&Request::get("/index.html"), 0);
         assert!(resp.body.len() > bare.body.len() + 100_000);
     }
 
@@ -241,12 +228,7 @@ mod tests {
     fn rdr_beats_plain_cold_load_on_high_latency() {
         let cond = NetworkConditions::new(Duration::from_millis(120), 60_000_000);
         let origin = Arc::new(OriginServer::new(example_site(), HeaderMode::Baseline));
-        let plain = Browser::uncached().load(
-            &cachecatalyst_browser::SingleOrigin(Arc::clone(&origin)),
-            cond,
-            &base(),
-            0,
-        );
+        let plain = Browser::uncached().load(&origin, cond, &base(), 0);
         let rdr = Browser::uncached().load(&RdrProxy::new(origin), cond, &base(), 0);
         assert!(
             rdr.plt < plain.plt,

@@ -3,7 +3,6 @@
 //!
 //! Run with: `cargo run --release --example network_sweep`
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use cachecatalyst::prelude::*;
@@ -35,17 +34,15 @@ fn main() {
                 let t0: i64 = 35 * 86_400;
                 let t1 = t0 + delay.as_secs() as i64;
 
-                let origin = Arc::new(OriginServer::new(site.clone(), HeaderMode::Baseline));
-                let up = SingleOrigin(origin);
+                let origin = OriginServer::new(site.clone(), HeaderMode::Baseline);
                 let mut b = Browser::baseline();
-                b.load(&up, cond, &url, t0);
-                base_plt += b.load(&up, cond, &url, t1).plt_ms();
+                b.load(&origin, cond, &url, t0);
+                base_plt += b.load(&origin, cond, &url, t1).plt_ms();
 
-                let origin = Arc::new(OriginServer::new(site.clone(), HeaderMode::Catalyst));
-                let up = SingleOrigin(origin);
+                let origin = OriginServer::new(site.clone(), HeaderMode::Catalyst);
                 let mut c = Browser::catalyst();
-                c.load(&up, cond, &url, t0);
-                cat_plt += c.load(&up, cond, &url, t1).plt_ms();
+                c.load(&origin, cond, &url, t0);
+                cat_plt += c.load(&origin, cond, &url, t1).plt_ms();
             }
             print!(
                 "{:>8}",

@@ -4,8 +4,6 @@
 //!
 //! Run with: `cargo run --example own_site`
 
-use std::sync::Arc;
-
 use cachecatalyst::browser::to_har;
 use cachecatalyst::prelude::*;
 use cachecatalyst::webmodel::site_from_inventory;
@@ -45,14 +43,13 @@ fn main() {
         ("current headers", HeaderMode::Baseline),
         ("cachecatalyst", HeaderMode::Catalyst),
     ] {
-        let origin = Arc::new(OriginServer::new(site.clone(), mode));
-        let upstream = SingleOrigin(origin);
+        let origin = OriginServer::new(site.clone(), mode);
         let mut browser = match mode {
             HeaderMode::Baseline => Browser::baseline(),
             _ => Browser::catalyst(),
         };
-        let cold = browser.load(&upstream, cond, &base, t0);
-        let warm = browser.load(&upstream, cond, &base, t0 + revisit);
+        let cold = browser.load(&origin, cond, &base, t0);
+        let warm = browser.load(&origin, cond, &base, t0 + revisit);
         println!(
             "{label:>16}: cold {:6.1} ms | warm {:6.1} ms | warm requests {:2} | warm {:3} KB",
             cold.plt_ms(),

@@ -3,8 +3,6 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use std::sync::Arc;
-
 use cachecatalyst::prelude::*;
 
 fn main() {
@@ -17,11 +15,10 @@ fn main() {
     println!("Loading {base} at {} (revisit after 2h)\n", cond.label());
 
     // --- Status quo: developer cache headers + browser HTTP cache ---
-    let origin = Arc::new(OriginServer::new(example_site(), HeaderMode::Baseline));
-    let upstream = SingleOrigin(origin);
+    let origin = OriginServer::new(example_site(), HeaderMode::Baseline);
     let mut browser = Browser::baseline();
-    let cold = browser.load(&upstream, cond, &base, 0);
-    let warm = browser.load(&upstream, cond, &base, revisit_at);
+    let cold = browser.load(&origin, cond, &base, 0);
+    let warm = browser.load(&origin, cond, &base, revisit_at);
     println!(
         "status quo : cold {:7.1} ms | warm {:7.1} ms | {} requests, {} revalidations",
         cold.plt_ms(),
@@ -31,11 +28,10 @@ fn main() {
     );
 
     // --- CacheCatalyst: X-Etag-Config + service worker ---
-    let origin = Arc::new(OriginServer::new(example_site(), HeaderMode::Catalyst));
-    let upstream = SingleOrigin(origin);
+    let origin = OriginServer::new(example_site(), HeaderMode::Catalyst);
     let mut browser = Browser::catalyst();
-    let cold = browser.load(&upstream, cond, &base, 0);
-    let warm = browser.load(&upstream, cond, &base, revisit_at);
+    let cold = browser.load(&origin, cond, &base, 0);
+    let warm = browser.load(&origin, cond, &base, revisit_at);
     println!(
         "catalyst   : cold {:7.1} ms | warm {:7.1} ms | {} requests, {} served by SW",
         cold.plt_ms(),

@@ -4,7 +4,6 @@
 //!
 //! Run with: `cargo run --release --example revisit_timeline`
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use cachecatalyst::prelude::*;
@@ -45,17 +44,15 @@ fn main() {
     for (label, delay) in delays {
         let t1 = t0 + delay.as_secs() as i64;
 
-        let origin = Arc::new(OriginServer::new(site.clone(), HeaderMode::Baseline));
-        let upstream = SingleOrigin(origin);
+        let origin = OriginServer::new(site.clone(), HeaderMode::Baseline);
         let mut b = Browser::baseline();
-        b.load(&upstream, cond, &base, t0);
-        let baseline = b.load(&upstream, cond, &base, t1);
+        b.load(&origin, cond, &base, t0);
+        let baseline = b.load(&origin, cond, &base, t1);
 
-        let origin = Arc::new(OriginServer::new(site.clone(), HeaderMode::Catalyst));
-        let upstream = SingleOrigin(origin);
+        let origin = OriginServer::new(site.clone(), HeaderMode::Catalyst);
         let mut c = Browser::catalyst();
-        c.load(&upstream, cond, &base, t0);
-        let catalyst = c.load(&upstream, cond, &base, t1);
+        c.load(&origin, cond, &base, t0);
+        let catalyst = c.load(&origin, cond, &base, t1);
 
         println!(
             "{:<10} | {:>9.1} {:>5} {:>5} {:>5} | {:>9.1} {:>5} {:>5} {:>5} | {:>6.1}%",

@@ -19,7 +19,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use cachecatalyst_browser::{Browser, LoadReport, SingleOrigin, Upstream};
+use cachecatalyst_browser::{Browser, LoadReport, Upstream};
 use cachecatalyst_httpwire::Url;
 use cachecatalyst_netsim::{FaultPlan, NetworkConditions};
 use cachecatalyst_origin::{HeaderMode, OriginServer};
@@ -35,9 +35,11 @@ pub enum Topology {
     Catalyst,
     /// Baseline origin + classic HTTP-cache browser; same seam.
     Baseline,
-    /// An RDR proxy whose *backend traffic* is additionally damaged
-    /// by a [`FaultyUpstream`] decorator, on top of the engine-seam
-    /// faults — the client retries through a misbehaving proxy chain.
+    /// An RDR proxy whose *responses* are additionally damaged by a
+    /// [`FaultyUpstream`] wrapped around the whole proxy, on top of the
+    /// engine-seam faults: the damage is on the client↔proxy hop (the
+    /// proxy's own fetches from its origin are never faulted), and the
+    /// client retries through a misbehaving proxy.
     RdrProxy,
 }
 
@@ -101,33 +103,33 @@ pub fn run_seed(topology: Topology, seed: u64) -> ChaosRun {
     // The clean upstream serves the warm-up and the reference load;
     // the faulted load gets its own view of the SAME origin —
     // identical bytes, but (for the proxy topology) with a seeded
-    // chaos decorator at the proxy↔backend seam. Damage must never
-    // touch the reference, or the oracle would compare against a
-    // corrupted baseline.
+    // chaos decorator around the whole proxy, on the client↔proxy hop.
+    // Damage must never touch the reference, or the oracle would
+    // compare against a corrupted baseline.
     let (clean, dirty, mut browser): (Box<dyn Upstream>, Box<dyn Upstream>, Browser) =
         match topology {
             Topology::Catalyst => {
                 let origin = Arc::new(OriginServer::new(site, HeaderMode::Catalyst));
                 (
-                    Box::new(SingleOrigin(Arc::clone(&origin))),
-                    Box::new(SingleOrigin(origin)),
+                    Box::new(Arc::clone(&origin)),
+                    Box::new(origin),
                     Browser::catalyst(),
                 )
             }
             Topology::Baseline => {
                 let origin = Arc::new(OriginServer::new(site, HeaderMode::Baseline));
                 (
-                    Box::new(SingleOrigin(Arc::clone(&origin))),
-                    Box::new(SingleOrigin(origin)),
+                    Box::new(Arc::clone(&origin)),
+                    Box::new(origin),
                     Browser::baseline(),
                 )
             }
             Topology::RdrProxy => {
                 let origin = Arc::new(OriginServer::new(site, HeaderMode::Baseline));
-                // Backend damage draws from an independent stream
-                // (seed offset) at a lower rate: the client must still
-                // converge when both the last mile and the proxy's
-                // backend misbehave.
+                // The proxy's answers are damaged from an independent
+                // stream (seed offset) at a lower rate: the client must
+                // still converge when both the last mile and the proxy
+                // misbehave.
                 let faulty = FaultyUpstream::new(
                     RdrProxy::new(Arc::clone(&origin)),
                     FaultPlan::new(seed ^ 0xD1F7_0000).with_fault_rate(0.2),

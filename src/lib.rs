@@ -12,7 +12,8 @@
 //! This facade re-exports the whole workspace:
 //!
 //! * [`httpwire`] — HTTP/1.1 from scratch (messages, codec, ETags,
-//!   `Cache-Control`, conditional requests, async connections);
+//!   `Cache-Control`, conditional requests, async connections) and
+//!   `Upstream`, the one trait every hop implements;
 //! * [`netsim`] — deterministic discrete-event network simulator with
 //!   fluid processor-sharing links, plus real-time tokio emulation;
 //! * [`webmodel`] — the synthetic top-100-site workload (structure,
@@ -37,17 +38,17 @@
 //!
 //! ```
 //! use cachecatalyst::prelude::*;
-//! use std::sync::Arc;
 //!
 //! // The paper's Figure-1 example page, served in CacheCatalyst mode.
-//! let origin = Arc::new(OriginServer::new(example_site(), HeaderMode::Catalyst));
-//! let upstream = SingleOrigin(origin);
+//! // An origin is an `Upstream`: it answers for whatever host it is
+//! // asked about.
+//! let origin = OriginServer::new(example_site(), HeaderMode::Catalyst);
 //! let base = Url::parse("http://example.org/index.html").unwrap();
 //! let cond = NetworkConditions::five_g_median();
 //!
 //! let mut browser = Browser::catalyst();
-//! let first = browser.load(&upstream, cond, &base, 0);
-//! let revisit = browser.load(&upstream, cond, &base, 7200);
+//! let first = browser.load(&origin, cond, &base, 0);
+//! let revisit = browser.load(&origin, cond, &base, 7200);
 //! assert!(revisit.plt < first.plt);
 //! assert!(revisit.sw_hits > 0); // unchanged resources: zero RTTs
 //! ```
@@ -67,13 +68,11 @@ pub mod chaos;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use cachecatalyst_browser::{
-        Browser, CacheMode, EngineConfig, LoadReport, MultiOrigin, SingleOrigin, Upstream,
-    };
+    pub use cachecatalyst_browser::{Browser, CacheMode, EngineConfig, LoadReport, MultiOrigin};
     pub use cachecatalyst_catalyst::{EtagConfig, ServiceWorker, SessionCapture};
     pub use cachecatalyst_httpcache::HttpCache;
     pub use cachecatalyst_httpwire::{
-        EntityTag, HeaderMap, HttpDate, Method, Request, Response, StatusCode, Url,
+        EntityTag, HeaderMap, HttpDate, Method, Request, Response, StatusCode, Upstream, Url,
     };
     pub use cachecatalyst_netsim::{FetchOutcome, NetworkConditions, SimTime};
     pub use cachecatalyst_origin::{HeaderMode, OriginServer};

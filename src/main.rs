@@ -188,16 +188,15 @@ fn cmd_load(args: &Args) {
     let base = Url::parse(&format!("http://{}{}", site.spec.host, site.base_path()))
         .expect("generated url");
 
-    let origin = Arc::new(OriginServer::new(site.clone(), mode));
-    let upstream = SingleOrigin(origin);
+    let origin = OriginServer::new(site.clone(), mode);
     let mut browser = match mode {
         HeaderMode::Baseline => Browser::baseline(),
         HeaderMode::NoStore => Browser::uncached(),
         _ => Browser::catalyst(),
     };
     let t0: i64 = 35 * 86_400;
-    let cold = browser.load(&upstream, cond, &base, t0);
-    let warm = browser.load(&upstream, cond, &base, t0 + revisit as i64);
+    let cold = browser.load(&origin, cond, &base, t0);
+    let warm = browser.load(&origin, cond, &base, t0 + revisit as i64);
 
     println!(
         "{} | mode {:?} | {} | revisit +{}s\n",

@@ -149,7 +149,7 @@ const EDGE_HIT_BUDGET: u64 = 7;
 #[test]
 fn an_edge_dram_hit_stays_inside_its_budget() {
     let origin = Arc::new(OriginServer::new(example_site(), HeaderMode::Catalyst));
-    let edge = EdgeCache::new(SingleOrigin(origin));
+    let edge = EdgeCache::new(origin);
     let req = Request::get("/a.css")
         .with_header("host", EXAMPLE_HOST)
         .with_header("user-agent", "cachecatalyst-browser/0.1")
@@ -388,12 +388,11 @@ const WARM_CATALYST_LOAD_BUDGET: u64 = if cfg!(debug_assertions) { 398 } else { 
 
 fn warm_load_allocations(mut browser: Browser, mode: HeaderMode) -> u64 {
     let origin = Arc::new(OriginServer::new(example_site(), mode));
-    let upstream = SingleOrigin(origin);
     let cond = NetworkConditions::five_g_median();
     let base = Url::parse("http://example.org/index.html").expect("literal URL");
-    let cold = browser.load(&upstream, cond, &base, 0);
+    let cold = browser.load(&origin, cond, &base, 0);
     assert_eq!(cold.full_transfers, 5);
-    let (warm, allocations) = allocations_in(|| browser.load(&upstream, cond, &base, 2 * 3600));
+    let (warm, allocations) = allocations_in(|| browser.load(&origin, cond, &base, 2 * 3600));
     assert_eq!(warm.trace.fetches.len(), 5);
     allocations
 }

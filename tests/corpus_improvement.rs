@@ -23,16 +23,14 @@ fn mean_improvement(sites: &[Site], cond: NetworkConditions, delay: Duration) ->
         let t1 = t0 + delay.as_secs() as i64;
 
         let origin = Arc::new(OriginServer::new(site.clone(), HeaderMode::Baseline));
-        let up = SingleOrigin(origin);
         let mut b = Browser::baseline();
-        b.load(&up, cond, &url, t0);
-        base_plt += b.load(&up, cond, &url, t1).plt_ms();
+        b.load(&origin, cond, &url, t0);
+        base_plt += b.load(&origin, cond, &url, t1).plt_ms();
 
         let origin = Arc::new(OriginServer::new(site.clone(), HeaderMode::Catalyst));
-        let up = SingleOrigin(origin);
         let mut c = Browser::catalyst();
-        c.load(&up, cond, &url, t0);
-        cat_plt += c.load(&up, cond, &url, t1).plt_ms();
+        c.load(&origin, cond, &url, t0);
+        cat_plt += c.load(&origin, cond, &url, t1).plt_ms();
     }
     (base_plt - cat_plt) / base_plt * 100.0
 }
@@ -108,16 +106,14 @@ fn catalyst_never_issues_more_round_trips_than_it_saves() {
         let t1 = t0 + 3600;
 
         let origin = Arc::new(OriginServer::new(site.clone(), HeaderMode::Baseline));
-        let up = SingleOrigin(origin);
         let mut b = Browser::baseline();
-        b.load(&up, cond, &url, t0);
-        let baseline = b.load(&up, cond, &url, t1);
+        b.load(&origin, cond, &url, t0);
+        let baseline = b.load(&origin, cond, &url, t1);
 
         let origin = Arc::new(OriginServer::new(site.clone(), HeaderMode::Catalyst));
-        let up = SingleOrigin(origin);
         let mut c = Browser::catalyst();
-        c.load(&up, cond, &url, t0);
-        let catalyst = c.load(&up, cond, &url, t1);
+        c.load(&origin, cond, &url, t0);
+        let catalyst = c.load(&origin, cond, &url, t1);
 
         assert!(
             catalyst.network_requests() <= baseline.network_requests(),

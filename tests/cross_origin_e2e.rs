@@ -22,7 +22,7 @@ fn cross_origin_extension_maps_and_serves_third_party() {
 
     // Paper behaviour: third-party references never mapped.
     let plain = Arc::new(OriginServer::new(site.clone(), HeaderMode::Catalyst));
-    let resp = plain.handle(&Request::get("/index.html"), 0);
+    let resp = (*plain).handle(&Request::get("/index.html"), 0);
     let config = EtagConfig::accept(&resp.headers).unwrap();
     assert!(
         !config.iter().any(|(p, _)| p.contains(&cdn_host)),
@@ -32,7 +32,7 @@ fn cross_origin_extension_maps_and_serves_third_party() {
     // Extension: third-party entries appear, keyed by full URL.
     let extended =
         Arc::new(OriginServer::new(site.clone(), HeaderMode::Catalyst).with_cross_origin());
-    let resp = extended.handle(&Request::get("/index.html"), 0);
+    let resp = (*extended).handle(&Request::get("/index.html"), 0);
     let config = EtagConfig::accept(&resp.headers).unwrap();
     let tp_entries: Vec<&str> = config
         .iter()
@@ -46,12 +46,11 @@ fn cross_origin_extension_maps_and_serves_third_party() {
     assert!(tp_entries.iter().all(|p| p.contains(&cdn_host)));
 
     // And the browser actually gets SW hits for them on an unchanged
-    // revisit (SingleOrigin answers for the CDN host too — the paper's
+    // revisit (the origin answers for the CDN host too — the paper's
     // single-server hosting).
-    let up = SingleOrigin(extended);
     let mut browser = Browser::catalyst();
-    browser.load(&up, cond, &base, 0);
-    let warm = browser.load(&up, cond, &base, 60);
+    browser.load(&extended, cond, &base, 0);
+    let warm = browser.load(&extended, cond, &base, 60);
     let tp_hits = warm
         .trace
         .fetches
@@ -74,18 +73,17 @@ fn multi_page_visit_uses_shared_chrome() {
     });
     let cond = NetworkConditions::five_g_median();
     let origin = Arc::new(OriginServer::new(site.clone(), HeaderMode::Catalyst));
-    let up = SingleOrigin(origin);
 
     let mut browser = Browser::catalyst();
     let pages = site.pages();
     let landing = browser.load(
-        &up,
+        &origin,
         cond,
         &Url::parse(&format!("http://{}{}", site.spec.host, pages[0])).unwrap(),
         0,
     );
     let click = browser.load(
-        &up,
+        &origin,
         cond,
         &Url::parse(&format!("http://{}{}", site.spec.host, pages[1])).unwrap(),
         10,
@@ -118,17 +116,16 @@ fn capture_covers_js_resources_per_page() {
         site.clone(),
         HeaderMode::CatalystWithCapture,
     ));
-    let up = SingleOrigin(origin);
     let base = Url::parse(&format!("http://{}{}", site.spec.host, site.base_path())).unwrap();
     let mut browser = Browser::new(EngineConfig {
         mode: CacheMode::ServiceWorker,
         session: Some("user-1".into()),
         ..Default::default()
     });
-    browser.load(&up, cond, &base, 0);
+    browser.load(&origin, cond, &base, 0);
     // Unchanged revisit after a minute: everything captured must now be
     // SW-served, including JS-discovered resources that are unchanged.
-    let warm = browser.load(&up, cond, &base, 60);
+    let warm = browser.load(&origin, cond, &base, 60);
     let dynamic_sw_hits = warm
         .trace
         .fetches

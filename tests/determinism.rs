@@ -16,14 +16,13 @@ fn run_once(seed: u64, mode: HeaderMode) -> (Vec<u64>, u64, String) {
     });
     let url = Url::parse(&format!("http://{}{}", site.spec.host, site.base_path())).unwrap();
     let origin = Arc::new(OriginServer::new(site.clone(), mode));
-    let up = SingleOrigin(origin);
     let mut browser = match mode {
         HeaderMode::Baseline => Browser::baseline(),
         _ => Browser::catalyst(),
     };
     let cond = NetworkConditions::five_g_median();
-    let cold = browser.load(&up, cond, &url, 1_000_000);
-    let warm = browser.load(&up, cond, &url, 1_003_600);
+    let cold = browser.load(&origin, cond, &url, 1_000_000);
+    let warm = browser.load(&origin, cond, &url, 1_003_600);
     let etag = site
         .etag_at(site.base_path(), 1_000_000)
         .unwrap()

@@ -135,7 +135,7 @@ fn get(path: &str) -> Request {
 fn eight_concurrent_misses_cost_exactly_one_upstream_fetch() {
     const THREADS: usize = 8;
     let origin = Arc::new(OriginServer::new(example_site(), HeaderMode::Catalyst));
-    let upstream = CountingUpstream::new(SingleOrigin(origin));
+    let upstream = CountingUpstream::new(origin);
     let edge = EdgeCache::builder(upstream).build();
     let barrier = Barrier::new(THREADS);
 
@@ -175,7 +175,7 @@ fn eight_concurrent_misses_cost_exactly_one_upstream_fetch() {
 #[test]
 fn catalyst_map_validates_unchanged_subresources_with_zero_upstream() {
     let origin = Arc::new(OriginServer::new(nocache_site(), HeaderMode::Catalyst));
-    let edge = EdgeCache::builder(CountingUpstream::new(SingleOrigin(Arc::clone(&origin)))).build();
+    let edge = EdgeCache::builder(CountingUpstream::new(Arc::clone(&origin))).build();
 
     // Cold visit: base page (pass-through; maps are applied but both
     // subresources are absent) plus both subresources.
@@ -209,7 +209,7 @@ fn catalyst_map_validates_unchanged_subresources_with_zero_upstream() {
     );
     assert_eq!(
         xxh64(&s1.body),
-        xxh64(&origin.handle(&get("/s1.css"), t).body)
+        xxh64(&(*origin).handle(&get("/s1.css"), t).body)
     );
 
     // s2.js: exactly one conditional revalidation, which finds the
@@ -220,7 +220,7 @@ fn catalyst_map_validates_unchanged_subresources_with_zero_upstream() {
     assert_eq!(edge.upstream().requests(), before + 1);
     assert_eq!(
         xxh64(&s2.body),
-        xxh64(&origin.handle(&get("/s2.js"), t).body)
+        xxh64(&(*origin).handle(&get("/s2.js"), t).body)
     );
     assert_eq!(edge.metrics().revalidated_changed, 1);
 
@@ -234,7 +234,7 @@ fn catalyst_map_validates_unchanged_subresources_with_zero_upstream() {
 #[test]
 fn stale_entries_revalidate_with_a_conditional_get() {
     let origin = Arc::new(OriginServer::new(nocache_site(), HeaderMode::Catalyst));
-    let edge = EdgeCache::builder(CountingUpstream::new(SingleOrigin(origin))).build();
+    let edge = EdgeCache::builder(CountingUpstream::new(origin)).build();
 
     let first = edge.handle(HOST, &get("/s1.css"), 0);
     assert_eq!(first.status, StatusCode::OK);
@@ -252,7 +252,7 @@ fn stale_entries_revalidate_with_a_conditional_get() {
 #[test]
 fn client_conditionals_are_answered_locally() {
     let origin = Arc::new(OriginServer::new(example_site(), HeaderMode::Catalyst));
-    let edge = EdgeCache::builder(CountingUpstream::new(SingleOrigin(origin))).build();
+    let edge = EdgeCache::builder(CountingUpstream::new(origin)).build();
 
     let first = edge.handle("example.org", &Request::get("/a.css"), 0);
     let tag = first.etag().expect("validator").to_string();
@@ -268,16 +268,54 @@ fn client_conditionals_are_answered_locally() {
 }
 
 #[test]
+fn a_date_only_conditional_is_answered_by_the_origins_rule() {
+    let origin = Arc::new(OriginServer::new(example_site(), HeaderMode::Catalyst));
+    let edge = EdgeCache::builder(CountingUpstream::new(Arc::clone(&origin))).build();
+    let stamp = edge
+        .handle("example.org", &Request::get("/a.css"), 0)
+        .last_modified()
+        .expect("validator");
+    let upstream_after_fill = edge.upstream().requests();
+    let since = |date: HttpDate| {
+        Request::get("/a.css").with_header("if-modified-since", &date.to_imf_fixdate())
+    };
+
+    // Not modified since the stored `Last-Modified`: the origin says
+    // 304, and so does the edge, from its store.
+    assert_eq!(
+        (*origin).handle(&since(stamp), 0).status,
+        StatusCode::NOT_MODIFIED
+    );
+    let resp = edge.handle("example.org", &since(stamp), 0);
+    assert_eq!(resp.status, StatusCode::NOT_MODIFIED);
+    assert!(resp.body.is_empty());
+    // Modified since an earlier date: the full body.
+    let earlier = edge.handle("example.org", &since(HttpDate(stamp.as_secs() - 1)), 0);
+    assert_eq!(earlier.status, StatusCode::OK);
+    assert_eq!(edge.upstream().requests(), upstream_after_fill);
+
+    // A cached 404 holds no representation, so `If-None-Match: *`
+    // does not match it.
+    edge.handle("example.org", &Request::get("/missing.css"), 0);
+    let any = Request::get("/missing.css").with_header("if-none-match", "*");
+    assert_eq!(
+        edge.handle("example.org", &any, 0).status,
+        StatusCode::NOT_FOUND
+    );
+    assert_eq!(edge.metrics().negative_hits, 1);
+}
+
+#[test]
 fn tampered_config_maps_are_distrusted() {
     // Two edges over the same site: one whose upstream damages every
     // config map in transit, one clean. The clean edge validates via
     // the map; the tampered edge must fall back to conditional GETs.
     let origin = Arc::new(OriginServer::new(nocache_site(), HeaderMode::Catalyst));
-    let tampered = EdgeCache::builder(CountingUpstream::new(TamperingUpstream(SingleOrigin(
-        Arc::clone(&origin),
+    let tampered = EdgeCache::builder(CountingUpstream::new(TamperingUpstream(Arc::clone(
+        &origin,
     ))))
     .build();
-    let clean = EdgeCache::builder(CountingUpstream::new(SingleOrigin(origin))).build();
+    let clean = EdgeCache::builder(CountingUpstream::new(origin)).build();
 
     // Fill both stores with s1.css, then forward the base page.
     tampered.handle(HOST, &get("/s1.css"), 0);
@@ -327,7 +365,7 @@ fn faulted_upstream_responses_never_poison_the_store() {
             .with_fault_rate(0.6)
             .with_max_consecutive(3);
         let origin = Arc::new(OriginServer::new(example_site(), HeaderMode::Catalyst));
-        let edge = EdgeCache::builder(FaultyUpstream::new(SingleOrigin(origin), plan)).build();
+        let edge = EdgeCache::builder(FaultyUpstream::new(origin, plan)).build();
         let mut served_ok = 0u64;
         for &t in &times {
             for path in paths {
@@ -335,7 +373,7 @@ fn faulted_upstream_responses_never_poison_the_store() {
                     let resp = edge.handle(HOST, &get(path), t);
                     if resp.status == StatusCode::OK {
                         served_ok += 1;
-                        let want = xxh64(&reference.handle(&get(path), t).body);
+                        let want = xxh64(&(*reference).handle(&get(path), t).body);
                         assert_eq!(
                             xxh64(&resp.body),
                             want,
@@ -361,7 +399,7 @@ fn faulted_upstream_responses_never_poison_the_store() {
 #[test]
 fn negative_caching_absorbs_repeated_404s() {
     let origin = Arc::new(OriginServer::new(example_site(), HeaderMode::Catalyst));
-    let edge = EdgeCache::builder(CountingUpstream::new(SingleOrigin(origin))).build();
+    let edge = EdgeCache::builder(CountingUpstream::new(origin)).build();
 
     let first = edge.handle("example.org", &Request::get("/no-such-file"), 0);
     assert_eq!(first.status, StatusCode::NOT_FOUND);
@@ -394,7 +432,7 @@ fn byte_budget_forces_lru_eviction() {
         .collect();
     let origin = Arc::new(OriginServer::new(site, HeaderMode::Catalyst));
     let budget = 128 << 10;
-    let edge = EdgeCache::builder(SingleOrigin(origin))
+    let edge = EdgeCache::builder(origin)
         .store(StoreOptions::new().mem_budget(budget).shards(2))
         .build();
 
@@ -467,7 +505,7 @@ fn audits_and_metrics_flow_through_client_options() {
     let recorder = Arc::new(Recorder::new());
     let spans = Arc::new(SpanSink::new(Sampling::Always));
     let origin = Arc::new(OriginServer::new(example_site(), HeaderMode::Catalyst));
-    let edge = EdgeCache::builder(SingleOrigin(origin))
+    let edge = EdgeCache::builder(origin)
         .recorder(recorder.clone())
         .span_sink(spans.clone())
         .build();
@@ -518,7 +556,7 @@ async fn tcp_edge_serves_cached_bytes_end_to_end() {
     use tokio::net::TcpStream;
 
     let origin = Arc::new(OriginServer::new(example_site(), HeaderMode::Catalyst));
-    let edge = Arc::new(EdgeCache::builder(SingleOrigin(origin)).build());
+    let edge = Arc::new(EdgeCache::builder(origin).build());
     let server = TcpEdge::bind("127.0.0.1:0", Arc::clone(&edge), fixed_clock(0))
         .await
         .expect("bind");

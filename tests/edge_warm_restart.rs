@@ -150,7 +150,7 @@ fn disk_only(dir: &PathBuf) -> StoreOptions {
 /// the edge (an unclean exit writes no shutdown state — recovery works
 /// from the segment files alone).
 fn fill_and_drop(dir: &PathBuf, origin: &Arc<OriginServer>) {
-    let edge = EdgeCache::builder(CountingUpstream::new(SingleOrigin(Arc::clone(origin))))
+    let edge = EdgeCache::builder(CountingUpstream::new(Arc::clone(origin)))
         .store(disk_only(dir))
         .try_build()
         .expect("disk tier opens");
@@ -174,7 +174,7 @@ fn verified_map_refreshens_recovered_entries_with_zero_upstream() {
     fill_and_drop(&dir, &origin);
 
     // Warm restart: a brand-new edge over the same directory.
-    let edge = EdgeCache::builder(CountingUpstream::new(SingleOrigin(Arc::clone(&origin))))
+    let edge = EdgeCache::builder(CountingUpstream::new(Arc::clone(&origin)))
         .store(disk_only(&dir))
         .try_build()
         .expect("recovery scan succeeds");
@@ -208,7 +208,7 @@ fn verified_map_refreshens_recovered_entries_with_zero_upstream() {
     );
     assert_eq!(
         xxh64(&s1.body),
-        xxh64(&origin.handle(&get("/s1.css"), t).body),
+        xxh64(&(*origin).handle(&get("/s1.css"), t).body),
         "recovered bytes must match the origin's current content"
     );
     assert!(edge.metrics().disk_hits >= 1);
@@ -220,7 +220,7 @@ fn verified_map_refreshens_recovered_entries_with_zero_upstream() {
     assert_eq!(edge.upstream().requests(), 2);
     assert_eq!(
         xxh64(&s2.body),
-        xxh64(&origin.handle(&get("/s2.js"), t).body)
+        xxh64(&(*origin).handle(&get("/s2.js"), t).body)
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -232,8 +232,8 @@ fn tampered_map_does_not_refreshen_recovered_entries() {
     fill_and_drop(&dir, &origin);
 
     // Restart behind an upstream that damages every map in transit.
-    let edge = EdgeCache::builder(CountingUpstream::new(TamperingUpstream(SingleOrigin(
-        Arc::clone(&origin),
+    let edge = EdgeCache::builder(CountingUpstream::new(TamperingUpstream(Arc::clone(
+        &origin,
     ))))
     .store(disk_only(&dir))
     .try_build()
@@ -264,7 +264,7 @@ fn tampered_map_does_not_refreshen_recovered_entries() {
     assert_eq!(edge.metrics().revalidated_304, 1);
     assert_eq!(
         xxh64(&s1.body),
-        xxh64(&origin.handle(&get("/s1.css"), t).body)
+        xxh64(&(*origin).handle(&get("/s1.css"), t).body)
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -278,7 +278,7 @@ fn recovered_entries_are_stale_until_verified() {
     let origin = Arc::new(OriginServer::new(nocache_site(), HeaderMode::Catalyst));
     fill_and_drop(&dir, &origin);
 
-    let edge = EdgeCache::builder(CountingUpstream::new(SingleOrigin(Arc::clone(&origin))))
+    let edge = EdgeCache::builder(CountingUpstream::new(Arc::clone(&origin)))
         .store(disk_only(&dir))
         .try_build()
         .expect("recovery scan succeeds");
@@ -294,7 +294,7 @@ fn recovered_entries_are_stale_until_verified() {
     assert_eq!(edge.metrics().revalidated_304, 1);
     assert_eq!(
         xxh64(&s1.body),
-        xxh64(&origin.handle(&get("/s1.css"), t).body)
+        xxh64(&(*origin).handle(&get("/s1.css"), t).body)
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -191,7 +191,7 @@ async fn large_etag_maps_split_and_survive_tcp() {
         ..Default::default()
     });
     let origin = Arc::new(OriginServer::new(site.clone(), HeaderMode::Catalyst));
-    let expected = origin.handle(&Request::get("/index.html"), 0);
+    let expected = (*origin).handle(&Request::get("/index.html"), 0);
     let expected_config = EtagConfig::accept(&expected.headers).unwrap();
     assert!(expected_config.len() >= 250, "{}", expected_config.len());
 

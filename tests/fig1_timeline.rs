@@ -16,8 +16,7 @@ fn cond() -> NetworkConditions {
 #[test]
 fn figure_1a_cold_load_shape() {
     let origin = Arc::new(OriginServer::new(example_site(), HeaderMode::Baseline));
-    let up = SingleOrigin(origin);
-    let report = Browser::baseline().load(&up, cond(), &base(), 0);
+    let report = Browser::baseline().load(&origin, cond(), &base(), 0);
 
     // Five resources, all full transfers, strictly widening waterfall.
     assert_eq!(report.trace.fetches.len(), 5);
@@ -52,10 +51,9 @@ fn figure_1b_and_1c_improvement_chain() {
 
     // (b) status quo revisit.
     let origin = Arc::new(OriginServer::new(example_site(), HeaderMode::Baseline));
-    let up = SingleOrigin(origin);
     let mut b = Browser::baseline();
-    let cold = b.load(&up, cond(), &base(), 0);
-    let fig1b = b.load(&up, cond(), &base(), t1);
+    let cold = b.load(&origin, cond(), &base(), 0);
+    let fig1b = b.load(&origin, cond(), &base(), t1);
 
     // (c) optimized revisit (capture mode covers the JS chain, like
     // the figure's "only index.html is fetched" timeline).
@@ -63,14 +61,13 @@ fn figure_1b_and_1c_improvement_chain() {
         example_site(),
         HeaderMode::CatalystWithCapture,
     ));
-    let up = SingleOrigin(origin);
     let mut c = Browser::new(EngineConfig {
         mode: CacheMode::ServiceWorker,
         session: Some("fig1".into()),
         ..Default::default()
     });
-    c.load(&up, cond(), &base(), 0);
-    let fig1c = c.load(&up, cond(), &base(), t1);
+    c.load(&origin, cond(), &base(), 0);
+    let fig1c = c.load(&origin, cond(), &base(), t1);
 
     assert!(fig1b.plt < cold.plt, "caching helps at all");
     assert!(fig1c.plt < fig1b.plt, "the optimized revisit is faster");
@@ -83,8 +80,7 @@ fn figure_1b_and_1c_improvement_chain() {
 #[test]
 fn waterfall_rendering_is_complete() {
     let origin = Arc::new(OriginServer::new(example_site(), HeaderMode::Baseline));
-    let up = SingleOrigin(origin);
-    let report = Browser::baseline().load(&up, cond(), &base(), 0);
+    let report = Browser::baseline().load(&origin, cond(), &base(), 0);
     let rendered = report.trace.render_waterfall(40);
     for p in ["index.html", "a.css", "b.js", "c.js", "d.jpg"] {
         assert!(rendered.contains(p), "waterfall missing {p}:\n{rendered}");

@@ -104,7 +104,7 @@ fn spike_costs_exactly_one_upstream_fetch_per_churn_epoch() {
 
     let origin = Arc::new(OriginServer::new(example_site(), HeaderMode::Catalyst));
     let counting = PathCountingUpstream {
-        inner: SingleOrigin(origin),
+        inner: origin,
         path: HOT,
         count: AtomicU64::new(0),
     };

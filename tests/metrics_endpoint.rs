@@ -148,12 +148,11 @@ async fn metrics_ignore_operational_endpoints() {
 #[test]
 fn jsonl_trace_outcomes_sum_to_resource_count() {
     let origin = Arc::new(OriginServer::new(example_site(), HeaderMode::Catalyst));
-    let upstream = SingleOrigin(origin);
     let base = Url::parse("http://example.org/index.html").unwrap();
     let recorder = Arc::new(Recorder::new());
     let mut browser = Browser::catalyst().with_recorder(recorder.clone());
 
-    browser.load(&upstream, NetworkConditions::five_g_median(), &base, 0);
+    browser.load(&origin, NetworkConditions::five_g_median(), &base, 0);
     let trace = to_jsonl(&recorder.take());
 
     let fetch_ends: Vec<&str> = trace

@@ -42,7 +42,7 @@ const BOTH: [Kind; 2] = [Kind::Origin, Kind::Edge];
 
 enum Server {
     Origin(TcpOrigin),
-    Edge(TcpEdge, Arc<EdgeCache<SingleOrigin>>),
+    Edge(TcpEdge, Arc<EdgeCache<Arc<OriginServer>>>),
 }
 
 impl Server {
@@ -62,7 +62,7 @@ impl Server {
                     .unwrap(),
             ),
             Kind::Edge => {
-                let edge = Arc::new(EdgeCache::builder(SingleOrigin(origin)).build());
+                let edge = Arc::new(EdgeCache::builder(origin).build());
                 let listening = TcpEdge::builder(Arc::clone(&edge))
                     .clock(fixed_clock(0))
                     .ops(ops)

@@ -49,7 +49,7 @@ async fn cold_load_times_agree() {
 
     // Simulated prediction.
     let origin = Arc::new(OriginServer::new(example_site(), HeaderMode::Baseline));
-    let sim = Browser::uncached().load(&SingleOrigin(Arc::clone(&origin)), cond, &base, 0);
+    let sim = Browser::uncached().load(&origin, cond, &base, 0);
 
     // Live execution over emulated links.
     let mut live = LiveBrowser::new(dialer_for(origin, cond, 0), CacheMode::Uncached);
@@ -79,13 +79,13 @@ async fn catalyst_revisit_agrees_and_preserves_the_win() {
     // --- simulated: baseline vs catalyst warm visits ---
     let origin_b = Arc::new(OriginServer::new(example_site(), HeaderMode::Baseline));
     let mut b = Browser::baseline();
-    b.load(&SingleOrigin(Arc::clone(&origin_b)), cond, &base, 0);
-    let sim_base = b.load(&SingleOrigin(Arc::clone(&origin_b)), cond, &base, t1);
+    b.load(&origin_b, cond, &base, 0);
+    let sim_base = b.load(&origin_b, cond, &base, t1);
 
     let origin_c = Arc::new(OriginServer::new(example_site(), HeaderMode::Catalyst));
     let mut c = Browser::catalyst();
-    c.load(&SingleOrigin(Arc::clone(&origin_c)), cond, &base, 0);
-    let sim_cat = c.load(&SingleOrigin(Arc::clone(&origin_c)), cond, &base, t1);
+    c.load(&origin_c, cond, &base, 0);
+    let sim_cat = c.load(&origin_c, cond, &base, t1);
 
     // --- live: same protocol over emulated links ---
     let mut live_b = LiveBrowser::new(

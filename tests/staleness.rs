@@ -41,7 +41,7 @@ fn delivered_versions(
     t1: i64,
 ) -> Vec<(String, u64, u64)> {
     let origin = Arc::new(OriginServer::new(site.clone(), mode));
-    let up = SingleOrigin(Arc::clone(&origin));
+    let up = Arc::clone(&origin);
     let url = Url::parse(&format!("http://{}{}", site.spec.host, site.base_path())).unwrap();
     browser.load(&up, NetworkConditions::five_g_median(), &url, t0);
     let warm = browser.load(&up, NetworkConditions::five_g_median(), &url, t1);
@@ -142,7 +142,7 @@ fn audit_decisions_reconcile_with_cache_metric_deltas() {
     let cond = NetworkConditions::five_g_median();
     for site in &sites {
         let origin = Arc::new(OriginServer::new(site.clone(), HeaderMode::Baseline));
-        let up = SingleOrigin(Arc::clone(&origin));
+        let up = Arc::clone(&origin);
         let url = Url::parse(&format!("http://{}{}", site.spec.host, site.base_path())).unwrap();
         let mut browser = Browser::baseline();
         for t in [t0, t0 + 3600, t0 + 86_400, t0 + 8 * 86_400] {
@@ -195,7 +195,7 @@ fn audit_decisions_reconcile_with_cache_metric_deltas() {
                 .filter(|a| a.decision == CacheDecision::FullFetch)
                 .filter(|a| {
                     let path = Url::parse(&a.url).unwrap().path().to_owned();
-                    let resp = origin.handle(&Request::get(&path), t);
+                    let resp = (*origin).handle(&Request::get(&path), t);
                     HttpCache::is_storable(&Request::get(&path), &resp)
                 })
                 .count() as u64;

@@ -106,7 +106,7 @@ fn catalyst_visits_produce_connected_trees_and_full_audits() {
     let origin = Arc::new(
         OriginServer::new(example_site(), HeaderMode::Catalyst).with_span_sink(Arc::clone(&sink)),
     );
-    let upstream = SingleOrigin(Arc::clone(&origin));
+    let upstream = Arc::clone(&origin);
     let mut browser = Browser::catalyst().with_span_sink(Arc::clone(&sink));
 
     // Cold visit, then a warm revisit one minute later.
@@ -186,8 +186,7 @@ fn baseline_and_uncached_loads_are_fully_audited() {
         (Browser::uncached(), HeaderMode::Baseline),
     ] {
         let origin = Arc::new(OriginServer::new(example_site(), mode));
-        let upstream = SingleOrigin(origin);
-        run_traced(browser, &upstream, &[0, 60, 7200]);
+        run_traced(browser, &origin, &[0, 60, 7200]);
     }
 }
 
@@ -241,9 +240,8 @@ fn unsampled_loads_record_nothing() {
     let origin = Arc::new(
         OriginServer::new(example_site(), HeaderMode::Catalyst).with_span_sink(Arc::clone(&sink)),
     );
-    let upstream = SingleOrigin(origin);
     let mut browser = Browser::catalyst().with_span_sink(Arc::clone(&sink));
-    let report = browser.load(&upstream, cond(), &base(), 0);
+    let report = browser.load(&origin, cond(), &base(), 0);
     assert!(sink.is_empty(), "sampling off records no spans");
     // The audit trail is orthogonal to sampling: always complete.
     assert_eq!(report.audits.len(), report.trace.fetches.len());
