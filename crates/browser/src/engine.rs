@@ -18,8 +18,8 @@ use std::time::Duration;
 use cachecatalyst_catalyst::tamper_config_headers;
 use cachecatalyst_httpwire::{tracectx, HeaderName, Request, Response, StatusCode, Url};
 use cachecatalyst_netsim::{
-    Fault, FaultPlan, FaultSchedule, FetchOutcome, FetchTrace, LinkId, LoadTrace, NetEvent,
-    Network, NetworkConditions, SimTime,
+    Fault, FaultPlan, FaultSchedule, FetchOutcome, FetchTrace, LinkId, LoadTrace, Network,
+    NetworkConditions, SimTime,
 };
 use cachecatalyst_telemetry::span::{Span, SpanId, SpanSink, TraceContext, TraceId};
 use cachecatalyst_telemetry::CacheAudit;
@@ -322,12 +322,10 @@ pub struct Engine<'a> {
     cond: NetworkConditions,
     cfg: &'a EngineConfig,
     profile: Profile<'a>,
-    net: Network,
+    net: Network<Pending>,
     uplink: LinkId,
     downlink: LinkId,
     fetches: Vec<FetchState>,
-    pending: HashMap<u64, Pending>,
-    next_token: u64,
     pools: HashMap<String, Pool>,
     requested: HashSet<String>,
     /// Responses already on the client (push / bundle), keyed by URL.
@@ -382,8 +380,6 @@ impl<'a> Engine<'a> {
             uplink,
             downlink,
             fetches: Vec::new(),
-            pending: HashMap::new(),
-            next_token: 0,
             pools: HashMap::new(),
             requested: HashSet::new(),
             predelivered: HashMap::new(),
@@ -420,21 +416,9 @@ impl<'a> Engine<'a> {
     pub fn load(mut self, base_url: &Url) -> LoadReport {
         self.request_fetch(base_url.clone(), SimTime::ZERO, Role::Navigation);
         while let Some((now, ev)) = self.net.next() {
-            let token = match ev {
-                NetEvent::Timer(t) => t,
-                NetEvent::FlowDone(_, t) => t,
-            };
-            let pending = self.pending.remove(&token).expect("unknown token fired");
-            self.dispatch(pending, now);
+            self.dispatch(ev, now);
         }
         self.finalize()
-    }
-
-    fn token(&mut self, p: Pending) -> u64 {
-        let t = self.next_token;
-        self.next_token += 1;
-        self.pending.insert(t, p);
-        t
     }
 
     fn dispatch(&mut self, pending: Pending, now: SimTime) {
@@ -481,8 +465,7 @@ impl<'a> Engine<'a> {
                     }
                     fault => self.fetches[f].pending_fault = fault,
                 }
-                let tok = self.token(Pending::ServerTurn(f));
-                self.net.set_timer(dt, tok);
+                self.net.set_timer(dt, Pending::ServerTurn(f));
             }
             Pending::ServerTurn(f) => {
                 // Re-stamp the trace context with the virtual clock at
@@ -502,8 +485,8 @@ impl<'a> Engine<'a> {
                 // fetch timeout recovers the attempt.
                 if let Some(Fault::Stall) = fault {
                     self.n_faults += 1;
-                    let tok = self.token(Pending::TimedOut(f));
-                    self.net.set_timer(self.cfg.fetch_timeout, tok);
+                    self.net
+                        .set_timer(self.cfg.fetch_timeout, Pending::TimedOut(f));
                     return;
                 }
                 let mut resp = self.up.handle(
@@ -548,16 +531,17 @@ impl<'a> Engine<'a> {
                     let partial = ((bytes as f64 * fraction) as u64).max(1);
                     self.fetches[f].bytes_down = partial;
                     self.fetches[f].t_response_start = Some(now);
-                    let tok = self.token(Pending::TransferFailed(f));
                     self.net
-                        .start_flow_or_timer(self.downlink, tok, partial, tok);
+                        .start_flow(self.downlink, partial, Pending::TransferFailed(f));
                     return;
                 }
                 self.fetches[f].bytes_down = bytes;
                 self.fetches[f].response = Some(resp);
                 if extra_delay > 0 {
-                    let tok = self.token(Pending::ServerDelayed(f));
-                    self.net.set_timer(Duration::from_millis(extra_delay), tok);
+                    self.net.set_timer(
+                        Duration::from_millis(extra_delay),
+                        Pending::ServerDelayed(f),
+                    );
                 } else {
                     self.fetches[f].t_response_start = Some(now);
                     self.start_download(f);
@@ -568,8 +552,8 @@ impl<'a> Engine<'a> {
                 self.start_download(f);
             }
             Pending::DownloadDone(f) => {
-                let tok = self.token(Pending::LastByte(f));
-                self.net.set_timer(self.cond.one_way(), tok);
+                self.net
+                    .set_timer(self.cond.one_way(), Pending::LastByte(f));
             }
             Pending::LastByte(f) => {
                 self.release_conn(f, now);
@@ -670,8 +654,7 @@ impl<'a> Engine<'a> {
         self.fetches[f].facts.degraded = true;
         self.n_retries += 1;
         let backoff = profile::backoff(self.cfg, attempt, next_unit(&mut self.jitter_state));
-        let tok = self.token(Pending::Retry(f));
-        self.net.set_timer(backoff, tok);
+        self.net.set_timer(backoff, Pending::Retry(f));
     }
 
     /// Marks `f`'s connection dead (the peer reset or went silent):
@@ -693,16 +676,15 @@ impl<'a> Engine<'a> {
         if let Some(next) = pool.pop_waiter() {
             pool.conns[idx].busy = true;
             self.fetches[next].conn = Some(idx);
-            let tok = self.token(Pending::HandshakeDone(next));
             let dt = self.handshake_time(next);
-            self.net.set_timer(dt, tok);
+            self.net.set_timer(dt, Pending::HandshakeDone(next));
         }
     }
 
     fn start_download(&mut self, f: FetchId) {
         let bytes = self.fetches[f].bytes_down;
-        let tok = self.token(Pending::DownloadDone(f));
-        self.net.start_flow_or_timer(self.downlink, tok, bytes, tok);
+        self.net
+            .start_flow(self.downlink, bytes, Pending::DownloadDone(f));
     }
 
     // ---- fetch initiation ----
@@ -739,8 +721,7 @@ impl<'a> Engine<'a> {
                 FetchOutcome::ServiceWorkerHit => SW_OVERHEAD,
                 _ => CACHE_OVERHEAD,
             };
-            let tok = self.token(Pending::Instant(f));
-            self.net.set_timer(overhead, tok);
+            self.net.set_timer(overhead, Pending::Instant(f));
             if let Some(req) = decision.revalidate {
                 self.spawn_background_revalidation(req, now, f);
             }
@@ -803,8 +784,7 @@ impl<'a> Engine<'a> {
             }
             self.fetches[f].facts.outcome = FetchOutcome::Pushed;
             self.fetches[f].response = Some(resp);
-            let tok = self.token(Pending::Instant(f));
-            self.net.set_timer(CACHE_OVERHEAD, tok);
+            self.net.set_timer(CACHE_OVERHEAD, Pending::Instant(f));
             return true;
         }
         if let Some(entry) = self.push_inflight.get_mut(&self.fetches[f].facts.key) {
@@ -833,8 +813,7 @@ impl<'a> Engine<'a> {
                     // The fetch that triggers the lookup pays its RTT;
                     // later fetches just park on the resolution.
                     self.fetches[f].rtts += 1;
-                    let tok = self.token(Pending::DnsDone(host));
-                    self.net.set_timer(self.cond.rtt, tok);
+                    self.net.set_timer(self.cond.rtt, Pending::DnsDone(host));
                     return;
                 }
             }
@@ -854,9 +833,8 @@ impl<'a> Engine<'a> {
                         busy: true,
                     });
                     self.fetches[f].conn = Some(0);
-                    let tok = self.token(Pending::HandshakeDone(f));
                     let dt = self.handshake_time(f);
-                    self.net.set_timer(dt, tok);
+                    self.net.set_timer(dt, Pending::HandshakeDone(f));
                 }
                 Some(c) if !c.established => pool.queue.push_back(f),
                 Some(_) => {
@@ -879,9 +857,8 @@ impl<'a> Engine<'a> {
         if let Some(idx) = pool.conns.iter().position(|c| !c.busy && !c.established) {
             pool.conns[idx].busy = true;
             self.fetches[f].conn = Some(idx);
-            let tok = self.token(Pending::HandshakeDone(f));
             let dt = self.handshake_time(f);
-            self.net.set_timer(dt, tok);
+            self.net.set_timer(dt, Pending::HandshakeDone(f));
             return;
         }
         if pool.conns.len() < max {
@@ -891,9 +868,8 @@ impl<'a> Engine<'a> {
             });
             let idx = pool.conns.len() - 1;
             self.fetches[f].conn = Some(idx);
-            let tok = self.token(Pending::HandshakeDone(f));
             let dt = self.handshake_time(f);
-            self.net.set_timer(dt, tok);
+            self.net.set_timer(dt, Pending::HandshakeDone(f));
             return;
         }
         let high = !self.cfg.prioritize_render_blocking
@@ -963,8 +939,8 @@ impl<'a> Engine<'a> {
         }
         let bytes = self.fetches[f].req.wire_len() as u64;
         self.fetches[f].bytes_up = bytes;
-        let tok = self.token(Pending::UploadDone(f));
-        self.net.start_flow_or_timer(self.uplink, tok, bytes, tok);
+        self.net
+            .start_flow(self.uplink, bytes, Pending::UploadDone(f));
     }
 
     // ---- delivery ----
@@ -1010,8 +986,7 @@ impl<'a> Engine<'a> {
             return;
         }
         if let Some(dt) = profile::process_cost(self.cfg, kind, len) {
-            let tok = self.token(Pending::Processed(f));
-            self.net.set_timer(dt, tok);
+            self.net.set_timer(dt, Pending::Processed(f));
         }
         if is_nav {
             self.handle_predelivery(f, now);
@@ -1081,8 +1056,8 @@ impl<'a> Engine<'a> {
                     ..FetchState::new(url, facts, req, now)
                 });
                 self.push_inflight.insert(key, (pf, None));
-                let tok = self.token(Pending::PushDone(pf));
-                self.net.start_flow_or_timer(self.downlink, tok, bytes, tok);
+                self.net
+                    .start_flow(self.downlink, bytes, Pending::PushDone(pf));
             }
         }
     }

@@ -32,18 +32,17 @@
 //! poisoning the shared store.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError, TryLockError};
 
 use cachecatalyst_catalyst::EtagConfig;
 use cachecatalyst_httpcache::freshness_lifetime;
 use cachecatalyst_httpwire::conditional::{evaluate, Disposition, Validators};
 use cachecatalyst_httpwire::tracectx::Hop;
 use cachecatalyst_httpwire::{
-    Body, EntityTag, HeaderName, Method, Request, Response, StatusCode, Upstream,
+    Body, EntityTag, HeaderName, Method, Request, Response, StatusCode, Upstream, Url,
 };
 use cachecatalyst_telemetry::span::{Sampling, SpanSink};
 use cachecatalyst_telemetry::{json_string, CacheAudit, CacheDecision, Event, Recorder, Registry};
-use parking_lot::Mutex;
 
 use crate::store::{MarkOutcome, StoreOptions, StoredEntry, TierHit, TieredStore};
 
@@ -680,8 +679,16 @@ impl<U: Upstream> EdgeCache<U> {
             return;
         };
         let fresh_until = t_secs + CATALYST_FRESH_SECS;
-        for (path, tag) in config.iter() {
-            let key = format!("{host}{path}");
+        for (entry, tag) in config.iter() {
+            // A cross-origin map names a third-party object by its
+            // full URL; the edge stores it under that URL's authority,
+            // as `key` does for a request carrying that `Host`.
+            let key = if entry.starts_with('/') {
+                format!("{host}{entry}")
+            } else {
+                let Ok(url) = Url::parse(entry) else { continue };
+                [&url.authority(), url.path()].concat()
+            };
             match self.store.mark(&key, tag, t_secs, fresh_until) {
                 MarkOutcome::Fresh => self.counters.marks_fresh.inc(),
                 MarkOutcome::Mismatch => self.counters.marks_stale.inc(),
@@ -782,7 +789,7 @@ impl<U: Upstream> EdgeCache<U> {
 
     /// The per-key single-flight lock for `key`.
     fn flight_of(&self, key: &str) -> Arc<Mutex<()>> {
-        let mut flights = self.flights.lock();
+        let mut flights = self.flights.lock().unwrap_or_else(PoisonError::into_inner);
         Arc::clone(
             flights
                 .entry(key.to_owned())
@@ -792,7 +799,7 @@ impl<U: Upstream> EdgeCache<U> {
 
     /// Drops the single-flight entry once no fetch is in progress.
     fn flight_done(&self, key: &str) {
-        let mut flights = self.flights.lock();
+        let mut flights = self.flights.lock().unwrap_or_else(PoisonError::into_inner);
         flights.remove(key);
     }
 }
@@ -838,10 +845,11 @@ impl<U: Upstream> Upstream for EdgeCache<U> {
         // admitted (e.g. it was damaged by a fault schedule).
         let flight = self.flight_of(&key);
         let guard = match flight.try_lock() {
-            Some(guard) => guard,
-            None => {
+            Ok(guard) => guard,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => {
                 self.counters.coalesced_waiters.inc();
-                flight.lock()
+                flight.lock().unwrap_or_else(PoisonError::into_inner)
             }
         };
         // Holding the flight lock: re-check the store, because another

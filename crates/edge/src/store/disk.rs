@@ -39,11 +39,11 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use bytes::{BufMut, Bytes, BytesMut};
 use cachecatalyst_httpwire::hash::xxh64;
 use cachecatalyst_httpwire::{codec, EntityTag, Method, ParseLimits, Parsed, Response};
-use parking_lot::Mutex;
 
 use super::{EntryInfo, MarkOutcome, Meta, StoredEntry};
 
@@ -428,17 +428,23 @@ impl DiskTier {
         }
     }
 
+    /// Locks the index and segments; a holder that panicked does not
+    /// make them unusable.
+    fn state(&self) -> MutexGuard<'_, DiskState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The stored validator under `key`: `None` when absent,
     /// `Some(etag)` when live. Lets the tiered store detect
     /// supersession without reading the record back.
     pub(super) fn stored_etag(&self, key: &str) -> Option<Option<EntityTag>> {
-        let state = self.state.lock();
+        let state = self.state();
         state.index.get(key).map(|e| e.meta.etag.clone())
     }
 
     /// Live object count.
     pub fn len(&self) -> usize {
-        self.state.lock().index.len()
+        self.state().index.len()
     }
 
     /// True when the index is empty.
@@ -448,7 +454,7 @@ impl DiskTier {
 
     /// Full cumulative counter snapshot.
     pub fn disk_stats(&self) -> DiskStats {
-        let state = self.state.lock();
+        let state = self.state();
         DiskStats {
             objects: state.index.len(),
             live_bytes: state.live_bytes,
@@ -514,7 +520,7 @@ impl DiskTier {
     /// The entry under `key` (fresh or stale), read back from its
     /// segment and checksum-verified.
     pub fn get(&self, key: &str) -> Option<StoredEntry> {
-        let mut state = self.state.lock();
+        let mut state = self.state();
         self.read_entry(&mut state, key)
     }
 
@@ -535,7 +541,7 @@ impl DiskTier {
     pub fn insert(&self, key: &str, entry: StoredEntry) -> bool {
         let rec = encode_record(key, &entry);
         let len = rec.len() as u64;
-        let mut state = self.state.lock();
+        let mut state = self.state();
         // Rotate when the active segment is full (a record larger than
         // a whole segment gets a dedicated one).
         let written = state.segments[&state.active_id].bytes;
@@ -587,7 +593,7 @@ impl DiskTier {
     pub fn mark(&self, key: &str, current: &EntityTag, now: i64, fresh_until: i64) -> MarkOutcome {
         // Index-only: freshness metadata never rewrites the segment
         // files, which is what makes warm-restart re-freshening free.
-        let mut state = self.state.lock();
+        let mut state = self.state();
         let Some(entry) = state.index.get_mut(key) else {
             return MarkOutcome::Absent;
         };
@@ -601,13 +607,13 @@ impl DiskTier {
 
     /// Drops `key` outright (poisoned or superseded entry).
     pub fn evict(&self, key: &str) {
-        let mut state = self.state.lock();
+        let mut state = self.state();
         Self::remove_live(&mut state, key);
     }
 
     /// Every entry this tier holds, for the inspector endpoint.
     pub fn entries(&self) -> Vec<EntryInfo> {
-        let state = self.state.lock();
+        let state = self.state();
         state
             .index
             .iter()
@@ -769,7 +775,7 @@ mod tests {
     /// The running total, the per-segment lengths and the files
     /// themselves must tell one story.
     fn assert_file_bytes_accounted(tier: &DiskTier, when: &str) {
-        let state = tier.state.lock();
+        let state = tier.state();
         let by_segment: u64 = state.segments.values().map(|s| s.bytes).sum();
         assert_eq!(state.file_bytes, by_segment, "{when}: segment lengths");
         let on_disk: u64 = fs::read_dir(&tier.dir)
@@ -798,7 +804,7 @@ mod tests {
         }
         let stats = tier.disk_stats();
         assert!(stats.segments > 1 && stats.retired_segments > 0);
-        let last = tier.state.lock().active_id;
+        let last = tier.state().active_id;
         drop(tier);
 
         let tier = DiskTier::open(&opts).unwrap();
@@ -829,7 +835,7 @@ mod tests {
     }
 
     fn holds_handle(tier: &DiskTier, segment: u64) -> bool {
-        tier.state.lock().segments[&segment].file.is_some()
+        tier.state().segments[&segment].file.is_some()
     }
 
     #[test]
@@ -850,7 +856,7 @@ mod tests {
 
         // A sealed segment, after rotation moved appends elsewhere.
         let mut i = 2;
-        while tier.state.lock().active_id == 0 {
+        while tier.state().active_id == 0 {
             tier.insert(&format!("h/{i}"), entry(&body, "v", 0, 10));
             i += 1;
         }
@@ -866,7 +872,7 @@ mod tests {
         }
         assert!(tier.get("h/0").is_none());
         assert!(!segment_path(&dir, 0).exists());
-        assert!(!tier.state.lock().segments.contains_key(&0));
+        assert!(!tier.state().segments.contains_key(&0));
         // Where the OS lists this process's descriptors (Linux).
         if let Ok(fds) = fs::read_dir("/proc/self/fd") {
             let dir = dir.to_str().unwrap();
@@ -896,7 +902,7 @@ mod tests {
         // sum and a short read must fail the same way.
         let seg = segment_path(&dir, 0);
         let bytes = fs::read(&seg).unwrap();
-        let first_record = tier.state.lock().index["h/a"].record_len as usize;
+        let first_record = tier.state().index["h/a"].record_len as usize;
         let mut damaged = bytes[..first_record].to_vec();
         damaged[first_record / 2] ^= 0x01;
         fs::write(&seg, &damaged).unwrap();

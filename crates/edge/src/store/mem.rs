@@ -9,10 +9,10 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use cachecatalyst_httpwire::hash::fnv1a64;
 use cachecatalyst_httpwire::{EntityTag, Response};
-use parking_lot::Mutex;
 
 use super::{EntryInfo, MarkOutcome, StoredEntry};
 
@@ -25,6 +25,11 @@ struct Slot {
 struct Shard {
     map: HashMap<String, Slot>,
     bytes: usize,
+}
+
+/// Locks one shard; a holder that panicked does not make it unusable.
+fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
+    shard.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The sharded DRAM tier. All operations lock exactly one shard.
@@ -80,7 +85,7 @@ impl MemTier {
         let seq = self.touch();
         let size = entry.size();
         let mut victims = Vec::new();
-        let mut shard = self.shard_of(key).lock();
+        let mut shard = lock(self.shard_of(key));
         if let Some(old) = shard.map.insert(key.to_owned(), Slot { entry, seq }) {
             shard.bytes -= old.entry.size();
             self.bytes_held
@@ -124,7 +129,7 @@ impl MemTier {
         fresh_until: i64,
     ) -> bool {
         let seq = self.touch();
-        let mut shard = self.shard_of(key).lock();
+        let mut shard = lock(self.shard_of(key));
         let shard = &mut *shard;
         let Some(slot) = shard.map.get_mut(key) else {
             return false;
@@ -160,7 +165,7 @@ impl MemTier {
 
     /// Number of stored objects.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
+        self.shards.iter().map(|s| lock(s).map.len()).sum()
     }
 
     /// True when nothing is stored.
@@ -171,7 +176,7 @@ impl MemTier {
     /// The entry under `key` (fresh or stale), bumping its recency.
     pub fn get(&self, key: &str) -> Option<StoredEntry> {
         let seq = self.touch();
-        let mut shard = self.shard_of(key).lock();
+        let mut shard = lock(self.shard_of(key));
         let slot = shard.map.get_mut(key)?;
         slot.seq = seq;
         Some(slot.entry.clone())
@@ -180,7 +185,7 @@ impl MemTier {
     /// Applies a catalyst mark ([`Meta::mark`](super::Meta::mark)) to
     /// the entry under `key`, if resident.
     pub fn mark(&self, key: &str, current: &EntityTag, now: i64, fresh_until: i64) -> MarkOutcome {
-        let mut shard = self.shard_of(key).lock();
+        let mut shard = lock(self.shard_of(key));
         match shard.map.get_mut(key) {
             Some(slot) => slot.entry.meta.mark(current, now, fresh_until),
             None => MarkOutcome::Absent,
@@ -189,7 +194,7 @@ impl MemTier {
 
     /// Drops `key` outright (poisoned or superseded entry).
     pub fn evict(&self, key: &str) {
-        let mut shard = self.shard_of(key).lock();
+        let mut shard = lock(self.shard_of(key));
         if let Some(old) = shard.map.remove(key) {
             shard.bytes -= old.entry.size();
             self.bytes_held
@@ -201,7 +206,7 @@ impl MemTier {
     pub fn entries(&self) -> Vec<EntryInfo> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            let shard = shard.lock();
+            let shard = lock(shard);
             for (key, slot) in shard.map.iter() {
                 out.push(slot.entry.meta.info(key, "mem", slot.entry.size()));
             }

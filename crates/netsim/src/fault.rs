@@ -129,8 +129,9 @@ pub struct FaultSchedule {
 }
 
 impl FaultSchedule {
-    /// xorshift64* step — the same generator the engine's loss model
-    /// uses, chosen for determinism without external dependencies.
+    /// xorshift64* step: the engine's loss and jitter streams'
+    /// xorshift64 shifts, then a multiply that scrambles the output.
+    /// Chosen for determinism without external dependencies.
     fn next_u64(&mut self) -> u64 {
         let mut x = self.state;
         x ^= x << 13;

@@ -12,7 +12,8 @@
 //! * [`link`] — fluid, egalitarian processor-sharing link: concurrent
 //!   transfers share capacity the way parallel browser connections do.
 //! * [`network`] — the engine combining clock, timers and links;
-//!   page-load drivers consume [`network::NetEvent`]s from it.
+//!   page-load drivers schedule their own events on it and get each
+//!   one back when it falls due.
 //! * [`conditions`] — the latency × throughput grid of the evaluation
 //!   (Figure 3) and the 5G-median headline condition.
 //! * [`fault`] — seeded, replayable fault plans (resets, truncation,
@@ -39,8 +40,8 @@ pub mod emu;
 
 pub use conditions::NetworkConditions;
 pub use fault::{Fault, FaultPlan, FaultSchedule, ServerFaults};
-pub use link::{FlowToken, FluidLink};
-pub use network::{LinkId, NetEvent, Network};
+pub use link::FluidLink;
+pub use network::{LinkId, Network};
 pub use queue::EventQueue;
 pub use sched::VirtualSchedule;
 pub use time::{transmission_time, SimTime};

@@ -14,35 +14,31 @@ use std::time::Duration;
 
 use crate::time::SimTime;
 
-/// Caller-chosen identifier for a flow.
-pub type FlowToken = u64;
-
-/// A shared link carrying fluid flows.
+/// A shared link carrying fluid flows, each tagged with the caller's
+/// event `E`.
 #[derive(Debug, Clone)]
-pub struct FluidLink {
+pub struct FluidLink<E> {
     capacity_bps: f64,
     /// Cumulative per-flow service in bits, as of `last_update`.
     service: f64,
     last_update: SimTime,
-    /// token → service level at which the flow completes.
-    flows: BTreeMap<FlowToken, f64>,
+    /// Start order → (service level at which the flow completes, its
+    /// event). Equal targets finish in start order.
+    flows: BTreeMap<u64, (f64, E)>,
+    started: u64,
 }
 
-impl FluidLink {
+impl<E> FluidLink<E> {
     /// Creates a link with the given capacity in bits per second.
-    pub fn new(capacity_bps: u64) -> FluidLink {
+    pub fn new(capacity_bps: u64) -> FluidLink<E> {
         assert!(capacity_bps > 0, "link capacity must be positive");
         FluidLink {
             capacity_bps: capacity_bps as f64,
             service: 0.0,
             last_update: SimTime::ZERO,
             flows: BTreeMap::new(),
+            started: 0,
         }
-    }
-
-    /// Number of active flows.
-    pub fn active_flows(&self) -> usize {
-        self.flows.len()
     }
 
     /// Advances internal state to `now`.
@@ -56,53 +52,46 @@ impl FluidLink {
         self.last_update = now;
     }
 
-    /// Starts a flow of `bytes` at `now`. Zero-byte flows complete
-    /// immediately and are not registered.
-    ///
-    /// # Panics
-    /// Panics if `token` is already in use.
-    pub fn start_flow(&mut self, now: SimTime, token: FlowToken, bytes: u64) -> bool {
+    /// Starts a flow of `bytes` at `now` that hands back `event` when
+    /// it completes. An empty flow completes at once and is not
+    /// registered: its event comes straight back.
+    pub fn start_flow(&mut self, now: SimTime, bytes: u64, event: E) -> Option<E> {
         self.advance(now);
         if bytes == 0 {
-            return false; // caller should treat as instantly complete
+            return Some(event);
         }
         let target = self.service + bytes as f64 * 8.0;
-        let prev = self.flows.insert(token, target);
-        assert!(prev.is_none(), "flow token {token} already active");
-        true
+        self.flows.insert(self.started, (target, event));
+        self.started += 1;
+        None
     }
 
-    /// The earliest completion among active flows, as `(time, token)`.
-    pub fn next_completion(&self) -> Option<(SimTime, FlowToken)> {
-        let n = self.flows.len();
-        if n == 0 {
-            return None;
-        }
-        // Smallest target completes first; ties broken by token for
-        // determinism.
-        let (&token, &target) = self
-            .flows
+    /// The start order and target of the flow that completes first.
+    fn first(&self) -> Option<(u64, f64)> {
+        self.flows
             .iter()
-            .min_by(|a, b| a.1.partial_cmp(b.1).unwrap().then(a.0.cmp(b.0)))?;
+            .map(|(&order, &(target, _))| (order, target))
+            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
+    }
+
+    /// When the earliest active flow completes.
+    pub fn next_completion(&self) -> Option<SimTime> {
+        let (_, target) = self.first()?;
         let remaining_bits = (target - self.service).max(0.0);
-        let secs = remaining_bits * n as f64 / self.capacity_bps;
+        let secs = remaining_bits * self.flows.len() as f64 / self.capacity_bps;
         let nanos = (secs * 1e9).ceil() as u64;
-        Some((self.last_update + Duration::from_nanos(nanos), token))
+        Some(self.last_update + Duration::from_nanos(nanos))
     }
 
-    /// Removes a completed (or cancelled) flow at `now`.
-    pub fn end_flow(&mut self, now: SimTime, token: FlowToken) {
+    /// Ends, at `now`, the flow [`FluidLink::next_completion`] names
+    /// and returns its event.
+    ///
+    /// # Panics
+    /// Panics when no flow is active.
+    pub fn end_flow(&mut self, now: SimTime) -> E {
         self.advance(now);
-        let removed = self.flows.remove(&token);
-        debug_assert!(removed.is_some(), "ending unknown flow {token}");
-    }
-
-    /// The instantaneous per-flow rate in bits per second.
-    pub fn per_flow_rate(&self) -> f64 {
-        match self.flows.len() {
-            0 => self.capacity_bps,
-            n => self.capacity_bps / n as f64,
-        }
+        let (order, _) = self.first().expect("no active flow to end");
+        self.flows.remove(&order).expect("first flow is active").1
     }
 }
 
@@ -119,26 +108,26 @@ mod tests {
     #[test]
     fn single_flow_takes_size_over_capacity() {
         let mut link = FluidLink::new(8 * MBPS); // 1 MB/s
-        link.start_flow(SimTime::ZERO, 1, 500_000); // 0.5 MB
-        let (t, tok) = link.next_completion().unwrap();
-        assert_eq!(tok, 1);
+        link.start_flow(SimTime::ZERO, 500_000, "a"); // 0.5 MB
+        let t = link.next_completion().unwrap();
         assert_eq!(t, SimTime::from_millis(500));
+        assert_eq!(link.end_flow(t), "a");
+        assert!(link.next_completion().is_none());
     }
 
     #[test]
     fn two_equal_flows_halve_throughput() {
         let mut link = FluidLink::new(8 * MBPS);
-        link.start_flow(SimTime::ZERO, 1, 500_000);
-        link.start_flow(SimTime::ZERO, 2, 500_000);
-        let (t, tok) = link.next_completion().unwrap();
-        // Both need 0.5s alone; sharing → 1s. Tie broken by token.
+        link.start_flow(SimTime::ZERO, 500_000, "first");
+        link.start_flow(SimTime::ZERO, 500_000, "second");
+        let t = link.next_completion().unwrap();
+        // Both need 0.5s alone; sharing → 1s. Ties break by start order.
         assert_eq!(t, SimTime::from_secs(1));
-        assert_eq!(tok, 1);
-        link.end_flow(t, 1);
+        assert_eq!(link.end_flow(t), "first");
         // Remaining flow finishes immediately after (it had equal target).
-        let (t2, tok2) = link.next_completion().unwrap();
-        assert_eq!(tok2, 2);
+        let t2 = link.next_completion().unwrap();
         assert!(t2 >= t && t2 - t < std::time::Duration::from_micros(1));
+        assert_eq!(link.end_flow(t2), "second");
     }
 
     #[test]
@@ -148,40 +137,23 @@ mod tests {
         // B finishes at 0.5 + 0.25/0.5 = 1.0s. A then has 0.25 MB left,
         // alone again: done at 1.25s.
         let mut link = FluidLink::new(8 * MBPS);
-        link.start_flow(SimTime::ZERO, 1, 1_000_000);
-        link.start_flow(ms(500), 2, 250_000);
-        let (t, tok) = link.next_completion().unwrap();
-        assert_eq!(tok, 2);
+        link.start_flow(SimTime::ZERO, 1_000_000, 'A');
+        link.start_flow(ms(500), 250_000, 'B');
+        let t = link.next_completion().unwrap();
         assert_eq!(t, SimTime::from_secs(1));
-        link.end_flow(t, 2);
-        let (t, tok) = link.next_completion().unwrap();
-        assert_eq!(tok, 1);
+        assert_eq!(link.end_flow(t), 'B');
+        let t = link.next_completion().unwrap();
         assert_eq!(t, SimTime::from_millis(1250));
+        assert_eq!(link.end_flow(t), 'A');
     }
 
     #[test]
-    fn zero_byte_flow_not_registered() {
+    fn an_empty_flow_hands_its_event_back() {
         let mut link = FluidLink::new(MBPS);
-        assert!(!link.start_flow(SimTime::ZERO, 7, 0));
-        assert_eq!(link.active_flows(), 0);
+        assert_eq!(link.start_flow(SimTime::ZERO, 0, 7), Some(7));
         assert!(link.next_completion().is_none());
-    }
-
-    #[test]
-    fn per_flow_rate_reflects_sharing() {
-        let mut link = FluidLink::new(10 * MBPS);
-        assert_eq!(link.per_flow_rate(), 10e6);
-        link.start_flow(SimTime::ZERO, 1, 100);
-        link.start_flow(SimTime::ZERO, 2, 100);
-        assert_eq!(link.per_flow_rate(), 5e6);
-    }
-
-    #[test]
-    #[should_panic]
-    fn duplicate_token_panics() {
-        let mut link = FluidLink::new(MBPS);
-        link.start_flow(SimTime::ZERO, 1, 10);
-        link.start_flow(SimTime::ZERO, 1, 10);
+        assert_eq!(link.start_flow(SimTime::ZERO, 1, 8), None);
+        assert!(link.next_completion().is_some());
     }
 
     #[test]
@@ -191,13 +163,13 @@ mod tests {
         // when the link is never idle.
         let mut link = FluidLink::new(8 * MBPS);
         for i in 0..10 {
-            link.start_flow(SimTime::ZERO, i, 100_000);
+            link.start_flow(SimTime::ZERO, 100_000, i);
         }
         let mut last = SimTime::ZERO;
-        for _ in 0..10 {
-            let (t, tok) = link.next_completion().unwrap();
+        for i in 0..10 {
+            let t = link.next_completion().unwrap();
             assert!(t >= last);
-            link.end_flow(t, tok);
+            assert_eq!(link.end_flow(t), i);
             last = t;
         }
         // 1 MB total at 1 MB/s = 1 s (within rounding).

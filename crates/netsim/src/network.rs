@@ -1,14 +1,15 @@
 //! The discrete-event network engine.
 //!
 //! [`Network`] owns virtual time, timers, and a set of fluid links.
-//! A driver (the page-load engine) starts flows and timers tagged with
-//! opaque tokens, then repeatedly calls [`Network::next`] to advance
-//! the simulation and learn which token fired. All scheduling is
-//! deterministic: ties resolve timers-before-flows, then FIFO.
+//! A driver (the page-load engine) starts flows and timers carrying
+//! its own events, then repeatedly calls [`Network::next`] to advance
+//! the simulation and get back the event that fell due. All scheduling
+//! is deterministic: ties resolve timers-before-flows, then the lower
+//! link, then FIFO.
 
 use std::time::Duration;
 
-use crate::link::{FlowToken, FluidLink};
+use crate::link::FluidLink;
 use crate::queue::EventQueue;
 use crate::time::SimTime;
 
@@ -16,41 +17,43 @@ use crate::time::SimTime;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LinkId(usize);
 
-/// What woke the simulation up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NetEvent {
-    /// A timer set with [`Network::set_timer`] fired.
-    Timer(u64),
-    /// A flow started with [`Network::start_flow`] delivered its last
-    /// byte (transmission only; propagation is the driver's timer).
-    FlowDone(LinkId, FlowToken),
-}
-
 /// Deterministic discrete-event network: virtual clock + timers +
-/// fluid links.
+/// fluid links, handing back the caller's event `E` for each timer
+/// that fires and each flow that delivers its last byte (transmission
+/// only; propagation is the driver's timer).
 ///
 /// ```
-/// use cachecatalyst_netsim::{NetEvent, Network};
+/// use cachecatalyst_netsim::Network;
 /// use std::time::Duration;
 ///
 /// let mut net = Network::new();
 /// let link = net.add_link(8_000_000); // 1 MB/s
-/// net.start_flow(link, 1, 500_000);   // 0.5 MB
-/// net.set_timer(Duration::from_millis(100), 42);
+/// net.start_flow(link, 500_000, "download"); // 0.5 MB
+/// net.set_timer(Duration::from_millis(100), "timer");
 /// let events = net.drain();
-/// assert_eq!(events[0].1, NetEvent::Timer(42));
-/// assert_eq!(events[1].1, NetEvent::FlowDone(link, 1));
+/// assert_eq!(events[0].1, "timer");
+/// assert_eq!(events[1].1, "download");
 /// assert_eq!(events[1].0.as_millis_f64(), 500.0);
 /// ```
-#[derive(Debug, Default)]
-pub struct Network {
+#[derive(Debug)]
+pub struct Network<E> {
     now: SimTime,
-    links: Vec<FluidLink>,
-    timers: EventQueue<u64>,
+    links: Vec<FluidLink<E>>,
+    timers: EventQueue<E>,
 }
 
-impl Network {
-    pub fn new() -> Network {
+impl<E> Default for Network<E> {
+    fn default() -> Self {
+        Network {
+            now: SimTime::ZERO,
+            links: Vec::new(),
+            timers: EventQueue::new(),
+        }
+    }
+}
+
+impl<E> Network<E> {
+    pub fn new() -> Network<E> {
         Network::default()
     }
 
@@ -65,86 +68,48 @@ impl Network {
         LinkId(self.links.len() - 1)
     }
 
-    /// Schedules a timer `after` the current time.
-    pub fn set_timer(&mut self, after: Duration, token: u64) {
-        self.timers.push(self.now + after, token);
+    /// Hands `event` back `after` the current time.
+    pub fn set_timer(&mut self, after: Duration, event: E) {
+        self.timers.push(self.now + after, event);
     }
 
-    /// Schedules a timer at an absolute virtual time (must not be in
-    /// the past).
-    pub fn set_timer_at(&mut self, at: SimTime, token: u64) {
-        assert!(at >= self.now, "timer in the past");
-        self.timers.push(at, token);
-    }
-
-    /// Starts a transfer of `bytes` on `link`. Returns `false` when the
-    /// flow was empty and completed instantly — in that case no
-    /// `FlowDone` event will fire and the caller must handle
-    /// completion itself (or use [`Network::start_flow_or_timer`]).
-    pub fn start_flow(&mut self, link: LinkId, token: FlowToken, bytes: u64) -> bool {
-        self.links[link.0].start_flow(self.now, token, bytes)
-    }
-
-    /// Starts a flow, falling back to an immediate timer for zero-byte
-    /// transfers so the driver always gets exactly one wake-up.
-    /// The timer carries `timer_token`.
-    pub fn start_flow_or_timer(
-        &mut self,
-        link: LinkId,
-        token: FlowToken,
-        bytes: u64,
-        timer_token: u64,
-    ) {
-        if !self.start_flow(link, token, bytes) {
-            self.set_timer(Duration::ZERO, timer_token);
+    /// Starts a transfer of `bytes` on `link` that hands `event` back
+    /// when its last byte is delivered. An empty transfer hands it
+    /// back through a zero-delay timer, so the caller always gets
+    /// exactly one wake-up.
+    pub fn start_flow(&mut self, link: LinkId, bytes: u64, event: E) {
+        if let Some(event) = self.links[link.0].start_flow(self.now, bytes, event) {
+            self.set_timer(Duration::ZERO, event);
         }
-    }
-
-    /// Number of active flows on a link.
-    pub fn active_flows(&self, link: LinkId) -> usize {
-        self.links[link.0].active_flows()
     }
 
     /// Advances to the next event and returns it, or `None` when the
     /// simulation has quiesced.
     #[allow(clippy::should_implement_trait)] // deliberate: not an Iterator
-    pub fn next(&mut self) -> Option<(SimTime, NetEvent)> {
-        // Earliest candidate among the timer queue and every link.
-        let timer_t = self.timers.peek_time();
-        let mut flow_best: Option<(SimTime, usize, FlowToken)> = None;
+    pub fn next(&mut self) -> Option<(SimTime, E)> {
+        // Earliest flow completion across the links (the lower link
+        // wins a tie), against the earliest timer (which wins a tie).
+        let mut flow: Option<(SimTime, usize)> = None;
         for (i, link) in self.links.iter().enumerate() {
-            if let Some((t, tok)) = link.next_completion() {
-                let better = match &flow_best {
-                    None => true,
-                    Some((bt, _, _)) => t < *bt,
-                };
-                if better {
-                    flow_best = Some((t, i, tok));
+            if let Some(t) = link.next_completion() {
+                if flow.is_none_or(|(best, _)| t < best) {
+                    flow = Some((t, i));
                 }
             }
         }
-        match (timer_t, flow_best) {
-            (None, None) => None,
-            (Some(tt), Some((ft, _, _))) if tt <= ft => {
-                let (t, token) = self.timers.pop().expect("peeked");
-                self.now = t;
-                Some((t, NetEvent::Timer(token)))
+        let timer = self.timers.peek_time();
+        let (t, event) = match flow {
+            Some((ft, link)) if timer.is_none_or(|tt| ft < tt) => {
+                (ft, self.links[link].end_flow(ft))
             }
-            (Some(_), Some((ft, li, tok))) | (None, Some((ft, li, tok))) => {
-                self.now = ft;
-                self.links[li].end_flow(ft, tok);
-                Some((ft, NetEvent::FlowDone(LinkId(li), tok)))
-            }
-            (Some(_), None) => {
-                let (t, token) = self.timers.pop().expect("peeked");
-                self.now = t;
-                Some((t, NetEvent::Timer(token)))
-            }
-        }
+            _ => self.timers.pop()?,
+        };
+        self.now = t;
+        Some((t, event))
     }
 
     /// Runs until quiescent, collecting events (testing helper).
-    pub fn drain(&mut self) -> Vec<(SimTime, NetEvent)> {
+    pub fn drain(&mut self) -> Vec<(SimTime, E)> {
         let mut out = Vec::new();
         while let Some(ev) = self.next() {
             out.push(ev);
@@ -157,17 +122,26 @@ impl Network {
 mod tests {
     use super::*;
 
+    /// A caller event that is not `Copy`: the network moves it in and
+    /// hands the same value back.
+    fn ev(name: &str) -> String {
+        name.to_owned()
+    }
+
+    fn names(events: &[(SimTime, String)]) -> Vec<&str> {
+        events.iter().map(|(_, e)| e.as_str()).collect()
+    }
+
     #[test]
     fn timers_fire_in_order() {
         let mut net = Network::new();
-        net.set_timer(Duration::from_millis(20), 2);
-        net.set_timer(Duration::from_millis(10), 1);
-        let evs = net.drain();
+        net.set_timer(Duration::from_millis(20), ev("second"));
+        net.set_timer(Duration::from_millis(10), ev("first"));
         assert_eq!(
-            evs,
+            net.drain(),
             vec![
-                (SimTime::from_millis(10), NetEvent::Timer(1)),
-                (SimTime::from_millis(20), NetEvent::Timer(2)),
+                (SimTime::from_millis(10), ev("first")),
+                (SimTime::from_millis(20), ev("second")),
             ]
         );
     }
@@ -176,13 +150,14 @@ mod tests {
     fn flows_and_timers_interleave() {
         let mut net = Network::new();
         let down = net.add_link(8_000_000); // 1 MB/s
-        net.start_flow(down, 42, 100_000); // done at 100 ms
-        net.set_timer(Duration::from_millis(50), 7);
-        let evs = net.drain();
-        assert_eq!(evs[0], (SimTime::from_millis(50), NetEvent::Timer(7)));
+        net.start_flow(down, 100_000, ev("flow")); // done at 100 ms
+        net.set_timer(Duration::from_millis(50), ev("timer"));
         assert_eq!(
-            evs[1],
-            (SimTime::from_millis(100), NetEvent::FlowDone(down, 42))
+            net.drain(),
+            vec![
+                (SimTime::from_millis(50), ev("timer")),
+                (SimTime::from_millis(100), ev("flow")),
+            ]
         );
     }
 
@@ -190,19 +165,17 @@ mod tests {
     fn timer_wins_ties() {
         let mut net = Network::new();
         let down = net.add_link(8_000_000);
-        net.start_flow(down, 1, 100_000); // completes at 100ms
-        net.set_timer(Duration::from_millis(100), 9);
-        let evs = net.drain();
-        assert_eq!(evs[0].1, NetEvent::Timer(9));
-        assert_eq!(evs[1].1, NetEvent::FlowDone(down, 1));
+        net.start_flow(down, 100_000, ev("flow")); // completes at 100ms
+        net.set_timer(Duration::from_millis(100), ev("timer"));
+        assert_eq!(names(&net.drain()), ["timer", "flow"]);
     }
 
     #[test]
     fn sharing_visible_through_engine() {
         let mut net = Network::new();
         let down = net.add_link(8_000_000); // 1 MB/s
-        net.start_flow(down, 1, 500_000);
-        net.start_flow(down, 2, 500_000);
+        net.start_flow(down, 500_000, ev("a"));
+        net.start_flow(down, 500_000, ev("b"));
         let evs = net.drain();
         // Both ~1s (shared), not 0.5s.
         assert_eq!(evs.len(), 2);
@@ -210,35 +183,37 @@ mod tests {
     }
 
     #[test]
-    fn zero_byte_flow_uses_timer_fallback() {
+    fn equal_flows_finish_in_start_order() {
+        let mut net = Network::new();
+        let down = net.add_link(8_000_000);
+        for name in ["c", "a", "d", "b"] {
+            net.start_flow(down, 250_000, ev(name));
+        }
+        assert_eq!(names(&net.drain()), ["c", "a", "d", "b"]);
+    }
+
+    #[test]
+    fn an_empty_flow_wakes_its_caller_once_at_now() {
         let mut net = Network::new();
         let down = net.add_link(1_000_000);
-        net.start_flow_or_timer(down, 1, 0, 99);
-        let evs = net.drain();
-        assert_eq!(evs, vec![(SimTime::ZERO, NetEvent::Timer(99))]);
+        net.set_timer(Duration::from_millis(5), ev("tick"));
+        assert_eq!(net.next(), Some((SimTime::from_millis(5), ev("tick"))));
+        net.start_flow(down, 0, ev("empty"));
+        assert_eq!(net.drain(), vec![(SimTime::from_millis(5), ev("empty"))]);
     }
 
     #[test]
     fn time_is_monotonic() {
         let mut net = Network::new();
         let l = net.add_link(1_000_000);
-        net.set_timer(Duration::from_millis(5), 1);
-        net.start_flow(l, 2, 10_000);
-        net.set_timer(Duration::from_millis(500), 3);
+        net.set_timer(Duration::from_millis(5), ev("a"));
+        net.start_flow(l, 10_000, ev("b"));
+        net.set_timer(Duration::from_millis(500), ev("c"));
         let mut last = SimTime::ZERO;
         while let Some((t, _)) = net.next() {
             assert!(t >= last);
             last = t;
             assert_eq!(net.now(), t);
         }
-    }
-
-    #[test]
-    #[should_panic]
-    fn past_timer_panics() {
-        let mut net = Network::new();
-        net.set_timer(Duration::from_millis(5), 1);
-        net.next();
-        net.set_timer_at(SimTime::ZERO, 2);
     }
 }

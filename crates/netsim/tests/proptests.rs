@@ -4,12 +4,40 @@
 
 use std::time::Duration;
 
-use cachecatalyst_netsim::{FluidLink, NetEvent, Network, SimTime};
+use cachecatalyst_netsim::{FluidLink, Network, SimTime};
 use proptest::prelude::*;
 
 fn arb_flows() -> impl Strategy<Value = Vec<(u64, u64)>> {
     // (start offset ms, size bytes)
     prop::collection::vec((0u64..2_000, 1u64..200_000), 1..24)
+}
+
+/// The driver's own event, handed back by the network. Deliberately
+/// not `Copy`: the network moves it in and out, never duplicates it.
+#[derive(Debug, Clone, PartialEq)]
+enum Ev {
+    /// Flow `i` arrives and starts.
+    Arrive(usize),
+    /// Flow `i` delivered its last byte.
+    Done(usize),
+}
+
+/// Runs `flows` through one link, each started by a timer at its
+/// offset, and returns `(flow, completion)` in completion order.
+fn replay(flows: &[(u64, u64)], capacity: u64) -> Vec<(usize, SimTime)> {
+    let mut network = Network::new();
+    let l = network.add_link(capacity);
+    for (i, &(off, _)) in flows.iter().enumerate() {
+        network.set_timer(Duration::from_millis(off), Ev::Arrive(i));
+    }
+    let mut log = Vec::new();
+    while let Some((t, ev)) = network.next() {
+        match ev {
+            Ev::Arrive(i) => network.start_flow(l, flows[i].1, Ev::Done(i)),
+            Ev::Done(i) => log.push((i, t)),
+        }
+    }
+    log
 }
 
 proptest! {
@@ -22,14 +50,14 @@ proptest! {
         let capacity = 8_000_000u64; // 1 MB/s
         let mut link = FluidLink::new(capacity);
         for (i, &s) in sizes.iter().enumerate() {
-            link.start_flow(SimTime::ZERO, i as u64, s);
+            link.start_flow(SimTime::ZERO, s, i);
         }
         let mut last = SimTime::ZERO;
         let mut remaining = sizes.len();
         while remaining > 0 {
-            let (t, tok) = link.next_completion().expect("flows remain");
+            let t = link.next_completion().expect("flows remain");
             prop_assert!(t >= last);
-            link.end_flow(t, tok);
+            link.end_flow(t);
             last = t;
             remaining -= 1;
         }
@@ -41,34 +69,19 @@ proptest! {
     }
 
     /// No flow finishes faster than it would alone: sharing can only
-    /// slow a transfer down.
+    /// slow a transfer down. Every flow's event comes back exactly
+    /// once.
     #[test]
     fn sharing_never_speeds_up(flows in arb_flows()) {
         let capacity = 8_000_000u64;
-        let mut link = FluidLink::new(capacity);
-        let mut network = Network::new();
-        let l = network.add_link(capacity);
-        let mut start_at = std::collections::HashMap::new();
-        // Schedule arrivals via timers, then measure completion.
-        for (i, &(off, size)) in flows.iter().enumerate() {
-            network.set_timer(Duration::from_millis(off), i as u64);
-            start_at.insert(i as u64, (off, size));
-        }
-        let mut completions = std::collections::HashMap::new();
-        let flow_base = flows.len() as u64;
-        while let Some((t, ev)) = network.next() {
-            match ev {
-                NetEvent::Timer(i) => {
-                    let (_, size) = start_at[&i];
-                    network.start_flow(l, flow_base + i, size);
-                }
-                NetEvent::FlowDone(_, tok) => {
-                    completions.insert(tok - flow_base, t);
-                }
-            }
+        let log = replay(&flows, capacity);
+        prop_assert_eq!(log.len(), flows.len());
+        let mut completions = vec![None; flows.len()];
+        for (i, t) in log {
+            prop_assert!(completions[i].replace(t).is_none(), "flow {} woke twice", i);
         }
         for (i, &(off, size)) in flows.iter().enumerate() {
-            let done = completions[&(i as u64)];
+            let done = completions[i].expect("every flow completes");
             let alone = cachecatalyst_netsim::transmission_time(size, capacity);
             let started = SimTime::ZERO + Duration::from_millis(off);
             prop_assert!(
@@ -76,54 +89,25 @@ proptest! {
                 "flow {i} finished faster than line rate: started {started}, done {done}, alone {alone:?}"
             );
         }
-        let _ = &mut link;
     }
 
     /// Determinism: replaying the same arrival pattern yields the
     /// exact same completion sequence.
     #[test]
     fn replay_is_identical(flows in arb_flows()) {
-        let run = || {
-            let mut network = Network::new();
-            let l = network.add_link(5_000_000);
-            for (i, &(off, size)) in flows.iter().enumerate() {
-                network.set_timer(Duration::from_millis(off), i as u64);
-                // Size is stashed via the timer token in the closure below.
-                let _ = size;
-            }
-            let mut log = Vec::new();
-            let flow_base = flows.len() as u64;
-            while let Some((t, ev)) = network.next() {
-                match ev {
-                    NetEvent::Timer(i) => {
-                        network.start_flow(l, flow_base + i, flows[i as usize].1);
-                    }
-                    NetEvent::FlowDone(_, tok) => log.push((t.as_nanos(), tok)),
-                }
-            }
-            log
-        };
-        prop_assert_eq!(run(), run());
+        prop_assert_eq!(replay(&flows, 5_000_000), replay(&flows, 5_000_000));
     }
 
     /// Equal flows starting together finish together (fairness), in
-    /// token order.
+    /// start order.
     #[test]
     fn equal_flows_tie(n in 2usize..12, size in 1_000u64..100_000) {
-        let mut link = FluidLink::new(10_000_000);
-        for i in 0..n {
-            link.start_flow(SimTime::ZERO, i as u64, size);
-        }
-        let mut last: Option<SimTime> = None;
-        for expect_tok in 0..n as u64 {
-            let (t, tok) = link.next_completion().unwrap();
-            prop_assert_eq!(tok, expect_tok, "ties break by token");
-            if let Some(prev) = last {
-                // All completions within a microsecond of each other.
-                prop_assert!(t.since(prev) < Duration::from_micros(1));
-            }
-            link.end_flow(t, tok);
-            last = Some(t);
+        let log = replay(&vec![(0, size); n], 10_000_000);
+        let order: Vec<usize> = log.iter().map(|&(i, _)| i).collect();
+        prop_assert_eq!(order, (0..n).collect::<Vec<_>>(), "ties break by start order");
+        for pair in log.windows(2) {
+            // All completions within a microsecond of each other.
+            prop_assert!(pair[1].1.since(pair[0].1) < Duration::from_micros(1));
         }
     }
 }

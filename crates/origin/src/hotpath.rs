@@ -14,10 +14,10 @@
 //! per page, ever.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::{PoisonError, RwLock};
 
 use cachecatalyst_httpwire::hash::fnv1a64;
 use cachecatalyst_webmodel::{ChangeModel, Site};
-use parking_lot::RwLock;
 
 /// Shard count for [`ShardedCache`]. Power of two, sized so that a
 /// handful of worker threads rarely contend on the same shard lock.
@@ -104,7 +104,10 @@ impl<T: Clone> ShardedCache<T> {
 
     /// The cached value for `key`, if it was built under `epoch`.
     pub fn get(&self, key: &str, epoch: u64) -> Option<T> {
-        let shard = self.shard(key).read();
+        let shard = self
+            .shard(key)
+            .read()
+            .unwrap_or_else(PoisonError::into_inner);
         shard
             .get(key)
             .filter(|e| e.epoch == epoch)
@@ -116,13 +119,17 @@ impl<T: Clone> ShardedCache<T> {
     pub fn insert(&self, key: &str, epoch: u64, value: T) {
         self.shard(key)
             .write()
+            .unwrap_or_else(PoisonError::into_inner)
             .insert(key.to_owned(), Entry { epoch, value });
     }
 
     /// Total live entries across all shards (diagnostics; the leak
     /// regression test asserts this stays bounded by the site size).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.shards
+            .iter()
+            .map(|s| s.read().unwrap_or_else(PoisonError::into_inner).len())
+            .sum()
     }
 
     pub fn is_empty(&self) -> bool {

@@ -11,7 +11,7 @@
 //! front end (see [`crate::tcp`]) calls it with wall time.
 
 use std::borrow::Cow;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use bytes::Bytes;
 use cachecatalyst_catalyst::{
@@ -26,7 +26,6 @@ use cachecatalyst_httpwire::{
 use cachecatalyst_telemetry::span::{Sampling, SpanSink};
 use cachecatalyst_telemetry::{Counter, Gauge, Histogram, Registry};
 use cachecatalyst_webmodel::{GeneratedResource, HeaderPolicy, ResourceKind, Site};
-use parking_lot::Mutex;
 
 use crate::hotpath::{ChurnEpochs, ShardedCache};
 use crate::served::{date_field, Field, PageMap, Served, SERVER};
@@ -403,11 +402,17 @@ impl OriginServer {
         if self.mode == HeaderMode::CatalystWithCapture {
             if let Some(session) = session_of(req) {
                 let page = page_of(req).unwrap_or_else(|| self.site.base_path().to_owned());
-                self.capture.lock().record(&session, &page, path);
+                self.capture
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .record(&session, &page, path);
             }
         }
         if self.mode == HeaderMode::CatalystAggregate {
-            let mut agg = self.aggregate.lock();
+            let mut agg = self
+                .aggregate
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             if resource.spec.kind == ResourceKind::Html {
                 agg.record_visit(path);
             } else {
@@ -505,11 +510,13 @@ impl OriginServer {
             HeaderMode::CatalystWithCapture => session_of(req).map(|session| {
                 self.capture
                     .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
                     .config_for(&session, page, &|p| self.site.etag_at(p, t_secs))
             }),
             HeaderMode::CatalystAggregate => Some(
                 self.aggregate
                     .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
                     .config_for(page, &|p| self.site.etag_at(p, t_secs)),
             ),
             _ => None,

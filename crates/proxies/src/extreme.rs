@@ -10,11 +10,10 @@
 //! for much more aggressive values).
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use cachecatalyst_httpwire::{EntityTag, HeaderName, Request, Response, Upstream};
 use cachecatalyst_origin::OriginServer;
-use parking_lot::Mutex;
 
 #[derive(Debug, Clone)]
 struct Observed {
@@ -45,7 +44,7 @@ impl ExtremeCacheProxy {
 
     /// The TTL the proxy would assign for `path` at `t` given history.
     fn estimate(&self, path: &str, etag: &EntityTag, t: i64) -> u64 {
-        let mut observed = self.observed.lock();
+        let mut observed = self.observed.lock().unwrap_or_else(PoisonError::into_inner);
         let entry = observed.entry(path.to_owned()).or_insert_with(|| Observed {
             etag: etag.clone(),
             since: t,
@@ -124,7 +123,7 @@ mod tests {
         // age clock restarts.
         let r = p.handle("h", &Request::get("/d.jpg"), 7200);
         assert_eq!(r.headers.get("cache-control"), Some("max-age=60"));
-        assert_eq!(p.observed.lock().len(), 1);
+        assert_eq!(p.observed.lock().unwrap().len(), 1);
     }
 
     #[test]

@@ -3,12 +3,11 @@
 //! bytes, same deterministic `/metrics` series, same fault-schedule
 //! consumption for the same seed.
 //!
-//! Through PR 8–9 this file additionally pinned the deprecated
-//! `TcpOrigin::bind*` / `serve_stream*` entry points against their
-//! builder equivalents; those shims were removed in PR 10, so what
-//! remains is the half of the contract that still matters — the
-//! builder itself is deterministic, which is what every replayable
-//! experiment in EXPERIMENTS.md leans on.
+//! Two servers built alike, over TCP or over an in-memory pipe, serve
+//! the same head and body for every path, expose the same seeded
+//! `/metrics` series, and draw the same faults in the same order —
+//! across reconnects too, when they share one `ServerFaults`. Every
+//! replayable experiment in EXPERIMENTS.md leans on that.
 //!
 //! [`ServeOptions`]: cachecatalyst::origin::ServeOptions
 

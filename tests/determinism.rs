@@ -77,6 +77,69 @@ fn the_seeded_stream_is_the_one_pinned_at_pr16() {
     assert_eq!(fnv1a64(trace.as_bytes()), 0x0fd0_52b4_6223_896d);
 }
 
+/// Simulated time pinned across commits, to the nanosecond: the
+/// Figure-1 example's cold and +2 h loads in both modes, and the XXH64
+/// of each chaos topology's seed-1 fingerprint (every fetch's start,
+/// completion, bytes, round trips and decision under a fault plan).
+/// `identical_seeds_are_bit_identical` compares two runs of one build
+/// and `results/` rounds to 0.01 ms; only this test fails when a
+/// change to the simulator moves an event by one nanosecond. A change
+/// that is meant to move simulated time updates these constants and
+/// says why.
+#[test]
+fn simulated_time_is_pinned_to_the_nanosecond() {
+    use cachecatalyst::chaos::{self, Topology};
+    use cachecatalyst::httpwire::hash::xxh64;
+    use cachecatalyst::webmodel::revisit_delay;
+
+    let base = Url::parse("http://example.org/index.html").unwrap();
+    let revisit = revisit_delay().as_secs() as i64;
+    let mut loads = Vec::new();
+    for mode in [HeaderMode::Baseline, HeaderMode::Catalyst] {
+        let origin = OriginServer::new(example_site(), mode);
+        let mut browser = match mode {
+            HeaderMode::Baseline => Browser::baseline(),
+            _ => Browser::catalyst(),
+        };
+        for t in [0, revisit] {
+            let r = browser.load(&origin, NetworkConditions::five_g_median(), &base, t);
+            loads.push((r.plt.as_nanos(), r.fcp.as_nanos()));
+        }
+    }
+    // (plt, fcp) in ns: baseline cold, baseline +2 h, catalyst cold,
+    // catalyst +2 h.
+    assert_eq!(
+        loads,
+        [
+            (279_801_736, 173_108_534),
+            (190_262_935, 127_820_934),
+            (279_829_410, 173_137_408),
+            (190_441_275, 87_036_874),
+        ]
+    );
+
+    let fingerprints: Vec<u64> = Topology::ALL
+        .into_iter()
+        .map(|t| {
+            xxh64(
+                chaos::fingerprint(&chaos::run_seed(t, 1))
+                    .join("\n")
+                    .as_bytes(),
+            )
+        })
+        .collect();
+    // catalyst, baseline, rdr-proxy.
+    assert_eq!(
+        fingerprints,
+        [
+            0x135c_a216_e7ad_444c,
+            0x015a_8e8f_1197_9abb,
+            0x9e0d_12de_2ea4_e605
+        ],
+        "{fingerprints:#018x?}"
+    );
+}
+
 mod fleet {
     //! The population-scale tier must be deterministic end to end:
     //! trace bytes, replay counters, audits — all pure functions of

@@ -231,6 +231,42 @@ fn catalyst_map_validates_unchanged_subresources_with_zero_upstream() {
     assert_eq!(edge.upstream().requests(), before + 1);
 }
 
+/// A `with_cross_origin` map names a third-party object by its full
+/// URL. The edge stores that object under the CDN's `Host`, so the map
+/// entry must mark that same key: the unchanged CDN object is then
+/// served on the revisit with no upstream contact.
+#[test]
+fn cross_origin_map_entries_mark_third_party_objects_fresh() {
+    let mut site = nocache_site();
+    let mut s1 = site.get("/s1.css").unwrap().clone();
+    s1.spec.third_party = true;
+    site.insert_resource(s1);
+    let cdn = site.third_party_host();
+    let origin = Arc::new(OriginServer::new(site, HeaderMode::Catalyst).with_cross_origin());
+    let edge = EdgeCache::builder(CountingUpstream::new(Arc::clone(&origin))).build();
+    let cdn_get = Request::get("/s1.css").with_header("host", cdn.as_str());
+
+    edge.handle(HOST, &get("/index.html"), 0);
+    assert_eq!(edge.handle(&cdn, &cdn_get, 0).status, StatusCode::OK);
+
+    let t = 7200;
+    edge.handle(HOST, &get("/index.html"), t);
+    assert_eq!(
+        edge.metrics().marks_fresh,
+        1,
+        "the CDN entry marks its object"
+    );
+    let before = edge.upstream().requests();
+    let s1 = edge.handle(&cdn, &cdn_get, t);
+    assert_eq!(s1.headers.get("x-served-by"), Some("cachecatalyst-edge"));
+    assert_eq!(
+        edge.upstream().requests(),
+        before,
+        "the marked-fresh CDN object must not touch the origin"
+    );
+    assert_eq!(xxh64(&s1.body), xxh64(&(*origin).handle(&cdn_get, t).body));
+}
+
 #[test]
 fn stale_entries_revalidate_with_a_conditional_get() {
     let origin = Arc::new(OriginServer::new(nocache_site(), HeaderMode::Catalyst));
