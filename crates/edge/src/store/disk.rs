@@ -265,7 +265,7 @@ fn verify_record(record: &Bytes, key_len: usize) -> Option<Response> {
         return None;
     }
     let wire = record.slice(wire_at..payload.len());
-    match codec::parse_response_shared(&wire, &Method::Get, &ParseLimits::default()) {
+    match codec::parse_response(&wire, &Method::Get, &ParseLimits::default()) {
         Ok(Parsed::Complete { message, .. }) => Some(message),
         _ => None,
     }

@@ -2,6 +2,7 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 
+use crate::codec::find_crlf;
 use crate::error::{WireError, WireResult};
 
 /// Attempts to decode a complete chunked body from the front of `buf`.
@@ -14,9 +15,8 @@ pub fn decode(buf: &[u8], max_body: usize) -> WireResult<Option<(Bytes, usize)>>
     let mut pos = 0usize;
     loop {
         // chunk-size [;ext] CRLF
-        let line_end = match find_crlf(&buf[pos..]) {
-            Some(i) => pos + i,
-            None => return Ok(None),
+        let Some(line_end) = find_crlf(buf, pos) else {
+            return Ok(None);
         };
         let line = std::str::from_utf8(&buf[pos..line_end])
             .map_err(|_| WireError::InvalidChunkSize("non-utf8".to_owned()))?;
@@ -27,9 +27,8 @@ pub fn decode(buf: &[u8], max_body: usize) -> WireResult<Option<(Bytes, usize)>>
         if size == 0 {
             // Trailer section: zero or more header lines, then CRLF.
             loop {
-                let t_end = match find_crlf(&buf[pos..]) {
-                    Some(i) => pos + i,
-                    None => return Ok(None),
+                let Some(t_end) = find_crlf(buf, pos) else {
+                    return Ok(None);
                 };
                 let line_len = t_end - pos;
                 pos = t_end + 2;
@@ -38,17 +37,22 @@ pub fn decode(buf: &[u8], max_body: usize) -> WireResult<Option<(Bytes, usize)>>
                 }
             }
         }
-        if body.len() + size > max_body {
+        // The size is the peer's: a sum that overflows is a body no
+        // limit admits, not a panic.
+        let fits = body.len().checked_add(size).is_some_and(|n| n <= max_body);
+        let chunk_end = pos.checked_add(size).and_then(|n| n.checked_add(2));
+        let (true, Some(chunk_end)) = (fits, chunk_end) else {
             return Err(WireError::BodyTooLarge { limit: max_body });
-        }
-        if buf.len() < pos + size + 2 {
+        };
+        if buf.len() < chunk_end {
             return Ok(None);
         }
-        body.put_slice(&buf[pos..pos + size]);
-        if &buf[pos + size..pos + size + 2] != b"\r\n" {
+        let data_end = chunk_end - 2;
+        body.put_slice(&buf[pos..data_end]);
+        if &buf[data_end..chunk_end] != b"\r\n" {
             return Err(WireError::InvalidChunkFraming);
         }
-        pos += size + 2;
+        pos = chunk_end;
     }
 }
 
@@ -64,10 +68,6 @@ pub fn encode(data: &[u8], chunk_size: usize) -> Bytes {
     }
     out.put_slice(b"0\r\n\r\n");
     out.freeze()
-}
-
-fn find_crlf(buf: &[u8]) -> Option<usize> {
-    buf.windows(2).position(|w| w == b"\r\n")
 }
 
 #[cfg(test)]
@@ -136,6 +136,39 @@ mod tests {
             decode(&encoded, 50),
             Err(WireError::BodyTooLarge { .. })
         ));
+    }
+
+    /// A chunk size near `usize::MAX` is a body no limit admits, on
+    /// every entry point that decodes chunks: the running total and the
+    /// chunk's end are summed checked, so the peer gets `BodyTooLarge`
+    /// instead of panicking the parser.
+    #[test]
+    fn a_chunk_size_near_usize_max_is_too_large_not_a_panic() {
+        use crate::codec::{parse_request, parse_response, ParseLimits};
+        use crate::method::Method;
+        let huge = format!("{:x}", usize::MAX);
+        let chunks = format!("1\r\na\r\n{huge}\r\nrest");
+        let too_large = |limit| WireError::BodyTooLarge { limit };
+        assert_eq!(decode(chunks.as_bytes(), MAX), Err(too_large(MAX)));
+        // Under no limit at all, it is the chunk's end that overflows.
+        let unlimited = format!("{:x}\r\nrest", usize::MAX - 2);
+        assert_eq!(
+            decode(unlimited.as_bytes(), usize::MAX),
+            Err(too_large(usize::MAX))
+        );
+
+        let limits = ParseLimits::default();
+        let framing = "transfer-encoding: chunked\r\n\r\n";
+        let request = format!("POST / HTTP/1.1\r\n{framing}{chunks}");
+        assert_eq!(
+            parse_request(request.as_bytes(), &limits),
+            Err(too_large(limits.max_body))
+        );
+        let response = format!("HTTP/1.1 200 OK\r\n{framing}{chunks}");
+        assert_eq!(
+            parse_response(response.as_bytes(), &Method::Get, &limits),
+            Err(too_large(limits.max_body))
+        );
     }
 
     #[test]

@@ -4,6 +4,21 @@
 //! so far and either produce a complete message (plus the number of
 //! bytes consumed), report that more bytes are needed, or fail. This is
 //! the shape an async read loop wants — feed, try, repeat.
+//!
+//! The buffer's type decides where a parsed body lives ([`WireBuf`]).
+//! From a [`Bytes`], which is already shared, a `Content-Length` or
+//! EOF-delimited body is a view of the buffer: nothing is copied, and
+//! the view keeps the whole buffer alive — head included, and a catalyst
+//! page's map lines alone can be ≈ 18 KiB — for as long as the body
+//! lives. From any other buffer (`[u8]`, `[u8; N]`, `Vec<u8>`,
+//! `BytesMut`) the body is copied out and the buffer is free to go. A
+//! chunked body is decoded into a buffer of its own either way. View or
+//! copy, the body is a new [`Body`](crate::Body) with nothing remembered
+//! about it.
+//!
+//! Every line — a head's start line and field lines, a chunk-size line —
+//! breaks at the CRLFs one scanner finds, eight bytes a step, exactly
+//! where `split("\r\n")` breaks it.
 
 use std::ops::Range;
 
@@ -11,7 +26,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::chunked;
 use crate::error::{WireError, WireResult};
-use crate::header::HeaderMap;
+use crate::header::{HeaderMap, HeaderName, HeaderValue};
 use crate::message::{Request, Response, Version};
 use crate::method::Method;
 use crate::status::StatusCode;
@@ -44,6 +59,30 @@ pub enum Parsed<T> {
     Partial,
 }
 
+/// A buffer the parsers read a message from. Its type decides whether
+/// a parsed body is a view or a copy: [`WireBuf::body`] copies, except
+/// from a [`Bytes`], which hands out a view.
+pub trait WireBuf: AsRef<[u8]> {
+    /// `self[range]` as `Bytes`. By default a copy, so the caller may
+    /// reuse or drop the buffer as soon as the parse returns.
+    fn body(&self, range: Range<usize>) -> Bytes {
+        Bytes::copy_from_slice(&self.as_ref()[range])
+    }
+}
+
+/// A view of the buffer: one reference count, no bytes copied, and all
+/// of the buffer kept alive for as long as the view lives.
+impl WireBuf for Bytes {
+    fn body(&self, range: Range<usize>) -> Bytes {
+        self.slice(range)
+    }
+}
+
+impl WireBuf for [u8] {}
+impl<const N: usize> WireBuf for [u8; N] {}
+impl WireBuf for Vec<u8> {}
+impl WireBuf for BytesMut {}
+
 /// How the body of a response is delimited.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum BodyFraming {
@@ -52,37 +91,145 @@ enum BodyFraming {
     Chunked,
 }
 
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n").map(|i| i + 4)
+/// The index of the first `\r` in `bytes`, eight bytes a step. A byte of
+/// `word ^ CRS` is zero exactly where `word` holds a CR; the zero-byte
+/// test sets the top bit of the first such byte, and a borrow can set
+/// bits above it, never below.
+fn find_cr(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
+    const CRS: u64 = u64::from_ne_bytes([b'\r'; 8]);
+    let mut words = bytes.chunks_exact(8);
+    for (i, word) in words.by_ref().enumerate() {
+        let word: [u8; 8] = word.try_into().expect("chunks of eight");
+        let x = u64::from_le_bytes(word) ^ CRS;
+        let zeros = x.wrapping_sub(ONES) & !x & HIGHS;
+        if zeros != 0 {
+            return Some(i * 8 + zeros.trailing_zeros() as usize / 8);
+        }
+    }
+    let tail = words.remainder();
+    let at = bytes.len() - tail.len();
+    tail.iter().position(|&b| b == b'\r').map(|i| at + i)
 }
 
-fn parse_head(head: &[u8]) -> WireResult<(String, HeaderMap)> {
+/// The start of the first CRLF in `bytes` at or after `from`: the one
+/// line scanner under heads, field lines and chunk-size lines. It steps
+/// from one `\r` to the next and checks the byte after it, so lines
+/// break exactly where `split("\r\n")` breaks them and a bare CR or LF
+/// stays inside its line. (Stepping with `str::find('\r')` instead was
+/// 2–3× slower on a ten-line head, on one x86-64 core: most lines are
+/// too short for its search to pay for its set-up.)
+pub(crate) fn find_crlf(bytes: &[u8], from: usize) -> Option<usize> {
+    let mut at = from;
+    loop {
+        let cr = at + find_cr(&bytes[at..])?;
+        if bytes.get(cr + 1) == Some(&b'\n') {
+            return Some(cr);
+        }
+        at = cr + 1;
+    }
+}
+
+/// Where the head at the front of `buf` ends — just past the first
+/// CRLF CRLF — and how many field lines it holds, once that far has
+/// arrived.
+fn find_head_end(buf: &[u8]) -> Option<(usize, usize)> {
+    let (mut line, mut lines) = (0, 0);
+    loop {
+        let cr = find_crlf(buf, line)?;
+        if cr == line && lines > 0 {
+            return Some((cr + 2, lines - 1));
+        }
+        lines += 1;
+        line = cr + 2;
+    }
+}
+
+/// Splits `head` — a start line and `fields` field lines, each ending
+/// in CRLF — into the start line and its fields, collected into one
+/// `Vec` of the right size and made a map once.
+fn parse_head(head: &[u8], fields: usize) -> WireResult<(&str, HeaderMap)> {
     let text = std::str::from_utf8(head)
         .map_err(|_| WireError::InvalidHeader("non-utf8 head".to_owned()))?;
-    let mut lines = text.split("\r\n");
-    let start = lines
-        .next()
-        .ok_or_else(|| WireError::InvalidStartLine(String::new()))?
-        .to_owned();
-    let mut headers = HeaderMap::new();
+    let mut at = 0;
+    let mut lines = std::iter::from_fn(|| {
+        let cr = find_crlf(text.as_bytes(), at)?;
+        let line = &text[at..cr];
+        at = cr + 2;
+        Some(line)
+    });
+    let start = lines.next().unwrap_or_default();
+    let mut entries = Vec::with_capacity(fields);
     for line in lines {
-        if line.is_empty() {
-            continue; // the blank line terminating the head
-        }
-        // Obsolete line folding (leading whitespace) is rejected.
-        if line.starts_with(' ') || line.starts_with('\t') {
-            return Err(WireError::InvalidHeader(line.to_owned()));
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| WireError::InvalidHeader(line.to_owned()))?;
-        // RFC 9112 §5.1: no whitespace between name and colon.
-        if name.ends_with(' ') || name.ends_with('\t') {
-            return Err(WireError::InvalidHeader(line.to_owned()));
-        }
-        headers.try_append(name, value)?;
+        entries.push(parse_field(line)?);
     }
-    Ok((start, headers))
+    Ok((start, HeaderMap::from_entries(entries)))
+}
+
+fn parse_field(line: &str) -> WireResult<(HeaderName, HeaderValue)> {
+    // Obsolete line folding (leading whitespace) is rejected.
+    if line.starts_with([' ', '\t']) {
+        return Err(WireError::InvalidHeader(line.to_owned()));
+    }
+    let (name, value) = line
+        .split_once(':')
+        .ok_or_else(|| WireError::InvalidHeader(line.to_owned()))?;
+    // RFC 9112 §5.1: no whitespace between name and colon.
+    if name.ends_with([' ', '\t']) {
+        return Err(WireError::InvalidHeader(line.to_owned()));
+    }
+    Ok((HeaderName::new(name)?, HeaderValue::new(value)?))
+}
+
+/// A message head: its start line, its fields, and its length on the
+/// wire (where the body starts).
+struct Head<'a> {
+    start: &'a str,
+    headers: HeaderMap,
+    len: usize,
+}
+
+/// Reads the head at the front of `buf`; `None` while it is incomplete.
+/// Its blank line must arrive within `max_head` bytes, so no more than
+/// that is ever scanned.
+fn read_head<'a>(buf: &'a [u8], limits: &ParseLimits) -> WireResult<Option<Head<'a>>> {
+    let Some((len, fields)) = find_head_end(&buf[..buf.len().min(limits.max_head)]) else {
+        if buf.len() > limits.max_head {
+            return Err(WireError::HeadTooLarge {
+                limit: limits.max_head,
+            });
+        }
+        return Ok(None);
+    };
+    let (start, headers) = parse_head(&buf[..len - 2], fields)?;
+    Ok(Some(Head {
+        start,
+        headers,
+        len,
+    }))
+}
+
+fn parse_request_line(start: &str) -> WireResult<(Method, Target, Version)> {
+    let mut parts = start.split(' ');
+    let (Some(m), Some(t), Some(v), None) =
+        (parts.next(), parts.next(), parts.next(), parts.next())
+    else {
+        return Err(WireError::InvalidStartLine(start.to_owned()));
+    };
+    Ok((m.parse()?, Target::parse(t)?, Version::parse(v)?))
+}
+
+/// status-line = HTTP-version SP status-code SP [reason-phrase]
+fn parse_status_line(start: &str) -> WireResult<(Version, StatusCode)> {
+    let invalid = || WireError::InvalidStartLine(start.to_owned());
+    let mut parts = start.splitn(3, ' ');
+    let (Some(v), Some(code)) = (parts.next(), parts.next()) else {
+        return Err(invalid());
+    };
+    let version = Version::parse(v)?;
+    let code: u16 = code.parse().map_err(|_| invalid())?;
+    Ok((version, StatusCode::new(code)?))
 }
 
 fn request_body_framing(headers: &HeaderMap) -> WireResult<BodyFraming> {
@@ -115,209 +262,167 @@ fn response_body_framing(
     }
 }
 
-/// Attempts to parse one complete request from the front of `buf`.
-pub fn parse_request(buf: &[u8], limits: &ParseLimits) -> WireResult<Parsed<Request>> {
-    let head_end = match find_head_end(buf) {
-        Some(i) => i,
-        None => {
-            if buf.len() > limits.max_head {
-                return Err(WireError::HeadTooLarge {
-                    limit: limits.max_head,
-                });
-            }
-            return Ok(Parsed::Partial);
-        }
+/// The body `framing` delimits after a head of `head_len` bytes, and
+/// where the message ends; `None` until all of it is in `buf`. A
+/// `Content-Length` body comes from [`WireBuf::body`]; a chunked one is
+/// decoded into a buffer of its own.
+fn framed_body<B: WireBuf + ?Sized>(
+    buf: &B,
+    head_len: usize,
+    framing: BodyFraming,
+    limits: &ParseLimits,
+) -> WireResult<Option<(Bytes, usize)>> {
+    let too_large = || WireError::BodyTooLarge {
+        limit: limits.max_body,
     };
-    if head_end > limits.max_head {
-        return Err(WireError::HeadTooLarge {
-            limit: limits.max_head,
-        });
-    }
-    let (start, headers) = parse_head(&buf[..head_end - 2])?;
-    let mut parts = start.split(' ');
-    let (m, t, v) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(t), Some(v), None) => (m, t, v),
-        _ => return Err(WireError::InvalidStartLine(start.clone())),
-    };
-    let method: Method = m.parse()?;
-    let target = Target::parse(t)?;
-    let version = Version::parse(v)?;
-
-    let body_rest = &buf[head_end..];
-    let (body, consumed) = match request_body_framing(&headers)? {
-        BodyFraming::None => (Bytes::new(), head_end),
+    let rest = &buf.as_ref()[head_len..];
+    match framing {
+        BodyFraming::None => Ok(Some((Bytes::new(), head_len))),
         BodyFraming::Length(n) => {
-            let n = usize::try_from(n).map_err(|_| WireError::BodyTooLarge {
-                limit: limits.max_body,
-            })?;
+            let n = usize::try_from(n).map_err(|_| too_large())?;
             if n > limits.max_body {
-                return Err(WireError::BodyTooLarge {
-                    limit: limits.max_body,
-                });
+                return Err(too_large());
             }
-            if body_rest.len() < n {
-                return Ok(Parsed::Partial);
+            if rest.len() < n {
+                return Ok(None);
             }
-            (Bytes::copy_from_slice(&body_rest[..n]), head_end + n)
+            Ok(Some((buf.body(head_len..head_len + n), head_len + n)))
         }
-        BodyFraming::Chunked => match chunked::decode(body_rest, limits.max_body)? {
-            Some((body, used)) => (body, head_end + used),
-            None => return Ok(Parsed::Partial),
-        },
-    };
+        BodyFraming::Chunked => {
+            Ok(chunked::decode(rest, limits.max_body)?.map(|(body, used)| (body, head_len + used)))
+        }
+    }
+}
 
+/// Attempts to parse one complete request from the front of `buf`. A
+/// `Content-Length` body is a view of `buf` when `buf` is a [`Bytes`]
+/// and a copy otherwise (see [`WireBuf`]).
+pub fn parse_request<B: WireBuf + ?Sized>(
+    buf: &B,
+    limits: &ParseLimits,
+) -> WireResult<Parsed<Request>> {
+    let Some(head) = read_head(buf.as_ref(), limits)? else {
+        return Ok(Parsed::Partial);
+    };
+    let (method, target, version) = parse_request_line(head.start)?;
+    let framing = request_body_framing(&head.headers)?;
+    let Some((body, consumed)) = framed_body(buf, head.len, framing, limits)? else {
+        return Ok(Parsed::Partial);
+    };
     Ok(Parsed::Complete {
         message: Request {
             method,
             target,
             version,
-            headers,
+            headers: head.headers,
             body,
         },
         consumed,
     })
 }
 
-/// Attempts to parse one complete response from the front of `buf`.
-/// `request_method` is needed because HEAD responses have no body. The
-/// body is a copy of its bytes: the caller's buffer is free to go.
-pub fn parse_response(
-    buf: &[u8],
-    request_method: &Method,
-    limits: &ParseLimits,
-) -> WireResult<Parsed<Response>> {
-    parse_response_with(buf, request_method, limits, |body| {
-        Bytes::copy_from_slice(&buf[body])
-    })
+/// A response head, parsed and framed: what both response entry points
+/// share.
+struct ResponseHead {
+    version: Version,
+    status: StatusCode,
+    headers: HeaderMap,
+    framing: BodyFraming,
+    len: usize,
 }
 
-/// [`parse_response`] over a buffer that is already shared: a
-/// `Content-Length` body is `buf.slice(..)`, a view that keeps all of
-/// `buf` alive and copies nothing (a chunked body is decoded into a
-/// buffer of its own either way). For a caller that holds the whole
-/// message in one `Bytes` and would drop it after parsing — the edge's
-/// disk tier reading a record back.
-pub fn parse_response_shared(
-    buf: &Bytes,
-    request_method: &Method,
-    limits: &ParseLimits,
-) -> WireResult<Parsed<Response>> {
-    parse_response_with(buf, request_method, limits, |body| buf.slice(body))
-}
-
-/// The response parser under both entry points, which differ only in
-/// `take_body`: how a `Content-Length` body's range of `buf` becomes
-/// `Bytes`.
-fn parse_response_with(
-    buf: &[u8],
-    request_method: &Method,
-    limits: &ParseLimits,
-    take_body: impl FnOnce(Range<usize>) -> Bytes,
-) -> WireResult<Parsed<Response>> {
-    let head_end = match find_head_end(buf) {
-        Some(i) => i,
-        None => {
-            if buf.len() > limits.max_head {
-                return Err(WireError::HeadTooLarge {
-                    limit: limits.max_head,
-                });
-            }
-            return Ok(Parsed::Partial);
-        }
-    };
-    if head_end > limits.max_head {
-        return Err(WireError::HeadTooLarge {
-            limit: limits.max_head,
-        });
-    }
-    let (start, headers) = parse_head(&buf[..head_end - 2])?;
-    // status-line = HTTP-version SP status-code SP [reason-phrase]
-    let mut parts = start.splitn(3, ' ');
-    let (v, code) = match (parts.next(), parts.next()) {
-        (Some(v), Some(c)) => (v, c),
-        _ => return Err(WireError::InvalidStartLine(start.clone())),
-    };
-    let version = Version::parse(v)?;
-    let code: u16 = code
-        .parse()
-        .map_err(|_| WireError::InvalidStartLine(start.clone()))?;
-    let status = StatusCode::new(code)?;
-
-    let body_rest = &buf[head_end..];
-    let (body, consumed) = match response_body_framing(status, request_method, &headers)? {
-        BodyFraming::None => (Bytes::new(), head_end),
-        BodyFraming::Length(u64::MAX) => return Ok(Parsed::Partial), // EOF-delimited
-        BodyFraming::Length(n) => {
-            let n = usize::try_from(n).map_err(|_| WireError::BodyTooLarge {
-                limit: limits.max_body,
-            })?;
-            if n > limits.max_body {
-                return Err(WireError::BodyTooLarge {
-                    limit: limits.max_body,
-                });
-            }
-            if body_rest.len() < n {
-                return Ok(Parsed::Partial);
-            }
-            (take_body(head_end..head_end + n), head_end + n)
-        }
-        BodyFraming::Chunked => match chunked::decode(body_rest, limits.max_body)? {
-            Some((body, used)) => (body, head_end + used),
-            None => return Ok(Parsed::Partial),
-        },
-    };
-
-    Ok(Parsed::Complete {
-        message: Response {
+impl ResponseHead {
+    fn read(
+        buf: &[u8],
+        request_method: &Method,
+        limits: &ParseLimits,
+    ) -> WireResult<Option<ResponseHead>> {
+        let Some(head) = read_head(buf, limits)? else {
+            return Ok(None);
+        };
+        let (version, status) = parse_status_line(head.start)?;
+        let framing = response_body_framing(status, request_method, &head.headers)?;
+        Ok(Some(ResponseHead {
             version,
             status,
-            headers,
+            headers: head.headers,
+            framing,
+            len: head.len,
+        }))
+    }
+
+    /// No length and not chunked: the body runs to connection close.
+    fn runs_to_close(&self) -> bool {
+        self.framing == BodyFraming::Length(u64::MAX)
+    }
+
+    fn with_body(self, body: Bytes) -> Response {
+        Response {
+            version: self.version,
+            status: self.status,
+            headers: self.headers,
             body: body.into(),
-        },
+        }
+    }
+}
+
+/// Attempts to parse one complete response from the front of `buf`.
+/// `request_method` is needed because HEAD responses have no body. A
+/// `Content-Length` body is a view of `buf` when `buf` is a [`Bytes`] —
+/// the edge's disk tier reading a record back, a client holding one
+/// whole message — and a copy otherwise, so the caller's buffer is free
+/// to go (see [`WireBuf`]).
+pub fn parse_response<B: WireBuf + ?Sized>(
+    buf: &B,
+    request_method: &Method,
+    limits: &ParseLimits,
+) -> WireResult<Parsed<Response>> {
+    let Some(head) = ResponseHead::read(buf.as_ref(), request_method, limits)? else {
+        return Ok(Parsed::Partial);
+    };
+    if head.runs_to_close() {
+        return Ok(Parsed::Partial);
+    }
+    let Some((body, consumed)) = framed_body(buf, head.len, head.framing, limits)? else {
+        return Ok(Parsed::Partial);
+    };
+    Ok(Parsed::Complete {
+        message: head.with_body(body),
         consumed,
     })
 }
 
 /// Completes a response whose body is delimited by connection close:
 /// call this when the peer has closed and [`parse_response`] still says
-/// `Partial`.
-pub fn parse_response_eof(
-    buf: &[u8],
+/// `Partial`. The body is everything after the head, a view or a copy
+/// by the same rule as [`parse_response`]'s.
+pub fn parse_response_eof<B: WireBuf + ?Sized>(
+    buf: &B,
     request_method: &Method,
     limits: &ParseLimits,
 ) -> WireResult<Response> {
-    // First try the normal path: the close may have raced a complete message.
-    if let Parsed::Complete { message, .. } = parse_response(buf, request_method, limits)? {
-        return Ok(message);
+    let bytes = buf.as_ref();
+    let head =
+        ResponseHead::read(bytes, request_method, limits)?.ok_or(WireError::UnexpectedEof)?;
+    if !head.runs_to_close() {
+        // The close may have raced a complete message; a framed body
+        // that never completed is a truncated message.
+        return match framed_body(buf, head.len, head.framing, limits)? {
+            Some((body, _)) => Ok(head.with_body(body)),
+            None => Err(WireError::UnexpectedEof),
+        };
     }
-    let head_end = find_head_end(buf).ok_or(WireError::UnexpectedEof)?;
-    let (start, headers) = parse_head(&buf[..head_end - 2])?;
-    let mut parts = start.splitn(3, ' ');
-    let (v, code) = match (parts.next(), parts.next()) {
-        (Some(v), Some(c)) => (v, c),
-        _ => return Err(WireError::InvalidStartLine(start.clone())),
-    };
-    let version = Version::parse(v)?;
-    let status = StatusCode::new(
-        code.parse()
-            .map_err(|_| WireError::InvalidStartLine(start.clone()))?,
-    )?;
-    if headers.is_chunked() || headers.content_length()?.is_some() {
-        // Framed body that never completed: a truncated message.
+    if head.headers.content_length()?.is_some() {
+        // A declared length no buffer could hold never completes.
         return Err(WireError::UnexpectedEof);
     }
-    let body = &buf[head_end..];
-    if body.len() > limits.max_body {
+    if bytes.len() - head.len > limits.max_body {
         return Err(WireError::BodyTooLarge {
             limit: limits.max_body,
         });
     }
-    Ok(Response {
-        version,
-        status,
-        headers,
-        body: Bytes::copy_from_slice(body).into(),
-    })
+    let body = buf.body(head.len..bytes.len());
+    Ok(head.with_body(body))
 }
 
 /// Serializes a request to wire format.

@@ -47,7 +47,7 @@ pub mod aio;
 
 pub use body::{Body, Links, Syntax};
 pub use cache_control::CacheControl;
-pub use codec::{ParseLimits, Parsed};
+pub use codec::{ParseLimits, Parsed, WireBuf};
 pub use date::HttpDate;
 pub use error::{WireError, WireResult};
 pub use etag::{EntityTag, IfNoneMatch};

@@ -2,7 +2,8 @@
 //!
 //! `TcpOrigin` and `TcpEdge` run on the same listener and connection
 //! loop (`httpwire::aio`), so what that loop owns — the `400` on a
-//! malformed head, clean EOF, `Connection: close`, pipelining — is
+//! malformed head or an impossible chunk size, clean EOF,
+//! `Connection: close`, pipelining — is
 //! checked once here against both servers, over real sockets and by
 //! bytes and headers alone. What the two handlers decide differently
 //! (a missing `Host`, the operational endpoints) follows; the edge's
@@ -172,6 +173,32 @@ async fn half_a_head_then_a_hang_up_leaves_the_listener_serving() {
         drop(stream);
         let resp = fetch(server.addr(), get("/index.html")).await;
         assert_eq!(resp.status, StatusCode::OK, "{kind:?}");
+        server.shutdown().await;
+    }
+}
+
+#[tokio::test]
+async fn a_chunk_size_near_usize_max_is_answered_400_and_the_next_connection_served() {
+    // One byte of body, then a chunk that would take the total past
+    // usize::MAX: the parser must refuse it, not overflow on it.
+    let wire = format!(
+        "POST /a.css HTTP/1.1\r\nhost: {HOST}\r\ntransfer-encoding: chunked\r\n\r\n\
+         1\r\na\r\n{:x}\r\nmore",
+        usize::MAX
+    );
+    for kind in BOTH {
+        let server = Server::start(kind, example_site(), false).await;
+        let responses = exchange(server.addr(), wire.as_bytes()).await;
+        assert_eq!(responses.len(), 1, "{kind:?}");
+        let resp = &responses[0];
+        assert_eq!(resp.status, StatusCode::BAD_REQUEST, "{kind:?}");
+        let reason = resp.headers.get("x-cc-error");
+        assert!(
+            reason.is_some_and(|r| r.contains("body exceeds limit")),
+            "{kind:?}: {reason:?}"
+        );
+        let next = fetch(server.addr(), get("/a.css")).await;
+        assert_eq!(next.status, StatusCode::OK, "{kind:?}");
         server.shutdown().await;
     }
 }
