@@ -10,9 +10,9 @@
 //! thing that touches the field.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
-use cachecatalyst_httpwire::hash::fnv1a64;
+use cachecatalyst_httpwire::hash::Fnv1a64;
 use cachecatalyst_httpwire::{EntityTag, HeaderMap, HeaderName, HeaderValue, Response, WireError};
 
 /// Longest `X-Etag-Config` line [`EtagConfig::header_fields`] makes
@@ -95,7 +95,7 @@ impl EtagConfig {
         let mut fields = Vec::new();
         let mut line = String::new();
         for (path, tag) in &self.entries {
-            let piece = format!("{}={tag}", escape(path));
+            let piece = format!("{}={tag}", Escaped(path));
             if !line.is_empty() && line.len() + 1 + piece.len() > MAX_HEADER_LEN {
                 fields.push(field(HeaderName::X_ETAG_CONFIG, &std::mem::take(&mut line)));
             }
@@ -115,27 +115,16 @@ impl EtagConfig {
     /// Parses a (possibly comma-combined) header value: the inverse of
     /// the [`Display`](fmt::Display) form.
     pub fn parse(value: &str) -> Result<EtagConfig, WireError> {
-        let mut config = EtagConfig::new();
-        for piece in split_entries(value) {
-            let piece = piece.trim();
-            if piece.is_empty() {
-                continue;
-            }
-            let (path, tag) = piece
-                .split_once('=')
-                .ok_or_else(|| WireError::InvalidHeader(piece.to_owned()))?;
-            let path = unescape(path)?;
-            let tag: EntityTag = tag.parse()?;
-            config.entries.insert(path, tag);
-        }
-        Ok(config)
+        read([value]).map(|(config, _)| config)
     }
 
     /// FNV-1a 64 over the canonical one-line form. Because entries are
     /// kept sorted, two equal maps always digest equally, so the digest
     /// travels next to the map as a check against damage in transit.
     fn digest64(&self) -> u64 {
-        fnv1a64(self.to_string().as_bytes())
+        let mut hash = Fnv1a64::new();
+        let _ = write!(hash, "{self}");
+        hash.finish()
     }
 
     /// The map a receiver of `headers` may act on — the only reader of
@@ -145,17 +134,22 @@ impl EtagConfig {
     /// wholesale. A map whose digest matches is returned as parsed; so
     /// is an unsigned one (origins before the digest: taken at face
     /// value), with an absent or unparsable unsigned map reading as
-    /// empty.
+    /// empty. The `X-Etag-Config` lines are read as the one list they
+    /// mean, without being joined into it, and digested as they are
+    /// read.
     pub fn accept(headers: &HeaderMap) -> Option<EtagConfig> {
-        let parsed = match headers.get_combined(HeaderName::X_ETAG_CONFIG) {
-            Some(value) => EtagConfig::parse(&value),
-            None => Ok(EtagConfig::new()),
+        let claimed = match headers.get(HeaderName::X_CC_CONFIG_DIGEST) {
+            Some(claimed) => Some(u64::from_str_radix(claimed.trim(), 16).ok()?),
+            None => None,
         };
-        let Some(claimed) = headers.get(HeaderName::X_CC_CONFIG_DIGEST) else {
-            return Some(parsed.unwrap_or_default());
-        };
-        let claimed = u64::from_str_radix(claimed.trim(), 16).ok()?;
-        parsed.ok().filter(|config| config.digest64() == claimed)
+        let read = read(headers.get_all(HeaderName::X_ETAG_CONFIG));
+        match claimed {
+            None => Some(read.map(|(config, _)| config).unwrap_or_default()),
+            Some(claimed) => read
+                .ok()
+                .filter(|(_, digest)| *digest == claimed)
+                .map(|(config, _)| config),
+        }
     }
 
     /// Replaces one entry's etag with a salt-derived bogus tag
@@ -204,10 +198,8 @@ impl EtagConfig {
 /// so receivers can detect the damage. Returns `false` when the
 /// response carries no (parsable, mutable) map.
 pub fn tamper_config_headers(resp: &mut Response, salt: Option<u64>) -> bool {
-    let Some(combined) = resp.headers.get_combined(HeaderName::X_ETAG_CONFIG) else {
-        return false;
-    };
-    let Ok(mut config) = EtagConfig::parse(&combined) else {
+    // No map lines read as an empty map, which neither mutation changes.
+    let Ok((mut config, _)) = read(resp.headers.get_all(HeaderName::X_ETAG_CONFIG)) else {
         return false;
     };
     let changed = match salt {
@@ -230,7 +222,7 @@ impl fmt::Display for EtagConfig {
             if i > 0 {
                 f.write_str(",")?;
             }
-            write!(f, "{}={tag}", escape(path))?;
+            write!(f, "{}={tag}", Escaped(path))?;
         }
         Ok(())
     }
@@ -243,22 +235,26 @@ fn field(name: &str, value: &str) -> (HeaderName, HeaderValue) {
     )
 }
 
-/// `%XX`-escapes what would end a path early on the way back —
+/// A path `%XX`-escaped, written straight into whatever formats it:
 /// `%`, `,`, `=`, a space (which also keeps the value free of the
-/// spaces a `, ` join adds), `"` (the splitter tracks quotes) — and
-/// the control bytes a header value cannot hold.
-fn escape(path: &str) -> String {
-    use fmt::Write as _;
-    let mut out = String::with_capacity(path.len());
-    for c in path.chars() {
-        match c {
-            '%' | ',' | '=' | ' ' | '"' | '\0'..='\x1f' | '\x7f' => {
-                let _ = write!(out, "%{:02X}", c as u8);
+/// spaces a `, ` join adds), `"` (the splitter tracks quotes) — what
+/// would end a path early on the way back — and the control bytes a
+/// header value cannot hold. All are ASCII, so every run between them
+/// is whole UTF-8.
+struct Escaped<'a>(&'a str);
+
+impl fmt::Display for Escaped<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut plain = 0;
+        for (i, b) in self.0.bytes().enumerate() {
+            if matches!(b, b'%' | b',' | b'=' | b' ' | b'"' | 0..=0x1f | 0x7f) {
+                f.write_str(&self.0[plain..i])?;
+                write!(f, "%{b:02X}")?;
+                plain = i + 1;
             }
-            _ => out.push(c),
         }
+        f.write_str(&self.0[plain..])
     }
-    out
 }
 
 fn unescape(s: &str) -> Result<String, WireError> {
@@ -283,25 +279,107 @@ fn unescape(s: &str) -> Result<String, WireError> {
     String::from_utf8(out).map_err(|_| WireError::InvalidHeader(s.to_owned()))
 }
 
-/// Splits on commas that are *between* entries. ETags are quoted and
-/// may contain commas, so track quote state like the `If-None-Match`
-/// splitter does.
-fn split_entries(value: &str) -> Vec<&str> {
-    let mut parts = Vec::new();
+/// Reads a map off its lines as the one list they mean, each line
+/// followed by the `", "` that RFC 9110's combination rule would join
+/// it to the next with, without building that list: entries are split
+/// on the commas *between* them — ETags are quoted and may contain
+/// commas, so quote state is tracked, across line ends too, like the
+/// `If-None-Match` splitter does — and an entry is copied out only in
+/// the one case that needs it, a quote left open at the end of a line.
+/// Returns the map and its [`EtagConfig::digest64`], folded entry by
+/// entry while the paths arrive in order (as the writer puts them) and
+/// taken over the finished map otherwise.
+fn read<'a>(lines: impl IntoIterator<Item = &'a str>) -> Result<(EtagConfig, u64), WireError> {
+    let mut reader = Reader {
+        config: EtagConfig::new(),
+        digest: Fnv1a64::new(),
+        in_order: true,
+    };
+    // The start of an entry a quote carried past a line's end.
+    let mut open = String::new();
     let mut in_quotes = false;
-    let mut start = 0;
-    for (i, b) in value.bytes().enumerate() {
-        match b {
-            b'"' => in_quotes = !in_quotes,
-            b',' if !in_quotes => {
-                parts.push(&value[start..i]);
-                start = i + 1;
+    let mut tail: Option<&str> = None;
+    for line in lines {
+        if let Some(tail) = tail {
+            if in_quotes {
+                open.push_str(tail);
+                open.push_str(", ");
+            } else {
+                reader.piece(&mut open, tail)?;
             }
-            _ => {}
         }
+        let mut start = 0;
+        for (i, b) in line.bytes().enumerate() {
+            match b {
+                b'"' => in_quotes = !in_quotes,
+                b',' if !in_quotes => {
+                    reader.piece(&mut open, &line[start..i])?;
+                    start = i + 1;
+                }
+                _ => {}
+            }
+        }
+        tail = Some(&line[start..]);
     }
-    parts.push(&value[start..]);
-    parts
+    if let Some(tail) = tail {
+        reader.piece(&mut open, tail)?;
+    }
+    Ok(reader.finish())
+}
+
+/// The map [`read`] is building, and its digest so far.
+struct Reader {
+    config: EtagConfig,
+    digest: Fnv1a64,
+    /// Every path so far came after the one before it, so `digest` is
+    /// the digest of `config`.
+    in_order: bool,
+}
+
+impl Reader {
+    /// One entry: `text`, after the part of it `open` holds, if any.
+    fn piece(&mut self, open: &mut String, text: &str) -> Result<(), WireError> {
+        if open.is_empty() {
+            return self.entry(text);
+        }
+        open.push_str(text);
+        let read = self.entry(open);
+        open.clear();
+        read
+    }
+
+    fn entry(&mut self, piece: &str) -> Result<(), WireError> {
+        let piece = piece.trim();
+        if piece.is_empty() {
+            return Ok(());
+        }
+        let (path, tag) = piece
+            .split_once('=')
+            .ok_or_else(|| WireError::InvalidHeader(piece.to_owned()))?;
+        let path = unescape(path)?;
+        let tag: EntityTag = tag.parse()?;
+        if self.in_order {
+            match self.config.entries.last_key_value() {
+                Some((last, _)) if *last >= path => self.in_order = false,
+                Some(_) => self.digest.write(b","),
+                None => {}
+            }
+        }
+        if self.in_order {
+            let _ = write!(self.digest, "{}={tag}", Escaped(&path));
+        }
+        self.config.entries.insert(path, tag);
+        Ok(())
+    }
+
+    fn finish(self) -> (EtagConfig, u64) {
+        let digest = if self.in_order {
+            self.digest.finish()
+        } else {
+            self.config.digest64()
+        };
+        (self.config, digest)
+    }
 }
 
 #[cfg(test)]

@@ -32,14 +32,15 @@
 //! poisoning the shared store.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, PoisonError, TryLockError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, TryLockError};
 
 use cachecatalyst_catalyst::EtagConfig;
 use cachecatalyst_httpcache::freshness_lifetime;
 use cachecatalyst_httpwire::conditional::{evaluate, Disposition, Validators};
 use cachecatalyst_httpwire::tracectx::Hop;
 use cachecatalyst_httpwire::{
-    Body, EntityTag, HeaderName, Method, Request, Response, StatusCode, Upstream, Url,
+    Body, EntityTag, HeaderMap, HeaderName, HeaderValue, Method, Request, Response, StatusCode,
+    Upstream, Url,
 };
 use cachecatalyst_telemetry::span::{Sampling, SpanSink};
 use cachecatalyst_telemetry::{json_string, CacheAudit, CacheDecision, Event, Recorder, Registry};
@@ -384,6 +385,21 @@ const CATALYST_FRESH_SECS: i64 = 2;
 /// Negative-cache TTL for 404s, in virtual seconds.
 const NEGATIVE_TTL_SECS: i64 = 5;
 
+/// `headers` as the edge serves them: with `X-Served-By:
+/// cachecatalyst-edge`, a field made once per process and shared into
+/// every head.
+pub(crate) fn served_head(mut headers: HeaderMap) -> HeaderMap {
+    static SERVED_BY: OnceLock<(HeaderName, HeaderValue)> = OnceLock::new();
+    let (name, value) = SERVED_BY.get_or_init(|| {
+        (
+            HeaderName::new(HeaderName::X_SERVED_BY).expect("a listed name"),
+            HeaderValue::new("cachecatalyst-edge").expect("a plain token is a header value"),
+        )
+    });
+    headers.insert_field(name.clone(), value.clone());
+    headers
+}
+
 /// The shared edge-cache tier. Decorates any [`Upstream`]; itself an
 /// [`Upstream`], so it slots anywhere an origin or proxy does — in
 /// front of a discrete-event browser, behind
@@ -576,24 +592,38 @@ impl<U: Upstream> EdgeCache<U> {
     /// conditional is never forwarded: a stored success answers it by
     /// the origin's rule ([`evaluate`]), reading `Last-Modified` only
     /// where the date decides; a cached 404 has nothing to be unmodified.
-    fn replay(req: &Request, response: &Response, etag: Option<&EntityTag>) -> Response {
+    /// `served`, when the caller has it, is the response's head already
+    /// stamped ([`StoredEntry::served_head`]); otherwise it is stamped
+    /// here.
+    fn replay(
+        req: &Request,
+        response: &Response,
+        etag: Option<&EntityTag>,
+        served: Option<&HeaderMap>,
+    ) -> Response {
         if response.status.is_success() && req.is_conditional() {
             let since = req
                 .if_modified_since()
                 .and_then(|_| response.last_modified());
             if evaluate(req, &Validators::new(etag, since)) == Disposition::NotModified {
-                return Response::not_modified(etag)
-                    .with_header(HeaderName::X_SERVED_BY, "cachecatalyst-edge");
+                let mut not_modified = Response::not_modified(etag);
+                not_modified.headers = served_head(not_modified.headers);
+                return not_modified;
             }
         }
-        let mut resp = response.clone();
-        resp.headers
-            .insert(HeaderName::X_SERVED_BY, "cachecatalyst-edge");
-        resp
+        Response {
+            version: response.version,
+            status: response.status,
+            headers: served.map_or_else(|| served_head(response.headers.clone()), HeaderMap::clone),
+            body: response.body.clone(),
+        }
     }
 
     /// Serves a fresh stored entry found in `tier`: the one place the
-    /// hit counters move. A disk-tier hit was just promoted into DRAM.
+    /// hit counters move. A DRAM hit serves the entry's own stamped
+    /// head; a disk-tier hit (just promoted into DRAM) stamps a copy,
+    /// so the head is built once per version, by the version's first
+    /// DRAM hit.
     fn serve_fresh(
         &self,
         req: &Request,
@@ -614,8 +644,9 @@ impl<U: Upstream> EdgeCache<U> {
         self.counters
             .hit_bytes
             .add(entry.response.body.len() as u64);
+        let served = (tier == TierHit::Mem).then(|| entry.served_head());
         (
-            Self::replay(req, &entry.response, entry.meta.etag.as_ref()),
+            Self::replay(req, &entry.response, entry.meta.etag.as_ref(), served),
             decision,
         )
     }
@@ -679,16 +710,20 @@ impl<U: Upstream> EdgeCache<U> {
             return;
         };
         let fresh_until = t_secs + CATALYST_FRESH_SECS;
+        let mut key = String::with_capacity(host.len() + 64);
         for (entry, tag) in config.iter() {
             // A cross-origin map names a third-party object by its
             // full URL; the edge stores it under that URL's authority,
             // as `key` does for a request carrying that `Host`.
-            let key = if entry.starts_with('/') {
-                format!("{host}{entry}")
+            key.clear();
+            if entry.starts_with('/') {
+                key.push_str(host);
+                key.push_str(entry);
             } else {
                 let Ok(url) = Url::parse(entry) else { continue };
-                [&url.authority(), url.path()].concat()
-            };
+                key.push_str(&url.authority());
+                key.push_str(url.path());
+            }
             match self.store.mark(&key, tag, t_secs, fresh_until) {
                 MarkOutcome::Fresh => self.counters.marks_fresh.inc(),
                 MarkOutcome::Mismatch => self.counters.marks_stale.inc(),
@@ -741,7 +776,7 @@ impl<U: Upstream> EdgeCache<U> {
                 self.store
                     .refresh(key, refreshed.clone(), etag.clone(), t_secs, fresh_until);
                 return (
-                    Self::replay(req, &refreshed, etag.as_ref()),
+                    Self::replay(req, &refreshed, etag.as_ref(), None),
                     CacheDecision::Conditional304,
                 );
             }
@@ -782,7 +817,7 @@ impl<U: Upstream> EdgeCache<U> {
         self.store
             .insert(key, resp.clone(), etag.clone(), t_secs, fresh_until);
         (
-            Self::replay(req, &resp, etag.as_ref()),
+            Self::replay(req, &resp, etag.as_ref(), None),
             CacheDecision::FullFetch,
         )
     }
@@ -861,7 +896,7 @@ impl<U: Upstream> Upstream for EdgeCache<U> {
             stale => {
                 self.counters.misses.inc();
                 let stale = stale.map(|(entry, _)| entry);
-                let out = self.fetch_and_store(host, req, fwd, t_secs, &key, stale.as_ref());
+                let out = self.fetch_and_store(host, req, fwd, t_secs, &key, stale.as_deref());
                 // Only the thread that actually flew removes the
                 // flight entry: a waiter waking to a hit must not tear
                 // down a newer flight another requester just opened.

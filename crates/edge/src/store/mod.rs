@@ -21,15 +21,17 @@
 //! assert!(store.is_empty());
 //! ```
 
+use std::sync::OnceLock;
+
 use cachecatalyst_catalyst::EtagConfig;
-use cachecatalyst_httpwire::{EntityTag, Response};
+use cachecatalyst_httpwire::{EntityTag, HeaderMap, Response};
 
 pub mod disk;
 pub mod mem;
 pub mod tiered;
 
 pub use disk::{DiskStats, DiskTier, DiskTierOptions};
-pub use mem::MemTier;
+pub use mem::{MemTier, Victim};
 pub use tiered::{TierHit, TieredCounters, TieredStore};
 
 /// What a tier knows about an entry besides its bytes: the validator
@@ -85,15 +87,20 @@ impl Meta {
     }
 }
 
-/// One stored object.
+/// One stored object. The DRAM tier holds it behind an `Arc` and
+/// hands that out on a hit.
 #[derive(Clone)]
 pub struct StoredEntry {
-    /// The full response to replay (the `Bytes` body makes cloning an
-    /// entry a refcount bump, not a copy).
+    /// The full response to replay (its head and body are shared, so
+    /// cloning it is reference counts, not a copy).
     pub response: Response,
     /// Validator and freshness.
     pub meta: Meta,
     size: usize,
+    /// The head a hit serves, built by the first DRAM hit on this
+    /// version. Not part of [`StoredEntry::size`], nor of a disk
+    /// record.
+    served: OnceLock<HeaderMap>,
 }
 
 impl StoredEntry {
@@ -104,6 +111,7 @@ impl StoredEntry {
             response,
             meta,
             size,
+            served: OnceLock::new(),
         }
     }
 
@@ -143,8 +151,12 @@ impl StoredEntry {
         self.size
     }
 
-    pub(crate) fn resize(&mut self) {
-        self.size = self.response.wire_len();
+    /// The stored head as the edge serves it, with its `X-Served-By`
+    /// ([`crate::cache::served_head`]): made on the first call and
+    /// shared by every later one, so a repeat hit copies no field list.
+    pub(crate) fn served_head(&self) -> &HeaderMap {
+        self.served
+            .get_or_init(|| crate::cache::served_head(self.response.headers.clone()))
     }
 }
 

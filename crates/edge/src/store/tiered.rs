@@ -15,11 +15,12 @@
 //! straight to disk, and a disk hit is served without being promoted.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use cachecatalyst_httpwire::{EntityTag, Response};
 
 use super::disk::{DiskStats, DiskTier};
-use super::mem::MemTier;
+use super::mem::{MemTier, Victim};
 use super::{EntryInfo, MarkOutcome, StoredEntry};
 
 /// Which tier served a [`TieredStore::get_traced`] hit.
@@ -67,13 +68,14 @@ impl TieredStore {
     }
 
     /// The entry under `key` (fresh or stale) and which tier served
-    /// it. A disk hit is promoted into DRAM; entries that promotion
-    /// displaces are themselves offered for demotion.
-    pub fn get_traced(&self, key: &str) -> Option<(StoredEntry, TierHit)> {
+    /// it. A DRAM hit is the stored handle itself. A disk hit is
+    /// promoted into DRAM; entries that promotion displaces are
+    /// themselves offered for demotion.
+    pub fn get_traced(&self, key: &str) -> Option<(Arc<StoredEntry>, TierHit)> {
         if let Some(entry) = self.mem.get(key) {
             return Some((entry, TierHit::Mem));
         }
-        let entry = self.disk.as_ref()?.get(key)?;
+        let entry = Arc::new(self.disk.as_ref()?.get(key)?);
         if self.hold_in_dram(key, &entry) {
             self.promotions.fetch_add(1, Ordering::Relaxed);
         }
@@ -82,14 +84,17 @@ impl TieredStore {
 
     /// Puts `entry` in DRAM and offers what that displaces to the disk
     /// tier. False when DRAM did not keep it.
-    fn hold_in_dram(&self, key: &str, entry: &StoredEntry) -> bool {
-        let (stored, victims) = self.mem.insert_returning_victims(key, entry.clone());
-        for (victim_key, victim) in victims {
-            if victim_key != key {
-                self.try_demote(&victim_key, &victim);
-            }
-        }
+    fn hold_in_dram(&self, key: &str, entry: &Arc<StoredEntry>) -> bool {
+        let (stored, victims) = self.mem.insert_returning_victims(key, Arc::clone(entry));
+        self.demote(victims);
         stored
+    }
+
+    /// Offers every entry DRAM let go of to the disk tier.
+    fn demote(&self, victims: Vec<Victim>) {
+        for (key, victim) in victims {
+            self.try_demote(&key, &victim);
+        }
     }
 
     /// Offers a DRAM eviction to the disk tier. Negatives are never
@@ -114,6 +119,7 @@ impl TieredStore {
     }
 
     fn insert_entry(&self, key: &str, entry: StoredEntry) {
+        let entry = Arc::new(entry);
         if self.hold_in_dram(key, &entry) {
             // An outdated disk copy must not outlive the new
             // version — a restart would serve it.
@@ -161,8 +167,10 @@ impl TieredStore {
     }
 
     /// Replaces the stored response under `key` after a revalidation.
-    /// A DRAM-resident entry is updated in place; otherwise a live
-    /// disk copy is superseded by appending the refreshed record.
+    /// A DRAM-resident entry is replaced there, and what that evicts
+    /// (the entry itself, if it grew past a whole shard) is offered for
+    /// demotion as an insert's victims are; otherwise a live disk copy
+    /// is superseded by appending the refreshed record.
     pub fn refresh(
         &self,
         key: &str,
@@ -171,21 +179,14 @@ impl TieredStore {
         validated_at: i64,
         fresh_until: i64,
     ) {
-        if self.mem.refresh(
-            key,
-            response.clone(),
-            etag.clone(),
-            validated_at,
-            fresh_until,
-        ) {
-            return;
-        }
+        let entry = StoredEntry::positive(response, etag, validated_at, fresh_until);
+        let entry = match self.mem.refresh(key, entry) {
+            Ok(victims) => return self.demote(victims),
+            Err(entry) => entry,
+        };
         if let Some(disk) = &self.disk {
             if disk.stored_etag(key).is_some() {
-                disk.insert(
-                    key,
-                    StoredEntry::positive(response, etag, validated_at, fresh_until),
-                );
+                disk.insert(key, entry);
             }
         }
     }
@@ -251,7 +252,7 @@ impl TieredStore {
     }
 
     /// The entry under `key`, whichever tier holds it.
-    pub fn get(&self, key: &str) -> Option<StoredEntry> {
+    pub fn get(&self, key: &str) -> Option<Arc<StoredEntry>> {
         self.get_traced(key).map(|(entry, _)| entry)
     }
 
@@ -370,7 +371,7 @@ mod tests {
             let mem = MemTier::new(1 << 20, 1);
             let mut disk = DiskTier::open(&DiskTierOptions::at(&dir)).unwrap();
             if let Some(entry) = stored {
-                mem.insert_returning_victims("h/a", entry.clone());
+                mem.insert_returning_victims("h/a", Arc::new(entry.clone()));
                 disk.insert("h/a", entry);
             }
             if reopen_disk {
@@ -380,7 +381,7 @@ mod tests {
             let current = EntityTag::strong("v1").unwrap();
             assert_eq!(mem.mark("h/a", &current, 50, 500), outcome, "{case}: mem");
             assert_eq!(disk.mark("h/a", &current, 50, 500), outcome, "{case}: disk");
-            let in_mem: Option<Meta> = mem.get("h/a").map(|e| e.meta);
+            let in_mem: Option<Meta> = mem.get("h/a").map(|e| e.meta.clone());
             let on_disk: Option<Meta> = disk.get("h/a").map(|e| e.meta);
             assert_eq!(in_mem, on_disk, "{case}");
             assert_eq!(

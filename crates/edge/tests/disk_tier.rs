@@ -478,7 +478,7 @@ fn a_remembered_digest_does_not_cross_the_disk_record() {
     // remembered, and digests to the same value once asked.
     let (entry, hit) = store.get_traced("h/0").unwrap();
     assert_eq!(hit, TierHit::Disk);
-    let reread = entry.response.body;
+    let reread = entry.response.body.clone();
     assert_eq!(reread, clean);
     assert!(!reread.shares_allocation_with(&clean));
     assert_eq!(reread.known_digest(), None);

@@ -90,12 +90,46 @@ pub fn xxh64(bytes: &[u8]) -> u64 {
 /// FNV-1a 64 — the key hash, and the digest behind every value that
 /// reaches the wire.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut hash = Fnv1a64::new();
+    hash.write(bytes);
+    hash.finish()
+}
+
+/// [`fnv1a64`] fed a piece at a time: after any sequence of writes,
+/// [`Fnv1a64::finish`] is `fnv1a64` of their concatenation. It is also
+/// a [`fmt::Write`](std::fmt::Write), so a value can be digested in its
+/// `Display` form without being rendered into a `String` first.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a64(u64);
+
+impl Fnv1a64 {
+    pub const fn new() -> Fnv1a64 {
+        Fnv1a64(0xcbf2_9ce4_8422_2325)
     }
-    hash
+
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a64 {
+    fn default() -> Fnv1a64 {
+        Fnv1a64::new()
+    }
+}
+
+impl std::fmt::Write for Fnv1a64 {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -204,6 +238,16 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn fnv1a64_fed_in_pieces_is_fnv1a64_of_the_whole() {
+        use std::fmt::Write as _;
+        let mut hash = Fnv1a64::new();
+        hash.write(b"fo");
+        let (o, rest) = ('o', "bar");
+        write!(hash, "{o}{rest}").unwrap();
+        assert_eq!(hash.finish(), fnv1a64(b"foobar"));
     }
 
     proptest! {

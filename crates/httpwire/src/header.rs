@@ -318,12 +318,41 @@ impl HeaderMap {
 
     /// Replaces all values of `name` with a single value.
     pub fn try_insert(&mut self, name: &str, value: &str) -> Result<(), WireError> {
-        let name = HeaderName::new(name)?;
-        let value = HeaderValue::new(value)?;
+        self.insert_field(HeaderName::new(name)?, HeaderValue::new(value)?);
+        Ok(())
+    }
+
+    /// Replaces all values of `name` with a prepared field. The name and
+    /// value were checked when they were made, so nothing is parsed or
+    /// copied but the field list, if it is shared.
+    pub fn insert_field(&mut self, name: HeaderName, value: HeaderValue) {
         let entries = Arc::make_mut(&mut self.entries);
         entries.retain(|(n, _)| *n != name);
         entries.push((name, value));
-        Ok(())
+    }
+
+    /// What [`HeaderMap::insert_field`] of every field of `other` that
+    /// `take` selects, one after another in `other`'s order, leaves —
+    /// a name `other` repeats keeps its last value, placed where that
+    /// value stands — for one copy-on-write in all, and none when
+    /// `take` selects nothing.
+    pub(crate) fn insert_fields_of(
+        &mut self,
+        other: &HeaderMap,
+        take: impl Fn(&HeaderName) -> bool,
+    ) {
+        let theirs = &other.entries;
+        if !theirs.iter().any(|(name, _)| take(name)) {
+            return;
+        }
+        let replaced = |name: &HeaderName| theirs.iter().any(|(n, _)| n == name && take(n));
+        let ours = Arc::make_mut(&mut self.entries);
+        ours.retain(|(name, _)| !replaced(name));
+        for (i, (name, value)) in theirs.iter().enumerate() {
+            if take(name) && !theirs[i + 1..].iter().any(|(n, _)| n == name) {
+                ours.push((name.clone(), value.clone()));
+            }
+        }
     }
 
     /// Appends a value without disturbing existing ones.
@@ -493,6 +522,34 @@ mod tests {
         appended.append("x-etag-config", "/b=\"2\"");
         assert_eq!(built, appended);
         assert_eq!(built.get_all("x-etag-config").count(), 2);
+    }
+
+    #[test]
+    fn inserting_the_fields_of_a_map_at_once_is_inserting_them_one_by_one() {
+        let field = |n: &str, v: &str| (HeaderName::new(n).unwrap(), HeaderValue::new(v).unwrap());
+        let ours = HeaderMap::from_entries(vec![
+            field("a", "1"),
+            field("b", "2"),
+            field("c", "3"),
+            field("a", "4"),
+        ]);
+        let theirs = HeaderMap::from_entries(vec![
+            field("c", "x"),
+            field("d", "y"),
+            field("skip", "q"),
+            field("c", "z"),
+            field("b", "w"),
+        ]);
+        let mut one_by_one = ours.clone();
+        for (name, value) in theirs.iter().filter(|(n, _)| **n != "skip") {
+            one_by_one.insert(name.as_str(), value.as_str());
+        }
+        let mut at_once = ours.clone();
+        at_once.insert_fields_of(&theirs, |n| *n != "skip");
+        assert_eq!(at_once, one_by_one);
+        let mut untouched = ours.clone();
+        untouched.insert_fields_of(&theirs, |_| false);
+        assert!(Arc::ptr_eq(&untouched.entries, &ours.entries));
     }
 
     #[test]

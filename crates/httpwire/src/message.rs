@@ -172,7 +172,9 @@ impl Response {
     /// one, except those that describe the 304 itself and not the
     /// representation — its framing, the hop that answered it, and the
     /// `X-Etag-Config` map with its digest, which a receiver acts on
-    /// when it arrives and never reads back from a stored copy.
+    /// when it arrives and never reads back from a stored copy. The
+    /// 304's fields were checked when it was made or parsed: they are
+    /// shared into this head as they are, under one copy-on-write.
     pub fn merge_not_modified(&mut self, not_modified: &Response) {
         const ABOUT_THE_304: [&str; 5] = [
             HeaderName::CONTENT_LENGTH,
@@ -181,12 +183,10 @@ impl Response {
             HeaderName::X_ETAG_CONFIG,
             HeaderName::X_CC_CONFIG_DIGEST,
         ];
-        for (name, value) in not_modified.headers.iter() {
-            let name = name.as_str();
-            if !ABOUT_THE_304.contains(&name) {
-                self.headers.insert(name, value.as_str());
-            }
-        }
+        self.headers
+            .insert_fields_of(&not_modified.headers, |name| {
+                !ABOUT_THE_304.contains(&name.as_str())
+            });
     }
 
     /// Parsed `ETag` header.
