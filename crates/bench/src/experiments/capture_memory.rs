@@ -1,15 +1,15 @@
-//! E11 — the memory footprint of session capture (paper §6, issue 1:
-//! "it potentially incurs a significant memory footprint,
-//! necessitating an optimization strategy").
+//! E11 — the memory footprint of capture (paper §6, issue 1: "it
+//! potentially incurs a significant memory footprint, necessitating an
+//! optimization strategy").
 //!
-//! Measures the per-session server memory as users visit, and the
-//! hit-rate effect of bounding the store with LRU eviction.
+//! Measures the server memory the aggregate learned map holds as
+//! visitors arrive, and how much of the page it maps.
 
 use std::io::Write;
 
 use crate::cli::{self, Args};
 use crate::table::render_table;
-use cachecatalyst_catalyst::{AggregateCapture, SessionCapture};
+use cachecatalyst_catalyst::AggregateCapture;
 use cachecatalyst_webmodel::{Site, SiteSpec};
 
 pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
@@ -27,92 +27,14 @@ pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
         .map(|r| r.spec.path.clone())
         .collect();
 
-    writeln!(out, "== E11: session-capture memory footprint ==\n")?;
+    writeln!(out, "== E11: capture memory footprint ==\n")?;
     writeln!(
         out,
-        "site: {} subresources; every visitor session records them all\n",
+        "site: {} subresources; every visitor session loads them all\n",
         paths.len()
     )?;
 
-    // Unbounded growth.
-    let mut rows = Vec::new();
-    let mut capture = SessionCapture::new(usize::MAX >> 1);
-    for sessions in [100usize, 1_000, 10_000, 100_000] {
-        while capture.len() < sessions {
-            let s = format!("user-{:06}", capture.len());
-            for p in &paths {
-                capture.record(&s, site.base_path(), p);
-            }
-        }
-        rows.push(vec![
-            format!("{sessions}"),
-            format!("{:.1} MB", capture.memory_footprint() as f64 / 1e6),
-            format!(
-                "{:.0} B",
-                capture.memory_footprint() as f64 / sessions as f64
-            ),
-        ]);
-    }
-    writeln!(
-        out,
-        "{}",
-        render_table(&["sessions", "footprint", "per session"], &rows)
-    )?;
-
-    // Bounded store: returning-visitor coverage under LRU pressure.
-    writeln!(
-        out,
-        "\nBounded store (LRU), 50,000 visiting sessions, revisit probability by recency:"
-    )?;
-    let mut rows = Vec::new();
-    for budget in [1_000usize, 10_000, 50_000] {
-        let mut capture = SessionCapture::new(budget);
-        for i in 0..50_000usize {
-            let s = format!("user-{i:06}");
-            for p in &paths {
-                capture.record(&s, site.base_path(), p);
-            }
-        }
-        // A returning visitor from the most recent N still has a
-        // record iff they were not evicted.
-        let recent_covered = (0..1_000)
-            .filter(|i| {
-                capture
-                    .paths(&format!("user-{:06}", 49_999 - i), site.base_path())
-                    .is_some()
-            })
-            .count();
-        rows.push(vec![
-            format!("{budget}"),
-            format!("{:.1} MB", capture.memory_footprint() as f64 / 1e6),
-            format!("{}", capture.evicted),
-            format!("{:.0}%", recent_covered as f64 / 10.0),
-        ]);
-    }
-    writeln!(
-        out,
-        "{}",
-        render_table(
-            &[
-                "budget (records)",
-                "footprint",
-                "evicted",
-                "recent-1k coverage",
-            ],
-            &rows
-        )
-    )?;
-    writeln!(
-        out,
-        "\nAn LRU budget keeps the footprint flat while preserving coverage for\n\
-         recently-active sessions — the visitors most likely to return soon."
-    )?;
-
-    // The aggregate alternative: memory independent of visitor count.
-    writeln!(
-        out,
-        "\nAggregate (popularity) capture over the same traffic:"
-    )?;
+    writeln!(out, "Aggregate (popularity) capture:")?;
     let mut rows = Vec::new();
     for sessions in [100usize, 10_000, 100_000] {
         let mut agg = AggregateCapture::default();
@@ -136,9 +58,9 @@ pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
     )?;
     writeln!(
         out,
-        "\nConstant kilobytes instead of hundreds of megabytes, with full\n\
-         coverage of the resources every visitor loads — the optimization\n\
-         strategy the paper's §6 calls for."
+        "\nConstant kilobytes at any visitor count, with full coverage of the\n\
+         resources every visitor loads — the optimization strategy the\n\
+         paper's §6 calls for."
     )?;
     Ok(())
 }

@@ -45,8 +45,8 @@ pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
         Policy {
             name: "catalyst+capture",
             make_upstream: Box::new(|o| Box::new(o)),
-            origin_mode: HeaderMode::CatalystWithCapture,
-            client: ClientKind::CatalystCapture,
+            origin_mode: HeaderMode::CatalystAggregate,
+            client: ClientKind::CatalystAggregate,
         },
         Policy {
             name: "push-all",

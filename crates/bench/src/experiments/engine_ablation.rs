@@ -31,7 +31,6 @@ fn gain(sites: &[cachecatalyst_webmodel::Site], cfg: &EngineConfig) -> (f64, f64
             let mut browser = kind.browser();
             browser.config = EngineConfig {
                 mode: browser.config.mode,
-                session: browser.config.session.clone(),
                 ..cfg.clone()
             };
             for warm in reload_each(&*upstream, site, browser, cond, &REVISIT_DELAYS).warm {

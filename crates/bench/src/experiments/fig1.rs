@@ -2,8 +2,8 @@
 //!
 //! (a) first visit, cold cache;
 //! (b) revisit two hours later under the current caching approach;
-//! (c) the optimized revisit with CacheCatalyst (+ session capture,
-//!     which achieves the figure's "only the base HTML is fetched"
+//! (c) the optimized revisit with CacheCatalyst (+ capture, which
+//!     achieves the figure's "only the base HTML is fetched"
 //!     timeline).
 //!
 //! Output: three waterfalls plus the PLT of each scenario.
@@ -11,7 +11,7 @@
 use std::io::Write;
 
 use crate::cli::{self, Args};
-use cachecatalyst_browser::{Browser, CacheMode, EngineConfig};
+use cachecatalyst_browser::Browser;
 use cachecatalyst_httpwire::Url;
 use cachecatalyst_netsim::NetworkConditions;
 use cachecatalyst_origin::{HeaderMode, OriginServer};
@@ -53,14 +53,11 @@ pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
         second.bytes_down / 1000
     )?;
 
-    // (c) The optimized revisit: CacheCatalyst with session capture
-    // (covers the JS-discovered c.js/d.jpg like the figure assumes).
-    let origin = OriginServer::new(example_site(), HeaderMode::CatalystWithCapture);
-    let mut browser = Browser::new(EngineConfig {
-        mode: CacheMode::ServiceWorker,
-        session: Some("fig1".to_owned()),
-        ..Default::default()
-    });
+    // (c) The optimized revisit: CacheCatalyst with capture (the first
+    // visit teaches the map the JS-discovered c.js/d.jpg, as the
+    // figure assumes).
+    let origin = OriginServer::new(example_site(), HeaderMode::CatalystAggregate);
+    let mut browser = Browser::catalyst();
     browser.load(&origin, cond, &base, t0);
     let optimized = browser.load(&origin, cond, &base, t1);
     writeln!(out, "== Figure 1(c): optimized revisit (CacheCatalyst) ==")?;

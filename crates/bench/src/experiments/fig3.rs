@@ -10,7 +10,8 @@
 //! lets resources actually change per the workload model — the
 //! extension analysis in EXPERIMENTS.md. `--cdf` prints the per-site
 //! distribution at the 5G-median condition (experiment E8);
-//! `--capture` uses the session-capture variant as treatment.
+//! `--capture` uses catalyst with capture (the aggregate learned map)
+//! as treatment.
 
 use std::io::Write;
 use std::time::Duration;
@@ -25,7 +26,7 @@ use cachecatalyst_origin::OriginServer;
 pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
     let want_cdf = args.flag("--cdf");
     let treatment = if args.flag("--capture") {
-        ClientKind::CatalystCapture
+        ClientKind::CatalystAggregate
     } else {
         ClientKind::Catalyst
     };

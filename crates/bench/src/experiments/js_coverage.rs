@@ -3,8 +3,8 @@
 //! Static extraction cannot map resources that only appear when
 //! JavaScript runs. This experiment sweeps the fraction of
 //! JS-discovered resources and measures how much of catalyst's
-//! improvement survives, and how much the session-capture mode
-//! recovers.
+//! improvement survives, and how much capture (the aggregate learned
+//! map) recovers.
 
 use std::io::Write;
 use std::time::Duration;
@@ -29,7 +29,7 @@ pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
 
     let mut rows = Vec::new();
     for js_pct in [0.0, 0.1, 0.2, 0.3, 0.4, 0.6] {
-        let mut plt = [0.0f64; 4]; // baseline, catalyst, capture, aggregate
+        let mut plt = [0.0f64; 3]; // baseline, catalyst, aggregate
         for seed in 0..n_seeds {
             let site = Site::generate(SiteSpec {
                 host: format!("js{}-{}.example", (js_pct * 100.0) as u32, seed),
@@ -41,7 +41,6 @@ pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
             for (i, kind) in [
                 ClientKind::Baseline,
                 ClientKind::Catalyst,
-                ClientKind::CatalystCapture,
                 ClientKind::CatalystAggregate,
             ]
             .into_iter()
@@ -56,7 +55,6 @@ pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
             format!("{:.0}", plt[0] / n_seeds as f64),
             format!("{:.1}%", improvement(plt[1])),
             format!("{:.1}%", improvement(plt[2])),
-            format!("{:.1}%", improvement(plt[3])),
         ]);
     }
 
@@ -68,7 +66,6 @@ pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
                 "JS-discovered",
                 "baseline PLT ms",
                 "catalyst gain",
-                "capture gain",
                 "aggregate gain",
             ],
             &rows
@@ -77,8 +74,8 @@ pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
     writeln!(
         out,
         "Static extraction loses ground as more of the page hides behind JS;\n\
-         session capture (the paper's future-work mode) recovers it, and the\n\
-         memory-bounded aggregate variant matches it without per-session state."
+         capture (the paper's future-work mode), aggregated across visitors,\n\
+         recovers it without per-session state."
     )?;
     Ok(())
 }

@@ -35,13 +35,9 @@ const REQUESTS: usize = 600_000;
 /// so every `t` below this bound lies in one churn epoch.
 const EPOCH_SECS: usize = 5400;
 
-/// The page request for one iteration. Capture mode carries a session
-/// cookie (so the per-session store engages).
-fn request_for(mode: HeaderMode, t: i64, traced: bool) -> Request {
+/// The page request for one iteration.
+fn request_for(t: i64, traced: bool) -> Request {
     let mut req = Request::get("/index.html").with_header("host", "bench.example");
-    if let HeaderMode::CatalystWithCapture = mode {
-        req = req.with_header("cookie", "cc-session=bench");
-    }
     if traced {
         let ctx = TraceContext::new(TraceId::next(), SpanId::next()).at(t as f64 * 1000.0);
         tracectx::inject(&mut req, &ctx);
@@ -56,12 +52,12 @@ fn reqs_per_sec(mode: HeaderMode, threads: usize, traced: bool) -> f64 {
         server = server.with_span_sink(Arc::new(SpanSink::new(Sampling::Always)));
     }
     // One request primes the lazy state (telemetry families, caches).
-    server.handle(&request_for(mode, 0, traced), 0);
+    server.handle(&request_for(0, traced), 0);
 
     let iters = REQUESTS / threads;
     let secs = hammer(threads, iters, |thread, i| {
         let t = ((thread * iters + i) % EPOCH_SECS) as i64;
-        let resp = server.handle(&request_for(mode, t, traced), t);
+        let resp = server.handle(&request_for(t, traced), t);
         assert!(resp.status.as_u16() < 400, "unexpected {}", resp.status);
     });
     let m = server.metrics();
@@ -91,7 +87,6 @@ pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
     for mode in [
         HeaderMode::Baseline,
         HeaderMode::Catalyst,
-        HeaderMode::CatalystWithCapture,
         HeaderMode::CatalystAggregate,
     ] {
         let rate = reqs_per_sec(mode, threads, false);

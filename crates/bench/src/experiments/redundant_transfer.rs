@@ -6,7 +6,7 @@
 //!  * status quo (developer headers + browser cache);
 //!  * no-store everything (the pathological lower bound);
 //!  * CacheCatalyst;
-//!  * CacheCatalyst + session capture.
+//!  * CacheCatalyst + capture (the aggregate learned map).
 
 use std::io::Write;
 use std::time::Duration;
@@ -30,8 +30,8 @@ pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
         ("catalyst", ClientKind::Catalyst, HeaderMode::Catalyst),
         (
             "catalyst+capture",
-            ClientKind::CatalystCapture,
-            HeaderMode::CatalystWithCapture,
+            ClientKind::CatalystAggregate,
+            HeaderMode::CatalystAggregate,
         ),
     ];
 

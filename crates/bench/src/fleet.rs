@@ -157,7 +157,6 @@ pub fn kind_label(kind: ClientKind) -> &'static str {
     match kind {
         ClientKind::Baseline => "baseline",
         ClientKind::Catalyst => "catalyst",
-        ClientKind::CatalystCapture => "catalyst+capture",
         ClientKind::CatalystAggregate => "catalyst+aggregate",
         ClientKind::Uncached => "uncached",
     }

@@ -3,9 +3,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use cachecatalyst_browser::{
-    Browser, CacheMode, EngineConfig, FrozenUpstream, LoadReport, Upstream,
-};
+use cachecatalyst_browser::{Browser, FrozenUpstream, LoadReport, Upstream};
 use cachecatalyst_httpwire::Url;
 use cachecatalyst_netsim::NetworkConditions;
 use cachecatalyst_origin::{HeaderMode, OriginServer};
@@ -31,10 +29,9 @@ pub enum ClientKind {
     Baseline,
     /// CacheCatalyst service worker.
     Catalyst,
-    /// CacheCatalyst + session capture (the future-work mode).
-    CatalystCapture,
-    /// CacheCatalyst + aggregate (popularity) capture — our
-    /// memory-bounded answer to §6's footprint problem.
+    /// CacheCatalyst + capture: the map also covers what visitors were
+    /// seen to load (aggregate popularity capture, our memory-bounded
+    /// answer to §6's footprint problem).
     CatalystAggregate,
     /// No reuse at all.
     Uncached,
@@ -46,7 +43,6 @@ impl ClientKind {
         match self {
             ClientKind::Baseline | ClientKind::Uncached => HeaderMode::Baseline,
             ClientKind::Catalyst => HeaderMode::Catalyst,
-            ClientKind::CatalystCapture => HeaderMode::CatalystWithCapture,
             ClientKind::CatalystAggregate => HeaderMode::CatalystAggregate,
         }
     }
@@ -55,13 +51,7 @@ impl ClientKind {
     pub fn browser(self) -> Browser {
         match self {
             ClientKind::Baseline => Browser::baseline(),
-            ClientKind::Catalyst => Browser::catalyst(),
-            ClientKind::CatalystCapture => Browser::new(EngineConfig {
-                mode: CacheMode::ServiceWorker,
-                session: Some("bench-session".to_owned()),
-                ..Default::default()
-            }),
-            ClientKind::CatalystAggregate => Browser::catalyst(),
+            ClientKind::Catalyst | ClientKind::CatalystAggregate => Browser::catalyst(),
             ClientKind::Uncached => Browser::uncached(),
         }
     }

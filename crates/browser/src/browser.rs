@@ -238,18 +238,14 @@ mod tests {
     #[test]
     fn catalyst_with_capture_beats_baseline_on_revisit() {
         let up_base = upstream(HeaderMode::Baseline);
-        let up_cat = upstream(HeaderMode::CatalystWithCapture);
+        let up_cat = upstream(HeaderMode::CatalystAggregate);
         let t1 = revisit_delay().as_secs() as i64;
 
         let mut b = Browser::baseline();
         b.load(&up_base, cond(), &base(), 0);
         let baseline = b.load(&up_base, cond(), &base(), t1);
 
-        let mut c = Browser::new(EngineConfig {
-            mode: CacheMode::ServiceWorker,
-            session: Some("s1".to_owned()),
-            ..Default::default()
-        });
+        let mut c = Browser::catalyst();
         c.load(&up_cat, cond(), &base(), 0);
         let catalyst = c.load(&up_cat, cond(), &base(), t1);
 
@@ -305,13 +301,9 @@ mod tests {
     }
 
     #[test]
-    fn session_capture_closes_the_js_gap() {
-        let up = upstream(HeaderMode::CatalystWithCapture);
-        let mut browser = Browser::new(EngineConfig {
-            mode: CacheMode::ServiceWorker,
-            session: Some("alice".to_owned()),
-            ..Default::default()
-        });
+    fn capture_closes_the_js_gap() {
+        let up = upstream(HeaderMode::CatalystAggregate);
+        let mut browser = Browser::catalyst();
         browser.load(&up, cond(), &base(), 0);
         // Nothing changed after 60 s; now even c.js and d.jpg are in
         // the map (captured on the first visit) → zero RTTs.

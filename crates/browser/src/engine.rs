@@ -38,7 +38,7 @@ const CACHE_OVERHEAD: Duration = Duration::from_micros(150);
 /// Tunables of a page load. The discrete-event engine reads all of
 /// them; the live loader reads the ones that are not about simulated
 /// transport (`mode`, `max_connections_per_origin`, the
-/// parse/exec costs, `session`, `last_visit` and the retry knobs).
+/// parse/exec costs, `last_visit` and the retry knobs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     /// Parallel connections per origin (browsers use 6 for HTTP/1.1).
@@ -74,9 +74,6 @@ pub struct EngineConfig {
     pub exec_bytes_per_sec: f64,
     /// Which store answers for resources the profile already holds.
     pub mode: CacheMode,
-    /// `cc-session` cookie attached to every request (enables the
-    /// origin's session capture).
-    pub session: Option<String>,
     /// Virtual time of the client's previous visit, announced via the
     /// `x-cc-last-visit` request header (used by push-if-changed).
     pub last_visit: Option<i64>,
@@ -112,7 +109,6 @@ impl Default for EngineConfig {
             exec_base: Duration::from_millis(2),
             exec_bytes_per_sec: 10e6,
             mode: CacheMode::HttpCache,
-            session: None,
             last_visit: None,
             fault_plan: None,
             max_retries: 3,

@@ -84,10 +84,6 @@ pub fn request(cfg: &EngineConfig, url: &Url, purpose: Purpose<'_>) -> Request {
         _ => req.with_header(HeaderName::USER_AGENT, "cachecatalyst-browser/0.1"),
     };
     if let Purpose::Page { referer } = purpose {
-        if let Some(session) = &cfg.session {
-            req.headers
-                .insert("cookie", &format!("cc-session={session}"));
-        }
         if let Some(last) = cfg.last_visit {
             req.headers
                 .insert(HeaderName::X_CC_LAST_VISIT, &last.to_string());

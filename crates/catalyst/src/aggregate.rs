@@ -1,13 +1,16 @@
-//! Aggregate capture: the optimization strategy §6 asks for.
+//! Aggregate capture: the learned map, which covers the resources
+//! static extraction cannot see.
 //!
-//! Per-session capture ([`crate::capture`]) stores one resource list
-//! per (session, page) — memory grows with visitor count, which the
-//! paper flags as the mode's main cost. This module aggregates
+//! The paper's §3 captures the URLs a session requests on its first
+//! visit and maps them on its later visits; §6 flags that store's
+//! memory, which grows with the visitor count. This module aggregates
 //! instead: one popularity counter per (page, path), so memory is
 //! `O(pages × resources)` regardless of traffic. A path enters the
-//! page's map once at least [`AggregateCapture::min_share`] of
-//! observed visits requested it — filtering out user-specific one-off
-//! fetches while covering the JS-discovered resources everyone loads.
+//! page's map once at least a tenth (`MIN_SHARE`) of observed visits
+//! requested it — filtering out user-specific one-off fetches while
+//! covering the JS-discovered resources everyone loads. After a single
+//! visit every path it requested is mapped, as a per-session list
+//! would map it.
 //!
 //! Mapping a resource a particular client never cached is harmless
 //! (the service worker forwards on a cache miss), so over-coverage
@@ -19,36 +22,20 @@ use cachecatalyst_httpwire::EntityTag;
 
 use crate::config::EtagConfig;
 
+/// Minimum fraction of a page's visits that must have requested a path
+/// for it to be mapped.
+const MIN_SHARE: f64 = 0.1;
+
 /// Popularity-aggregated capture across all sessions.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct AggregateCapture {
     /// page → (path → number of visits that requested it).
     counts: HashMap<String, HashMap<String, u64>>,
     /// page → number of observed visits (navigations).
     visits: HashMap<String, u64>,
-    /// Minimum fraction of a page's visits that must have requested a
-    /// path for it to be mapped (default 0.1).
-    pub min_share: f64,
-}
-
-impl Default for AggregateCapture {
-    fn default() -> Self {
-        AggregateCapture {
-            counts: HashMap::new(),
-            visits: HashMap::new(),
-            min_share: 0.1,
-        }
-    }
 }
 
 impl AggregateCapture {
-    pub fn new(min_share: f64) -> AggregateCapture {
-        AggregateCapture {
-            min_share,
-            ..Default::default()
-        }
-    }
-
     /// Records a visit (navigation) to `page`.
     pub fn record_visit(&mut self, page: &str) {
         *self.visits.entry(page.to_owned()).or_insert(0) += 1;
@@ -83,7 +70,7 @@ impl AggregateCapture {
         if visits == 0 {
             return config;
         }
-        let threshold = (visits as f64 * self.min_share).max(1.0);
+        let threshold = (visits as f64 * MIN_SHARE).max(1.0);
         if let Some(paths) = self.counts.get(page) {
             // BTree ordering for determinism.
             let mut sorted: Vec<_> = paths.iter().collect();
@@ -131,16 +118,20 @@ mod tests {
 
     #[test]
     fn popular_paths_enter_the_map() {
-        let mut agg = AggregateCapture::new(0.5);
-        for i in 0..10 {
+        let mut agg = AggregateCapture::default();
+        for i in 0..20 {
             agg.record_visit("/p");
             agg.record("/p", "/everyone.js");
             if i < 2 {
-                agg.record("/p", "/rare.js"); // 20% < 50% share
+                agg.record("/p", "/tenth.js"); // 10%: at the share
+            }
+            if i < 1 {
+                agg.record("/p", "/rare.js"); // 5% < 10% share
             }
         }
         let config = agg.config_for("/p", &|_| Some(tag("t")));
         assert!(config.get("/everyone.js").is_some());
+        assert!(config.get("/tenth.js").is_some());
         assert!(config.get("/rare.js").is_none());
     }
 

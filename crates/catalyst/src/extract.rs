@@ -7,8 +7,8 @@
 //! same-origin CSS is scanned transitively (CSS can pull in fonts,
 //! images and further sheets). Resources reachable only through
 //! JavaScript execution are *not* found — that coverage gap is the
-//! paper's, reproduced faithfully, and closed by the session-capture
-//! mode in [`crate::capture`].
+//! paper's, reproduced faithfully, and closed by the map the origin
+//! learns from visits, [`crate::aggregate`].
 
 use cachecatalyst_httpwire::{Body, EntityTag};
 use cachecatalyst_webmodel::extract::links;

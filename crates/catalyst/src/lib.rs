@@ -15,23 +15,20 @@
 //! * [`sw`] — the client-side service-worker interceptor (Figure 2).
 //! * [`inject`] — SW registration injection and the JS worker the
 //!   origin serves to real browsers.
-//! * [`capture`] — the session-capture alternative that also covers
-//!   JS-discovered resources (§3, future-work mode);
-//! * [`aggregate`] — the memory-bounded capture optimization §6 asks
-//!   for (per-page popularity counters instead of per-session lists).
+//! * [`aggregate`] — the learned map that also covers JS-discovered
+//!   resources (§3's capture, in the memory-bounded form §6 asks for:
+//!   per-page popularity counters, not per-session lists).
 //!
 //! Coexistence with a site's own service worker (§6 issue 3) is not
 //! modelled.
 
 pub mod aggregate;
-pub mod capture;
 pub mod config;
 pub mod extract;
 pub mod inject;
 pub mod sw;
 
 pub use aggregate::AggregateCapture;
-pub use capture::SessionCapture;
 pub use config::{tamper_config_headers, EtagConfig};
 pub use extract::{build_config, build_config_with_bodies, ExtractOptions, ResourceProvider};
 pub use inject::{

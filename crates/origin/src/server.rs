@@ -15,8 +15,8 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use bytes::Bytes;
 use cachecatalyst_catalyst::{
-    build_config_with_bodies, inject_registration, AggregateCapture, ExtractOptions,
-    SessionCapture, SW_SCRIPT, SW_SCRIPT_PATH,
+    build_config_with_bodies, inject_registration, AggregateCapture, ExtractOptions, SW_SCRIPT,
+    SW_SCRIPT_PATH,
 };
 use cachecatalyst_httpwire::conditional::{evaluate, Disposition, Validators};
 use cachecatalyst_httpwire::tracectx::Hop;
@@ -41,13 +41,10 @@ pub enum HeaderMode {
     /// registration. Subresources are served `no-cache` so non-SW
     /// clients remain correct.
     Catalyst,
-    /// Catalyst plus session capture: the map for a returning session
-    /// also covers resources recorded on its first visit (covers
-    /// JS-discovered resources).
-    CatalystWithCapture,
-    /// Catalyst plus *aggregate* capture: the map covers resources
-    /// popular across all visitors of the page (our answer to §6's
-    /// memory-footprint problem; memory independent of traffic).
+    /// Catalyst plus capture: the map also covers resources popular
+    /// across all visitors of the page, JS-discovered ones included
+    /// (§3's capture, aggregated as our answer to §6's memory-footprint
+    /// problem; memory independent of traffic).
     CatalystAggregate,
     /// Everything `no-store` (a lower bound used in ablations).
     NoStore,
@@ -56,10 +53,7 @@ pub enum HeaderMode {
 impl HeaderMode {
     /// Whether this mode attaches `X-Etag-Config` to HTML.
     pub fn is_catalyst(self) -> bool {
-        matches!(
-            self,
-            HeaderMode::Catalyst | HeaderMode::CatalystWithCapture | HeaderMode::CatalystAggregate
-        )
+        matches!(self, HeaderMode::Catalyst | HeaderMode::CatalystAggregate)
     }
 
     /// Stable label for metric series.
@@ -67,7 +61,6 @@ impl HeaderMode {
         match self {
             HeaderMode::Baseline => "baseline",
             HeaderMode::Catalyst => "catalyst",
-            HeaderMode::CatalystWithCapture => "catalyst-capture",
             HeaderMode::CatalystAggregate => "catalyst-aggregate",
             HeaderMode::NoStore => "no-store",
         }
@@ -209,7 +202,6 @@ pub struct OriginServer {
     /// replaces the entry in place, so the cache never exceeds one
     /// entry per path (a `(path, t)` key would leak one per second).
     served: ShardedCache<Arc<Served>>,
-    capture: Mutex<SessionCapture>,
     aggregate: Mutex<AggregateCapture>,
     hot: OnceLock<HotMetrics>,
     telemetry: Arc<Registry>,
@@ -227,7 +219,6 @@ impl OriginServer {
             extract_opts: ExtractOptions::default(),
             epochs,
             served: ShardedCache::new(),
-            capture: Mutex::new(SessionCapture::new(10_000)),
             aggregate: Mutex::new(AggregateCapture::default()),
             hot: OnceLock::new(),
             telemetry: Arc::new(Registry::new()),
@@ -396,19 +387,13 @@ impl OriginServer {
         let epoch = self.epoch_of(path, pinned, t_secs);
         notes.epoch = epoch;
 
-        // Record for session capture (subresources only), keyed by the
-        // page that referenced the resource (Referer header; fall back
-        // to the home page).
-        if self.mode == HeaderMode::CatalystWithCapture {
-            if let Some(session) = session_of(req) {
-                let page = page_of(req).unwrap_or_else(|| self.site.base_path().to_owned());
-                self.capture
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .record(&session, &page, path);
-            }
-        }
-        if self.mode == HeaderMode::CatalystAggregate {
+        // Record a page as a visit and a subresource under the page
+        // that referenced it (Referer header; fall back to the home
+        // page). A loader-internal fetch (`x-cc-internal`) is not a
+        // client request and teaches nothing.
+        if self.mode == HeaderMode::CatalystAggregate
+            && !req.headers.contains(HeaderName::X_CC_INTERNAL)
+        {
             let mut agg = self
                 .aggregate
                 .lock()
@@ -429,7 +414,7 @@ impl OriginServer {
         // page.
         let is_page = resource.spec.kind == ResourceKind::Html && self.mode.is_catalyst();
         let map = if is_page && epoch.is_some() {
-            self.map_for(&served, path, req, t_secs, notes)
+            self.map_for(&served, path, t_secs, notes)
         } else {
             Cow::Borrowed(&[][..])
         };
@@ -495,43 +480,32 @@ impl OriginServer {
     }
 
     /// The map fields a request for `page`, served from `served`,
-    /// carries: the epoch's static-extraction map, extended with any
-    /// session-captured or aggregate-learned paths.
+    /// carries: the epoch's static-extraction map, extended in
+    /// aggregate mode with the paths learned from visits.
     fn map_for<'s>(
         &self,
         served: &'s Served,
         page: &str,
-        req: &Request,
         t_secs: i64,
         notes: &mut HandleNotes,
     ) -> Cow<'s, [Field]> {
         let built = self.page_map(served, page, t_secs, notes);
-        let extra = match self.mode {
-            HeaderMode::CatalystWithCapture => session_of(req).map(|session| {
-                self.capture
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .config_for(&session, page, &|p| self.site.etag_at(p, t_secs))
-            }),
-            HeaderMode::CatalystAggregate => Some(
-                self.aggregate
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .config_for(page, &|p| self.site.etag_at(p, t_secs)),
-            ),
-            _ => None,
-        };
-        match extra {
-            // Session- or population-specific map: merge (moving the
-            // extra entries) and serialize for this response.
-            Some(extra) if !extra.is_empty() => {
+        if self.mode == HeaderMode::CatalystAggregate {
+            let learned = self
+                .aggregate
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .config_for(page, &|p| self.site.etag_at(p, t_secs));
+            if !learned.is_empty() {
+                // Merge (moving the learned entries) and serialize for
+                // this response.
                 let mut config = built.config.clone();
-                config.merge(extra);
-                Cow::Owned(config.header_fields())
+                config.merge(learned);
+                return Cow::Owned(config.header_fields());
             }
-            // The common case: the fields built with the map.
-            _ => Cow::Borrowed(&built.fields),
         }
+        // The common case: the fields built with the map.
+        Cow::Borrowed(&built.fields)
     }
 
     /// The static-extraction map of `page` for the epoch `served`
@@ -581,9 +555,7 @@ impl OriginServer {
         match self.mode {
             HeaderMode::Baseline => policy.to_cache_control().to_string(),
             HeaderMode::NoStore => "no-store".to_owned(),
-            HeaderMode::Catalyst
-            | HeaderMode::CatalystWithCapture
-            | HeaderMode::CatalystAggregate => {
+            HeaderMode::Catalyst | HeaderMode::CatalystAggregate => {
                 // No TTL guessing anywhere (§3: "there is no need to
                 // specify the TTL value or set max-age"). `no-cache`
                 // keeps clients without the SW correct; HTML is also
@@ -633,18 +605,6 @@ fn page_of(req: &Request) -> Option<String> {
     cachecatalyst_httpwire::Url::parse(referer)
         .ok()
         .map(|u| u.path().to_owned())
-}
-
-/// Extracts the `cc-session` cookie.
-fn session_of(req: &Request) -> Option<String> {
-    let cookies = req.headers.get("cookie")?;
-    for part in cookies.split(';') {
-        let part = part.trim();
-        if let Some(v) = part.strip_prefix("cc-session=") {
-            return Some(v.to_owned());
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -764,11 +724,10 @@ mod tests {
 
     #[test]
     fn capture_merged_config_is_redigested() {
-        let s = server(HeaderMode::CatalystWithCapture);
-        let session = |r: Request| r.with_header("cookie", "cc-session=alice");
-        s.handle(&session(Request::get("/index.html")), 0);
-        s.handle(&session(Request::get("/d.jpg")), 0);
-        let resp = s.handle(&session(Request::get("/index.html")), 60);
+        let s = server(HeaderMode::CatalystAggregate);
+        s.handle(&Request::get("/index.html"), 0);
+        s.handle(&Request::get("/d.jpg"), 0);
+        let resp = s.handle(&Request::get("/index.html"), 60);
         assert!(resp.headers.contains(HeaderName::X_CC_CONFIG_DIGEST));
         let config = map_of(&resp);
         assert!(config.get("/d.jpg").is_some(), "capture extended the map");
@@ -884,26 +843,6 @@ mod tests {
     }
 
     #[test]
-    fn capture_mode_extends_config_for_session() {
-        let s = server(HeaderMode::CatalystWithCapture);
-        let session = |r: Request| r.with_header("cookie", "cc-session=alice");
-        // First visit: browser fetches the JS-discovered /d.jpg too.
-        s.handle(&session(Request::get("/index.html")), 0);
-        s.handle(&session(Request::get("/c.js")), 0);
-        s.handle(&session(Request::get("/d.jpg")), 0);
-        // Second visit: the map now covers the captured resources.
-        let resp = s.handle(&session(Request::get("/index.html")), 60);
-        let config = map_of(&resp);
-        assert!(config.get("/c.js").is_some());
-        assert!(config.get("/d.jpg").is_some());
-        // A different session does not get them.
-        let other = Request::get("/index.html").with_header("cookie", "cc-session=bob");
-        let resp = s.handle(&other, 60);
-        let config = map_of(&resp);
-        assert!(config.get("/d.jpg").is_none());
-    }
-
-    #[test]
     fn aggregate_mode_learns_popular_resources() {
         let s = server(HeaderMode::CatalystAggregate);
         // Three visitors all fetch the JS-discovered resources; no
@@ -919,6 +858,23 @@ mod tests {
         let config = map_of(&resp);
         assert!(config.get("/c.js").is_some(), "{config}");
         assert!(config.get("/d.jpg").is_some());
+    }
+
+    #[test]
+    fn loader_internal_fetches_are_not_visits() {
+        // A push front end materializes each navigation with an internal
+        // GET of the page. Counted as visits, they would dilute every
+        // learned share below the threshold.
+        let s = server(HeaderMode::CatalystAggregate);
+        let internal = Request::get("/index.html").with_header(HeaderName::X_CC_INTERNAL, "push");
+        for _ in 0..10 {
+            s.handle(&internal, 0);
+        }
+        s.handle(&Request::get("/index.html"), 0);
+        let referer = |r: Request| r.with_header("referer", "http://example.org/index.html");
+        s.handle(&referer(Request::get("/c.js")), 0);
+        let config = map_of(&s.handle(&Request::get("/index.html"), 60));
+        assert!(config.get("/c.js").is_some(), "{config}");
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! going back in time — must encode to the same bytes.
 
 use cachecatalyst_catalyst::{
-    build_config_with_bodies, inject_registration, AggregateCapture, ExtractOptions,
-    SessionCapture, SW_SCRIPT, SW_SCRIPT_PATH,
+    build_config_with_bodies, inject_registration, AggregateCapture, ExtractOptions, SW_SCRIPT,
+    SW_SCRIPT_PATH,
 };
 use cachecatalyst_httpwire::conditional::{evaluate, Disposition, Validators};
 use cachecatalyst_httpwire::{
@@ -22,10 +22,9 @@ use cachecatalyst_httpwire::{
 use cachecatalyst_origin::{HeaderMode, OriginServer};
 use cachecatalyst_webmodel::{ChangeModel, HeaderPolicy, ResourceKind, Site, SiteSpec};
 
-const MODES: [HeaderMode; 5] = [
+const MODES: [HeaderMode; 4] = [
     HeaderMode::Baseline,
     HeaderMode::Catalyst,
-    HeaderMode::CatalystWithCapture,
     HeaderMode::CatalystAggregate,
     HeaderMode::NoStore,
 ];
@@ -34,7 +33,6 @@ struct Reference {
     site: Site,
     mode: HeaderMode,
     opts: ExtractOptions,
-    capture: SessionCapture,
     aggregate: AggregateCapture,
 }
 
@@ -46,7 +44,6 @@ impl Reference {
             opts: ExtractOptions {
                 include_cross_origin: cross_origin,
             },
-            capture: SessionCapture::new(10_000),
             aggregate: AggregateCapture::default(),
         }
     }
@@ -70,12 +67,6 @@ impl Reference {
         let resource = resource.clone();
         let etag = self.site.etag_at(path, t_secs).unwrap();
         let last_modified = resource.spec.change.last_change_at(t_secs);
-        if self.mode == HeaderMode::CatalystWithCapture {
-            if let Some(session) = session_of(req) {
-                let page = page_of(req).unwrap_or_else(|| self.site.base_path().to_owned());
-                self.capture.record(&session, &page, path);
-            }
-        }
         if self.mode == HeaderMode::CatalystAggregate {
             if resource.spec.kind == ResourceKind::Html {
                 self.aggregate.record_visit(path);
@@ -90,7 +81,7 @@ impl Reference {
             let mut resp = Response::not_modified(Some(&etag))
                 .with_header(HeaderName::DATE, &HttpDate(t_secs).to_imf_fixdate());
             if is_page {
-                self.attach_config(&mut resp, path, req, t_secs);
+                self.attach_config(&mut resp, path, t_secs);
             }
             let resp = resp.with_header(HeaderName::CACHE_CONTROL, &self.cc(&resource.policy));
             return finish(resp, req);
@@ -105,7 +96,7 @@ impl Reference {
             .with_header(HeaderName::ETAG, &etag.to_string())
             .with_header(HeaderName::CACHE_CONTROL, &self.cc(&resource.policy));
         if is_page {
-            self.attach_config(&mut resp, path, req, t_secs);
+            self.attach_config(&mut resp, path, t_secs);
         }
         finish(resp, req)
     }
@@ -121,25 +112,17 @@ impl Reference {
         }
     }
 
-    fn attach_config(&mut self, resp: &mut Response, page: &str, req: &Request, t_secs: i64) {
+    fn attach_config(&mut self, resp: &mut Response, page: &str, t_secs: i64) {
         let mut config = build_config_with_bodies(&self.site, page, t_secs, &self.opts, &|path| {
             self.site.lookup(path)?;
             Some(self.body_of(path, t_secs))
         });
         let site = &self.site;
-        let extra = match self.mode {
-            HeaderMode::CatalystWithCapture => session_of(req).map(|session| {
-                self.capture
-                    .config_for(&session, page, &|p| site.etag_at(p, t_secs))
-            }),
-            HeaderMode::CatalystAggregate => Some(
+        if self.mode == HeaderMode::CatalystAggregate {
+            config.merge(
                 self.aggregate
                     .config_for(page, &|p| site.etag_at(p, t_secs)),
-            ),
-            _ => None,
-        };
-        if let Some(extra) = extra {
-            config.merge(extra);
+            );
         }
         for (name, value) in config.header_fields() {
             resp.headers.append(name.as_str(), value.as_str());
@@ -168,13 +151,6 @@ fn finish(mut resp: Response, req: &Request) -> Response {
 fn page_of(req: &Request) -> Option<String> {
     let referer = req.headers.get("referer")?;
     Url::parse(referer).ok().map(|u| u.path().to_owned())
-}
-
-fn session_of(req: &Request) -> Option<String> {
-    req.headers
-        .get("cookie")?
-        .split(';')
-        .find_map(|part| part.trim().strip_prefix("cc-session=").map(str::to_owned))
 }
 
 fn site(seed: u64) -> Site {
@@ -234,7 +210,6 @@ fn requests(site: &Site, t: i64) -> Vec<Request> {
     for path in paths {
         let get = Request::get(&path)
             .with_header("host", &site.spec.host)
-            .with_header("cookie", "cc-session=s1")
             .with_header("referer", &page);
         let mut head = get.clone();
         head.method = Method::Head;

@@ -22,7 +22,7 @@
 //! * [`httpcache`] — an RFC 9111 browser cache;
 //! * [`catalyst`] — **the paper's contribution**: the `X-Etag-Config`
 //!   map, server-side extraction, the client service worker, and
-//!   session capture;
+//!   aggregate capture (the learned map);
 //! * [`origin`] — the modified origin server (sans-IO handler + tokio
 //!   TCP front end);
 //! * [`browser`] — the page-load engine measuring PLT;
@@ -69,7 +69,7 @@ pub mod chaos;
 /// The most common imports in one place.
 pub mod prelude {
     pub use cachecatalyst_browser::{Browser, CacheMode, EngineConfig, LoadReport, MultiOrigin};
-    pub use cachecatalyst_catalyst::{EtagConfig, ServiceWorker, SessionCapture};
+    pub use cachecatalyst_catalyst::{EtagConfig, ServiceWorker};
     pub use cachecatalyst_httpcache::HttpCache;
     pub use cachecatalyst_httpwire::{
         EntityTag, HeaderMap, HttpDate, Method, Request, Response, StatusCode, Upstream, Url,

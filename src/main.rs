@@ -1,9 +1,11 @@
 //! The `cachecatalyst` command-line tool.
 //!
 //! ```text
-//! cachecatalyst serve [--port P] [--mode baseline|catalyst|capture] [--seed N | --example]
+//! cachecatalyst serve [--port P] [--mode baseline|catalyst|capture|no-store]
+//!                     [--seed N | --example]
 //!     Serve a generated site (or the paper's example page) over real
-//!     TCP with the chosen header mode.
+//!     TCP with the chosen header mode (`capture`: catalyst plus the
+//!     map learned from visits).
 //!
 //! cachecatalyst fetch <url> [--if-none-match TAG] [--show-headers]
 //!     Fetch a URL with the built-in HTTP/1.1 client (pairs with
@@ -59,13 +61,31 @@ impl Args {
     }
 }
 
-fn mode_of(args: &Args) -> HeaderMode {
+const USAGE: &str = "usage: cachecatalyst <serve|fetch|load> [options]\n\
+                     see the crate docs or README for details";
+
+/// The header mode `--mode` names (`catalyst` when absent); `None` for
+/// a name it does not know.
+fn mode_of(args: &Args) -> Option<HeaderMode> {
     match args.flag("mode").unwrap_or("catalyst") {
-        "baseline" => HeaderMode::Baseline,
-        "capture" => HeaderMode::CatalystWithCapture,
-        "no-store" => HeaderMode::NoStore,
-        _ => HeaderMode::Catalyst,
+        "baseline" => Some(HeaderMode::Baseline),
+        "catalyst" => Some(HeaderMode::Catalyst),
+        "capture" => Some(HeaderMode::CatalystAggregate),
+        "no-store" => Some(HeaderMode::NoStore),
+        _ => None,
     }
+}
+
+/// [`mode_of`], or the usage and exit status 2: nothing runs under a
+/// mode the command line did not ask for.
+fn mode_or_exit(args: &Args) -> HeaderMode {
+    mode_of(args).unwrap_or_else(|| {
+        eprintln!(
+            "error: --mode {:?} is not one of baseline, catalyst, capture, no-store\n{USAGE}",
+            args.flag("mode").unwrap_or_default()
+        );
+        std::process::exit(2);
+    })
 }
 
 fn site_of(args: &Args) -> Site {
@@ -92,10 +112,7 @@ fn main() {
         Some("fetch") => cmd_fetch(&args),
         Some("load") => cmd_load(&args),
         _ => {
-            eprintln!(
-                "usage: cachecatalyst <serve|fetch|load> [options]\n\
-                 see the crate docs or README for details"
-            );
+            eprintln!("{USAGE}");
             std::process::exit(2);
         }
     }
@@ -103,7 +120,7 @@ fn main() {
 
 fn cmd_serve(args: &Args) {
     let port = args.flag("port").unwrap_or("8080").to_owned();
-    let mode = mode_of(args);
+    let mode = mode_or_exit(args);
     let site = site_of(args);
     let rt = tokio::runtime::Runtime::new().expect("tokio runtime");
     rt.block_on(async move {
@@ -175,8 +192,19 @@ fn cmd_fetch(args: &Args) {
     });
 }
 
-fn cmd_load(args: &Args) {
-    let mode = mode_of(args);
+/// What `load` simulated.
+struct Loaded {
+    site: Site,
+    cond: NetworkConditions,
+    revisit: u64,
+    cold: LoadReport,
+    warm: LoadReport,
+}
+
+/// A cold visit to the site on day 35 and a revisit `--revisit`
+/// seconds later (default 3600) over `--rtt` ms (40) and `--bw` Mbps
+/// (60), by the browser that goes with `mode`.
+fn simulate(args: &Args, mode: HeaderMode) -> Loaded {
     let site = site_of(args);
     let rtt = args.flag("rtt").and_then(|v| v.parse().ok()).unwrap_or(40);
     let mbps: u64 = args.flag("bw").and_then(|v| v.parse().ok()).unwrap_or(60);
@@ -192,11 +220,29 @@ fn cmd_load(args: &Args) {
     let mut browser = match mode {
         HeaderMode::Baseline => Browser::baseline(),
         HeaderMode::NoStore => Browser::uncached(),
-        _ => Browser::catalyst(),
+        HeaderMode::Catalyst | HeaderMode::CatalystAggregate => Browser::catalyst(),
     };
     let t0: i64 = 35 * 86_400;
     let cold = browser.load(&origin, cond, &base, t0);
     let warm = browser.load(&origin, cond, &base, t0 + revisit as i64);
+    Loaded {
+        site,
+        cond,
+        revisit,
+        cold,
+        warm,
+    }
+}
+
+fn cmd_load(args: &Args) {
+    let mode = mode_or_exit(args);
+    let Loaded {
+        site,
+        cond,
+        revisit,
+        cold,
+        warm,
+    } = simulate(args, mode);
 
     println!(
         "{} | mode {:?} | {} | revisit +{}s\n",
@@ -259,13 +305,27 @@ mod tests {
     fn mode_parsing() {
         assert_eq!(
             mode_of(&parse(&["x", "--mode", "baseline"])),
-            HeaderMode::Baseline
+            Some(HeaderMode::Baseline)
         );
         assert_eq!(
             mode_of(&parse(&["x", "--mode", "capture"])),
-            HeaderMode::CatalystWithCapture
+            Some(HeaderMode::CatalystAggregate)
         );
-        assert_eq!(mode_of(&parse(&["x"])), HeaderMode::Catalyst);
+        assert_eq!(mode_of(&parse(&["x"])), Some(HeaderMode::Catalyst));
+        assert_eq!(mode_of(&parse(&["x", "--mode", "agregate"])), None);
+    }
+
+    /// `load --example --mode capture --revisit 60`: the first visit
+    /// teaches the map the JS-discovered c.js and d.jpg, so the revisit
+    /// fetches only the page and the service worker serves all four
+    /// subresources.
+    #[test]
+    fn load_in_capture_mode_serves_every_subresource_from_the_worker() {
+        let args = parse(&["load", "--example", "--mode", "capture", "--revisit", "60"]);
+        let warm = simulate(&args, mode_of(&args).unwrap()).warm;
+        assert_eq!(warm.network_requests(), 1);
+        assert_eq!(warm.sw_hits, 4);
+        assert_eq!(format!("{:.1}", warm.plt_ms()), "94.1");
     }
 
     #[test]

@@ -323,14 +323,12 @@ fn a_disk_tier_hit_and_a_demotion_each_cost_one_record() {
 
 /// One warm `OriginServer::handle` of the example page at a second it
 /// has not been asked about before (same churn epoch, so the head and
-/// the map come from the epoch caches). Measured 6 / 6 / 11 / 7, in
-/// debug and release alike, once heads were built per epoch (25 / 28 /
-/// 33 / 29 before; the capture modes still serialize a merged map per
-/// request). Pinned one above.
-const ORIGIN_PAGE_BUDGETS: [(HeaderMode, u64); 4] = [
+/// the map come from the epoch caches). Measured 6 / 6 / 7 in release,
+/// once heads were built per epoch (25 / 28 / 29 before; capture mode
+/// still serializes a merged map per request). Pinned one above.
+const ORIGIN_PAGE_BUDGETS: [(HeaderMode, u64); 3] = [
     (HeaderMode::Baseline, 7),
     (HeaderMode::Catalyst, 7),
-    (HeaderMode::CatalystWithCapture, 12),
     (HeaderMode::CatalystAggregate, 8),
 ];
 
@@ -338,9 +336,7 @@ const ORIGIN_PAGE_BUDGETS: [(HeaderMode, u64); 4] = [
 fn a_warm_origin_page_stays_inside_its_budget_in_every_header_mode() {
     for (mode, budget) in ORIGIN_PAGE_BUDGETS {
         let origin = OriginServer::new(example_site(), mode);
-        let req = Request::get("/index.html")
-            .with_header("host", EXAMPLE_HOST)
-            .with_header("cookie", "cc-session=budget");
+        let req = Request::get("/index.html").with_header("host", EXAMPLE_HOST);
         assert_eq!(origin.handle(&req, 0).status, StatusCode::OK);
 
         const PAGES: u64 = 100;

@@ -95,7 +95,7 @@ fn multi_page_visit_uses_shared_chrome() {
 
 #[test]
 fn capture_covers_js_resources_per_page() {
-    // Multi-page + session capture: each page's map learns its own
+    // Multi-page + capture: each page's map learns its own
     // JS-discovered resources via the Referer-keyed recording.
     let site = Site::generate(SiteSpec {
         host: "cap.example".into(),
@@ -114,14 +114,10 @@ fn capture_covers_js_resources_per_page() {
     let cond = NetworkConditions::five_g_median();
     let origin = Arc::new(OriginServer::new(
         site.clone(),
-        HeaderMode::CatalystWithCapture,
+        HeaderMode::CatalystAggregate,
     ));
     let base = Url::parse(&format!("http://{}{}", site.spec.host, site.base_path())).unwrap();
-    let mut browser = Browser::new(EngineConfig {
-        mode: CacheMode::ServiceWorker,
-        session: Some("user-1".into()),
-        ..Default::default()
-    });
+    let mut browser = Browser::catalyst();
     browser.load(&origin, cond, &base, 0);
     // Unchanged revisit after a minute: everything captured must now be
     // SW-served, including JS-discovered resources that are unchanged.

@@ -59,13 +59,9 @@ fn figure_1b_and_1c_improvement_chain() {
     // the figure's "only index.html is fetched" timeline).
     let origin = Arc::new(OriginServer::new(
         example_site(),
-        HeaderMode::CatalystWithCapture,
+        HeaderMode::CatalystAggregate,
     ));
-    let mut c = Browser::new(EngineConfig {
-        mode: CacheMode::ServiceWorker,
-        session: Some("fig1".into()),
-        ..Default::default()
-    });
+    let mut c = Browser::catalyst();
     c.load(&origin, cond(), &base(), 0);
     let fig1c = c.load(&origin, cond(), &base(), t1);
 
