@@ -10,16 +10,18 @@
 //! of the corpus sites, with one metrics [`Registry`] spanning the
 //! whole origin tier — fleet totals come from a single scrape.
 //!
-//! The replay is single-threaded and event-ordered (netsim
-//! [`VirtualSchedule`]), so every counter in the resulting
-//! [`FleetReport`] is a pure function of `(trace, options)`.
+//! The replay is single-threaded and walks the events in the order the
+//! trace lists them, which is virtual-time order: `generate` sorts them
+//! and [`Trace::from_jsonl`] refuses a file that does not, along with
+//! any user, site or time outside its header. So every counter in the
+//! resulting [`FleetReport`] is a pure function of `(trace, options)`.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use cachecatalyst_browser::{Browser, MultiOrigin};
 use cachecatalyst_edge::{DiskTierOptions, EdgeCache, EdgeMetrics, StoreOptions};
-use cachecatalyst_netsim::{NetworkConditions, SimTime, VirtualSchedule};
+use cachecatalyst_netsim::NetworkConditions;
 use cachecatalyst_origin::OriginServer;
 use cachecatalyst_telemetry::{CacheAudit, Event, Histogram, Recorder, Registry};
 use cachecatalyst_webmodel::workload::Trace;
@@ -213,17 +215,10 @@ pub fn run_fleet(trace: &Trace, opts: &FleetOptions) -> FleetReport {
     let last_event = trace.last_event_of_user();
     let mut browsers: HashMap<u32, Browser> = HashMap::new();
 
-    // Arrival processes drain through the virtual scheduler: the
-    // clock jumps event to event, FIFO at equal instants, exactly the
-    // order the trace file lists them in.
-    let mut sched = VirtualSchedule::new();
+    // Profiles retire at their user's last event by index.
+    debug_assert!(trace.events.windows(2).all(|w| w[0] <= w[1]), "unsorted");
     for (idx, event) in trace.events.iter().enumerate() {
-        sched.schedule(SimTime::from_millis(event.t_ms), idx);
-    }
-
-    while let Some((at, idx)) = sched.pop() {
-        let event = &trace.events[idx];
-        let t_secs = (at.as_nanos() / 1_000_000_000) as i64;
+        let t_secs = (event.t_ms / 1000) as i64;
         let browser = browsers.entry(event.user).or_insert_with(|| {
             users_seen += 1;
             opts.kind.browser()

@@ -62,21 +62,6 @@ impl<E> VirtualSchedule<E> {
         self.now = t;
         Some((t, e))
     }
-
-    /// The timestamp of the next event without delivering it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
-    /// Number of undelivered events.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// True when no events remain.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -94,7 +79,6 @@ mod tests {
         assert_eq!(s.pop(), Some((SimTime::from_secs(10), "late")));
         assert_eq!(s.now(), SimTime::from_secs(10));
         assert!(s.pop().is_none());
-        assert!(s.is_empty());
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! * [`tcp`] — a tokio TCP front end with keep-alive, serving the same
 //!   handler over real connections.
 
-pub mod hotpath;
 mod served;
 pub mod server;
 pub mod tcp;

@@ -4,8 +4,8 @@
 //! as long as the resource's churn epoch lasts — length, type,
 //! validators, cache policy, server — plus two things that are not:
 //! `Date`, and on a catalyst page the `X-Etag-Config` map (fixed per
-//! page epoch too, and kept here, but merged per session in the
-//! capture modes). A [`Served`] holds the body, its validators, both
+//! page epoch too, and kept here, but in aggregate mode merged per
+//! request with the paths learned from visits). A [`Served`] holds the body, its validators, both
 //! heads as shared `(HeaderName, HeaderValue)` fields and, on a page,
 //! its map, built on the epoch's first request that needs each; every
 //! later request gathers reference counts into one field list. This is

@@ -11,7 +11,8 @@
 //! front end (see [`crate::tcp`]) calls it with wall time.
 
 use std::borrow::Cow;
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 
 use bytes::Bytes;
 use cachecatalyst_catalyst::{
@@ -25,9 +26,8 @@ use cachecatalyst_httpwire::{
 };
 use cachecatalyst_telemetry::span::{Sampling, SpanSink};
 use cachecatalyst_telemetry::{Counter, Gauge, Histogram, Registry};
-use cachecatalyst_webmodel::{GeneratedResource, HeaderPolicy, ResourceKind, Site};
+use cachecatalyst_webmodel::{ChangeModel, GeneratedResource, HeaderPolicy, ResourceKind, Site};
 
-use crate::hotpath::{ChurnEpochs, ShardedCache};
 use crate::served::{date_field, Field, PageMap, Served, SERVER};
 
 /// How the origin sets caching headers.
@@ -185,23 +185,56 @@ struct HandleNotes {
     config_cache_hit: Option<bool>,
 }
 
+/// One site path's record, built with the server.
+struct Slot {
+    /// The path and its transitive static and dynamic children: every
+    /// version the map (static subtree, link URLs included) or the body
+    /// (child link texts; JS embeds dynamic ones) depends on. A superset:
+    /// an epoch may turn with neither changed, never the reverse.
+    closure: Vec<ChangeModel>,
+    /// What the path served (body, validators, heads and, on a page, its
+    /// map) under the epoch beside it: a request in that epoch shares it,
+    /// one in another overwrites it, so a path holds one record however
+    /// much virtual time passes.
+    served: RwLock<Option<(u64, Arc<Served>)>>,
+}
+
+impl Slot {
+    /// Walks `root`'s closure; the site never changes, so neither does it.
+    fn new(site: &Site, root: &str) -> Slot {
+        let mut closure = Vec::new();
+        let mut seen: HashSet<&str> = HashSet::new();
+        let mut stack = vec![root];
+        while let Some(path) = stack.pop() {
+            if !seen.insert(path) {
+                continue;
+            }
+            let Some(r) = site.get(path) else { continue };
+            closure.push(r.spec.change.clone());
+            stack.extend(r.spec.static_children.iter().map(String::as_str));
+            stack.extend(r.spec.dynamic_children.iter().map(String::as_str));
+        }
+        let served = RwLock::new(None);
+        Slot { closure, served }
+    }
+
+    /// The churn epoch at `t_secs`: an FNV-1a fold (offset basis, prime)
+    /// of every closure member's version. Equal epochs ⇒ identical
+    /// config and body; different versions anywhere ⇒ (with 2⁻⁶⁴
+    /// collision odds) a different epoch. Epochs go out as `x-cc-epoch`.
+    fn epoch_at(&self, t_secs: i64) -> u64 {
+        self.closure.iter().fold(0xcbf2_9ce4_8422_2325, |h, m| {
+            (h ^ m.version_at(t_secs)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+}
+
 /// The origin server for one site.
 pub struct OriginServer {
     site: Site,
     mode: HeaderMode,
     extract_opts: ExtractOptions,
-    /// Per-resource churn epochs: precomputed dependency closures
-    /// whose version fold decides cache validity at any `t`.
-    epochs: ChurnEpochs,
-    /// What each path serves, keyed by path and validated by churn
-    /// epoch: the rendered (and, in catalyst modes, registration-
-    /// injected) body — one allocation shared by every response and
-    /// the map builder, carrying whatever has been derived from it so
-    /// far — with its validators, heads and, on a page, its map. A
-    /// request at any `t` in the same epoch is a hit; an epoch change
-    /// replaces the entry in place, so the cache never exceeds one
-    /// entry per path (a `(path, t)` key would leak one per second).
-    served: ShardedCache<Arc<Served>>,
+    paths: HashMap<String, Slot>,
     aggregate: Mutex<AggregateCapture>,
     hot: OnceLock<HotMetrics>,
     telemetry: Arc<Registry>,
@@ -212,13 +245,15 @@ pub struct OriginServer {
 
 impl OriginServer {
     pub fn new(site: Site, mode: HeaderMode) -> OriginServer {
-        let epochs = ChurnEpochs::new(&site);
+        let paths = site
+            .resources()
+            .map(|r| (r.spec.path.clone(), Slot::new(&site, &r.spec.path)))
+            .collect();
         OriginServer {
             site,
             mode,
             extract_opts: ExtractOptions::default(),
-            epochs,
-            served: ShardedCache::new(),
+            paths,
             aggregate: Mutex::new(AggregateCapture::default()),
             hot: OnceLock::new(),
             telemetry: Arc::new(Registry::new()),
@@ -384,8 +419,6 @@ impl OriginServer {
                 .insert(HeaderName::DATE, date_field(t_secs).1.as_str());
             return resp;
         };
-        let epoch = self.epoch_of(path, pinned, t_secs);
-        notes.epoch = epoch;
 
         // Record a page as a visit and a subresource under the page
         // that referenced it (Referer header; fall back to the home
@@ -406,7 +439,8 @@ impl OriginServer {
             }
         }
 
-        let served = self.served(path, t_secs, resource, epoch);
+        let (served, epoch) = self.served(path, t_secs, resource, pinned);
+        notes.epoch = epoch;
         let validators = Validators::new(Some(&served.etag), Some(served.last_modified));
         let not_modified = evaluate(req, &validators) == Disposition::NotModified;
         // CacheCatalyst: pages carry the validation-token map — a 304
@@ -429,31 +463,29 @@ impl OriginServer {
         )
     }
 
-    /// The churn epoch `path` is served under at `t_secs`; `None` for a
-    /// fingerprinted URL, which pins its version in the path.
-    fn epoch_of(&self, path: &str, pinned: Option<u64>, t_secs: i64) -> Option<u64> {
-        pinned.is_none().then(|| {
-            self.epochs
-                .epoch_at(path, t_secs)
-                .expect("a site resource has an epoch")
-        })
-    }
-
     /// What `path` serves at `t_secs`, which [`Site::lookup`] resolved
-    /// to `resource` and [`OriginServer::epoch_of`] to `epoch`. Built
-    /// once per churn epoch (the body rendered, and registration-
+    /// to `resource` and `pinned`, and the churn epoch it is served
+    /// under. Built once per epoch (the body rendered, and registration-
     /// injected for catalyst HTML) and shared by every response and by
-    /// the map builder; a fingerprinted URL (no epoch) builds one that
-    /// is not kept.
+    /// the map builder; a fingerprinted URL pins its version in the
+    /// path, so it has no epoch and builds a record that is not kept.
     fn served(
         &self,
         path: &str,
         t_secs: i64,
         resource: &GeneratedResource,
-        epoch: Option<u64>,
-    ) -> Arc<Served> {
-        if let Some(hit) = epoch.and_then(|epoch| self.served.get(path, epoch)) {
-            return hit;
+        pinned: Option<u64>,
+    ) -> (Arc<Served>, Option<u64>) {
+        let slot = pinned.is_none().then(|| {
+            let slot = self.paths.get(path).expect("a site path has a slot");
+            (slot, slot.epoch_at(t_secs))
+        });
+        let epoch = slot.map(|(_, epoch)| epoch);
+        if let Some((slot, epoch)) = slot {
+            let held = slot.served.read().unwrap_or_else(PoisonError::into_inner);
+            if let Some((_, hit)) = held.as_ref().filter(|(at, _)| *at == epoch) {
+                return (Arc::clone(hit), Some(epoch));
+            }
         }
         let rendered = self
             .site
@@ -473,10 +505,11 @@ impl OriginServer {
             HttpDate(resource.spec.change.last_change_at(t_secs)),
             &self.cache_control(&resource.policy),
         ));
-        if let Some(epoch) = epoch {
-            self.served.insert(path, epoch, Arc::clone(&served));
+        if let Some((slot, epoch)) = slot {
+            *slot.served.write().unwrap_or_else(PoisonError::into_inner) =
+                Some((epoch, Arc::clone(&served)));
         }
-        served
+        (served, epoch)
     }
 
     /// The map fields a request for `page`, served from `served`,
@@ -530,8 +563,7 @@ impl OriginServer {
             let config =
                 build_config_with_bodies(&self.site, page, t_secs, &self.extract_opts, &|path| {
                     let (resource, pinned) = self.site.lookup(path)?;
-                    let epoch = self.epoch_of(path, pinned, t_secs);
-                    Some(self.served(path, t_secs, resource, epoch).body.clone())
+                    Some(self.served(path, t_secs, resource, pinned).0.body.clone())
                 });
             let hot = self.hot();
             hot.configs_built.inc();
@@ -620,6 +652,60 @@ mod tests {
 
     fn server(mode: HeaderMode) -> OriginServer {
         OriginServer::new(example_site(), mode)
+    }
+
+    /// Paths whose slot holds a record.
+    fn filled_slots(s: &OriginServer) -> usize {
+        s.paths
+            .values()
+            .filter(|slot| slot.served.read().unwrap().is_some())
+            .count()
+    }
+
+    #[test]
+    fn an_epoch_is_constant_within_a_version_window() {
+        let index = &server(HeaderMode::Baseline).paths["/index.html"];
+        // All example-site periods are ≥ 90 minutes, so [0, 5400) is
+        // one epoch for every resource.
+        let e0 = index.epoch_at(0);
+        for t in [1, 60, 3599, 5399] {
+            assert_eq!(index.epoch_at(t), e0, "t={t}");
+        }
+    }
+
+    #[test]
+    fn an_epoch_changes_when_any_closure_member_changes() {
+        let s = server(HeaderMode::Baseline);
+        // /index.html itself changes every 90 minutes.
+        let index = &s.paths["/index.html"];
+        assert_ne!(index.epoch_at(5400), index.epoch_at(0));
+        // /b.js (static child) → /c.js (dynamic) → /d.jpg (dynamic,
+        // 100-minute period): d.jpg churn must reach the epoch even
+        // though the page document itself is unchanged at t=6000.
+        let b = &s.paths["/b.js"];
+        assert_ne!(
+            b.epoch_at(6001),
+            b.epoch_at(0),
+            "dynamic grandchild churn must propagate"
+        );
+    }
+
+    #[test]
+    fn a_path_outside_the_site_has_no_slot() {
+        let s = server(HeaderMode::Baseline);
+        assert!(!s.paths.contains_key("/nope"));
+        assert_eq!(s.paths.len(), s.site().len(), "one slot per site path");
+    }
+
+    /// The epochs `results/trace_catalyst.jsonl` carries (`x-cc-epoch`
+    /// and the span attribute): the fold's constants and member order
+    /// must not move.
+    #[test]
+    fn epochs_are_the_ones_the_committed_traces_carry() {
+        let s = server(HeaderMode::Catalyst);
+        let epoch = |path: &str| s.paths[path].epoch_at(3_919_605);
+        assert_eq!(epoch("/index.html"), 7_767_223_650_575_966_614);
+        assert_eq!(epoch("/a.css"), 12_638_152_016_183_539_244);
     }
 
     #[test]
@@ -787,7 +873,7 @@ mod tests {
         for i in 0..500 {
             s.handle(&Request::get("/index.html"), i * 1200);
         }
-        assert_eq!(s.served.len(), 2, "the page and its stylesheet");
+        assert_eq!(filled_slots(&s), 2, "the page and its stylesheet");
         assert!(s.metrics().configs_built > 10, "epochs did roll over");
     }
 
@@ -807,7 +893,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(s.served.len(), 2, "the page and its stylesheet");
+        assert_eq!(filled_slots(&s), 2, "the page and its stylesheet");
         let m = s.metrics();
         assert_eq!(m.configs_built + m.config_cache_hits, 800);
         assert!(m.configs_built > 10, "epochs did roll over");

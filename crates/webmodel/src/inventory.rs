@@ -41,7 +41,9 @@ impl std::fmt::Display for InventoryError {
 
 impl std::error::Error for InventoryError {}
 
-/// Parses `30s`, `15m`, `2h`, `3d`, `1w` (bare numbers are seconds).
+/// Parses `30s`, `15m`, `2h`, `3d`, `1w` (bare numbers are seconds), up
+/// to `u32::MAX` seconds (≈ 136 years): past that a [`ChangeModel`]'s
+/// `i64` version arithmetic could overflow.
 pub fn parse_duration(s: &str) -> Option<Duration> {
     let s = s.trim();
     let (num, mult) = match s.chars().last()? {
@@ -52,9 +54,8 @@ pub fn parse_duration(s: &str) -> Option<Duration> {
         'w' => (&s[..s.len() - 1], 7 * 86_400),
         _ => (s, 1),
     };
-    num.parse::<u64>()
-        .ok()
-        .map(|n| Duration::from_secs(n * mult))
+    let secs = num.parse::<u64>().ok()?.checked_mul(mult)?;
+    (secs <= u64::from(u32::MAX)).then(|| Duration::from_secs(secs))
 }
 
 /// Parses an inventory into a [`Site`].
@@ -295,6 +296,10 @@ mod tests {
         assert_eq!(parse_duration("45"), Some(Duration::from_secs(45)));
         assert_eq!(parse_duration("x"), None);
         assert_eq!(parse_duration(""), None);
+        let max = u64::from(u32::MAX);
+        assert_eq!(parse_duration("4294967295"), Some(Duration::from_secs(max)));
+        assert_eq!(parse_duration("4294967296"), None, "past u32::MAX s");
+        assert_eq!(parse_duration("99999999999999999w"), None, "past u64 s");
     }
 
     #[test]
@@ -309,6 +314,11 @@ mod tests {
 
         let e = site_from_inventory("/a.css css 5 parent=/nope.html\n/i.html html 9").unwrap_err();
         assert!(e.message.contains("unknown parent"));
+
+        // A phase near 2⁶³ s would overflow `ChangeModel::version_at`.
+        let huge_phase = "/i.html html 9\n/a.css css 5 period=2h phase=9223372036854775807";
+        let e = site_from_inventory(huge_phase).unwrap_err();
+        assert_eq!((e.line, e.message.as_str()), (2, "bad phase duration"));
 
         let e = site_from_inventory("").unwrap_err();
         assert!(e.message.contains("no resources"));

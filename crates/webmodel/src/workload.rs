@@ -402,15 +402,18 @@ impl Trace {
     }
 
     /// Parses a trace serialized by [`Trace::to_jsonl`]. Rejects
-    /// missing headers, version mismatches, malformed lines, and an
-    /// event count that disagrees with the header.
+    /// missing headers, version mismatches, malformed lines, an event
+    /// count that disagrees with the header, events out of the
+    /// `(t_ms, user, site, tab, flash)` order a replay runs them in, and
+    /// values out of range (past the header's horizon or counts, or
+    /// their type), so a trace that parses replays as written.
     pub fn from_jsonl(text: &str) -> Result<Trace, TraceParseError> {
         let mut lines = text.lines();
         let header = lines.next().ok_or(TraceParseError::MissingHeader)?;
         if !header.contains("\"trace\":\"cachecatalyst-fleet\"") {
             return Err(TraceParseError::MissingHeader);
         }
-        let version = field_u64(header, "version")? as u32;
+        let version = field_int(header, "version", u64::MAX, 1)?;
         if version != TRACE_VERSION {
             return Err(TraceParseError::VersionMismatch(version));
         }
@@ -433,14 +436,17 @@ impl Trace {
                 flash_crowds.push(FlashCrowd {
                     at_secs: field_u64(obj, "at_secs")?,
                     duration_secs: field_u64(obj, "duration_secs")?,
-                    visits: field_u64(obj, "visits")? as u32,
-                    site_rank: field_u64(obj, "site_rank")? as u32,
+                    visits: field_int(obj, "visits", u64::MAX, 1)?,
+                    site_rank: field_int(obj, "site_rank", u64::MAX, 1)?,
                 });
             }
         }
+        if !(weights.iter().all(|w| *w >= 0.0) && weights.iter().sum::<f64>() > 0.0) {
+            return Err(TraceParseError::Malformed("diurnal weights"));
+        }
         let spec = WorkloadSpec {
-            users: field_u64(header, "users")? as u32,
-            sites: field_u64(header, "sites")? as u32,
+            users: field_int(header, "users", u64::MAX, 1)?,
+            sites: field_int(header, "sites", u64::MAX, 1)?,
             horizon_secs: field_u64(header, "horizon_secs")?,
             seed: field_u64(header, "seed")?,
             zipf_s: field_f64(header, "zipf_s")?,
@@ -454,19 +460,25 @@ impl Trace {
             diurnal: DiurnalCurve::new(weights),
             flash_crowds,
         };
-        let declared = field_u64(header, "events")? as usize;
-        let mut events = Vec::with_capacity(declared);
-        for line in lines {
+        let declared = field_int(header, "events", u64::MAX, 1)?;
+        let horizon_ms = spec.horizon_secs.saturating_mul(1000);
+        let mut events: Vec<VisitEvent> = Vec::new();
+        // The header is line 1.
+        for (line_no, line) in (2..).zip(lines) {
             if line.trim().is_empty() {
                 continue;
             }
-            events.push(VisitEvent {
-                t_ms: field_u64(line, "t_ms")?,
-                user: field_u64(line, "user")? as u32,
-                site: field_u64(line, "site")? as u32,
-                tab: field_u64(line, "tab")? as u8,
-                flash: field_u64(line, "flash")? != 0,
-            });
+            let event = VisitEvent {
+                t_ms: field_int(line, "t_ms", horizon_ms, line_no)?,
+                user: field_int(line, "user", spec.users.into(), line_no)?,
+                site: field_int(line, "site", spec.sites.into(), line_no)?,
+                tab: field_int(line, "tab", u64::MAX, line_no)?,
+                flash: field_int::<u8>(line, "flash", 2, line_no)? == 1,
+            };
+            if events.last().is_some_and(|last| *last > event) {
+                return Err(TraceParseError::OutOfOrder(line_no));
+            }
+            events.push(event);
         }
         if events.len() != declared {
             return Err(TraceParseError::EventCountMismatch {
@@ -506,6 +518,11 @@ pub enum TraceParseError {
         /// Events actually present.
         found: usize,
     },
+    /// The event on this line (1-based) sorts before the one above it.
+    OutOfOrder(usize),
+    /// This field on this line is at or past the header's horizon or
+    /// count, or too large for its type.
+    OutOfRange(&'static str, usize),
 }
 
 impl std::fmt::Display for TraceParseError {
@@ -520,6 +537,8 @@ impl std::fmt::Display for TraceParseError {
             TraceParseError::EventCountMismatch { declared, found } => {
                 write!(f, "header declares {declared} events, found {found}")
             }
+            TraceParseError::OutOfOrder(line) => write!(f, "line {line}: event out of order"),
+            TraceParseError::OutOfRange(k, line) => write!(f, "line {line}: {k:?} out of range"),
         }
     }
 }
@@ -543,6 +562,19 @@ fn field_u64(line: &str, key: &'static str) -> Result<u64, TraceParseError> {
     field_raw(line, key)?
         .parse()
         .map_err(|_| TraceParseError::Malformed("bad integer"))
+}
+
+/// An integer field on line `n` that is below `bound` (exclusive) and
+/// fits `T`: never truncated into it.
+fn field_int<T: TryFrom<u64>>(
+    line: &str,
+    key: &'static str,
+    bound: u64,
+    n: usize,
+) -> Result<T, TraceParseError> {
+    let value = field_u64(line, key)?;
+    let fits = (value < bound).then(|| T::try_from(value).ok()).flatten();
+    fits.ok_or(TraceParseError::OutOfRange(key, n))
 }
 
 fn field_f64(line: &str, key: &'static str) -> Result<f64, TraceParseError> {
@@ -696,6 +728,80 @@ mod tests {
             Trace::from_jsonl(&truncated.join("\n")),
             Err(TraceParseError::EventCountMismatch { .. })
         ));
+        let huge_count = text.replacen(
+            &format!("\"events\":{}", trace.events.len()),
+            &format!("\"events\":{}", u64::MAX),
+            1,
+        );
+        assert_eq!(
+            Trace::from_jsonl(&huge_count),
+            Err(TraceParseError::OutOfRange("events", 1))
+        );
+        let negative_weight = text.replacen("\"diurnal\":[0.35", "\"diurnal\":[-1", 1);
+        assert_eq!(
+            Trace::from_jsonl(&negative_weight),
+            Err(TraceParseError::Malformed("diurnal weights"))
+        );
+    }
+
+    #[test]
+    fn parser_rejects_events_out_of_replay_order() {
+        // `run_fleet`'s test trace with its event lines reversed: replayed
+        // by index it retired profiles early and counted users twice.
+        let text = generate(&WorkloadSpec {
+            users: 40,
+            sites: 5,
+            horizon_secs: 3600,
+            ..Default::default()
+        })
+        .to_jsonl();
+        let mut lines: Vec<&str> = text.lines().collect();
+        lines[1..].reverse();
+        assert!(matches!(
+            Trace::from_jsonl(&lines.join("\n")),
+            Err(TraceParseError::OutOfOrder(_))
+        ));
+    }
+
+    #[test]
+    fn parser_rejects_values_outside_their_range() {
+        let text = Trace {
+            spec: WorkloadSpec {
+                users: 2,
+                sites: 2,
+                horizon_secs: 10,
+                ..Default::default()
+            },
+            events: vec![VisitEvent {
+                t_ms: 5,
+                user: 1,
+                site: 1,
+                tab: 1,
+                flash: true,
+            }],
+        }
+        .to_jsonl();
+        assert!(Trace::from_jsonl(&text).is_ok());
+        for (field, damaged, line) in [
+            // Past the header's count or horizon.
+            ("\"site\":1", "\"site\":2", 2),
+            ("\"user\":1", "\"user\":2", 2),
+            ("\"t_ms\":5", "\"t_ms\":10000", 2),
+            // Values that `as` would have truncated to ones in range.
+            ("\"user\":1", "\"user\":4294967297", 2),
+            ("\"site\":1", "\"site\":4294967297", 2),
+            ("\"tab\":1", "\"tab\":257", 2),
+            ("\"flash\":1", "\"flash\":2", 2),
+            ("\"users\":2", "\"users\":4294967298", 1),
+            ("\"version\":1", "\"version\":4294967297", 1),
+        ] {
+            let key = field.split('"').nth(1).unwrap();
+            assert_eq!(
+                Trace::from_jsonl(&text.replacen(field, damaged, 1)),
+                Err(TraceParseError::OutOfRange(key, line)),
+                "{damaged}"
+            );
+        }
     }
 
     #[test]
