@@ -14,7 +14,6 @@ use crate::cli::{self, Args, Error};
 use cachecatalyst_webmodel::{generate_corpus, CorpusSpec, Site};
 
 mod cache_busting;
-mod capture_memory;
 mod compare_pushes;
 mod corpus_report;
 mod cross_origin;
@@ -109,7 +108,6 @@ pub const TABLE: &[Row] = &[
     row("js_coverage", js_coverage::run, ""),
     row("cross_origin", cross_origin::run, ""),
     row("fcp_metrics", fcp_metrics::run, "--sites 30"),
-    row("capture_memory", capture_memory::run, ""),
     row("intra_site", intra_site::run, ""),
     row("transport_ablation", transport_ablation::run, "--sites 25"),
     row("loss_sensitivity", loss_sensitivity::run, "--sites 20"),

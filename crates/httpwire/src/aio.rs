@@ -1,9 +1,9 @@
 //! Async HTTP/1.1 connections over any tokio byte stream, and the one
 //! server front end built on them.
 //!
-//! [`ServerConn`] reads requests and writes responses; [`ClientConn`]
-//! writes requests and reads responses. Both are sans-IO wrappers over
-//! the incremental codec in [`crate::codec`] and work with any
+//! [`ClientConn`] sends a request and reads its response; the server
+//! side of a connection is private to [`serve_stream`]. Both wrap the
+//! incremental codec in [`crate::codec`] and work with any
 //! `AsyncRead + AsyncWrite` transport — a real `TcpStream`, a duplex
 //! pipe in tests, or a throttled wrapper.
 //!
@@ -71,34 +71,28 @@ const INLINE_BODY_MAX: usize = 4 * 1024;
 
 /// Server side of an HTTP/1.1 connection.
 #[derive(Debug)]
-pub struct ServerConn<S> {
+struct ServerConn<S> {
     stream: S,
     buf: BytesMut,
     /// Reused across responses: heads are encoded into this buffer, so
     /// steady-state writes allocate nothing.
     write_buf: BytesMut,
-    limits: ParseLimits,
 }
 
 impl<S: AsyncRead + AsyncWrite + Unpin> ServerConn<S> {
-    pub fn new(stream: S) -> Self {
-        Self::with_limits(stream, ParseLimits::default())
-    }
-
-    pub fn with_limits(stream: S, limits: ParseLimits) -> Self {
+    fn new(stream: S) -> Self {
         ServerConn {
             stream,
             buf: BytesMut::with_capacity(READ_CHUNK),
             write_buf: BytesMut::with_capacity(1024),
-            limits,
         }
     }
 
     /// Reads the next request. Returns [`ConnError::Closed`] on a clean
     /// EOF between messages.
-    pub async fn read_request(&mut self) -> Result<Request, ConnError> {
+    async fn read_request(&mut self) -> Result<Request, ConnError> {
         loop {
-            match codec::parse_request(&self.buf, &self.limits)? {
+            match codec::parse_request(&self.buf, &ParseLimits::default())? {
                 Parsed::Complete { message, consumed } => {
                     let _ = self.buf.split_to(consumed);
                     return Ok(message);
@@ -120,7 +114,7 @@ impl<S: AsyncRead + AsyncWrite + Unpin> ServerConn<S> {
     /// buffer reused across responses; small bodies ride along in the
     /// same write, large bodies are written from their shared `Bytes`
     /// without being copied.
-    pub async fn write_response(&mut self, resp: &Response) -> Result<(), ConnError> {
+    async fn write_response(&mut self, resp: &Response) -> Result<(), ConnError> {
         self.write_buf.clear();
         codec::encode_response_head_into(resp, &mut self.write_buf);
         if resp.body.len() <= INLINE_BODY_MAX {
@@ -140,24 +134,18 @@ impl<S: AsyncRead + AsyncWrite + Unpin> ServerConn<S> {
 pub struct ClientConn<S> {
     stream: S,
     buf: BytesMut,
-    limits: ParseLimits,
 }
 
 impl<S: AsyncRead + AsyncWrite + Unpin> ClientConn<S> {
     pub fn new(stream: S) -> Self {
-        Self::with_limits(stream, ParseLimits::default())
-    }
-
-    pub fn with_limits(stream: S, limits: ParseLimits) -> Self {
         ClientConn {
             stream,
             buf: BytesMut::with_capacity(READ_CHUNK),
-            limits,
         }
     }
 
     /// Writes a request and flushes it.
-    pub async fn write_request(&mut self, req: &Request) -> Result<(), ConnError> {
+    async fn write_request(&mut self, req: &Request) -> Result<(), ConnError> {
         let wire = codec::encode_request(req);
         self.stream.write_all(&wire).await?;
         self.stream.flush().await?;
@@ -165,9 +153,10 @@ impl<S: AsyncRead + AsyncWrite + Unpin> ClientConn<S> {
     }
 
     /// Reads the response to a request sent with `method`.
-    pub async fn read_response(&mut self, method: &Method) -> Result<Response, ConnError> {
+    async fn read_response(&mut self, method: &Method) -> Result<Response, ConnError> {
+        let limits = ParseLimits::default();
         loop {
-            match codec::parse_response(&self.buf, method, &self.limits)? {
+            match codec::parse_response(&self.buf, method, &limits)? {
                 Parsed::Complete { message, consumed } => {
                     let _ = self.buf.split_to(consumed);
                     return Ok(message);
@@ -177,7 +166,7 @@ impl<S: AsyncRead + AsyncWrite + Unpin> ClientConn<S> {
             let n = self.stream.read_buf(&mut self.buf).await?;
             if n == 0 {
                 // Possibly an EOF-delimited body.
-                let resp = codec::parse_response_eof(&self.buf, method, &self.limits)?;
+                let resp = codec::parse_response_eof(&self.buf, method, &limits)?;
                 self.buf.clear();
                 return Ok(resp);
             }
@@ -188,10 +177,6 @@ impl<S: AsyncRead + AsyncWrite + Unpin> ClientConn<S> {
     pub async fn round_trip(&mut self, req: &Request) -> Result<Response, ConnError> {
         self.write_request(req).await?;
         self.read_response(&req.method).await
-    }
-
-    pub fn into_inner(self) -> S {
-        self.stream
     }
 }
 
@@ -211,7 +196,7 @@ pub struct Clock {
 
 impl Clock {
     /// Builds a clock from a milliseconds-since-epoch function.
-    pub fn from_millis_fn(f: impl Fn() -> i64 + Send + Sync + 'static) -> Clock {
+    fn from_millis_fn(f: impl Fn() -> i64 + Send + Sync + 'static) -> Clock {
         Clock {
             millis: Arc::new(f),
         }
@@ -266,8 +251,6 @@ pub enum Reply {
     /// the client's parser must see a clean unexpected-EOF, never a
     /// short "valid" body.
     SendPrefix(Response, f64),
-    /// Close without answering.
-    HangUp,
 }
 
 /// What differs between the servers that share [`serve_stream`]:
@@ -339,7 +322,6 @@ where
                 let _ = conn.stream.flush().await;
                 return Ok(());
             }
-            Reply::HangUp => return Ok(()),
         }
         if req.headers.wants_close() {
             return Ok(());
@@ -500,7 +482,7 @@ mod tests {
         assert_eq!(c.secs(), 60);
     }
 
-    /// Echoes the path, or ends the connection the way the path says.
+    /// Echoes the path, or cuts the echo short where the path says.
     struct Scripted(Clock);
 
     impl Handler for Scripted {
@@ -513,7 +495,6 @@ mod tests {
             let echo = Response::ok(path.to_owned());
             match path.strip_prefix("/cut/") {
                 Some(fraction) => Reply::SendPrefix(echo, fraction.parse().unwrap()),
-                None if path == "/hang-up" => Reply::HangUp,
                 None => Reply::Send(echo),
             }
         }
@@ -533,7 +514,7 @@ mod tests {
     }
 
     #[tokio::test]
-    async fn a_handler_can_cut_the_response_short_or_hang_up() {
+    async fn a_handler_can_cut_the_response_short() {
         let full = |path: &str| codec::encode_response(&Response::ok(path.to_owned())).to_vec();
         // A prefix is never empty and never the whole response, so the
         // client always sees bytes followed by an unexpected EOF.
@@ -544,6 +525,5 @@ mod tests {
         ] {
             assert_eq!(raw_answer(path).await, full(path)[..len], "{path}");
         }
-        assert_eq!(raw_answer("/hang-up").await, b"");
     }
 }

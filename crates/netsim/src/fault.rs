@@ -9,12 +9,10 @@
 //! corruption and 5xx lands on exactly the same request attempt.
 //!
 //! The schedule is transport-agnostic: the simulated engine
-//! (`browser::engine`), the live TCP server (`origin::tcp`) and the
-//! proxy layer all consume the same draws, which is what lets the
-//! invariant harness compare a faulted load against an un-faulted
-//! reference at the same virtual time.
-
-use std::sync::{Arc, Mutex};
+//! (`browser::engine`) and the hop decorator
+//! (`proxies::FaultyUpstream`) consume the same draws, which is what
+//! lets the invariant harness compare a faulted load against an
+//! un-faulted reference at the same virtual time.
 
 /// One injected fault, applied to a single request attempt.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -184,36 +182,6 @@ impl FaultSchedule {
                 ms: 30 + magnitude % 270,
             },
         })
-    }
-}
-
-/// One seeded [`FaultSchedule`] shared by everything that serves
-/// through it — every connection of a TCP origin, every request
-/// through a chaos decorator: one draw per request, with a progress
-/// guarantee. After `max_consecutive` faulted requests in a row
-/// (whoever sent them), the next request is served clean, whatever
-/// the clients' retry pattern looks like.
-#[derive(Debug)]
-pub struct ServerFaults {
-    /// `(schedule, consecutive faults)`.
-    state: Mutex<(FaultSchedule, u32)>,
-}
-
-impl ServerFaults {
-    /// Fresh shared fault state from a seeded plan.
-    pub fn new(plan: FaultPlan) -> Arc<ServerFaults> {
-        Arc::new(ServerFaults {
-            state: Mutex::new((plan.schedule(), 0)),
-        })
-    }
-
-    /// Draws the fault (if any) for the next request served.
-    pub fn draw(&self) -> Option<Fault> {
-        let mut guard = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let (schedule, consecutive) = &mut *guard;
-        let fault = schedule.draw(*consecutive);
-        *consecutive = if fault.is_some() { *consecutive + 1 } else { 0 };
-        fault
     }
 }
 

@@ -39,7 +39,7 @@ pub mod trace;
 pub mod emu;
 
 pub use conditions::NetworkConditions;
-pub use fault::{Fault, FaultPlan, FaultSchedule, ServerFaults};
+pub use fault::{Fault, FaultPlan, FaultSchedule};
 pub use link::FluidLink;
 pub use network::{LinkId, Network};
 pub use queue::EventQueue;

@@ -9,7 +9,9 @@
 //! * [`server`] — the transport-agnostic request handler and header
 //!   policy modes (baseline / catalyst / capture / no-store).
 //! * [`tcp`] — a tokio TCP front end with keep-alive, serving the same
-//!   handler over real connections.
+//!   handler over real connections. Like the modified Caddy it stands
+//!   in for, it serves what the site says and nothing else: it has no
+//!   fault seam and does not depend on the simulator.
 
 mod served;
 pub mod server;
@@ -17,6 +19,5 @@ pub mod tcp;
 
 pub use server::{HeaderMode, OriginMetrics, OriginServer};
 pub use tcp::{
-    fixed_clock, wall_clock, watch_clock, watch_clock_ms, Clock, ServeOptions, ServerFaults,
-    TcpOrigin,
+    fixed_clock, wall_clock, watch_clock, watch_clock_ms, Clock, ServeOptions, TcpOrigin,
 };

@@ -6,35 +6,30 @@
 //!
 //! The listener and the connection loop are
 //! [`cachecatalyst_httpwire::aio`]'s; this module is the origin's
-//! [`Handler`]: site dispatch, the operational endpoints, and the
-//! seeded fault seam. Configuration goes through one builder,
-//! [`ServeOptions`] (`TcpOrigin::builder().server(..).ops(true)
-//! .faults(plan).bind(addr)`), which composes — an origin can serve
-//! `/metrics` *and* run a fault schedule at the same time.
+//! [`Handler`]: the operational endpoints, or else site dispatch.
+//! Configuration goes through one builder, [`ServeOptions`]
+//! (`TcpOrigin::builder().server(..).clock(..).ops(true).bind(addr)`).
+//! The origin carries no fault seam: damage is injected on the client
+//! network (`EngineConfig::fault_plan`) or on a hop
+//! (`proxies::FaultyUpstream`), never inside the server.
 
 #![warn(missing_docs)]
 
 use std::io;
 use std::sync::Arc;
-use std::time::Duration;
 
 use cachecatalyst_httpwire::aio::{self, ConnError, Handler, Listener, Reply};
 pub use cachecatalyst_httpwire::aio::{
     fixed_clock, wall_clock, watch_clock, watch_clock_ms, Clock,
 };
-use cachecatalyst_httpwire::{HeaderName, Request, Response, StatusCode};
-use cachecatalyst_netsim::{Fault, FaultPlan};
+use cachecatalyst_httpwire::{Request, Response};
 use tokio::io::{AsyncRead, AsyncWrite};
 
 use crate::server::OriginServer;
 
-/// Shared, seeded fault state for a TCP origin: one draw per request,
-/// with a progress guarantee across all connections.
-pub use cachecatalyst_netsim::ServerFaults;
-
 /// Everything configurable about serving an origin over TCP (or any
-/// byte stream): which [`OriginServer`], whose [`Clock`], whether the
-/// operational endpoints answer, and an optional fault schedule.
+/// byte stream): which [`OriginServer`], whose [`Clock`], and whether
+/// the operational endpoints answer.
 ///
 /// Obtained from [`TcpOrigin::builder`]; finish with
 /// [`ServeOptions::bind`] (a listening server) or
@@ -44,7 +39,6 @@ pub struct ServeOptions {
     server: Option<Arc<OriginServer>>,
     clock: Clock,
     ops: bool,
-    faults: Option<Arc<ServerFaults>>,
 }
 
 impl Default for ServeOptions {
@@ -53,14 +47,13 @@ impl Default for ServeOptions {
             server: None,
             clock: wall_clock(),
             ops: false,
-            faults: None,
         }
     }
 }
 
 impl ServeOptions {
     /// An empty configuration: no server yet, wall clock, operational
-    /// endpoints off, no faults.
+    /// endpoints off.
     pub fn new() -> ServeOptions {
         ServeOptions::default()
     }
@@ -85,26 +78,6 @@ impl ServeOptions {
     /// dispatch. Off by default.
     pub fn ops(mut self, enabled: bool) -> ServeOptions {
         self.ops = enabled;
-        self
-    }
-
-    /// Serve through a fresh seeded fault schedule: every request
-    /// draws once, and the drawn fault damages the response (5xx
-    /// substitution, delayed writes, config-map tampering, mid-body
-    /// truncation, connection drops). Same plan + same request order
-    /// ⇒ same damage, byte for byte. The schedule (and its
-    /// consecutive-fault progress guarantee) is shared across all
-    /// connections of this configuration.
-    pub fn faults(self, plan: FaultPlan) -> ServeOptions {
-        self.shared_faults(ServerFaults::new(plan))
-    }
-
-    /// Like [`ServeOptions::faults`], but sharing an existing
-    /// [`ServerFaults`] state — e.g. one schedule spanning several
-    /// listeners, or a per-stream serving loop that must keep its
-    /// draw order across connections.
-    pub fn shared_faults(mut self, faults: Arc<ServerFaults>) -> ServeOptions {
-        self.faults = Some(faults);
         self
     }
 
@@ -141,7 +114,6 @@ impl ServeOptions {
             server,
             clock: self.clock,
             ops: self.ops,
-            faults: self.faults,
         })
     }
 }
@@ -151,7 +123,6 @@ struct OriginHandler {
     server: Arc<OriginServer>,
     clock: Clock,
     ops: bool,
-    faults: Option<Arc<ServerFaults>>,
 }
 
 impl Handler for OriginHandler {
@@ -163,34 +134,13 @@ impl Handler for OriginHandler {
         // An operational endpoint answers only where the site defines
         // nothing: site resources are never shadowed.
         let free = |path| self.server.site().get(path).is_none();
-        let mut resp = match aio::ops_path(req, self.ops) {
+        Reply::Send(match aio::ops_path(req, self.ops) {
             Some(path @ "/metrics") if free(path) => self.metrics_response(),
             Some(path @ "/healthz") if free(path) => {
                 aio::ops_response("text/plain", &b"ok\n"[..], &self.clock)
             }
             _ => self.server.handle(req, self.clock.secs()),
-        };
-        match self.faults.as_ref().and_then(|f| f.draw()) {
-            None => {}
-            Some(Fault::ServerError { status }) => {
-                resp = Response::empty(StatusCode::new(status).expect("5xx is valid"))
-                    .with_header(HeaderName::X_CC_FAULT, "server-error");
-            }
-            Some(Fault::Delay { ms }) => {
-                tokio::time::sleep(Duration::from_millis(ms)).await;
-            }
-            Some(Fault::CorruptConfigEntry { salt }) => {
-                cachecatalyst_catalyst::tamper_config_headers(&mut resp, Some(salt));
-            }
-            Some(Fault::StaleConfigEntry) => {
-                cachecatalyst_catalyst::tamper_config_headers(&mut resp, None);
-            }
-            Some(Fault::ResetMidBody { fraction }) => {
-                return Reply::SendPrefix(resp, fraction);
-            }
-            Some(Fault::Stall | Fault::LossBurst { .. }) => return Reply::HangUp,
-        }
-        Reply::Send(resp)
+        })
     }
 }
 
@@ -420,75 +370,6 @@ mod tests {
         let health = client.round_trip(&Request::get("/healthz")).await.unwrap();
         assert_eq!(health.status, StatusCode::OK);
         assert_eq!(health.body.as_ref(), b"ok\n");
-        server.shutdown().await;
-    }
-
-    #[tokio::test]
-    async fn faulted_origin_damages_some_responses_but_guarantees_progress() {
-        use cachecatalyst_netsim::FaultPlan;
-        let server = TcpOrigin::builder()
-            .server(origin())
-            .clock(fixed_clock(0))
-            .faults(FaultPlan::new(11).with_fault_rate(0.7))
-            .bind("127.0.0.1:0")
-            .await
-            .unwrap();
-        let mut outcomes = Vec::new();
-        // A client that redials after any failure must always make
-        // progress: the schedule serves clean after two consecutive
-        // faults, so three attempts per request suffice.
-        for _ in 0..20 {
-            let mut got = None;
-            for _attempt in 0..3 {
-                let stream = TcpStream::connect(server.local_addr).await.unwrap();
-                let mut client = ClientConn::new(stream);
-                match client.round_trip(&Request::get("/a.css")).await {
-                    Ok(resp) if resp.status == StatusCode::OK => {
-                        got = Some(resp);
-                        break;
-                    }
-                    Ok(_) | Err(_) => continue,
-                }
-            }
-            let resp = got.expect("progress within 3 attempts");
-            outcomes.push(resp.body.len());
-        }
-        // Every successful body is the real resource.
-        assert!(outcomes.iter().all(|&n| n == outcomes[0]));
-        server.shutdown().await;
-    }
-
-    #[tokio::test]
-    async fn ops_and_faults_compose_on_one_listener() {
-        // The old trio could not express this: a fault schedule AND
-        // the operational endpoints on the same server.
-        use cachecatalyst_netsim::FaultPlan;
-        let server = TcpOrigin::builder()
-            .server(origin())
-            .clock(fixed_clock(0))
-            .ops(true)
-            .faults(FaultPlan::new(7).with_fault_rate(1.0))
-            .bind("127.0.0.1:0")
-            .await
-            .unwrap();
-        // At rate 1.0 with max_consecutive 2, at least one of any
-        // three consecutive requests is served clean — including the
-        // scrape endpoint (faults damage ops responses too; the
-        // schedule does not special-case them).
-        let mut ok = false;
-        for _ in 0..6 {
-            let stream = TcpStream::connect(server.local_addr).await.unwrap();
-            let mut client = ClientConn::new(stream);
-            if let Ok(resp) = client.round_trip(&Request::get("/metrics")).await {
-                if resp.status == StatusCode::OK
-                    && String::from_utf8_lossy(&resp.body).contains("origin_clock_milliseconds")
-                {
-                    ok = true;
-                    break;
-                }
-            }
-        }
-        assert!(ok, "a clean /metrics scrape must get through");
         server.shutdown().await;
     }
 

@@ -2,9 +2,8 @@
 //!
 //! Wraps any upstream — an origin, an edge, or one of the proxy
 //! comparators — and damages the responses it hands its caller
-//! according to a seeded
-//! [`FaultSchedule`](cachecatalyst_netsim::FaultSchedule): the damage
-//! sits on the hop between the caller and the wrapped upstream. Around
+//! according to a seeded [`FaultSchedule`]: the damage sits on the
+//! hop between the caller and the wrapped upstream. Around
 //! an [`RdrProxy`](crate::RdrProxy), as in the chaos matrix, that is the
 //! client↔proxy hop (the proxy's own fetches go straight to its
 //! origin), so the browser exercises its retry/degradation machinery
@@ -20,32 +19,43 @@
 //! subfetches) is never faulted — the chaos boundary is the
 //! client-facing hop.
 
-use std::sync::Arc;
+use std::sync::{Mutex, PoisonError};
 
 use cachecatalyst_catalyst::tamper_config_headers;
 use cachecatalyst_httpwire::{HeaderName, Request, Response, StatusCode, Upstream};
-use cachecatalyst_netsim::{Fault, FaultPlan, ServerFaults};
+use cachecatalyst_netsim::{Fault, FaultPlan, FaultSchedule};
 
 /// A seeded chaos decorator around any [`Upstream`].
 pub struct FaultyUpstream<U> {
     inner: U,
-    /// After `max_consecutive` damaged responses in a row the next one
-    /// is served clean, so a bounded-retry client always makes
+    /// The schedule and the number of damaged responses in a row. A hop
+    /// cannot see a client's attempt numbers, so that count stands in
+    /// for them: after `max_consecutive` damaged responses the next
+    /// one is served clean, and a bounded-retry client always makes
     /// progress.
-    faults: Arc<ServerFaults>,
+    faults: Mutex<(FaultSchedule, u32)>,
 }
 
 impl<U: Upstream> FaultyUpstream<U> {
     pub fn new(inner: U, plan: FaultPlan) -> FaultyUpstream<U> {
         FaultyUpstream {
             inner,
-            faults: ServerFaults::new(plan),
+            faults: Mutex::new((plan.schedule(), 0)),
         }
     }
 
     /// The wrapped upstream (e.g. to inspect origin state in tests).
     pub fn inner(&self) -> &U {
         &self.inner
+    }
+
+    /// Draws the fault (if any) for the next response handed back.
+    fn draw(&self) -> Option<Fault> {
+        let mut guard = self.faults.lock().unwrap_or_else(PoisonError::into_inner);
+        let (schedule, consecutive) = &mut *guard;
+        let fault = schedule.draw(*consecutive);
+        *consecutive = if fault.is_some() { *consecutive + 1 } else { 0 };
+        fault
     }
 }
 
@@ -55,7 +65,7 @@ impl<U: Upstream> Upstream for FaultyUpstream<U> {
         if req.headers.contains(HeaderName::X_CC_INTERNAL) {
             return resp;
         }
-        match self.faults.draw() {
+        match self.draw() {
             None => {}
             Some(Fault::ServerError { status }) => {
                 resp = Response::empty(StatusCode::new(status).expect("5xx is valid"))
@@ -127,6 +137,40 @@ mod tests {
             }
         }
         assert!(clean >= 10, "one in three must be clean, got {clean}/30");
+    }
+
+    #[test]
+    fn one_plan_damages_two_hops_identically() {
+        let plan = FaultPlan::new(11)
+            .with_fault_rate(0.4)
+            .with_max_consecutive(2);
+        let paths: Vec<String> = example_site()
+            .resources()
+            .map(|r| r.spec.path.clone())
+            .collect();
+        let run = || {
+            let origin = Arc::new(OriginServer::new(example_site(), HeaderMode::Catalyst));
+            let up = FaultyUpstream::new(origin, plan);
+            (0..30)
+                .map(|i| {
+                    let resp = up.handle("example.org", &Request::get(&paths[i % paths.len()]), 0);
+                    let header = |name| resp.headers.get(name).unwrap_or("-").to_owned();
+                    (
+                        resp.status.as_u16(),
+                        header(HeaderName::X_CC_FAULT),
+                        header(HeaderName::X_CC_SERVER_DELAY_MS),
+                        resp.body.digest(),
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
+        let (a, b) = (run(), run());
+        assert_eq!(a, b, "schedule consumption diverges");
+        assert!(
+            a.iter()
+                .any(|(status, fault, delay, _)| *status != 200 || fault != "-" || delay != "-"),
+            "no damage in 30 responses: {a:?}"
+        );
     }
 
     #[test]

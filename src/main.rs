@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cachecatalyst serve [--port P] [--mode baseline|catalyst|capture|no-store]
-//!                     [--seed N | --example]
+//!                     [--seed N [--resources N] | --example]
 //!     Serve a generated site (or the paper's example page) over real
 //!     TCP with the chosen header mode (`capture`: catalyst plus the
 //!     map learned from visits).
@@ -11,118 +11,86 @@
 //!     Fetch a URL with the built-in HTTP/1.1 client (pairs with
 //!     `serve`; prints the X-Etag-Config map when present).
 //!
-//! cachecatalyst load [--seed N] [--mode ...] [--rtt MS] [--bw MBPS]
+//! cachecatalyst load [--seed N [--resources N] | --example] [--mode ...] [--rtt MS] [--bw MBPS]
 //!                    [--revisit SECS] [--waterfall] [--har FILE] [--csv FILE]
 //!     Simulate a cold visit + revisit of a generated site and print
 //!     the waterfalls and PLTs (optionally exporting HAR/CSV).
 //! ```
+//!
+//! Flags are read by `cachecatalyst_bench::cli`, the parser the
+//! `experiments` binary uses: an unknown flag, a value that does not
+//! parse, `--bw 0` or a URL that is not `http://host[:port]/path` is a
+//! usage error, which exits 2 before anything runs.
 
+use std::io;
 use std::sync::Arc;
 use std::time::Duration;
 
 use cachecatalyst::httpwire::aio::ClientConn;
 use cachecatalyst::origin::{wall_clock, TcpOrigin};
 use cachecatalyst::prelude::*;
+use cachecatalyst_bench::cli::{self, Args, Error};
 use tokio::net::TcpStream;
-
-struct Args {
-    positional: Vec<String>,
-    flags: Vec<(String, Option<String>)>,
-}
-
-impl Args {
-    fn parse(args: impl Iterator<Item = String>) -> Args {
-        let mut positional = Vec::new();
-        let mut flags = Vec::new();
-        let mut it = args.peekable();
-        while let Some(a) = it.next() {
-            if let Some(name) = a.strip_prefix("--") {
-                let value = match it.peek() {
-                    Some(v) if !v.starts_with("--") => Some(it.next().unwrap()),
-                    _ => None,
-                };
-                flags.push((name.to_owned(), value));
-            } else {
-                positional.push(a);
-            }
-        }
-        Args { positional, flags }
-    }
-
-    fn flag(&self, name: &str) -> Option<&str> {
-        self.flags
-            .iter()
-            .find(|(n, _)| n == name)
-            .and_then(|(_, v)| v.as_deref())
-    }
-
-    fn has(&self, name: &str) -> bool {
-        self.flags.iter().any(|(n, _)| n == name)
-    }
-}
 
 const USAGE: &str = "usage: cachecatalyst <serve|fetch|load> [options]\n\
                      see the crate docs or README for details";
 
-/// The header mode `--mode` names (`catalyst` when absent); `None` for
-/// a name it does not know.
-fn mode_of(args: &Args) -> Option<HeaderMode> {
-    match args.flag("mode").unwrap_or("catalyst") {
-        "baseline" => Some(HeaderMode::Baseline),
-        "catalyst" => Some(HeaderMode::Catalyst),
-        "capture" => Some(HeaderMode::CatalystAggregate),
-        "no-store" => Some(HeaderMode::NoStore),
-        _ => None,
+/// The header mode `--mode` names (`catalyst` when absent).
+fn mode_of(args: &mut Args) -> cli::Result<HeaderMode> {
+    match args.value::<String>("--mode")?.as_deref() {
+        None | Some("catalyst") => Ok(HeaderMode::Catalyst),
+        Some("baseline") => Ok(HeaderMode::Baseline),
+        Some("capture") => Ok(HeaderMode::CatalystAggregate),
+        Some("no-store") => Ok(HeaderMode::NoStore),
+        Some(other) => Err(Error::Usage(format!(
+            "--mode {other:?} is not one of baseline, catalyst, capture, no-store"
+        ))),
     }
 }
 
-/// [`mode_of`], or the usage and exit status 2: nothing runs under a
-/// mode the command line did not ask for.
-fn mode_or_exit(args: &Args) -> HeaderMode {
-    mode_of(args).unwrap_or_else(|| {
-        eprintln!(
-            "error: --mode {:?} is not one of baseline, catalyst, capture, no-store\n{USAGE}",
-            args.flag("mode").unwrap_or_default()
-        );
-        std::process::exit(2);
-    })
+/// The site flags: `None` for the paper's example page (`--example`),
+/// else a site generated from `--seed` (1) with `--resources`
+/// subresources (70). [`build_site`] builds it once every flag is read.
+fn site_of(args: &mut Args) -> cli::Result<Option<SiteSpec>> {
+    if args.flag("--example") {
+        return Ok(None);
+    }
+    let seed = args.value("--seed")?.unwrap_or(1);
+    Ok(Some(SiteSpec {
+        host: format!("site{seed}.example"),
+        seed,
+        n_resources: args.value("--resources")?.unwrap_or(70),
+        ..Default::default()
+    }))
 }
 
-fn site_of(args: &Args) -> Site {
-    if args.has("example") {
-        example_site()
-    } else {
-        let seed: u64 = args.flag("seed").and_then(|v| v.parse().ok()).unwrap_or(1);
-        Site::generate(SiteSpec {
-            host: format!("site{seed}.example"),
-            seed,
-            n_resources: args
-                .flag("resources")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(70),
-            ..Default::default()
-        })
-    }
+fn build_site(spec: Option<SiteSpec>) -> Site {
+    spec.map_or_else(example_site, Site::generate)
 }
 
 fn main() {
-    let args = Args::parse(std::env::args().skip(1));
-    match args.positional.first().map(String::as_str) {
-        Some("serve") => cmd_serve(&args),
-        Some("fetch") => cmd_fetch(&args),
-        Some("load") => cmd_load(&args),
-        _ => {
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        }
+    cli::exit_on_error(run(&mut Args::from_env()), USAGE);
+}
+
+/// Every command reads all of its flags before it does anything, so a
+/// command line it cannot read runs nothing.
+fn run(args: &mut Args) -> cli::Result {
+    match args.positional().as_deref() {
+        Some("serve") => cmd_serve(args),
+        Some("fetch") => cmd_fetch(args),
+        Some("load") => cmd_load(args),
+        Some(other) => Err(Error::Usage(format!("unknown command {other:?}"))),
+        None => Err(Error::Usage("no command".to_owned())),
     }
 }
 
-fn cmd_serve(args: &Args) {
-    let port = args.flag("port").unwrap_or("8080").to_owned();
-    let mode = mode_or_exit(args);
-    let site = site_of(args);
-    let rt = tokio::runtime::Runtime::new().expect("tokio runtime");
+fn cmd_serve(args: &mut Args) -> cli::Result {
+    let port: u16 = args.value("--port")?.unwrap_or(8080);
+    let mode = mode_of(args)?;
+    let site = site_of(args)?;
+    args.finish()?;
+    let site = build_site(site);
+    let rt = tokio::runtime::Runtime::new()?;
     rt.block_on(async move {
         let origin = Arc::new(OriginServer::new(site.clone(), mode));
         // The CLI server opts into the operational endpoints; library
@@ -132,8 +100,7 @@ fn cmd_serve(args: &Args) {
             .clock(wall_clock())
             .ops(true)
             .bind(&format!("127.0.0.1:{port}"))
-            .await
-            .expect("bind");
+            .await?;
         println!(
             "serving {} ({} resources, mode {:?})",
             site.spec.host,
@@ -148,32 +115,34 @@ fn cmd_serve(args: &Args) {
         println!("press ctrl-c to stop");
         tokio::signal::ctrl_c().await.ok();
         server.shutdown().await;
-    });
+        Ok(())
+    })
 }
 
-fn cmd_fetch(args: &Args) {
-    let Some(url) = args.positional.get(1) else {
-        eprintln!("usage: cachecatalyst fetch <url>");
-        std::process::exit(2);
-    };
-    let url = Url::parse(url).expect("invalid url");
-    let rt = tokio::runtime::Runtime::new().expect("tokio runtime");
+fn cmd_fetch(args: &mut Args) -> cli::Result {
+    let if_none_match: Option<String> = args.value("--if-none-match")?;
+    let show_headers = args.flag("--show-headers");
+    let url = args
+        .positional()
+        .ok_or_else(|| Error::Usage("fetch needs a URL".to_owned()))?;
+    let url = Url::parse(&url).map_err(|e| Error::Usage(e.to_string()))?;
+    args.finish()?;
+    let rt = tokio::runtime::Runtime::new()?;
     rt.block_on(async move {
         let addr = format!("{}:{}", url.host(), url.effective_port());
-        let stream = TcpStream::connect(&addr).await.unwrap_or_else(|e| {
-            eprintln!("connect {addr}: {e}");
-            std::process::exit(1);
-        });
+        let stream = TcpStream::connect(&addr)
+            .await
+            .map_err(|e| io::Error::new(e.kind(), format!("connect {addr}: {e}")))?;
         let mut conn = ClientConn::new(stream);
         let mut req = Request::get(&url.target().to_string())
             .with_header("host", &url.authority())
             .with_header("user-agent", "cachecatalyst-cli/0.1");
-        if let Some(tag) = args.flag("if-none-match") {
+        if let Some(tag) = &if_none_match {
             req.headers.insert("if-none-match", tag);
         }
-        let resp = conn.round_trip(&req).await.expect("request failed");
+        let resp = conn.round_trip(&req).await.map_err(io::Error::other)?;
         println!("{} {}", resp.status, resp.status.canonical_reason());
-        if args.has("show-headers") {
+        if show_headers {
             for (n, v) in resp.headers.iter() {
                 println!("{n}: {v}");
             }
@@ -189,67 +158,75 @@ fn cmd_fetch(args: &Args) {
             None => println!("\nX-Etag-Config failed its digest"),
         }
         println!("\n{} body bytes", resp.body.len());
-    });
+        Ok(())
+    })
 }
 
-/// What `load` simulated.
-struct Loaded {
-    site: Site,
+/// A cold visit to a site on day 35 and a revisit some seconds later,
+/// both over the same network.
+struct Visits {
+    site: Option<SiteSpec>,
     cond: NetworkConditions,
-    revisit: u64,
-    cold: LoadReport,
-    warm: LoadReport,
+    revisit: u32,
 }
 
-/// A cold visit to the site on day 35 and a revisit `--revisit`
-/// seconds later (default 3600) over `--rtt` ms (40) and `--bw` Mbps
-/// (60), by the browser that goes with `mode`.
-fn simulate(args: &Args, mode: HeaderMode) -> Loaded {
-    let site = site_of(args);
-    let rtt = args.flag("rtt").and_then(|v| v.parse().ok()).unwrap_or(40);
-    let mbps: u64 = args.flag("bw").and_then(|v| v.parse().ok()).unwrap_or(60);
-    let revisit: u64 = args
-        .flag("revisit")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3600);
-    let cond = NetworkConditions::new(Duration::from_millis(rtt), mbps * 1_000_000);
-    let base = Url::parse(&format!("http://{}{}", site.spec.host, site.base_path()))
-        .expect("generated url");
+impl Visits {
+    /// The site flags, `--rtt` ms (40), `--bw` Mbps (60, at least 1)
+    /// and `--revisit` seconds (3600). The RTT and the revisit are at
+    /// most `u32::MAX`, so simulated time cannot wrap.
+    fn from_args(args: &mut Args) -> cli::Result<Visits> {
+        let site = site_of(args)?;
+        let rtt: u32 = args.value("--rtt")?.unwrap_or(40);
+        let bps = args
+            .value_with("--bw", |v| {
+                v.parse::<u64>()
+                    .ok()
+                    .filter(|&mbps| mbps >= 1)
+                    .and_then(|mbps| mbps.checked_mul(1_000_000))
+            })?
+            .unwrap_or(60_000_000);
+        let revisit = args.value("--revisit")?.unwrap_or(3600);
+        Ok(Visits {
+            site,
+            cond: NetworkConditions::new(Duration::from_millis(rtt.into()), bps),
+            revisit,
+        })
+    }
 
-    let origin = OriginServer::new(site.clone(), mode);
-    let mut browser = match mode {
-        HeaderMode::Baseline => Browser::baseline(),
-        HeaderMode::NoStore => Browser::uncached(),
-        HeaderMode::Catalyst | HeaderMode::CatalystAggregate => Browser::catalyst(),
-    };
-    let t0: i64 = 35 * 86_400;
-    let cold = browser.load(&origin, cond, &base, t0);
-    let warm = browser.load(&origin, cond, &base, t0 + revisit as i64);
-    Loaded {
-        site,
-        cond,
-        revisit,
-        cold,
-        warm,
+    /// The site and both visits, cold and warm, by the browser that
+    /// goes with `mode`.
+    fn simulate(&self, mode: HeaderMode) -> (Site, LoadReport, LoadReport) {
+        let site = build_site(self.site.clone());
+        let base = Url::parse(&format!("http://{}{}", site.spec.host, site.base_path()))
+            .expect("generated url");
+        let origin = OriginServer::new(site.clone(), mode);
+        let mut browser = match mode {
+            HeaderMode::Baseline => Browser::baseline(),
+            HeaderMode::NoStore => Browser::uncached(),
+            HeaderMode::Catalyst | HeaderMode::CatalystAggregate => Browser::catalyst(),
+        };
+        let t0: i64 = 35 * 86_400;
+        let cold = browser.load(&origin, self.cond, &base, t0);
+        let warm = browser.load(&origin, self.cond, &base, t0 + i64::from(self.revisit));
+        (site, cold, warm)
     }
 }
 
-fn cmd_load(args: &Args) {
-    let mode = mode_or_exit(args);
-    let Loaded {
-        site,
-        cond,
-        revisit,
-        cold,
-        warm,
-    } = simulate(args, mode);
+fn cmd_load(args: &mut Args) -> cli::Result {
+    let mode = mode_of(args)?;
+    let visits = Visits::from_args(args)?;
+    let waterfall = args.flag("--waterfall");
+    let har: Option<String> = args.value("--har")?;
+    let csv: Option<String> = args.value("--csv")?;
+    args.finish()?;
+    let (site, cold, warm) = visits.simulate(mode);
 
     println!(
         "{} | mode {:?} | {} | revisit +{}s\n",
         site.spec.host,
         mode,
-        cond.label(),
-        revisit
+        visits.cond.label(),
+        visits.revisit
     );
     println!(
         "cold: PLT {:.1} ms, FCP {:.1} ms, {} requests, {} KB",
@@ -268,51 +245,36 @@ fn cmd_load(args: &Args) {
         warm.sw_hits,
         warm.bytes_down / 1000
     );
-    if args.has("waterfall") {
+    if waterfall {
         println!("{}", warm.trace.render_waterfall(56));
     }
-    if let Some(path) = args.flag("har") {
+    if let Some(path) = har {
         let har = cachecatalyst::browser::to_har(&warm, "2026-07-06T00:00:00.000Z");
-        std::fs::write(path, &har).expect("write HAR file");
+        std::fs::write(&path, &har)?;
         println!("warm-visit HAR written to {path}");
     }
-    if let Some(path) = args.flag("csv") {
-        std::fs::write(path, warm.trace.to_csv()).expect("write CSV file");
+    if let Some(path) = csv {
+        std::fs::write(&path, warm.trace.to_csv())?;
         println!("warm-visit trace CSV written to {path}");
     }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Args {
-        Args::parse(args.iter().map(|s| s.to_string()))
-    }
-
-    #[test]
-    fn flags_and_positionals() {
-        let a = parse(&["load", "--seed", "7", "--waterfall", "--rtt", "80"]);
-        assert_eq!(a.positional, vec!["load"]);
-        assert_eq!(a.flag("seed"), Some("7"));
-        assert_eq!(a.flag("rtt"), Some("80"));
-        assert!(a.has("waterfall"));
-        assert!(!a.has("nope"));
-        assert_eq!(a.flag("waterfall"), None, "boolean flag has no value");
-    }
-
     #[test]
     fn mode_parsing() {
+        let mode = |line| mode_of(&mut Args::new(line));
+        assert_eq!(mode("--mode baseline").unwrap(), HeaderMode::Baseline);
         assert_eq!(
-            mode_of(&parse(&["x", "--mode", "baseline"])),
-            Some(HeaderMode::Baseline)
+            mode("--mode capture").unwrap(),
+            HeaderMode::CatalystAggregate
         );
-        assert_eq!(
-            mode_of(&parse(&["x", "--mode", "capture"])),
-            Some(HeaderMode::CatalystAggregate)
-        );
-        assert_eq!(mode_of(&parse(&["x"])), Some(HeaderMode::Catalyst));
-        assert_eq!(mode_of(&parse(&["x", "--mode", "agregate"])), None);
+        assert_eq!(mode("").unwrap(), HeaderMode::Catalyst);
+        assert!(matches!(mode("--mode agregate"), Err(Error::Usage(_))));
+        assert!(matches!(mode("--mode"), Err(Error::Usage(_))));
     }
 
     /// `load --example --mode capture --revisit 60`: the first visit
@@ -321,8 +283,10 @@ mod tests {
     /// subresources.
     #[test]
     fn load_in_capture_mode_serves_every_subresource_from_the_worker() {
-        let args = parse(&["load", "--example", "--mode", "capture", "--revisit", "60"]);
-        let warm = simulate(&args, mode_of(&args).unwrap()).warm;
+        let mut args = Args::new("--example --mode capture --revisit 60");
+        let mode = mode_of(&mut args).unwrap();
+        let (_, _, warm) = Visits::from_args(&mut args).unwrap().simulate(mode);
+        args.finish().unwrap();
         assert_eq!(warm.network_requests(), 1);
         assert_eq!(warm.sw_hits, 4);
         assert_eq!(format!("{:.1}", warm.plt_ms()), "94.1");
@@ -330,9 +294,29 @@ mod tests {
 
     #[test]
     fn site_selection() {
-        let example = site_of(&parse(&["x", "--example"]));
-        assert_eq!(example.len(), 5);
-        let seeded = site_of(&parse(&["x", "--seed", "3", "--resources", "20"]));
-        assert_eq!(seeded.len(), 21);
+        let site = |line| build_site(site_of(&mut Args::new(line)).unwrap());
+        assert_eq!(site("--example").len(), 5);
+        assert_eq!(site("--seed 3 --resources 20").len(), 21);
+        assert!(matches!(
+            site_of(&mut Args::new("--seed x")),
+            Err(Error::Usage(_))
+        ));
+    }
+
+    /// A link needs a positive capacity, and the Mbps → bps product
+    /// must not wrap.
+    #[test]
+    fn bandwidth_is_at_least_one_mbps_and_fits() {
+        fn bw(line: &str) -> cli::Result<u64> {
+            Visits::from_args(&mut Args::new(line)).map(|v| v.cond.down_bps)
+        }
+        assert_eq!(bw("--example").unwrap(), 60_000_000);
+        assert_eq!(bw("--example --bw 1").unwrap(), 1_000_000);
+        for bad in ["--bw 0", "--bw -5", "--bw 20000000000000", "--bw"] {
+            assert!(
+                matches!(bw(&format!("--example {bad}")), Err(Error::Usage(_))),
+                "{bad}"
+            );
+        }
     }
 }
