@@ -173,27 +173,41 @@ function weakEq(a, b) {
 "#;
 
 /// Splices the registration snippet into an HTML document, right after
-/// `<head>` when present, else at the front.
-pub fn inject_registration(html: &str) -> String {
-    if let Some(pos) = find_head_open(html) {
-        let mut out = String::with_capacity(html.len() + REGISTRATION_SNIPPET.len());
-        out.push_str(&html[..pos]);
-        out.push_str(REGISTRATION_SNIPPET);
-        out.push_str(&html[pos..]);
-        out
-    } else {
-        format!("{REGISTRATION_SNIPPET}{html}")
-    }
+/// the `<head>` start tag when there is one, else at the front. The
+/// document is copied once, into a buffer of its final size; its bytes
+/// need not be UTF-8 (the tag search reads ASCII only).
+pub fn inject_registration(html: &[u8]) -> Vec<u8> {
+    let at = find_head_open(html).unwrap_or(0);
+    let mut out = Vec::with_capacity(html.len() + REGISTRATION_SNIPPET.len());
+    out.extend_from_slice(&html[..at]);
+    out.extend_from_slice(REGISTRATION_SNIPPET.as_bytes());
+    out.extend_from_slice(&html[at..]);
+    out
 }
 
-/// Byte offset just past `<head...>`, case-insensitive.
-fn find_head_open(html: &str) -> Option<usize> {
-    let start = html
-        .as_bytes()
-        .windows(5)
-        .position(|w| w.eq_ignore_ascii_case(b"<head"))?;
-    let close = html[start..].find('>')?;
-    Some(start + close + 1)
+/// Byte offset just past the `<head ...>` start tag, case-insensitive:
+/// the element name must end at `>`, `/` or whitespace (so `<header>`
+/// is not it), and a tag inside a `<!-- ... -->` comment does not count.
+fn find_head_open(html: &[u8]) -> Option<usize> {
+    let mut at = 0;
+    while let Some(lt) = html[at..].iter().position(|&b| b == b'<') {
+        let tag = &html[at + lt..];
+        if tag.starts_with(b"<!--") {
+            // An unclosed comment runs to the end of the document.
+            let close = tag[4..].windows(3).position(|w| w == b"-->")?;
+            at += lt + 4 + close + 3;
+            continue;
+        }
+        let is_head = tag.len() > 5
+            && tag[1..5].eq_ignore_ascii_case(b"head")
+            && (tag[5] == b'>' || tag[5] == b'/' || tag[5].is_ascii_whitespace());
+        if is_head {
+            let close = tag.iter().position(|&b| b == b'>')?;
+            return Some(at + lt + close + 1);
+        }
+        at += lt + 1;
+    }
+    None
 }
 
 /// Whether an HTML document already carries the registration snippet.
@@ -205,10 +219,14 @@ pub fn has_registration(html: &str) -> bool {
 mod tests {
     use super::*;
 
+    fn injected(html: &str) -> String {
+        String::from_utf8(inject_registration(html.as_bytes())).expect("UTF-8 in, UTF-8 out")
+    }
+
     #[test]
     fn injects_after_head() {
         let html = "<!DOCTYPE html><html><head><title>x</title></head><body></body></html>";
-        let out = inject_registration(html);
+        let out = injected(html);
         assert!(has_registration(&out));
         let head_pos = out.find("<head>").unwrap();
         let reg_pos = out.find("serviceWorker").unwrap();
@@ -219,7 +237,7 @@ mod tests {
     #[test]
     fn injects_with_head_attributes() {
         let html = r#"<head lang="en"><meta charset="utf-8"></head>"#;
-        let out = inject_registration(html);
+        let out = injected(html);
         assert!(out.starts_with(r#"<head lang="en"><script>"#));
     }
 
@@ -233,18 +251,56 @@ mod tests {
             ("<body>no head here</body>", None),
             ("<head never closes", None),
             ("<hea", None),
+            ("<head", None),
+            ("<head/>", Some(7)),
+            ("<head\t>", Some(7)),
             ("", None),
         ] {
-            assert_eq!(find_head_open(html), want, "{html:?}");
+            assert_eq!(find_head_open(html.as_bytes()), want, "{html:?}");
         }
-        let out = inject_registration("<HEAD lang=x><title>t</title></HEAD>");
+        let out = injected("<HEAD lang=x><title>t</title></HEAD>");
         assert!(out.starts_with("<HEAD lang=x><script>"), "{out}");
+    }
+
+    /// A `<head` inside a comment, or the start of a longer name, is
+    /// not the head element.
+    #[test]
+    fn comments_and_longer_names_are_not_the_head() {
+        let html = "<!DOCTYPE html><html><!-- <header> --><head><title>t</title>";
+        let out = injected(html);
+        assert_eq!(
+            out,
+            format!("<!DOCTYPE html><html><!-- <header> --><head>{REGISTRATION_SNIPPET}<title>t</title>")
+        );
+        let html = "<html><!-- <head> --><HEAD>x";
+        assert_eq!(find_head_open(html.as_bytes()), Some(html.len() - 1));
+        for html in [
+            "<html><body><header>menu</header></body></html>",
+            "<html><!-- <head> never closes",
+            "<html><headline><heading>",
+        ] {
+            assert_eq!(find_head_open(html.as_bytes()), None, "{html:?}");
+            assert!(injected(html).starts_with(REGISTRATION_SNIPPET), "{html:?}");
+        }
+    }
+
+    #[test]
+    fn bytes_that_are_not_utf8_pass_through_unchanged() {
+        let html = b"<head>\xff\xfe</head>";
+        let out = inject_registration(html);
+        let at = "<head>".len();
+        assert_eq!(&out[..at], b"<head>");
+        assert_eq!(
+            &out[at..at + REGISTRATION_SNIPPET.len()],
+            REGISTRATION_SNIPPET.as_bytes()
+        );
+        assert_eq!(&out[at + REGISTRATION_SNIPPET.len()..], b"\xff\xfe</head>");
     }
 
     #[test]
     fn falls_back_to_prefix_without_head() {
         let html = "<body>minimal</body>";
-        let out = inject_registration(html);
+        let out = injected(html);
         assert!(out.starts_with("<script>"));
         assert!(out.ends_with("</body>"));
     }
@@ -252,7 +308,7 @@ mod tests {
     #[test]
     fn injection_preserves_original_content() {
         let html = "<head></head><body>content</body>";
-        let out = inject_registration(html);
+        let out = injected(html);
         let stripped = out.replace(REGISTRATION_SNIPPET, "");
         assert_eq!(stripped, html);
     }
@@ -279,7 +335,7 @@ mod tests {
                 let found = hrefs(Syntax::Markup, html);
                 assert!(!found.is_empty(), "{page} links nothing");
                 assert_eq!(
-                    hrefs(Syntax::Markup, &inject_registration(html)),
+                    hrefs(Syntax::Markup, &injected(html)),
                     found,
                     "seed {seed} {page}"
                 );

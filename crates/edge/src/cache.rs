@@ -24,6 +24,13 @@
 //! revalidates conditionally, and maps failing their digest
 //! ([`EtagConfig::accept`]) are distrusted wholesale.
 //!
+//! A page's map changes once per churn epoch, not once per response,
+//! so the edge keeps, per page key, the map lines it last read and what
+//! [`EtagConfig::accept`] made of them (`VerifiedMap`). A response
+//! whose lines and digest equal those bytes reuses the verdict; any
+//! other is read afresh. Marks (and a refused map's count) still run on
+//! every response.
+//!
 //! ## Fault tolerance
 //!
 //! Responses carrying a fault marker, 5xx substitutions, and anything
@@ -32,7 +39,7 @@
 //! poisoning the shared store.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock, PoisonError, TryLockError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, TryLockError};
 
 use cachecatalyst_catalyst::EtagConfig;
 use cachecatalyst_httpcache::freshness_lifetime;
@@ -366,6 +373,7 @@ impl<U: Upstream> EdgeBuilder<U> {
             upstream: self.upstream,
             store: self.store.build()?,
             flights: Mutex::new(HashMap::new()),
+            maps: RwLock::new(HashMap::new()),
             registry,
             counters,
             recorder: self.recorder,
@@ -384,6 +392,45 @@ const CATALYST_FRESH_SECS: i64 = 2;
 
 /// Negative-cache TTL for 404s, in virtual seconds.
 const NEGATIVE_TTL_SECS: i64 = 5;
+
+/// The map lines of one page response as the edge last read them, and
+/// what [`EtagConfig::accept`] returned for them (`None`: the map failed
+/// its digest). `accept` reads nothing else — the `X-Etag-Config` lines
+/// in order and the first `x-cc-config-digest` — so a response whose
+/// fields equal these byte for byte gets the same verdict. Compared by
+/// bytes, not by allocation, so maps that crossed a socket match too.
+struct VerifiedMap {
+    lines: Vec<HeaderValue>,
+    digest: Option<HeaderValue>,
+    accepted: Option<EtagConfig>,
+}
+
+impl VerifiedMap {
+    /// Reads `headers`' map: the edge's one call of
+    /// [`EtagConfig::accept`].
+    fn read(headers: &HeaderMap) -> VerifiedMap {
+        let named = |name: &'static str| {
+            headers
+                .iter()
+                .filter(move |(n, _)| n.as_str().eq_ignore_ascii_case(name))
+                .map(|(_, v)| v.clone())
+        };
+        VerifiedMap {
+            lines: named(HeaderName::X_ETAG_CONFIG).collect(),
+            digest: named(HeaderName::X_CC_CONFIG_DIGEST).next(),
+            accepted: EtagConfig::accept(headers),
+        }
+    }
+
+    /// Whether `headers` carry exactly the fields this verdict was
+    /// reached on.
+    fn reads(&self, headers: &HeaderMap) -> bool {
+        headers.get(HeaderName::X_CC_CONFIG_DIGEST) == self.digest.as_ref().map(HeaderValue::as_str)
+            && headers
+                .get_all(HeaderName::X_ETAG_CONFIG)
+                .eq(self.lines.iter().map(HeaderValue::as_str))
+    }
+}
 
 /// `headers` as the edge serves them: with `X-Served-By:
 /// cachecatalyst-edge`, a field made once per process and shared into
@@ -409,6 +456,12 @@ pub struct EdgeCache<U> {
     store: TieredStore,
     /// Single-flight table: one lock per key currently being fetched.
     flights: Mutex<HashMap<String, Arc<Mutex<()>>>>,
+    /// The last map each page key's response carried, as verified. A
+    /// page is never stored (a response with a map is not cacheable),
+    /// so this is the only thing the edge keeps per page; a fetched
+    /// response for the key that the store refuses and that carries no
+    /// map drops it.
+    maps: RwLock<HashMap<String, Arc<VerifiedMap>>>,
     registry: Arc<Registry>,
     counters: Counters,
     recorder: Option<Arc<Recorder>>,
@@ -700,10 +753,28 @@ impl<U: Upstream> EdgeCache<U> {
         t_secs + lifetime.max(self.min_fresh_secs)
     }
 
+    /// `resp`'s map as verified: the page key's last verdict when the
+    /// lines and digest are the ones it was reached on, otherwise a
+    /// fresh read, which then becomes the key's verdict.
+    fn verified_map(&self, key: &str, resp: &Response) -> Arc<VerifiedMap> {
+        let maps = self.maps.read().unwrap_or_else(PoisonError::into_inner);
+        if let Some(held) = maps.get(key).filter(|held| held.reads(&resp.headers)) {
+            return Arc::clone(held);
+        }
+        drop(maps);
+        let read = Arc::new(VerifiedMap::read(&resp.headers));
+        self.maps
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(key.to_owned(), Arc::clone(&read));
+        read
+    }
+
     /// Applies a forwarded base-HTML response's config map to the
     /// store (the tentpole's catalyst-aware freshness).
-    fn apply_config(&self, host: &str, resp: &Response, t_secs: i64) {
-        let Some(config) = EtagConfig::accept(&resp.headers) else {
+    fn apply_config(&self, host: &str, key: &str, resp: &Response, t_secs: i64) {
+        let map = self.verified_map(key, resp);
+        let Some(config) = &map.accepted else {
             // Damaged in transit: the client will detect the same
             // and fall back; the edge must not act on it.
             self.counters.tampered_configs.inc();
@@ -786,6 +857,13 @@ impl<U: Upstream> EdgeCache<U> {
 
         if !Self::is_cacheable(&resp) {
             self.counters.uncacheable.inc();
+            if !resp.headers.contains(HeaderName::X_ETAG_CONFIG) {
+                // Whatever was here, it is not a page with a map now.
+                self.maps
+                    .write()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .remove(key);
+            }
             // A *successful* changed body that can't be admitted (e.g.
             // it turned no-store) supersedes the stored entry. A
             // faulted or 5xx response must NOT: the stale entry and
@@ -909,11 +987,104 @@ impl<U: Upstream> Upstream for EdgeCache<U> {
         // The catalyst signal path: a forwarded response carrying the
         // map lets the edge validate its own holdings proactively.
         if resp.headers.contains(HeaderName::X_ETAG_CONFIG) {
-            self.apply_config(host, &resp, t_secs);
+            self.apply_config(host, &key, &resp, t_secs);
         }
 
         self.audit(host, req, t_secs, decision, || resp.etag(), &resp.body);
         self.trace_finish(hop, t_secs, decision, &key);
         resp
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    use cachecatalyst_origin::{HeaderMode, OriginServer};
+    use cachecatalyst_webmodel::{example_site, EXAMPLE_HOST};
+
+    use super::*;
+
+    /// The example site, served with its map until `catalyst` is
+    /// switched off, and without it after.
+    struct Switching {
+        catalyst: AtomicBool,
+        with_map: OriginServer,
+        without: OriginServer,
+    }
+
+    impl Upstream for Switching {
+        fn handle(&self, _host: &str, req: &Request, t_secs: i64) -> Response {
+            let origin = if self.catalyst.load(Ordering::Relaxed) {
+                &self.with_map
+            } else {
+                &self.without
+            };
+            origin.handle(req, t_secs)
+        }
+    }
+
+    fn held_maps<U>(edge: &EdgeCache<U>) -> usize {
+        edge.maps.read().unwrap().len()
+    }
+
+    #[test]
+    fn a_verdict_answers_only_for_the_bytes_it_was_reached_on() {
+        let origin = OriginServer::new(example_site(), HeaderMode::Catalyst);
+        let page = origin.handle(&Request::get("/index.html"), 0);
+        let held = VerifiedMap::read(&page.headers);
+        assert!(held.accepted.is_some());
+        assert!(held.reads(&page.headers));
+        let copied: HeaderMap = HeaderMap::from_entries(
+            page.headers
+                .iter()
+                .map(|(n, v)| (n.clone(), HeaderValue::new(v.as_str()).unwrap()))
+                .collect(),
+        );
+        assert!(held.reads(&copied), "equal bytes in another allocation");
+
+        let mut other_digest = page.headers.clone();
+        other_digest.insert(HeaderName::X_CC_CONFIG_DIGEST, "0123456789abcdef");
+        let mut no_digest = page.headers.clone();
+        no_digest.remove(HeaderName::X_CC_CONFIG_DIGEST);
+        let mut extra_line = page.headers.clone();
+        extra_line.append(HeaderName::X_ETAG_CONFIG, "/x.css=\"1\"");
+        let mut no_lines = page.headers.clone();
+        no_lines.remove(HeaderName::X_ETAG_CONFIG);
+        for headers in [other_digest, no_digest, extra_line, no_lines] {
+            assert!(!held.reads(&headers), "{headers:?}");
+        }
+    }
+
+    #[test]
+    fn a_page_keeps_one_verdict_until_it_comes_without_a_map() {
+        let edge = EdgeCache::new(Switching {
+            catalyst: AtomicBool::new(true),
+            with_map: OriginServer::new(example_site(), HeaderMode::Catalyst),
+            without: OriginServer::new(example_site(), HeaderMode::Baseline),
+        });
+        let page = Request::get("/index.html");
+        for t in [0, 1, 2] {
+            edge.handle(EXAMPLE_HOST, &page, t);
+        }
+        let key = [EXAMPLE_HOST, "/index.html"].concat();
+        let first = Arc::clone(&edge.maps.read().unwrap()[&key]);
+        assert_eq!(held_maps(&edge), 1, "one verdict per page key");
+        edge.handle(EXAMPLE_HOST, &Request::get("/a.css"), 3);
+        assert_eq!(held_maps(&edge), 1, "a stored asset leaves it alone");
+        edge.handle(EXAMPLE_HOST, &page, 4);
+        assert!(
+            Arc::ptr_eq(&first, &edge.maps.read().unwrap()[&key]),
+            "the same lines reuse the verdict"
+        );
+
+        edge.upstream().catalyst.store(false, Ordering::Relaxed);
+        edge.handle(EXAMPLE_HOST, &page, 5);
+        assert_eq!(held_maps(&edge), 0, "a page without a map drops it");
+        edge.upstream().catalyst.store(true, Ordering::Relaxed);
+        edge.handle(EXAMPLE_HOST, &page, 6);
+        assert_eq!(held_maps(&edge), 1);
+        assert!(!Arc::ptr_eq(&first, &edge.maps.read().unwrap()[&key]));
+        assert_eq!(edge.metrics().tampered_configs, 0);
     }
 }

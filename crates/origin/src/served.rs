@@ -1,19 +1,21 @@
-//! What the origin serves for one path in one churn epoch.
+//! What the origin serves for one path.
 //!
 //! A 200 or 304 for a site resource carries a head that is fixed for
-//! as long as the resource's churn epoch lasts — length, type,
-//! validators, cache policy, server — plus two things that are not:
-//! `Date`, and on a catalyst page the `X-Etag-Config` map (fixed per
-//! page epoch too, and kept here, but in aggregate mode merged per
-//! request with the paths learned from visits). A [`Served`] holds the body, its validators, both
-//! heads as shared `(HeaderName, HeaderValue)` fields and, on a page,
-//! its map, built on the epoch's first request that needs each; every
-//! later request gathers reference counts into one field list. This is
-//! the item-handle idea CacheLib uses for stored objects (SNIPPETS.md
-//! §3), applied to response heads.
+//! as long as the resource's body is — length, type, validators, cache
+//! policy, server — plus two things that are not: `Date`, and on a
+//! catalyst page the `X-Etag-Config` map, fixed per page churn epoch
+//! (and in aggregate mode merged per request with the paths learned
+//! from visits). A [`Served`] holds one body version: the body, its
+//! validators and both heads as shared `(HeaderName, HeaderValue)`
+//! fields, built once; every request gathers reference counts into one
+//! field list. An [`Epoch`] pairs it with the page's map for one churn
+//! epoch, built on the epoch's first request that needs it. An epoch
+//! turn that leaves the body's inputs alone keeps the [`Served`] and
+//! starts only a new map. This is the item-handle idea CacheLib uses
+//! for stored objects (SNIPPETS.md §3), applied to response heads.
 
 use std::cell::RefCell;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use cachecatalyst_catalyst::EtagConfig;
 use cachecatalyst_httpwire::{
@@ -80,17 +82,32 @@ pub(crate) struct PageMap {
     pub(crate) fields: Vec<Field>,
 }
 
-/// One resource's representation for one churn epoch (or for one
-/// request, for a fingerprinted URL): the body, its validators, its
-/// 200 and 304 heads and, once a catalyst request for the page has
-/// built it, the page's map.
+/// One resource's representation for one body version (or for one
+/// request, for a fingerprinted URL): the body, its validators and its
+/// 200 and 304 heads.
 pub(crate) struct Served {
     pub(crate) body: Body,
     pub(crate) etag: EntityTag,
     pub(crate) last_modified: HttpDate,
-    pub(crate) map: OnceLock<PageMap>,
     ok: Head,
     not_modified: Head,
+}
+
+/// What a path serves in one churn epoch: its representation, shared
+/// with every other epoch of the same body version, and — once a
+/// catalyst request for the page has built it — the epoch's map.
+pub(crate) struct Epoch {
+    pub(crate) served: Arc<Served>,
+    pub(crate) map: OnceLock<PageMap>,
+}
+
+impl Epoch {
+    pub(crate) fn new(served: Arc<Served>) -> Epoch {
+        Epoch {
+            served,
+            map: OnceLock::new(),
+        }
+    }
 }
 
 impl Served {
@@ -129,7 +146,6 @@ impl Served {
             body,
             etag,
             last_modified,
-            map: OnceLock::new(),
             ok,
             not_modified,
         }

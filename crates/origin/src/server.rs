@@ -28,7 +28,7 @@ use cachecatalyst_telemetry::span::{Sampling, SpanSink};
 use cachecatalyst_telemetry::{Counter, Gauge, Histogram, Registry};
 use cachecatalyst_webmodel::{ChangeModel, GeneratedResource, HeaderPolicy, ResourceKind, Site};
 
-use crate::served::{date_field, Field, PageMap, Served, SERVER};
+use crate::served::{date_field, Epoch, Field, PageMap, Served, SERVER};
 
 /// How the origin sets caching headers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,11 +192,24 @@ struct Slot {
     /// (child link texts; JS embeds dynamic ones) depends on. A superset:
     /// an epoch may turn with neither changed, never the reverse.
     closure: Vec<ChangeModel>,
-    /// What the path served (body, validators, heads and, on a page, its
-    /// map) under the epoch beside it: a request in that epoch shares it,
-    /// one in another overwrites it, so a path holds one record however
-    /// much virtual time passes.
-    served: RwLock<Option<(u64, Arc<Served>)>>,
+    /// What the body alone reads: the path's own version, then the
+    /// version of each fingerprinted direct child (static or dynamic),
+    /// whose URL the body writes. Every other child's link text is the
+    /// same in every version.
+    body_inputs: Vec<ChangeModel>,
+    /// What the path served under the last epoch asked for, with that
+    /// epoch and its body key: a request in that epoch shares it, one in
+    /// another replaces it — keeping the representation when the body
+    /// key is unchanged — so a path holds one record however much
+    /// virtual time passes.
+    held: RwLock<Option<Held>>,
+}
+
+/// A slot's record: the epoch and body key `record` was built under.
+struct Held {
+    epoch: u64,
+    body_key: u64,
+    record: Arc<Epoch>,
 }
 
 impl Slot {
@@ -214,8 +227,25 @@ impl Slot {
             stack.extend(r.spec.static_children.iter().map(String::as_str));
             stack.extend(r.spec.dynamic_children.iter().map(String::as_str));
         }
-        let served = RwLock::new(None);
-        Slot { closure, served }
+        let root = &site
+            .get(root)
+            .expect("a slot is built for a site path")
+            .spec;
+        let fingerprinted = root
+            .static_children
+            .iter()
+            .chain(&root.dynamic_children)
+            .filter_map(|child| site.get(child))
+            .filter(|child| child.spec.fingerprinted)
+            .map(|child| child.spec.change.clone());
+        let body_inputs = std::iter::once(root.change.clone())
+            .chain(fingerprinted)
+            .collect();
+        Slot {
+            closure,
+            body_inputs,
+            held: RwLock::new(None),
+        }
     }
 
     /// The churn epoch at `t_secs`: an FNV-1a fold (offset basis, prime)
@@ -223,10 +253,21 @@ impl Slot {
     /// config and body; different versions anywhere ⇒ (with 2⁻⁶⁴
     /// collision odds) a different epoch. Epochs go out as `x-cc-epoch`.
     fn epoch_at(&self, t_secs: i64) -> u64 {
-        self.closure.iter().fold(0xcbf2_9ce4_8422_2325, |h, m| {
-            (h ^ m.version_at(t_secs)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
+        fold_versions(&self.closure, t_secs)
     }
+
+    /// The body key at `t_secs`, folded like the epoch: equal keys ⇒ the
+    /// same body, validators and heads.
+    fn body_key_at(&self, t_secs: i64) -> u64 {
+        fold_versions(&self.body_inputs, t_secs)
+    }
+}
+
+/// FNV-1a over the versions `models` have at `t_secs`, in order.
+fn fold_versions(models: &[ChangeModel], t_secs: i64) -> u64 {
+    models.iter().fold(0xcbf2_9ce4_8422_2325, |h, m| {
+        (h ^ m.version_at(t_secs)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// The origin server for one site.
@@ -439,7 +480,8 @@ impl OriginServer {
             }
         }
 
-        let (served, epoch) = self.served(path, t_secs, resource, pinned);
+        let (record, epoch) = self.served(path, t_secs, resource, pinned);
+        let served = &record.served;
         notes.epoch = epoch;
         let validators = Validators::new(Some(&served.etag), Some(served.last_modified));
         let not_modified = evaluate(req, &validators) == Disposition::NotModified;
@@ -448,7 +490,7 @@ impl OriginServer {
         // page.
         let is_page = resource.spec.kind == ResourceKind::Html && self.mode.is_catalyst();
         let map = if is_page && epoch.is_some() {
-            self.map_for(&served, path, t_secs, notes)
+            self.map_for(&record, path, t_secs, notes)
         } else {
             Cow::Borrowed(&[][..])
         };
@@ -465,38 +507,64 @@ impl OriginServer {
 
     /// What `path` serves at `t_secs`, which [`Site::lookup`] resolved
     /// to `resource` and `pinned`, and the churn epoch it is served
-    /// under. Built once per epoch (the body rendered, and registration-
-    /// injected for catalyst HTML) and shared by every response and by
-    /// the map builder; a fingerprinted URL pins its version in the
-    /// path, so it has no epoch and builds a record that is not kept.
+    /// under. Built once per epoch and shared by every response and by
+    /// the map builder; the body is rendered (and registration-injected
+    /// for catalyst HTML) only when its inputs changed, so an epoch turn
+    /// that leaves them alone serves the same body allocation again. A
+    /// fingerprinted URL pins its version in the path, so it has no
+    /// epoch and builds a record that is not kept.
     fn served(
         &self,
         path: &str,
         t_secs: i64,
         resource: &GeneratedResource,
         pinned: Option<u64>,
-    ) -> (Arc<Served>, Option<u64>) {
-        let slot = pinned.is_none().then(|| {
-            let slot = self.paths.get(path).expect("a site path has a slot");
-            (slot, slot.epoch_at(t_secs))
-        });
-        let epoch = slot.map(|(_, epoch)| epoch);
-        if let Some((slot, epoch)) = slot {
-            let held = slot.served.read().unwrap_or_else(PoisonError::into_inner);
-            if let Some((_, hit)) = held.as_ref().filter(|(at, _)| *at == epoch) {
-                return (Arc::clone(hit), Some(epoch));
-            }
+    ) -> (Arc<Epoch>, Option<u64>) {
+        if pinned.is_some() {
+            return (
+                Arc::new(Epoch::new(self.render(path, t_secs, resource))),
+                None,
+            );
         }
+        let slot = self.paths.get(path).expect("a site path has a slot");
+        let epoch = slot.epoch_at(t_secs);
+        let kept = {
+            let held = slot.held.read().unwrap_or_else(PoisonError::into_inner);
+            match held.as_ref() {
+                Some(held) if held.epoch == epoch => {
+                    return (Arc::clone(&held.record), Some(epoch))
+                }
+                Some(held) => Some((held.body_key, Arc::clone(&held.record.served))),
+                None => None,
+            }
+        };
+        let body_key = slot.body_key_at(t_secs);
+        let served = match kept {
+            Some((key, served)) if key == body_key => served,
+            _ => self.render(path, t_secs, resource),
+        };
+        let record = Arc::new(Epoch::new(served));
+        *slot.held.write().unwrap_or_else(PoisonError::into_inner) = Some(Held {
+            epoch,
+            body_key,
+            record: Arc::clone(&record),
+        });
+        (record, Some(epoch))
+    }
+
+    /// Renders `path`'s representation at `t_secs`: the body (with the
+    /// registration on a catalyst page), its validators and heads.
+    fn render(&self, path: &str, t_secs: i64, resource: &GeneratedResource) -> Arc<Served> {
         let rendered = self
             .site
             .body_at(path, t_secs)
             .expect("resource exists, body exists");
         let body = if resource.spec.kind == ResourceKind::Html && self.mode.is_catalyst() {
-            Body::from(inject_registration(&String::from_utf8_lossy(&rendered)))
+            Body::from(inject_registration(&rendered))
         } else {
             Body::from(rendered)
         };
-        let served = Arc::new(Served::new(
+        Arc::new(Served::new(
             body,
             resource.spec.kind.mime(),
             self.site
@@ -504,25 +572,20 @@ impl OriginServer {
                 .expect("resource exists, etag exists"),
             HttpDate(resource.spec.change.last_change_at(t_secs)),
             &self.cache_control(&resource.policy),
-        ));
-        if let Some((slot, epoch)) = slot {
-            *slot.served.write().unwrap_or_else(PoisonError::into_inner) =
-                Some((epoch, Arc::clone(&served)));
-        }
-        (served, epoch)
+        ))
     }
 
-    /// The map fields a request for `page`, served from `served`,
-    /// carries: the epoch's static-extraction map, extended in
-    /// aggregate mode with the paths learned from visits.
+    /// The map fields a request for `page` in epoch `record` carries:
+    /// the epoch's static-extraction map, extended in aggregate mode
+    /// with the paths learned from visits.
     fn map_for<'s>(
         &self,
-        served: &'s Served,
+        record: &'s Epoch,
         page: &str,
         t_secs: i64,
         notes: &mut HandleNotes,
     ) -> Cow<'s, [Field]> {
-        let built = self.page_map(served, page, t_secs, notes);
+        let built = self.page_map(record, page, t_secs, notes);
         if self.mode == HeaderMode::CatalystAggregate {
             let learned = self
                 .aggregate
@@ -541,19 +604,18 @@ impl OriginServer {
         Cow::Borrowed(&built.fields)
     }
 
-    /// The static-extraction map of `page` for the epoch `served`
-    /// belongs to, built by the first request that needs it: that
-    /// request counts a build, every other one (including any that
-    /// waited for the build) a hit.
+    /// The static-extraction map of `page` for epoch `record`, built by
+    /// the first request that needs it: that request counts a build,
+    /// every other one (including any that waited for the build) a hit.
     fn page_map<'s>(
         &self,
-        served: &'s Served,
+        record: &'s Epoch,
         page: &str,
         t_secs: i64,
         notes: &mut HandleNotes,
     ) -> &'s PageMap {
         let mut built = false;
-        let map = served.map.get_or_init(|| {
+        let map = record.map.get_or_init(|| {
             built = true;
             let build_start = std::time::Instant::now();
             // The builder reads the bodies this server already holds
@@ -563,7 +625,13 @@ impl OriginServer {
             let config =
                 build_config_with_bodies(&self.site, page, t_secs, &self.extract_opts, &|path| {
                     let (resource, pinned) = self.site.lookup(path)?;
-                    Some(self.served(path, t_secs, resource, pinned).0.body.clone())
+                    Some(
+                        self.served(path, t_secs, resource, pinned)
+                            .0
+                            .served
+                            .body
+                            .clone(),
+                    )
                 });
             let hot = self.hot();
             hot.configs_built.inc();
@@ -658,7 +726,7 @@ mod tests {
     fn filled_slots(s: &OriginServer) -> usize {
         s.paths
             .values()
-            .filter(|slot| slot.served.read().unwrap().is_some())
+            .filter(|slot| slot.held.read().unwrap().is_some())
             .count()
     }
 
@@ -915,6 +983,18 @@ mod tests {
             2,
             "subresource churn must rebuild the map"
         );
+    }
+
+    /// The same turn leaves everything the page's body reads alone, so
+    /// the new epoch builds only a map and serves the body it had.
+    #[test]
+    fn an_epoch_turn_that_leaves_the_body_alone_keeps_its_allocation() {
+        let s = server(HeaderMode::Catalyst);
+        let before = s.handle(&Request::get("/index.html"), 5401);
+        let after = s.handle(&Request::get("/index.html"), 6001);
+        assert_eq!(s.metrics().configs_built, 2, "/d.jpg changed");
+        assert_eq!(before.headers.get("etag"), after.headers.get("etag"));
+        assert!(before.body.shares_allocation_with(&after.body));
     }
 
     #[test]

@@ -10,6 +10,13 @@
 //! HEAD, both conditionals, fingerprinted URLs, a 404 and the
 //! service-worker script, on both sides of churn-epoch boundaries and
 //! going back in time — must encode to the same bytes.
+//!
+//! The origin renders a body again only when what the body reads
+//! changed: its own version and its fingerprinted direct children's
+//! versions (their URLs are in it). The sweep provably holds both
+//! kinds of page epoch turn that rule decides — one it must serve from
+//! the kept body, and one where only a fingerprinted child moved, which
+//! it must render again — so a key that left something out fails here.
 
 use cachecatalyst_catalyst::{
     build_config_with_bodies, inject_registration, AggregateCapture, ExtractOptions, SW_SCRIPT,
@@ -20,6 +27,8 @@ use cachecatalyst_httpwire::{
     codec, Body, HeaderName, HttpDate, Method, Request, Response, StatusCode, Url,
 };
 use cachecatalyst_origin::{HeaderMode, OriginServer};
+use std::collections::HashSet;
+
 use cachecatalyst_webmodel::{ChangeModel, HeaderPolicy, ResourceKind, Site, SiteSpec};
 
 const MODES: [HeaderMode; 4] = [
@@ -106,7 +115,7 @@ impl Reference {
         let rendered = self.site.body_at(path, t_secs).unwrap();
         let (resource, _) = self.site.lookup(path).unwrap();
         if resource.spec.kind == ResourceKind::Html && self.mode.is_catalyst() {
-            Body::from(inject_registration(&String::from_utf8_lossy(&rendered)))
+            Body::from(inject_registration(&rendered))
         } else {
             Body::from(rendered)
         }
@@ -166,32 +175,93 @@ fn site(seed: u64) -> Site {
     })
 }
 
-/// Every second either side of the first few content changes, in
-/// order, then a step back to where the run started.
+/// Every second either side of the first few content changes, and of
+/// the first change of every resource a page reads, in order, then a
+/// step back to where the run started.
 fn times(site: &Site) -> Vec<i64> {
+    let first_change = |path: &str| match site.get(path)?.spec.change {
+        ChangeModel::Periodic { period, phase } => {
+            let version = site.version_at(path, 0)? as i64;
+            Some((version + 1) * period.as_secs().max(1) as i64 - phase.as_secs() as i64)
+        }
+        ChangeModel::Immutable => None,
+    };
     let mut boundaries: Vec<i64> = site
         .resources()
-        .filter_map(|r| match r.spec.change {
-            ChangeModel::Periodic { .. } => {
-                Some(r.spec.change.last_change_at(0) + period_of(&r.spec.change))
-            }
-            ChangeModel::Immutable => None,
-        })
+        .filter_map(|r| first_change(&r.spec.path))
         .collect();
     boundaries.sort_unstable();
+    boundaries.truncate(4);
+    for page in site.pages() {
+        boundaries.extend(closure(site, &page).iter().filter_map(|p| first_change(p)));
+    }
+    boundaries.sort_unstable();
+    boundaries.dedup();
     let mut times = vec![0, 1];
-    for b in boundaries.into_iter().take(4) {
+    for b in boundaries {
         times.extend([b - 1, b]);
     }
+    times.dedup();
     times.push(0);
     times
 }
 
-fn period_of(change: &ChangeModel) -> i64 {
-    match change {
-        ChangeModel::Periodic { period, .. } => period.as_secs().max(1) as i64,
-        ChangeModel::Immutable => unreachable!("only periodic resources change"),
+/// `root` and everything it reaches through static and dynamic
+/// children: what its churn epoch folds.
+fn closure(site: &Site, root: &str) -> Vec<String> {
+    let mut seen = HashSet::new();
+    let mut stack = vec![root.to_owned()];
+    while let Some(path) = stack.pop() {
+        let Some(r) = site.get(&path) else { continue };
+        if seen.insert(path) {
+            stack.extend(r.spec.static_children.iter().cloned());
+            stack.extend(r.spec.dynamic_children.iter().cloned());
+        }
     }
+    seen.into_iter().collect()
+}
+
+/// The page's versions that its body reads: its own, then each
+/// fingerprinted direct child's.
+fn body_key(site: &Site, page: &str, t: i64) -> Vec<u64> {
+    let spec = &site.get(page).unwrap().spec;
+    let children = spec.static_children.iter().chain(&spec.dynamic_children);
+    let fingerprinted = children
+        .filter_map(|child| site.get(child))
+        .filter(|child| child.spec.fingerprinted)
+        .map(|child| child.spec.version_at(t));
+    std::iter::once(spec.version_at(t))
+        .chain(fingerprinted)
+        .collect()
+}
+
+/// The two kinds of page epoch turn between consecutive sweep times:
+/// (the body's inputs unchanged, a fingerprinted child moved under an
+/// unchanged page version).
+fn turn_kinds(site: &Site, times: &[i64]) -> (usize, usize) {
+    let (mut kept, mut child_moved) = (0, 0);
+    for page in site.pages() {
+        let closure = closure(site, &page);
+        let epoch = |t: i64| -> Vec<u64> {
+            closure
+                .iter()
+                .map(|p| site.version_at(p, t).unwrap())
+                .collect()
+        };
+        for pair in times.windows(2) {
+            let (was, now) = (pair[0], pair[1]);
+            if epoch(was) == epoch(now) {
+                continue;
+            }
+            let (before, after) = (body_key(site, &page, was), body_key(site, &page, now));
+            if before == after {
+                kept += 1;
+            } else if before[0] == after[0] {
+                child_moved += 1;
+            }
+        }
+    }
+    (kept, child_moved)
 }
 
 /// The requests of one round at one `t`: each path bare, as `HEAD`,
@@ -241,8 +311,12 @@ fn requests(site: &Site, t: i64) -> Vec<Request> {
 fn every_response_encodes_to_the_bytes_of_the_old_construction() {
     let mut compared = 0;
     let mut statuses = std::collections::BTreeSet::new();
+    let (mut kept, mut child_moved) = (0, 0);
     for seed in [3, 8] {
         let site = site(seed);
+        let (k, c) = turn_kinds(&site, &times(&site));
+        kept += k;
+        child_moved += c;
         for mode in MODES {
             let cross_origin = seed == 8;
             let server = OriginServer::new(site.clone(), mode);
@@ -276,4 +350,9 @@ fn every_response_encodes_to_the_bytes_of_the_old_construction() {
         [200, 304, 404, 405]
     );
     assert!(compared > 15_000, "{compared} responses compared");
+    assert!(kept > 0, "no page epoch turn left its body's inputs alone");
+    assert!(
+        child_moved > 0,
+        "no fingerprinted child changed under an unchanged page version"
+    );
 }

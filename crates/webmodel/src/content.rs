@@ -134,13 +134,21 @@ fn render_js(
 }
 
 /// Pads text content up to the target size (or accepts its overflow)
-/// with a deterministic filler comment.
+/// with a deterministic filler comment: one copy of the filler, then
+/// the filler written so far doubled until the target is reached.
 fn pad_text(out: &mut Vec<u8>, target: usize) {
     const FILLER: &[u8] =
         b"/* lorem ipsum dolor sit amet consectetur adipiscing elit sed do eiusmod */\n";
+    let start = out.len();
+    if start >= target {
+        return;
+    }
+    out.extend_from_slice(&FILLER[..FILLER.len().min(target - start)]);
     while out.len() < target {
-        let take = FILLER.len().min(target - out.len());
-        out.extend_from_slice(&FILLER[..take]);
+        // Everything since `start` is whole fillers, so any prefix of
+        // it continues the repetition.
+        let take = (out.len() - start).min(target - out.len());
+        out.extend_from_within(start..start + take);
     }
 }
 
@@ -149,16 +157,30 @@ fn pad_text(out: &mut Vec<u8>, target: usize) {
 fn binary_body(out: &mut Vec<u8>, host: &str, spec: &ResourceSpec, version: u64) {
     let size = spec.size as usize;
     // A recognizable header carrying identity + version, then a cheap
-    // xorshift stream so the body is not trivially constant. The last
-    // draw is cut to what is left, so the buffer never outgrows `size`.
+    // xorshift stream so the body is not trivially constant. The draws
+    // go into the buffer sized up front, eight bytes at a time; the
+    // last one is cut to what is left.
     put!(out, "BIN:{host}{}:v{version}\n", spec.path);
+    let start = out.len();
+    if start >= size {
+        return;
+    }
     let mut x = derive_seed_fmt(version, format_args!("{host}{}", spec.path)) | 1;
-    while out.len() < size {
+    let mut draw = || {
         x ^= x << 13;
         x ^= x >> 7;
         x ^= x << 17;
-        let take = 8.min(size - out.len());
-        out.extend_from_slice(&x.to_le_bytes()[..take]);
+        x.to_le_bytes()
+    };
+    out.resize(size, 0);
+    let mut chunks = out[start..].chunks_exact_mut(8);
+    for chunk in &mut chunks {
+        chunk.copy_from_slice(&draw());
+    }
+    let rest = chunks.into_remainder();
+    if !rest.is_empty() {
+        let len = rest.len();
+        rest.copy_from_slice(&draw()[..len]);
     }
 }
 
@@ -241,6 +263,64 @@ mod tests {
             let s = spec("/x.css", ResourceKind::Css, target as u64);
             let body = render_body("h", &s, 0, &rooted);
             assert_eq!(body.len(), target);
+        }
+    }
+
+    /// The generator as it was before it wrote whole draws: one
+    /// `extend_from_slice` per draw, the last one cut.
+    fn binary_body_per_draw(host: &str, spec: &ResourceSpec, version: u64) -> Vec<u8> {
+        let size = spec.size as usize;
+        let mut out = Vec::new();
+        put!(out, "BIN:{host}{}:v{version}\n", spec.path);
+        let mut x = derive_seed_fmt(version, format_args!("{host}{}", spec.path)) | 1;
+        while out.len() < size {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let take = 8.min(size - out.len());
+            out.extend_from_slice(&x.to_le_bytes()[..take]);
+        }
+        out
+    }
+
+    /// The filler as it was before it doubled: one filler (or its
+    /// head) per step.
+    fn pad_text_per_filler(mut out: Vec<u8>, target: usize) -> Vec<u8> {
+        const FILLER: &[u8] =
+            b"/* lorem ipsum dolor sit amet consectetur adipiscing elit sed do eiusmod */\n";
+        while out.len() < target {
+            let take = FILLER.len().min(target - out.len());
+            out.extend_from_slice(&FILLER[..take]);
+        }
+        out
+    }
+
+    #[test]
+    fn binary_bodies_equal_the_per_draw_generator() {
+        // Every size up to 200 (the header alone is 24 bytes here, so
+        // this covers bodies shorter than their header and every
+        // remainder mod 8), then a few large ones on and off the
+        // 8-byte grid.
+        let sizes = (0..=200).chain([4095, 4096, 4097, 52_223, 52_224, 1 << 20]);
+        for size in sizes {
+            for (path, version) in [("/p.jpg", 0), ("/fonts/a-long-name.woff2", 7)] {
+                let s = spec(path, ResourceKind::Image, size);
+                let got = render_body("site.com", &s, version, &rooted);
+                let want = binary_body_per_draw("site.com", &s, version);
+                assert_eq!(&got[..], &want[..], "size {size}, {path} v{version}");
+            }
+        }
+    }
+
+    #[test]
+    fn text_padding_equals_the_per_filler_loop() {
+        for start in [0usize, 1, 40, 77, 300] {
+            for target in (0..=400).chain([4096, 52_224, 52_301]) {
+                let mut got = vec![b'x'; start];
+                pad_text(&mut got, target);
+                let want = pad_text_per_filler(vec![b'x'; start], target);
+                assert_eq!(got, want, "start {start}, target {target}");
+            }
         }
     }
 

@@ -15,39 +15,70 @@
 
 /// Evaluates a script body, returning the resource URLs it loads, in
 /// program order.
+///
+/// A statement is a line that, leading whitespace trimmed, starts with
+/// `const ` or `loadResource(`. Rather than trimming every line, the
+/// evaluator jumps from one occurrence of either token to the next and
+/// keeps those preceded on their line by whitespace only.
 pub fn evaluate(js: &str) -> Vec<String> {
     let mut bindings: Vec<(String, String)> = Vec::new();
     let mut loads = Vec::new();
-    for line in js.lines() {
-        let line = line.trim();
-        if let Some(rest) = line.strip_prefix("const ") {
-            // const NAME = "lit" + "lit";
-            let Some((name, expr)) = rest.split_once('=') else {
-                continue;
-            };
-            let name = name.trim();
-            let expr = expr.trim().trim_end_matches(';').trim();
-            let Some((a, b)) = expr.split_once('+') else {
-                continue;
-            };
-            let (Some(a), Some(b)) = (
-                parse_string_literal(a.trim()),
-                parse_string_literal(b.trim()),
-            ) else {
-                continue;
-            };
-            bindings.retain(|(n, _)| n != name);
-            bindings.push((name.to_owned(), format!("{a}{b}")));
-        } else if let Some(rest) = line.strip_prefix("loadResource(") {
-            let arg = rest.trim_end_matches(';').trim_end_matches(')').trim();
-            if let Some(value) = bindings.iter().rev().find(|(n, _)| n == arg) {
-                loads.push(value.1.clone());
-            } else if let Some(lit) = parse_string_literal(arg) {
-                loads.push(lit);
+    let mut next_const = js.find(CONST);
+    let mut next_load = js.find(LOAD);
+    let mut from = 0;
+    loop {
+        // Each token's next occurrence at or past `from`, searched for
+        // again only once it falls behind.
+        for (next, token) in [(&mut next_const, CONST), (&mut next_load, LOAD)] {
+            if next.is_some_and(|at| at < from) {
+                *next = js[from..].find(token).map(|at| from + at);
             }
         }
+        let Some(at) = next_const.into_iter().chain(next_load).min() else {
+            break;
+        };
+        let line_start = js[..at].rfind('\n').map_or(0, |nl| nl + 1);
+        let line_end = js[at..].find('\n').map_or(js.len(), |nl| at + nl);
+        if js[line_start..at].chars().all(char::is_whitespace) {
+            statement(js[at..line_end].trim_end(), &mut bindings, &mut loads);
+        }
+        // A line holds at most one statement, at its start.
+        from = line_end;
     }
     loads
+}
+
+const CONST: &str = "const ";
+const LOAD: &str = "loadResource(";
+
+/// Runs one statement: `line` is trimmed and starts with a token.
+fn statement(line: &str, bindings: &mut Vec<(String, String)>, loads: &mut Vec<String>) {
+    if let Some(rest) = line.strip_prefix(CONST) {
+        // const NAME = "lit" + "lit";
+        let Some((name, expr)) = rest.split_once('=') else {
+            return;
+        };
+        let name = name.trim();
+        let expr = expr.trim().trim_end_matches(';').trim();
+        let Some((a, b)) = expr.split_once('+') else {
+            return;
+        };
+        let (Some(a), Some(b)) = (
+            parse_string_literal(a.trim()),
+            parse_string_literal(b.trim()),
+        ) else {
+            return;
+        };
+        bindings.retain(|(n, _)| n != name);
+        bindings.push((name.to_owned(), format!("{a}{b}")));
+    } else if let Some(rest) = line.strip_prefix(LOAD) {
+        let arg = rest.trim_end_matches(';').trim_end_matches(')').trim();
+        if let Some(value) = bindings.iter().rev().find(|(n, _)| n == arg) {
+            loads.push(value.1.clone());
+        } else if let Some(lit) = parse_string_literal(arg) {
+            loads.push(lit);
+        }
+    }
 }
 
 /// Parses a double-quoted JS string literal with `\"` and `\\` escapes
@@ -123,6 +154,91 @@ var y = 12;
         assert_eq!(parse_string_literal(r#""a\\b""#).as_deref(), Some("a\\b"));
         assert!(parse_string_literal(r#""a"b""#).is_none());
         assert!(parse_string_literal("nope").is_none());
+    }
+
+    /// The evaluator as it was before it jumped between tokens: every
+    /// line trimmed and prefix-tested.
+    fn evaluate_line_by_line(js: &str) -> Vec<String> {
+        let mut bindings: Vec<(String, String)> = Vec::new();
+        let mut loads = Vec::new();
+        for line in js.lines() {
+            let line = line.trim();
+            if let Some(rest) = line.strip_prefix("const ") {
+                let Some((name, expr)) = rest.split_once('=') else {
+                    continue;
+                };
+                let name = name.trim();
+                let expr = expr.trim().trim_end_matches(';').trim();
+                let Some((a, b)) = expr.split_once('+') else {
+                    continue;
+                };
+                let (Some(a), Some(b)) = (
+                    parse_string_literal(a.trim()),
+                    parse_string_literal(b.trim()),
+                ) else {
+                    continue;
+                };
+                bindings.retain(|(n, _)| n != name);
+                bindings.push((name.to_owned(), format!("{a}{b}")));
+            } else if let Some(rest) = line.strip_prefix("loadResource(") {
+                let arg = rest.trim_end_matches(';').trim_end_matches(')').trim();
+                if let Some(value) = bindings.iter().rev().find(|(n, _)| n == arg) {
+                    loads.push(value.1.clone());
+                } else if let Some(lit) = parse_string_literal(arg) {
+                    loads.push(lit);
+                }
+            }
+        }
+        loads
+    }
+
+    #[test]
+    fn token_jumping_equals_the_line_by_line_evaluator() {
+        use crate::content::render_body;
+        use crate::resource::{ChangeModel, Discovery, ResourceKind, ResourceSpec};
+        let mut scripts: Vec<String> = Vec::new();
+        for (size, children) in [(0, 0), (300, 2), (4096, 5), (52_224, 12)] {
+            let mut spec = ResourceSpec::leaf(
+                "/app.js",
+                ResourceKind::Js,
+                size,
+                Discovery::Base,
+                ChangeModel::Immutable,
+            );
+            spec.dynamic_children = (0..children).map(|i| format!("/lazy-{i}.png")).collect();
+            let body = render_body("h", &spec, 3, &|p| format!("http://cdn.h{p}"));
+            scripts.push(String::from_utf8(body.to_vec()).unwrap());
+        }
+        let generated = scripts[2].clone();
+        scripts.extend([
+            generated.replace('\n', "\r\n"),
+            generated.replace("\nconst", "\n\t \tconst").replace("\nload", "\n\tload"),
+            generated.replace("\nconst", "\n\u{a0}\u{2003}const"),
+            generated.replace("\nloadResource", "\n\u{2028}loadResource"),
+            generated.replace("\nloadResource", "\nx = 1; loadResource"),
+            generated.replace("\nconst", "\n/* const */ const"),
+            generated.replace("\nconst", "\u{85}const"),
+            generated.replace("\nconst", "\rconst"),
+            generated.replace(";\n", ";\u{3000}\n"),
+            "const a = \"/x\" + \".js\"; loadResource(a);\nloadResource(a);".to_owned(),
+            "loadResource(\"/one.js\") const b = \"/y\" + \".js\";\n".to_owned(),
+            "   const  \n const c = \"/z\" + \".js\"\r\nloadResource(c)\r".to_owned(),
+            "const\tu = \"/t\" + \".js\";\nloadResource (u);\nloadResource(\"/q.js\")".to_owned(),
+            "\n\n\r\n  loadResource(\"/é.js\");  \n\tconst é = \"/ü\" + \"x\";\nloadResource(é)".to_owned(),
+            "xconst a = \"/n\" + \"o\";\nloadResource(a)loadResource(\"/b\")".to_owned(),
+            "const const d = \"/d\" + \".js\";\nconst d = \"/e\" + \".js\";loadResource(d);\nloadResource(d);"
+                .to_owned(),
+            String::new(),
+            "const ".to_owned(),
+            "loadResource(".to_owned(),
+        ]);
+        for js in &scripts {
+            assert_eq!(evaluate(js), evaluate_line_by_line(js), "{js:?}");
+        }
+        // The generated scripts load something, so the comparison above
+        // is not between two empty lists.
+        assert_eq!(evaluate(&scripts[3]).len(), 12);
+        assert_eq!(evaluate(&scripts[4]), evaluate(&scripts[2]));
     }
 
     #[test]

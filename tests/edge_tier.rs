@@ -16,6 +16,7 @@ use cachecatalyst::catalyst::tamper_config_headers;
 use cachecatalyst::edge::{EdgeCache, StoreOptions, TcpEdge};
 use cachecatalyst::httpwire::hash::xxh64;
 use cachecatalyst::httpwire::tracectx;
+use cachecatalyst::httpwire::{codec, ParseLimits, Parsed};
 use cachecatalyst::netsim::FaultPlan;
 use cachecatalyst::prelude::*;
 use cachecatalyst::proxies::FaultyUpstream;
@@ -380,6 +381,137 @@ fn tampered_config_maps_are_distrusted() {
     assert_eq!(resp.status, StatusCode::OK);
     assert_eq!(tampered.upstream().requests(), before + 1);
     assert_eq!(tampered.metrics().revalidated_304, 1);
+}
+
+/// Hands on every response as a fresh allocation, as a socket does:
+/// encoded, then parsed back from a plain byte slice.
+struct Reallocating<U>(U);
+
+impl<U: Upstream> Upstream for Reallocating<U> {
+    fn handle(&self, host: &str, req: &Request, t_secs: i64) -> Response {
+        let wire = codec::encode_response(&self.0.handle(host, req, t_secs));
+        match codec::parse_response(&wire[..], &req.method, &ParseLimits::default()).unwrap() {
+            Parsed::Complete { message, .. } => message,
+            Parsed::Partial => unreachable!("a whole response was encoded"),
+        }
+    }
+}
+
+/// Damages every other map it forwards (the first one not), leaving
+/// the digest in place.
+struct TamperingEveryOther<U> {
+    inner: U,
+    forwarded: AtomicU64,
+}
+
+impl<U: Upstream> Upstream for TamperingEveryOther<U> {
+    fn handle(&self, host: &str, req: &Request, t_secs: i64) -> Response {
+        let mut resp = self.inner.handle(host, req, t_secs);
+        if resp.headers.contains("x-etag-config")
+            && self.forwarded.fetch_add(1, Ordering::Relaxed) % 2 == 1
+        {
+            assert!(tamper_config_headers(&mut resp, Some(0xBAD)));
+        }
+        resp
+    }
+}
+
+/// A visit's requests: the page, then its subresources.
+const VISIT: [&str; 3] = ["/index.html", "/s1.css", "/s2.js"];
+
+/// The edge keeps the verdict on a page's last map and reuses it when
+/// the next response carries the same lines. Whether those lines are
+/// the origin's own allocation (in-process) or a fresh copy (from a
+/// socket), every response and every counter comes out the same, over
+/// visits within one epoch and across the churn of `/s2.js`.
+#[test]
+fn a_repeated_map_serves_and_marks_as_a_freshly_read_one() {
+    let shared =
+        EdgeCache::builder(OriginServer::new(nocache_site(), HeaderMode::Catalyst)).build();
+    let copied = EdgeCache::builder(Reallocating(OriginServer::new(
+        nocache_site(),
+        HeaderMode::Catalyst,
+    )))
+    .build();
+    // Five visits in the first hour (one epoch of the page), then
+    // visits after /s2.js changed at 3600 and after the page itself
+    // did at 5400.
+    for t in [0, 10, 20, 1800, 3590, 3600, 3610, 5400, 5420] {
+        for path in VISIT {
+            let a = shared.handle(HOST, &get(path), t);
+            let b = copied.handle(HOST, &get(path), t);
+            assert_eq!(
+                codec::encode_response(&a),
+                codec::encode_response(&b),
+                "{path} at t={t}"
+            );
+        }
+    }
+    let m = shared.metrics();
+    assert_eq!(m, copied.metrics());
+    assert!(m.marks_fresh >= 10, "{m:?}");
+    assert_eq!(m.marks_stale, 1, "/s2.js changed at 3600: {m:?}");
+    assert_eq!(m.tampered_configs, 0);
+}
+
+/// Lines that differ from the verdict's are read afresh: the map that
+/// follows `/s2.js`'s change marks the held copy stale, and the visit
+/// after it revalidates that one asset only.
+#[test]
+fn changed_map_lines_are_read_afresh() {
+    let origin = Arc::new(OriginServer::new(nocache_site(), HeaderMode::Catalyst));
+    let edge = EdgeCache::builder(CountingUpstream::new(Arc::clone(&origin))).build();
+    for path in VISIT {
+        edge.handle(HOST, &get(path), 0);
+    }
+    edge.handle(HOST, &get("/index.html"), 10);
+    let before = edge.metrics();
+    assert_eq!((before.marks_fresh, before.marks_stale), (2, 0));
+
+    edge.handle(HOST, &get("/index.html"), 3600);
+    let after = edge.metrics();
+    assert_eq!(after.marks_fresh, before.marks_fresh + 1, "/s1.css");
+    assert_eq!(after.marks_stale, 1, "/s2.js changed at 3600");
+    let upstream = edge.upstream().requests();
+    edge.handle(HOST, &get("/s1.css"), 3600);
+    let s2 = edge.handle(HOST, &get("/s2.js"), 3600);
+    assert_eq!(edge.upstream().requests(), upstream + 1, "/s2.js only");
+    assert_eq!(s2.body, (*origin).handle(&get("/s2.js"), 3600).body);
+    assert_eq!(edge.metrics().revalidated_changed, 1);
+}
+
+/// A refused map is refused on every response that carries it: each
+/// one counts, and none marks anything. Interleaved with the intact
+/// map (same digest, other lines), neither verdict leaks into the
+/// other.
+#[test]
+fn a_tampered_map_counts_every_time_and_marks_nothing() {
+    let origin = Arc::new(OriginServer::new(nocache_site(), HeaderMode::Catalyst));
+    let tampered = EdgeCache::builder(TamperingUpstream(Arc::clone(&origin))).build();
+    for path in VISIT {
+        tampered.handle(HOST, &get(path), 0);
+    }
+    tampered.handle(HOST, &get("/index.html"), 10);
+    let m = tampered.metrics();
+    assert_eq!(m.tampered_configs, 2, "{m:?}");
+    assert_eq!((m.marks_fresh, m.marks_stale), (0, 0));
+
+    let alternating = EdgeCache::builder(TamperingEveryOther {
+        inner: origin,
+        forwarded: AtomicU64::new(0),
+    })
+    .build();
+    for path in VISIT {
+        alternating.handle(HOST, &get(path), 0);
+    }
+    // Maps 2..=5: damaged, intact, damaged, intact.
+    for t in [10, 11, 12, 13] {
+        alternating.handle(HOST, &get("/index.html"), t);
+    }
+    let m = alternating.metrics();
+    assert_eq!(m.tampered_configs, 2, "{m:?}");
+    assert_eq!(m.marks_fresh, 4, "two intact maps, two assets each: {m:?}");
+    assert_eq!(m.marks_stale, 0);
 }
 
 #[test]
