@@ -23,6 +23,7 @@ use super::hammer::{
 };
 use crate::cli::{self, Args};
 use crate::table::render_table;
+use cachecatalyst_edge::StoreOptions;
 
 /// Requests per timed section: fixed work, sized so that each runs for
 /// over a second on the 2-vCPU build box.
@@ -70,7 +71,7 @@ fn measure(
 }
 
 fn hot(site: &BenchSite, threads: usize) -> Measured {
-    let edge = site.edge().byte_budget(64 << 20).build();
+    let edge = site.edge(StoreOptions::new().mem_budget(64 << 20));
     let set = &site.storable[..8];
     for path in set {
         fetch(&edge, path, 0);
@@ -83,7 +84,7 @@ fn hot(site: &BenchSite, threads: usize) -> Measured {
 fn churn(site: &BenchSite, threads: usize) -> Measured {
     // Roughly a tenth of the working set: every lap re-fetches most
     // of it.
-    let edge = site.edge().byte_budget(256 << 10).build();
+    let edge = site.edge(StoreOptions::new().mem_budget(256 << 10));
     let keys = &site.assets;
     measure("churn", CHURN_REQUESTS, threads, &edge, |thread, i| {
         fetch(&edge, &keys[(thread * 31 + i) % keys.len()], 0);
@@ -91,7 +92,7 @@ fn churn(site: &BenchSite, threads: usize) -> Measured {
 }
 
 fn coalesce(site: &BenchSite, threads: usize) -> Measured {
-    let edge = site.edge().byte_budget(64 << 20).build();
+    let edge = site.edge(StoreOptions::new().mem_budget(64 << 20));
     let barrier = Barrier::new(threads);
     let keys = &site.storable;
     measure("coalesce", COALESCE_REQUESTS, threads, &edge, |_, round| {
@@ -102,7 +103,7 @@ fn coalesce(site: &BenchSite, threads: usize) -> Measured {
 }
 
 fn zipf(site: &BenchSite, threads: usize) -> Measured {
-    let edge = site.edge().byte_budget(1 << 20).build();
+    let edge = site.edge(StoreOptions::new().mem_budget(1 << 20));
     let keys = site.zipf_keys("edge-zipf", ZIPF_REQUESTS);
     let per_thread = ZIPF_REQUESTS / threads;
     measure("zipf", ZIPF_REQUESTS, threads, &edge, |thread, i| {

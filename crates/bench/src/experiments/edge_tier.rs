@@ -48,7 +48,7 @@ fn hybrid(site: &BenchSite, dir: &Path) -> BenchEdge {
     let store = StoreOptions::new()
         .mem_budget(MEM_BUDGET)
         .disk(DiskTierOptions::at(dir));
-    site.edge().store(store).build()
+    site.edge(store)
 }
 
 pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
@@ -69,7 +69,7 @@ pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
     let site = BenchSite::generate();
     let keys = site.zipf_keys("edge-tier-zipf", iters);
 
-    let mem = site.edge().byte_budget(MEM_BUDGET).build();
+    let mem = site.edge(StoreOptions::new().mem_budget(MEM_BUDGET));
     drive("zipf-mem", &mem, &site, &keys);
 
     let tiered = hybrid(&site, &hybrid_dir);

@@ -8,7 +8,7 @@ use std::time::Instant;
 
 use crate::cli::{self, Args};
 use cachecatalyst_browser::Upstream;
-use cachecatalyst_edge::{EdgeBuilder, EdgeCache, EdgeMetrics};
+use cachecatalyst_edge::{EdgeCache, EdgeMetrics, StoreOptions};
 use cachecatalyst_httpwire::Request;
 use cachecatalyst_origin::{HeaderMode, OriginServer};
 use cachecatalyst_webmodel::stats::rng_for;
@@ -86,10 +86,13 @@ impl BenchSite {
         }
     }
 
-    /// An edge in front of this site on which whatever is stored stays
-    /// fresh for the whole run.
-    pub fn edge(&self) -> EdgeBuilder<Arc<OriginServer>> {
-        EdgeCache::builder(Arc::clone(&self.origin)).min_fresh_secs(1 << 20)
+    /// An edge over `store` in front of this site on which whatever is
+    /// stored stays fresh for the whole run.
+    pub fn edge(&self, store: StoreOptions) -> BenchEdge {
+        EdgeCache::builder(Arc::clone(&self.origin))
+            .min_fresh_secs(1 << 20)
+            .store(store)
+            .build()
     }
 
     /// `count` asset indices drawn rank-weighted (Zipf, s = 1) from

@@ -15,7 +15,6 @@ use crate::cli::{self, Args};
 use crate::runner::{first_visit_time, ClientKind};
 use crate::table::render_table;
 use cachecatalyst_browser::Browser;
-use cachecatalyst_httpwire::Url;
 use cachecatalyst_netsim::NetworkConditions;
 use cachecatalyst_origin::OriginServer;
 use cachecatalyst_webmodel::{Site, SiteSpec};
@@ -53,7 +52,7 @@ pub fn run(args: &mut Args, out: &mut dyn Write) -> cli::Result {
             let t0 = first_visit_time(&site);
             let mut browser: Browser = kind.browser();
             for (i, page) in site.pages().iter().enumerate() {
-                let url = Url::parse(&format!("http://{}{page}", site.spec.host)).unwrap();
+                let url = site.url(page);
                 let report = browser.load(&origin, cond, &url, t0 + (i as i64) * 10);
                 per_page[i] += report.plt_ms();
                 reqs[i] += report.network_requests() as f64;

@@ -66,8 +66,7 @@ pub struct VisitPair {
 
 /// The base URL of a site's home page.
 pub fn base_url_of(site: &Site) -> Url {
-    Url::parse(&format!("http://{}{}", site.spec.host, site.base_path()))
-        .expect("generated hosts parse")
+    site.url(site.base_path())
 }
 
 /// A per-site first-visit time: spread deterministically across a

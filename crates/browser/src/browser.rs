@@ -355,7 +355,7 @@ mod tests {
 
     #[test]
     fn recorder_sees_one_fetch_pair_per_resource() {
-        use cachecatalyst_telemetry::{Event, FetchKind};
+        use cachecatalyst_telemetry::Event;
 
         let up = upstream(HeaderMode::Baseline);
         let recorder = Arc::new(Recorder::new());
@@ -392,7 +392,7 @@ mod tests {
         // Cold baseline load: 5 full fetches, all stored in the cache.
         assert!(ends.iter().all(|e| matches!(
             e,
-            Event::FetchEnd { outcome: FetchKind::FullFetch, rtts, .. } if *rtts >= 1
+            Event::FetchEnd { outcome: FetchOutcome::FullTransfer, rtts, .. } if *rtts >= 1
         )));
         assert!(matches!(
             events.last(),
@@ -406,7 +406,7 @@ mod tests {
 
     #[test]
     fn recorder_outcomes_follow_the_cache_state() {
-        use cachecatalyst_telemetry::{Event, FetchKind};
+        use cachecatalyst_telemetry::Event;
 
         let up = upstream(HeaderMode::Catalyst);
         let recorder = Arc::new(Recorder::new());
@@ -427,9 +427,9 @@ mod tests {
         };
         // Unchanged revisit: the map answers for a.css/b.js, the
         // navigation revalidates.
-        assert_eq!(outcome("/a.css"), FetchKind::EtagConfigHit);
-        assert_eq!(outcome("/b.js"), FetchKind::EtagConfigHit);
-        assert_eq!(outcome("/index.html"), FetchKind::Conditional304);
+        assert_eq!(outcome("/a.css"), FetchOutcome::ServiceWorkerHit);
+        assert_eq!(outcome("/b.js"), FetchOutcome::ServiceWorkerHit);
+        assert_eq!(outcome("/index.html"), FetchOutcome::NotModified);
     }
 
     #[test]

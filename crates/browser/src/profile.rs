@@ -23,7 +23,7 @@ use cachecatalyst_catalyst::{EtagConfig, ServiceWorker, SwDecision, SW_SCRIPT_PA
 use cachecatalyst_httpcache::{CacheMetrics, HttpCache, Lookup};
 use cachecatalyst_httpwire::{Body, HeaderName, Request, Response, StatusCode, Url};
 use cachecatalyst_netsim::{FetchOutcome, LoadTrace, SimTime};
-use cachecatalyst_telemetry::{CacheAudit, CacheDecision, Event, FetchKind, Recorder};
+use cachecatalyst_telemetry::{CacheAudit, CacheDecision, Event, Recorder};
 use cachecatalyst_webmodel::{extract, ResourceKind};
 
 use crate::engine::EngineConfig;
@@ -278,25 +278,15 @@ pub fn process_cost(cfg: &EngineConfig, kind: ResourceKind, len: usize) -> Optio
 }
 
 /// The fetches a delivered body starts: links in markup and
-/// stylesheets, requests made by executing scripts. Both the links and
-/// their resolution against `url` ride with the body, so delivering an
-/// allocation that has been here before (under this URL) parses
-/// nothing and allocates the returned list only.
+/// stylesheets, requests made by executing scripts
+/// ([`extract::discover`], read as what `url`'s path says it is). Both
+/// the links and their resolution against `url` ride with the body, so
+/// delivering an allocation that has been here before (under this
+/// URL) parses nothing and allocates the returned list only.
 pub fn discover(url: &Url, body: &Body) -> Vec<Url> {
-    let Some(links) = extract::links(ResourceKind::from_path(url.path()), body) else {
-        return Vec::new();
-    };
-    let resolved = links.resolved(url);
-    let mut urls = Vec::with_capacity(resolved.len());
-    urls.extend(
-        links
-            .hrefs()
-            .iter()
-            .zip(resolved.iter())
-            // SW registration is out-of-band, not a subresource.
-            .filter(|(href, _)| *href != SW_SCRIPT_PATH)
-            .filter_map(|(_, url)| url.clone()),
-    );
+    let mut urls = extract::discover(url, ResourceKind::from_path(url.path()), body);
+    // SW registration is out-of-band, not a subresource.
+    urls.retain(|u| u.path() != SW_SCRIPT_PATH);
     urls
 }
 
@@ -449,17 +439,6 @@ impl Tally {
     }
 }
 
-/// Maps a loader outcome onto the telemetry vocabulary.
-fn fetch_kind(outcome: FetchOutcome) -> FetchKind {
-    match outcome {
-        FetchOutcome::FullTransfer => FetchKind::FullFetch,
-        FetchOutcome::NotModified => FetchKind::Conditional304,
-        FetchOutcome::CacheHit => FetchKind::CacheFresh,
-        FetchOutcome::ServiceWorkerHit => FetchKind::EtagConfigHit,
-        FetchOutcome::Pushed => FetchKind::Pushed,
-    }
-}
-
 /// Replays one finished load into the recorder: a page-load span, one
 /// start/end pair and one cache-decision verdict per fetch
 /// (`audits[i]` belongs to `trace.fetches[i]`), and the HTTP-cache
@@ -491,7 +470,7 @@ pub fn emit_load_events(
         recorder.record(&Event::FetchEnd {
             url: f.url.clone(),
             t_ms: base_ms + f.completed.as_millis_f64(),
-            outcome: fetch_kind(f.outcome),
+            outcome: f.outcome,
             bytes_down: f.bytes_down,
             bytes_up: f.bytes_up,
             rtts: f.rtts,

@@ -24,7 +24,7 @@ fn flat_site(n_images: usize) -> (Site, Url) {
         js_discovered_fraction: 0.0,
         ..Default::default()
     });
-    let url = Url::parse(&format!("http://{}{}", site.spec.host, site.base_path())).unwrap();
+    let url = site.url(site.base_path());
     (site, url)
 }
 

@@ -10,20 +10,20 @@
 //! paper's, reproduced faithfully, and closed by the map the origin
 //! learns from visits, [`crate::aggregate`].
 
-use cachecatalyst_httpwire::{Body, EntityTag};
-use cachecatalyst_webmodel::extract::links;
+use cachecatalyst_httpwire::{Body, EntityTag, Url};
+use cachecatalyst_webmodel::extract::discover;
 use cachecatalyst_webmodel::ResourceKind;
 
 use crate::config::EtagConfig;
 
-/// Read access to the origin's same-origin resources.
+/// Read access to the origin's resources.
 pub trait ResourceProvider {
-    /// Current body of the resource at `path`. Handing out the
+    /// Current body of the resource at `url`. Handing out the
     /// allocation the provider already holds lets the walk read links
     /// someone has extracted before.
-    fn body(&self, path: &str) -> Option<Body>;
-    /// Current entity tag of the resource at `path`.
-    fn etag(&self, path: &str) -> Option<EntityTag>;
+    fn body(&self, url: &Url) -> Option<Body>;
+    /// Current entity tag of the resource at `url`.
+    fn etag(&self, url: &Url) -> Option<EntityTag>;
 }
 
 /// How deep the walk follows stylesheets into stylesheets (imports of
@@ -39,76 +39,56 @@ pub struct ExtractOptions {
     pub include_cross_origin: bool,
 }
 
-/// Builds the `X-Etag-Config` map for a page.
-///
-/// * `base_path` — the page's path (used to resolve relative links).
-/// * `html` — the page's current HTML body.
+/// Builds the `X-Etag-Config` map for the page at `page` whose
+/// current HTML body is `html`.
 ///
 /// The page and every stylesheet are read through
-/// [`cachecatalyst_webmodel::extract::links`], so each is scanned once
-/// per [`Body`] allocation — by this walk or by whoever got there first.
-/// References the provider cannot resolve are left out.
+/// [`cachecatalyst_webmodel::extract::discover`], the browser's own
+/// way from a body to the URLs it fetches, so each is scanned and
+/// resolved once per [`Body`] allocation — by this walk or by whoever
+/// got there first. A URL on the page's origin is keyed by its path,
+/// any other by the whole URL (and only with the cross-origin
+/// extension on). References the provider cannot answer are left out.
 pub fn build_config(
     provider: &dyn ResourceProvider,
-    base_path: &str,
+    page: &Url,
     html: &Body,
     opts: &ExtractOptions,
 ) -> EtagConfig {
     let mut config = EtagConfig::new();
     let mut visited = std::collections::HashSet::new();
+    let mut queue: Vec<(Url, usize)> = discover(page, ResourceKind::Html, html)
+        .into_iter()
+        .map(|url| (url, 0))
+        .collect();
 
-    let page_links = links(ResourceKind::Html, html).expect("markup is a syntax");
-    let mut queue: Vec<(String, usize)> =
-        page_links.hrefs().iter().map(|h| (h.clone(), 0)).collect();
-
-    while let Some((href, depth)) = queue.pop() {
-        let Some(path) = resolve(base_path, &href, opts) else {
-            continue;
-        };
-        if !visited.insert(path.clone()) {
+    while let Some((url, depth)) = queue.pop() {
+        let same_origin = url.same_origin(page);
+        if !same_origin && !opts.include_cross_origin {
             continue;
         }
-        let Some(etag) = provider.etag(&path) else {
+        if !visited.insert(url.clone()) {
+            continue;
+        }
+        let Some(etag) = provider.etag(&url) else {
             continue;
         };
-        config.insert(&path, etag);
+        if same_origin {
+            config.insert(url.path(), etag);
+        } else {
+            config.insert(url.to_string(), etag);
+        }
 
-        // Recurse into same-origin stylesheets.
-        if ResourceKind::from_path(&path) == ResourceKind::Css && depth < MAX_CSS_DEPTH {
-            if let Some(body) = provider.body(&path) {
-                let sheet_links = links(ResourceKind::Css, &body).expect("css is a syntax");
-                for href in sheet_links.hrefs() {
-                    queue.push((resolve_relative(&path, href), depth + 1));
-                }
+        // Recurse into stylesheets.
+        if ResourceKind::from_path(url.path()) == ResourceKind::Css && depth < MAX_CSS_DEPTH {
+            if let Some(body) = provider.body(&url) {
+                let sheet_urls = discover(&url, ResourceKind::Css, &body);
+                queue.extend(sheet_urls.into_iter().map(|child| (child, depth + 1)));
             }
         }
     }
 
     config
-}
-
-/// Resolves an href found in the *base document* to a path to map,
-/// or `None` for a cross-origin reference the options skip.
-fn resolve(base_path: &str, href: &str, opts: &ExtractOptions) -> Option<String> {
-    if href.starts_with("http://") || href.starts_with("https://") || href.starts_with("//") {
-        // The future-work extension would fetch the third-party
-        // resource itself; in this codebase the provider is handed the
-        // full URL and may choose to resolve it.
-        return opts.include_cross_origin.then(|| href.to_owned());
-    }
-    Some(resolve_relative(base_path, href))
-}
-
-/// Resolves `href` against the directory of `context_path`.
-fn resolve_relative(context_path: &str, href: &str) -> String {
-    if href.starts_with('/') || href.starts_with("http") {
-        return href.to_owned();
-    }
-    let dir = match context_path.rfind('/') {
-        Some(i) => &context_path[..=i],
-        None => "/",
-    };
-    format!("{dir}{href}")
 }
 
 /// Builds the config for a page of a generated
@@ -128,38 +108,32 @@ pub fn build_config_with_bodies(
         site: &'a cachecatalyst_webmodel::Site,
         t: i64,
         body_of: &'a dyn Fn(&str) -> Option<Body>,
+        cdn: String,
     }
     impl SiteProvider<'_> {
-        /// Cross-origin references arrive as absolute URLs; the
-        /// extension fetches them from the third party — here, the
-        /// site model answers for its own CDN host.
-        fn local_path<'p>(&self, path: &'p str) -> Option<&'p str> {
-            if let Some(rest) = path.strip_prefix("http://") {
-                let (host, _) = rest.split_once('/')?;
-                if host != self.site.third_party_host() {
-                    return None;
-                }
-                // Keep the leading slash: stored paths are rooted.
-                return Some(&rest[host.len()..]);
-            }
-            Some(path)
+        /// The model serves every path on its own host and on its CDN
+        /// host (which only the cross-origin extension asks about).
+        fn serves(&self, url: &Url) -> bool {
+            url.host() == self.site.spec.host || url.host() == self.cdn
         }
     }
     impl ResourceProvider for SiteProvider<'_> {
-        fn body(&self, path: &str) -> Option<Body> {
-            (self.body_of)(self.local_path(path)?)
+        fn body(&self, url: &Url) -> Option<Body> {
+            self.serves(url).then(|| (self.body_of)(url.path()))?
         }
-        fn etag(&self, path: &str) -> Option<EntityTag> {
-            self.site.etag_at(self.local_path(path)?, self.t)
+        fn etag(&self, url: &Url) -> Option<EntityTag> {
+            self.serves(url)
+                .then(|| self.site.etag_at(url.path(), self.t))?
         }
     }
     let provider = SiteProvider {
         site,
         t: t_secs,
         body_of,
+        cdn: site.third_party_host(),
     };
     let html = body_of(page).unwrap_or_default();
-    build_config(&provider, page, &html, opts)
+    build_config(&provider, &site.url(page), &html, opts)
 }
 
 #[cfg(test)]
@@ -182,19 +156,26 @@ mod tests {
         }
     }
 
+    /// Answers by path on any host.
     impl ResourceProvider for MapProvider {
-        fn body(&self, path: &str) -> Option<Body> {
-            self.bodies.get(path).cloned()
+        fn body(&self, url: &Url) -> Option<Body> {
+            self.bodies.get(url.path()).cloned()
         }
-        fn etag(&self, path: &str) -> Option<EntityTag> {
-            self.bodies.get(path).map(|b| EntityTag::from_content(b))
+        fn etag(&self, url: &Url) -> Option<EntityTag> {
+            self.bodies
+                .get(url.path())
+                .map(|b| EntityTag::from_content(b))
         }
+    }
+
+    fn page_url(page: &str) -> Url {
+        Url::parse(&format!("http://example.org{page}")).unwrap()
     }
 
     fn walk(provider: &MapProvider, page: &str, html: &str) -> EtagConfig {
         build_config(
             provider,
-            page,
+            &page_url(page),
             &Body::from(html.to_owned()),
             &ExtractOptions::default(),
         )
@@ -313,5 +294,67 @@ mod tests {
             r#"<img src="/x.png"><img src="/x.png">"#,
         );
         assert_eq!(config.len(), 1);
+    }
+
+    #[test]
+    fn the_map_covers_what_the_browser_fetches_from_the_origin() {
+        // Five common ways of naming a same-origin resource, one
+        // third-party script, and a sheet reaching up a directory.
+        let page = page_url("/pages/index.html");
+        let html = Body::from(
+            r#"<link rel="stylesheet" href="/a.css?v=3">
+               <script src="http://example.org/b.js"></script>
+               <img src="//example.org/c.png"><img src="img/d.png">
+               <img src="http-img/x.png"><img src="data:image/png;base64,iVBORw0KGgo=">
+               <script src="http://cdn.other/lib.js"></script>"#,
+        );
+        let sheet =
+            "body{background:url(../img/bg.png)} i{background:url(data:image/png;base64,AA==)}";
+        let provider = MapProvider::new(&[
+            ("/a.css", sheet),
+            ("/b.js", "js"),
+            ("/c.png", "c"),
+            ("/pages/img/d.png", "d"),
+            ("/pages/http-img/x.png", "x"),
+            ("/img/bg.png", "bg"),
+            ("/lib.js", "lib"),
+        ]);
+        let config = build_config(&provider, &page, &html, &ExtractOptions::default());
+
+        // What the browser fetches: the page's URLs, then the sheet's.
+        let sheet_url = page.join("/a.css?v=3").unwrap();
+        let fetched: Vec<Url> = discover(&page, ResourceKind::Html, &html)
+            .into_iter()
+            .chain(discover(&sheet_url, ResourceKind::Css, &Body::from(sheet)))
+            .collect();
+        let mut same_origin: Vec<&str> = fetched
+            .iter()
+            .filter(|u| u.same_origin(&page))
+            .map(|u| u.path())
+            .collect();
+        same_origin.sort_unstable();
+        let mut mapped: Vec<&str> = config.iter().map(|(path, _)| path).collect();
+        mapped.sort_unstable();
+        assert_eq!(mapped, same_origin);
+        assert_eq!(
+            mapped,
+            [
+                "/a.css",
+                "/b.js",
+                "/c.png",
+                "/img/bg.png",
+                "/pages/http-img/x.png",
+                "/pages/img/d.png"
+            ]
+        );
+        assert_eq!(config.get("/b.js"), Some(&EntityTag::from_content(b"js")));
+
+        // The extension keys the third-party script by its URL.
+        let opts = ExtractOptions {
+            include_cross_origin: true,
+        };
+        let extended = build_config(&provider, &page, &html, &opts);
+        assert_eq!(extended.len(), config.len() + 1);
+        assert!(extended.get("http://cdn.other/lib.js").is_some());
     }
 }

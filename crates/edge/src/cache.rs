@@ -297,16 +297,6 @@ pub struct EdgeBuilder<U> {
 }
 
 impl<U: Upstream> EdgeBuilder<U> {
-    /// Total bytes the DRAM tier may hold (default 64 MiB), spread
-    /// over the shards: the one shorthand for a mem-only
-    /// `store(StoreOptions::new().mem_budget(bytes))`. Everything else
-    /// about the store (shards, disk tier) goes through
-    /// [`EdgeBuilder::store`].
-    pub fn byte_budget(mut self, bytes: usize) -> EdgeBuilder<U> {
-        self.store = self.store.mem_budget(bytes);
-        self
-    }
-
     /// Full store configuration — DRAM budget/sharding plus an
     /// optional persistent disk tier:
     ///

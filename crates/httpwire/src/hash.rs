@@ -104,7 +104,13 @@ pub struct Fnv1a64(u64);
 
 impl Fnv1a64 {
     pub const fn new() -> Fnv1a64 {
-        Fnv1a64(0xcbf2_9ce4_8422_2325)
+        Fnv1a64::with_seed(0)
+    }
+
+    /// FNV-1a started from the offset basis XOR `seed`: one hash per
+    /// seed, `with_seed(0)` being [`Fnv1a64::new`].
+    pub const fn with_seed(seed: u64) -> Fnv1a64 {
+        Fnv1a64(0xcbf2_9ce4_8422_2325 ^ seed)
     }
 
     pub fn write(&mut self, bytes: &[u8]) {

@@ -154,40 +154,73 @@ impl Url {
         self.host == other.host && self.effective_port() == other.effective_port()
     }
 
-    /// Resolves a reference against this URL as base: absolute URLs
-    /// pass through, `/rooted` paths replace the target, and relative
-    /// paths resolve against the base path's directory.
+    /// Resolves a reference against this URL as base (RFC 3986 §5.2):
+    /// a fragment is dropped, an empty path keeps the base's, dot
+    /// segments are removed, and `http`/`https` URLs (any case) and
+    /// `//authority` references pass through as plain-http URLs — the
+    /// model is plain-http, so https third-party references stay
+    /// addressable. A reference with any other scheme (`data:`,
+    /// `javascript:`, `mailto:` …) names nothing to fetch: `Err`.
     pub fn join(&self, reference: &str) -> Result<Url, WireError> {
-        if reference.starts_with("http://") {
-            return Url::parse(reference);
-        }
-        if let Some(rest) = reference.strip_prefix("https://") {
-            // The model is plain-http; treat https third-party refs as
-            // http so they remain addressable in the simulation.
-            return Url::parse(&format!("http://{rest}"));
-        }
-        if reference.starts_with("//") {
-            return Url::parse(&format!("http:{reference}"));
-        }
-        if reference.starts_with('/') {
-            return Ok(Url {
-                host: self.host.clone(),
-                port: self.port,
-                target: Target::parse(reference)?,
-            });
-        }
-        // Relative to the base's directory.
-        let base_path = self.target.path();
-        let dir = match base_path.rfind('/') {
-            Some(i) => &base_path[..=i],
-            None => "/",
+        // A fragment names a place in the document, not a resource.
+        let reference = reference.split_once('#').map_or(reference, |(r, _)| r);
+        let url = match reference.split_once(':').filter(|(s, _)| is_scheme(s)) {
+            Some((scheme, rest))
+                if scheme.eq_ignore_ascii_case("http") || scheme.eq_ignore_ascii_case("https") =>
+            {
+                Url::parse(&format!("http:{rest}"))?
+            }
+            Some(_) => return Err(WireError::InvalidTarget(reference.to_owned())),
+            None if reference.starts_with("//") => Url::parse(&format!("http:{reference}"))?,
+            None if reference.is_empty() => return Ok(self.clone()),
+            None => {
+                let base = self.path();
+                let target = match reference.as_bytes()[0] {
+                    b'/' => reference.to_owned(),
+                    b'?' => format!("{base}{reference}"),
+                    // Relative to the base's directory.
+                    _ => format!("{}{reference}", &base[..=base.rfind('/').unwrap_or(0)]),
+                };
+                Url {
+                    target: Target::parse(&target)?,
+                    ..self.clone()
+                }
+            }
         };
-        Ok(Url {
-            host: self.host.clone(),
-            port: self.port,
-            target: Target::parse(&format!("{dir}{reference}"))?,
-        })
+        url.without_dot_segments()
     }
+
+    /// This URL with its path's `.` and `..` segments removed (RFC
+    /// 3986 §5.2.4).
+    fn without_dot_segments(self) -> Result<Url, WireError> {
+        let path = self.path();
+        if !path.split('/').any(|seg| seg == "." || seg == "..") {
+            return Ok(self);
+        }
+        let mut kept: Vec<&str> = Vec::new();
+        let mut segments = path.split('/').skip(1).peekable();
+        while let Some(seg) = segments.next() {
+            if seg == ".." {
+                kept.pop();
+            }
+            if seg != "." && seg != ".." {
+                kept.push(seg);
+            } else if segments.peek().is_none() {
+                // A trailing dot segment leaves its directory's slash.
+                kept.push("");
+            }
+        }
+        let query = &self.target.as_str()[path.len()..];
+        let target = Target::parse(&format!("/{}{query}", kept.join("/")))?;
+        Ok(Url { target, ..self })
+    }
+}
+
+/// `scheme = ALPHA *( ALPHA / DIGIT / "+" / "-" / "." )` (RFC 3986 §3.1).
+fn is_scheme(s: &str) -> bool {
+    s.starts_with(|c: char| c.is_ascii_alphabetic())
+        && s.bytes()
+            .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'+' | b'-' | b'.'))
 }
 
 impl fmt::Display for Url {
@@ -271,26 +304,86 @@ mod tests {
 
     #[test]
     fn join_rules() {
-        let base = Url::parse("http://s.com/dir/index.html").unwrap();
-        assert_eq!(
-            base.join("/abs.css").unwrap().to_string(),
-            "http://s.com/abs.css"
-        );
-        assert_eq!(
-            base.join("rel.js").unwrap().to_string(),
-            "http://s.com/dir/rel.js"
-        );
-        assert_eq!(
-            base.join("http://cdn.com/lib.js").unwrap().to_string(),
-            "http://cdn.com/lib.js"
-        );
-        assert_eq!(
-            base.join("//cdn.com/lib.js").unwrap().to_string(),
-            "http://cdn.com/lib.js"
-        );
-        assert_eq!(
-            base.join("https://cdn.com/lib.js").unwrap().to_string(),
-            "http://cdn.com/lib.js"
-        );
+        // RFC 3986 §5.4: the normal and abnormal examples a plain-http
+        // model can express.
+        let rfc = [
+            ("g", "http://a/b/c/g"),
+            ("./g", "http://a/b/c/g"),
+            ("g/", "http://a/b/c/g/"),
+            ("/g", "http://a/g"),
+            ("//g", "http://g/"),
+            ("?y", "http://a/b/c/d;p?y"),
+            ("g?y", "http://a/b/c/g?y"),
+            ("#s", "http://a/b/c/d;p?q"),
+            ("g#s", "http://a/b/c/g"),
+            ("g?y#s", "http://a/b/c/g?y"),
+            (";x", "http://a/b/c/;x"),
+            ("g;x", "http://a/b/c/g;x"),
+            ("", "http://a/b/c/d;p?q"),
+            (".", "http://a/b/c/"),
+            ("./", "http://a/b/c/"),
+            ("..", "http://a/b/"),
+            ("../", "http://a/b/"),
+            ("../g", "http://a/b/g"),
+            ("../..", "http://a/"),
+            ("../../", "http://a/"),
+            ("../../g", "http://a/g"),
+            ("../../../g", "http://a/g"),
+            ("../../../../g", "http://a/g"),
+            ("/./g", "http://a/g"),
+            ("/../g", "http://a/g"),
+            ("g.", "http://a/b/c/g."),
+            (".g", "http://a/b/c/.g"),
+            ("g..", "http://a/b/c/g.."),
+            ("..g", "http://a/b/c/..g"),
+            ("./../g", "http://a/b/g"),
+            ("./g/.", "http://a/b/c/g/"),
+            ("g/./h", "http://a/b/c/g/h"),
+            ("g/../h", "http://a/b/c/h"),
+            ("g;x=1/./y", "http://a/b/c/g;x=1/y"),
+            ("g;x=1/../y", "http://a/b/c/y"),
+            ("g?y/./x", "http://a/b/c/g?y/./x"),
+            ("g#s/./x", "http://a/b/c/g"),
+        ];
+        // What pages write. A fragment never reaches the wire, and
+        // third-party https stays addressable as http.
+        let page = [
+            ("", "http://example.org/pages/index.html?x=1"),
+            ("#frag", "http://example.org/pages/index.html?x=1"),
+            ("?q=2", "http://example.org/pages/index.html?q=2"),
+            ("a.css#f", "http://example.org/pages/a.css"),
+            ("./a.css", "http://example.org/pages/a.css"),
+            ("../a.css", "http://example.org/a.css"),
+            ("/a.css?v=3", "http://example.org/a.css?v=3"),
+            ("img/d.png", "http://example.org/pages/img/d.png"),
+            ("http-img/x.png", "http://example.org/pages/http-img/x.png"),
+            ("//example.org/c.png", "http://example.org/c.png"),
+            ("http://example.org/b.js", "http://example.org/b.js"),
+            ("HTTP://cdn.example/a.js", "http://cdn.example/a.js"),
+            ("https://cdn.example/a.js", "http://cdn.example/a.js"),
+            ("Https://cdn.example/x/../a.js", "http://cdn.example/a.js"),
+        ];
+        for (base, cases) in [
+            ("http://a/b/c/d;p?q", &rfc[..]),
+            ("http://example.org/pages/index.html?x=1", &page[..]),
+        ] {
+            let base = Url::parse(base).unwrap();
+            for (reference, want) in cases {
+                let got = base.join(reference).map(|u| u.to_string());
+                assert_eq!(got.as_deref(), Ok(*want), "{reference:?} against {base}");
+            }
+        }
+        // Only http(s) URLs name something to fetch; `http:g` is a
+        // scheme without an authority.
+        let base = Url::parse("http://example.org/pages/index.html").unwrap();
+        for reference in [
+            "data:image/png;base64,iVBORw0KGgo=",
+            "javascript:void(0)",
+            "mailto:web@example.org",
+            "ftp://example.org/a.css",
+            "http:g",
+        ] {
+            assert!(base.join(reference).is_err(), "{reference:?}");
+        }
     }
 }

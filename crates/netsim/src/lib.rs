@@ -38,6 +38,7 @@ pub mod trace;
 #[cfg(feature = "aio")]
 pub mod emu;
 
+pub use cachecatalyst_telemetry::FetchOutcome;
 pub use conditions::NetworkConditions;
 pub use fault::{Fault, FaultPlan, FaultSchedule};
 pub use link::FluidLink;
@@ -45,4 +46,4 @@ pub use network::{LinkId, Network};
 pub use queue::EventQueue;
 pub use sched::VirtualSchedule;
 pub use time::{transmission_time, SimTime};
-pub use trace::{FetchOutcome, FetchTrace, LoadTrace};
+pub use trace::{FetchTrace, LoadTrace};

@@ -1,44 +1,9 @@
 //! Timeline traces of simulated fetches, for rendering Figure-1-style
 //! waterfalls.
 
+use cachecatalyst_telemetry::FetchOutcome;
+
 use crate::time::SimTime;
-
-/// How one resource was satisfied during a page load.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FetchOutcome {
-    /// Full body transferred from the origin (200).
-    FullTransfer,
-    /// Conditional request answered `304 Not Modified`.
-    NotModified,
-    /// Served from the browser's HTTP cache without any request.
-    CacheHit,
-    /// Served by the CacheCatalyst service worker without any request.
-    ServiceWorkerHit,
-    /// Delivered ahead of the request (HTTP/2-style server push or an
-    /// RDR bundle); bytes crossed the network without a round trip.
-    Pushed,
-}
-
-impl FetchOutcome {
-    /// Whether the network was touched at all.
-    pub fn used_network(self) -> bool {
-        matches!(
-            self,
-            FetchOutcome::FullTransfer | FetchOutcome::NotModified | FetchOutcome::Pushed
-        )
-    }
-
-    /// Short tag used in waterfall rendering.
-    pub fn tag(self) -> &'static str {
-        match self {
-            FetchOutcome::FullTransfer => "GET ",
-            FetchOutcome::NotModified => "304 ",
-            FetchOutcome::CacheHit => "hit ",
-            FetchOutcome::ServiceWorkerHit => "sw  ",
-            FetchOutcome::Pushed => "push",
-        }
-    }
-}
 
 /// One row of a page-load waterfall.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -33,31 +33,30 @@ impl RdrProxy {
     /// Resolves the full dependency closure of `page` (whose body the
     /// origin just served as `page_body`) at `t_secs` the way a
     /// headless browser would: wave by wave, parsing markup and
-    /// executing scripts. Each dependency is fetched from the origin
-    /// once, when first named — the origin's epoch cache hands out
-    /// the allocation it serves to everyone, so its links are read at
-    /// most once per epoch — and its wire size goes towards the bundle.
+    /// executing scripts, resolving each reference against the URL of
+    /// the body that names it. Each same-origin dependency is fetched
+    /// from the origin once, when first named — the origin's epoch
+    /// cache hands out the allocation it serves to everyone, so its
+    /// links are read at most once per epoch — and its wire size goes
+    /// towards the bundle. Cross-origin fetches would not be bundled
+    /// by a same-origin RDR deployment (WatchTower-style).
     fn resolve(&self, page: &str, page_body: &Body, t_secs: i64) -> Closure {
         let mut closure = Closure::default();
+        let page = self.inner.site().url(page);
         let mut seen = std::collections::HashSet::new();
-        let mut frontier = vec![(ResourceKind::from_path(page), page_body.clone())];
+        let mut frontier = vec![(page.clone(), page_body.clone())];
         while !frontier.is_empty() && closure.waves < 16 {
             closure.waves += 1;
             let mut next = Vec::new();
-            for (kind, body) in frontier.drain(..) {
-                let Some(links) = extract::links(kind, &body) else {
-                    continue;
-                };
-                for href in links.hrefs() {
-                    // Same-origin rooted paths only: cross-origin
-                    // fetches would not be bundled by a same-origin
-                    // RDR deployment (WatchTower-style).
-                    if !href.starts_with('/') || !seen.insert(href.clone()) {
+            for (url, body) in frontier.drain(..) {
+                let kind = ResourceKind::from_path(url.path());
+                for dep in extract::discover(&url, kind, &body) {
+                    if !dep.same_origin(&page) || !seen.insert(dep.clone()) {
                         continue;
                     }
-                    closure.paths.push(href.clone());
-                    let body_req =
-                        Request::get(href).with_header(HeaderName::X_CC_INTERNAL, "bundle");
+                    closure.targets.push(dep.target().to_string());
+                    let body_req = Request::get_target(dep.target().clone())
+                        .with_header(HeaderName::X_CC_INTERNAL, "bundle");
                     let r = (*self.inner).handle(&body_req, t_secs);
                     // What the origin cannot serve still takes its
                     // turn in the next wave, with nothing to read.
@@ -66,7 +65,7 @@ impl RdrProxy {
                         closure.wire_bytes += r.wire_len();
                         body = r.body;
                     }
-                    next.push((ResourceKind::from_path(href), body));
+                    next.push((dep, body));
                 }
             }
             frontier = next;
@@ -84,11 +83,11 @@ impl RdrProxy {
             return resp;
         }
         let Closure {
-            paths,
+            targets,
             waves,
             wire_bytes,
         } = self.resolve(page, &resp.body, t_secs);
-        if paths.is_empty() {
+        if targets.is_empty() {
             return resp;
         }
         // The bundle body: the page itself followed by all resolved
@@ -100,7 +99,7 @@ impl RdrProxy {
         resp.body = bundle.into();
         resp.headers
             .insert("content-length", &resp.body.len().to_string());
-        for chunk in paths.chunks(64) {
+        for chunk in targets.chunks(64) {
             resp.headers
                 .append(HeaderName::X_CC_RDR_BUNDLE, &chunk.join(","));
         }
@@ -116,8 +115,9 @@ impl RdrProxy {
 /// What [`RdrProxy::resolve`] found.
 #[derive(Default)]
 struct Closure {
-    /// Same-origin dependencies, in discovery order.
-    paths: Vec<String>,
+    /// Request targets of the same-origin dependencies, in discovery
+    /// order.
+    targets: Vec<String>,
     /// Dependency waves walked, the page's own included.
     waves: usize,
     /// Wire size of every dependency the origin could serve.
@@ -175,13 +175,27 @@ mod tests {
         let closure = p.resolve("/index.html", &page, 0);
         for expect in ["/a.css", "/b.js", "/c.js", "/d.jpg"] {
             assert!(
-                closure.paths.contains(&expect.to_string()),
+                closure.targets.contains(&expect.to_string()),
                 "{expect} missing"
             );
         }
         // index → (a.css, b.js) → c.js → d.jpg is three dependency waves
         // past the base document.
         assert_eq!(closure.waves, 4);
+    }
+
+    #[test]
+    fn bundles_what_a_browser_fetches_from_the_origin() {
+        let p = proxy();
+        let page = Body::from(
+            r#"<link rel="stylesheet" href="a.css">
+               <script src="http://example.org/b.js"></script>
+               <img src="//example.org/d.jpg">
+               <script src="http://cdn.other/x.js"></script>"#,
+        );
+        let closure = p.resolve("/index.html", &page, 0);
+        // b.js names c.js; d.jpg is named twice and bundled once.
+        assert_eq!(closure.targets, ["/a.css", "/b.js", "/d.jpg", "/c.js"]);
     }
 
     #[test]

@@ -15,38 +15,61 @@ use std::sync::Mutex;
 
 use crate::json_string;
 
-/// How a resource fetch was satisfied, in the vocabulary of the
-/// paper's comparison (classic caching vs CacheCatalyst).
+/// How one resource was satisfied during a page load: the loaders
+/// set it, the simulator's waterfall and the event stream print it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FetchKind {
-    /// Served from a fresh HTTP-cache entry; zero network.
-    CacheFresh,
-    /// Served by the service worker from the `X-Etag-Config` map;
-    /// zero network.
-    EtagConfigHit,
-    /// Revalidated over the network, answered `304 Not Modified`.
-    Conditional304,
-    /// Full body transferred from the origin.
-    FullFetch,
-    /// Delivered ahead of the request (push / bundle comparators).
+pub enum FetchOutcome {
+    /// Full body transferred from the origin (200).
+    FullTransfer,
+    /// Conditional request answered `304 Not Modified`.
+    NotModified,
+    /// Served from the browser's HTTP cache without any request.
+    CacheHit,
+    /// Served by the CacheCatalyst service worker from the
+    /// `X-Etag-Config` map without any request.
+    ServiceWorkerHit,
+    /// Delivered ahead of the request (HTTP/2-style server push or an
+    /// RDR bundle); bytes crossed the network without a round trip.
     Pushed,
 }
 
-impl FetchKind {
+impl FetchOutcome {
+    /// Whether the network was touched at all.
+    pub fn used_network(self) -> bool {
+        matches!(
+            self,
+            FetchOutcome::FullTransfer | FetchOutcome::NotModified | FetchOutcome::Pushed
+        )
+    }
+
+    /// The name in the event stream (`outcome` of a `fetch_end`), in
+    /// the vocabulary of the paper's comparison.
     pub fn as_str(self) -> &'static str {
         match self {
-            FetchKind::CacheFresh => "cache-fresh",
-            FetchKind::EtagConfigHit => "etag-config-hit",
-            FetchKind::Conditional304 => "conditional-304",
-            FetchKind::FullFetch => "full-fetch",
-            FetchKind::Pushed => "pushed",
+            FetchOutcome::FullTransfer => "full-fetch",
+            FetchOutcome::NotModified => "conditional-304",
+            FetchOutcome::CacheHit => "cache-fresh",
+            FetchOutcome::ServiceWorkerHit => "etag-config-hit",
+            FetchOutcome::Pushed => "pushed",
+        }
+    }
+
+    /// Short tag used in waterfall rendering (and, trimmed, in span
+    /// attributes and HAR comments).
+    pub fn tag(self) -> &'static str {
+        match self {
+            FetchOutcome::FullTransfer => "GET ",
+            FetchOutcome::NotModified => "304 ",
+            FetchOutcome::CacheHit => "hit ",
+            FetchOutcome::ServiceWorkerHit => "sw  ",
+            FetchOutcome::Pushed => "push",
         }
     }
 }
 
 /// How one resource was decided by the caching machinery — the
 /// vocabulary of the cache-decision **audit trail**. Coarser than
-/// [`FetchKind`]: it answers "did the catalyst mechanism engage, and
+/// [`FetchOutcome`]: it answers "did the catalyst mechanism engage, and
 /// if not, what happened instead?".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheDecision {
@@ -143,7 +166,7 @@ pub enum Event {
     FetchEnd {
         url: String,
         t_ms: f64,
-        outcome: FetchKind,
+        outcome: FetchOutcome,
         bytes_down: u64,
         bytes_up: u64,
         /// Network round trips this fetch paid (0 for local hits).
@@ -337,7 +360,7 @@ mod tests {
         let e = Event::FetchEnd {
             url: "http://s/a.css".into(),
             t_ms: 12.5,
-            outcome: FetchKind::Conditional304,
+            outcome: FetchOutcome::NotModified,
             bytes_down: 120,
             bytes_up: 230,
             rtts: 1,
@@ -351,9 +374,10 @@ mod tests {
 
     #[test]
     fn outcome_vocabulary() {
-        assert_eq!(FetchKind::CacheFresh.as_str(), "cache-fresh");
-        assert_eq!(FetchKind::EtagConfigHit.as_str(), "etag-config-hit");
-        assert_eq!(FetchKind::FullFetch.as_str(), "full-fetch");
+        assert_eq!(FetchOutcome::CacheHit.as_str(), "cache-fresh");
+        assert_eq!(FetchOutcome::ServiceWorkerHit.as_str(), "etag-config-hit");
+        assert_eq!(FetchOutcome::FullTransfer.as_str(), "full-fetch");
+        assert_eq!(FetchOutcome::ServiceWorkerHit.tag(), "sw  ");
     }
 
     #[test]

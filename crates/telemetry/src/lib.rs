@@ -28,7 +28,7 @@ pub mod metric;
 pub mod registry;
 pub mod span;
 
-pub use event::{to_jsonl, CacheAudit, CacheDecision, Event, FetchKind, Recorder};
+pub use event::{to_jsonl, CacheAudit, CacheDecision, Event, FetchOutcome, Recorder};
 pub use metric::{Counter, Gauge, Histogram};
 pub use registry::Registry;
 pub use span::{Sampling, Span, SpanId, SpanSink, TraceContext, TraceId};

@@ -9,14 +9,14 @@
 //! `<link href>`, `<script src>`, `<img src/srcset>`, `<source
 //! src/srcset>`, `<video poster>`, CSS `url(...)` and `@import`.
 //!
-//! Everything outside this crate that wants "the references in this
-//! body" — the browser profile, the origin's map builder, the RDR
-//! proxy — asks [`links`], which reads them once per [`Body`]
-//! allocation.
+//! Everything outside this crate that wants "the URLs this body
+//! references" — the browser profile, the origin's map walk, the RDR
+//! proxy — asks [`discover`], which reads them, and their resolution
+//! against the body's URL, once per [`Body`] allocation.
 
 use std::borrow::Cow;
 
-use cachecatalyst_httpwire::{Body, Links, Syntax};
+use cachecatalyst_httpwire::{Body, Links, Syntax, Url};
 
 use crate::jsdialect;
 use crate::resource::ResourceKind;
@@ -37,7 +37,7 @@ pub fn hrefs(syntax: Syntax, text: &str) -> Vec<String> {
 /// The references in `body`, read as what `kind` says it is (`None`
 /// for kinds that reference nothing). Extracted at most once per body
 /// allocation, by whoever asks first.
-pub fn links(kind: ResourceKind, body: &Body) -> Option<Cow<'_, Links>> {
+fn links(kind: ResourceKind, body: &Body) -> Option<Cow<'_, Links>> {
     let syntax = match kind {
         ResourceKind::Html => Syntax::Markup,
         ResourceKind::Css => Syntax::Stylesheet,
@@ -45,6 +45,22 @@ pub fn links(kind: ResourceKind, body: &Body) -> Option<Cow<'_, Links>> {
         _ => return None,
     };
     Some(body.links(syntax, hrefs))
+}
+
+/// The URLs `body`, fetched from `url` and read as `kind`, references,
+/// in discovery order: every reference [`Url::join`] resolves against
+/// `url`, except one naming the document itself. The workspace's one
+/// way from a body to the URLs it names; the links and their
+/// resolution against the first URL asked for ride with the body, so
+/// a second reader of the allocation allocates the returned list only.
+pub fn discover(url: &Url, kind: ResourceKind, body: &Body) -> Vec<Url> {
+    let Some(links) = links(kind, body) else {
+        return Vec::new();
+    };
+    let resolved = links.resolved(url);
+    let mut urls = Vec::with_capacity(resolved.len());
+    urls.extend(resolved.iter().flatten().filter(|u| *u != url).cloned());
+    urls
 }
 
 /// A reference discovered in markup.

@@ -22,6 +22,8 @@
 
 use std::time::Duration;
 
+use cachecatalyst_httpwire::Url;
+
 use crate::resource::{ChangeModel, Discovery, ResourceKind, ResourceSpec};
 use crate::site::{GeneratedResource, Site, SiteSpec};
 use crate::ttl::HeaderPolicy;
@@ -98,6 +100,10 @@ pub fn site_from_inventory(text: &str) -> Result<Site, InventoryError> {
             host = h.trim().to_owned();
             if host.is_empty() {
                 return Err(err(line_no, "@host needs a value"));
+            }
+            // The site names its paths `http://{host}{path}` (`Site::url`).
+            if Url::parse(&format!("http://{host}/")).is_err() {
+                return Err(err(line_no, "@host is not a host[:port]"));
             }
             continue;
         }
@@ -322,6 +328,12 @@ mod tests {
 
         let e = site_from_inventory("").unwrap_err();
         assert!(e.message.contains("no resources"));
+
+        let e = site_from_inventory("@host my_site.example\n/i.html html 9").unwrap_err();
+        assert_eq!(
+            (e.line, e.message.as_str()),
+            (1, "@host is not a host[:port]")
+        );
 
         let e = site_from_inventory("/only.css css 5").unwrap_err();
         assert!(e.message.contains("at least one html"));

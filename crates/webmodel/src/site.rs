@@ -11,7 +11,7 @@ use std::fmt::Write;
 use std::time::Duration;
 
 use bytes::Bytes;
-use cachecatalyst_httpwire::EntityTag;
+use cachecatalyst_httpwire::{EntityTag, Url};
 
 use crate::content::render_body;
 use crate::resource::{ChangeModel, Discovery, ResourceKind, ResourceSpec};
@@ -501,17 +501,15 @@ impl Site {
         format!("cdn.{}", self.spec.host)
     }
 
-    /// The host serving `path`.
-    pub fn host_of(&self, path: &str) -> String {
-        match self.resources.get(path) {
+    /// The URL the site names `path` by: on its own host, or on
+    /// [`Site::third_party_host`] for a third-party resource. `path`
+    /// is a rooted site path.
+    pub fn url(&self, path: &str) -> Url {
+        let host = match self.resources.get(path) {
             Some(r) if r.spec.third_party => self.third_party_host(),
             _ => self.spec.host.clone(),
-        }
-    }
-
-    /// Absolute URL of `path`.
-    pub fn url_of(&self, path: &str) -> String {
-        format!("http://{}{}", self.host_of(path), path)
+        };
+        Url::parse(&format!("http://{host}{path}")).expect("a site's host and paths form a URL")
     }
 
     /// Total body bytes of all resources (page weight).
@@ -705,11 +703,17 @@ mod tests {
             .expect("some third-party resource");
         let link = site.link_text(&tp.spec.path);
         assert!(link.starts_with("http://cdn."), "{link}");
+        assert_eq!(site.url(&tp.spec.path).to_string(), link);
         let same = site
             .resources()
             .find(|r| !r.spec.third_party && r.spec.path != "/index.html")
             .unwrap();
         assert!(site.link_text(&same.spec.path).starts_with('/'));
+        let url = site.url(&same.spec.path);
+        assert_eq!(
+            (url.host(), url.path()),
+            (&site.spec.host[..], &same.spec.path[..])
+        );
     }
 
     #[test]

@@ -7,12 +7,14 @@
 use std::fmt;
 use std::ops::Range;
 
+use cachecatalyst_httpwire::hash::Fnv1a64;
+
 /// Derives a child seed from a parent seed and a label (FNV-1a over the
-/// label, mixed with SplitMix64).
+/// label, seeded with the parent and mixed with SplitMix64).
 pub fn derive_seed(seed: u64, label: &str) -> u64 {
-    let mut fold = Fold(0xcbf2_9ce4_8422_2325 ^ seed);
-    fold.bytes(label.as_bytes());
-    splitmix64(fold.0)
+    let mut fold = Fnv1a64::with_seed(seed);
+    fold.write(label.as_bytes());
+    splitmix64(fold.finish())
 }
 
 /// [`derive_seed`] of the label `args` would format to, fed to the
@@ -20,28 +22,9 @@ pub fn derive_seed(seed: u64, label: &str) -> u64 {
 /// format_args!("{host}{path}"))` equals `derive_seed(s,
 /// &format!("{host}{path}"))` and allocates nothing.
 pub fn derive_seed_fmt(seed: u64, label: fmt::Arguments<'_>) -> u64 {
-    let mut fold = Fold(0xcbf2_9ce4_8422_2325 ^ seed);
+    let mut fold = Fnv1a64::with_seed(seed);
     fmt::write(&mut fold, label).expect("folding bytes cannot fail");
-    splitmix64(fold.0)
-}
-
-/// The FNV-1a state `derive_seed` folds a label into.
-struct Fold(u64);
-
-impl Fold {
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
-
-impl fmt::Write for Fold {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.bytes(s.as_bytes());
-        Ok(())
-    }
+    splitmix64(fold.finish())
 }
 
 const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;

@@ -252,7 +252,7 @@ fn spec_with_children(kind: ResourceKind, size: u64) -> ResourceSpec {
     spec
 }
 
-fn url_of(child: &str) -> String {
+fn link_text(child: &str) -> String {
     if child.starts_with("/c/0") {
         format!("http://cdn.h.example{child}")
     } else {
@@ -270,17 +270,17 @@ fn render_body_equals_the_reference_at_every_residue() {
         for version in [0, 7, 1 << 40] {
             let spec = spec_with_children(kind, 0);
             let fixed = if kind.is_textual() {
-                reference::essential("h.example", &spec, version, &url_of).len()
+                reference::essential("h.example", &spec, version, &link_text).len()
                     + 2 * reference::FILLER.len()
             } else {
                 reference::binary_header("h.example", &spec, version).len() + 3 * 8
             };
             for size in 0..=fixed as u64 {
                 let spec = spec_with_children(kind, size);
-                let body = render_body("h.example", &spec, version, &url_of);
+                let body = render_body("h.example", &spec, version, &link_text);
                 assert_eq!(
                     &body[..],
-                    &reference::render_body("h.example", &spec, version, &url_of)[..],
+                    &reference::render_body("h.example", &spec, version, &link_text)[..],
                     "{kind:?} v{version} at {size} bytes"
                 );
             }
@@ -296,7 +296,7 @@ fn extract_html_links_equals_the_reference_on_pages_and_malformed_input() {
         "h.example",
         &spec_with_children(ResourceKind::Html, 6_000),
         3,
-        &url_of,
+        &link_text,
     );
     let page = std::str::from_utf8(&page).unwrap();
     let mut inputs: Vec<String> = vec![
@@ -364,8 +364,8 @@ proptest! {
         version in any::<u64>(),
     ) {
         let spec = spec_with_children(ResourceKind::all()[kind], size);
-        let body = render_body("h.example", &spec, version, &url_of);
-        prop_assert_eq!(&body[..], &reference::render_body("h.example", &spec, version, &url_of)[..]);
+        let body = render_body("h.example", &spec, version, &link_text);
+        prop_assert_eq!(&body[..], &reference::render_body("h.example", &spec, version, &link_text)[..]);
     }
 
     /// Generated HTML always parses back to exactly its static

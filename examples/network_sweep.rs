@@ -29,8 +29,7 @@ fn main() {
             let mut base_plt = 0.0;
             let mut cat_plt = 0.0;
             for site in &sites {
-                let url =
-                    Url::parse(&format!("http://{}{}", site.spec.host, site.base_path())).unwrap();
+                let url = site.url(site.base_path());
                 let t0: i64 = 35 * 86_400;
                 let t1 = t0 + delay.as_secs() as i64;
 

@@ -25,7 +25,7 @@ const INVENTORY: &str = r#"
 
 fn main() {
     let site = site_from_inventory(INVENTORY).expect("inventory parses");
-    let base = Url::parse(&format!("http://{}{}", site.spec.host, site.base_path())).unwrap();
+    let base = site.url(site.base_path());
     let cond = NetworkConditions::five_g_median();
     let t0: i64 = 0;
     let revisit = 3600; // the shopper returns an hour later

@@ -16,7 +16,7 @@ fn main() {
         js_discovered_fraction: 0.1,
         ..Default::default()
     });
-    let base = Url::parse(&format!("http://{}{}", site.spec.host, site.base_path())).unwrap();
+    let base = site.url(site.base_path());
     let cond = NetworkConditions::five_g_median();
     let t0: i64 = 40 * 86_400;
 

@@ -87,7 +87,7 @@ fn site_for(seed: u64) -> (Site, Url) {
         n_resources: 9,
         ..Default::default()
     });
-    let url = Url::parse(&format!("http://{}{}", site.spec.host, site.base_path())).unwrap();
+    let url = site.url(site.base_path());
     (site, url)
 }
 

@@ -197,8 +197,7 @@ impl Visits {
     /// goes with `mode`.
     fn simulate(&self, mode: HeaderMode) -> (Site, LoadReport, LoadReport) {
         let site = build_site(self.site.clone());
-        let base = Url::parse(&format!("http://{}{}", site.spec.host, site.base_path()))
-            .expect("generated url");
+        let base = site.url(site.base_path());
         let origin = OriginServer::new(site.clone(), mode);
         let mut browser = match mode {
             HeaderMode::Baseline => Browser::baseline(),

@@ -18,7 +18,7 @@ fn mean_improvement(sites: &[Site], cond: NetworkConditions, delay: Duration) ->
     let mut base_plt = 0.0;
     let mut cat_plt = 0.0;
     for site in sites {
-        let url = Url::parse(&format!("http://{}{}", site.spec.host, site.base_path())).unwrap();
+        let url = site.url(site.base_path());
         let t0: i64 = 35 * 86_400;
         let t1 = t0 + delay.as_secs() as i64;
 
@@ -101,7 +101,7 @@ fn catalyst_never_issues_more_round_trips_than_it_saves() {
     let sites = corpus(4);
     let cond = NetworkConditions::five_g_median();
     for site in &sites {
-        let url = Url::parse(&format!("http://{}{}", site.spec.host, site.base_path())).unwrap();
+        let url = site.url(site.base_path());
         let t0: i64 = 35 * 86_400;
         let t1 = t0 + 3600;
 

@@ -17,7 +17,7 @@ fn cross_origin_extension_maps_and_serves_third_party() {
         ..Default::default()
     });
     let cdn_host = format!("cdn.{}", site.spec.host);
-    let base = Url::parse(&format!("http://{}{}", site.spec.host, site.base_path())).unwrap();
+    let base = site.url(site.base_path());
     let cond = NetworkConditions::five_g_median();
 
     // Paper behaviour: third-party references never mapped.
@@ -76,18 +76,8 @@ fn multi_page_visit_uses_shared_chrome() {
 
     let mut browser = Browser::catalyst();
     let pages = site.pages();
-    let landing = browser.load(
-        &origin,
-        cond,
-        &Url::parse(&format!("http://{}{}", site.spec.host, pages[0])).unwrap(),
-        0,
-    );
-    let click = browser.load(
-        &origin,
-        cond,
-        &Url::parse(&format!("http://{}{}", site.spec.host, pages[1])).unwrap(),
-        10,
-    );
+    let landing = browser.load(&origin, cond, &site.url(&pages[0]), 0);
+    let click = browser.load(&origin, cond, &site.url(&pages[1]), 10);
     assert!(click.sw_hits > 0, "chrome must be served by the SW");
     assert!(click.plt < landing.plt);
     assert!(click.network_requests() < landing.network_requests());
@@ -116,7 +106,7 @@ fn capture_covers_js_resources_per_page() {
         site.clone(),
         HeaderMode::CatalystAggregate,
     ));
-    let base = Url::parse(&format!("http://{}{}", site.spec.host, site.base_path())).unwrap();
+    let base = site.url(site.base_path());
     let mut browser = Browser::catalyst();
     browser.load(&origin, cond, &base, 0);
     // Unchanged revisit after a minute: everything captured must now be

@@ -14,7 +14,7 @@ fn run_once(seed: u64, mode: HeaderMode) -> (Vec<u64>, u64, String) {
         js_discovered_fraction: 0.1,
         ..Default::default()
     });
-    let url = Url::parse(&format!("http://{}{}", site.spec.host, site.base_path())).unwrap();
+    let url = site.url(site.base_path());
     let origin = Arc::new(OriginServer::new(site.clone(), mode));
     let mut browser = match mode {
         HeaderMode::Baseline => Browser::baseline(),

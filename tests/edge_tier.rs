@@ -633,7 +633,7 @@ fn store_series_equal_the_store_after_concurrent_eviction() {
     const THREADS: usize = 8;
     const KEYS_PER_THREAD: usize = 400;
     let edge = EdgeCache::builder(FixedSizeOrigin)
-        .byte_budget(64 << 10)
+        .store(StoreOptions::new().mem_budget(64 << 10))
         .build();
     let barrier = Barrier::new(THREADS);
 

@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use cachecatalyst::browser::live::{ByteStream, Dialer, LiveBrowser};
 use cachecatalyst::chaos::{live_slack_ms, within_band};
-use cachecatalyst::edge::{EdgeCache, TcpEdge};
+use cachecatalyst::edge::{EdgeCache, StoreOptions, TcpEdge};
 use cachecatalyst::origin::watch_clock;
 use cachecatalyst::prelude::*;
 use cachecatalyst::telemetry::{Event, Recorder};
@@ -93,7 +93,7 @@ async fn replay_over_tcp(trace: &Trace, kind: ClientKind) -> (Vec<VisitAudits>, 
     let recorder = Arc::new(Recorder::new());
     let edge = Arc::new(
         EdgeCache::builder(multi)
-            .byte_budget(FleetOptions::default().edge_budget)
+            .store(StoreOptions::new().mem_budget(FleetOptions::default().edge_budget))
             .recorder(Arc::clone(&recorder))
             .build(),
     );

@@ -42,7 +42,7 @@ fn delivered_versions(
 ) -> Vec<(String, u64, u64)> {
     let origin = Arc::new(OriginServer::new(site.clone(), mode));
     let up = Arc::clone(&origin);
-    let url = Url::parse(&format!("http://{}{}", site.spec.host, site.base_path())).unwrap();
+    let url = site.url(site.base_path());
     browser.load(&up, NetworkConditions::five_g_median(), &url, t0);
     let warm = browser.load(&up, NetworkConditions::five_g_median(), &url, t1);
 
@@ -143,7 +143,7 @@ fn audit_decisions_reconcile_with_cache_metric_deltas() {
     for site in &sites {
         let origin = Arc::new(OriginServer::new(site.clone(), HeaderMode::Baseline));
         let up = Arc::clone(&origin);
-        let url = Url::parse(&format!("http://{}{}", site.spec.host, site.base_path())).unwrap();
+        let url = site.url(site.base_path());
         let mut browser = Browser::baseline();
         for t in [t0, t0 + 3600, t0 + 86_400, t0 + 8 * 86_400] {
             let before = browser.cache.metrics;
